@@ -18,7 +18,7 @@ All functions require a C++ toolchain and raise
 from __future__ import annotations
 
 import ctypes
-from ctypes import POINTER, byref, c_double, c_int64, c_void_p
+from ctypes import byref, c_double, c_int64, c_void_p
 
 import numpy as np
 
@@ -96,22 +96,14 @@ def _ptr(a: np.ndarray):
     return None if a.size == 0 else a.ctypes.data_as(c_void_p)
 
 
-def _take_vec(lib, nnz, out_idx, out_vals, size, dtype) -> SparseVector:
-    dt = np.dtype(dtype)
-    cdt = np.dtype(np.uint8) if dt == np.bool_ else dt
-    if nnz > 0:
-        idx = np.ctypeslib.as_array(out_idx, shape=(nnz,)).copy()
-        vals = np.frombuffer(
-            ctypes.string_at(out_vals, nnz * cdt.itemsize), dtype=cdt
-        ).copy()
-        if dt == np.bool_:
-            vals = vals.view(np.bool_)
-    else:
-        idx = np.empty(0, _I64)
-        vals = np.empty(0, dt)
-    lib.pygb_free(out_idx)
-    lib.pygb_free(out_vals)
-    return SparseVector.from_sorted(size, idx, vals)
+def _out_buffers(size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy-owned ``(indices, values)`` buffers the module writes its
+    result vector into (at most *size* entries)."""
+    return np.empty(size, _I64), np.empty(size, np.dtype(dtype))
+
+
+def _take_vec(nnz: int, idx, vals, size: int) -> SparseVector:
+    return SparseVector.from_sorted(size, idx[:nnz], vals[:nnz])
 
 
 def bfs_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
@@ -120,15 +112,13 @@ def bfs_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
     gt = graph.transposed()
     lib = _get_runner().lib("algo_bfs", gt.dtype)
     indptr, indices, values = _csr_ptrs(gt)
-    out_idx = POINTER(c_int64)()
-    out_vals = c_void_p()
+    out_idx, out_vals = _out_buffers(gt.nrows, np.int64)
     elapsed = c_int64(0)
     nnz = lib.pygb_run(
         c_int64(gt.nrows), _ptr(indptr), _ptr(indices), _ptr(values),
-        c_int64(source), byref(out_idx), byref(out_vals), byref(elapsed),
+        c_int64(source), _ptr(out_idx), _ptr(out_vals), byref(elapsed),
     )
-    levels = _take_vec(lib, nnz, out_idx, out_vals, gt.nrows, np.int64)
-    return levels, elapsed.value
+    return _take_vec(nnz, out_idx, out_vals, gt.nrows), elapsed.value
 
 
 def sssp_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
@@ -136,15 +126,13 @@ def sssp_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
     gt = graph.transposed()
     lib = _get_runner().lib("algo_sssp", gt.dtype)
     indptr, indices, values = _csr_ptrs(gt)
-    out_idx = POINTER(c_int64)()
-    out_vals = c_void_p()
+    out_idx, out_vals = _out_buffers(gt.nrows, gt.dtype)
     elapsed = c_int64(0)
     nnz = lib.pygb_run(
         c_int64(gt.nrows), _ptr(indptr), _ptr(indices), _ptr(values),
-        c_int64(source), byref(out_idx), byref(out_vals), byref(elapsed),
+        c_int64(source), _ptr(out_idx), _ptr(out_vals), byref(elapsed),
     )
-    path = _take_vec(lib, nnz, out_idx, out_vals, gt.nrows, gt.dtype)
-    return path, elapsed.value
+    return _take_vec(nnz, out_idx, out_vals, gt.nrows), elapsed.value
 
 
 def pagerank_compiled(
@@ -158,16 +146,14 @@ def pagerank_compiled(
     g = graph.astype(np.float64)
     lib = _get_runner().lib("algo_pagerank", np.float64)
     indptr, indices, values = _csr_ptrs(g)
-    out_idx = POINTER(c_int64)()
-    out_vals = c_void_p()
+    out_idx, out_vals = _out_buffers(g.nrows, np.float64)
     elapsed = c_int64(0)
     nnz = lib.pygb_run(
         c_int64(g.nrows), _ptr(indptr), _ptr(indices), _ptr(values),
         c_double(damping_factor), c_double(threshold), c_int64(max_iters),
-        byref(out_idx), byref(out_vals), byref(elapsed),
+        _ptr(out_idx), _ptr(out_vals), byref(elapsed),
     )
-    ranks = _take_vec(lib, nnz, out_idx, out_vals, g.nrows, np.float64)
-    return ranks, elapsed.value
+    return _take_vec(nnz, out_idx, out_vals, g.nrows), elapsed.value
 
 
 def triangle_count_compiled(L: SparseMatrix) -> tuple[int, int]:

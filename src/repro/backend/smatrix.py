@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatch, IndexOutOfBounds
 from ..types import normalize_dtype
+from .ffipack import ArgPack, resident
 
 __all__ = ["SparseMatrix"]
 
@@ -37,6 +38,7 @@ class SparseMatrix:
         "_transpose_cache",
         "_lengths_cache",
         "_degree_stats_cache",
+        "_ffi_cache",
     )
 
     def __init__(
@@ -59,6 +61,7 @@ class SparseMatrix:
         # _MEMO_LOCK when concurrent server threads race the first touch
         self._lengths_cache: np.ndarray | None = None
         self._degree_stats_cache: tuple[int, int] | None = None
+        self._ffi_cache: ArgPack | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -216,6 +219,15 @@ class SparseMatrix:
                     self._transpose_cache = t
         return t
 
+    def ffi_pack(self) -> ArgPack:
+        """``(nrows, ncols, indptr, indices, values)`` as the cpp engine
+        passes this matrix to a kernel, ``.mask_args()`` for mask position
+        — built on the first cpp dispatch, then resident (see
+        :mod:`~repro.backend.ffipack`)."""
+        return self._ffi_cache or resident(
+            self, (self.nrows, self.ncols), (self.indptr, self.indices)
+        )
+
     def row_vector(self, i: int):
         """Row *i* as a SparseVector of size ``ncols`` (zero-copy slices)."""
         from .svector import SparseVector
@@ -261,9 +273,7 @@ class SparseMatrix:
     def to_dict(self) -> dict[tuple[int, int], object]:
         """Plain ``{(i, j): value}`` dict (reference-implementation format)."""
         rows, cols, vals = self.coo()
-        return {
-            (int(i), int(j)): v.item() for i, j, v in zip(rows, cols, vals)
-        }
+        return dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatch, IndexOutOfBounds
 from ..types import normalize_dtype
+from .ffipack import ArgPack, resident
 
 __all__ = ["SparseVector"]
 
@@ -33,7 +34,7 @@ class SparseVector:
     trivial (``w[None] += A @ w`` reads and writes the same vector).
     """
 
-    __slots__ = ("size", "indices", "values", "_repr_cache")
+    __slots__ = ("size", "indices", "values", "_repr_cache", "_ffi_cache")
 
     def __init__(self, size: int, indices: np.ndarray, values: np.ndarray):
         self.size = int(size)
@@ -43,6 +44,9 @@ class SparseVector:
         # / true_bitmap results); safe to memoize because vectors are
         # immutable by convention — see the class docstring
         self._repr_cache = None
+        # the cpp engine's resident argument pack: same immutability
+        # argument, its own slot because every cpp dispatch reads it
+        self._ffi_cache: ArgPack | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -187,6 +191,13 @@ class SparseVector:
 
         return self._memo("bitmap", build)
 
+    def ffi_pack(self) -> ArgPack:
+        """``(size, indices, values, nvals)`` as the cpp engine passes this
+        vector to a kernel, ``.mask_args()`` for mask position — built on
+        the first cpp dispatch, then resident (see
+        :mod:`~repro.backend.ffipack`)."""
+        return self._ffi_cache or resident(self, (self.size,), (self.indices,), (self.nvals,))
+
     def _memo(self, key: str, build):
         """Double-checked memoization: lock-free on a hit; on a miss,
         *build* runs exactly once under the module lock.  Without the
@@ -218,7 +229,7 @@ class SparseVector:
 
     def to_dict(self) -> dict[int, object]:
         """Plain ``{index: value}`` dict (reference-implementation format)."""
-        return {int(i): self.values[k].item() for k, i in enumerate(self.indices)}
+        return dict(zip(self.indices.tolist(), self.values.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,6 +29,8 @@ from .masks import (
     build_desc,
     parse_mask_key,
 )
+from .nonblocking import enabled, enqueue_assign, enqueue_set, flush
+from .plan import evaluate
 
 __all__ = ["Container"]
 
@@ -53,8 +55,6 @@ class Container:
     @property
     def _store(self):
         if self._nb_entry is not None:
-            from .nonblocking import flush
-
             flush("observe")
         return self._backing
 
@@ -63,8 +63,6 @@ class Container:
         if self._nb_entry is not None:
             # an out-of-band rebind (clear(), io helpers) while a write is
             # pending: run the pending program-order writes first
-            from .nonblocking import flush
-
             flush("store-rebind")
         self._backing = store
 
@@ -145,8 +143,6 @@ class Container:
             self._set_masked(setkey, value, accum)
 
     def _set_masked(self, setkey: SetKey, value, accum: str | None):
-        from .nonblocking import enabled, enqueue_set
-
         if enabled() and enqueue_set(self, setkey, value, accum):
             return
         self._set_masked_exec(setkey, value, accum)
@@ -155,8 +151,6 @@ class Container:
         """The dispatching tail of :meth:`_set_masked` — runs eagerly in
         blocking mode, and at flush time (with a frozen ``setkey``) for
         deferred statements."""
-        from .plan import evaluate
-
         desc = build_desc(setkey, accum)
         if isinstance(value, Expression):
             evaluate(value, self, desc)
@@ -173,8 +167,6 @@ class Container:
             raise InvalidValue(f"cannot assign object of type {type(value).__name__}")
 
     def _assign(self, setkey: SetKey, index_key, value, accum=None):
-        from .nonblocking import enabled, enqueue_assign
-
         if enabled() and enqueue_assign(self, setkey, index_key, value, accum):
             return
         self._assign_exec(setkey, index_key, value, accum)
@@ -193,15 +185,20 @@ class Container:
     # comparisons for tests/debugging (not GraphBLAS operations)
     # ------------------------------------------------------------------
     def isequal(self, other) -> bool:
-        """Same shape, same stored pattern, equal stored values."""
+        """Same shape, same stored pattern, equal stored values (Python
+        ``==`` on the values: ``1 == 1.0 == True``, NaN equals nothing)."""
         if self.is_vector != getattr(other, "is_vector", None):
             return False
         mine, theirs = self._store, other._store
         if self.is_vector:
             if mine.size != theirs.size:
                 return False
-        elif mine.shape != theirs.shape:
+        elif mine.shape != theirs.shape or not np.array_equal(mine.indptr, theirs.indptr):
             return False
-        if mine.nvals != theirs.nvals:
+        if mine.nvals != theirs.nvals or not np.array_equal(mine.indices, theirs.indices):
             return False
-        return self._store.to_dict() == other._store.to_dict()
+        if mine.dtype == theirs.dtype:
+            return bool(np.array_equal(mine.values, theirs.values))
+        # across dtypes NumPy would compare after promotion (int64 against
+        # float64 rounds); list equality compares the exact Python numbers
+        return mine.values.tolist() == theirs.values.tolist()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import guard, schedule, tiling
 from ..backend import kernels as K
 from ..backend import tiled as T
 from ..backend.kernels.select_ import POSITIONAL_SELECT_OPS, SELECT_OPS
@@ -249,8 +250,6 @@ class ResilientEngine:
                             f"injected kernel failure in {engine.name}.{attr}"
                         )
                     if FAULTS.fire("slow_kernel"):
-                        from .. import guard
-
                         guard.cooperative_sleep(guard.fault_sleep_seconds())
                     return method(*args, **kwargs)
                 except (CompilationError, BackendUnavailable, KernelExecutionError) as exc:
@@ -318,8 +317,6 @@ class PartitionedEngine:
 
     # -- fan-out / merge internals --------------------------------------
     def _note_forward_if_tiled(self, op: str, a) -> None:
-        from .. import tiling
-
         if isinstance(a, TiledMatrix) and a.ntiles > 1:
             tiling.note_forward(op)
 
@@ -339,8 +336,6 @@ class PartitionedEngine:
         expiry and cancellation re-raise instead — re-running a blown
         budget monolithically would only waste more of it.
         """
-        from .. import guard, tiling
-
         if guard.tiling_quarantined(op):
             tiling.note_forward(op)
             return mono()
@@ -365,8 +360,6 @@ class PartitionedEngine:
         tiling.note_merge("concat")
         w = T.concat_vec_parts(parts, out.size, splits)
         if sched is not None:
-            from .. import schedule
-
             schedule.note_edges("dense", edges)
             sched.tiles = len(tiles)
             sched.workers = workers
@@ -378,8 +371,6 @@ class PartitionedEngine:
         active configuration so tiling persists across ops.  *mono* is
         the monolithic degradation path (see :meth:`_fan_vec`); its
         result re-tiles the same way the forwarded paths do."""
-        from .. import guard, tiling
-
         if guard.tiling_quarantined(op):
             tiling.note_forward(op)
             return tiling.maybe_tile(mono())
@@ -406,8 +397,6 @@ class PartitionedEngine:
 
     # -- matrix-vector multiplication -----------------------------------
     def mxv(self, out, a, u, add, mult, desc, ta=False, sched=None):
-        from .. import tiling
-
         inner = self._inner
         if sched is not None and sched.direction in ("push", "pull"):
             # push/pull kernels walk frontier-driven row sets, not row
@@ -433,8 +422,6 @@ class PartitionedEngine:
         )
 
     def vxm(self, out, u, a, add, mult, desc, ta=False, sched=None):
-        from .. import tiling
-
         inner = self._inner
         if sched is not None and sched.direction in ("push", "pull"):
             self._note_forward_if_tiled("vxm", a)
@@ -460,8 +447,6 @@ class PartitionedEngine:
         )
 
     def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return inner.mxv_apply(out, a, u, add, mult, op_spec, desc, ta)
@@ -480,8 +465,6 @@ class PartitionedEngine:
         )
 
     def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return inner.vxm_apply(out, u, a, add, mult, op_spec, desc, ta)
@@ -501,8 +484,6 @@ class PartitionedEngine:
 
     # -- matrix-matrix multiplication -----------------------------------
     def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return tiling.maybe_tile(inner.mxm(out, a, b, add, mult, desc, ta, tb))
@@ -527,8 +508,6 @@ class PartitionedEngine:
         )
 
     def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return inner.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb)
@@ -552,8 +531,6 @@ class PartitionedEngine:
 
     # -- elementwise ----------------------------------------------------
     def _ewise_mat(self, op, out, a, b, desc, ta, tb, mono, per_tile):
-        from .. import tiling
-
         if not tiling.wants_partition(a):
             return tiling.maybe_tile(mono())
         g = a.transposed() if ta else a
@@ -609,8 +586,6 @@ class PartitionedEngine:
 
     # -- apply / select / reduce ----------------------------------------
     def apply_mat(self, out, a, op_spec, desc, ta=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return tiling.maybe_tile(inner.apply_mat(out, a, op_spec, desc, ta))
@@ -628,8 +603,6 @@ class PartitionedEngine:
         )
 
     def select_mat(self, out, a, op, thunk, desc, ta=False):
-        from .. import tiling
-
         inner = self._inner
         rebase = op in POSITIONAL_SELECT_OPS and isinstance(thunk, (int, np.integer))
         if not tiling.wants_partition(a) or not (rebase or op in SELECT_OPS):
@@ -653,8 +626,6 @@ class PartitionedEngine:
         )
 
     def reduce_rows(self, out, a, op, desc, ta=False):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return inner.reduce_rows(out, a, op, desc, ta)
@@ -672,8 +643,6 @@ class PartitionedEngine:
         )
 
     def reduce_mat_scalar(self, a, op, identity):
-        from .. import tiling
-
         inner = self._inner
         if not tiling.wants_partition(a):
             return inner.reduce_mat_scalar(a, op, identity)
@@ -687,8 +656,6 @@ class PartitionedEngine:
         if part is None:
             self._note_forward_if_tiled("reduce_mat_scalar", a)
             return inner.reduce_mat_scalar(a, op, identity)
-        from .. import guard
-
         if guard.tiling_quarantined("reduce_mat_scalar"):
             tiling.note_forward("reduce_mat_scalar")
             return inner.reduce_mat_scalar(a, op, identity)
@@ -711,23 +678,15 @@ class PartitionedEngine:
 
     # -- structure-changing ops: monolithic, with re-tiled outputs -------
     def transpose(self, out, a, desc):
-        from .. import tiling
-
         return tiling.maybe_tile(self._inner.transpose(out, a, desc))
 
     def kronecker(self, out, a, b, op, desc, ta=False, tb=False):
-        from .. import tiling
-
         return tiling.maybe_tile(self._inner.kronecker(out, a, b, op, desc, ta, tb))
 
     def extract_mat(self, out, a, rows, cols, desc, ta=False):
-        from .. import tiling
-
         return tiling.maybe_tile(self._inner.extract_mat(out, a, rows, cols, desc, ta))
 
     def assign_mat(self, out, a, rows, cols, desc, ta=False):
-        from .. import tiling
-
         # assigns scatter into arbitrary target rows — cross-block
         # read-after-write hazards — so they run monolithically, in
         # program order, on the dispatch thread
@@ -735,8 +694,6 @@ class PartitionedEngine:
         return tiling.maybe_tile(self._inner.assign_mat(out, a, rows, cols, desc, ta))
 
     def assign_mat_scalar(self, out, value, rows, cols, desc):
-        from .. import tiling
-
         self._note_forward_if_tiled("assign_mat_scalar", out)
         return tiling.maybe_tile(
             self._inner.assign_mat_scalar(out, value, rows, cols, desc)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..backend.kernels import OpDesc
 from ..exceptions import InvalidValue
-from . import context
+from . import context, operators
 
 __all__ = ["Complemented", "MaskedView", "AccumExpr", "SetKey", "parse_mask_key", "build_desc"]
 
@@ -85,11 +85,16 @@ class SetKey:
         return SetKey(self.mask, self.complement, self.resolved_replace(), self.indices)
 
 
-def _is_container(obj) -> bool:
-    # late import breaks the container<->mask cycle
-    from .base import Container
+_Container = None
 
-    return isinstance(obj, Container)
+
+def _is_container(obj) -> bool:
+    # bound on first use: base imports this module (container<->mask
+    # cycle), and every subscript parse lands here
+    global _Container
+    if _Container is None:
+        from .base import Container as _Container
+    return isinstance(obj, _Container)
 
 
 def _is_indexish(obj) -> bool:
@@ -158,8 +163,6 @@ class MaskedView:
         trailing ``C.__setitem__`` of the statement form receives
         :data:`ACCUM_APPLIED` and is a no-op.
         """
-        from . import operators
-
         self.container._set_masked(self.setkey, value, operators.resolve_accum_op())
         return ACCUM_APPLIED
 
@@ -177,8 +180,6 @@ class MaskedView:
             return  # the region's __iadd__ already did the write
         accum = None
         if isinstance(value, AccumExpr):
-            from . import operators
-
             value = value.value
             accum = operators.resolve_accum_op()
         self.container._assign(self.setkey, index_key, value, accum)
@@ -203,8 +204,6 @@ class _MaskedRegion:
         self.index_key = index_key
 
     def __iadd__(self, value):
-        from . import operators
-
         self.view.container._assign(
             self.view.setkey, self.index_key, value, operators.resolve_accum_op()
         )

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import os
 
+from .context import current_backend_engine
+
 __all__ = ["OpNode", "Plan", "fusion_enabled", "evaluate"]
 
 
@@ -94,17 +96,20 @@ class Plan:
         return node
 
 
+_fuse_expression = None
+
+
 def evaluate(expr, out, desc) -> None:
     """Dispatch *expr* into container *out* under descriptor *desc*.
 
     This is the single entry point all write sites funnel through
     (``__setitem__`` and ``Expression.new``): lower to a plan, let the
     planner fuse what the current engine supports, then execute."""
-    from .context import current_backend_engine
-
+    global _fuse_expression
     eng = current_backend_engine()
     if fusion_enabled() and getattr(eng, "supports_fusion", False):
-        from ..jit.fusion import fuse_expression
-
-        expr = fuse_expression(expr, eng)
+        if _fuse_expression is None:
+            # bound on first use: jit.fusion imports this module's Plan
+            from ..jit.fusion import fuse_expression as _fuse_expression
+        expr = _fuse_expression(expr, eng)
     expr.eval_into(out, desc)

@@ -183,7 +183,14 @@ class JitCache:
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.stats = CacheStatistics()
-        self.health = EngineHealth()
+        #: bumped whenever something an engine may have bound to (a loaded
+        #: module, a spec's health) stops being valid: ``clear_memory``,
+        #: ``clear_disk``, ``invalidate`` and every recorded JIT failure
+        #: (the road to quarantine).  Engines key their bound-kernel
+        #: tables on it and go back through :meth:`get_module` — health
+        #: check, catalog, disk — when it moves.
+        self.generation = 0
+        self.health = EngineHealth(on_failure=self._bump_generation)
         self.relocated = False
         requested = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
         self.cache_dir = self._prepare_dir(requested)
@@ -344,6 +351,22 @@ class JitCache:
         artifact.unlink(missing_ok=True)
         self._manifest_path(artifact).unlink(missing_ok=True)
 
+    def _bump_generation(self) -> None:
+        with self._lock:
+            self.generation += 1
+
+    def _memory_hit(self, spec: KernelSpec, kind: str) -> None:
+        # caller holds self._lock
+        self.stats.memory_hits += 1
+        if obs.ACTIVE:
+            obs.record_event("memory_hit", "cache", spec=spec.key, kind=kind)
+
+    def note_memory_hit(self, spec: KernelSpec, kind: str) -> None:
+        """Count one memory-tier hit on behalf of an engine whose
+        bound-kernel table answered without reaching :meth:`get_module`."""
+        with self._lock:
+            self._memory_hit(spec, kind)
+
     def note_jit_failure(self) -> None:
         with self._lock:
             self.stats.jit_failures += 1
@@ -363,6 +386,7 @@ class JitCache:
         with self._lock:
             self._modules.pop((spec.key_hash, kind), None)
             self.stats.integrity_rebuilds += 1
+            self.generation += 1
         if obs.ACTIVE:
             obs.record_event("integrity_rebuild", "cache", spec=spec.key, kind=kind)
         if self.catalog is not None:
@@ -437,9 +461,7 @@ class JitCache:
         with self._lock:
             mod = self._modules.get(key)
             if mod is not None:
-                self.stats.memory_hits += 1
-                if obs.ACTIVE:
-                    obs.record_event("memory_hit", "cache", spec=spec.key, kind=kind)
+                self._memory_hit(spec, kind)
                 return mod, "memory"
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
@@ -447,9 +469,7 @@ class JitCache:
             with self._lock:
                 mod = self._modules.get(key)
                 if mod is not None:
-                    self.stats.memory_hits += 1
-                    if obs.ACTIVE:
-                        obs.record_event("memory_hit", "cache", spec=spec.key, kind=kind)
+                    self._memory_hit(spec, kind)
                     return mod, "memory"
             if self.catalog is not None:
                 mod = self._try_catalog(spec, kind, compiler)
@@ -619,6 +639,7 @@ class JitCache:
         disk hit; used by the compilation-time benchmarks)."""
         with self._lock:
             self._modules.clear()
+            self.generation += 1
 
     def clear_disk(self) -> None:
         """Delete every cached artifact of this cache directory."""
@@ -626,6 +647,7 @@ class JitCache:
             for p in self.cache_dir.glob("pygb_*"):
                 p.unlink(missing_ok=True)
             self._modules.clear()
+            self.generation += 1
 
 
 _default: JitCache | None = None

@@ -6,9 +6,20 @@ combination the engine writes the binding translation unit produced by
 :mod:`~repro.jit.cppcodegen` into the cache directory, compiles it with
 ``g++ -std=c++17 -O2 -shared -fPIC`` against the bundled mini-GBTL header,
 and loads the shared object through :mod:`ctypes`; later calls hit the
-memory/disk caches.  Buffers flow between NumPy and C++ as raw pointers —
-one FFI call per GraphBLAS operation, mirroring the paper's pybind-style
-boundary.
+memory/disk caches.  One FFI call per GraphBLAS operation, mirroring the
+paper's pybind-style boundary, and like those bindings the operands stay
+resident across calls:
+
+* each engine method finds its kernel in a plain dict keyed on the raw
+  values it already holds (dtypes, operator names, descriptor flags) and
+  gets back a :class:`_Bound` — entry points with ``argtypes`` set once;
+* each (immutable) backend store carries its marshalled argument tuple
+  (:mod:`repro.backend.ffipack`), which the C++ side wraps in non-owning
+  views — nothing is copied in;
+* vector results are written by the kernel into NumPy-owned buffers;
+  matrix results (nnz unknown up front) are parked in the shared
+  object's ``thread_local`` holder and fetched once, into exactly-sized
+  NumPy arrays, by a second call.
 
 Operations without a native C++ binding (the index-heavy matrix
 assign/extract forms and standalone transpose — none of which appear in
@@ -26,12 +37,14 @@ import sys
 import tempfile
 import threading
 import time
-from ctypes import POINTER, byref, c_double, c_int64, c_void_p
+from ctypes import c_double, c_int64, c_void_p
 from pathlib import Path
 
 import numpy as np
 
-from .. import obs, schedule as _schedule
+from .. import guard, obs, schedule as _schedule
+from ..backend.ffipack import address
+from ..backend.kernels import apply_result_dtype
 from ..backend.ops_table import (
     DEFAULT_IDENTITY_NAME,
     binary_result_dtype,
@@ -43,6 +56,7 @@ from ..exceptions import BackendUnavailable, CompilationError, OperationCancelle
 from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
 from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
+from .fused_ops import FUSED_OPS
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
 from .pyengine import PyJitEngine, _desc_params
 from .spec import KernelSpec
@@ -190,84 +204,152 @@ def parallel_requested() -> bool:
     return value.strip().lower() not in ("", "0", "false", "off", "no")
 
 
-def _scalar_pair(value, prefer_float: bool):
-    """``(c_double, c_int64)`` encodings of a scalar; the generated C++
-    selects one by element type, so the other leg may be lossy or zero
-    (``int(inf)`` would raise — the unused leg is zeroed instead)."""
-    if prefer_float:
-        return c_double(float(value)), c_int64(0)
+def _float_pair(value) -> tuple:
+    """``(double, int64)`` encodings of a scalar for a floating-point
+    kernel; the generated C++ selects one leg by element type, so the
+    unused one is zero (``int(inf)`` would raise)."""
+    return float(value), 0
+
+
+def _int_pair(value) -> tuple:
+    """As :func:`_float_pair` for integer/bool kernels; a value with no
+    integer form (nan, inf) zeroes the leg the kernel would read."""
     try:
         ival = int(value)
     except (OverflowError, ValueError):
         ival = 0
-    return c_double(float(value)), c_int64(ival)
+    return float(value), ival
 
 
-class _Args:
-    """Argument list builder that owns every temporary buffer it creates,
-    keeping the pointers alive for the duration of the ctypes call."""
+# ----------------------------------------------------------------------
+# the kernel table: everything that differs between operations
+# ----------------------------------------------------------------------
+_P, _I, _D = c_void_p, c_int64, c_double
 
-    def __init__(self):
-        self.args: list = []
-        self._hold: list[np.ndarray] = []
+#: argument groups of a generated ``pygb_run`` signature (cppcodegen);
+#: stores pass as the raw addresses of their resident packs
+_GROUPS = {
+    "M": (_I, _I, _P, _P, _P),  # matrix: nrows, ncols, indptr, indices, values
+    "m": (_P, _P, _P),  # matrix sharing those dims; a matrix mask
+    "V": (_I, _P, _P, _I),  # vector: size, indices, values, nvals
+    "v": (_P, _P, _I),  # vector sharing that size; a vector mask
+    "I": (_P, _I),  # index list: pointer, length
+    "S": (_D, _I),  # scalar constant in both encodings
+    "O": (_P, _P),  # vector result buffers: indices, values
+    "P": (_P,),  # scalar result
+}
 
-    def _keep(self, arr: np.ndarray) -> np.ndarray:
-        self._hold.append(arr)
-        return arr
 
-    def ptr(self, arr: np.ndarray):
-        arr = self._keep(np.ascontiguousarray(arr))
-        self.args.append(None if arr.size == 0 else arr.ctypes.data_as(c_void_p))
+def _semiring(x: str, y: str, fused: bool = False):
+    """Derived dtypes of a semiring product ``x ⊗ y`` (and, fused, of its
+    ``⊕``-reduced producer result)."""
 
-    def int64(self, x: int):
-        self.args.append(c_int64(int(x)))
+    def derive(d, o):
+        t = binary_result_dtype(o["mult"], d[x], d[y])
+        return {"t_dtype": t, "p": binary_result_dtype(o["add"], t, t)} if fused else {"t_dtype": t}
 
-    def raw(self, ctypes_value):
-        self.args.append(ctypes_value)
+    return derive
 
-    def values_ptr(self, arr: np.ndarray):
-        """Value buffer with bool reinterpreted as uint8 (C++ bool is one
-        byte)."""
-        if arr.dtype == np.bool_:
-            arr = np.ascontiguousarray(arr).view(np.uint8)
-        self.ptr(arr)
 
-    def csr(self, m: SparseMatrix, with_dims: bool = True):
-        if with_dims:
-            self.int64(m.nrows)
-            self.int64(m.ncols)
-        self.ptr(np.asarray(m.indptr, _I64))
-        self.ptr(np.asarray(m.indices, _I64))
-        self.values_ptr(m.values)
+def _ewise(*names: str):
+    """The eWise result dtype under each of *names*."""
 
-    def vec(self, v: SparseVector, with_size: bool = True):
-        if with_size:
-            self.int64(v.size)
-        self.ptr(np.asarray(v.indices, _I64))
-        self.values_ptr(v.values)
-        self.int64(v.nvals)
+    def derive(d, o):
+        return dict.fromkeys(names, binary_result_dtype(o["op"], d["a"], d["b"]))
 
-    def mask_vec(self, mask: SparseVector | None):
-        if mask is None:
-            self.args += [None, None]
-            self.int64(0)
-        else:
-            self.ptr(np.asarray(mask.indices, _I64))
-            self.ptr(np.ascontiguousarray(mask.values.astype(bool)).view(np.uint8))
-            self.int64(mask.nvals)
+    return derive
 
-    def mask_mat(self, mask: SparseMatrix | None):
-        if mask is None:
-            self.args += [None, None, None]
-        else:
-            self.ptr(np.asarray(mask.indptr, _I64))
-            self.ptr(np.asarray(mask.indices, _I64))
-            self.ptr(np.ascontiguousarray(mask.values.astype(bool)).view(np.uint8))
 
-    def index_list(self, idx) -> None:
-        arr = np.ascontiguousarray(idx, _I64)
-        self.ptr(arr)
-        self.int64(arr.size)
+_APPLY = ("form", "op", "side")
+_FUSED_APPLY = ("form", "uop", "side")
+
+#: func -> (dtype params, operator params, derived dtype params, layout).
+#: The first two name, in order, what an engine method passes to
+#: ``_kernel``; together with the descriptor flags they are the spec.
+#: Layouts ending in ``O`` return a vector, in ``P`` a scalar, anything
+#: else a matrix (collected with ``pygb_fetch``).
+_OPS = {
+    "mxv": (("a", "u", "c"), ("add", "mult"), _semiring("a", "u"), "MVVvO"),
+    "vxm": (("a", "u", "c"), ("add", "mult"), _semiring("u", "a"), "MVVvO"),
+    "mxm": (("a", "b", "c"), ("add", "mult"), _semiring("a", "b"), "MMMm"),
+    "ewise_add_vec": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "VvVvO"),
+    "ewise_mult_vec": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "VvVvO"),
+    "ewise_add_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
+    "ewise_mult_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
+    "apply_vec": (("a", "c"), _APPLY, None, "VVvSO"),
+    "apply_mat": (("a", "c"), _APPLY, None, "MmmS"),
+    "reduce_mat_scalar": (("a",), ("op",), None, "MSP"),
+    "reduce_vec_scalar": (("a",), ("op",), None, "VSP"),
+    "reduce_rows": (("a", "c"), ("op",), None, "MVvO"),
+    "assign_vec": (("a", "c"), (), None, "VVIvO"),
+    "assign_vec_scalar": (("c",), (), None, "VSIvO"),
+    "extract_vec": (("a", "c"), (), None, "VVIvO"),
+    # fused kernels (planner output)
+    "mxv_apply": (("a", "u", "c"), ("add", "mult") + _FUSED_APPLY,
+                  _semiring("a", "u", fused=True), "MVVvSO"),
+    "vxm_apply": (("a", "u", "c"), ("add", "mult") + _FUSED_APPLY,
+                  _semiring("u", "a", fused=True), "MVVvSO"),
+    "ewise_add_vec_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
+                            _ewise("t_dtype", "p"), "VvVvSO"),
+    "ewise_mult_vec_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
+                             _ewise("t_dtype", "p"), "VvVvSO"),
+    "ewise_add_mat_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
+                            _ewise("t_dtype", "p"), "MmmmS"),
+    "ewise_mult_mat_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
+                             _ewise("t_dtype", "p"), "MmmmS"),
+    "mxm_reduce_rows": (("a", "b", "c"), ("add", "mult", "rop"),
+                        _semiring("a", "b", fused=True), "MMVvO"),
+    "apply_assign_vec": (("a", "c", "p"), _FUSED_APPLY, None, "VVIvSO"),
+    "ewise_add_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
+    "ewise_mult_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
+}
+
+_FUSED_FUNCS = frozenset(rule.name for rule in FUSED_OPS)
+
+_NO_VEC_MASK = (None, None, 0)
+_NO_MAT_MASK = (None, None, None)
+_NO_CONST = (0.0, 0)
+
+
+def _apply_ops(op_spec) -> tuple:
+    """``(form, operator, side)`` spec params of an apply operator."""
+    if op_spec[0] == "unary":
+        return "unary", op_spec[1], "none"
+    return "bind", op_spec[1], op_spec[3]
+
+
+def _t(m: SparseMatrix, transpose: bool) -> SparseMatrix:
+    return m.transposed() if transpose else m
+
+
+class _Bound:
+    """One loaded kernel with everything a dispatch needs fixed at bind
+    time: entry points with ``argtypes``/``restype`` set once, the
+    scalar-constant encoder and the scalar result dtype."""
+
+    __slots__ = ("spec", "run", "fetch", "kernel_ns", "edges", "lib_name", "const", "scalar_dtype")
+
+    def __init__(self, spec: KernelSpec, lib: ctypes.CDLL, layout: str, const_dtype, scalar_dtype):
+        self.spec = spec
+        self.run = lib.pygb_run
+        self.run.argtypes = [t for group in layout for t in _GROUPS[group]]
+        self.run.restype = None if layout[-1] == "P" else c_int64
+        self.fetch = None
+        if layout[-1] not in "OP":
+            self.fetch = lib.pygb_fetch
+            self.fetch.argtypes = (_P, _P, _P)
+            self.fetch.restype = None
+        # observability accessor generated alongside every kernel
+        self.kernel_ns = lib.pygb_kernel_ns
+        self.kernel_ns.restype = c_int64
+        # deterministic traversal counter; pull TUs only
+        self.edges = None
+        if spec.get("dir") == "pull":
+            self.edges = lib.pygb_edges_examined
+            self.edges.restype = c_int64
+        self.lib_name = os.path.basename(lib._name) if lib._name else None
+        self.const = _float_pair if const_dtype.kind == "f" else _int_pair
+        self.scalar_dtype = scalar_dtype
 
 
 class CppJitEngine:
@@ -289,20 +371,44 @@ class CppJitEngine:
         self._libs_lock = threading.Lock()
         self._header_lock = threading.Lock()
         self._header_written = False
+        self._openmp: bool | None = None  # -fopenmp probe result, memoised
+        #: (cache generation, {raw dispatch key: bound kernel}) — one
+        #: attribute, replaced whole, so no thread can pair a new
+        #: generation with the table of the old one
+        self._bound: tuple[int, dict[tuple, _Bound]] = (self.cache.generation, {})
 
     # ------------------------------------------------------------------
     # compilation plumbing
     # ------------------------------------------------------------------
     def parallel_enabled(self) -> bool:
         """Whether new specs should request OpenMP kernels: the
-        ``$PYGB_PARALLEL`` switch is on *and* the compiler passed the
-        ``-fopenmp`` probe (silent serial fallback otherwise)."""
-        return parallel_requested() and openmp_available(self.cxx)
+        ``$PYGB_PARALLEL`` switch (re-read per call) is on *and* the
+        compiler passed the ``-fopenmp`` probe (silent serial fallback
+        otherwise)."""
+        if not parallel_requested():
+            return False
+        if self._openmp is None:
+            self._openmp = openmp_available(self.cxx)
+        return self._openmp
 
-    def _spec(self, func: str, **params) -> KernelSpec:
-        """Build the kernel spec, marking parallel-capable operations
+    def _spec(self, func: str, dtypes, ops, desc=None, direction=None) -> KernelSpec:
+        """The kernel spec of table row *func* for these operand dtypes,
+        operators and descriptor; parallel-capable operations are marked
         ``par=1`` so serial and OpenMP artifacts hash (and cache)
         separately."""
+        dtype_names, op_names, derive, _layout = _OPS[func]
+        d = dict(zip(dtype_names, dtypes))
+        o = dict(zip(op_names, ops))
+        if derive is not None:
+            d.update(derive(d, o))
+        params = {name: KernelSpec.dt(dt) for name, dt in d.items()}
+        params.update(o)
+        if desc is not None:
+            params.update(_desc_params(desc))
+        if func in _FUSED_FUNCS:
+            params["fused"] = True
+        if direction is not None:
+            params["dir"] = direction
         if func in PARALLEL_FUNCS and self.parallel_enabled():
             params["par"] = True
         return KernelSpec.make(func, **params)
@@ -370,7 +476,7 @@ class CppJitEngine:
         serial flag set."""
         return self._compile_parallel if spec.flag("par") else self._compile
 
-    def _lib(self, spec: KernelSpec, scalar_out: bool = False) -> ctypes.CDLL:
+    def _lib(self, spec: KernelSpec) -> ctypes.CDLL:
         """Compiled module for *spec*, with the resilience wrapper: a
         quarantined spec fails fast (:class:`KernelQuarantined`, caught by
         the dispatch fallback chain); compile/load failures are recorded
@@ -378,27 +484,16 @@ class CppJitEngine:
         broken build."""
         health = self.cache.health
         health.check(self.name, spec.key)
-        t0 = time.perf_counter_ns() if obs.ACTIVE else 0
         try:
-            lib = self._load_lib(spec, scalar_out)
+            lib = self._load_lib(spec)
         except CompilationError as exc:
             self.cache.note_jit_failure()
             health.record_failure(self.name, spec.key, exc)
             raise
         health.record_success(self.name, spec.key)
-        if obs.ACTIVE:
-            tracer = obs.active_tracer()
-            if tracer is not None:
-                tracer.record(
-                    "module_lookup",
-                    "jit",
-                    t0,
-                    time.perf_counter_ns() - t0,
-                    {"engine": self.name, "spec": spec.key},
-                )
         return lib
 
-    def _load_lib(self, spec: KernelSpec, scalar_out: bool) -> ctypes.CDLL:
+    def _load_lib(self, spec: KernelSpec) -> ctypes.CDLL:
         artifact = self.cache.get_module(
             spec, generate_cpp_source, suffix=".cpp", compiler=self.compiler_for(spec)
         )
@@ -425,30 +520,12 @@ class CppJitEngine:
                     f"cannot load compiled kernel {artifact.name} even after "
                     f"rebuilding: {exc2} (first failure: {exc})"
                 ) from exc2
-        lib.pygb_run.restype = None if scalar_out else c_int64
-        try:
-            # observability accessor generated alongside every kernel
-            # since CODEGEN_VERSION 7; guard for exotic/legacy artifacts
-            lib.pygb_kernel_ns.restype = c_int64
-        except AttributeError:  # pragma: no cover
-            pass
-        try:
-            # deterministic traversal counter; pull TUs only (v8+)
-            lib.pygb_edges_examined.restype = c_int64
-        except AttributeError:
-            pass
-        try:
-            # cooperative cancellation flag (v9+); the guard watchdog
-            # asserts it from its own thread while a kernel is running
-            lib.pygb_request_cancel.restype = None
-            lib.pygb_request_cancel.argtypes = (c_int64,)
-            lib.pygb_cancel_requested.restype = c_int64
-        except AttributeError:  # pragma: no cover - legacy artifact
-            pass
-        else:
-            from .. import guard
-
-            guard.register_cancel_lib(lib)
+        # cooperative cancellation flag; the guard watchdog asserts it
+        # from its own thread while a kernel is running
+        lib.pygb_request_cancel.restype = None
+        lib.pygb_request_cancel.argtypes = (c_int64,)
+        lib.pygb_cancel_requested.restype = c_int64
+        guard.register_cancel_lib(lib)
         with self._libs_lock:
             return self._libs.setdefault(str(artifact), lib)
 
@@ -459,26 +536,80 @@ class CppJitEngine:
         return ctypes.CDLL(str(artifact))
 
     # ------------------------------------------------------------------
+    # the bound-kernel cache
+    # ------------------------------------------------------------------
+    def _kernel(self, func: str, dtypes: tuple, ops: tuple, desc=None, direction=None) -> _Bound:
+        """The bound kernel for one dispatch, looked up on the raw values
+        the engine method already holds.  A hit costs one dict probe (and
+        still counts as a memory-tier hit); only a miss builds the
+        :class:`KernelSpec` and goes through health check → ``JitCache`` →
+        ``dlopen``.  The table is dropped whenever the cache's generation
+        moves (``clear_memory``, ``invalidate``, a recorded failure), so
+        fault tolerance and the catalog see every lookup they used to."""
+        t0 = time.perf_counter_ns() if obs.ACTIVE else 0
+        par = func in PARALLEL_FUNCS and self.parallel_enabled()
+        if desc is None:
+            key = (func, dtypes, ops, direction, par)
+        else:
+            key = (func, dtypes, ops, desc.mask is None, desc.complement, desc.replace,
+                   desc.accum, direction, par)
+        cache = self.cache
+        generation, table = self._bound
+        if generation != cache.generation:
+            table = {}
+            self._bound = (cache.generation, table)
+        bound = table.get(key)
+        if bound is None:
+            bound = table[key] = self._bind(func, dtypes, ops, desc, direction)
+        else:
+            cache.note_memory_hit(bound.spec, ".so")
+        if obs.ACTIVE:
+            tracer = obs.active_tracer()
+            if tracer is not None:
+                tracer.record(
+                    "module_lookup",
+                    "jit",
+                    t0,
+                    time.perf_counter_ns() - t0,
+                    {"engine": self.name, "spec": bound.spec.key},
+                )
+        return bound
+
+    def _bind(self, func, dtypes, ops, desc, direction) -> _Bound:
+        spec = self._spec(func, dtypes, ops, desc, direction)
+        lib = self._lib(spec)
+        dtype_names, _ops, _derive, layout = _OPS[func]
+        if direction == "pull":
+            layout = layout[:-1] + "IO"  # the mask's candidate rows
+        if layout[-1] == "P":
+            # the (fused) producer dtype when there is one, else the operand's
+            scalar_dtype = spec.dtype("p" if spec.get("p") else "a")
+            const_dtype = scalar_dtype
+        else:
+            scalar_dtype = None
+            const_dtype = spec.dtype("p" if "p" in dtype_names else "c")
+        return _Bound(spec, lib, layout, const_dtype, scalar_dtype)
+
+    # ------------------------------------------------------------------
     # the FFI boundary
     # ------------------------------------------------------------------
-    def _ffi_call(self, lib, args):
+    def _call(self, bound: _Bound, args: tuple):
         """One ``pygb_run`` invocation with the observability split:
         Python's monotonic clock around the whole call (FFI total) and
         the kernel's own C++-side clock pair read back through
         ``pygb_kernel_ns()``; the difference is the ctypes/marshalling
         boundary cost (the per-op overhead of paper Figs. 7/8)."""
         if not obs.ACTIVE:
-            return lib.pygb_run(*args)
+            return bound.run(*args)
         tracer = obs.active_tracer()
         if tracer is None:
-            return lib.pygb_run(*args)
+            return bound.run(*args)
         t0 = time.perf_counter_ns()
         try:
-            return lib.pygb_run(*args)
+            return bound.run(*args)
         finally:
             dur = time.perf_counter_ns() - t0
-            kernel_fn = getattr(lib, "pygb_kernel_ns", None)
-            kernel_ns = int(kernel_fn()) if kernel_fn is not None else None
+            kernel_ns = int(bound.kernel_ns())
             tracer.record(
                 "ffi_call",
                 "ffi",
@@ -486,66 +617,65 @@ class CppJitEngine:
                 dur,
                 {
                     "engine": "cpp",
-                    "lib": os.path.basename(lib._name) if lib._name else None,
+                    "lib": bound.lib_name,
                     "kernel_ns": kernel_ns,
-                    "boundary_ns": dur - kernel_ns if kernel_ns is not None else None,
+                    "boundary_ns": dur - kernel_ns,
                 },
             )
 
-    # ------------------------------------------------------------------
-    # result unmarshalling
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _copy_values(ptr, nnz: int, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        cdt = np.dtype(np.uint8) if dt == np.bool_ else dt
-        raw = ctypes.string_at(ptr, nnz * cdt.itemsize)
-        vals = np.frombuffer(raw, dtype=cdt).copy()
-        return vals.view(np.bool_) if dt == np.bool_ else vals
-
-    def _run_vec_out(self, lib, packed: _Args, size: int, dtype) -> SparseVector:
-        out_idx = POINTER(c_int64)()
-        out_vals = c_void_p()
-        nnz = self._ffi_call(lib, (*packed.args, byref(out_idx), byref(out_vals)))
+    def _run(self, bound: _Bound, args: tuple) -> int:
+        nnz = self._call(bound, args)
         if nnz == -2:
             # cancellation sentinel: the kernel bailed before the writeback,
-            # so no output buffers were allocated — nothing to free
+            # so nothing was written or parked
             raise OperationCancelled("C++ kernel observed cancellation flag")
         if nnz < 0:
             raise CompilationError("C++ kernel signalled failure")
-        if nnz > 0:
-            idx = np.ctypeslib.as_array(out_idx, shape=(nnz,)).copy()
-            vals = self._copy_values(out_vals, nnz, dtype)
-        else:
-            idx = np.empty(0, _I64)
-            vals = np.empty(0, np.dtype(dtype))
-        lib.pygb_free(out_idx)
-        lib.pygb_free(out_vals)
+        return nnz
+
+    def _vec_out(self, bound: _Bound, args: tuple, out: SparseVector) -> SparseVector:
+        """Run a vector-valued kernel straight into NumPy-owned buffers:
+        nnz(result) <= size is known up front, so nothing is copied out."""
+        size = out.size
+        idx = np.empty(size, _I64)
+        vals = np.empty(size, out.dtype)
+        nnz = self._run(bound, args + (address(idx), address(vals)))
+        if nnz < size:
+            idx, vals = idx[:nnz], vals[:nnz]
+            if 2 * nnz < size:
+                # much sparser than the bound (a one-entry frontier): trim
+                # by copy so the result does not pin two size-long buffers
+                idx, vals = idx.copy(), vals.copy()
         return SparseVector.from_sorted(size, idx, vals)
 
-    def _run_mat_out(self, lib, packed: _Args, nrows, ncols, dtype) -> SparseMatrix:
-        out_indptr = POINTER(c_int64)()
-        out_indices = POINTER(c_int64)()
-        out_values = c_void_p()
-        nnz = self._ffi_call(
-            lib,
-            (*packed.args, byref(out_indptr), byref(out_indices), byref(out_values)),
-        )
-        if nnz == -2:
-            raise OperationCancelled("C++ kernel observed cancellation flag")
-        if nnz < 0:
-            raise CompilationError("C++ kernel signalled failure")
-        indptr = np.ctypeslib.as_array(out_indptr, shape=(nrows + 1,)).copy()
-        if nnz > 0:
-            indices = np.ctypeslib.as_array(out_indices, shape=(nnz,)).copy()
-            values = self._copy_values(out_values, nnz, dtype)
-        else:
-            indices = np.empty(0, _I64)
-            values = np.empty(0, np.dtype(dtype))
-        lib.pygb_free(out_indptr)
-        lib.pygb_free(out_indices)
-        lib.pygb_free(out_values)
-        return SparseMatrix(nrows, ncols, indptr, indices, values)
+    def _mat_out(self, bound: _Bound, args: tuple, out: SparseMatrix) -> SparseMatrix:
+        """Run a matrix-valued kernel, then fetch the result it parked in
+        its ``thread_local`` holder into exactly-sized NumPy arrays (nnz
+        is only known after the kernel ran)."""
+        nnz = self._run(bound, args)
+        indptr = np.empty(out.nrows + 1, _I64)
+        indices = np.empty(nnz, _I64)
+        values = np.empty(nnz, out.dtype)
+        bound.fetch(address(indptr), address(indices), address(values))
+        return SparseMatrix(out.nrows, out.ncols, indptr, indices, values)
+
+    def _scalar_out(self, bound: _Bound, args: tuple, identity):
+        out = np.empty(1, bound.scalar_dtype)
+        self._call(bound, args + bound.const(identity) + (address(out),))
+        return out[0]
+
+    @staticmethod
+    def _vec_mask(desc) -> tuple:
+        return _NO_VEC_MASK if desc.mask is None else desc.mask.ffi_pack().mask_args()
+
+    @staticmethod
+    def _mat_mask(desc) -> tuple:
+        return _NO_MAT_MASK if desc.mask is None else desc.mask.ffi_pack().mask_args()
+
+    @staticmethod
+    def _const(bound: _Bound, op_spec) -> tuple:
+        """The bound constant of an apply operator (unary ops have none)."""
+        return bound.const(op_spec[2]) if op_spec[0] == "bind" else _NO_CONST
 
     # ------------------------------------------------------------------
     # engine interface
@@ -560,44 +690,20 @@ class CppJitEngine:
         indptr = np.asarray(s.indptr)
         return int((indptr[rows + 1] - indptr[rows]).sum())
 
-    @staticmethod
-    def _note_pull_edges(lib) -> None:
-        fn = getattr(lib, "pygb_edges_examined", None)
-        _schedule.note_edges("pull", int(fn()) if fn is not None else 0)
-
     def mxv(self, out, a, u, add, mult, desc, ta=False, sched=None):
         direction = sched.direction if sched is not None else "dense"
         # orientation resolves here, as for plain transposes: dense/pull
         # TUs compile against the gather matrix, push TUs against its
         # transpose (the scatter form GB::vxm walks)
-        if direction == "push":
-            a = a if ta else a.transposed()
-        elif ta:
-            a = a.transposed()
-        extra = {"dir": direction} if direction != "dense" else {}
-        spec = self._spec(
-            "mxv",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, a.dtype, u.dtype)),
-            add=add,
-            mult=mult,
-            **extra,
-            **_desc_params(desc),
+        a = _t(a, ta != (direction == "push"))
+        bound = self._kernel(
+            "mxv", (a.dtype, u.dtype, out.dtype), (add, mult), desc,
+            None if direction == "dense" else direction,
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.vec(u)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        if direction == "pull":
-            p.index_list(sched.candidates)
-        result = self._run_vec_out(lib, p, out.size, out.dtype)
+        result = self._spmv_run(bound, out, a, u, desc, sched if direction == "pull" else None)
         if sched is not None:
             if direction == "pull":
-                self._note_pull_edges(lib)
+                _schedule.note_edges("pull", int(bound.edges()))
             elif direction == "push":
                 _schedule.note_edges("push", self._frontier_edges(a, u))
             else:
@@ -609,256 +715,113 @@ class CppJitEngine:
         # GB::vxm is natively a scatter kernel, so dense and push share
         # the effective matrix (and the legacy spec/artifact); pull
         # gathers over its transpose with the mask's candidate rows
-        if direction == "pull":
-            a = a if ta else a.transposed()
-        elif ta:
-            a = a.transposed()
-        extra = {"dir": "pull"} if direction == "pull" else {}
-        spec = self._spec(
-            "vxm",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, u.dtype, a.dtype)),
-            add=add,
-            mult=mult,
-            **extra,
-            **_desc_params(desc),
+        pull = direction == "pull"
+        a = _t(a, ta != pull)
+        bound = self._kernel(
+            "vxm", (a.dtype, u.dtype, out.dtype), (add, mult), desc, "pull" if pull else None
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.vec(u)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        if direction == "pull":
-            p.index_list(sched.candidates)
-        result = self._run_vec_out(lib, p, out.size, out.dtype)
+        result = self._spmv_run(bound, out, a, u, desc, sched if pull else None)
         if sched is not None:
-            if direction == "pull":
-                self._note_pull_edges(lib)
+            if pull:
+                _schedule.note_edges("pull", int(bound.edges()))
             else:
                 # the scatter kernel's scan is a frontier degree sum even
                 # for the "dense" (legacy) schedule — count honestly
                 _schedule.note_edges(direction, self._frontier_edges(a, u))
         return result
 
-    def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
-        if ta:
-            a = a.transposed()
-        if tb:
-            b = b.transposed()
-        spec = self._spec(
-            "mxm",
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, a.dtype, b.dtype)),
-            add=add,
-            mult=mult,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.csr(b)
-        p.csr(out)
-        p.mask_mat(desc.mask)
-        return self._run_mat_out(lib, p, out.nrows, out.ncols, out.dtype)
+    def _spmv_run(self, bound, out, a, u, desc, pull_sched, const=()):
+        args = a.ffi_pack().args + u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
+        if pull_sched is not None:
+            cand = np.ascontiguousarray(pull_sched.candidates, _I64)
+            args += (address(cand), cand.size)
+        return self._vec_out(bound, args + const, out)
 
-    def _ewise_vec(self, func, out, u, v, op, desc):
-        spec = self._spec(
-            func,
-            a=KernelSpec.dt(u.dtype),
-            b=KernelSpec.dt(v.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(op, u.dtype, v.dtype)),
-            op=op,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(u)
-        p.vec(v, with_size=False)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+    def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
+        a, b = _t(a, ta), _t(b, tb)
+        bound = self._kernel("mxm", (a.dtype, b.dtype, out.dtype), (add, mult), desc)
+        args = a.ffi_pack().args + b.ffi_pack().args + out.ffi_pack().args
+        return self._mat_out(bound, args + self._mat_mask(desc), out)
+
+    def _ewise_vec(self, func, out, u, v, ops, desc, const_spec=None):
+        bound = self._kernel(func, (u.dtype, v.dtype, out.dtype), ops, desc)
+        args = u.ffi_pack().args + v.ffi_pack().args[1:] + out.ffi_pack().args
+        args += self._vec_mask(desc)
+        if const_spec is not None:
+            args += self._const(bound, const_spec)
+        return self._vec_out(bound, args, out)
 
     def ewise_add_vec(self, out, u, v, op, desc):
-        return self._ewise_vec("ewise_add_vec", out, u, v, op, desc)
+        return self._ewise_vec("ewise_add_vec", out, u, v, (op,), desc)
 
     def ewise_mult_vec(self, out, u, v, op, desc):
-        return self._ewise_vec("ewise_mult_vec", out, u, v, op, desc)
+        return self._ewise_vec("ewise_mult_vec", out, u, v, (op,), desc)
 
-    def _ewise_mat(self, func, out, a, b, op, desc, ta, tb):
-        if ta:
-            a = a.transposed()
-        if tb:
-            b = b.transposed()
-        spec = self._spec(
-            func,
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(op, a.dtype, b.dtype)),
-            op=op,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.csr(b, with_dims=False)
-        p.csr(out, with_dims=False)
-        p.mask_mat(desc.mask)
-        return self._run_mat_out(lib, p, out.nrows, out.ncols, out.dtype)
+    def _ewise_mat(self, func, out, a, b, ops, desc, ta, tb, const_spec=None):
+        a, b = _t(a, ta), _t(b, tb)
+        bound = self._kernel(func, (a.dtype, b.dtype, out.dtype), ops, desc)
+        args = a.ffi_pack().args + b.ffi_pack().args[2:] + out.ffi_pack().args[2:]
+        args += self._mat_mask(desc)
+        if const_spec is not None:
+            args += self._const(bound, const_spec)
+        return self._mat_out(bound, args, out)
 
     def ewise_add_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise_mat("ewise_add_mat", out, a, b, op, desc, ta, tb)
+        return self._ewise_mat("ewise_add_mat", out, a, b, (op,), desc, ta, tb)
 
     def ewise_mult_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise_mat("ewise_mult_mat", out, a, b, op, desc, ta, tb)
-
-    @staticmethod
-    def _apply_spec_parts(op_spec, out_dtype):
-        if op_spec[0] == "unary":
-            d, i = _scalar_pair(0, prefer_float=True)
-            return d, i, "unary", op_spec[1], "none"
-        _, name, const, side = op_spec
-        prefer_float = np.dtype(out_dtype).kind == "f"
-        d, i = _scalar_pair(const, prefer_float)
-        return d, i, "bind", name, side
+        return self._ewise_mat("ewise_mult_mat", out, a, b, (op,), desc, ta, tb)
 
     def apply_vec(self, out, u, op_spec, desc):
-        dconst, iconst, form, op, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            "apply_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            form=form,
-            op=op,
-            side=side,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(u)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        bound = self._kernel("apply_vec", (u.dtype, out.dtype), _apply_ops(op_spec), desc)
+        args = u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
+        return self._vec_out(bound, args + self._const(bound, op_spec), out)
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
-        if ta:
-            a = a.transposed()
-        dconst, iconst, form, op, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            "apply_mat",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            form=form,
-            op=op,
-            side=side,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.csr(out, with_dims=False)
-        p.mask_mat(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_mat_out(lib, p, out.nrows, out.ncols, out.dtype)
+        a = _t(a, ta)
+        bound = self._kernel("apply_mat", (a.dtype, out.dtype), _apply_ops(op_spec), desc)
+        args = a.ffi_pack().args + out.ffi_pack().args[2:] + self._mat_mask(desc)
+        return self._mat_out(bound, args + self._const(bound, op_spec), out)
 
-    def _reduce_scalar(self, func, x, op, identity, matrix: bool):
+    def _reduce_scalar(self, func, x, op, identity):
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[op]
-        ident = identity_value(identity, x.dtype)
-        spec = self._spec(func, a=KernelSpec.dt(x.dtype), op=op)
-        lib = self._lib(spec, scalar_out=True)
-        dt = np.dtype(x.dtype)
-        out = np.zeros(1, dtype=np.uint8 if dt == np.bool_ else dt)
-        p = _Args()
-        if matrix:
-            p.csr(x)
-        else:
-            p.vec(x)
-        d, i = _scalar_pair(ident, prefer_float=dt.kind == "f")
-        p.raw(d)
-        p.raw(i)
-        p.ptr(out.view(np.uint8) if dt == np.bool_ else out)
-        self._ffi_call(lib, p.args)
-        val = out.view(np.bool_)[0] if dt == np.bool_ else out[0]
-        return dt.type(val)
+        bound = self._kernel(func, (x.dtype,), (op,))
+        return self._scalar_out(bound, x.ffi_pack().args, identity_value(identity, x.dtype))
 
     def reduce_mat_scalar(self, a, op, identity):
-        return self._reduce_scalar("reduce_mat_scalar", a, op, identity, matrix=True)
+        return self._reduce_scalar("reduce_mat_scalar", a, op, identity)
 
     def reduce_vec_scalar(self, u, op, identity):
-        return self._reduce_scalar("reduce_vec_scalar", u, op, identity, matrix=False)
+        return self._reduce_scalar("reduce_vec_scalar", u, op, identity)
 
     def reduce_rows(self, out, a, op, desc, ta=False):
-        if ta:
-            a = a.transposed()
-        spec = self._spec(
-            "reduce_rows",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            op=op,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        a = _t(a, ta)
+        bound = self._kernel("reduce_rows", (a.dtype, out.dtype), (op,), desc)
+        args = a.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
+        return self._vec_out(bound, args, out)
+
+    def _indexed_vec(self, func, out, u, idx, desc, dtypes, ops=(), const_spec=None):
+        """assign/extract family: ``(out, u, index list, mask[, const])``."""
+        bound = self._kernel(func, dtypes, ops, desc)
+        idx = np.ascontiguousarray(idx, _I64)
+        args = out.ffi_pack().args + u.ffi_pack().args + (address(idx), idx.size)
+        args += self._vec_mask(desc)
+        if const_spec is not None:
+            args += self._const(bound, const_spec)
+        return self._vec_out(bound, args, out)
 
     def assign_vec(self, out, u, idx, desc):
-        spec = self._spec(
-            "assign_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(out)
-        p.vec(u)
-        p.index_list(idx)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
-
-    def assign_vec_scalar(self, out, value, idx, desc):
-        spec = self._spec(
-            "assign_vec_scalar",
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(out)
-        d, i = _scalar_pair(value, prefer_float=np.dtype(out.dtype).kind == "f")
-        p.raw(d)
-        p.raw(i)
-        p.index_list(idx)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        return self._indexed_vec("assign_vec", out, u, idx, desc, (u.dtype, out.dtype))
 
     def extract_vec(self, out, u, idx, desc):
-        spec = self._spec(
-            "extract_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(out)
-        p.vec(u)
-        p.index_list(idx)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        return self._indexed_vec("extract_vec", out, u, idx, desc, (u.dtype, out.dtype))
+
+    def assign_vec_scalar(self, out, value, idx, desc):
+        bound = self._kernel("assign_vec_scalar", (out.dtype,), (), desc)
+        idx = np.ascontiguousarray(idx, _I64)
+        args = out.ffi_pack().args + bound.const(value) + (address(idx), idx.size)
+        return self._vec_out(bound, args + self._vec_mask(desc), out)
 
     # ------------------------------------------------------------------
     # compile prefetch (nonblocking queue): predict the kernel specs a
@@ -883,67 +846,28 @@ class CppJitEngine:
         def dt(operand):
             return np.dtype(ex._dtype_of(operand))
 
-        def add_job(spec):
-            jobs.append(
-                (spec, generate_cpp_source, ".cpp", self.compiler_for(spec))
-            )
+        def add_job(func, dtypes, ops, node_desc):
+            spec = self._spec(func, dtypes, ops, node_desc)
+            jobs.append((spec, generate_cpp_source, ".cpp", self.compiler_for(spec)))
 
-        def fused_apply(node, out_dt, dp):
-            """Predict the planner's producer+apply fusion; returns True
-            when a fused spec was emitted for this node."""
-            child = node.a
-            if (
-                not isinstance(child, ex.Expression)
-                or child._materialized is not None
-                or getattr(node, "ta", False)
-            ):
-                return False
-            _d, _i, form, uop, side = self._apply_spec_parts(node.op_spec, out_dt)
-            ck = type(child)
-            if ck in (ex.MXV, ex.VXM):
-                lhs, rhs = (
-                    (dt(child.a), dt(child.u))
-                    if ck is ex.MXV
-                    else (dt(child.u), dt(child.a))
-                )
-                tdt = binary_result_dtype(child.mult_op, lhs, rhs)
-                pdt = binary_result_dtype(child.add_op, tdt, tdt)
-                add_job(self._spec(
-                    "mxv_apply" if ck is ex.MXV else "vxm_apply",
-                    a=KernelSpec.dt(dt(child.a)),
-                    u=KernelSpec.dt(dt(child.u)),
-                    c=KernelSpec.dt(out_dt),
-                    t_dtype=KernelSpec.dt(tdt),
-                    p=KernelSpec.dt(pdt),
-                    add=child.add_op,
-                    mult=child.mult_op,
-                    form=form,
-                    uop=uop,
-                    side=side,
-                    fused=True,
-                    **dp,
-                ))
-            elif ck in (ex.EWiseAdd, ex.EWiseMult):
-                pdt = binary_result_dtype(child.op, dt(child.a), dt(child.b))
-                shape = "mat" if child.produces_matrix else "vec"
-                add_job(self._spec(
-                    f"{child.kind}_{shape}_apply",
-                    a=KernelSpec.dt(dt(child.a)),
-                    b=KernelSpec.dt(dt(child.b)),
-                    c=KernelSpec.dt(out_dt),
-                    t_dtype=KernelSpec.dt(pdt),
-                    p=KernelSpec.dt(pdt),
-                    op=child.op,
-                    form=form,
-                    uop=uop,
-                    side=side,
-                    fused=True,
-                    **dp,
-                ))
+        def producer(node, out_dt, node_desc, apply_ops=()):
+            """The job for *node* as a plain kernel, or (with *apply_ops*)
+            as the producer half of a fused ``apply``; False when the
+            node kind has no such kernel."""
+            kind = type(node)
+            suffix = "_apply" if apply_ops else ""
+            if kind in (ex.MXV, ex.VXM):
+                func = "mxv" if kind is ex.MXV else "vxm"
+                dtypes, ops = (dt(node.a), dt(node.u), out_dt), (node.add_op, node.mult_op)
+            elif kind is ex.MXM and not apply_ops:
+                func = "mxm"
+                dtypes, ops = (dt(node.a), dt(node.b), out_dt), (node.add_op, node.mult_op)
+            elif kind in (ex.EWiseAdd, ex.EWiseMult):
+                func = f"{node.kind}_{'mat' if node.produces_matrix else 'vec'}"
+                dtypes, ops = (dt(node.a), dt(node.b), out_dt), (node.op,)
             else:
                 return False
-            for slot in child.operand_slots:
-                walk(getattr(child, slot), None, None)
+            add_job(func + suffix, dtypes, ops + apply_ops, node_desc)
             return True
 
         def walk(node, out_dt, node_desc):
@@ -954,73 +878,30 @@ class CppJitEngine:
             seen.add(id(node))
             if out_dt is None:
                 out_dt = dt(node)  # interior temporaries use natural dtype
-            dp = _desc_params(node_desc if node_desc is not None else OpDesc())
+            if node_desc is None:
+                node_desc = OpDesc()
             kind = type(node)
-            if kind is ex.Apply and fuse and fused_apply(node, out_dt, dp):
-                return
-            if kind in (ex.MXV, ex.VXM):
-                lhs, rhs = (
-                    (dt(node.a), dt(node.u))
-                    if kind is ex.MXV
-                    else (dt(node.u), dt(node.a))
-                )
-                tdt = binary_result_dtype(node.mult_op, lhs, rhs)
-                add_job(self._spec(
-                    "mxv" if kind is ex.MXV else "vxm",
-                    a=KernelSpec.dt(dt(node.a)),
-                    u=KernelSpec.dt(dt(node.u)),
-                    c=KernelSpec.dt(out_dt),
-                    t_dtype=KernelSpec.dt(tdt),
-                    add=node.add_op,
-                    mult=node.mult_op,
-                    **dp,
-                ))
-            elif kind is ex.MXM:
-                tdt = binary_result_dtype(node.mult_op, dt(node.a), dt(node.b))
-                add_job(self._spec(
-                    "mxm",
-                    a=KernelSpec.dt(dt(node.a)),
-                    b=KernelSpec.dt(dt(node.b)),
-                    c=KernelSpec.dt(out_dt),
-                    t_dtype=KernelSpec.dt(tdt),
-                    add=node.add_op,
-                    mult=node.mult_op,
-                    **dp,
-                ))
-            elif kind in (ex.EWiseAdd, ex.EWiseMult):
-                tdt = binary_result_dtype(node.op, dt(node.a), dt(node.b))
-                shape = "mat" if node.produces_matrix else "vec"
-                add_job(self._spec(
-                    f"{node.kind}_{shape}",
-                    a=KernelSpec.dt(dt(node.a)),
-                    b=KernelSpec.dt(dt(node.b)),
-                    c=KernelSpec.dt(out_dt),
-                    t_dtype=KernelSpec.dt(tdt),
-                    op=node.op,
-                    **dp,
-                ))
-            elif kind is ex.Apply:
-                _d, _i, form, op, side = self._apply_spec_parts(node.op_spec, out_dt)
-                shape = "mat" if node.produces_matrix else "vec"
-                add_job(self._spec(
-                    f"apply_{shape}",
-                    a=KernelSpec.dt(dt(node.a)),
-                    c=KernelSpec.dt(out_dt),
-                    form=form,
-                    op=op,
-                    side=side,
-                    **dp,
-                ))
+            if kind is ex.Apply:
+                child = node.a
+                # predict the planner's producer+apply fusion
+                if (
+                    fuse
+                    and isinstance(child, ex.Expression)
+                    and child._materialized is None
+                    and not getattr(node, "ta", False)
+                    and producer(child, out_dt, node_desc, _apply_ops(node.op_spec))
+                ):
+                    node = child  # the child's operands still walk below
+                else:
+                    shape = "mat" if node.produces_matrix else "vec"
+                    add_job(f"apply_{shape}", (dt(node.a), out_dt),
+                            _apply_ops(node.op_spec), node_desc)
             elif kind is ex.ReduceRows:
-                add_job(self._spec(
-                    "reduce_rows",
-                    a=KernelSpec.dt(dt(node.a)),
-                    c=KernelSpec.dt(out_dt),
-                    op=node.op,
-                    **dp,
-                ))
-            # Select / Kronecker / Transpose / Extract are rare enough that
-            # the flush-time compile is acceptable; operands still walk
+                add_job("reduce_rows", (dt(node.a), out_dt), (node.op,), node_desc)
+            else:
+                # Select / Kronecker / Transpose / Extract are rare enough
+                # that the flush-time compile is acceptable
+                producer(node, out_dt, node_desc)
             for slot in node.operand_slots:
                 walk(getattr(node, slot), None, None)
 
@@ -1032,231 +913,62 @@ class CppJitEngine:
     # pair, intermediate stays inside the shared object)
     # ------------------------------------------------------------------
     def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        if ta:
-            a = a.transposed()
-        tdt = binary_result_dtype(mult, a.dtype, u.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            "mxv_apply",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            form=form,
-            uop=uop,
-            side=side,
-            fused=True,
-            **_desc_params(desc),
+        a = _t(a, ta)
+        bound = self._kernel(
+            "mxv_apply", (a.dtype, u.dtype, out.dtype), (add, mult) + _apply_ops(op_spec), desc
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.vec(u)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        return self._spmv_run(bound, out, a, u, desc, None, self._const(bound, op_spec))
 
     def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        if ta:
-            a = a.transposed()
-        tdt = binary_result_dtype(mult, u.dtype, a.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            "vxm_apply",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            form=form,
-            uop=uop,
-            side=side,
-            fused=True,
-            **_desc_params(desc),
+        a = _t(a, ta)
+        bound = self._kernel(
+            "vxm_apply", (a.dtype, u.dtype, out.dtype), (add, mult) + _apply_ops(op_spec), desc
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.vec(u)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
-
-    def _ewise_vec_apply(self, func, out, u, v, op, op_spec, desc):
-        pdt = binary_result_dtype(op, u.dtype, v.dtype)
-        dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            func,
-            a=KernelSpec.dt(u.dtype),
-            b=KernelSpec.dt(v.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(pdt),
-            p=KernelSpec.dt(pdt),
-            op=op,
-            form=form,
-            uop=uop,
-            side=side,
-            fused=True,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(u)
-        p.vec(v, with_size=False)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        return self._spmv_run(bound, out, a, u, desc, None, self._const(bound, op_spec))
 
     def ewise_add_vec_apply(self, out, u, v, op, op_spec, desc):
-        return self._ewise_vec_apply("ewise_add_vec_apply", out, u, v, op, op_spec, desc)
+        ops = (op,) + _apply_ops(op_spec)
+        return self._ewise_vec("ewise_add_vec_apply", out, u, v, ops, desc, op_spec)
 
     def ewise_mult_vec_apply(self, out, u, v, op, op_spec, desc):
-        return self._ewise_vec_apply("ewise_mult_vec_apply", out, u, v, op, op_spec, desc)
-
-    def _ewise_mat_apply(self, func, out, a, b, op, op_spec, desc, ta, tb):
-        if ta:
-            a = a.transposed()
-        if tb:
-            b = b.transposed()
-        pdt = binary_result_dtype(op, a.dtype, b.dtype)
-        dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
-            func,
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(pdt),
-            p=KernelSpec.dt(pdt),
-            op=op,
-            form=form,
-            uop=uop,
-            side=side,
-            fused=True,
-            **_desc_params(desc),
-        )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.csr(b, with_dims=False)
-        p.csr(out, with_dims=False)
-        p.mask_mat(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_mat_out(lib, p, out.nrows, out.ncols, out.dtype)
+        ops = (op,) + _apply_ops(op_spec)
+        return self._ewise_vec("ewise_mult_vec_apply", out, u, v, ops, desc, op_spec)
 
     def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return self._ewise_mat_apply(
-            "ewise_add_mat_apply", out, a, b, op, op_spec, desc, ta, tb
-        )
+        ops = (op,) + _apply_ops(op_spec)
+        return self._ewise_mat("ewise_add_mat_apply", out, a, b, ops, desc, ta, tb, op_spec)
 
     def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return self._ewise_mat_apply(
-            "ewise_mult_mat_apply", out, a, b, op, op_spec, desc, ta, tb
-        )
+        ops = (op,) + _apply_ops(op_spec)
+        return self._ewise_mat("ewise_mult_mat_apply", out, a, b, ops, desc, ta, tb, op_spec)
 
     def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        if ta:
-            a = a.transposed()
-        if tb:
-            b = b.transposed()
-        tdt = binary_result_dtype(mult, a.dtype, b.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        spec = self._spec(
-            "mxm_reduce_rows",
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            rop=rop,
-            fused=True,
-            **_desc_params(desc),
+        a, b = _t(a, ta), _t(b, tb)
+        bound = self._kernel(
+            "mxm_reduce_rows", (a.dtype, b.dtype, out.dtype), (add, mult, rop), desc
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.csr(a)
-        p.csr(b)
-        p.vec(out)
-        p.mask_vec(desc.mask)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
+        args = a.ffi_pack().args + b.ffi_pack().args + out.ffi_pack().args
+        return self._vec_out(bound, args + self._vec_mask(desc), out)
 
     def apply_assign_vec(self, out, u, op_spec, idx, desc):
-        from ..backend.kernels import apply_result_dtype
-
         pdt = apply_result_dtype(op_spec, u.dtype)
-        dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, pdt)
-        spec = self._spec(
-            "apply_assign_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            p=KernelSpec.dt(pdt),
-            form=form,
-            uop=uop,
-            side=side,
-            fused=True,
-            **_desc_params(desc),
+        return self._indexed_vec(
+            "apply_assign_vec", out, u, idx, desc,
+            (u.dtype, out.dtype, pdt), _apply_ops(op_spec), op_spec,
         )
-        lib = self._lib(spec)
-        p = _Args()
-        p.vec(out)
-        p.vec(u)
-        p.index_list(idx)
-        p.mask_vec(desc.mask)
-        p.raw(dconst)
-        p.raw(iconst)
-        return self._run_vec_out(lib, p, out.size, out.dtype)
 
     def _ewise_reduce_scalar(self, func, u, v, op, rop, identity):
-        pdt = np.dtype(binary_result_dtype(op, u.dtype, v.dtype))
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[rop]
-        ident = identity_value(identity, pdt)
-        spec = self._spec(
-            func,
-            a=KernelSpec.dt(u.dtype),
-            b=KernelSpec.dt(v.dtype),
-            p=KernelSpec.dt(pdt),
-            op=op,
-            rop=rop,
-            fused=True,
-        )
-        lib = self._lib(spec, scalar_out=True)
-        out = np.zeros(1, dtype=np.uint8 if pdt == np.bool_ else pdt)
-        p = _Args()
-        p.vec(u)
-        p.vec(v, with_size=False)
-        d, i = _scalar_pair(ident, prefer_float=pdt.kind == "f")
-        p.raw(d)
-        p.raw(i)
-        p.ptr(out.view(np.uint8) if pdt == np.bool_ else out)
-        self._ffi_call(lib, p.args)
-        val = out.view(np.bool_)[0] if pdt == np.bool_ else out[0]
-        return pdt.type(val)
+        bound = self._kernel(func, (u.dtype, v.dtype), (op, rop))
+        args = u.ffi_pack().args + v.ffi_pack().args[1:]
+        return self._scalar_out(bound, args, identity_value(identity, bound.scalar_dtype))
 
     def ewise_add_vec_reduce_scalar(self, u, v, op, rop, identity=None):
-        return self._ewise_reduce_scalar(
-            "ewise_add_vec_reduce_scalar", u, v, op, rop, identity
-        )
+        return self._ewise_reduce_scalar("ewise_add_vec_reduce_scalar", u, v, op, rop, identity)
 
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity=None):
-        return self._ewise_reduce_scalar(
-            "ewise_mult_vec_reduce_scalar", u, v, op, rop, identity
-        )
+        return self._ewise_reduce_scalar("ewise_mult_vec_reduce_scalar", u, v, op, rop, identity)
 
     # -- Python-JIT fallbacks (index-heavy matrix forms) -----------------
     def transpose(self, out, a, desc):

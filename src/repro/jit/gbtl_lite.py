@@ -3,8 +3,10 @@
 The paper compiles generated binding files against GBTL, the authors' C++
 GraphBLAS template library.  GBTL is not vendored here, so this module
 carries a from-scratch, self-contained replacement implementing the same
-surface the binding files need: sparse containers, the Fig. 6 operator
-functors under the same names, and templated kernels for every operation
+surface the binding files need: sparse containers (owning ones for
+results and fused intermediates, non-owning views over the caller's
+NumPy buffers for operands), the Fig. 6 operator functors under the
+same names, and templated kernels for every operation
 the C++ engine compiles (semiring mxv/vxm/mxm with dense-accumulator
 Gustavson SpGEMM, sorted-merge eWise ops, apply/reduce, assign/extract,
 and the shared masked accumulate-write stage).
@@ -40,7 +42,6 @@ GBTL_LITE_HEADER = r"""
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 #ifdef _OPENMP
@@ -169,12 +170,45 @@ template <class T, class Op> struct Bind2nd {
 };
 
 // ---------------------------------------------------------------------
-// containers
+// containers.  Two families with one read interface (indptr[i],
+// indices.size(), .data(), begin()/end()):
+//
+//  * Vec / CSR own their storage (std::vector) — kernel results and the
+//    intermediates of fused compositions;
+//  * VecView / CSRView are pointer+length windows onto buffers the caller
+//    owns (NumPy arrays kept alive by the Python side for the duration of
+//    the call).  pygb_run wraps its operands in views instead of copying
+//    them; the element type is const, so nothing can write through one.
+//
+// Every kernel below is a template over the container type and accepts
+// either family.
 // ---------------------------------------------------------------------
+template <class T> struct Span {
+    const T* ptr = nullptr;
+    size_t len = 0;
+    Span() = default;
+    Span(const T* p, Index n) : ptr(p), len(static_cast<size_t>(n)) {}
+    const T& operator[](size_t i) const { return ptr[i]; }
+    size_t size() const { return len; }
+    bool empty() const { return len == 0; }
+    const T* data() const { return ptr; }
+    const T* begin() const { return ptr; }
+    const T* end() const { return ptr + len; }
+};
+
 template <class T> struct Vec {
     Index size = 0;
     std::vector<Index> idx;  // strictly increasing
     std::vector<T> val;
+};
+
+template <class T> struct VecView {
+    Index size = 0;
+    Span<Index> idx;
+    Span<T> val;
+    VecView() = default;
+    VecView(Index size_, const Index* idx_, const T* val_, Index nnz)
+        : size(size_), idx(idx_, nnz), val(val_, nnz) {}
 };
 
 template <class T> struct CSR {
@@ -184,48 +218,28 @@ template <class T> struct CSR {
     std::vector<T> values;
 };
 
-template <class T>
-Vec<T> make_vec(Index size, const Index* idx, const T* val, Index nnz) {
-    Vec<T> v; v.size = size;
-    v.idx.assign(idx, idx + nnz);
-    v.val.assign(val, val + nnz);
-    return v;
-}
+template <class T> struct CSRView {
+    Index nrows = 0, ncols = 0;
+    Span<Index> indptr, indices;
+    Span<T> values;
+    CSRView() = default;
+    CSRView(Index nrows_, Index ncols_, const Index* indptr_, const Index* indices_,
+            const T* values_)
+        : nrows(nrows_), ncols(ncols_), indptr(indptr_, nrows_ + 1),
+          indices(indices_, indptr_[nrows_]), values(values_, indptr_[nrows_]) {}
+};
 
+// matrix-valued results: nnz is unknown before the kernel ran, so the
+// binding parks the result in a thread_local CSR, returns nnz, and the
+// caller fetches it into exactly-sized buffers with a second call.  The
+// holder is thread_local because tile workers and server threads call
+// the same shared object concurrently with the GIL released.
 template <class T>
-CSR<T> make_csr(Index nrows, Index ncols, const Index* indptr, const Index* indices,
-                const T* values) {
-    CSR<T> m; m.nrows = nrows; m.ncols = ncols;
-    m.indptr.assign(indptr, indptr + nrows + 1);
-    const Index nnz = indptr[nrows];
-    m.indices.assign(indices, indices + nnz);
-    m.values.assign(values, values + nnz);
-    return m;
-}
-
-// exported buffers are malloc'd so Python can free them with pygb_free()
-template <class T>
-Index export_vec(const Vec<T>& v, Index** out_idx, void** out_val) {
-    const Index nnz = static_cast<Index>(v.idx.size());
-    *out_idx = static_cast<Index*>(std::malloc(sizeof(Index) * std::max<Index>(nnz, 1)));
-    T* vals = static_cast<T*>(std::malloc(sizeof(T) * std::max<Index>(nnz, 1)));
-    std::memcpy(*out_idx, v.idx.data(), sizeof(Index) * nnz);
-    std::memcpy(vals, v.val.data(), sizeof(T) * nnz);
-    *out_val = vals;
-    return nnz;
-}
-
-template <class T>
-Index export_csr(const CSR<T>& m, Index** out_indptr, Index** out_indices, void** out_values) {
-    const Index nnz = static_cast<Index>(m.indices.size());
-    *out_indptr = static_cast<Index*>(std::malloc(sizeof(Index) * (m.nrows + 1)));
-    *out_indices = static_cast<Index*>(std::malloc(sizeof(Index) * std::max<Index>(nnz, 1)));
-    T* vals = static_cast<T*>(std::malloc(sizeof(T) * std::max<Index>(nnz, 1)));
-    std::memcpy(*out_indptr, m.indptr.data(), sizeof(Index) * (m.nrows + 1));
-    std::memcpy(*out_indices, m.indices.data(), sizeof(Index) * nnz);
-    std::memcpy(vals, m.values.data(), sizeof(T) * nnz);
-    *out_values = vals;
-    return nnz;
+void fetch_csr(CSR<T>& held, Index* indptr, Index* indices, T* values) {
+    std::copy(held.indptr.begin(), held.indptr.end(), indptr);
+    std::copy(held.indices.begin(), held.indices.end(), indices);
+    std::copy(held.values.begin(), held.values.end(), values);
+    held = CSR<T>{};  // release the storage, not just the size
 }
 
 // ---------------------------------------------------------------------
@@ -233,8 +247,8 @@ Index export_csr(const CSR<T>& m, Index** out_indptr, Index** out_indices, void*
 // ---------------------------------------------------------------------
 
 // w = A ⊕.⊗ u : dense-accumulator row sweep, O(nnz(A))
-template <class TT, class TA, class TU, class AddOp, class MultOp>
-Vec<TT> mxv(const CSR<TA>& A, const Vec<TU>& u, AddOp add, MultOp mult) {
+template <class TT, class MatA, class VecU, class AddOp, class MultOp>
+Vec<TT> mxv(const MatA& A, const VecU& u, AddOp add, MultOp mult) {
     std::vector<TT> ud(A.ncols);
     std::vector<uint8_t> up(A.ncols, 0);
     for (size_t k = 0; k < u.idx.size(); ++k) {
@@ -281,8 +295,8 @@ Vec<TT> mxv(const CSR<TA>& A, const Vec<TU>& u, AddOp add, MultOp mult) {
 }
 
 // w = u ⊕.⊗ A : scatter along the rows u touches, O(Σ nnz(A(k,:)))
-template <class TT, class TA, class TU, class AddOp, class MultOp>
-Vec<TT> vxm(const Vec<TU>& u, const CSR<TA>& A, AddOp add, MultOp mult) {
+template <class TT, class VecU, class MatA, class AddOp, class MultOp>
+Vec<TT> vxm(const VecU& u, const MatA& A, AddOp add, MultOp mult) {
 #ifdef _OPENMP
     const Index u_nnz = static_cast<Index>(u.idx.size());
     const int nt = num_threads();
@@ -347,8 +361,8 @@ Vec<TT> vxm(const Vec<TU>& u, const CSR<TA>& A, AddOp add, MultOp mult) {
 // would discard are never computed.  Each row folds its present
 // neighbours in stored (ascending-column) order, exactly as mxv()'s row
 // sweep, so surviving entries are bit-identical to the dense form.
-template <class TT, class TA, class TU, class AddOp, class MultOp>
-Vec<TT> mxv_pull(const CSR<TA>& A, const Vec<TU>& u,
+template <class TT, class MatA, class VecU, class AddOp, class MultOp>
+Vec<TT> mxv_pull(const MatA& A, const VecU& u,
                  const Index* cand, Index n_cand, AddOp add, MultOp mult) {
     std::vector<TT> ud(A.ncols);
     std::vector<uint8_t> up(A.ncols, 0);
@@ -386,8 +400,8 @@ Vec<TT> mxv_pull(const CSR<TA>& A, const Vec<TU>& u,
 // spmv_pull_logical, and a row that retires mid-block still counts the
 // whole block — the deterministic edges-examined figure is therefore
 // identical across all three engines.
-template <class TT, class TA, class TU, class MultOp>
-Vec<TT> mxv_pull_or(const CSR<TA>& A, const Vec<TU>& u,
+template <class TT, class MatA, class VecU, class MultOp>
+Vec<TT> mxv_pull_or(const MatA& A, const VecU& u,
                     const Index* cand, Index n_cand, MultOp mult) {
     std::vector<TT> ud(A.ncols);
     std::vector<uint8_t> up(A.ncols, 0);
@@ -424,8 +438,8 @@ Vec<TT> mxv_pull_or(const CSR<TA>& A, const Vec<TU>& u,
 }
 
 // C = A ⊕.⊗ B : Gustavson with a dense per-row workspace
-template <class TT, class TA, class TB, class AddOp, class MultOp>
-CSR<TT> mxm(const CSR<TA>& A, const CSR<TB>& B, AddOp add, MultOp mult) {
+template <class TT, class MatA, class MatB, class AddOp, class MultOp>
+CSR<TT> mxm(const MatA& A, const MatB& B, AddOp add, MultOp mult) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = B.ncols;
     out.indptr.assign(A.nrows + 1, 0);
 #ifdef _OPENMP
@@ -498,8 +512,8 @@ CSR<TT> mxm(const CSR<TA>& A, const CSR<TB>& B, AddOp add, MultOp mult) {
 }
 
 // eWiseAdd on vectors: union merge of two sorted coordinate lists
-template <class TT, class TU, class TV, class Op>
-Vec<TT> ewise_add(const Vec<TU>& u, const Vec<TV>& v, Op op) {
+template <class TT, class VecU, class VecV, class Op>
+Vec<TT> ewise_add(const VecU& u, const VecV& v, Op op) {
     Vec<TT> out; out.size = u.size;
     size_t i = 0, j = 0;
     while (i < u.idx.size() || j < v.idx.size()) {
@@ -521,8 +535,8 @@ Vec<TT> ewise_add(const Vec<TU>& u, const Vec<TV>& v, Op op) {
 }
 
 // eWiseMult on vectors: intersection merge
-template <class TT, class TU, class TV, class Op>
-Vec<TT> ewise_mult(const Vec<TU>& u, const Vec<TV>& v, Op op) {
+template <class TT, class VecU, class VecV, class Op>
+Vec<TT> ewise_mult(const VecU& u, const VecV& v, Op op) {
     Vec<TT> out; out.size = u.size;
     size_t i = 0, j = 0;
     while (i < u.idx.size() && j < v.idx.size()) {
@@ -538,8 +552,8 @@ Vec<TT> ewise_mult(const Vec<TU>& u, const Vec<TV>& v, Op op) {
 }
 
 // matrix eWise ops: the vector merges applied row by row
-template <class TT, class TA, class TB, class Op>
-CSR<TT> ewise_add_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
+template <class TT, class MatA, class MatB, class Op>
+CSR<TT> ewise_add_mat(const MatA& A, const MatB& B, Op op) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
     out.indptr.assign(A.nrows + 1, 0);
 #ifdef _OPENMP
@@ -610,8 +624,8 @@ CSR<TT> ewise_add_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
     return out;
 }
 
-template <class TT, class TA, class TB, class Op>
-CSR<TT> ewise_mult_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
+template <class TT, class MatA, class MatB, class Op>
+CSR<TT> ewise_mult_mat(const MatA& A, const MatB& B, Op op) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
     out.indptr.assign(A.nrows + 1, 0);
 #ifdef _OPENMP
@@ -667,10 +681,10 @@ CSR<TT> ewise_mult_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
     return out;
 }
 
-template <class TT, class TU, class F>
-Vec<TT> apply_vec(const Vec<TU>& u, F f) {
+template <class TT, class VecU, class F>
+Vec<TT> apply_vec(const VecU& u, F f) {
     Vec<TT> out; out.size = u.size;
-    out.idx = u.idx;
+    out.idx.insert(out.idx.end(), u.idx.begin(), u.idx.end());
     const Index n = static_cast<Index>(u.val.size());
     out.val.resize(n);
     // element-parallel map: trivially bit-identical
@@ -679,11 +693,11 @@ Vec<TT> apply_vec(const Vec<TU>& u, F f) {
     return out;
 }
 
-template <class TT, class TA, class F>
-CSR<TT> apply_mat(const CSR<TA>& A, F f) {
+template <class TT, class MatA, class F>
+CSR<TT> apply_mat(const MatA& A, F f) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
-    out.indptr = A.indptr;
-    out.indices = A.indices;
+    out.indptr.insert(out.indptr.end(), A.indptr.begin(), A.indptr.end());
+    out.indices.insert(out.indices.end(), A.indices.begin(), A.indices.end());
     const Index n = static_cast<Index>(A.values.size());
     out.values.resize(n);
     #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
@@ -691,8 +705,8 @@ CSR<TT> apply_mat(const CSR<TA>& A, F f) {
     return out;
 }
 
-template <class T, class Op>
-T reduce_values(const std::vector<T>& vals, Op op, T identity) {
+template <class T, class Vals, class Op>
+T reduce_values(const Vals& vals, Op op, T identity) {
     const Index n = static_cast<Index>(vals.size());
     if (n == 0) return identity;
 #ifdef _OPENMP
@@ -720,8 +734,8 @@ T reduce_values(const std::vector<T>& vals, Op op, T identity) {
     return acc;
 }
 
-template <class TT, class TA, class Op>
-Vec<TT> reduce_rows(const CSR<TA>& A, Op op) {
+template <class TT, class MatA, class Op>
+Vec<TT> reduce_rows(const MatA& A, Op op) {
     Vec<TT> out; out.size = A.nrows;
 #ifdef _OPENMP
     if (num_threads() > 1 && A.nrows >= 256) {
@@ -771,9 +785,14 @@ Vec<T> scatter_vec(const Vec<T>& u, const Index* indices, Index n_indices, Index
 // ---------------------------------------------------------------------
 // the masked accumulate-write stage: C<M, z> = C ⊙ T  (C API pipeline)
 // ---------------------------------------------------------------------
-template <class TC, class TT, class AccumOp>
-Vec<TC> write_back_vec(const Vec<TC>& C, const Vec<TT>& T, const Vec<uint8_t>* mask,
-                       bool comp, bool replace, bool has_accum, AccumOp accum) {
+// Writes the surviving entries straight into caller-owned buffers of
+// capacity C.size (nnz(out) <= size is known before the call, so the
+// Python side hands in NumPy arrays and no result is ever copied out)
+// and returns their count.
+template <class TC, class VecC, class VecT, class VecM, class AccumOp>
+Index write_back_vec_into(const VecC& C, const VecT& T, const VecM* mask,
+                          bool comp, bool replace, bool has_accum, AccumOp accum,
+                          Index* out_idx, TC* out_val) {
     const Index n = C.size;
     // dense presence maps keep this O(n); vector sizes are graph-scale
     std::vector<uint8_t> c_has(n, 0), t_has(n, 0), m_true(n, 0);
@@ -787,7 +806,7 @@ Vec<TC> write_back_vec(const Vec<TC>& C, const Vec<TT>& T, const Vec<uint8_t>* m
     if (mask)
         for (size_t k = 0; k < mask->idx.size(); ++k)
             if (mask->val[k]) m_true[mask->idx[k]] = 1;
-    Vec<TC> out; out.size = n;
+    Index nnz = 0;
     for (Index i = 0; i < n; ++i) {
         // Z(i)
         bool z_has; TC z{};
@@ -797,17 +816,31 @@ Vec<TC> write_back_vec(const Vec<TC>& C, const Vec<TT>& T, const Vec<uint8_t>* m
         else { z_has = false; }
         const bool in_mask = mask ? (bool(m_true[i]) != comp) : true;
         if (in_mask) {
-            if (z_has) { out.idx.push_back(i); out.val.push_back(z); }
+            if (z_has) { out_idx[nnz] = i; out_val[nnz++] = z; }
         } else if (!replace && c_has[i]) {
-            out.idx.push_back(i);
-            out.val.push_back(c_val[i]);
+            out_idx[nnz] = i;
+            out_val[nnz++] = c_val[i];
         }
     }
+    return nnz;
+}
+
+// owning form, for whole-algorithm modules that keep the result in C++
+template <class TC, class VecC, class VecT, class VecM, class AccumOp>
+Vec<TC> write_back_vec(const VecC& C, const VecT& T, const VecM* mask,
+                       bool comp, bool replace, bool has_accum, AccumOp accum) {
+    Vec<TC> out; out.size = C.size;
+    out.idx.resize(C.size);
+    out.val.resize(C.size);
+    const Index nnz = write_back_vec_into<TC>(C, T, mask, comp, replace, has_accum, accum,
+                                              out.idx.data(), out.val.data());
+    out.idx.resize(nnz);
+    out.val.resize(nnz);
     return out;
 }
 
-template <class TC, class TT, class AccumOp>
-CSR<TC> write_back_mat(const CSR<TC>& C, const CSR<TT>& T, const CSR<uint8_t>* mask,
+template <class TC, class MatC, class MatT, class MatM, class AccumOp>
+CSR<TC> write_back_mat(const MatC& C, const MatT& T, const MatM* mask,
                        bool comp, bool replace, bool has_accum, AccumOp accum) {
     const Index nrows = C.nrows, ncols = C.ncols;
     CSR<TC> out; out.nrows = nrows; out.ncols = ncols;
@@ -856,6 +889,4 @@ CSR<TC> write_back_mat(const CSR<TC>& C, const CSR<TT>& T, const CSR<uint8_t>* m
 }
 
 }  // namespace GB
-
-extern "C" void pygb_free(void* p) { std::free(p); }
 """

@@ -87,7 +87,11 @@ class EngineHealth:
                  backoff: float = DEFAULT_BACKOFF_SECONDS, *,
                  warn_template: str | None = None,
                  event_name: str = "quarantine",
-                 event_cat: str = "cache"):
+                 event_cat: str = "cache",
+                 on_failure=None):
+        #: called (no arguments) after every recorded failure, so the
+        #: owner can invalidate whatever it bound to a now-suspect spec
+        self._on_failure = on_failure
         self._lock = threading.Lock()
         self._records: dict[tuple[str, str], _SpecHealth] = {}
         self._retries = retries
@@ -134,6 +138,8 @@ class EngineHealth:
                     )
             newly = not rec.warned and not strict
             rec.warned = rec.warned or newly
+        if self._on_failure is not None:
+            self._on_failure()
         if not strict:
             from .. import obs
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..types import cxx_name, dtype_token, normalize_dtype
 
@@ -18,7 +19,7 @@ __all__ = ["KernelSpec", "CODEGEN_VERSION"]
 
 #: bumped whenever generated-code layout changes, so stale disk-cache
 #: entries from older library versions can never be loaded.
-CODEGEN_VERSION = 9
+CODEGEN_VERSION = 10
 
 
 def _canon(value) -> str:
@@ -58,18 +59,21 @@ class KernelSpec:
     def flag(self, key: str) -> bool:
         return self.get(key) == "1"
 
-    @property
+    # the three key forms are read several times per cache lookup (memory
+    # key, health key, artifact name, trace args); each is computed once
+    # per instance — the dataclass is frozen, so they cannot go stale
+    @cached_property
     def key(self) -> str:
         """Canonical human-readable cache key."""
         inner = ",".join(f"{k}={v}" for k, v in self.params)
         return f"v{CODEGEN_VERSION}:{self.func}({inner})"
 
-    @property
+    @cached_property
     def key_hash(self) -> str:
         """Stable 16-hex-digit content hash (the module file stem)."""
         return hashlib.sha256(self.key.encode()).hexdigest()[:16]
 
-    @property
+    @cached_property
     def module_stem(self) -> str:
         return f"pygb_{self.func}_{self.key_hash}"
 

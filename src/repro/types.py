@@ -125,6 +125,18 @@ def cxx_name(dtype) -> str:
     return CXX_NAMES[normalize_dtype(dtype)]
 
 
+#: dtype spelling -> token; ``np.dtype.name`` builds its string on every
+#: access and a dispatch asks three or four times (eleven dtypes, a few
+#: spellings each, so the table stays tiny)
+_TOKENS: dict = {}
+
+
 def dtype_token(dtype) -> str:
     """Short stable token for cache keys, e.g. ``int64`` or ``float32``."""
-    return normalize_dtype(dtype).name
+    try:
+        return _TOKENS[dtype]
+    except KeyError:
+        token = _TOKENS[dtype] = normalize_dtype(dtype).name
+        return token
+    except TypeError:  # unhashable spelling (e.g. a list-form dtype)
+        return normalize_dtype(dtype).name
