@@ -79,6 +79,26 @@ def test_construct_from_numpy(benchmark, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_sixteen_element_writes(benchmark, n):
+    # the paper's "memory management" penalty: point updates of a built
+    # matrix, observed once (a fresh container over the same immutable
+    # store each round, so every round inserts)
+    rows, cols, vals = _coo(n)
+    store = gb.Matrix((vals, (rows, cols)), shape=(n, n))._store
+    rng = np.random.default_rng(7)
+    writes = list(zip(rng.integers(n, size=16).tolist(), rng.integers(n, size=16).tolist(),
+                      rng.uniform(1.0, 2.0, size=16).tolist()))
+
+    def mutate():
+        m = gb.Matrix(store)
+        for i, j, v in writes:
+            m[i, j] = v
+        return m.nvals
+
+    assert benchmark(mutate) >= vals.size
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_extract_data_back_out(benchmark, n):
     rows, cols, vals = _coo(n)
     m = gb.Matrix((vals, (rows, cols)), shape=(n, n))

@@ -445,3 +445,18 @@ def segment_reduce_values(name: str, values: np.ndarray, starts: np.ndarray) -> 
     vals = values.astype(bool) if logical else values
     out = uf.reduceat(vals, starts)
     return out
+
+
+def fold_duplicates(name: str, first: np.ndarray, values: np.ndarray):
+    """Combine runs of duplicate keys in sorted COO data with op *name*;
+    ``first[k]`` marks the first entry of each run.  Returns ``(starts,
+    folded)``: where each run starts and its one value — the last
+    (``Second``, GBTL's build behaviour), the first, or the monoid
+    reduction of the run."""
+    starts = np.flatnonzero(first)
+    if name == "Second":
+        return starts, values[np.append(starts[1:], values.size) - 1]
+    if name == "First":
+        return starts, values[starts]
+    reduced = segment_reduce_values(name, values, starts)
+    return starts, reduced.astype(values.dtype, copy=False)

@@ -27,6 +27,8 @@ __all__ = [
     "encode_keys",
     "decode_keys",
     "expand_ranges",
+    "strictly_increasing",
+    "overwrite_or_insert",
     "segment_starts",
     "segment_reduce",
     "coalesce",
@@ -69,6 +71,31 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
+
+
+def strictly_increasing(keys: np.ndarray) -> bool:
+    """True when *keys* is sorted with no duplicates — the O(n) test that
+    lets a COO build skip its sort and duplicate fold."""
+    return keys.size < 2 or bool((keys[1:] > keys[:-1]).all())
+
+
+def overwrite_or_insert(indices, values, pos, limit, keys, vals):
+    """Apply point writes whose slots are known: ``pos[k]`` is where
+    ``keys[k]`` is, or belongs, in the sorted segment of *indices* ending
+    at ``limit[k]`` (writes sorted, one per key).  Hits overwrite a copy
+    of *values*, misses are inserted; returns the new ``(indices,
+    values)`` — the inputs themselves where nothing changed — and the
+    miss mask."""
+    hit = pos < limit
+    hit[hit] = indices[pos[hit]] == keys[hit]
+    if hit.any():
+        values = values.copy()
+        values[pos[hit]] = vals[hit]
+    miss = ~hit
+    if miss.any():
+        indices = np.insert(indices, pos[miss], keys[miss])
+        values = np.insert(values, pos[miss], vals[miss])
+    return indices, values, miss
 
 
 def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:

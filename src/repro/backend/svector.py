@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatch, IndexOutOfBounds
 from ..types import normalize_dtype
+from . import primitives as P
 from .ffipack import ArgPack, resident
 
 __all__ = ["SparseVector"]
@@ -77,26 +78,17 @@ class SparseVector:
             )
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise IndexOutOfBounds(f"vector index out of range for size {size}")
-        if idx.size == 0:
-            return cls(size, idx, vals)
+        if P.strictly_increasing(idx):
+            # nothing to sort or fold; copy, because asarray aliases an
+            # ndarray argument
+            return cls(size, idx.copy(), vals.copy())
         order = np.argsort(idx, kind="stable")
-        idx = idx[order]
-        vals = vals[order]
-        if idx.size > 1 and (np.diff(idx) == 0).any():
-            # combine duplicates with dup_op over each run
-            boundary = np.empty(idx.size, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = idx[1:] != idx[:-1]
-            starts = np.flatnonzero(boundary)
-            if dup_op == "Second":
-                # last value of each run wins
-                ends = np.append(starts[1:], idx.size) - 1
-                idx, vals = idx[starts], vals[ends]
-            elif dup_op == "First":
-                idx, vals = idx[starts], vals[starts]
-            else:
-                reduced = ops_table.segment_reduce_values(dup_op, vals, starts)
-                idx, vals = idx[starts], reduced.astype(vals.dtype, copy=False)
+        idx, vals = idx[order], vals[order]
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = idx[1:] != idx[:-1]
+        if not first.all():
+            starts, vals = ops_table.fold_duplicates(dup_op, first, vals)
+            idx = idx[starts]
         return cls(size, idx, vals)
 
     @classmethod
@@ -167,6 +159,23 @@ class SparseVector:
         if pos < self.indices.size and self.indices[pos] == i:
             return self.values[pos]
         return default
+
+    def set_elements(self, indices, values) -> "SparseVector":
+        """A new store with ``self[indices[k]] = values[k]`` applied in the
+        order given (a later write to the same index wins) — the merge
+        behind buffered ``v[i] = x`` statements.  Indices must be in
+        range; O(nvals + k log k)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        order = np.argsort(idx, kind="stable")  # ties stay in program order
+        idx, vals = idx[order], np.asarray(values, dtype=self.dtype)[order]
+        last = np.ones(idx.size, dtype=bool)
+        last[:-1] = idx[1:] != idx[:-1]
+        idx, vals = idx[last], vals[last]
+        pos = np.searchsorted(self.indices, idx)
+        indices, out, _ = P.overwrite_or_insert(
+            self.indices, self.values, pos, self.indices.size, idx, vals
+        )
+        return SparseVector(self.size, indices, out)
 
     def bool_indices(self) -> np.ndarray:
         """Indices of entries whose value coerces to True (mask support).

@@ -124,17 +124,8 @@ class TiledMatrix(SparseMatrix):
             ]
         return self._tiles_cache
 
-    def transposed(self) -> "TiledMatrix":
-        if self._transpose_cache is None:
-            rows, cols, vals = self.coo()
-            order = np.lexsort((rows, cols))
-            base = SparseMatrix.from_coo_sorted(
-                self.ncols, self.nrows, cols[order], rows[order], vals[order]
-            )
-            t = TiledMatrix.from_monolithic(base, self.ntiles)
-            t._transpose_cache = self
-            self._transpose_cache = t
-        return self._transpose_cache
+    def _build_transpose(self) -> "TiledMatrix":
+        return TiledMatrix.from_monolithic(super()._build_transpose(), self.ntiles)
 
     def astype(self, dtype) -> "TiledMatrix":
         dt = normalize_dtype(dtype)

@@ -8,7 +8,10 @@ The write-side protocol (paper Sec. IV):
   the reference, GBTL's ``NoMask``);
 * ``C[None] += expr`` accumulates with the operator inferred from context;
 * ``C[M] = expr`` / ``C[~M] = expr`` / ``C[M, True] = expr`` mask the
-  write (optionally complemented / with the replace flag).
+  write (optionally complemented / with the replace flag);
+* ``C[i, j] = s`` / ``w[i] = s`` (a scalar at a scalar index, no mask,
+  no accumulator) is buffered on the container and merged into a new
+  store at the next observation (docs/architecture.md, *The write path*).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numbers
 import numpy as np
 
 from ..exceptions import InvalidValue
+from ..tiling import maybe_tile
 from . import operators
 from .expressions import Apply, EWiseAdd, EWiseMult, Expression, TransposeView, TransposeExpr
 from .masks import (
@@ -45,17 +49,23 @@ class Container:
     is_vector = False
     _backing = None  # backend SparseMatrix / SparseVector
     _nb_entry = None  # pending nonblocking-queue entry writing this container
+    #: buffered element writes not yet merged into the store: a list of
+    #: ``(*index, value)`` tuples in program order, plain Python data
+    _pending = None
 
     # ------------------------------------------------------------------
-    # the store accessor doubles as the nonblocking observation point:
-    # any read of a pending container's store flushes the lazy queue
-    # first (program order), so every conversion / extraction / mask use
-    # stays correct in nonblocking mode without per-call-site hooks
+    # the store accessor is the single observation point: any read of a
+    # container's store (every conversion / extraction / operand or mask
+    # use) first flushes the nonblocking queue when a statement writing
+    # this container is pending (program order), then merges buffered
+    # element writes — so neither needs per-call-site hooks
     # ------------------------------------------------------------------
     @property
     def _store(self):
         if self._nb_entry is not None:
             flush("observe")
+        if self._pending is not None:
+            self._merge_pending()
         return self._backing
 
     @_store.setter
@@ -64,7 +74,39 @@ class Container:
             # an out-of-band rebind (clear(), io helpers) while a write is
             # pending: run the pending program-order writes first
             flush("store-rebind")
+        self._rebind(store)
+
+    def _rebind(self, store) -> None:
+        """Adopt *store* as the container's value.  Every replacement of
+        ``_backing`` comes through here because every one is a full
+        overwrite: element writes still buffered against the old store
+        can no longer be observed and are dropped unmerged."""
         self._backing = store
+        self._pending = None
+
+    def _merge_pending(self) -> None:
+        self._rebind(maybe_tile(self._backing.set_elements(*zip(*self._pending))))
+
+    def _buffer_write(self, index: tuple, value) -> None:
+        """``self[index] = value`` at a scalar index with no mask and no
+        accumulator: cast the value as ``assign_*_scalar`` would and keep
+        the tuple for the next observation.  Stores stay immutable, so
+        every memo and argument pack built on the current one stays valid."""
+        backing = self._backing
+        item = np.full(1, value, dtype=backing.dtype)[0].item()
+        if self._pending is None:
+            self._pending = []
+        self._pending.append((*index, item))
+        if len(self._pending) >= backing.nvals:
+            # as many buffered tuples as stored entries: merging now keeps
+            # a write amortised O(1) and the buffer within the store's size
+            self._merge_pending()
+
+    def __getstate__(self):
+        """``copy`` / ``pickle`` take the container's value — statements
+        queued on it run, buffered element writes merge — not its buffer
+        (a shallow copy would share it) or its place in the queue."""
+        return {"_backing": self._store}
 
     # ------------------------------------------------------------------
     # shared properties

@@ -177,9 +177,12 @@ class Matrix(Container):
         parse_matrix_indices(index_key, self.shape)
 
     def _assign_exec(self, setkey: SetKey, index_key, value, accum=None):
+        rows, cols, kind = parse_matrix_indices(index_key, self.shape)
+        if kind == "scalar" and setkey.mask is None and accum is None and _is_scalar(value):
+            self._buffer_write((int(rows[0]), int(cols[0])), value)
+            return
         from .vector import Vector
 
-        rows, cols, kind = parse_matrix_indices(index_key, self.shape)
         desc = build_desc(setkey, accum)
         eng = current_backend_engine()
         if isinstance(value, Expression):

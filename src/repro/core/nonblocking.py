@@ -111,7 +111,9 @@ class _Entry:
                   a store aliasing at flush);
       ``thunk`` — anything opaque (masked / accumulated / sub-indexed
                   writes), replayed verbatim at flush with a frozen
-                  descriptor.
+                  descriptor.  A scalar written at a scalar index replays
+                  as an append to the target's element buffer
+                  (``Container._buffer_write``), not as a dispatch.
     """
 
     __slots__ = (
@@ -583,18 +585,18 @@ def _execute(entry: _Entry) -> None:
         target_dtype = entry.target._backing.dtype
         if store.dtype != target_dtype:
             store = store.astype(target_dtype)
-        entry.target._backing = store
+        entry.target._rebind(store)
     elif entry.kind == "expr":
         if entry.dead:  # force_eval: WAR hazard — cache the value, skip the store
             entry.expr.new()
             return
         if entry.expr._materialized is not None:
             # a consumer (or an earlier flush trigger) already evaluated it
-            entry.target._backing = entry.expr._materialized._store
+            entry.target._rebind(entry.expr._materialized._store)
         elif entry.consumers:
             # evaluate through new() so later stitched consumers reuse the
             # cached result instead of re-dispatching
-            entry.target._backing = entry.expr.new()._store
+            entry.target._rebind(entry.expr.new()._store)
         else:
             evaluate(entry.expr, entry.target, entry.desc)
     else:

@@ -112,4 +112,13 @@ def evaluate(expr, out, desc) -> None:
             # bound on first use: jit.fusion imports this module's Plan
             from ..jit.fusion import fuse_expression as _fuse_expression
         expr = _fuse_expression(expr, eng)
+    if out._pending is not None and desc.mask is None and desc.accum is None:
+        # a full overwrite takes only extent and dtype from `out`: run it
+        # against a stand-in over the unmerged store, so buffered element
+        # writes die with the rebind instead of being merged just to be
+        # overwritten (an operand read of `out` itself still merges them)
+        scratch = type(out)(out._backing)
+        expr.eval_into(scratch, desc)
+        out._store = scratch._backing
+        return
     expr.eval_into(out, desc)

@@ -136,7 +136,10 @@ class Vector(Container):
         parse_vector_index(index_key, self.size)
 
     def _assign_exec(self, setkey: SetKey, index_key, value, accum=None):
-        idx, _kind = parse_vector_index(index_key, self.size)
+        idx, kind = parse_vector_index(index_key, self.size)
+        if kind == "scalar" and setkey.mask is None and accum is None and _is_scalar(value):
+            self._buffer_write((int(idx[0]),), value)
+            return
         desc = build_desc(setkey, accum)
         eng = current_backend_engine()
         if isinstance(value, Expression):

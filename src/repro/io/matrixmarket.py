@@ -36,6 +36,24 @@ def _parse_header(line: str):
     return field, symmetry
 
 
+def _read_preamble(fh):
+    """Header, comment block and size line of a MatrixMarket file opened
+    in binary mode: ``(field, symmetry, nrows, ncols, nnz)``, with *fh*
+    left at the first entry.  Both readers start here, so they accept the
+    same files and infer the same dtype."""
+    field, symmetry = _parse_header(fh.readline().decode("utf-8", "replace"))
+    line = fh.readline()
+    while line.startswith(b"%"):
+        line = fh.readline()
+    try:
+        nrows, ncols, nnz = (int(x) for x in line.split())
+        if not (0 <= min(nrows, ncols, nnz) and max(nrows, ncols, nnz) < 2**63):
+            raise ValueError("out of range")
+    except ValueError:
+        raise InvalidValue(f"bad size line: {line.strip()!r}") from None
+    return field, symmetry, nrows, ncols, nnz
+
+
 def mmread(path, dtype=None):
     """Read a MatrixMarket file into a :class:`~repro.core.matrix.Matrix`.
 
@@ -45,36 +63,31 @@ def mmread(path, dtype=None):
     """
     from ..core.matrix import Matrix
 
-    with open(path, "rt") as fh:
-        header = fh.readline()
-        field, symmetry = _parse_header(header)
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        dims = line.split()
-        if len(dims) != 3:
-            raise InvalidValue(f"bad size line: {line.strip()!r}")
-        nrows, ncols, nnz = (int(x) for x in dims)
+    with open(path, "rb") as fh:
+        field, symmetry, nrows, ncols, nnz = _read_preamble(fh)
         body = fh.read()
-    if not body.strip():
-        # empty coordinate section: loadtxt warns on empty input
-        if nnz != 0:
-            raise InvalidValue(f"size line promised {nnz} entries, file has 0")
-        empty = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.int64 if field != "real" else np.float64)
-        return Matrix((vals, (empty, empty)), shape=(nrows, ncols), dtype=dtype)
-    if field == "pattern":
-        raw = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
-        if raw.size == 0:
-            raw = raw.reshape(0, 2)
+    pattern = field == "pattern"
+    width, parsed_as = (2, np.int64) if pattern else (3, np.float64)
+    try:
+        if body.strip():
+            raw = np.loadtxt(
+                io.StringIO(body.decode()), dtype=parsed_as, comments=None, ndmin=2
+            )
+        else:  # an empty coordinate section (loadtxt would warn)
+            raw = np.empty((0, width), dtype=parsed_as)
+        if raw.shape[1] != width:
+            raise ValueError(f"entries have {raw.shape[1]} fields")
+    except ValueError as exc:  # also a bad token, a short row, undecodable bytes
+        raise InvalidValue(f"malformed MatrixMarket file {path}: {exc}") from None
+    if pattern:
         rows, cols = raw[:, 0] - 1, raw[:, 1] - 1
         vals = np.ones(rows.size, dtype=np.int64)
     else:
-        raw = np.loadtxt(io.StringIO(body), dtype=np.float64, ndmin=2)
-        if raw.size == 0:
-            raw = raw.reshape(0, 3)
-        rows = raw[:, 0].astype(np.int64) - 1
-        cols = raw[:, 1].astype(np.int64) - 1
+        with np.errstate(invalid="ignore"):
+            index = raw[:, :2].astype(np.int64)
+        if (index != raw[:, :2]).any():  # 1.5, nan, 1e300: parsed as reals, not indices
+            raise InvalidValue(f"malformed MatrixMarket file {path}: non-integer index")
+        rows, cols = index[:, 0] - 1, index[:, 1] - 1
         vals = raw[:, 2]
         if field == "integer":
             vals = vals.astype(np.int64)
