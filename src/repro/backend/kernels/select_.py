@@ -23,7 +23,7 @@ from ..smatrix import SparseMatrix
 from ..svector import SparseVector
 from .common import OpDesc, finalize_mat, finalize_vec
 
-__all__ = ["select_mat", "select_vec", "SELECT_OPS", "POSITIONAL_SELECT_OPS"]
+__all__ = ["select_mat", "select_vec", "SELECT_OPS"]
 
 _POSITIONAL = {
     "Tril": lambda rows, cols, k: cols <= rows + k,
@@ -44,11 +44,6 @@ _VALUED = {
 
 #: every predicate name, for validation and documentation
 SELECT_OPS = frozenset(_POSITIONAL) | frozenset(_VALUED)
-
-#: the row-relative predicates (``cols REL rows + k``); the partitioned
-#: executor rebases their thunk by the block's first row, since a row
-#: block sees local row numbers
-POSITIONAL_SELECT_OPS = frozenset(_POSITIONAL)
 
 
 def _keep_mask(op: str, rows, cols, vals, thunk):

@@ -22,12 +22,9 @@ interface:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import guard, schedule, tiling
 from ..backend import kernels as K
 from ..backend import tiled as T
-from ..backend.kernels.select_ import POSITIONAL_SELECT_OPS, SELECT_OPS
 from ..backend.tiled import TiledMatrix
 from ..exceptions import (
     BackendUnavailable,
@@ -293,7 +290,9 @@ class PartitionedEngine:
     monoids) — otherwise the dispatch forwards monolithically.  Assigns
     carry read-after-write hazards across arbitrary target rows, so they
     always execute monolithically, in program order, on the dispatch
-    thread (the "hazard-aware ordering" policy).
+    thread (the "hazard-aware ordering" policy).  The streaming matrix
+    maps (eWise, apply, select) forward too: they move each entry once,
+    and stitching tiles would move them all again.
 
     Everything not explicitly partitioned here forwards untouched via
     ``__getattr__`` — including ``primary``/``cache``/``prefetch_jobs``,
@@ -381,7 +380,7 @@ class PartitionedEngine:
 
         def task(k, tile):
             r0, r1 = int(splits[k]), int(splits[k + 1])
-            return call(tile, T.row_block(out, r0, r1), T.slice_desc_rows(desc, r0, r1), r0, r1)
+            return call(tile, T.row_block(out, r0, r1), T.slice_desc_rows(desc, r0, r1))
 
         try:
             parts = tiling.run_tile_tasks(
@@ -503,7 +502,7 @@ class PartitionedEngine:
             b.transposed()  # materialise once before the fan-out
         return self._fan_mat(
             "mxm", part, out, desc,
-            lambda tile, c, d, r0, r1: inner.mxm(c, tile, b, add, mult, d, False, tb),
+            lambda tile, c, d: inner.mxm(c, tile, b, add, mult, d, False, tb),
             lambda: inner.mxm(out, a, b, add, mult, desc, ta, tb),
         )
 
@@ -529,102 +528,40 @@ class PartitionedEngine:
             lambda: inner.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb),
         )
 
-    # -- elementwise ----------------------------------------------------
-    def _ewise_mat(self, op, out, a, b, desc, ta, tb, mono, per_tile):
-        if not tiling.wants_partition(a):
-            return tiling.maybe_tile(mono())
-        g = a.transposed() if ta else a
-        hshape = (b.ncols, b.nrows) if tb else b.shape
-        part = None
-        if g.shape == hshape and out.shape == g.shape and _mat_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled(op, a)
-            return tiling.maybe_tile(mono())
-        h = b.transposed() if tb else b
-        return self._fan_mat(
-            op, part, out, desc,
-            lambda tile, c, d, r0, r1: per_tile(tile, T.row_block(h, r0, r1), c, d),
-            mono,
-        )
-
+    # -- streaming maps: monolithic, with re-tiled outputs ----------------
+    # eWise, apply and select move each stored entry once; stitching row
+    # tiles would move them all again, so a fan-out cannot win on any
+    # core count.  The C++ kernels' in-kernel OpenMP loops are this
+    # family's one parallel mechanism.
     def ewise_add_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        inner = self._inner
-        return self._ewise_mat(
-            "ewise_add_mat", out, a, b, desc, ta, tb,
-            lambda: inner.ewise_add_mat(out, a, b, op, desc, ta, tb),
-            lambda tile, bblk, c, d: inner.ewise_add_mat(c, tile, bblk, op, d, False, False),
-        )
+        self._note_forward_if_tiled("ewise_add_mat", a)
+        return tiling.maybe_tile(self._inner.ewise_add_mat(out, a, b, op, desc, ta, tb))
 
     def ewise_mult_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        inner = self._inner
-        return self._ewise_mat(
-            "ewise_mult_mat", out, a, b, desc, ta, tb,
-            lambda: inner.ewise_mult_mat(out, a, b, op, desc, ta, tb),
-            lambda tile, bblk, c, d: inner.ewise_mult_mat(c, tile, bblk, op, d, False, False),
-        )
+        self._note_forward_if_tiled("ewise_mult_mat", a)
+        return tiling.maybe_tile(self._inner.ewise_mult_mat(out, a, b, op, desc, ta, tb))
 
     def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        inner = self._inner
-        return self._ewise_mat(
-            "ewise_add_mat_apply", out, a, b, desc, ta, tb,
-            lambda: inner.ewise_add_mat_apply(out, a, b, op, op_spec, desc, ta, tb),
-            lambda tile, bblk, c, d: inner.ewise_add_mat_apply(
-                c, tile, bblk, op, op_spec, d, False, False
-            ),
+        self._note_forward_if_tiled("ewise_add_mat_apply", a)
+        return tiling.maybe_tile(
+            self._inner.ewise_add_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
         )
 
     def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        inner = self._inner
-        return self._ewise_mat(
-            "ewise_mult_mat_apply", out, a, b, desc, ta, tb,
-            lambda: inner.ewise_mult_mat_apply(out, a, b, op, op_spec, desc, ta, tb),
-            lambda tile, bblk, c, d: inner.ewise_mult_mat_apply(
-                c, tile, bblk, op, op_spec, d, False, False
-            ),
+        self._note_forward_if_tiled("ewise_mult_mat_apply", a)
+        return tiling.maybe_tile(
+            self._inner.ewise_mult_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
         )
 
-    # -- apply / select / reduce ----------------------------------------
     def apply_mat(self, out, a, op_spec, desc, ta=False):
-        inner = self._inner
-        if not tiling.wants_partition(a):
-            return tiling.maybe_tile(inner.apply_mat(out, a, op_spec, desc, ta))
-        g = a.transposed() if ta else a
-        part = None
-        if out.shape == g.shape and _mat_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled("apply_mat", a)
-            return tiling.maybe_tile(inner.apply_mat(out, a, op_spec, desc, ta))
-        return self._fan_mat(
-            "apply_mat", part, out, desc,
-            lambda tile, c, d, r0, r1: inner.apply_mat(c, tile, op_spec, d, False),
-            lambda: inner.apply_mat(out, a, op_spec, desc, ta),
-        )
+        self._note_forward_if_tiled("apply_mat", a)
+        return tiling.maybe_tile(self._inner.apply_mat(out, a, op_spec, desc, ta))
 
     def select_mat(self, out, a, op, thunk, desc, ta=False):
-        inner = self._inner
-        rebase = op in POSITIONAL_SELECT_OPS and isinstance(thunk, (int, np.integer))
-        if not tiling.wants_partition(a) or not (rebase or op in SELECT_OPS):
-            return tiling.maybe_tile(inner.select_mat(out, a, op, thunk, desc, ta))
-        g = a.transposed() if ta else a
-        part = None
-        if out.shape == g.shape and _mat_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled("select_mat", a)
-            return tiling.maybe_tile(inner.select_mat(out, a, op, thunk, desc, ta))
-        return self._fan_mat(
-            "select_mat", part, out, desc,
-            # a row block sees local row numbers, so the row-relative
-            # predicates (col REL row + k) shift their thunk by the
-            # block's first global row
-            lambda tile, c, d, r0, r1: inner.select_mat(
-                c, tile, op, thunk + r0 if rebase else thunk, d, False
-            ),
-            lambda: inner.select_mat(out, a, op, thunk, desc, ta),
-        )
+        self._note_forward_if_tiled("select_mat", a)
+        return tiling.maybe_tile(self._inner.select_mat(out, a, op, thunk, desc, ta))
 
+    # -- reductions -------------------------------------------------------
     def reduce_rows(self, out, a, op, desc, ta=False):
         inner = self._inner
         if not tiling.wants_partition(a):

@@ -43,6 +43,8 @@ GBTL_LITE_HEADER = r"""
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 #ifdef _OPENMP
 #include <omp.h>
@@ -90,7 +92,8 @@ inline int64_t& edges_examined_ref() {
 // iterations and break; the generated writeback stage then returns the
 // -2 sentinel instead of exporting a partial result (no C++ exception
 // ever crosses an OpenMP region or the extern "C" frame — that would be
-// undefined behaviour).  OpenMP-parallel paths run to completion; the
+// undefined behaviour).  OpenMP-parallel paths run to completion (the
+// masked mxm, one loop for both builds, stops per thread instead); the
 // sentinel check after them still discards the result promptly.
 // ---------------------------------------------------------------------
 inline std::atomic<int64_t>& cancel_flag_ref() {
@@ -437,11 +440,74 @@ Vec<TT> mxv_pull_or(const MatA& A, const VecU& u,
     return out;
 }
 
-// C = A ⊕.⊗ B : Gustavson with a dense per-row workspace
-template <class TT, class MatA, class MatB, class AddOp, class MultOp>
-CSR<TT> mxm(const MatA& A, const MatB& B, AddOp add, MultOp mult) {
+// C = A ⊕.⊗ B : Gustavson with a dense per-row workspace.  With a write
+// mask (the caller passes one only when it is not complemented), row i
+// accumulates into the true columns of mask row i alone: C<M,z> = C ⊙ T
+// reads T only where M is true, whatever accum and replace say, so the
+// rest of the product is never formed.  Products for one (i,j) still
+// fold in ascending k, so surviving entries are bit-identical to the
+// full product's.  The touched columns are emitted by walking the mask
+// row — sorted without a sort — into the slot mask.indptr bounds, so
+// rows need no private buffers, only a compaction afterwards.
+template <class TT, class MatA, class MatB, class AddOp, class MultOp,
+          class MatM = CSRView<uint8_t>>
+CSR<TT> mxm(const MatA& A, const MatB& B, AddOp add, MultOp mult,
+            const MatM* mask = nullptr) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = B.ncols;
     out.indptr.assign(A.nrows + 1, 0);
+    if (mask) {
+        out.indices.resize(mask->indices.size());
+        out.values.resize(mask->indices.size());
+        std::vector<Index> count(A.nrows, 0);
+        #pragma omp parallel num_threads(A.nrows >= 64 ? num_threads() : 1)
+        {
+            std::vector<TT> acc(B.ncols);
+            // 0: column closed to this row, 1: open, 2: acc holds a partial fold
+            std::vector<uint8_t> state(B.ncols, 0);
+            bool cancelled = false;  // per thread: a loop under omp for cannot break
+            #pragma omp for schedule(dynamic, 64)
+            for (Index i = 0; i < A.nrows; ++i) {
+                if ((i & 1023) == 0 && cancel_requested()) cancelled = true;
+                if (cancelled) continue;
+                const Index lo = mask->indptr[i], hi = mask->indptr[i + 1];
+                for (Index p = lo; p < hi; ++p)
+                    if (mask->values[p]) state[mask->indices[p]] = 1;
+                for (Index p = A.indptr[i]; p < A.indptr[i + 1]; ++p) {
+                    const Index k = A.indices[p];
+                    const TT av = static_cast<TT>(A.values[p]);
+                    for (Index q = B.indptr[k]; q < B.indptr[k + 1]; ++q) {
+                        const Index j = B.indices[q];
+                        if (!state[j]) continue;
+                        const TT prod = mult(av, static_cast<TT>(B.values[q]));
+                        if (state[j] == 2) acc[j] = add(acc[j], prod);
+                        else { state[j] = 2; acc[j] = prod; }
+                    }
+                }
+                Index w = lo;
+                for (Index p = lo; p < hi; ++p) {
+                    const Index j = mask->indices[p];
+                    if (state[j] == 2) { out.indices[w] = j; out.values[w++] = acc[j]; }
+                    state[j] = 0;
+                }
+                count[i] = w - lo;
+            }
+        }
+        Index w = 0;
+        for (Index i = 0; i < A.nrows; ++i) {
+            const Index lo = mask->indptr[i];
+            if (w != lo) {  // slide the row down over the slots earlier rows left unused
+                std::copy(out.indices.begin() + lo, out.indices.begin() + lo + count[i],
+                          out.indices.begin() + w);
+                std::copy(out.values.begin() + lo, out.values.begin() + lo + count[i],
+                          out.values.begin() + w);
+            }
+            w += count[i];
+            out.indptr[i + 1] = w;
+        }
+        out.indices.resize(w);
+        out.values.resize(w);
+        return out;
+    }
 #ifdef _OPENMP
     if (num_threads() > 1 && A.nrows >= 64) {
         // parallel Gustavson: per-thread dense workspace, per-row result
@@ -839,51 +905,49 @@ Vec<TC> write_back_vec(const VecC& C, const VecT& T, const VecM* mask,
     return out;
 }
 
-template <class TC, class MatC, class MatT, class MatM, class AccumOp>
-CSR<TC> write_back_mat(const MatC& C, const MatT& T, const MatM* mask,
+// Matrix form.  T arrives by rvalue: with no mask and no accumulator
+// nothing merges — C<> = T — so T's arrays become the result (values
+// cast in one pass when TT != TC) and C is never read.  Otherwise each
+// row is one merge over the C, T and mask rows, all sorted by the CSR
+// invariant: O(nnz(C) + nnz(T) + nnz(M)), nothing sized by ncols.
+template <class TC, class MatC, class TT, class MatM, class AccumOp>
+CSR<TC> write_back_mat(const MatC& C, CSR<TT>&& T, const MatM* mask,
                        bool comp, bool replace, bool has_accum, AccumOp accum) {
     const Index nrows = C.nrows, ncols = C.ncols;
     CSR<TC> out; out.nrows = nrows; out.ncols = ncols;
+    if (!mask && !has_accum) {
+        out.indptr = std::move(T.indptr);
+        out.indices = std::move(T.indices);
+        if constexpr (std::is_same<TT, TC>::value) out.values = std::move(T.values);
+        else out.values.assign(T.values.begin(), T.values.end());
+        return out;
+    }
     out.indptr.assign(nrows + 1, 0);
-    // per-row dense workspaces, reset via touch lists
-    std::vector<int8_t> state(ncols, 0);  // bit0: c present, bit1: t present
-    std::vector<TC> cv(ncols), tv(ncols);
-    std::vector<uint8_t> mt(ncols, 0);
-    std::vector<Index> touched, mtouched;
+    auto emit = [&out](Index j, TC v) { out.indices.push_back(j); out.values.push_back(v); };
     for (Index r = 0; r < nrows; ++r) {
-        touched.clear(); mtouched.clear();
-        for (Index p = C.indptr[r]; p < C.indptr[r + 1]; ++p) {
-            const Index j = C.indices[p];
-            if (!state[j]) touched.push_back(j);
-            state[j] |= 1; cv[j] = C.values[p];
-        }
-        for (Index p = T.indptr[r]; p < T.indptr[r + 1]; ++p) {
-            const Index j = T.indices[p];
-            if (!state[j]) touched.push_back(j);
-            state[j] |= 2; tv[j] = static_cast<TC>(T.values[p]);
-        }
-        if (mask)
-            for (Index p = mask->indptr[r]; p < mask->indptr[r + 1]; ++p)
-                if (mask->values[p]) { mt[mask->indices[p]] = 1; mtouched.push_back(mask->indices[p]); }
-        std::sort(touched.begin(), touched.end());
-        for (const Index j : touched) {
-            const bool ch = state[j] & 1, th = state[j] & 2;
-            bool z_has; TC z{};
-            if (has_accum && ch && th) { z_has = true; z = accum(cv[j], tv[j]); }
-            else if (has_accum && ch) { z_has = true; z = cv[j]; }
-            else if (th) { z_has = true; z = tv[j]; }
-            else { z_has = false; }
-            const bool in_mask = mask ? (bool(mt[j]) != comp) : true;
-            if (in_mask) {
-                if (z_has) { out.indices.push_back(j); out.values.push_back(z); }
-            } else if (!replace && ch) {
-                out.indices.push_back(j);
-                out.values.push_back(cv[j]);
+        Index pc = C.indptr[r], pt = T.indptr[r], pm = mask ? mask->indptr[r] : 0;
+        const Index ec = C.indptr[r + 1], et = T.indptr[r + 1],
+                    em = mask ? mask->indptr[r + 1] : 0;
+        while (pc < ec || pt < et) {
+            // next column of C ∪ T; ncols stands for an exhausted cursor
+            const Index jc = pc < ec ? C.indices[pc] : ncols;
+            const Index jt = pt < et ? T.indices[pt] : ncols;
+            const Index j = std::min(jc, jt);
+            const bool ch = jc == j, th = jt == j;
+            while (pm < em && mask->indices[pm] < j) ++pm;
+            const bool m_true = pm < em && mask->indices[pm] == j && mask->values[pm];
+            const bool in_mask = !mask || m_true != comp;
+            if (in_mask && th) {
+                const TC tv = static_cast<TC>(T.values[pt]);
+                emit(j, has_accum && ch ? accum(C.values[pc], tv) : tv);
+            } else if (ch && (in_mask ? has_accum : !replace)) {
+                // C's entry survives: inside the mask only through an
+                // accumulator, outside it unless replace clears it
+                emit(j, C.values[pc]);
             }
+            pc += ch; pt += th;
         }
         out.indptr[r + 1] = static_cast<Index>(out.indices.size());
-        for (const Index j : touched) state[j] = 0;
-        for (const Index j : mtouched) mt[j] = 0;
     }
     return out;
 }

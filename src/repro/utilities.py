@@ -14,12 +14,20 @@ from .core.matrix import Matrix
 __all__ = ["normalize_rows", "normalize_cols"]
 
 
-def _scaled(store: SparseMatrix, sums_per_entry: np.ndarray) -> SparseMatrix:
-    vals = store.values.astype(np.float64, copy=True)
-    nonzero = sums_per_entry != 0
-    vals[nonzero] = vals[nonzero] / sums_per_entry[nonzero]
+def _divisors(lines: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """What each of *n* lines divides by: the sum of its *values*, or 1
+    where that is zero (``x / 1.0`` is ``x``, so such a line stays as it
+    is).  ``bincount`` folds left to right, as a per-line loop would;
+    ``np.add.reduceat`` is faster still but sums pairwise."""
+    sums = np.bincount(lines, weights=values, minlength=n)
+    sums[sums == 0] = 1.0
+    return sums
+
+
+def _scaled(store: SparseMatrix, divisor_per_entry: np.ndarray) -> SparseMatrix:
+    vals = np.divide(store.values, divisor_per_entry)
     if store.dtype.kind == "f":
-        vals = vals.astype(store.dtype)
+        vals = vals.astype(store.dtype, copy=False)
     # integer matrices are promoted to float64, matching GBTL's PageRank
     # usage where the graph is first copied into a floating-point matrix
     return SparseMatrix(store.nrows, store.ncols, store.indptr, store.indices, vals)
@@ -34,10 +42,9 @@ def normalize_rows(m: Matrix) -> Matrix:
     store = m._store
     if store.nvals == 0:
         return m
-    rows = np.repeat(np.arange(store.nrows, dtype=np.int64), store.row_lengths())
-    sums = np.zeros(store.nrows, dtype=np.float64)
-    np.add.at(sums, rows, store.values.astype(np.float64, copy=False))
-    m._store = _scaled(store, sums[rows])
+    lengths = store.row_lengths()
+    rows = np.repeat(np.arange(store.nrows, dtype=np.int64), lengths)
+    m._store = _scaled(store, np.repeat(_divisors(rows, store.values, store.nrows), lengths))
     return m
 
 
@@ -46,7 +53,6 @@ def normalize_cols(m: Matrix) -> Matrix:
     store = m._store
     if store.nvals == 0:
         return m
-    sums = np.zeros(store.ncols, dtype=np.float64)
-    np.add.at(sums, store.indices, store.values.astype(np.float64, copy=False))
-    m._store = _scaled(store, sums[store.indices])
+    divisors = _divisors(store.indices, store.values, store.ncols)
+    m._store = _scaled(store, divisors[store.indices])
     return m
