@@ -3,7 +3,8 @@
 
 Replays a recorded request mix (deterministic from ``--seed``) against a
 server from N concurrent client threads, in synchronized volleys so
-compatible requests land inside one admission window, then **gates**:
+more requests arrive together than the server has workers and the
+compatible ones among them queue up and fuse, then **gates**:
 
 * zero errors — every response is ``ok``;
 * at least one fused batch formed (the admission controller actually
@@ -19,8 +20,9 @@ Two modes:
   is fully deterministic);
 * ``--connect HOST:PORT`` — replays against an already-running
   ``python -m repro serve`` (the CI service leg).  Gate counters come
-  from the live ``stats`` endpoint delta; give the server a generous
-  ``PYGB_BATCH_WINDOW`` so simultaneous volleys fuse reliably.
+  from the live ``stats`` endpoint delta.  The server needs no setting
+  for this: there is no batch window, a volley of 8 against 2 workers
+  fuses on queueing alone (21-26 of 48 sources on a 2-vCPU box).
 
 The throughput summary lands in ``benchmarks/results/service.json``,
 which ``collect_bench.py`` copies into the per-commit ``BENCH_<sha>.json``
@@ -131,8 +133,8 @@ class Oracle:
 
 class Client(threading.Thread):
     """One persistent connection replaying its column of the tape;
-    volleys are barrier-synchronized so each round's requests hit the
-    admission window together."""
+    volleys are barrier-synchronized so each round's requests reach the
+    admission queue together."""
 
     def __init__(self, host, port, tape_column, barrier):
         super().__init__(daemon=True)
@@ -178,7 +180,7 @@ def replay(host, port, tape, oracle, hold_admission=None) -> dict:
                         break
                     time.sleep(0.002)
             # let the released batches drain before holding the queue
-            # again — a back-to-back hold would starve the dispatcher
+            # again — a back-to-back hold would starve the workers
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 if all(
@@ -188,10 +190,10 @@ def replay(host, port, tape, oracle, hold_admission=None) -> dict:
                     break
                 time.sleep(0.002)
         else:
+            # external server: the barrier releases the volley at once,
+            # and a client reaches the next barrier only with its reply
+            # in hand, so rounds cannot overlap
             barrier.wait(timeout=60)
-            # external server: the barrier releases the volley into one
-            # PYGB_BATCH_WINDOW; pace rounds so windows don't overlap
-            time.sleep(0.05)
     for w in workers:
         w.join(timeout=120)
     elapsed = time.perf_counter() - started

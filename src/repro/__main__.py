@@ -220,12 +220,7 @@ def cmd_bake(args) -> int:
 def cmd_serve(args) -> int:
     from . import service
     from .service import GraphRegistry, GraphServer, load_manifest
-    from .service.admission import (
-        batch_max,
-        batch_window,
-        request_timeout,
-        serve_workers,
-    )
+    from .service.admission import batch_max, request_timeout, serve_workers
     from .service.protocol import ALGORITHMS
 
     if args.catalog:
@@ -245,7 +240,7 @@ def cmd_serve(args) -> int:
     print(f"graphs:     {', '.join(registry.names()) or 'none'}")
     print(f"algorithms: {', '.join(sorted(ALGORITHMS))}")
     print(
-        f"admission:  window {batch_window():g}s, batch max {batch_max()}, "
+        f"admission:  batch max {batch_max()}, "
         f"{serve_workers()} workers, request timeout "
         f"{f'{timeout:g}s' if timeout else 'disabled'}"
     )
@@ -396,15 +391,13 @@ def cmd_doctor(args) -> int:
     from . import service as _service
     from .service.admission import (
         batch_max as _batch_max,
-        batch_window as _batch_window,
         request_timeout as _request_timeout,
         serve_workers as _serve_workers,
     )
 
     rtimeout = _request_timeout()
     print(
-        f"service:         batch window {_batch_window():g}s (PYGB_BATCH_WINDOW)   "
-        f"batch max {_batch_max()} (PYGB_BATCH_MAX)   "
+        f"service:         batch max {_batch_max()} (PYGB_BATCH_MAX)   "
         f"workers {_serve_workers()} (PYGB_SERVE_WORKERS)   "
         f"request timeout "
         f"{f'{rtimeout:g}s' if rtimeout else 'disabled'} (PYGB_REQUEST_TIMEOUT)"
@@ -419,7 +412,7 @@ def cmd_doctor(args) -> int:
         f"{sstats['errors'] + sstats['protocol_errors']} errors, "
         f"{sstats['disconnects']} disconnects"
     )
-    from .obs.stats import default_stats_path, load_stats
+    from .obs.stats import default_stats_path, load_stats, service_latency_line
 
     trace_env = os.environ.get("PYGB_TRACE")
     stats_env = os.environ.get("PYGB_STATS")
@@ -436,6 +429,8 @@ def cmd_doctor(args) -> int:
             f"{len(data['ops'])} op(s) in {stats_path} "
             "(run `python -m repro stats` for the profile)"
         )
+        if latency := service_latency_line(data):
+            print(latency)
     else:
         print(
             f"op stats:        none recorded (enable with PYGB_STATS=1 or "

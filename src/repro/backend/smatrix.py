@@ -10,6 +10,7 @@ algorithms (BFS, SSSP) multiply by ``graph.T`` on every iteration.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class SparseMatrix:
         "_lengths_cache",
         "_degree_stats_cache",
         "_ffi_cache",
+        "__weakref__",
     )
 
     def __init__(
@@ -55,7 +57,10 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.values = values
-        self._transpose_cache: "SparseMatrix | None" = None
+        # the transpose this store built (strong), or on that transpose a
+        # weakref back to its source — never a strong cycle, so a dropped
+        # store and its transpose are freed by refcount, not by the collector
+        self._transpose_cache: "SparseMatrix | weakref.ref | None" = None
         # memoized degree statistics (row_lengths / degree_stats); like the
         # transpose cache these are safe because instances are immutable by
         # convention, never shared across copy/astype, and built under
@@ -202,17 +207,27 @@ class SparseMatrix:
                     )
         return stats
 
+    def transpose_memo(self) -> "SparseMatrix | None":
+        """The transpose if one is at hand — built by this store, or the
+        still-living store this one was built from — else None."""
+        t = self._transpose_cache
+        return t() if type(t) is weakref.ref else t
+
     def transposed(self) -> "SparseMatrix":
         """CSR of the transpose (cached; shared immutable arrays)."""
-        t = self._transpose_cache
+        t = self.transpose_memo()
         if t is None:
             with _MEMO_LOCK:
-                t = self._transpose_cache
+                t = self.transpose_memo()
                 if t is None:
                     t = self._build_transpose()
-                    t._transpose_cache = self
+                    t._transpose_cache = weakref.ref(self)
                     self._transpose_cache = t
         return t
+
+    def __reduce__(self):
+        # copy / deepcopy / pickle carry the arrays and extents, no memo
+        return type(self), (self.nrows, self.ncols, self.indptr, self.indices, self.values)
 
     def _build_transpose(self) -> "SparseMatrix":
         rows, cols, vals = self.coo()

@@ -127,6 +127,9 @@ class TiledMatrix(SparseMatrix):
     def _build_transpose(self) -> "TiledMatrix":
         return TiledMatrix.from_monolithic(super()._build_transpose(), self.ntiles)
 
+    def __reduce__(self):
+        return type(self), (*super().__reduce__()[1], self.splits)
+
     def astype(self, dtype) -> "TiledMatrix":
         dt = normalize_dtype(dtype)
         if dt == self.dtype:

@@ -30,7 +30,7 @@ import numpy as np
 from .. import schedule as _schedule
 from ..backend.kernels import OpDesc
 from ..backend.ops_table import binary_result_dtype
-from ..exceptions import InvalidValue
+from ..exceptions import DimensionMismatch, InvalidValue
 from . import operators
 from .context import current_backend_engine
 
@@ -102,6 +102,17 @@ def _is_vec(operand) -> bool:
     if isinstance(operand, Expression):
         return not operand.produces_matrix
     return bool(getattr(operand, "is_vector", False))
+
+
+def _check_inner(kind: str, a, ta: bool, other, axis: int) -> None:
+    """A product's operands must agree on the extent it sums over: the
+    columns of ``op(a)`` (its rows for ``vxm``) against axis *axis* of
+    *other*.  Checked where the statement is written, for every engine —
+    a compiled kernel indexes one operand by the other's coordinates."""
+    over_rows = (kind == "vxm") != ta
+    inner, extent = _shape_of(a)[0 if over_rows else 1], _shape_of(other)[axis]
+    if inner != extent:
+        raise DimensionMismatch(f"{kind}: inner dimensions disagree ({inner} vs {extent})")
 
 
 def _dispatch_scheduled(method, sched, *args):
@@ -307,6 +318,7 @@ class MXM(Expression):
         super().__init__()
         self.a, self.ta = _unwrap(a)
         self.b, self.tb = _unwrap(b)
+        _check_inner("mxm", self.a, self.ta, self.b, 1 if self.tb else 0)
         self.add_op, self.mult_op = operators.resolve_semiring(semiring)
 
     def result_shape(self):
@@ -336,6 +348,7 @@ class MXV(Expression):
         super().__init__()
         self.a, self.ta = _unwrap(a)
         self.u = u
+        _check_inner("mxv", self.a, self.ta, u, 0)
         self.add_op, self.mult_op = operators.resolve_semiring(semiring)
         self.schedule = _schedule.Schedule.capture()
 
@@ -371,6 +384,7 @@ class VXM(Expression):
         super().__init__()
         self.u = u
         self.a, self.ta = _unwrap(a)
+        _check_inner("vxm", self.a, self.ta, u, 0)
         self.add_op, self.mult_op = operators.resolve_semiring(semiring)
         self.schedule = _schedule.Schedule.capture()
 

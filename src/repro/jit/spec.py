@@ -22,6 +22,11 @@ __all__ = ["KernelSpec", "CODEGEN_VERSION"]
 CODEGEN_VERSION = 12
 
 
+#: ``KernelSpec.make`` arguments -> the spec they built: every dispatch asks
+#: for its spec, and only the same frozen instance keeps its memoised key forms
+_MADE: dict[tuple, "KernelSpec"] = {}
+
+
 def _canon(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -47,8 +52,13 @@ class KernelSpec:
 
     @classmethod
     def make(cls, func: str, **params) -> "KernelSpec":
-        items = tuple(sorted((k, _canon(v)) for k, v in params.items()))
-        return cls(func, items)
+        raw = (CODEGEN_VERSION, func, tuple(params.items()))  # the key embeds all three
+        try:
+            return _MADE[raw]
+        except (KeyError, TypeError) as miss:
+            spec = cls(func, tuple(sorted((k, _canon(v)) for k, v in params.items())))
+            # TypeError: an unhashable argument — built, not remembered
+            return _MADE.setdefault(raw, spec) if type(miss) is KeyError else spec
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.params:

@@ -22,7 +22,9 @@ from pathlib import Path
 
 __all__ = [
     "StatsAggregator",
+    "hist_bucket",
     "quantile_ns",
+    "quantiles_ms",
     "default_stats_path",
     "load_stats",
     "persist_stats",
@@ -34,6 +36,12 @@ __all__ = [
 #: [2^(i-1), 2^i) nanoseconds (bucket 0 is [0, 1) ns); 64 buckets cover
 #: every representable int64 duration
 HIST_BUCKETS = 64
+
+
+def hist_bucket(dur_ns) -> int:
+    """The histogram bucket of a duration in nanoseconds."""
+    return min(max(int(dur_ns), 0).bit_length(), HIST_BUCKETS - 1)
+
 
 _SCHEMA_VERSION = 1
 
@@ -66,9 +74,11 @@ class StatsAggregator:
             "timeouts": 0,
             "errors": 0,
         }
+        #: per served batch: queue wait of its oldest request, execute time
+        self.service_latency = {k: [0] * HIST_BUCKETS for k in ("queue_wait", "execute")}
 
     def note_span(self, name: str, cat: str, dur_ns: int, attrs: dict) -> None:
-        bucket = min(max(int(dur_ns), 0).bit_length(), HIST_BUCKETS - 1)
+        bucket = hist_bucket(dur_ns)
         with self._lock:
             if cat == "op":
                 entry = self.ops.get(name)
@@ -94,6 +104,9 @@ class StatsAggregator:
                 kernel = attrs.get("kernel_ns")
                 if kernel is not None and kernel >= 0:
                     self.ffi["kernel_ns"] += int(kernel)
+            elif name == "service.execute":
+                self.service_latency["execute"][bucket] += 1
+                self.service_latency["queue_wait"][hist_bucket(attrs.get("wait_ns", 0))] += 1
 
     def note_event(self, name: str, cat: str, attrs: dict) -> None:
         if cat == "cache":
@@ -152,6 +165,7 @@ class StatsAggregator:
                 "tiling": dict(self.tiling),
                 "guard": dict(self.guard),
                 "service": dict(self.service),
+                "service_latency": {k: list(h) for k, h in self.service_latency.items()},
             }
 
 
@@ -170,6 +184,23 @@ def quantile_ns(hist: list[int], q: float) -> float:
             hi = float(2**i)
             return (lo + hi) / 2.0
     return float(2 ** (len(hist) - 1))  # pragma: no cover - seen >= target above
+
+
+def quantiles_ms(hist: list[int]) -> dict:
+    """``{p50, p95, p99, n}`` of a nanosecond histogram, in milliseconds."""
+    return {**{f"p{q}": quantile_ns(hist, q / 100) / 1e6 for q in (50, 95, 99)}, "n": sum(hist)}
+
+
+def service_latency_line(data: dict) -> str | None:
+    """The two medians of a served batch, for ``repro stats`` and ``doctor``."""
+    hists = data.get("service_latency")
+    if not hists or not sum(hists["execute"]):
+        return None
+    wait, run = quantiles_ms(hists["queue_wait"]), quantiles_ms(hists["execute"])
+    return (
+        f"service latency: queue wait p50 {wait['p50']:.2f} ms, "
+        f"execute p50 {run['p50']:.2f} ms over {run['n']} batches"
+    )
 
 
 def default_stats_path() -> Path:
@@ -252,6 +283,10 @@ def merge_stats(base: dict, extra: dict) -> dict:
     for key, n in extra.get("service", {}).items():
         service[key] = service.get(key, 0) + n
     out["service"] = service
+    latency = {k: list(h) for k, h in base.get("service_latency", {}).items()}
+    for k, h in extra.get("service_latency", {}).items():
+        latency[k] = [a + b for a, b in zip(latency.get(k, [0] * len(h)), h)]
+    out["service_latency"] = latency
     return out
 
 
@@ -350,6 +385,8 @@ def render_stats(data: dict, cache_stats: dict | None = None) -> str:
             f"{service.get('timeouts', 0)} timeouts, "
             f"{service.get('errors', 0)} errors"
         )
+    if latency := service_latency_line(data):
+        lines.append(latency)
     ffi = data.get("ffi", {})
     if ffi.get("calls"):
         total = ffi["total_ns"]

@@ -367,7 +367,7 @@ class Schedule:
         scatter_ready = (func == "mxv") == bool(ta)
         if unnz == 0:
             candidates.append(("push", 0))
-        elif scatter_ready or unnz * 4 <= size or a._transpose_cache is not None:
+        elif scatter_ready or unnz * 4 <= size or a.transpose_memo() is not None:
             s = a if scatter_ready else a.transposed()
             deg = s.row_lengths()[u.indices]
             candidates.append(("push", int(deg.sum())))

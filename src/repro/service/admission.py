@@ -1,10 +1,13 @@
 """Admission control: the batching queue between protocol and engine.
 
-Every validated ``run`` request enters a keyed pending queue; a single
-dispatcher thread groups requests by :attr:`RunRequest.batch_key`
-(graph + algorithm + canonical params) and releases each group when its
-batch window closes or it reaches the batch cap.  Compatible requests
-then execute as **one** run on a worker thread:
+Every validated ``run`` request joins the group of its
+:attr:`RunRequest.batch_key` (graph + algorithm + canonical params);
+groups queue in arrival order and the worker threads pull from that
+queue.  A free worker takes the oldest group at once — an idle server
+adds no wait; while all are busy, compatible requests accumulate and
+the next free worker takes up to ``$PYGB_BATCH_MAX`` of them, the rest
+going to the back so a hot key cannot starve the others.  No timer: a
+batch is what queued while the workers were occupied, run as **one**:
 
 * source-parameterised algorithms (bfs, sssp) fuse k pending sources
   into one multi-source traversal — k rows of one Matrix frontier
@@ -19,9 +22,9 @@ budget when ``$PYGB_REQUEST_TIMEOUT`` is set.  A blown budget surfaces
 as a structured ``timeout`` error on every request of the batch — the
 connection stays up.
 
-``hold()`` pauses the dispatcher so tests, the replay harness, and the
-bench collector can park a known set of requests and release them as one
-deterministic batch (batch sizes are otherwise timing-dependent).
+``hold()`` parks the queue so tests, the replay harness, and the bench
+collector can submit a known set of requests and release them as
+deterministic batches (batch sizes otherwise depend on arrival timing).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,13 +41,13 @@ from .. import obs
 from ..core.nonblocking import nonblocking
 from ..exceptions import GraphBLASError, OperationCancelled, OperationTimeout
 from ..guard import deadline
+from ..obs.stats import HIST_BUCKETS, hist_bucket, quantiles_ms
 from .protocol import ProtocolError, error_response, ok_response
 from .registry import GraphRegistry
 
 __all__ = [
     "AdmissionController",
     "request_timeout",
-    "batch_window",
     "batch_max",
     "serve_workers",
     "solo_reference",
@@ -54,47 +56,32 @@ __all__ = [
 
 _FALSEY = frozenset({"0", "false", "off", "no"})
 
-DEFAULT_BATCH_WINDOW = 0.005
 DEFAULT_BATCH_MAX = 16
 DEFAULT_SERVE_WORKERS = 2
-
-
-def _env_float(name: str, default, minimum: float):
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    if raw in _FALSEY:
-        return None
-    try:
-        v = float(raw)
-        if v < minimum:
-            raise ValueError
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad ${name}={raw!r} (valid: number >= {minimum:g}); "
-            f"using the default",
-            stacklevel=2,
-        )
-        return default
-    return v
 
 
 def request_timeout() -> float | None:
     """Per-request wall-clock budget from ``$PYGB_REQUEST_TIMEOUT`` in
     seconds (unset/falsey disables; re-read per batch)."""
-    return _env_float("PYGB_REQUEST_TIMEOUT", None, 1e-9)
-
-
-def batch_window() -> float:
-    """How long the dispatcher keeps a batch open for more compatible
-    requests after the first arrives (``$PYGB_BATCH_WINDOW`` seconds,
-    default 5 ms; 0 dispatches immediately)."""
-    v = _env_float("PYGB_BATCH_WINDOW", DEFAULT_BATCH_WINDOW, 0.0)
-    return 0.0 if v is None else v
+    raw = os.environ.get("PYGB_REQUEST_TIMEOUT", "").strip().lower()
+    if not raw or raw in _FALSEY:
+        return None
+    try:
+        v = float(raw)
+        if v < 1e-9:
+            raise ValueError
+    except ValueError:
+        warnings.warn(
+            f"pygb: bad $PYGB_REQUEST_TIMEOUT={raw!r} (valid: number >= 1e-09); "
+            f"using the default",
+            stacklevel=2,
+        )
+        return None
+    return v
 
 
 def batch_max() -> int:
-    """Most requests one batch may fuse (``$PYGB_BATCH_MAX``, default 16)."""
+    """Most requests one batch takes (``$PYGB_BATCH_MAX``, default 16)."""
     raw = os.environ.get("PYGB_BATCH_MAX", "").strip()
     if not raw:
         return DEFAULT_BATCH_MAX
@@ -138,17 +125,12 @@ def serve_workers() -> int:
 
 
 def _coo_result(algorithm: str, graph_name: str, indices, values, source=None) -> dict:
-    vals = np.asarray(values)
-    out_values = (
-        [int(v) for v in vals.tolist()]
-        if np.issubdtype(vals.dtype, np.integer)
-        else vals.tolist()
-    )
+    out_values = np.asarray(values).tolist()
     result = {
         "algorithm": algorithm,
         "graph": graph_name,
-        "nvals": int(len(out_values)),
-        "indices": [int(i) for i in np.asarray(indices).tolist()],
+        "nvals": len(out_values),
+        "indices": np.asarray(indices).tolist(),
         "values": out_values,
     }
     if source is not None:
@@ -193,16 +175,17 @@ def run_requests(graph, graph_name: str, algorithm: str, params: dict, sources) 
     """Execute one admitted batch: *sources* is the per-request source
     list for fusable algorithms (``[None]*k`` for whole-graph ones).
     Returns one result dict per request, in order."""
-    from ..algorithms.multisource import bfs_levels_multi, matrix_row, sssp_distances_multi
+    from ..algorithms.multisource import bfs_levels_multi, sssp_distances_multi
 
     if algorithm in ("bfs", "sssp"):
         runner = bfs_levels_multi if algorithm == "bfs" else sssp_distances_multi
-        fused = runner(graph, sources)
-        results = []
-        for row, source in enumerate(sources):
-            idx, vals = matrix_row(fused, row)
-            results.append(_coo_result(algorithm, graph_name, idx, vals, source))
-        return results
+        rows, cols, vals = runner(graph, sources).to_coo()
+        # row-major: request k's answer is the slice where rows == k
+        cuts = np.searchsorted(rows, np.arange(len(sources) + 1)).tolist()
+        return [
+            _coo_result(algorithm, graph_name, cols[lo:hi], vals[lo:hi], source)
+            for lo, hi, source in zip(cuts, cuts[1:], sources)
+        ]
     shared = _run_whole(graph, graph_name, algorithm, params)
     return [shared] * len(sources)
 
@@ -233,12 +216,13 @@ def solo_reference(graph, graph_name: str, algorithm: str, source, params: dict)
 class _Pending:
     """One admitted request waiting for its batch to execute."""
 
-    __slots__ = ("request", "event", "response")
+    __slots__ = ("request", "event", "response", "submitted_ns")
 
     def __init__(self, request):
         self.request = request
         self.event = threading.Event()
         self.response: dict | None = None
+        self.submitted_ns = time.perf_counter_ns()
 
     def resolve(self, response: dict) -> None:
         self.response = response
@@ -256,54 +240,47 @@ class _Pending:
 class _Group:
     """Pending requests sharing one batch key, oldest first."""
 
-    __slots__ = ("key", "first_at", "pendings")
+    __slots__ = ("pendings",)
 
-    def __init__(self, key, now: float):
-        self.key = key
-        self.first_at = now
+    def __init__(self):
         self.pendings: list[_Pending] = []
 
 
 class AdmissionController:
     """The batching queue.  ``submit()`` is called from connection
-    handler threads; one dispatcher thread forms batches; a small worker
-    pool executes them."""
+    handler threads; the worker threads pull batches from it."""
 
     def __init__(
         self,
         registry: GraphRegistry,
-        window: float | None = None,
         max_batch: int | None = None,
         workers: int | None = None,
     ):
         self.registry = registry
-        self._window = window
         self._max_batch = max_batch
         self._cond = threading.Condition()
+        #: dict order is queue order: a key enters at the back
         self._groups: dict[tuple, _Group] = {}
         self._held = 0
         self._closed = False
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers if workers is not None else serve_workers(),
-            thread_name_prefix="pygb-serve",
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="pygb-serve-dispatch", daemon=True
-        )
-        self._dispatcher.start()
-
-    # -- configuration (constructor overrides win over the env) --------
-    def window(self) -> float:
-        return self._window if self._window is not None else batch_window()
+        #: algorithm -> (queue-wait, execute) log2 histograms of ns
+        self._latency: dict[str, tuple[list[int], list[int]]] = {}
+        self._workers = [
+            threading.Thread(target=self._work, name=f"pygb-serve_{k}", daemon=True)
+            for k in range(workers if workers is not None else serve_workers())
+        ]
+        for worker in self._workers:
+            worker.start()
 
     def max_batch(self) -> int:
+        """The constructor override, else ``$PYGB_BATCH_MAX``."""
         return self._max_batch if self._max_batch is not None else batch_max()
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def hold(self):
-        """Pause batch dispatch for the block — submitted requests park
-        in the queue and release as deterministic batches on exit."""
+        """Park the queue for the block — submitted requests wait even
+        while workers idle and release as deterministic batches on exit."""
         with self._cond:
             self._held += 1
         try:
@@ -338,11 +315,9 @@ class AdmissionController:
                 raise ProtocolError("shutting-down", "the service is shutting down")
             group = self._groups.get(request.batch_key)
             if group is None:
-                group = self._groups[request.batch_key] = _Group(
-                    request.batch_key, time.monotonic()
-                )
+                group = self._groups[request.batch_key] = _Group()
             group.pendings.append(pending)
-            self._cond.notify_all()
+            self._cond.notify()
         note_request(request.graph, request.algorithm)
         if obs.ACTIVE:
             obs.record_event(
@@ -352,7 +327,7 @@ class AdmissionController:
         return pending
 
     def close(self) -> None:
-        """Stop the dispatcher and fail any still-parked requests."""
+        """Fail any still-parked requests and join the workers."""
         with self._cond:
             if self._closed:
                 return
@@ -367,43 +342,57 @@ class AdmissionController:
                     "the service is shutting down",
                 )
             )
-        self._dispatcher.join(timeout=5.0)
-        self._pool.shutdown(wait=True)
+        for worker in self._workers:
+            worker.join()
+
+    def latency(self) -> dict:
+        """``{algorithm: {"queue_wait_ms" | "execute_ms": {p50, p95, p99,
+        n}}}`` over every request served so far: how long it queued
+        (submit to dequeue) and how long its batch then ran.  Under load
+        the first grows and the second does not."""
+        with self._cond:
+            return {
+                algorithm: {"queue_wait_ms": quantiles_ms(waits), "execute_ms": quantiles_ms(runs)}
+                for algorithm, (waits, runs) in sorted(self._latency.items())
+            }
 
     # ------------------------------------------------------------------
-    # dispatcher
+    # the queue (worker threads)
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
+    def _work(self) -> None:
         while True:
-            batch: list[_Pending] | None = None
             with self._cond:
-                while True:
+                while self._held or not self._groups:
                     if self._closed:
                         return
-                    if self._held or not self._groups:
-                        self._cond.wait()
-                        continue
-                    now = time.monotonic()
-                    window = self.window()
-                    cap = self.max_batch()
-                    due_at = None
-                    for key, group in self._groups.items():
-                        ready_at = group.first_at + window
-                        if len(group.pendings) >= cap or ready_at <= now:
-                            batch = group.pendings[:cap]
-                            if len(group.pendings) > cap:
-                                rest = self._groups[key] = _Group(key, now)
-                                rest.pendings = group.pendings[cap:]
-                            else:
-                                del self._groups[key]
-                            break
-                        if due_at is None or ready_at < due_at:
-                            due_at = ready_at
-                    if batch is not None:
-                        break
-                    self._cond.wait(timeout=max(due_at - now, 0.0))
-            self._pool.submit(self._run_batch, batch)
-            batch = None
+                    self._cond.wait()
+                key = next(iter(self._groups))  # the oldest group
+                group = self._groups.pop(key)
+                cap = self.max_batch()
+                batch = group.pendings[:cap]
+                if len(group.pendings) > cap:
+                    # the rest queues behind the keys already waiting
+                    del group.pendings[:cap]
+                    self._groups[key] = group
+            start = time.perf_counter_ns()
+            self._run_batch(batch)
+            self._note_latency(batch, start, time.perf_counter_ns() - start)
+
+    def _note_latency(self, batch: list[_Pending], start: int, ran_ns: int) -> None:
+        algorithm = batch[0].request.algorithm
+        with self._cond:
+            waits, runs = self._latency.setdefault(
+                algorithm, ([0] * HIST_BUCKETS, [0] * HIST_BUCKETS)
+            )
+            for pending in batch:
+                waits[hist_bucket(start - pending.submitted_ns)] += 1
+            runs[hist_bucket(ran_ns)] += len(batch)
+        if obs.ACTIVE:
+            obs.record_span(
+                "service.execute", "service", start, ran_ns,
+                algorithm=algorithm, size=len(batch),
+                wait_ns=start - batch[0].submitted_ns,
+            )
 
     # ------------------------------------------------------------------
     # batch execution (worker threads)

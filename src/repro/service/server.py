@@ -9,7 +9,8 @@ One daemon thread per connection reads newline-framed JSON requests
   clients may pipeline by tagging requests with ``id``;
 * ``health`` / ``stats`` / ``graphs`` answer immediately from the
   registry and the deterministic service counters (the live equivalents
-  of ``repro doctor`` and ``repro stats``).
+  of ``repro doctor`` and ``repro stats``); ``stats`` adds the queue-wait
+  and execute-time quantiles of the requests served so far.
 
 Failure policy: every protocol error produces a structured
 ``{"ok": false, "error": {...}}`` response on the same connection —
@@ -196,9 +197,11 @@ class GraphServer(socketserver.ThreadingTCPServer):
         }
 
     def stats(self) -> dict:
+        """The deterministic counters plus this server's ``latency``
+        block (queue wait and execute time per algorithm)."""
         from . import stats as service_stats
 
-        return service_stats()
+        return {**service_stats(), "latency": self.admission.latency()}
 
     # ------------------------------------------------------------------
     def _note_protocol_error(self) -> None:

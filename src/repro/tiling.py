@@ -58,6 +58,10 @@ __all__ = [
 
 _FALSEY = frozenset({"0", "false", "off", "no"})
 
+#: the default worker count; read once — ``os.cpu_count()`` is a system
+#: call and the answer does not change under a running process
+_CPU_COUNT = os.cpu_count() or 1
+
 #: auto mode leaves matrices below this nnz monolithic — per-tile Python
 #: dispatch overhead swamps any bandwidth win on small operands
 AUTO_TILE_MIN_NNZ = 65536
@@ -112,10 +116,14 @@ class tiled:
         return f"tiled(tiles={self.tiles!r}, workers={self.workers!r})"
 
 
-def _innermost_tiled():
-    from .core import context
+_context = None
 
-    return context.find(lambda o: isinstance(o, tiled))
+
+def _innermost_tiled():
+    global _context
+    if _context is None:
+        from .core import context as _context  # on first use: core imports this module
+    return _context.find(lambda o: isinstance(o, tiled))
 
 
 def tiles_mode():
@@ -125,7 +133,10 @@ def tiles_mode():
     ctx = _innermost_tiled()
     if ctx is not None and ctx.tiles is not None:
         return ctx.tiles
-    raw = os.environ.get("PYGB_TILES", "auto").strip().lower()
+    raw = os.environ.get("PYGB_TILES")
+    if raw is None:
+        return "auto"
+    raw = raw.strip().lower()
     if raw in ("auto", ""):
         return "auto"
     try:
@@ -148,8 +159,8 @@ def workers_count() -> int:
     ctx = _innermost_tiled()
     if ctx is not None and ctx.workers is not None:
         return ctx.workers
-    raw = os.environ.get("PYGB_WORKERS", "").strip()
-    if raw:
+    raw = os.environ.get("PYGB_WORKERS")
+    if raw is not None and (raw := raw.strip()):
         try:
             n = int(raw)
             if n >= 1:
@@ -161,7 +172,7 @@ def workers_count() -> int:
             "using the CPU count",
             stacklevel=2,
         )
-    return os.cpu_count() or 1
+    return _CPU_COUNT
 
 
 # ----------------------------------------------------------------------

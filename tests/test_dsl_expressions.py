@@ -2,11 +2,14 @@
 at construction, terminating operations, container reuse via ``C[None]``,
 and the ``+=`` accumulate protocol."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 import repro as gb
 from repro.core.expressions import Expression, MXM, MXV, VXM, TransposeView
+from repro.jit.cppengine import toolchain_works
 
 
 @pytest.fixture
@@ -253,3 +256,75 @@ class TestDtypeInference:
         a = gb.Matrix([[1.9]])
         out = gb.Matrix(a + a, dtype=int)
         assert out.dtype == np.int64 and out[0, 0] == 3
+
+
+@pytest.mark.parametrize(
+    "engine_name",
+    [
+        "interpreted",
+        "pyjit",
+        pytest.param(
+            "cpp",
+            marks=[
+                pytest.mark.cpp,
+                pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain"),
+            ],
+        ),
+    ],
+)
+@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
+class TestProductExtents:
+    """A product whose operands disagree on the extent it sums over is
+    refused at the statement, on every engine — the cpp kernel used to
+    index ``B.indptr`` by ``A``'s column (a segfault, so these run in
+    this process on purpose), pyjit leaked an ``IndexError``, and with
+    no entry out of range both returned a value."""
+
+    @pytest.fixture(autouse=True)
+    def _scope(self, engine_name, nonblocking):
+        mode = gb.nonblocking() if nonblocking else contextlib.nullcontext()
+        with gb.use_engine(engine_name), mode:
+            yield
+
+    @pytest.mark.parametrize(
+        "a_shape, a_entry, b_shape",
+        [((2, 5), (1, 4), (3, 2)), ((2, 3), (1, 2), (4, 2))],
+        ids=["entry-past-B", "all-entries-in-range"],
+    )
+    def test_mxm(self, a_shape, a_entry, b_shape):
+        a = gb.Matrix(([1.0, 2.0], ([0, a_entry[0]], [0, a_entry[1]])), shape=a_shape)
+        b = gb.Matrix(([1.0, 2.0], ([0, 1], [0, 1])), shape=b_shape)
+        c = gb.Matrix(shape=(2, 2), dtype=float)
+        with pytest.raises(gb.DimensionMismatch, match="mxm"):
+            c[None] = a @ b
+            c.nvals
+        with pytest.raises(gb.DimensionMismatch):
+            c[None] = b.T @ a.T
+            c.nvals
+        assert c.nvals == 0
+
+    def test_mxv_and_vxm(self):
+        a = gb.Matrix(([1.0, 2.0], ([0, 1], [0, 2])), shape=(2, 3))
+        u = gb.Vector(([1.0, 2.0], [0, 4]), shape=(5,))
+        w = gb.Vector(shape=(2,), dtype=float)
+        with pytest.raises(gb.DimensionMismatch, match="mxv"):
+            w[None] = a @ u
+            w.nvals
+        with pytest.raises(gb.DimensionMismatch, match="vxm"):
+            w[None] = u @ a.T
+            w.nvals
+        with pytest.raises(gb.DimensionMismatch, match="vxm"):
+            w[None] = u @ a
+            w.nvals
+        assert w.nvals == 0
+
+    def test_conforming_products_with_transposes_still_run(self):
+        a = gb.Matrix(([1.0, 2.0], ([0, 1], [0, 2])), shape=(2, 3))
+        u = gb.Vector(([1.0, 2.0], [0, 2]), shape=(3,))
+        v = gb.Vector(([3.0], [1]), shape=(2,))
+        assert gb.Vector(a @ u).to_numpy().tolist() == [1.0, 4.0]
+        assert gb.Vector(u @ a.T).to_numpy().tolist() == [1.0, 4.0]
+        assert gb.Vector(v @ a).to_numpy().tolist() == [0.0, 0.0, 6.0]
+        assert gb.Vector(a.T @ v).to_numpy().tolist() == [0.0, 0.0, 6.0]
+        assert gb.Matrix(a @ a.T).shape == (2, 2) and gb.Matrix(a.T @ a).shape == (3, 3)
+        assert gb.Vector((a @ a.T) @ v).shape == (2,)  # an expression operand

@@ -57,6 +57,28 @@ class TestKernelSpec:
         s = KernelSpec.make("mxv")
         assert f"v{CODEGEN_VERSION}:" in s.key
 
+    def test_make_returns_the_same_instance_for_equal_arguments(self):
+        # a dispatch asks for its spec every time; the instance carries
+        # the memoised key forms, so it must be the one made before
+        s1 = KernelSpec.make("mxv", add="Plus", mult="Times", ta=True, accum=None)
+        s2 = KernelSpec.make("mxv", add="Plus", mult="Times", ta=True, accum=None)
+        assert s1 is s2
+        for other in (
+            KernelSpec.make("mxv", add="Plus", mult="Times", ta=False, accum=None),
+            KernelSpec.make("vxm", add="Plus", mult="Times", ta=True, accum=None),
+            KernelSpec.make("mxv", add="Plus", mult="Times", ta=True),
+        ):
+            assert other is not s1 and other != s1
+        # another keyword order is another memo entry, the same spec
+        swapped = KernelSpec.make("mxv", mult="Times", add="Plus", ta=True, accum=None)
+        assert swapped == s1 and swapped.key_hash == s1.key_hash
+
+    def test_make_with_an_unhashable_argument_still_builds(self):
+        s1 = KernelSpec.make("mxv", add=["Plus"])
+        s2 = KernelSpec.make("mxv", add=["Plus"])
+        assert s1 == s2 and s1 is not s2
+        assert s1.get("add") == "['Plus']"
+
     def test_cxx_defines(self):
         s = KernelSpec.make("mxv", a="float64", add="Plus", mask="none")
         defines = s.cxx_defines()

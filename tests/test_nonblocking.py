@@ -33,6 +33,7 @@ from repro.core.nonblocking import (
     set_mode,
     stats,
 )
+from repro.core.plan import fusion_enabled
 from repro.jit.cppengine import toolchain_works
 
 N = 8
@@ -366,8 +367,11 @@ def test_cross_statement_substitution_fuses(engine):
     st = stats()
     assert st["substitutions"] == 1
     assert st["dead_stores"] == 1
-    assert sum(eng.counts.values()) == 2  # fused add+apply, then the mult
-    assert eng.counts.get("ewise_add_vec_apply", 0) == 1
+    if fusion_enabled():  # the engine-fusion-matrix legs run with PYGB_FUSION=0
+        assert sum(eng.counts.values()) == 2  # fused add+apply, then the mult
+        assert eng.counts.get("ewise_add_vec_apply", 0) == 1
+    else:
+        assert eng.counts == {"ewise_add_vec": 1, "apply_vec": 1, "ewise_mult_vec": 1}
     assert w._store.to_dict() == {0: 2.0, 2: 12.0, 5: 6.0, 6: 10.0}
     assert t._store.to_dict() == {2: 6.0}
 

@@ -1,9 +1,15 @@
 """Unit tests for the backend CSR sparse matrix container."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.backend.smatrix import SparseMatrix
+from repro.backend.tiled import TiledMatrix
 from repro.exceptions import DimensionMismatch, IndexOutOfBounds
 
 
@@ -105,6 +111,61 @@ class TestTranspose:
         m = SparseMatrix.empty(2, 5, np.float64)
         t = m.transposed()
         assert t.shape == (5, 2) and t.nvals == 0
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["plain", "tiled"])
+    def test_store_with_a_transpose_is_freed_by_refcount(self, tiled):
+        # the memo must not be a strong cycle: with the collector off, a
+        # cycle would survive `del` (and did, until the next gen-2 pass)
+        gc.disable()
+        try:
+            m = mk(4, 3, [(0, 2, 1.0), (3, 0, 2.0)])
+            if tiled:
+                m = TiledMatrix.from_monolithic(m, 2)
+            t = m.transposed()
+            assert type(t) is type(m) and t.transposed() is m
+            source, transpose = weakref.ref(m), weakref.ref(t)
+            del m
+            assert source() is None  # the transpose held it only weakly
+            assert transpose() is t
+            rebuilt = t.transposed()  # its source is gone: built afresh
+            assert rebuilt.to_dict() == {(0, 2): 1.0, (3, 0): 2.0}
+            assert rebuilt.transposed() is t
+            del t, rebuilt
+            assert transpose() is None
+        finally:
+            gc.enable()
+
+    def test_transpose_memo_sees_both_sides(self):
+        m = mk(2, 3, [(0, 2, 1.0)])
+        assert m.transpose_memo() is None
+        t = m.transposed()
+        assert m.transpose_memo() is t and t.transpose_memo() is m
+        del m
+        gc.collect()
+        assert t.transpose_memo() is None
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("tiled", [False, True], ids=["plain", "tiled"])
+    def test_clones_carry_the_value_not_the_memos(self, clone, tiled):
+        m = mk(4, 3, [(0, 2, 1.0), (3, 0, 2.0)])
+        if tiled:
+            m = TiledMatrix.from_monolithic(m, 2)
+            m.tiles()
+        m.transposed()
+        m.degree_stats()
+        for store in (m, m.transposed()):  # the weak side does not pickle either
+            c = clone(store)
+            assert c._transpose_cache is None and c._lengths_cache is None
+            assert c._degree_stats_cache is None and c._ffi_cache is None
+            if tiled:
+                assert c._tiles_cache is None and list(c.splits) == list(store.splits)
+            assert type(c) is type(store) and c.shape == store.shape
+            assert c.to_dict() == store.to_dict() and c.dtype == store.dtype
+            assert c.transposed().to_dict() == store.transposed().to_dict()
 
 
 class TestTransforms:
