@@ -36,6 +36,7 @@ os.environ.setdefault(
 )
 
 import repro as gb
+from repro import config
 from repro import schedule as S
 from repro.algorithms import bfs_levels
 from repro.io.generators import rmat
@@ -87,6 +88,7 @@ def _run_graph(engine: str, scale: int) -> dict:
         # auto with the latency autotuner disabled: the pure cost model
         old = os.environ.get("PYGB_SCHEDULE_TUNER")
         os.environ["PYGB_SCHEDULE_TUNER"] = "0"
+        config.reload()
         try:
             S.reset_stats()
             levels = bfs_levels(g, 0, schedule="auto")._store.to_dict()
@@ -102,6 +104,7 @@ def _run_graph(engine: str, scale: int) -> dict:
                 os.environ.pop("PYGB_SCHEDULE_TUNER", None)
             else:
                 os.environ["PYGB_SCHEDULE_TUNER"] = old
+            config.reload()
     return out
 
 

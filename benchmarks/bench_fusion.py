@@ -31,6 +31,7 @@ os.environ.setdefault(
 import numpy as np
 
 import repro as gb
+from repro import config
 from repro.algorithms import pagerank
 from repro.core.dispatch import CountingEngine, make_engine
 from repro.io.generators import erdos_renyi
@@ -92,6 +93,7 @@ def _pagerank_run(n: int):
 def _with_fusion(flag: bool, fn):
     old = os.environ.get("PYGB_FUSION")
     os.environ["PYGB_FUSION"] = "1" if flag else "0"
+    config.reload()
     try:
         return fn()
     finally:
@@ -99,6 +101,7 @@ def _with_fusion(flag: bool, fn):
             os.environ.pop("PYGB_FUSION", None)
         else:
             os.environ["PYGB_FUSION"] = old
+        config.reload()
 
 
 def _engine_call_counts(n: int) -> dict:

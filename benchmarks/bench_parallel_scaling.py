@@ -61,6 +61,7 @@ def _median(fn, repeats: int) -> float:
 
 
 def main() -> int:
+    from repro import config
     from repro.backend.kernels import OpDesc
     from repro.backend.svector import SparseVector
     from repro.io.generators import erdos_renyi
@@ -96,6 +97,7 @@ def main() -> int:
     series: dict[str, dict] = {k: {} for k in kernels}
 
     os.environ["PYGB_PARALLEL"] = "0"
+    config.reload()
     for name, (fn, reps) in kernels.items():
         t = _median(fn, reps)
         series[name]["serial"] = t
@@ -103,8 +105,9 @@ def main() -> int:
 
     if openmp_available(engine.cxx):
         os.environ["PYGB_PARALLEL"] = "1"
+        config.reload()
         for nt in THREADS:
-            os.environ["PYGB_THREADS"] = str(nt)
+            os.environ["PYGB_THREADS"] = str(nt)  # the kernels getenv this one per call
             for name, (fn, reps) in kernels.items():
                 t = _median(fn, reps)
                 series[name][f"threads_{nt}"] = t

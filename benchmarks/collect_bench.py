@@ -25,6 +25,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -37,7 +38,7 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 os.environ.setdefault("PYGB_CACHE_DIR", str(REPO_ROOT / ".pygb_cache"))
 
 import repro as gb  # noqa: E402
-from repro import tiling  # noqa: E402
+from repro import config, tiling  # noqa: E402
 from repro.algorithms import pagerank  # noqa: E402
 from repro.core.dispatch import CountingEngine, make_engine  # noqa: E402
 from repro.core.nonblocking import reset_stats, stats  # noqa: E402
@@ -59,19 +60,29 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _count(fn, fusion: bool) -> int:
-    old = os.environ.get("PYGB_FUSION")
-    os.environ["PYGB_FUSION"] = "1" if fusion else "0"
+@contextlib.contextmanager
+def _env(name: str, value: str):
+    """Run a block with ``$name`` set: the variable is written and the
+    configuration snapshot reloaded, on the way in and on the way out."""
+    old = os.environ.get(name)
+    os.environ[name] = value
+    config.reload()
     try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = old
+        config.reload()
+
+
+def _count(fn, fusion: bool) -> int:
+    with _env("PYGB_FUSION", "1" if fusion else "0"):
         eng = CountingEngine(make_engine("pyjit"))
         with gb.use_engine(eng):
             fn()
         return eng.total
-    finally:
-        if old is None:
-            os.environ.pop("PYGB_FUSION", None)
-        else:
-            os.environ["PYGB_FUSION"] = old
 
 
 def _pagerank_metrics() -> dict:
@@ -146,19 +157,12 @@ def _schedule_metrics() -> dict:
     from repro.io.generators import rmat
 
     g = rmat(RMAT_SCALE, edge_factor=RMAT_EDGE_FACTOR, seed=42)
-    old = os.environ.get("PYGB_SCHEDULE_TUNER")
-    os.environ["PYGB_SCHEDULE_TUNER"] = "0"
-    try:
+    with _env("PYGB_SCHEDULE_TUNER", "0"):
         levels, counters = {}, {}
         for mode in ("fixed", "push", "pull", "auto"):
             S.reset_stats()
             levels[mode] = bfs_levels(g, 0, schedule=mode)._store.to_dict()
             counters[mode] = S.stats()
-    finally:
-        if old is None:
-            os.environ.pop("PYGB_SCHEDULE_TUNER", None)
-        else:
-            os.environ["PYGB_SCHEDULE_TUNER"] = old
 
     for mode in ("push", "pull", "auto"):
         assert levels[mode] == levels["fixed"], (
@@ -201,9 +205,7 @@ def _tiled_metrics() -> dict:
         pagerank(g, pr, threshold=1.0e-8)
         return pr.to_numpy()
 
-    old = os.environ.get("PYGB_SCHEDULE_TUNER")
-    os.environ["PYGB_SCHEDULE_TUNER"] = "0"
-    try:
+    with _env("PYGB_SCHEDULE_TUNER", "0"):
         with gb.tiled(tiles=1):
             mono = run()
 
@@ -211,11 +213,6 @@ def _tiled_metrics() -> dict:
         with gb.tiled(tiles=4, workers=2):
             tiled_result = run()
         counters = tiling.stats()
-    finally:
-        if old is None:
-            os.environ.pop("PYGB_SCHEDULE_TUNER", None)
-        else:
-            os.environ["PYGB_SCHEDULE_TUNER"] = old
     assert np.array_equal(mono, tiled_result), (
         "tiled PageRank diverged from the monolithic run"
     )

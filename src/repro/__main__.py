@@ -26,6 +26,8 @@ import sys
 
 import numpy as np
 
+from . import config
+
 
 def _load(path: str, dtype=None):
     from .io.fastload import mmread_fast
@@ -225,6 +227,7 @@ def cmd_serve(args) -> int:
 
     if args.catalog:
         os.environ["PYGB_CATALOG"] = args.catalog
+        config.reload()
     registry = GraphRegistry()
     if args.graphs:
         load_manifest(args.graphs, registry)
@@ -316,7 +319,7 @@ def cmd_doctor(args) -> int:
         f"{tstats['tile_tasks']} tile tasks, "
         f"{tstats['tiles_created']} tiles created"
     )
-    catalog_env = os.environ.get("PYGB_CATALOG")
+    catalog_env = config.current().catalog
     if cache.catalog is not None:
         print(
             f"catalog:         {cache.catalog.root} "
@@ -414,8 +417,8 @@ def cmd_doctor(args) -> int:
     )
     from .obs.stats import default_stats_path, load_stats, service_latency_line
 
-    trace_env = os.environ.get("PYGB_TRACE")
-    stats_env = os.environ.get("PYGB_STATS")
+    trace_env = config.current().trace
+    stats_env = config.current().stats
     print(
         f"observability:   PYGB_TRACE={trace_env or 'unset'}   "
         f"PYGB_STATS={stats_env or 'unset'}"

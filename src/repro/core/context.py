@@ -15,16 +15,16 @@ single-threaded assumption and costs nothing.
 
 from __future__ import annotations
 
-import os
 import threading
 
 from .. import obs
+from ..config import current as _config
 
 __all__ = [
     "push",
     "pop",
     "stack_snapshot",
-    "find",
+    "innermost",
     "Replace",
     "replace_active",
     "use_engine",
@@ -64,11 +64,15 @@ def stack_snapshot() -> tuple:
     return tuple(_stack())
 
 
-def find(predicate):
-    """Innermost stack entry satisfying *predicate*, or None."""
-    for obj in reversed(_stack()):
-        if predicate(obj):
-            return obj
+def innermost(kind):
+    """Innermost stack entry that is an instance of *kind* (a class or a
+    tuple of classes), or None; nothing is walked, or allocated, on the
+    empty stack most statements see."""
+    stack = getattr(_state, "stack", None)
+    if stack:
+        for obj in reversed(stack):
+            if isinstance(obj, kind):
+                return obj
     return None
 
 
@@ -96,7 +100,7 @@ Replace = _ReplaceFlag()
 
 def replace_active() -> bool:
     """True when a ``with gb.Replace`` block encloses the call site."""
-    return find(lambda o: o is Replace) is not None
+    return innermost(_ReplaceFlag) is not None
 
 
 # ----------------------------------------------------------------------
@@ -104,10 +108,6 @@ def replace_active() -> bool:
 # ----------------------------------------------------------------------
 
 _engine_state = threading.local()
-
-
-def _default_engine_name() -> str:
-    return os.environ.get("PYGB_BACKEND", "pyjit")
 
 
 #: where an *environment-selected* engine degrades to when it cannot even
@@ -133,7 +133,7 @@ def current_backend_engine():
         from ..jit.health import jit_strict
         from .dispatch import make_engine
 
-        name = _default_engine_name()
+        name = _config().backend
         try:
             engine = make_engine(name)
         except BackendUnavailable as exc:

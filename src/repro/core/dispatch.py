@@ -206,7 +206,9 @@ class ResilientEngine:
     the next; the per-spec circuit breaker lives below, in the engines'
     module-retrieval step, so retries after the first failure skip the
     doomed compile entirely.  ``$PYGB_JIT_STRICT=1`` bypasses this
-    wrapper (``make_engine`` returns the bare engine).
+    wrapper (``make_engine`` returns the bare engine).  With no fault
+    rule armed a dispatch is the loop's first iteration: one attribute
+    test and the primary engine's method.
 
     The ``kernel_fail`` and ``slow_kernel`` runtime faults hook in here,
     per engine attempt — inside the chain loop, so an injected crash on
@@ -231,7 +233,9 @@ class ResilientEngine:
 
         def dispatch(*args, **kwargs):
             last_exc = None
-            for position, engine in enumerate(chain):
+            for engine in chain:
+                # looked up per call: a monkeypatched engine method or a
+                # probe in the chain is honoured at once
                 method = getattr(engine, attr, None)
                 if method is None:
                     continue
@@ -242,18 +246,20 @@ class ResilientEngine:
                     if cache is not None:
                         cache.note_fallback()
                 try:
-                    if FAULTS.fire("kernel_fail"):
-                        raise KernelExecutionError(
-                            f"injected kernel failure in {engine.name}.{attr}"
-                        )
-                    if FAULTS.fire("slow_kernel"):
-                        guard.cooperative_sleep(guard.fault_sleep_seconds())
+                    if FAULTS.armed:
+                        if FAULTS.fire("kernel_fail"):
+                            raise KernelExecutionError(
+                                f"injected kernel failure in {engine.name}.{attr}"
+                            )
+                        if FAULTS.fire("slow_kernel"):
+                            guard.cooperative_sleep(guard.fault_sleep_seconds())
                     return method(*args, **kwargs)
                 except (CompilationError, BackendUnavailable, KernelExecutionError) as exc:
                     last_exc = exc
             raise last_exc
 
         dispatch.__name__ = attr
+        self.__dict__[attr] = dispatch  # one closure per op, not per dispatch
         return dispatch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 
+_Matrix = _Vector = _evaluate = None  # bound by the first Expression.new()
+
+
 def _is_scalar(value) -> bool:
     return isinstance(value, (numbers.Number, np.number, np.bool_))
 
@@ -175,23 +178,19 @@ class Expression:
         expression, so an expression used as an operand of two enclosing
         expressions is not evaluated twice; an explicit *dtype* is a cast
         of the cached result."""
+        global _Matrix, _Vector, _evaluate
+        if _Matrix is None:
+            # bound on first use: the containers import this module
+            from .matrix import Matrix as _Matrix
+            from .plan import evaluate as _evaluate
+            from .vector import Vector as _Vector
+        cls = _Matrix if self.produces_matrix else _Vector
         if self._materialized is None:
-            from .matrix import Matrix
-            from .plan import evaluate
-            from .vector import Vector
-
-            if self.produces_matrix:
-                out = Matrix(shape=self.result_shape(), dtype=self.result_dtype())
-            else:
-                out = Vector(shape=self.result_shape(), dtype=self.result_dtype())
-            evaluate(self, out, OpDesc())
+            out = cls(shape=self.result_shape(), dtype=self.result_dtype())
+            _evaluate(self, out, OpDesc())
             self._materialized = out
         if dtype is None:
             return self._materialized
-        from .matrix import Matrix
-        from .vector import Vector
-
-        cls = Matrix if self.produces_matrix else Vector
         return cls(self._materialized, dtype=dtype)
 
     # -- composition: operands stay deferred ------------------------------

@@ -30,6 +30,7 @@ from .expressions import (
     TransposeView,
     _store_of,
 )
+from .plan import fusion_enabled
 
 __all__ = ["reduce", "apply", "transpose", "select", "kron"]
 
@@ -58,8 +59,6 @@ def reduce(*args):
         # fold an elementwise producer straight into the reduction when
         # the planner is on and the engine has the fused kernel
         if is_vector and operand._materialized is None:
-            from .plan import fusion_enabled
-
             fused_name = {EWiseAdd: "ewise_add_vec_reduce_scalar",
                           EWiseMult: "ewise_mult_vec_reduce_scalar"}.get(type(operand))
             if (

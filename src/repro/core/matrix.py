@@ -19,6 +19,7 @@ import numpy as np
 
 from ..backend.smatrix import SparseMatrix
 from ..exceptions import EmptyObject, InvalidValue
+from ..tiling import maybe_tile
 from ..types import default_dtype_for, normalize_dtype
 from .base import Container, _is_scalar
 from .context import current_backend_engine
@@ -29,6 +30,7 @@ from .expressions import (
     MXM,
     MXV,
     TransposeView,
+    _is_vec,
 )
 from .indexing import parse_matrix_indices
 from .masks import SetKey, build_desc
@@ -43,8 +45,6 @@ class Matrix(Container):
     is_vector = False
 
     def __init__(self, data=None, shape=None, dtype=None):
-        from ..tiling import maybe_tile
-
         if isinstance(data, SparseMatrix):  # internal: wrap a backend store
             self._store = maybe_tile(data if dtype is None else data.astype(dtype))
             return
@@ -139,8 +139,6 @@ class Matrix(Container):
     # multiplication builds deferred expressions
     # ------------------------------------------------------------------
     def __matmul__(self, other):
-        from .expressions import _is_vec
-
         if _is_vec(other):
             return MXV(self, other)
         return MXM(self, other)

@@ -57,7 +57,6 @@ work that blocking mode would have thrown away.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -65,6 +64,7 @@ import numpy as np
 
 from .. import obs
 from ..backend.kernels import OpDesc
+from ..config import current as _config
 from ..testing.faults import FAULTS
 from .context import current_raw_engine, use_engine
 from .expressions import (
@@ -158,18 +158,10 @@ class _State:
     __slots__ = ("depth", "default_on", "queue")
 
     def __init__(self):
+        cfg = _config()
         self.depth = 0
-        self.default_on = (
-            os.environ.get("PYGB_MODE", "").strip().lower() == "nonblocking"
-        )
-        self.queue = LazyQueue(_env_queue_max())
-
-
-def _env_queue_max() -> int:
-    try:
-        return max(1, int(os.environ.get("PYGB_QUEUE_MAX", "256")))
-    except ValueError:
-        return 256
+        self.default_on = cfg.mode == "nonblocking"
+        self.queue = LazyQueue(cfg.queue_max)
 
 
 _tls = threading.local()
@@ -612,18 +604,12 @@ _prefetch_seen: set[str] = set()
 _prefetch_lock = threading.Lock()
 
 
-def _prefetch_enabled() -> bool:
-    return os.environ.get("PYGB_PREFETCH", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
 def _maybe_prefetch(q, entry: _Entry) -> None:
     """Start compiling the kernel specs this entry will need, so the g++
     latency overlaps with queue building instead of stalling the flush."""
     engine = getattr(entry.engine, "primary", entry.engine)
     jobs_fn = getattr(engine, "prefetch_jobs", None)
-    if jobs_fn is None or not _prefetch_enabled():
+    if jobs_fn is None or not _config().prefetch:
         return
     try:
         jobs = [

@@ -213,7 +213,7 @@ def resolve_semiring(explicit: Semiring | None = None) -> tuple[str, str]:
     """``(add_op, mult_op)`` for mxm/mxv/vxm."""
     if explicit is not None:
         return explicit.add_op, explicit.mult_op
-    sr = context.find(lambda o: isinstance(o, Semiring))
+    sr = context.innermost(Semiring)
     if sr is not None:
         return sr.add_op, sr.mult_op
     return _DEFAULT_SEMIRING_OPS
@@ -224,7 +224,7 @@ def resolve_ewise_add_op(explicit=None) -> str:
     ``⊕``); defaults to ``Plus``."""
     if explicit is not None:
         return BinaryOp(explicit).name
-    obj = context.find(lambda o: isinstance(o, (BinaryOp, Monoid, Semiring)))
+    obj = context.innermost((BinaryOp, Monoid, Semiring))
     if isinstance(obj, BinaryOp):
         return obj.name
     if isinstance(obj, Monoid):
@@ -239,7 +239,7 @@ def resolve_ewise_mult_op(explicit=None) -> str:
     ``⊗``); defaults to ``Times``."""
     if explicit is not None:
         return BinaryOp(explicit).name
-    obj = context.find(lambda o: isinstance(o, (BinaryOp, Monoid, Semiring)))
+    obj = context.innermost((BinaryOp, Monoid, Semiring))
     if isinstance(obj, BinaryOp):
         return obj.name
     if isinstance(obj, Monoid):
@@ -260,10 +260,10 @@ def resolve_accum_op() -> str:
     ``with gb.Accumulator("Second"), gb.Semiring(gb.PlusMonoid, "Times")``
     expects the Second accumulator even though the semiring is innermost.
     """
-    obj = context.find(lambda o: isinstance(o, Accumulator))
+    obj = context.innermost(Accumulator)
     if isinstance(obj, Accumulator):
         return obj.op.name
-    obj = context.find(lambda o: isinstance(o, (Monoid, Semiring)))
+    obj = context.innermost((Monoid, Semiring))
     if isinstance(obj, Monoid):
         return obj.op.name
     if isinstance(obj, Semiring):
@@ -280,7 +280,7 @@ def resolve_reduce_monoid(explicit: Monoid | None = None) -> tuple[str, object]:
         if isinstance(explicit, (str, BinaryOp)):
             explicit = Monoid(explicit)
         return explicit.op.name, explicit.identity
-    obj = context.find(lambda o: isinstance(o, (Monoid, Semiring)))
+    obj = context.innermost((Monoid, Semiring))
     if isinstance(obj, Semiring):
         obj = obj.monoid
     if isinstance(obj, Monoid):
@@ -292,7 +292,7 @@ def resolve_unary_spec(explicit: UnaryOp | None = None) -> tuple:
     """Op spec for apply: nearest UnaryOp; defaults to Identity."""
     if explicit is not None:
         return explicit.spec
-    obj = context.find(lambda o: isinstance(o, UnaryOp))
+    obj = context.innermost(UnaryOp)
     if obj is not None:
         return obj.spec
     return ("unary", "Identity")

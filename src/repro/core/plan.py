@@ -20,25 +20,23 @@ and the engine:
 The ``PYGB_FUSION`` environment switch (default: on) disables step 2,
 restoring the one-call-per-node behaviour for A/B benchmarking; the
 ``interpreted`` engine never fuses (``supports_fusion = False``) and is
-the ablation baseline the differential tests compare against.
+the ablation baseline the differential tests compare against.  An
+expression with no deferred operand — every statement of the four
+paper listings — has no pair to fuse and is dispatched as it stands,
+without steps 1 and 2.
 """
 
 from __future__ import annotations
 
-import os
-
+from ..config import current as _config
 from .context import current_backend_engine
 
 __all__ = ["OpNode", "Plan", "fusion_enabled", "evaluate"]
 
 
 def fusion_enabled() -> bool:
-    """The ``$PYGB_FUSION`` runtime switch (default: on).  Re-read on
-    every dispatch so tests and benchmarks can toggle it per call."""
-    value = os.environ.get("PYGB_FUSION")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("", "0", "false", "off", "no")
+    """The ``$PYGB_FUSION`` switch (default: on)."""
+    return _config().fusion
 
 
 class OpNode:
@@ -104,14 +102,16 @@ def evaluate(expr, out, desc) -> None:
 
     This is the single entry point all write sites funnel through
     (``__setitem__`` and ``Expression.new``): lower to a plan, let the
-    planner fuse what the current engine supports, then execute."""
+    planner fuse what the current engine supports, then execute.  A
+    one-node expression has nothing to lower or fuse."""
     global _fuse_expression
-    eng = current_backend_engine()
-    if fusion_enabled() and getattr(eng, "supports_fusion", False):
-        if _fuse_expression is None:
-            # bound on first use: jit.fusion imports this module's Plan
-            from ..jit.fusion import fuse_expression as _fuse_expression
-        expr = _fuse_expression(expr, eng)
+    if expr.plan_children() and _config().fusion:
+        eng = current_backend_engine()
+        if getattr(eng, "supports_fusion", False):
+            if _fuse_expression is None:
+                # bound on first use: jit.fusion imports this module's Plan
+                from ..jit.fusion import fuse_expression as _fuse_expression
+            expr = _fuse_expression(expr, eng)
     if out._pending is not None and desc.mask is None and desc.accum is None:
         # a full overwrite takes only extent and dtype from `out`: run it
         # against a stand-in over the unmerged store, so buffered element

@@ -28,8 +28,11 @@ from .expressions import (
 )
 from .indexing import parse_vector_index
 from .masks import SetKey, build_desc
+from .plan import fusion_enabled
 
 __all__ = ["Vector"]
+
+_Matrix = None  # bound by the first ``u @ A``: matrix.py imports this module
 
 
 def _shape_to_size(shape) -> int:
@@ -106,9 +109,10 @@ class Vector(Container):
     # ------------------------------------------------------------------
     def __matmul__(self, other):
         """``u @ A`` — vector-matrix product (PageRank Fig. 7 line 22)."""
-        from .matrix import Matrix
-
-        if isinstance(other, (Matrix, TransposeView)) or (
+        global _Matrix
+        if _Matrix is None:
+            from .matrix import Matrix as _Matrix
+        if isinstance(other, (_Matrix, TransposeView)) or (
             isinstance(other, Expression) and other.produces_matrix
         ):
             return VXM(self, other)
@@ -158,8 +162,6 @@ class Vector(Container):
     def _try_apply_assign(self, eng, value, idx, desc) -> bool:
         """The ``apply + assign-with-mask`` fusion rule: ``w[M][i] = f(u)``
         runs as one kernel instead of materialising ``f(u)`` first."""
-        from .plan import fusion_enabled
-
         if not (
             isinstance(value, Apply)
             and not value.produces_matrix

@@ -41,11 +41,10 @@ deterministic counter in :func:`stats` and — when tracing is active — an
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
-import warnings
 
+from .config import Config, current as _config
 from .exceptions import OperationCancelled, OperationTimeout
 
 __all__ = [
@@ -68,11 +67,9 @@ __all__ = [
     "DEFAULT_WORKER_TIMEOUT",
 ]
 
-_FALSEY = frozenset({"0", "false", "off", "no"})
-
 #: ceiling on how long the tile executor waits for a single worker before
 #: declaring it hung (``$PYGB_WORKER_TIMEOUT`` overrides; falsey disables)
-DEFAULT_WORKER_TIMEOUT = 60.0
+DEFAULT_WORKER_TIMEOUT = Config.worker_timeout
 
 _TLS = threading.local()
 
@@ -90,63 +87,29 @@ _ACTIVE = 0
 
 def op_timeout() -> float | None:
     """The per-operation budget from ``$PYGB_OP_TIMEOUT`` in seconds, or
-    ``None`` when unset/falsey.  Re-read per operation, like the other
-    execution flags."""
-    raw = os.environ.get("PYGB_OP_TIMEOUT", "").strip().lower()
-    if not raw or raw in _FALSEY:
-        return None
-    try:
-        v = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_OP_TIMEOUT={raw!r} (valid: seconds > 0); ignoring",
-            stacklevel=2,
-        )
-        return None
-    return v if v > 0 else None
+    ``None`` when unset/falsey."""
+    return _config().op_timeout
 
 
 def worker_timeout() -> float | None:
     """How long the tile executor waits on one worker future before
     treating it as hung (``$PYGB_WORKER_TIMEOUT``, default
     :data:`DEFAULT_WORKER_TIMEOUT`; ``0``/falsey disables the bound)."""
-    raw = os.environ.get("PYGB_WORKER_TIMEOUT", "").strip().lower()
-    if raw in _FALSEY:
-        return None
-    if not raw:
-        return DEFAULT_WORKER_TIMEOUT
-    try:
-        v = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_WORKER_TIMEOUT={raw!r} (valid: seconds, or 0 to "
-            "disable); using the default",
-            stacklevel=2,
-        )
-        return DEFAULT_WORKER_TIMEOUT
-    return v if v > 0 else None
+    return _config().worker_timeout
 
 
 def fault_sleep_seconds() -> float:
     """Sleep injected by the ``slow_kernel`` fault (``$PYGB_FAULT_SLEEP``,
     default 0.05s — long enough to trip sub-50ms deadlines, short enough
     for chaos CI)."""
-    raw = os.environ.get("PYGB_FAULT_SLEEP", "").strip()
-    try:
-        return float(raw) if raw else 0.05
-    except ValueError:
-        return 0.05
+    return _config().fault_sleep
 
 
 def hang_seconds() -> float:
     """Stall injected by the ``worker_hang`` fault (``$PYGB_FAULT_HANG``,
     default 30s — far past any test's worker timeout, so the hang is
     always detected rather than waited out)."""
-    raw = os.environ.get("PYGB_FAULT_HANG", "").strip()
-    try:
-        return float(raw) if raw else 30.0
-    except ValueError:
-        return 30.0
+    return _config().fault_hang
 
 
 # ----------------------------------------------------------------------
@@ -685,9 +648,10 @@ class GuardedEngine:
     """Deadline/cancellation wrapper around the partitioned engine stack.
 
     Dispatch methods are wrapped lazily (first use) and the wrapper is
-    cached on the instance; each call re-reads the scope stack and
-    ``$PYGB_OP_TIMEOUT`` so guards engage mid-program.  With neither
-    active, the wrapper costs one thread-local read and one env read."""
+    cached on the instance; each call looks at the thread's scope stack
+    and the configuration snapshot, so guards engage mid-program.  With
+    neither armed, the wrapper costs one thread-local read, one global
+    read and the call it bound."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -707,12 +671,13 @@ class GuardedEngine:
             return value
 
         def guarded(*args, __method=value, __op=attr, __inner=inner, **kwargs):
-            scope = current_scope()
-            timeout = op_timeout()
-            if scope is None and timeout is None:
+            scopes = getattr(_TLS, "scopes", None)
+            timeout = _config().op_timeout
+            if not scopes and timeout is None:
                 return __method(*args, **kwargs)
             return _run_guarded(
-                __op, __inner.name, scope, timeout, __method, args, kwargs
+                __op, __inner.name, scopes[-1] if scopes else None, timeout,
+                __method, args, kwargs,
             )
 
         guarded.__name__ = attr

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
+from ..config import current as _config
 from ..exceptions import CompilationError, JitFallbackWarning
 from .health import EngineHealth
 from .spec import KernelSpec
@@ -70,35 +71,13 @@ _FORMAT_STAMP = "CACHE_FORMAT"
 _TMP_GRACE_SECONDS = 3600.0
 
 
-#: warn about a bad $PYGB_COMPILE_JOBS once per process, like the other
-#: env knobs (tiling, schedule) — not once per precompile call
-_jobs_env_warned = False
-
-
 def default_compile_jobs() -> int:
     """Worker count for parallel compilation: ``$PYGB_COMPILE_JOBS``, else
     a small multiple of the core count (``g++`` is subprocess-bound, so a
     little oversubscription hides process-spawn latency).  An unparseable
-    or non-positive value warns once and falls back to the default —
-    ``0`` means "you pick", not "one worker"."""
-    global _jobs_env_warned
-    default = max(2, min(8, 2 * (os.cpu_count() or 1)))
-    env = os.environ.get("PYGB_COMPILE_JOBS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = None
-        if n is not None and n >= 1:
-            return n
-        if not _jobs_env_warned:
-            _jobs_env_warned = True
-            warnings.warn(
-                f"pygb: bad $PYGB_COMPILE_JOBS={env!r} (valid: integer >= 1); "
-                f"using {default}",
-                stacklevel=2,
-            )
-    return default
+    or non-positive value warns where it is parsed and falls back to the
+    default — ``0`` means "you pick", not "one worker"."""
+    return _config().compile_jobs
 
 
 @dataclass
@@ -165,7 +144,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 def _default_cache_dir() -> Path:
-    env = os.environ.get("PYGB_CACHE_DIR")
+    env = _config().cache_dir
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
@@ -205,7 +184,7 @@ class JitCache:
         self.catalog = None
         #: why $PYGB_CATALOG could not be attached, for `repro doctor`
         self.catalog_error: str | None = None
-        env_pack = os.environ.get("PYGB_CATALOG")
+        env_pack = _config().catalog
         if env_pack:
             self._attach_catalog_env(env_pack)
 
@@ -664,10 +643,10 @@ def default_cache() -> JitCache:
 
 
 def reset_default_cache() -> JitCache:
-    """Drop and rebuild the process-wide cache singleton (re-reading
-    ``$PYGB_CACHE_DIR``).  Engines constructed earlier keep their old
+    """Drop and rebuild the process-wide cache singleton (from the
+    snapshot's ``cache_dir``).  Engines constructed earlier keep their old
     cache reference; used by tests and by operators who repoint the cache
-    directory mid-process."""
+    directory mid-process (set the variable, ``config.reload()``, this)."""
     global _default
     with _default_lock:
         _default = JitCache()

@@ -52,6 +52,7 @@ from ..backend.ops_table import (
 )
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
+from ..config import Config, current as _config
 from ..exceptions import BackendUnavailable, CompilationError, OperationCancelled
 from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
@@ -71,7 +72,7 @@ __all__ = [
     "compile_timeout",
 ]
 
-DEFAULT_COMPILE_TIMEOUT = 120.0
+DEFAULT_COMPILE_TIMEOUT = Config.compile_timeout
 
 
 def compile_timeout() -> float | None:
@@ -79,14 +80,7 @@ def compile_timeout() -> float | None:
     (``$PYGB_COMPILE_TIMEOUT``, default 120; 0 or negative disables).
     A wedged compiler otherwise hangs the calling thread — and the
     precompile pool — forever."""
-    env = os.environ.get("PYGB_COMPILE_TIMEOUT")
-    if env:
-        try:
-            value = float(env)
-            return value if value > 0 else None
-        except ValueError:
-            pass
-    return DEFAULT_COMPILE_TIMEOUT
+    return _config().compile_timeout
 
 _I64 = np.dtype(np.int64)
 
@@ -94,7 +88,7 @@ _I64 = np.dtype(np.int64)
 def find_cxx_compiler() -> str | None:
     """Path of the C++ compiler (``$PYGB_CXX`` override, else ``g++``,
     else ``c++``), or None when this machine has none."""
-    env = os.environ.get("PYGB_CXX")
+    env = _config().cxx
     if env:
         return env if shutil.which(env) else None
     for cand in ("g++", "c++"):
@@ -196,12 +190,10 @@ def toolchain_works(cxx: str | None = None) -> bool:
 
 
 def parallel_requested() -> bool:
-    """The ``$PYGB_PARALLEL`` runtime switch (default: on).  Re-read on
-    every dispatch so it can be toggled without rebuilding engines."""
-    value = os.environ.get("PYGB_PARALLEL")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("", "0", "false", "off", "no")
+    """The ``$PYGB_PARALLEL`` switch (default: on).  Serial and OpenMP
+    artifacts are separate kernels, so a reload that flips it takes
+    effect at the next dispatch without rebuilding engines."""
+    return _config().parallel
 
 
 def _float_pair(value) -> tuple:
@@ -219,6 +211,12 @@ def _int_pair(value) -> tuple:
     except (OverflowError, ValueError):
         ival = 0
     return float(value), ival
+
+
+def _bool_pair(value) -> tuple:
+    """As :func:`_int_pair` for bool kernels, whose integer leg carries
+    NumPy's truth of the value (0.5 and nan are ``True``)."""
+    return float(value), int(bool(value))
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +346,7 @@ class _Bound:
             self.edges = lib.pygb_edges_examined
             self.edges.restype = c_int64
         self.lib_name = os.path.basename(lib._name) if lib._name else None
-        self.const = _float_pair if const_dtype.kind == "f" else _int_pair
+        self.const = {"f": _float_pair, "b": _bool_pair}.get(const_dtype.kind, _int_pair)
         self.scalar_dtype = scalar_dtype
 
 
@@ -382,10 +380,9 @@ class CppJitEngine:
     # ------------------------------------------------------------------
     def parallel_enabled(self) -> bool:
         """Whether new specs should request OpenMP kernels: the
-        ``$PYGB_PARALLEL`` switch (re-read per call) is on *and* the
-        compiler passed the ``-fopenmp`` probe (silent serial fallback
-        otherwise)."""
-        if not parallel_requested():
+        ``$PYGB_PARALLEL`` switch is on *and* the compiler passed the
+        ``-fopenmp`` probe (silent serial fallback otherwise)."""
+        if not _config().parallel:
             return False
         if self._openmp is None:
             self._openmp = openmp_available(self.cxx)

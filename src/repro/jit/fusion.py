@@ -19,6 +19,7 @@ A producer is only absorbed when it is safe:
 from __future__ import annotations
 
 from ..backend.tiled import TiledMatrix
+from ..core.context import current_backend_engine
 from ..core.expressions import Expression, _store_of
 from ..core.plan import Plan
 from .fused_ops import FUSED_OPS
@@ -108,8 +109,6 @@ class Fused(Expression):
         return self.consumer.result_dtype()
 
     def eval_into(self, out, desc):
-        from ..core.context import current_backend_engine
-
         eng = current_backend_engine()
         method = getattr(eng, self.op.name, None)
         if method is None or not getattr(eng, "supports_fusion", False):

@@ -125,6 +125,23 @@ inline int num_threads() {
 }
 
 // ---------------------------------------------------------------------
+// NumPy's bool: one byte holding 0 or 1.  Its own element type — not
+// uint8_t, which is NumPy's uint8 and keeps wrapping — so that every
+// conversion into it, from a wider operand, an operator's result or an
+// accumulator's sum, is `value != 0` instead of a truncation to the low
+// byte (256 -> false, 1 + 1 -> a raw 2 in a NumPy bool array).  Reads
+// as bool, so arithmetic promotes to int and converts back on the store.
+// ---------------------------------------------------------------------
+struct Bool {
+    uint8_t v;
+    Bool() = default;
+    template <class T, class = typename std::enable_if<std::is_arithmetic<T>::value>::type>
+    Bool(T x) : v(x != T(0)) {}
+    operator bool() const { return v != 0; }
+};
+static_assert(sizeof(Bool) == 1, "GB::Bool must alias one NumPy bool byte");
+
+// ---------------------------------------------------------------------
 // operator functors (names match GBTL's algebra.hpp / paper Fig. 6)
 // ---------------------------------------------------------------------
 template <class T> struct Plus  { T operator()(T a, T b) const { return a + b; } };

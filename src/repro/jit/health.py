@@ -20,11 +20,11 @@ exception propagate.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 import warnings
 
+from ..config import Config, current as _config
 from ..exceptions import JitFallbackWarning, KernelQuarantined
 
 __all__ = [
@@ -35,31 +35,20 @@ __all__ = [
     "DEFAULT_BACKOFF_SECONDS",
 ]
 
-DEFAULT_RETRIES = 3
+DEFAULT_RETRIES = Config.jit_retries
 DEFAULT_BACKOFF_SECONDS = 0.5  # doubles after every failed retry
-
-
-def _truthy(value: str | None) -> bool:
-    return value is not None and value.strip().lower() not in ("", "0", "false", "off", "no")
 
 
 def jit_strict() -> bool:
     """The ``$PYGB_JIT_STRICT`` switch: raise on JIT failure instead of
-    degrading down the engine chain.  Re-read on every use so tests (and
-    operators) can flip it without rebuilding engines."""
-    return _truthy(os.environ.get("PYGB_JIT_STRICT"))
+    degrading down the engine chain."""
+    return _config().jit_strict
 
 
 def jit_retries() -> int:
     """Build attempts per spec before its quarantine becomes permanent
     (``$PYGB_JIT_RETRIES``, default 3)."""
-    env = os.environ.get("PYGB_JIT_RETRIES")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_RETRIES
+    return _config().jit_retries
 
 
 class _SpecHealth:

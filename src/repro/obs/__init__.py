@@ -21,6 +21,7 @@ from __future__ import annotations
 import atexit
 import os
 
+from .. import config
 from .stats import (
     StatsAggregator,
     default_stats_path,
@@ -163,22 +164,16 @@ class tracing:
         return False
 
 
-def _stats_env_enabled() -> bool:
-    value = os.environ.get("PYGB_STATS", "").strip()
-    return bool(value) and value.lower() not in ("0", "false", "off", "no")
-
-
 def _init_from_env() -> None:
     """Install a process-wide tracer when ``$PYGB_TRACE``/``$PYGB_STATS``
     ask for one; flushed by atexit so the trace file and stats are
     written however the workload terminates normally."""
-    trace_spec = os.environ.get("PYGB_TRACE", "").strip()
-    kwargs = _parse_trace_spec(trace_spec) if trace_spec else {}
-    if _stats_env_enabled():
+    cfg = config.current()
+    kwargs = _parse_trace_spec(cfg.trace) if cfg.trace else {}
+    if cfg.stats and cfg.stats.lower() not in ("0", "false", "off", "no"):
         kwargs["persist"] = True
-        env = os.environ.get("PYGB_STATS", "").strip()
-        if env.lower() not in ("1", "true", "yes", "on"):
-            kwargs["stats_path"] = env
+        if cfg.stats.lower() not in ("1", "true", "yes", "on"):
+            kwargs["stats_path"] = cfg.stats
     elif kwargs:
         # a traced run always persists its aggregates too, so
         # `python -m repro stats` works after a chrome/log session

@@ -20,6 +20,8 @@ import os
 import threading
 from pathlib import Path
 
+from .. import config
+
 __all__ = [
     "StatsAggregator",
     "hist_bucket",
@@ -206,8 +208,8 @@ def service_latency_line(data: dict) -> str | None:
 def default_stats_path() -> Path:
     """``$PYGB_STATS`` when it names a path; otherwise
     ``<cache_dir>/stats.json`` next to the JIT artifacts."""
-    env = os.environ.get("PYGB_STATS", "")
-    if env and env.strip().lower() not in ("1", "true", "yes", "on"):
+    env = config.current().stats
+    if env and env.lower() not in ("1", "true", "yes", "on"):
         return Path(env)
     from ..jit.cache import _default_cache_dir
 

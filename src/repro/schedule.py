@@ -62,9 +62,11 @@ commit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from . import obs
+from .config import current as _config
+from .obs.stats import HIST_BUCKETS, quantile_ns
 
 __all__ = [
     "DIRECTIONS",
@@ -94,33 +96,17 @@ _TUNER_BAND = 4.0
 #: its latency data ("first iterations explore, rest exploit")
 _TUNER_EXPLORE = 2
 
-_FALSEY = frozenset({"0", "false", "off", "no"})
-
 
 def schedule_mode() -> str:
-    """The ``$PYGB_SCHEDULE`` mode, re-read per operation like the other
-    execution flags (``fixed`` | ``auto`` | ``push`` | ``pull``)."""
-    raw = os.environ.get("PYGB_SCHEDULE", "auto").strip().lower()
-    if raw in ("auto", ""):
-        return "auto"
-    if raw in ("fixed", "dense") or raw in _FALSEY:
-        return "fixed"
-    if raw in ("push", "pull"):
-        return raw
-    import warnings
-
-    warnings.warn(
-        f"pygb: unknown $PYGB_SCHEDULE={raw!r} "
-        "(valid: auto, fixed, push, pull); using auto",
-        stacklevel=2,
-    )
-    return "auto"
+    """The ``$PYGB_SCHEDULE`` mode (``fixed`` | ``auto`` | ``push`` |
+    ``pull``)."""
+    return _config().schedule
 
 
 def tuner_enabled() -> bool:
     """``$PYGB_SCHEDULE_TUNER`` gate for the latency-feedback stage
     (``0/false/off/no`` leaves the deterministic cost model in charge)."""
-    return os.environ.get("PYGB_SCHEDULE_TUNER", "1").strip().lower() not in _FALSEY
+    return _config().schedule_tuner
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +135,8 @@ STATS = _ScheduleStats()
 #: by the number of distinct (op, shape, nnz) sites in a process
 _LAST_DIRECTION: dict = {}
 _LAST_DIRECTION_CAP = 4096
+#: the same bound for the autotuner's (site, bucket, direction) table
+_TUNER_HISTS_CAP = 4096
 
 
 def note_edges(direction: str, count: int) -> None:
@@ -192,26 +180,35 @@ class AutoTuner:
     Observations are stored as the same 64-bucket log2 latency
     histograms the obs layer aggregates (``repro/obs/stats.py``), keyed
     by ``(site, density bucket, direction)``; the exploit phase compares
-    histogram medians via :func:`repro.obs.stats.quantile_ns`.
+    histogram medians (:func:`repro.obs.stats.quantile_ns`).  Sample
+    count and median change only in :meth:`note`, so they are kept
+    beside the histogram and :meth:`choose` is dictionary reads.
     """
 
     def __init__(self):
+        #: key -> [histogram, samples, median_ns]
         self._hists: dict = {}
 
     def reset(self) -> None:
         self._hists.clear()
 
     def observations(self, site, bucket, direction) -> int:
-        hist = self._hists.get((site, bucket, direction))
-        return sum(hist) if hist else 0
+        entry = self._hists.get((site, bucket, direction))
+        return entry[1] if entry else 0
 
     def note(self, site, bucket, direction: str, dur_ns: int) -> None:
-        from .obs.stats import HIST_BUCKETS
-
-        hist = self._hists.setdefault(
-            (site, bucket, direction), [0] * HIST_BUCKETS
-        )
+        key = (site, bucket, direction)
+        entry = self._hists.get(key)
+        if entry is None:
+            # the site holds nnz: a long-lived process would otherwise
+            # keep one entry set per graph it ever traversed
+            if len(self._hists) >= _TUNER_HISTS_CAP:
+                self._hists.clear()
+            entry = self._hists[key] = [[0] * HIST_BUCKETS, 0, 0]
+        hist = entry[0]
         hist[min(max(int(dur_ns), 0).bit_length(), HIST_BUCKETS - 1)] += 1
+        entry[1] += 1
+        entry[2] = quantile_ns(hist, 0.5)
 
     def choose(self, site, bucket, candidates) -> tuple[str, str]:
         """Pick from *candidates* (``[(direction, modeled_cost), ...]``,
@@ -222,17 +219,13 @@ class AutoTuner:
             return band[0], "heuristic"
         # explore: give every cost-viable direction its trial runs, in
         # deterministic (cost) order
-        for d in band:
-            if self.observations(site, bucket, d) < _TUNER_EXPLORE:
+        entries = [self._hists.get((site, bucket, d)) for d in band]
+        for d, entry in zip(band, entries):
+            if entry is None or entry[1] < _TUNER_EXPLORE:
                 return d, "explore"
-        # exploit: lowest median latency
-        from .obs.stats import quantile_ns
-
-        medians = sorted(
-            (quantile_ns(self._hists[(site, bucket, d)], 0.5), i, d)
-            for i, d in enumerate(band)
-        )
-        return medians[0][2], "tuner"
+        # exploit: lowest median latency, cost order breaking ties
+        _median, best = min((entry[2], i) for i, entry in enumerate(entries))
+        return band[best], "tuner"
 
 
 _TUNER = AutoTuner()
@@ -287,11 +280,8 @@ class Schedule:
         """Snapshot the schedule controls at expression-construction
         time: an enclosing ``with Scheduled(...)`` wins over the
         environment mode."""
-        forced = None
         ctx = _innermost_scheduled()
-        if ctx is not None:
-            forced = ctx.direction
-        return cls(schedule_mode(), forced)
+        return cls(_config().schedule, None if ctx is None else ctx.direction)
 
     # -- resolution ----------------------------------------------------
 
@@ -335,8 +325,6 @@ class Schedule:
         prev = _LAST_DIRECTION.get(site)
         if prev is not None and prev != direction:
             STATS.switches += 1
-            from . import obs
-
             if obs.ACTIVE:
                 obs.record_event(
                     "schedule.switch",
@@ -387,7 +375,7 @@ class Schedule:
             candidates.append(("pull", cost))
 
         candidates.sort(key=lambda dc: (dc[1], DIRECTIONS.index(dc[0])))
-        if not tuner_enabled():
+        if not _config().schedule_tuner:
             return candidates[0][0], "heuristic"
         site = (func, a.nrows, a.ncols, nnz, bool(ta))
         self.site = site
@@ -471,7 +459,11 @@ class Scheduled:
         return f"Scheduled({self.direction!r})"
 
 
-def _innermost_scheduled():
-    from .core import context
+_context = None
 
-    return context.find(lambda o: isinstance(o, Scheduled))
+
+def _innermost_scheduled():
+    global _context
+    if _context is None:
+        from .core import context as _context  # on first use: core imports this module
+    return _context.innermost(Scheduled)

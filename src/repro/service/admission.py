@@ -30,14 +30,13 @@ deterministic batches (batch sizes otherwise depend on arrival timing).
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
-import warnings
 
 import numpy as np
 
 from .. import obs
+from ..config import current as _config
 from ..core.nonblocking import nonblocking
 from ..exceptions import GraphBLASError, OperationCancelled, OperationTimeout
 from ..guard import deadline
@@ -54,69 +53,22 @@ __all__ = [
     "run_requests",
 ]
 
-_FALSEY = frozenset({"0", "false", "off", "no"})
-
-DEFAULT_BATCH_MAX = 16
-DEFAULT_SERVE_WORKERS = 2
-
 
 def request_timeout() -> float | None:
     """Per-request wall-clock budget from ``$PYGB_REQUEST_TIMEOUT`` in
-    seconds (unset/falsey disables; re-read per batch)."""
-    raw = os.environ.get("PYGB_REQUEST_TIMEOUT", "").strip().lower()
-    if not raw or raw in _FALSEY:
-        return None
-    try:
-        v = float(raw)
-        if v < 1e-9:
-            raise ValueError
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_REQUEST_TIMEOUT={raw!r} (valid: number >= 1e-09); "
-            f"using the default",
-            stacklevel=2,
-        )
-        return None
-    return v
+    seconds (unset/falsey disables)."""
+    return _config().request_timeout
 
 
 def batch_max() -> int:
     """Most requests one batch takes (``$PYGB_BATCH_MAX``, default 16)."""
-    raw = os.environ.get("PYGB_BATCH_MAX", "").strip()
-    if not raw:
-        return DEFAULT_BATCH_MAX
-    try:
-        v = int(raw)
-        if v < 1:
-            raise ValueError
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_BATCH_MAX={raw!r} (valid: integer >= 1); "
-            f"using {DEFAULT_BATCH_MAX}",
-            stacklevel=2,
-        )
-        return DEFAULT_BATCH_MAX
-    return v
+    return _config().batch_max
 
 
 def serve_workers() -> int:
     """Worker threads executing admitted batches (``$PYGB_SERVE_WORKERS``,
     default 2)."""
-    raw = os.environ.get("PYGB_SERVE_WORKERS", "").strip()
-    if not raw:
-        return DEFAULT_SERVE_WORKERS
-    try:
-        v = int(raw)
-        if v < 1:
-            raise ValueError
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_SERVE_WORKERS={raw!r} (valid: integer >= 1); "
-            f"using {DEFAULT_SERVE_WORKERS}",
-            stacklevel=2,
-        )
-        return DEFAULT_SERVE_WORKERS
-    return v
+    return _config().serve_workers
 
 
 # ----------------------------------------------------------------------

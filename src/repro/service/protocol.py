@@ -29,8 +29,8 @@ queue is guaranteed well-formed, so the execution path never parses.
 from __future__ import annotations
 
 import json
-import os
-import warnings
+
+from ..config import Config, current as _config
 
 __all__ = [
     "ALGORITHMS",
@@ -46,7 +46,7 @@ __all__ = [
 
 #: request-line size cap (bytes), before parsing — an unframed client
 #: (or a binary blob aimed at the port) cannot balloon server memory
-DEFAULT_MAX_LINE = 1 << 20
+DEFAULT_MAX_LINE = Config.service_max_line
 
 #: algorithm name -> whether it takes a per-request ``source`` vertex.
 #: Source-parameterised algorithms are the fusable ones (k sources
@@ -76,21 +76,7 @@ class ProtocolError(Exception):
 
 def max_line_bytes() -> int:
     """``$PYGB_SERVICE_MAX_LINE`` (bytes), default 1 MiB."""
-    raw = os.environ.get("PYGB_SERVICE_MAX_LINE", "").strip()
-    if not raw:
-        return DEFAULT_MAX_LINE
-    try:
-        v = int(raw)
-        if v < 1:
-            raise ValueError
-    except ValueError:
-        warnings.warn(
-            f"pygb: bad $PYGB_SERVICE_MAX_LINE={raw!r} (valid: bytes >= 1); "
-            f"using {DEFAULT_MAX_LINE}",
-            stacklevel=2,
-        )
-        return DEFAULT_MAX_LINE
-    return v
+    return _config().service_max_line
 
 
 class RunRequest:

@@ -45,14 +45,16 @@ Supported kinds and their hook points:
 ================== ====================================================
 
 The five runtime kinds (``kernel_fail`` … ``queue_overflow``) sit on hot
-dispatch paths, so :meth:`FaultPlan.fire` takes a lock-free fast path
-when no rules are installed and ``$PYGB_FAULT`` is unset.
+dispatch paths, so :meth:`FaultPlan.fire` returns on one attribute test
+when no rule is in force; ``$PYGB_FAULT`` becomes rules when the
+configuration snapshot is built or reloaded, never inside a hook.
 """
 
 from __future__ import annotations
 
-import os
 import threading
+
+from .. import config
 
 __all__ = ["FAULT_KINDS", "FaultPlan", "FAULTS", "fault_injection"]
 
@@ -99,35 +101,46 @@ def _parse_env(raw: str) -> dict[str, _Rule]:
 
 
 class FaultPlan:
-    """Process-wide fault table, re-synced whenever ``$PYGB_FAULT``
-    changes (so tests can flip the variable without extra plumbing)."""
+    """Process-wide fault table: the rules of ``$PYGB_FAULT``, re-parsed
+    when :func:`repro.config.reload` sees the variable change, plus the
+    ones installed programmatically."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._env_raw: str | None = None
+        self._env_raw = ""
         self._rules: dict[str, _Rule] = {}
+        #: whether any rule is in force — the one test a hot path makes
+        #: before it asks :meth:`fire` about its kinds
+        self.armed = False
+        config.on_load(self._load_env)
 
     # -- configuration --------------------------------------------------
+    def _load_env(self, cfg) -> None:
+        with self._lock:
+            if cfg.fault != self._env_raw:
+                self._env_raw = cfg.fault
+                self._rules = _parse_env(cfg.fault)
+                self.armed = bool(self._rules)
+
     def install(self, kind: str, rate: float = 1.0, times: int | None = None) -> None:
         """Programmatic hook: make *kind* fire at *rate*, at most *times*
-        times (None = unlimited).  Survives until :meth:`clear` or an
-        env-var change."""
+        times (None = unlimited).  Survives until :meth:`clear` or a
+        reloaded ``$PYGB_FAULT`` that changed."""
         _check_kind(kind)
         with self._lock:
-            self._sync_env_locked()
             self._rules[kind] = _Rule(rate, times)
+            self.armed = True
 
     def clear(self) -> None:
-        """Remove every rule (env-configured rules return if the env var
-        is still set on the next sync)."""
+        """Remove every rule (env-configured rules return when a reload
+        finds the variable changed)."""
         with self._lock:
             self._rules.clear()
-            self._env_raw = os.environ.get("PYGB_FAULT", "")
+            self.armed = False
 
     def active(self) -> dict[str, dict]:
         """Current rules with their firing counts (for ``repro doctor``)."""
         with self._lock:
-            self._sync_env_locked()
             return {
                 kind: {"rate": r.rate, "times": r.times, "fired": r.fired}
                 for kind, r in self._rules.items()
@@ -135,15 +148,10 @@ class FaultPlan:
 
     # -- the hook -------------------------------------------------------
     def fire(self, kind: str) -> bool:
-        """Whether the hook point *kind* should inject its fault now.
-
-        The runtime kinds call this once per dispatch, so the common case
-        (no rules installed, ``$PYGB_FAULT`` unset) is answered without
-        taking the lock."""
-        if not self._rules and not os.environ.get("PYGB_FAULT"):
+        """Whether the hook point *kind* should inject its fault now."""
+        if not self._rules:
             return False
         with self._lock:
-            self._sync_env_locked()
             rule = self._rules.get(kind)
             if rule is None:
                 return False
@@ -155,12 +163,6 @@ class FaultPlan:
                 rule.fired += 1
                 return True
             return False
-
-    def _sync_env_locked(self) -> None:
-        raw = os.environ.get("PYGB_FAULT", "")
-        if raw != self._env_raw:
-            self._env_raw = raw
-            self._rules = _parse_env(raw)
 
 
 #: the process-wide plan every hook point consults

@@ -4,11 +4,11 @@ This module is the control plane for row-block tiling (the storage side
 lives in ``backend/tiled.py``, the executor in ``core.dispatch``'s
 ``PartitionedEngine``).  Mirroring ``schedule.py``, it exposes:
 
-* env-var knobs re-read per operation — ``$PYGB_TILES`` (``auto`` | ``1``
-  | ``<n>``) and ``$PYGB_WORKERS`` (worker-thread count, default the CPU
-  count);
-* a :class:`tiled` context manager whose innermost block overrides the
-  env vars (the DSL-level ``gb.tiled(...)``);
+* two knobs read from the configuration snapshot — ``$PYGB_TILES``
+  (``auto`` | ``1`` | ``<n>``) and ``$PYGB_WORKERS`` (worker-thread
+  count, default the CPU count);
+* a :class:`tiled` context manager whose innermost block overrides
+  them (the DSL-level ``gb.tiled(...)``);
 * deterministic process-wide counters (:func:`stats` /
   :func:`reset_stats`) that the benchmark harness and ``repro doctor``
   report — tiles created, partitioned/forwarded dispatches per op, tile
@@ -26,10 +26,8 @@ and the default configuration is machine-independent in CI.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
@@ -37,6 +35,7 @@ import numpy as np
 
 from .backend.smatrix import SparseMatrix
 from .backend.tiled import TiledMatrix
+from .config import current as _config
 
 __all__ = [
     "AUTO_TILE_MIN_NNZ",
@@ -55,12 +54,6 @@ __all__ = [
     "reset_stats",
     "stats",
 ]
-
-_FALSEY = frozenset({"0", "false", "off", "no"})
-
-#: the default worker count; read once — ``os.cpu_count()`` is a system
-#: call and the answer does not change under a running process
-_CPU_COUNT = os.cpu_count() or 1
 
 #: auto mode leaves matrices below this nnz monolithic — per-tile Python
 #: dispatch overhead swamps any bandwidth win on small operands
@@ -119,60 +112,33 @@ class tiled:
 _context = None
 
 
-def _innermost_tiled():
+def _settings() -> tuple:
+    """``(tiles mode, worker count)`` in force: the innermost
+    ``gb.tiled(...)`` block's values — one context lookup serves both —
+    over the configuration snapshot."""
     global _context
     if _context is None:
         from .core import context as _context  # on first use: core imports this module
-    return _context.find(lambda o: isinstance(o, tiled))
+    cfg = _config()
+    ctx = _context.innermost(tiled)
+    if ctx is None:
+        return cfg.tiles, cfg.workers
+    return (
+        cfg.tiles if ctx.tiles is None else ctx.tiles,
+        cfg.workers if ctx.workers is None else ctx.workers,
+    )
 
 
 def tiles_mode():
     """The active tile count: ``"auto"`` or an int ``>= 1``.  Innermost
-    ``gb.tiled(...)`` block wins over ``$PYGB_TILES`` (re-read per
-    operation, like the other execution flags)."""
-    ctx = _innermost_tiled()
-    if ctx is not None and ctx.tiles is not None:
-        return ctx.tiles
-    raw = os.environ.get("PYGB_TILES")
-    if raw is None:
-        return "auto"
-    raw = raw.strip().lower()
-    if raw in ("auto", ""):
-        return "auto"
-    try:
-        n = int(raw)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    warnings.warn(
-        f"pygb: bad $PYGB_TILES={raw!r} (valid: auto, or an integer >= 1); "
-        "using auto",
-        stacklevel=2,
-    )
-    return "auto"
+    ``gb.tiled(...)`` block wins over ``$PYGB_TILES``."""
+    return _settings()[0]
 
 
 def workers_count() -> int:
     """The worker-pool size: innermost ``gb.tiled(workers=...)`` block,
     else ``$PYGB_WORKERS``, else the CPU count."""
-    ctx = _innermost_tiled()
-    if ctx is not None and ctx.workers is not None:
-        return ctx.workers
-    raw = os.environ.get("PYGB_WORKERS")
-    if raw is not None and (raw := raw.strip()):
-        try:
-            n = int(raw)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-        warnings.warn(
-            f"pygb: bad $PYGB_WORKERS={raw!r} (valid: an integer >= 1); "
-            "using the CPU count",
-            stacklevel=2,
-        )
-    return _CPU_COUNT
+    return _settings()[1]
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +230,8 @@ def wants_partition(a: SparseMatrix) -> bool:
     :func:`partition_for` on the effective matrix."""
     if isinstance(a, TiledMatrix):
         return a.ntiles > 1
-    mode = tiles_mode()
+    mode, n = _settings()
     if mode == "auto":
-        n = workers_count()
         return n > 1 and a.nvals >= AUTO_TILE_MIN_NNZ
     return mode > 1
 
@@ -281,9 +246,8 @@ def partition_for(g: SparseMatrix):
     the block)."""
     if isinstance(g, TiledMatrix):
         return g if g.ntiles > 1 else None
-    mode = tiles_mode()
+    mode, n = _settings()
     if mode == "auto":
-        n = workers_count()
         if n <= 1 or g.nvals < AUTO_TILE_MIN_NNZ or g.nrows < 2 * n:
             return None
     else:
@@ -304,9 +268,8 @@ def maybe_tile(store):
     newly adopted matrix store through here."""
     if type(store) is not SparseMatrix:
         return store
-    mode = tiles_mode()
+    mode, n = _settings()
     if mode == "auto":
-        n = workers_count()
         if n <= 1 or store.nvals < AUTO_TILE_MIN_NNZ or store.nrows < 2 * n:
             return store
     else:

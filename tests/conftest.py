@@ -21,7 +21,31 @@ import numpy as np
 import pytest
 
 import repro as gb
+from repro import config
 from repro.core.context import use_engine
+
+
+def _reloading(method):
+    """The one place the suite keeps the configuration snapshot in step
+    with the environment: any in-process write to a ``PYGB_*`` variable
+    — ``monkeypatch.setenv``/``delenv`` and its undo, or ``os.environ``
+    directly — is followed by the ``config.reload()`` a program making
+    that write would call (a malformed value therefore warns at the
+    write, where the snapshot is parsed)."""
+
+    def wrapper(self, key, *value):
+        try:
+            return method(self, key, *value)
+        finally:
+            if key.startswith("PYGB_"):
+                config.reload()
+
+    return wrapper
+
+
+_Environ = type(os.environ)
+_Environ.__setitem__ = _reloading(_Environ.__setitem__)
+_Environ.__delitem__ = _reloading(_Environ.__delitem__)
 
 
 @pytest.fixture(params=["interpreted", "pyjit"])

@@ -423,3 +423,107 @@ class TestScheduleOnCpp:
         with gb.use_engine("interpreted"):
             ref = bfs_levels(g, 0, schedule="fixed")
         assert got._store.to_dict() == ref._store.to_dict()
+
+
+class TestBoolOutputs:
+    """NumPy's bool and uint8 are both one byte, and the kernels used to
+    store into either by ``static_cast<uint8_t>``: 256 became ``False``
+    and a bool array could hold a raw 2.  A bool output takes
+    ``value != 0`` on every engine; a uint8 output keeps wrapping."""
+
+    ENGINES = ("interpreted", "pyjit", "cpp")
+    WIDE = ([256, 2, 0, -1, 512], [0, 1, 2, 3, 5])  # 256 and 512 have a zero low byte
+
+    @staticmethod
+    def _bytes(container):
+        values = container.to_coo()[-1]
+        assert values.dtype == np.bool_
+        raw = values.view(np.uint8)
+        assert set(raw.tolist()) <= {0, 1}, raw
+        return container.to_coo()[0].tolist(), raw.tolist()
+
+    def _vector_cases(self, dtype):
+        vals, idx = self.WIDE
+        a = gb.Vector((vals, idx), shape=(6,), dtype=dtype)
+        mask = gb.Vector(([True, True, False, True], [0, 1, 2, 5]), shape=(6,), dtype=bool)
+        out = {}
+        b = gb.Vector(shape=(6,), dtype=bool)
+        b[None] = a
+        out["plain"] = self._bytes(b)
+        b = gb.Vector(([True, True], [0, 4]), shape=(6,), dtype=bool)
+        b[mask] = a
+        out["masked"] = self._bytes(b)
+        b = gb.Vector(([True, True], [0, 4]), shape=(6,), dtype=bool)
+        with gb.Accumulator("Plus"):
+            b[None] += a  # True + 256: a raw sum is neither 0 nor 1
+        out["accum"] = self._bytes(b)
+        b = gb.Vector(([True, True], [0, 4]), shape=(6,), dtype=bool)
+        with gb.Accumulator("Plus"):
+            b[~mask] += a
+        out["masked accum"] = self._bytes(b)
+        b = gb.Vector(shape=(6,), dtype=bool)
+        b[[5, 4, 3, 2, 1, 0]] = a  # the assign kernel's own cast
+        out["assign"] = self._bytes(b)
+        b = gb.Vector(shape=(6,), dtype=bool)
+        b[:] = 256
+        out["scalar"] = self._bytes(b)
+        b[:] = 0.5
+        out["fraction"] = self._bytes(b)
+        return out
+
+    def _matrix_cases(self, dtype):
+        vals, idx = self.WIDE
+        a = gb.Matrix((vals, (idx, [0, 1, 2, 3, 5])), shape=(6, 6), dtype=dtype)
+        mask = gb.Matrix(([True, True, False], ([0, 1, 5], [0, 1, 5])), shape=(6, 6), dtype=bool)
+        out = {}
+        b = gb.Matrix(shape=(6, 6), dtype=bool)
+        b[None] = a
+        out["plain"] = self._bytes(b)
+        b = gb.Matrix(([True, True], ([0, 4], [0, 4])), shape=(6, 6), dtype=bool)
+        b[mask] = a
+        out["masked"] = self._bytes(b)
+        b = gb.Matrix(([True, True], ([0, 4], [0, 4])), shape=(6, 6), dtype=bool)
+        with gb.Accumulator("Plus"):
+            b[None] += a
+        out["accum"] = self._bytes(b)
+        b = gb.Matrix(([True, True], ([0, 4], [0, 4])), shape=(6, 6), dtype=bool)
+        with gb.Accumulator("Plus"):
+            b[~mask] += a + a  # an eWise result, not an apply
+        out["masked accum"] = self._bytes(b)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint8])
+    @pytest.mark.parametrize("cases", ["_vector_cases", "_matrix_cases"])
+    def test_bool_outputs_hold_truth_on_every_engine(self, cases, dtype):
+        results = {}  # (uint8 operands wrap on construction; the accumulate legs still apply)
+        for engine in self.ENGINES:
+            with gb.use_engine(engine):
+                results[engine] = getattr(self, cases)(dtype)
+        assert results["pyjit"] == results["interpreted"]
+        assert results["cpp"] == results["interpreted"]
+        if dtype != np.uint8:
+            # position 0 holds 256: truth, not its low byte
+            assert results["cpp"]["plain"][1][0] == 1
+
+    def test_the_issue_s_reproducer(self):
+        with gb.use_engine("cpp"):
+            a = gb.Vector(([256, 2, 0], [0, 1, 2]), dtype=np.int64)
+            b = gb.Vector(shape=(3,), dtype=bool)
+            b[None] = a
+            assert b.to_coo()[1].view(np.uint8).tolist() == [1, 1, 0]
+
+    def test_uint8_outputs_keep_wrapping(self):
+        for engine in self.ENGINES:
+            with gb.use_engine(engine):
+                a = gb.Vector(([256, 258, 3], [0, 1, 2]), dtype=np.int64)
+                b = gb.Vector(shape=(3,), dtype=np.uint8)
+                b[None] = a
+                assert b.to_coo()[1].tolist() == [0, 2, 3], engine
+
+    def test_bool_reduction_does_not_wrap_at_256(self):
+        """A Plus-reduce of 256 ``True`` entries is ``True``: the bool
+        element type saturates where uint8 arithmetic came back to 0."""
+        for engine in self.ENGINES:
+            with gb.use_engine(engine):
+                u = gb.Vector((np.ones(256, dtype=bool), range(256)), shape=(256,), dtype=bool)
+                assert bool(gb.reduce(u)) is True, engine

@@ -77,9 +77,9 @@ class TestModeParsing:
         assert S.schedule_mode() == "auto"
 
     def test_unknown_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PYGB_SCHEDULE", "sideways")
         with pytest.warns(UserWarning, match="PYGB_SCHEDULE"):
-            assert S.schedule_mode() == "auto"
+            monkeypatch.setenv("PYGB_SCHEDULE", "sideways")
+        assert S.schedule_mode() == "auto"
 
     def test_tuner_gate(self, monkeypatch):
         monkeypatch.delenv("PYGB_SCHEDULE_TUNER", raising=False)
