@@ -4,9 +4,9 @@
 With no deadline scope active and ``PYGB_OP_TIMEOUT`` unset, the only
 cost ``GuardedEngine`` may add to a dispatch is one predicated branch
 (the "is any guard armed?" test) before forwarding to the inner engine.
-This script measures that cost directly on the smallest ``bench_fusion``
-case (the regime where per-op overhead matters most) and fails when the
-guarded dispatch is more than ``THRESHOLD`` (default 2%) slower than
+This script measures that cost directly on ``check_overhead``'s
+two-dispatch statement over a 256-vertex graph (the regime where per-op
+overhead matters most) and fails when the guarded dispatch is more than ``THRESHOLD`` (default 2%) slower than
 dispatching straight into the unwrapped inner stack.
 
 The A/B pair shares one engine object: ``make_engine("pyjit")`` returns
@@ -33,7 +33,7 @@ os.environ.setdefault(
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import repro as gb
-from bench_fusion import _chains
+from check_overhead import small_statement
 from repro.core.dispatch import make_engine
 
 BATCH = 200
@@ -56,8 +56,7 @@ def main() -> int:
         )
         return 2
 
-    n = 256  # bench_fusion's smallest case
-    fn = _chains(n)["mxv+apply"]
+    fn = small_statement()
     guarded = make_engine("pyjit")
     plain = guarded._inner  # identical downstream stack, guard removed
 
@@ -83,7 +82,7 @@ def main() -> int:
     best_bare = min(bare) / BATCH
     overhead = best_hooked / best_bare - 1.0
     print(
-        f"mxv+apply n={n} (pyjit, {ROUNDS} rounds x {BATCH} calls): "
+        f"mxv+apply n=256 (pyjit, {ROUNDS} rounds x {BATCH} calls): "
         f"guarded {best_hooked / 1e3:.2f} us/op, "
         f"guard-free {best_bare / 1e3:.2f} us/op, "
         f"overhead {overhead * 100:+.2f}% (budget {THRESHOLD * 100:.0f}%)"

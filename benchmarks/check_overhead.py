@@ -4,9 +4,9 @@
 With tracing off, the only instrumentation the hot path may pay is one
 predicated branch per op (``if obs.ACTIVE`` in
 ``repro.core.context.current_backend_engine`` plus the same test inside
-the engines).  This script measures that cost directly on the smallest
-``bench_fusion`` case (the regime where per-op overhead matters most)
-and fails when the hooked dispatch is more than ``THRESHOLD`` (default
+the engines).  This script measures that cost directly on a two-dispatch
+statement over a 256-vertex graph (the regime where per-op overhead
+matters most) and fails when the hooked dispatch is more than ``THRESHOLD`` (default
 2%) slower than a hook-free baseline.
 
 The baseline is produced *in the same process* by swapping a copy of
@@ -32,13 +32,28 @@ os.environ.setdefault(
 )
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import numpy as np
+
 import repro as gb
 import repro.core.context as ctx
-from bench_fusion import _chains
+from repro.io.generators import erdos_renyi
 
 BATCH = 200
 ROUNDS = 15
 THRESHOLD = float(os.environ.get("PYGB_OVERHEAD_THRESHOLD", "0.02"))
+
+
+def small_statement(n: int = 256):
+    """``w[None] = (a @ u) * 0.85`` on an n-vertex ER graph: two
+    dispatches over operands small enough that the kernels barely count."""
+    a = erdos_renyi(n, seed=n, weighted=True, dtype=float)
+    u = gb.Vector((np.random.default_rng(n).uniform(1, 2, n), np.arange(n)), shape=(n,))
+    w = gb.Vector(shape=(n,), dtype=float)
+
+    def statement():
+        w[None] = (a @ u) * 0.85
+
+    return statement
 
 
 def _plain_current_backend_engine():
@@ -84,8 +99,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    n = 256  # bench_fusion's smallest case
-    fn = _chains(n)["mxv+apply"]
+    fn = small_statement()
     with gb.use_engine("pyjit"):
         for _ in range(3):  # warm-up: JIT caches + allocator
             _batch_time(fn)
@@ -113,7 +127,7 @@ def main() -> int:
     best_plain = min(plain) / BATCH
     overhead = best_hooked / best_plain - 1.0
     print(
-        f"mxv+apply n={n} (pyjit, {ROUNDS} rounds x {BATCH} calls): "
+        f"mxv+apply n=256 (pyjit, {ROUNDS} rounds x {BATCH} calls): "
         f"hooked {best_hooked / 1e3:.2f} us/op, "
         f"hook-free {best_plain / 1e3:.2f} us/op, "
         f"overhead {overhead * 100:+.2f}% (budget {THRESHOLD * 100:.0f}%)"

@@ -9,15 +9,13 @@ kinds of metrics land in the file:
   These are machine-independent, so ``check_regression.py`` gates them
   hard against ``benchmarks/bench_baseline.json``;
 * **timing** — wall-clock medians copied from
-  ``benchmarks/results/{fusion,overhead,cold_start,service,service_batching}.json``
-  when those files exist (i.e. when ``bench_fusion.py`` /
-  ``bench_overhead.py`` / ``replay_harness.py`` / ``bench_service.py``
-  ran first).
+  ``benchmarks/results/{overhead,cold_start,service,service_batching}.json``
+  when those files exist (i.e. when ``bench_overhead.py`` /
+  ``replay_harness.py`` / ``bench_service.py`` ran first).
   Machine-dependent, recorded for trajectory plots, never gated.
 
 Usage::
 
-    python benchmarks/bench_fusion.py          # optional, for timings
     python benchmarks/bench_overhead.py        # optional, for timings
     python benchmarks/collect_bench.py [--sha abc1234] [--output PATH]
 """
@@ -45,7 +43,6 @@ from repro.core.nonblocking import reset_stats, stats  # noqa: E402
 from repro.io.generators import erdos_renyi  # noqa: E402
 
 PAGERANK_N = 256
-CHAIN_N = 128
 RMAT_SCALE = 9
 RMAT_EDGE_FACTOR = 16
 
@@ -77,12 +74,11 @@ def _env(name: str, value: str):
         config.reload()
 
 
-def _count(fn, fusion: bool) -> int:
-    with _env("PYGB_FUSION", "1" if fusion else "0"):
-        eng = CountingEngine(make_engine("pyjit"))
-        with gb.use_engine(eng):
-            fn()
-        return eng.total
+def _count(fn) -> int:
+    eng = CountingEngine(make_engine("pyjit"))
+    with gb.use_engine(eng):
+        fn()
+    return eng.total
 
 
 def _pagerank_metrics() -> dict:
@@ -101,12 +97,9 @@ def _pagerank_metrics() -> dict:
             pagerank(g, pr, threshold=1.0e-8)
         return pr
 
-    metrics = {
-        "pagerank.dispatches.fused": _count(blocking, fusion=True),
-        "pagerank.dispatches.eager": _count(blocking, fusion=False),
-    }
+    metrics = {"pagerank.dispatches.blocking": _count(blocking)}
     reset_stats()
-    metrics["pagerank.dispatches.nonblocking"] = _count(deferred, fusion=True)
+    metrics["pagerank.dispatches.nonblocking"] = _count(deferred)
     queue = stats()
     metrics["pagerank.queue.dead_stores"] = queue["dead_stores"]
     metrics["pagerank.queue.copy_elisions"] = queue["copy_elisions"]
@@ -115,30 +108,6 @@ def _pagerank_metrics() -> dict:
     rb = blocking().to_numpy()
     rn = deferred().to_numpy()
     assert np.array_equal(rb, rn), "nonblocking PageRank diverged from blocking"
-    return metrics
-
-
-def _chain_metrics() -> dict:
-    """Dispatch counts for the fusible two-op chains (fused vs eager)."""
-    import numpy as np
-
-    n = CHAIN_N
-    a = erdos_renyi(n, seed=n, weighted=True, dtype=float)
-    rng = np.random.default_rng(n)
-    u = gb.Vector((rng.uniform(1, 2, n), np.arange(n)), shape=(n,))
-    v = gb.Vector((rng.uniform(1, 2, n), np.arange(n)), shape=(n,))
-    w = gb.Vector(shape=(n,), dtype=float)
-
-    chains = {
-        "mxv_apply": lambda: w.__setitem__(None, (a @ u) * 0.85),
-        "ewise_mult_apply": lambda: w.__setitem__(None, (u * v) + 0.15),
-        "ewise_mult_reduce": lambda: gb.reduce(u * v),
-        "mxm_reduce_rows": lambda: w.__setitem__(None, gb.reduce("Plus", a @ a)),
-    }
-    metrics = {}
-    for label, fn in chains.items():
-        metrics[f"chain.{label}.dispatches.fused"] = _count(fn, fusion=True)
-        metrics[f"chain.{label}.dispatches.eager"] = _count(fn, fusion=False)
     return metrics
 
 
@@ -428,7 +397,7 @@ def _service_metrics() -> dict:
 
 def _timing_sections() -> dict:
     timings = {}
-    for name in ("fusion", "overhead", "cold_start", "service", "service_batching"):
+    for name in ("overhead", "cold_start", "service", "service_batching"):
         path = RESULTS_DIR / f"{name}.json"
         if path.exists():
             timings[name] = json.loads(path.read_text())
@@ -447,7 +416,6 @@ def main(argv=None) -> int:
     # exactly the pre-tiling dispatch stream on any machine/config
     with gb.tiled(tiles=1):
         metrics.update(_pagerank_metrics())
-        metrics.update(_chain_metrics())
         metrics.update(_schedule_metrics())
     metrics.update(_tiled_metrics())
     metrics.update(_guard_metrics())

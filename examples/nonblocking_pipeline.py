@@ -7,8 +7,7 @@ returning.  Under ``with gb.nonblocking():`` statements enqueue instead,
 and the whole pipeline executes at the first observation (or at context
 exit) — which lets the runtime
 
-* fuse producer/consumer statements across statement boundaries,
-* drop dead stores (temporaries overwritten before being read),
+* drop dead stores (values overwritten before being read),
 * elide full-container copies into store aliasing,
 * and (on the cpp engine) start background kernel compilation while the
   queue is still being built.
@@ -30,12 +29,12 @@ N = 512
 
 
 def pipeline(a, u, v, t, w):
-    """normalize → combine → scale, through a temporary ``t`` that the
-    final statement overwrites (making its first write a dead store)."""
+    """combine → scale → propagate, through a temporary ``t`` that is read
+    and then reused; the closing copy costs no kernel under the queue."""
     with gb.BinaryOp("Plus"):
         t[None] = u + v                                # producer
-        w[None] = gb.apply(gb.UnaryOp("Times", 0.85), t)  # consumer: fusible
-        t[None] = a @ w                                # kills the first t
+        w[None] = gb.apply(gb.UnaryOp("Times", 0.85), t)  # reads the pending t
+        t[None] = a @ w                                # reuses t (its value was read)
         w[:] = t                                       # full copy: elidable
     return w
 
@@ -76,8 +75,7 @@ def main() -> None:
     print(f"blocking mode   : {blocking_calls} engine dispatches")
     print(f"nonblocking mode: {deferred_calls} engine dispatches")
     print(
-        f"queue did: {queue['substitutions']} substitution(s), "
-        f"{queue['dead_stores']} dead store(s) eliminated, "
+        f"queue did: {queue['dead_stores']} dead store(s) eliminated, "
         f"{queue['copy_elisions']} copy(ies) elided, "
         f"{queue['flushes']} flush(es)"
     )

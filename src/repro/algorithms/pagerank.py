@@ -10,9 +10,10 @@ Note on fidelity: Fig. 7 contains two obvious listing artifacts (an
 uninitialised ``i`` and a trailing dead-code block after ``return``); we
 keep the loop structure and per-iteration operation sequence exactly and
 drop the artifacts, like the GBTL version in Fig. 8 does.  The squared
-error is expressed as ``reduce(delta * delta)`` so the planner can fuse
-the eWiseMult with the reduction into one kernel; with ``PYGB_FUSION=0``
-it still runs as the listing's separate eWiseMult + reduce pair.
+error is expressed as ``reduce(delta * delta)`` so the JIT engines run
+the eWiseMult and the reduction as one kernel
+(``ewise_mult_vec_reduce_scalar``); on the ``interpreted`` engine it still
+runs as the listing's separate eWiseMult + reduce pair.
 """
 
 from __future__ import annotations

@@ -24,19 +24,13 @@ from .assign_ import (
     assign_mat_scalar,
     assign_vec_scalar,
 )
-from .fused import (
-    apply_result_dtype,
-    mxv_apply,
-    vxm_apply,
-    ewise_add_vec_apply,
-    ewise_mult_vec_apply,
-    ewise_add_mat_apply,
-    ewise_mult_mat_apply,
-    mxm_reduce_rows,
-    apply_assign_vec,
-    ewise_add_vec_reduce_scalar,
-    ewise_mult_vec_reduce_scalar,
-)
+from . import fused
+from .fused import ewise_add_vec_reduce_scalar, ewise_mult_vec_reduce_scalar
+
+#: the engine methods that are fused producer+consumer kernels — the one
+#: list the JIT engines (``fused=True`` spec parameter) and the tracer
+#: (``fused`` span attribute) take their names from
+FUSED_KERNELS = frozenset(fused.__all__)
 
 __all__ = [
     "OpDesc",
@@ -63,15 +57,7 @@ __all__ = [
     "assign_vec",
     "assign_mat_scalar",
     "assign_vec_scalar",
-    "apply_result_dtype",
-    "mxv_apply",
-    "vxm_apply",
-    "ewise_add_vec_apply",
-    "ewise_mult_vec_apply",
-    "ewise_add_mat_apply",
-    "ewise_mult_mat_apply",
-    "mxm_reduce_rows",
-    "apply_assign_vec",
     "ewise_add_vec_reduce_scalar",
     "ewise_mult_vec_reduce_scalar",
+    "FUSED_KERNELS",
 ]

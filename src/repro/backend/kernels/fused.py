@@ -1,131 +1,23 @@
-"""Reference implementations of the fused kernels.
+"""Reference implementations of the two reduce-site fused kernels.
 
-Each fused kernel here is the *literal* two-step composition the planner
-replaces: materialise the producer into a temporary of its natural dtype,
-then run the consumer.  By construction these are bit-identical to the
-unfused dispatch sequence, which makes them the oracle the differential
-tests (and the ``interpreted`` engine's fused methods) check the JIT
-engines' single-pass fused modules against.
+Each is the *literal* two-step composition ``gb.reduce(u ⊕ v)`` would
+otherwise dispatch: materialise the elementwise result into a temporary
+of its natural dtype, then reduce it.  By construction they are
+bit-identical to the unfused sequence, which makes them the oracle the
+differential tests (and the ``interpreted`` engine's methods) check the
+JIT engines' single-pass modules against.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..smatrix import SparseMatrix
 from ..svector import SparseVector
 from ..ops_table import binary_result_dtype
 from .common import OpDesc
-from .apply_ import apply_mat, apply_vec
-from .assign_ import assign_vec
-from .ewise import ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec
-from .mxm import mxm
-from .mxv import mxv, vxm
-from .reduce_ import reduce_rows, reduce_vec_scalar
+from .ewise import ewise_add_vec, ewise_mult_vec
+from .reduce_ import reduce_vec_scalar
 
-__all__ = [
-    "apply_result_dtype",
-    "mxv_apply",
-    "vxm_apply",
-    "ewise_add_vec_apply",
-    "ewise_mult_vec_apply",
-    "ewise_add_mat_apply",
-    "ewise_mult_mat_apply",
-    "mxm_reduce_rows",
-    "apply_assign_vec",
-    "ewise_add_vec_reduce_scalar",
-    "ewise_mult_vec_reduce_scalar",
-]
-
-
-def apply_result_dtype(op_spec, in_dtype) -> np.dtype:
-    """The natural output dtype of ``apply(op_spec, x)`` for an operand of
-    *in_dtype* — mirrors ``Apply.result_dtype``."""
-    if op_spec[0] == "bind":
-        return binary_result_dtype(op_spec[1], in_dtype, np.asarray(op_spec[2]).dtype)
-    if op_spec[1] == "LogicalNot":
-        return np.dtype(np.bool_)
-    return np.dtype(in_dtype)
-
-
-def _semiring_dtype(add_op, mult_op, da, db) -> np.dtype:
-    t = binary_result_dtype(mult_op, da, db)
-    return binary_result_dtype(add_op, t, t)
-
-
-def mxv_apply(w, a, u, add_op, mult_op, op_spec, desc=OpDesc(), transpose_a=False):
-    """``w<m, z> = w (accum) f(A ⊕.⊗ u)``."""
-    pdt = _semiring_dtype(add_op, mult_op, a.dtype, u.dtype)
-    nrows = a.ncols if transpose_a else a.nrows
-    t = mxv(SparseVector.empty(nrows, pdt), a, u, add_op, mult_op, OpDesc(), transpose_a)
-    return apply_vec(w, t, op_spec, desc)
-
-
-def vxm_apply(w, u, a, add_op, mult_op, op_spec, desc=OpDesc(), transpose_a=False):
-    """``w<m, z> = w (accum) f(u ⊕.⊗ A)``."""
-    pdt = _semiring_dtype(add_op, mult_op, u.dtype, a.dtype)
-    size = a.nrows if transpose_a else a.ncols
-    t = vxm(SparseVector.empty(size, pdt), u, a, add_op, mult_op, OpDesc(), transpose_a)
-    return apply_vec(w, t, op_spec, desc)
-
-
-def ewise_add_vec_apply(w, u, v, op, op_spec, desc=OpDesc()):
-    """``w<m, z> = w (accum) f(u ⊕ v)``."""
-    pdt = binary_result_dtype(op, u.dtype, v.dtype)
-    t = ewise_add_vec(SparseVector.empty(u.size, pdt), u, v, op, OpDesc())
-    return apply_vec(w, t, op_spec, desc)
-
-
-def ewise_mult_vec_apply(w, u, v, op, op_spec, desc=OpDesc()):
-    """``w<m, z> = w (accum) f(u ⊗ v)``."""
-    pdt = binary_result_dtype(op, u.dtype, v.dtype)
-    t = ewise_mult_vec(SparseVector.empty(u.size, pdt), u, v, op, OpDesc())
-    return apply_vec(w, t, op_spec, desc)
-
-
-def _ewise_mat_shape(a, transpose_a):
-    return (a.ncols, a.nrows) if transpose_a else a.shape
-
-
-def ewise_add_mat_apply(c, a, b, op, op_spec, desc=OpDesc(), transpose_a=False, transpose_b=False):
-    """``C<M, z> = C (accum) f(A ⊕ B)``."""
-    pdt = binary_result_dtype(op, a.dtype, b.dtype)
-    shape = _ewise_mat_shape(a, transpose_a)
-    t = ewise_add_mat(
-        SparseMatrix.empty(shape[0], shape[1], pdt), a, b, op, OpDesc(),
-        transpose_a, transpose_b,
-    )
-    return apply_mat(c, t, op_spec, desc)
-
-
-def ewise_mult_mat_apply(c, a, b, op, op_spec, desc=OpDesc(), transpose_a=False, transpose_b=False):
-    """``C<M, z> = C (accum) f(A ⊗ B)``."""
-    pdt = binary_result_dtype(op, a.dtype, b.dtype)
-    shape = _ewise_mat_shape(a, transpose_a)
-    t = ewise_mult_mat(
-        SparseMatrix.empty(shape[0], shape[1], pdt), a, b, op, OpDesc(),
-        transpose_a, transpose_b,
-    )
-    return apply_mat(c, t, op_spec, desc)
-
-
-def mxm_reduce_rows(w, a, b, add_op, mult_op, rop, desc=OpDesc(), transpose_a=False, transpose_b=False):
-    """``w<m, z> = w (accum) [⊕_j (A ⊕.⊗ B)(:, j)]``."""
-    pdt = _semiring_dtype(add_op, mult_op, a.dtype, b.dtype)
-    nrows = a.ncols if transpose_a else a.nrows
-    ncols = b.nrows if transpose_b else b.ncols
-    t = mxm(
-        SparseMatrix.empty(nrows, ncols, pdt), a, b, add_op, mult_op, OpDesc(),
-        transpose_a, transpose_b,
-    )
-    return reduce_rows(w, t, rop, desc)
-
-
-def apply_assign_vec(w, u, op_spec, idx, desc=OpDesc()):
-    """``w<m, z>(i) = w(i) (accum) f(u)``."""
-    pdt = apply_result_dtype(op_spec, u.dtype)
-    t = apply_vec(SparseVector.empty(u.size, pdt), u, op_spec, OpDesc())
-    return assign_vec(w, t, idx, desc)
+#: exactly the fused engine methods: ``kernels.FUSED_KERNELS`` is this list
+__all__ = ["ewise_add_vec_reduce_scalar", "ewise_mult_vec_reduce_scalar"]
 
 
 def ewise_add_vec_reduce_scalar(u, v, op, rop, identity=None):

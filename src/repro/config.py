@@ -38,7 +38,6 @@ class Config:
     cache_dir: str | None = None
     parallel: bool = True
     threads: int | None = None  # for the record: the C++ kernels getenv it themselves, per call
-    fusion: bool = True
     schedule: str = "auto"
     schedule_tuner: bool = True
     tiles: int | str = "auto"
@@ -147,7 +146,6 @@ def _from_env(env) -> Config:
         cache_dir=get("PYGB_CACHE_DIR") or None,
         parallel=_switch(env, "PYGB_PARALLEL", True),
         threads=threads if threads > 0 else None,
-        fusion=_switch(env, "PYGB_FUSION", True),
         schedule=_schedule(env),
         schedule_tuner=_switch(env, "PYGB_SCHEDULE_TUNER", True, empty=True),
         tiles=_count(env, "PYGB_TILES", "auto", "auto, or an integer >= 1"),

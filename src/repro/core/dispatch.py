@@ -48,8 +48,9 @@ class InterpretedEngine:
     """Direct kernel calls with per-call operator resolution (no JIT)."""
 
     name = "interpreted"
-    #: the planner never rewrites plans for this engine — it is the
-    #: unfused ablation baseline the differential tests compare against
+    #: ``gb.reduce`` never folds its operand into the reduction on this
+    #: engine — it is the unfused baseline the differential tests compare
+    #: against
     supports_fusion = False
 
     # -- multiplication ------------------------------------------------
@@ -122,34 +123,11 @@ class InterpretedEngine:
     def assign_vec_scalar(self, out, value, idx, desc):
         return K.assign_vec_scalar(out, value, idx, desc)
 
-    # -- fused reference kernels -----------------------------------------
-    # Exposed so the differential tests can call the two-step reference
-    # compositions directly; the planner itself skips this engine
-    # (supports_fusion is False), so normal dispatch never reaches these.
-    def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        return K.mxv_apply(out, a, u, add, mult, op_spec, desc, ta)
-
-    def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        return K.vxm_apply(out, u, a, add, mult, op_spec, desc, ta)
-
-    def ewise_add_vec_apply(self, out, u, v, op, op_spec, desc):
-        return K.ewise_add_vec_apply(out, u, v, op, op_spec, desc)
-
-    def ewise_mult_vec_apply(self, out, u, v, op, op_spec, desc):
-        return K.ewise_mult_vec_apply(out, u, v, op, op_spec, desc)
-
-    def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return K.ewise_add_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
-
-    def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return K.ewise_mult_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
-
-    def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        return K.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb)
-
-    def apply_assign_vec(self, out, u, op_spec, idx, desc):
-        return K.apply_assign_vec(out, u, op_spec, idx, desc)
-
+    # -- the reduce-site fused pair ---------------------------------------
+    # The two-step reference compositions: what the JIT engines' one-pass
+    # kernels are checked against, and the last link of the fallback
+    # chain.  ``functions.reduce`` itself skips this engine
+    # (supports_fusion is False).
     def ewise_add_vec_reduce_scalar(self, u, v, op, rop, identity):
         return K.ewise_add_vec_reduce_scalar(u, v, op, rop, identity)
 
@@ -159,7 +137,7 @@ class InterpretedEngine:
 
 class CountingEngine:
     """Wraps any engine, counting calls per method name — the measurement
-    device behind the "fusion saves engine calls" tests and benchmarks."""
+    device behind the dispatch-count tests and benchmarks."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -185,7 +163,7 @@ class CountingEngine:
 
 
 #: the full engine interface (InterpretedEngine implements every method,
-#: including the fused reference kernels) — only these are wrapped with
+#: including the two fused reference kernels) — only these are wrapped with
 #: fallback logic; any other attribute forwards to the primary engine
 _DISPATCH_METHODS = frozenset(
     name
@@ -451,42 +429,6 @@ class PartitionedEngine:
             sched=sched, edges=int(g.indices.size),
         )
 
-    def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        inner = self._inner
-        if not tiling.wants_partition(a):
-            return inner.mxv_apply(out, a, u, add, mult, op_spec, desc, ta)
-        g = a.transposed() if ta else a
-        part = None
-        if u.size == g.ncols and out.size == g.nrows and _vec_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled("mxv_apply", a)
-            return inner.mxv_apply(out, a, u, add, mult, op_spec, desc, ta)
-        u.dense_lookup()
-        return self._fan_vec(
-            "mxv_apply", part, out, desc,
-            lambda tile, w, d: inner.mxv_apply(w, tile, u, add, mult, op_spec, d, False),
-            lambda: inner.mxv_apply(out, a, u, add, mult, op_spec, desc, ta),
-        )
-
-    def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        inner = self._inner
-        if not tiling.wants_partition(a):
-            return inner.vxm_apply(out, u, a, add, mult, op_spec, desc, ta)
-        g = a if ta else a.transposed()
-        part = None
-        if u.size == g.ncols and out.size == g.nrows and _vec_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled("vxm_apply", a)
-            return inner.vxm_apply(out, u, a, add, mult, op_spec, desc, ta)
-        u.dense_lookup()
-        return self._fan_vec(
-            "vxm_apply", part, out, desc,
-            lambda tile, w, d: inner.vxm_apply(w, u, tile, add, mult, op_spec, d, True),
-            lambda: inner.vxm_apply(out, u, a, add, mult, op_spec, desc, ta),
-        )
-
     # -- matrix-matrix multiplication -----------------------------------
     def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
         inner = self._inner
@@ -512,28 +454,6 @@ class PartitionedEngine:
             lambda: inner.mxm(out, a, b, add, mult, desc, ta, tb),
         )
 
-    def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        inner = self._inner
-        if not tiling.wants_partition(a):
-            return inner.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb)
-        g = a.transposed() if ta else a
-        bshape = (b.ncols, b.nrows) if tb else b.shape
-        part = None
-        if g.ncols == bshape[0] and out.size == g.nrows and _vec_mask_ok(desc, out):
-            part = tiling.partition_for(g)
-        if part is None:
-            self._note_forward_if_tiled("mxm_reduce_rows", a)
-            return inner.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb)
-        if tb:
-            b.transposed()
-        # the row reduction never crosses a tile boundary (tiles are whole
-        # rows), so any monoid — float Plus included — stays bit-identical
-        return self._fan_vec(
-            "mxm_reduce_rows", part, out, desc,
-            lambda tile, w, d: inner.mxm_reduce_rows(w, tile, b, add, mult, rop, d, False, tb),
-            lambda: inner.mxm_reduce_rows(out, a, b, add, mult, rop, desc, ta, tb),
-        )
-
     # -- streaming maps: monolithic, with re-tiled outputs ----------------
     # eWise, apply and select move each stored entry once; stitching row
     # tiles would move them all again, so a fan-out cannot win on any
@@ -546,18 +466,6 @@ class PartitionedEngine:
     def ewise_mult_mat(self, out, a, b, op, desc, ta=False, tb=False):
         self._note_forward_if_tiled("ewise_mult_mat", a)
         return tiling.maybe_tile(self._inner.ewise_mult_mat(out, a, b, op, desc, ta, tb))
-
-    def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        self._note_forward_if_tiled("ewise_add_mat_apply", a)
-        return tiling.maybe_tile(
-            self._inner.ewise_add_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
-        )
-
-    def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        self._note_forward_if_tiled("ewise_mult_mat_apply", a)
-        return tiling.maybe_tile(
-            self._inner.ewise_mult_mat_apply(out, a, b, op, op_spec, desc, ta, tb)
-        )
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
         self._note_forward_if_tiled("apply_mat", a)

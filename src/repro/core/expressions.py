@@ -8,9 +8,9 @@ wrapping the operands and the semiring captured from the enclosing
 too, so ``apply(A @ u)`` is a two-node DAG rather than a forced temporary
 plus a node.  The tree is evaluated
 
-* inside ``C.__setitem__`` — lowered through :mod:`repro.core.plan` into
-  ``C`` with ``C``'s mask, accumulator and replace flag (and, when the
-  engine supports it, with adjacent nodes fused into single kernels); or
+* inside ``C.__setitem__`` — :func:`repro.core.plan.evaluate` runs the
+  root node into ``C`` with ``C``'s mask, accumulator and replace flag,
+  each deferred operand materialising (once) on the way down; or
 * by a *terminating operation*: any use that treats the expression like a
   container (reading ``nvals``, indexing it, converting it) forces
   evaluation into a fresh container, which is what plain ``C = A @ B``
@@ -66,17 +66,6 @@ def _unwrap(operand):
     if isinstance(operand, TransposeView):
         return operand.parent, True
     return operand, False
-
-
-def _as_container(operand):
-    """Materialise expression operands.  Only the call sites that truly
-    need a container use this (the result is cached on the expression, so
-    an operand shared by two enclosing expressions evaluates once)."""
-    if isinstance(operand, Expression):
-        return operand.new()
-    if isinstance(operand, TransposeView):
-        return operand  # resolved later via the transpose flag
-    return operand
 
 
 # -- deferred-operand helpers: expressions stay lazy in operand slots ----
@@ -135,9 +124,8 @@ class Expression:
 
     #: subclasses set: does this expression produce a Matrix or a Vector?
     produces_matrix = True
-    #: plan-IR metadata: the node kind and the attribute names holding
-    #: operands that may themselves be deferred expressions
-    kind = "op"
+    #: the attribute names holding operands that may themselves be
+    #: deferred expressions
     operand_slots: tuple = ()
 
     def __init__(self):
@@ -153,21 +141,6 @@ class Expression:
     def eval_into(self, out, desc: OpDesc):
         """Evaluate directly into DSL container *out* (no temporaries)."""
         raise NotImplementedError
-
-    # -- plan-IR interface ------------------------------------------------
-    @property
-    def plan_kind(self) -> str:
-        """The node kind the planner's peephole rules match on."""
-        return self.kind
-
-    def plan_children(self):
-        """``(slot, child_expression)`` pairs for deferred operands."""
-        out = []
-        for slot in self.operand_slots:
-            child = getattr(self, slot)
-            if isinstance(child, Expression):
-                out.append((slot, child))
-        return out
 
     # -- materialisation --------------------------------------------------
     def new(self, dtype=None):
@@ -310,7 +283,6 @@ class MXM(Expression):
     """``A ⊕.⊗ B`` — semiring captured at construction time."""
 
     produces_matrix = True
-    kind = "mxm"
     operand_slots = ("a", "b")
 
     def __init__(self, a, b, semiring=None):
@@ -340,7 +312,6 @@ class MXV(Expression):
     """``A ⊕.⊗ u``."""
 
     produces_matrix = False
-    kind = "mxv"
     operand_slots = ("a", "u")
 
     def __init__(self, a, u, semiring=None):
@@ -376,7 +347,6 @@ class VXM(Expression):
     ``page_rank @ m``)."""
 
     produces_matrix = False
-    kind = "vxm"
     operand_slots = ("u", "a")
 
     def __init__(self, u, a, semiring=None):
@@ -420,10 +390,6 @@ class _EWise(Expression):
         self.op = type(self).resolve(op)
         self.produces_matrix = not _is_vec(self.a)
 
-    @property
-    def plan_kind(self):
-        return f"{self.kind}_{'mat' if self.produces_matrix else 'vec'}"
-
     def result_shape(self):
         if self.produces_matrix and self.ta:
             return _shape_of(self.a)[::-1]
@@ -451,7 +417,6 @@ class EWiseAdd(_EWise):
     resolve = staticmethod(operators.resolve_ewise_add_op)
     engine_mat = "ewise_add_mat"
     engine_vec = "ewise_add_vec"
-    kind = "ewise_add"
 
 
 class EWiseMult(_EWise):
@@ -460,14 +425,12 @@ class EWiseMult(_EWise):
     resolve = staticmethod(operators.resolve_ewise_mult_op)
     engine_mat = "ewise_mult_mat"
     engine_vec = "ewise_mult_vec"
-    kind = "ewise_mult"
 
 
 class Apply(Expression):
     """``fᵤ(A)`` — unary operator captured from context or given
     explicitly (``gb.apply``)."""
 
-    kind = "apply"
     operand_slots = ("a",)
 
     def __init__(self, a, op=None):
@@ -475,10 +438,6 @@ class Apply(Expression):
         self.a, self.ta = _unwrap(a)
         self.op_spec = operators.resolve_unary_spec(op)
         self.produces_matrix = not _is_vec(self.a)
-
-    @property
-    def plan_kind(self):
-        return f"apply_{'mat' if self.produces_matrix else 'vec'}"
 
     def result_shape(self):
         if self.produces_matrix and self.ta:
@@ -505,7 +464,6 @@ class ReduceRows(Expression):
     """``[⊕ⱼ A(:, j)]`` — row-wise monoid reduction to a vector."""
 
     produces_matrix = False
-    kind = "reduce_rows"
     operand_slots = ("a",)
 
     def __init__(self, a, monoid=None):
@@ -530,7 +488,6 @@ class ExtractMat(Expression):
     """``A(i, j)`` as a sub-matrix."""
 
     produces_matrix = True
-    kind = "extract_mat"
     operand_slots = ("a",)
 
     def __init__(self, a, rows, cols, ta=False):
@@ -558,7 +515,6 @@ class ExtractVec(Expression):
     matrix before building this expression."""
 
     produces_matrix = False
-    kind = "extract_vec"
 
     def __init__(self, source_vec_store_fn, size, indices):
         super().__init__()
@@ -582,7 +538,6 @@ class Select(Expression):
     """``select(op, A, k)`` — keep stored entries satisfying a positional
     or value predicate (``GrB_select``)."""
 
-    kind = "select"
     operand_slots = ("a",)
 
     def __init__(self, a, op, thunk=0):
@@ -591,10 +546,6 @@ class Select(Expression):
         self.op = op
         self.thunk = thunk
         self.produces_matrix = not _is_vec(self.a)
-
-    @property
-    def plan_kind(self):
-        return f"select_{'mat' if self.produces_matrix else 'vec'}"
 
     def result_shape(self):
         if self.produces_matrix and self.ta:
@@ -620,7 +571,6 @@ class Kronecker(Expression):
     """``kron(A, B)`` over a binary ``⊗`` (``GrB_kronecker``)."""
 
     produces_matrix = True
-    kind = "kronecker"
     operand_slots = ("a", "b")
 
     def __init__(self, a, b, op=None):
@@ -648,7 +598,6 @@ class TransposeExpr(Expression):
     """``Aᵀ`` in assignment position: ``C[M] = A.T``."""
 
     produces_matrix = True
-    kind = "transpose"
     operand_slots = ("a",)
 
     def __init__(self, a):

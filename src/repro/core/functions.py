@@ -30,7 +30,6 @@ from .expressions import (
     TransposeView,
     _store_of,
 )
-from .plan import fusion_enabled
 
 __all__ = ["reduce", "apply", "transpose", "select", "kron"]
 
@@ -53,17 +52,16 @@ def reduce(*args):
     if isinstance(operand, Expression):
         is_vector = not operand.produces_matrix
         if monoid is not None and not is_vector:
-            return ReduceRows(operand, monoid)  # stays deferred → may fuse
+            return ReduceRows(operand, monoid)  # stays deferred
         op, identity = operators.resolve_reduce_monoid(monoid)
         eng = current_backend_engine()
         # fold an elementwise producer straight into the reduction when
-        # the planner is on and the engine has the fused kernel
+        # the engine has the fused kernel
         if is_vector and operand._materialized is None:
             fused_name = {EWiseAdd: "ewise_add_vec_reduce_scalar",
                           EWiseMult: "ewise_mult_vec_reduce_scalar"}.get(type(operand))
             if (
                 fused_name is not None
-                and fusion_enabled()
                 and getattr(eng, "supports_fusion", False)
                 and hasattr(eng, fused_name)
             ):
@@ -98,7 +96,7 @@ def apply(*args):
         raise InvalidValue(f"apply takes 1 or 2 arguments, got {len(args)}")
     if op is not None and not isinstance(op, operators.UnaryOp):
         raise InvalidValue("the explicit operator for apply must be a UnaryOp")
-    return Apply(operand, op)  # operand stays deferred (planner may fuse it)
+    return Apply(operand, op)  # operand stays deferred
 
 
 def transpose(a):

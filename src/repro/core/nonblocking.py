@@ -16,13 +16,6 @@ until the queue flushes.  Flushes happen
 
 What the queue buys over per-statement dispatch:
 
-* **cross-statement fusion** — when statement N writes a temporary that
-  statement N+1 consumes, the consumer's expression tree is stitched to
-  the producer's *at enqueue time*.  If the temporary is then overwritten
-  (dead), the producer entry is skipped and the stitched multi-statement
-  DAG reaches the fusion planner (:mod:`repro.jit.fusion`) as one graph,
-  so ``t[None] = u + v; w[None] = gb.apply(t); t[None] = ...`` collapses
-  into a single ``ewise_add_vec_apply`` kernel;
 * **dead-store elimination** — a full overwrite whose value is never
   read is dropped entirely;
 * **copy elision** — ``w[:] = u`` / ``C[None] = A`` with no mask or
@@ -36,15 +29,14 @@ What the queue buys over per-statement dispatch:
 
 Hazard rules (all verified by ``tests/test_nonblocking.py``):
 
-* entries execute **in program order** at flush, so RAW hazards on
-  late-bound container operands resolve naturally;
+* entries execute **in program order** at flush and operands are
+  late-bound (a container's store is read when its reader replays), so
+  RAW and WAR hazards resolve naturally: a statement that reads a
+  pending temporary registers the read (``store_needed``), the producer
+  runs at its own position, and an overwrite of the temporary enqueued
+  after the reader lands after it;
 * WAW: a full unmasked overwrite marks the previous full overwrite of
   the same container dead (unless a later statement reads its store);
-* WAR: when a dead producer's *expression* is still referenced by a
-  consumer (substitution) and one of its inputs is overwritten by an
-  intermediate statement, the producer is force-evaluated at its own
-  queue position instead of being skipped, so the consumer sees the
-  pre-overwrite value;
 * statements the queue cannot represent exactly (extractions with
   late-binding closures, expressions shared across statements, scalar
   observations) fall back to the blocking path, whose operand reads
@@ -97,8 +89,8 @@ _DEFERRABLE = frozenset(
 )
 
 _COUNTER_KEYS = (
-    "enqueued", "flushes", "dead_stores", "copy_elisions", "substitutions",
-    "forced_evals", "prefetch_submitted", "flush_errors",
+    "enqueued", "flushes", "dead_stores", "copy_elisions",
+    "prefetch_submitted", "flush_errors",
 )
 
 
@@ -118,8 +110,7 @@ class _Entry:
 
     __slots__ = (
         "target", "kind", "expr", "desc", "thunk", "source", "engine",
-        "consumers", "store_needed", "dead", "force_eval", "reads",
-        "read_refs", "subst_ok", "seq",
+        "store_needed", "dead", "read_refs", "seq",
     )
 
     def __init__(self, target, kind):
@@ -130,25 +121,20 @@ class _Entry:
         self.thunk = None
         self.source = None
         self.engine = None
-        self.consumers = 0      #: times self.expr was stitched into a later entry
         self.store_needed = False  #: a later statement reads target's store
         self.dead = False       #: overwritten before any store read
-        self.force_eval = False  #: dead, but consumers need the pre-WAR value
-        self.reads = set()      #: id() of containers read (late-bound)
-        self.read_refs = []     #: the read containers themselves (incl. inherited)
-        self.subst_ok = False   #: expr's natural dtype == target dtype
-        self.seq = -1           #: queue position (for read-overwrite ordering)
+        self.read_refs = []     #: the containers read (late-bound)
+        self.seq = -1           #: queue position
 
 
 class LazyQueue:
     """Per-thread deferred-statement queue."""
 
-    __slots__ = ("entries", "expr_ids", "refs", "counters", "flushing", "max_len")
+    __slots__ = ("entries", "expr_ids", "counters", "flushing", "max_len")
 
     def __init__(self, max_len: int):
         self.entries: list[_Entry] = []
         self.expr_ids: set[int] = set()  #: id() of every enqueued expression node
-        self.refs: list = []  #: keeps read containers alive so ids stay unique
         self.counters = dict.fromkeys(_COUNTER_KEYS, 0)
         self.flushing = False
         self.max_len = max_len
@@ -274,11 +260,11 @@ def enqueue_assign(target, setkey, index_key, value, accum) -> bool:
     if isinstance(value, Expression):
         if value._materialized is None and not _deferrable(value, q, set()):
             return False
-        _substitute(value, q, entry, set())
+        _register_reads(value, q, entry, set())
     elif isinstance(value, TransposeView):
-        _register_read(value.parent, q, entry)
+        _register_read(value.parent, entry)
     elif isinstance(value, Container):
-        _register_read(value, q, entry)
+        _register_read(value, entry)
     elif not _is_scalar(value):
         return False  # invalid value: let the blocking path raise eagerly
     frozen = setkey.frozen()
@@ -287,9 +273,9 @@ def enqueue_assign(target, setkey, index_key, value, accum) -> bool:
     # statement, and a poisoned entry must never sit in the queue waiting
     # to detonate under an unrelated observation
     target._validate_index(index_key)
-    _register_read(target, q, entry)  # read-modify-write
+    _register_read(target, entry)  # read-modify-write
     if frozen.mask is not None:
-        _register_read(frozen.mask, q, entry)
+        _register_read(frozen.mask, entry)
     entry.engine = current_raw_engine()
     entry.thunk = lambda: target._assign_exec(frozen, index_key, value, accum)
     _commit(q, target, entry, kill=False)
@@ -310,19 +296,7 @@ def _enqueue_copy(q, target, source) -> bool:
     if source._backing.dtype != target._backing.dtype:
         return False
     entry = _Entry(target, "copy")
-    src_entry = source._nb_entry
-    if src_entry is not None and src_entry.kind == "expr" and src_entry.subst_ok:
-        # copying a pending expression result: share the expression so the
-        # copy stays correct even if `source` is overwritten in between
-        entry.kind = "expr"
-        entry.expr = src_entry.expr
-        entry.desc = OpDesc()
-        entry.subst_ok = True  # dtypes equal and producer was subst_ok
-        src_entry.consumers += 1
-        entry.reads |= src_entry.reads
-        entry.read_refs.extend(src_entry.read_refs)
-    else:
-        _register_read(source, q, entry)
+    _register_read(source, entry)
     entry.source = source
     entry.engine = current_raw_engine()
     _commit(q, target, entry)
@@ -336,10 +310,9 @@ def _enqueue_expr(q, target, expr, setkey) -> bool:
         # re-dispatches; keep dispatch parity by not short-circuiting
         return False
     entry = _Entry(target, "expr")
-    _substitute(expr, q, entry, set())
+    _register_reads(expr, q, entry, set())
     entry.expr = expr
     entry.desc = OpDesc(replace=setkey.resolved_replace())
-    entry.subst_ok = np.dtype(expr.result_dtype()) == target._backing.dtype
     entry.engine = current_raw_engine()
     _commit(q, target, entry)
     _maybe_prefetch(q, entry)
@@ -348,11 +321,11 @@ def _enqueue_expr(q, target, expr, setkey) -> bool:
 
 def _enqueue_thunk_set(q, target, expr, setkey, accum) -> bool:
     entry = _Entry(target, "thunk")
-    _substitute(expr, q, entry, set())
+    _register_reads(expr, q, entry, set())
     frozen = setkey.frozen()
-    _register_read(target, q, entry)  # masked/accumulated writes merge into target
+    _register_read(target, entry)  # masked/accumulated writes merge into target
     if frozen.mask is not None:
-        _register_read(frozen.mask, q, entry)
+        _register_read(frozen.mask, entry)
     entry.engine = current_raw_engine()
     entry.thunk = lambda: target._set_masked_exec(frozen, expr, accum)
     _commit(q, target, entry, kill=False)
@@ -360,7 +333,7 @@ def _enqueue_thunk_set(q, target, expr, setkey, accum) -> bool:
 
 
 # ----------------------------------------------------------------------
-# expression walking: validation, stitching, read registration
+# expression walking: validation, read registration
 # ----------------------------------------------------------------------
 
 def _deferrable(expr, q, seen) -> bool:
@@ -376,7 +349,7 @@ def _deferrable(expr, q, seen) -> bool:
     if id(expr) in q.expr_ids:
         return False  # same node already enqueued by an earlier statement
     if id(expr) in seen:
-        return True  # diamond inside one statement: the plan dedups by id
+        return True  # diamond inside one statement: new() evaluates it once
     seen.add(id(expr))
     for slot in expr.operand_slots:
         child = getattr(expr, slot)
@@ -385,10 +358,9 @@ def _deferrable(expr, q, seen) -> bool:
     return True
 
 
-def _substitute(expr, q, entry, seen) -> None:
-    """Stitch pending producers into *expr*'s container slots and register
-    late-bound reads.  Only called after :func:`_deferrable` passed, so it
-    cannot fail midway."""
+def _register_reads(expr, q, entry, seen) -> None:
+    """Register the late-bound container reads of *expr*'s tree.  Only
+    called after :func:`_deferrable` passed, so it cannot fail midway."""
     if expr._materialized is not None or id(expr) in seen:
         return
     seen.add(id(expr))
@@ -396,46 +368,16 @@ def _substitute(expr, q, entry, seen) -> None:
     for slot in expr.operand_slots:
         child = getattr(expr, slot)
         if isinstance(child, Expression):
-            _substitute(child, q, entry, seen)
-            continue
-        producer = getattr(child, "_nb_entry", None)
-        if (
-            producer is not None
-            and producer.kind == "expr"
-            and producer.subst_ok
-            and not producer.dead
-        ):
-            # RAW through a pending temporary: splice the producer's tree
-            # in; if the temporary later dies this becomes one fused DAG.
-            # The consumer inherits the producer's reads so WAR detection
-            # stays transitive through chains of stitched producers.
-            producer.consumers += 1
-            setattr(expr, slot, producer.expr)
-            entry.reads |= producer.reads
-            entry.read_refs.extend(producer.read_refs)
-            q.counters["substitutions"] += 1
+            _register_reads(child, q, entry, seen)
         else:
-            _register_read(child, q, entry)
+            _register_read(child, entry)
 
 
-def _register_read(container, q, entry) -> None:
-    entry.reads.add(id(container))
+def _register_read(container, entry) -> None:
     entry.read_refs.append(container)
-    q.refs.append(container)
     pending = container._nb_entry
     if pending is not None:
         pending.store_needed = True
-
-
-def _reads_overwritten(entry) -> bool:
-    """True when any container *entry* reads has a pending write enqueued
-    after it — i.e. in-order replay at *entry*'s own position would see a
-    value newer than the one the statement observed."""
-    for rc in entry.read_refs:
-        later = rc._nb_entry
-        if later is not None and later.seq > entry.seq:
-            return True
-    return False
 
 
 def _commit(q, target, entry, kill: bool = True) -> None:
@@ -445,22 +387,7 @@ def _commit(q, target, entry, kill: bool = True) -> None:
         # WAW: full overwrite of a value nobody read — drop the old write
         prev.dead = True
         q.counters["dead_stores"] += 1
-        if prev.consumers and _reads_overwritten(prev):
-            # WAR: a consumer stitched prev's expression, but one of its
-            # inputs already has a later pending overwrite — evaluating
-            # lazily at the consumer's position would see the new value,
-            # so evaluate prev at its own position instead
-            prev.force_eval = True
-            q.counters["forced_evals"] += 1
-    # WAR: a dead producer whose expression is still stitched into a live
-    # consumer must evaluate before this overwrite lands
-    tid = id(target)
-    for e in q.entries:
-        if e.dead and e.consumers and not e.force_eval and tid in e.reads:
-            e.force_eval = True
-            q.counters["forced_evals"] += 1
     q.entries.append(entry)
-    q.refs.append(target)
     target._nb_entry = entry
     q.counters["enqueued"] += 1
     if obs.ACTIVE:
@@ -536,9 +463,8 @@ def flush(reason: str = "explicit") -> None:
                 e.target._nb_entry = None
         q.entries = []
         q.expr_ids = set()
-        q.refs = []
         for e in entries:
-            if e.dead and not e.force_eval:
+            if e.dead:
                 continue
             executed += 1
             try:
@@ -579,18 +505,7 @@ def _execute(entry: _Entry) -> None:
             store = store.astype(target_dtype)
         entry.target._rebind(store)
     elif entry.kind == "expr":
-        if entry.dead:  # force_eval: WAR hazard — cache the value, skip the store
-            entry.expr.new()
-            return
-        if entry.expr._materialized is not None:
-            # a consumer (or an earlier flush trigger) already evaluated it
-            entry.target._rebind(entry.expr._materialized._store)
-        elif entry.consumers:
-            # evaluate through new() so later stitched consumers reuse the
-            # cached result instead of re-dispatching
-            entry.target._rebind(entry.expr.new()._store)
-        else:
-            evaluate(entry.expr, entry.target, entry.desc)
+        evaluate(entry.expr, entry.target, entry.desc)
     else:
         entry.thunk()
 

@@ -17,18 +17,9 @@ from ..exceptions import EmptyObject, InvalidValue
 from ..types import default_dtype_for, normalize_dtype
 from .base import Container, _is_scalar
 from .context import current_backend_engine
-from .expressions import (
-    Apply,
-    Expression,
-    ExtractVec,
-    MXV,
-    VXM,
-    TransposeView,
-    _store_of,
-)
+from .expressions import Expression, ExtractVec, MXV, VXM, TransposeView
 from .indexing import parse_vector_index
 from .masks import SetKey, build_desc
-from .plan import fusion_enabled
 
 __all__ = ["Vector"]
 
@@ -147,9 +138,6 @@ class Vector(Container):
         desc = build_desc(setkey, accum)
         eng = current_backend_engine()
         if isinstance(value, Expression):
-            fused = self._try_apply_assign(eng, value, idx, desc)
-            if fused:
-                return
             value = value.new()
         if _is_scalar(value):
             self._store = eng.assign_vec_scalar(self._store, value, idx, desc)
@@ -158,27 +146,6 @@ class Vector(Container):
             self._store = eng.assign_vec(self._store, value._store, idx, desc)
             return
         raise InvalidValue(f"cannot assign object of type {type(value).__name__}")
-
-    def _try_apply_assign(self, eng, value, idx, desc) -> bool:
-        """The ``apply + assign-with-mask`` fusion rule: ``w[M][i] = f(u)``
-        runs as one kernel instead of materialising ``f(u)`` first."""
-        if not (
-            isinstance(value, Apply)
-            and not value.produces_matrix
-            and value._materialized is None
-            and not value.ta
-            and fusion_enabled()
-            and getattr(eng, "supports_fusion", False)
-            and hasattr(eng, "apply_assign_vec")
-        ):
-            return False
-        operand = value.a
-        if not (isinstance(operand, Expression) or hasattr(operand, "_store")):
-            return False
-        self._store = eng.apply_assign_vec(
-            self._store, _store_of(operand), value.op_spec, idx, desc
-        )
-        return True
 
     # ------------------------------------------------------------------
     # conversions

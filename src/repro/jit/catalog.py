@@ -10,8 +10,7 @@ time; this module does exactly that for PyGB:
 * :func:`catalog_kernel_specs` enumerates the hot spec space — the
   traced algorithm kernel set from :mod:`~repro.jit.precompile` (kept
   honest by its drift guard), a predefined-semiring × dtype ×
-  schedule-direction grid, and the fused-pair shapes from
-  :mod:`~repro.jit.fused_ops`;
+  schedule-direction grid, and the reduce-site fused pair;
 * :func:`bake_catalog` batch-builds those specs with the existing
   concurrent compile pool (:meth:`JitCache.precompile`) into one shared
   pack directory and emits ``catalog.json`` — spec key hash → artifact
@@ -41,7 +40,6 @@ from pathlib import Path
 
 from ..exceptions import BackendUnavailable, CatalogError
 from .cache import CACHE_FORMAT_VERSION, JitCache, default_cache
-from .fused_ops import FUSED_OPS
 from .precompile import algorithm_kernel_specs, algorithm_module_specs
 from .spec import CODEGEN_VERSION, KernelSpec
 
@@ -186,44 +184,19 @@ def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
 
 
 def _fused_grid(parallel: bool) -> list[KernelSpec]:
-    """One representative spec per fused-pair shape in ``FUSED_OPS``,
-    instantiated for the float64 arithmetic semiring with the planner's
-    most common absorbed apply (``x * const`` — PageRank's damping
-    step), mirroring the spec construction in ``cppengine``."""
+    """The reduce-site fused pair for float64 (``gb.reduce(u * v)`` is
+    PageRank's squared error), mirroring the spec construction in
+    ``cppengine``; a scalar output carries no descriptor."""
     from .cppcodegen import PARALLEL_FUNCS
 
     f = "float64"
-    apply_parts = dict(form="bind", uop="Times", side="second")
-    by_name = {
-        "mxv_apply": dict(a=f, u=f, c=f, t_dtype=f, p=f, add="Plus",
-                          mult="Times", **apply_parts),
-        "vxm_apply": dict(a=f, u=f, c=f, t_dtype=f, p=f, add="Plus",
-                          mult="Times", **apply_parts),
-        "ewise_add_vec_apply": dict(a=f, b=f, c=f, t_dtype=f, p=f,
-                                    op="Plus", **apply_parts),
-        "ewise_mult_vec_apply": dict(a=f, b=f, c=f, t_dtype=f, p=f,
-                                     op="Times", **apply_parts),
-        "ewise_add_mat_apply": dict(a=f, b=f, c=f, t_dtype=f, p=f,
-                                    op="Plus", **apply_parts),
-        "ewise_mult_mat_apply": dict(a=f, b=f, c=f, t_dtype=f, p=f,
-                                     op="Times", **apply_parts),
-        "mxm_reduce_rows": dict(a=f, b=f, c=f, t_dtype=f, p=f, add="Plus",
-                                mult="Times", rop="Plus"),
-        "apply_assign_vec": dict(a=f, c=f, p=f, **apply_parts),
-        # reduce-site fusions carry no descriptor (scalar output)
-        "ewise_add_vec_reduce_scalar": dict(a=f, b=f, p=f, op="Plus",
-                                            rop="Plus"),
-        "ewise_mult_vec_reduce_scalar": dict(a=f, b=f, p=f, op="Times",
-                                             rop="Plus"),
-    }
     specs = []
-    for rule in FUSED_OPS:
-        params = dict(by_name[rule.name], fused=True)
-        if rule.output != "scalar":
-            params.update(_UNMASKED)
-        if parallel and rule.name in PARALLEL_FUNCS:
+    for func, op in (("ewise_add_vec_reduce_scalar", "Plus"),
+                     ("ewise_mult_vec_reduce_scalar", "Times")):
+        params = dict(a=f, b=f, p=f, op=op, rop="Plus", fused=True)
+        if parallel and func in PARALLEL_FUNCS:
             params["par"] = True
-        specs.append(KernelSpec.make(rule.name, **params))
+        specs.append(KernelSpec.make(func, **params))
     return specs
 
 
@@ -241,8 +214,8 @@ def catalog_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
     """The hot per-operation spec space, deduplicated by key hash:
     the traced algorithm kernel set (tier 1 — reuses ``precompile.py``'s
     list and therefore its drift guard), the predefined-semiring grid
-    with its row-reduction companions (tier 2) and the fused-pair
-    shapes (tier 3)."""
+    with its row-reduction companions (tier 2) and the reduce-site
+    fused pair (tier 3)."""
     return _dedup(
         algorithm_kernel_specs(parallel)
         + _semiring_grid(parallel)
@@ -258,11 +231,10 @@ def catalog_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
 #: specialises) — mirror that when baking the .py flavour
 _PYJIT_TA_FUNCS = frozenset({
     "mxv", "vxm", "apply_mat", "reduce_rows", "select_mat", "extract_mat",
-    "assign_mat", "mxv_apply", "vxm_apply",
+    "assign_mat",
 })
 _PYJIT_TATB_FUNCS = frozenset({
     "mxm", "ewise_add_mat", "ewise_mult_mat", "kronecker",
-    "ewise_add_mat_apply", "ewise_mult_mat_apply", "mxm_reduce_rows",
 })
 
 

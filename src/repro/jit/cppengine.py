@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import guard, obs, schedule as _schedule
 from ..backend.ffipack import address
-from ..backend.kernels import apply_result_dtype
+from ..backend.kernels import FUSED_KERNELS
 from ..backend.ops_table import (
     DEFAULT_IDENTITY_NAME,
     binary_result_dtype,
@@ -57,7 +57,6 @@ from ..exceptions import BackendUnavailable, CompilationError, OperationCancelle
 from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
 from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
-from .fused_ops import FUSED_OPS
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
 from .pyengine import PyJitEngine, _desc_params
 from .spec import KernelSpec
@@ -238,28 +237,25 @@ _GROUPS = {
 }
 
 
-def _semiring(x: str, y: str, fused: bool = False):
-    """Derived dtypes of a semiring product ``x ⊗ y`` (and, fused, of its
-    ``⊕``-reduced producer result)."""
+def _semiring(x: str, y: str):
+    """Derived dtype of a semiring product ``x ⊗ y``."""
 
     def derive(d, o):
-        t = binary_result_dtype(o["mult"], d[x], d[y])
-        return {"t_dtype": t, "p": binary_result_dtype(o["add"], t, t)} if fused else {"t_dtype": t}
+        return {"t_dtype": binary_result_dtype(o["mult"], d[x], d[y])}
 
     return derive
 
 
-def _ewise(*names: str):
-    """The eWise result dtype under each of *names*."""
+def _ewise(name: str):
+    """The eWise result dtype, under *name*."""
 
     def derive(d, o):
-        return dict.fromkeys(names, binary_result_dtype(o["op"], d["a"], d["b"]))
+        return {name: binary_result_dtype(o["op"], d["a"], d["b"])}
 
     return derive
 
 
 _APPLY = ("form", "op", "side")
-_FUSED_APPLY = ("form", "uop", "side")
 
 #: func -> (dtype params, operator params, derived dtype params, layout).
 #: The first two name, in order, what an engine method passes to
@@ -282,27 +278,10 @@ _OPS = {
     "assign_vec": (("a", "c"), (), None, "VVIvO"),
     "assign_vec_scalar": (("c",), (), None, "VSIvO"),
     "extract_vec": (("a", "c"), (), None, "VVIvO"),
-    # fused kernels (planner output)
-    "mxv_apply": (("a", "u", "c"), ("add", "mult") + _FUSED_APPLY,
-                  _semiring("a", "u", fused=True), "MVVvSO"),
-    "vxm_apply": (("a", "u", "c"), ("add", "mult") + _FUSED_APPLY,
-                  _semiring("u", "a", fused=True), "MVVvSO"),
-    "ewise_add_vec_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
-                            _ewise("t_dtype", "p"), "VvVvSO"),
-    "ewise_mult_vec_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
-                             _ewise("t_dtype", "p"), "VvVvSO"),
-    "ewise_add_mat_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
-                            _ewise("t_dtype", "p"), "MmmmS"),
-    "ewise_mult_mat_apply": (("a", "b", "c"), ("op",) + _FUSED_APPLY,
-                             _ewise("t_dtype", "p"), "MmmmS"),
-    "mxm_reduce_rows": (("a", "b", "c"), ("add", "mult", "rop"),
-                        _semiring("a", "b", fused=True), "MMVvO"),
-    "apply_assign_vec": (("a", "c", "p"), _FUSED_APPLY, None, "VVIvSO"),
+    # the reduce-site fused pair: gb.reduce(u ⊕ v)
     "ewise_add_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
     "ewise_mult_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
 }
-
-_FUSED_FUNCS = frozenset(rule.name for rule in FUSED_OPS)
 
 _NO_VEC_MASK = (None, None, 0)
 _NO_MAT_MASK = (None, None, None)
@@ -402,7 +381,7 @@ class CppJitEngine:
         params.update(o)
         if desc is not None:
             params.update(_desc_params(desc))
-        if func in _FUSED_FUNCS:
+        if func in FUSED_KERNELS:
             params["fused"] = True
         if direction is not None:
             params["dir"] = direction
@@ -575,7 +554,7 @@ class CppJitEngine:
     def _bind(self, func, dtypes, ops, desc, direction) -> _Bound:
         spec = self._spec(func, dtypes, ops, desc, direction)
         lib = self._lib(spec)
-        dtype_names, _ops, _derive, layout = _OPS[func]
+        layout = _OPS[func][3]
         if direction == "pull":
             layout = layout[:-1] + "IO"  # the mask's candidate rows
         if layout[-1] == "P":
@@ -584,7 +563,7 @@ class CppJitEngine:
             const_dtype = scalar_dtype
         else:
             scalar_dtype = None
-            const_dtype = spec.dtype("p" if "p" in dtype_names else "c")
+            const_dtype = spec.dtype("c")
         return _Bound(spec, lib, layout, const_dtype, scalar_dtype)
 
     # ------------------------------------------------------------------
@@ -727,12 +706,12 @@ class CppJitEngine:
                 _schedule.note_edges(direction, self._frontier_edges(a, u))
         return result
 
-    def _spmv_run(self, bound, out, a, u, desc, pull_sched, const=()):
+    def _spmv_run(self, bound, out, a, u, desc, pull_sched):
         args = a.ffi_pack().args + u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
         if pull_sched is not None:
             cand = np.ascontiguousarray(pull_sched.candidates, _I64)
             args += (address(cand), cand.size)
-        return self._vec_out(bound, args + const, out)
+        return self._vec_out(bound, args, out)
 
     def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
         a, b = _t(a, ta), _t(b, tb)
@@ -740,34 +719,28 @@ class CppJitEngine:
         args = a.ffi_pack().args + b.ffi_pack().args + out.ffi_pack().args
         return self._mat_out(bound, args + self._mat_mask(desc), out)
 
-    def _ewise_vec(self, func, out, u, v, ops, desc, const_spec=None):
-        bound = self._kernel(func, (u.dtype, v.dtype, out.dtype), ops, desc)
+    def _ewise_vec(self, func, out, u, v, op, desc):
+        bound = self._kernel(func, (u.dtype, v.dtype, out.dtype), (op,), desc)
         args = u.ffi_pack().args + v.ffi_pack().args[1:] + out.ffi_pack().args
-        args += self._vec_mask(desc)
-        if const_spec is not None:
-            args += self._const(bound, const_spec)
-        return self._vec_out(bound, args, out)
+        return self._vec_out(bound, args + self._vec_mask(desc), out)
 
     def ewise_add_vec(self, out, u, v, op, desc):
-        return self._ewise_vec("ewise_add_vec", out, u, v, (op,), desc)
+        return self._ewise_vec("ewise_add_vec", out, u, v, op, desc)
 
     def ewise_mult_vec(self, out, u, v, op, desc):
-        return self._ewise_vec("ewise_mult_vec", out, u, v, (op,), desc)
+        return self._ewise_vec("ewise_mult_vec", out, u, v, op, desc)
 
-    def _ewise_mat(self, func, out, a, b, ops, desc, ta, tb, const_spec=None):
+    def _ewise_mat(self, func, out, a, b, op, desc, ta, tb):
         a, b = _t(a, ta), _t(b, tb)
-        bound = self._kernel(func, (a.dtype, b.dtype, out.dtype), ops, desc)
+        bound = self._kernel(func, (a.dtype, b.dtype, out.dtype), (op,), desc)
         args = a.ffi_pack().args + b.ffi_pack().args[2:] + out.ffi_pack().args[2:]
-        args += self._mat_mask(desc)
-        if const_spec is not None:
-            args += self._const(bound, const_spec)
-        return self._mat_out(bound, args, out)
+        return self._mat_out(bound, args + self._mat_mask(desc), out)
 
     def ewise_add_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise_mat("ewise_add_mat", out, a, b, (op,), desc, ta, tb)
+        return self._ewise_mat("ewise_add_mat", out, a, b, op, desc, ta, tb)
 
     def ewise_mult_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise_mat("ewise_mult_mat", out, a, b, (op,), desc, ta, tb)
+        return self._ewise_mat("ewise_mult_mat", out, a, b, op, desc, ta, tb)
 
     def apply_vec(self, out, u, op_spec, desc):
         bound = self._kernel("apply_vec", (u.dtype, out.dtype), _apply_ops(op_spec), desc)
@@ -798,21 +771,18 @@ class CppJitEngine:
         args = a.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
         return self._vec_out(bound, args, out)
 
-    def _indexed_vec(self, func, out, u, idx, desc, dtypes, ops=(), const_spec=None):
-        """assign/extract family: ``(out, u, index list, mask[, const])``."""
-        bound = self._kernel(func, dtypes, ops, desc)
+    def _indexed_vec(self, func, out, u, idx, desc):
+        """assign/extract family: ``(out, u, index list, mask)``."""
+        bound = self._kernel(func, (u.dtype, out.dtype), (), desc)
         idx = np.ascontiguousarray(idx, _I64)
         args = out.ffi_pack().args + u.ffi_pack().args + (address(idx), idx.size)
-        args += self._vec_mask(desc)
-        if const_spec is not None:
-            args += self._const(bound, const_spec)
-        return self._vec_out(bound, args, out)
+        return self._vec_out(bound, args + self._vec_mask(desc), out)
 
     def assign_vec(self, out, u, idx, desc):
-        return self._indexed_vec("assign_vec", out, u, idx, desc, (u.dtype, out.dtype))
+        return self._indexed_vec("assign_vec", out, u, idx, desc)
 
     def extract_vec(self, out, u, idx, desc):
-        return self._indexed_vec("extract_vec", out, u, idx, desc, (u.dtype, out.dtype))
+        return self._indexed_vec("extract_vec", out, u, idx, desc)
 
     def assign_vec_scalar(self, out, value, idx, desc):
         bound = self._kernel("assign_vec_scalar", (out.dtype,), (), desc)
@@ -828,17 +798,14 @@ class CppJitEngine:
     def prefetch_jobs(self, expr, out_dtype, desc):
         """Best-effort ``(spec, generate, suffix, compiler)`` jobs for the
         kernels evaluating *expr* into a *out_dtype* container under
-        *desc* will need — including the fused kernels the planner is
-        predicted to emit for ``apply(producer)`` pairs.  Mispredictions
-        are harmless: the flush compiles whatever is missing, and warm
-        cache entries are hits, not rebuilds."""
+        *desc* will need.  Mispredictions are harmless: the flush
+        compiles whatever is missing, and warm cache entries are hits,
+        not rebuilds."""
         from ..backend.kernels import OpDesc
         from ..core import expressions as ex
-        from ..core.plan import fusion_enabled
 
         jobs: list = []
         seen: set[int] = set()
-        fuse = fusion_enabled()
 
         def dt(operand):
             return np.dtype(ex._dtype_of(operand))
@@ -846,26 +813,6 @@ class CppJitEngine:
         def add_job(func, dtypes, ops, node_desc):
             spec = self._spec(func, dtypes, ops, node_desc)
             jobs.append((spec, generate_cpp_source, ".cpp", self.compiler_for(spec)))
-
-        def producer(node, out_dt, node_desc, apply_ops=()):
-            """The job for *node* as a plain kernel, or (with *apply_ops*)
-            as the producer half of a fused ``apply``; False when the
-            node kind has no such kernel."""
-            kind = type(node)
-            suffix = "_apply" if apply_ops else ""
-            if kind in (ex.MXV, ex.VXM):
-                func = "mxv" if kind is ex.MXV else "vxm"
-                dtypes, ops = (dt(node.a), dt(node.u), out_dt), (node.add_op, node.mult_op)
-            elif kind is ex.MXM and not apply_ops:
-                func = "mxm"
-                dtypes, ops = (dt(node.a), dt(node.b), out_dt), (node.add_op, node.mult_op)
-            elif kind in (ex.EWiseAdd, ex.EWiseMult):
-                func = f"{node.kind}_{'mat' if node.produces_matrix else 'vec'}"
-                dtypes, ops = (dt(node.a), dt(node.b), out_dt), (node.op,)
-            else:
-                return False
-            add_job(func + suffix, dtypes, ops + apply_ops, node_desc)
-            return True
 
         def walk(node, out_dt, node_desc):
             if not isinstance(node, ex.Expression) or node._materialized is not None:
@@ -878,27 +825,22 @@ class CppJitEngine:
             if node_desc is None:
                 node_desc = OpDesc()
             kind = type(node)
-            if kind is ex.Apply:
-                child = node.a
-                # predict the planner's producer+apply fusion
-                if (
-                    fuse
-                    and isinstance(child, ex.Expression)
-                    and child._materialized is None
-                    and not getattr(node, "ta", False)
-                    and producer(child, out_dt, node_desc, _apply_ops(node.op_spec))
-                ):
-                    node = child  # the child's operands still walk below
-                else:
-                    shape = "mat" if node.produces_matrix else "vec"
-                    add_job(f"apply_{shape}", (dt(node.a), out_dt),
-                            _apply_ops(node.op_spec), node_desc)
+            if kind in (ex.MXV, ex.VXM):
+                add_job("mxv" if kind is ex.MXV else "vxm", (dt(node.a), dt(node.u), out_dt),
+                        (node.add_op, node.mult_op), node_desc)
+            elif kind is ex.MXM:
+                add_job("mxm", (dt(node.a), dt(node.b), out_dt),
+                        (node.add_op, node.mult_op), node_desc)
+            elif kind in (ex.EWiseAdd, ex.EWiseMult):
+                add_job(node.engine_mat if node.produces_matrix else node.engine_vec,
+                        (dt(node.a), dt(node.b), out_dt), (node.op,), node_desc)
+            elif kind is ex.Apply:
+                add_job("apply_mat" if node.produces_matrix else "apply_vec",
+                        (dt(node.a), out_dt), _apply_ops(node.op_spec), node_desc)
             elif kind is ex.ReduceRows:
                 add_job("reduce_rows", (dt(node.a), out_dt), (node.op,), node_desc)
-            else:
-                # Select / Kronecker / Transpose / Extract are rare enough
-                # that the flush-time compile is acceptable
-                producer(node, out_dt, node_desc)
+            # Select / Kronecker / Transpose / Extract are rare enough that
+            # the flush-time compile is acceptable
             for slot in node.operand_slots:
                 walk(getattr(node, slot), None, None)
 
@@ -906,54 +848,9 @@ class CppJitEngine:
         return jobs
 
     # ------------------------------------------------------------------
-    # fused kernels (planner output; one FFI call for a producer+consumer
-    # pair, intermediate stays inside the shared object)
+    # the reduce-site fused pair: one FFI call for gb.reduce(u ⊕ v), the
+    # elementwise result stays inside the shared object
     # ------------------------------------------------------------------
-    def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        a = _t(a, ta)
-        bound = self._kernel(
-            "mxv_apply", (a.dtype, u.dtype, out.dtype), (add, mult) + _apply_ops(op_spec), desc
-        )
-        return self._spmv_run(bound, out, a, u, desc, None, self._const(bound, op_spec))
-
-    def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        a = _t(a, ta)
-        bound = self._kernel(
-            "vxm_apply", (a.dtype, u.dtype, out.dtype), (add, mult) + _apply_ops(op_spec), desc
-        )
-        return self._spmv_run(bound, out, a, u, desc, None, self._const(bound, op_spec))
-
-    def ewise_add_vec_apply(self, out, u, v, op, op_spec, desc):
-        ops = (op,) + _apply_ops(op_spec)
-        return self._ewise_vec("ewise_add_vec_apply", out, u, v, ops, desc, op_spec)
-
-    def ewise_mult_vec_apply(self, out, u, v, op, op_spec, desc):
-        ops = (op,) + _apply_ops(op_spec)
-        return self._ewise_vec("ewise_mult_vec_apply", out, u, v, ops, desc, op_spec)
-
-    def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        ops = (op,) + _apply_ops(op_spec)
-        return self._ewise_mat("ewise_add_mat_apply", out, a, b, ops, desc, ta, tb, op_spec)
-
-    def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        ops = (op,) + _apply_ops(op_spec)
-        return self._ewise_mat("ewise_mult_mat_apply", out, a, b, ops, desc, ta, tb, op_spec)
-
-    def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        a, b = _t(a, ta), _t(b, tb)
-        bound = self._kernel(
-            "mxm_reduce_rows", (a.dtype, b.dtype, out.dtype), (add, mult, rop), desc
-        )
-        args = a.ffi_pack().args + b.ffi_pack().args + out.ffi_pack().args
-        return self._vec_out(bound, args + self._vec_mask(desc), out)
-
-    def apply_assign_vec(self, out, u, op_spec, idx, desc):
-        pdt = apply_result_dtype(op_spec, u.dtype)
-        return self._indexed_vec(
-            "apply_assign_vec", out, u, idx, desc,
-            (u.dtype, out.dtype, pdt), _apply_ops(op_spec), op_spec,
-        )
-
     def _ewise_reduce_scalar(self, func, u, v, op, rop, identity):
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[rop]

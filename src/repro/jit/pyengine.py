@@ -33,16 +33,6 @@ def _desc_params(desc: OpDesc) -> dict:
     }
 
 
-def _unary_params(op_spec) -> tuple[dict, object]:
-    """Spec params + runtime constant for the apply operator inside a
-    fused kernel (keyed ``uop`` so it cannot clash with the producer's
-    binary/semiring ``op`` params)."""
-    if op_spec[0] == "unary":
-        return {"form": "unary", "uop": op_spec[1], "side": "none"}, None
-    _, op, const, side = op_spec
-    return {"form": "bind", "uop": op, "side": side}, const
-
-
 class _TracedModule:
     """Stand-in for a generated module while tracing is active: its
     ``run`` gets a span carrying the kernel spec, nested inside the
@@ -76,7 +66,7 @@ class PyJitEngine:
     """Engine-interface implementation backed by generated Python modules."""
 
     name = "pyjit"
-    #: the planner may hand this engine fused kernels
+    #: ``gb.reduce`` may fold an elementwise operand into the reduction
     supports_fusion = True
 
     def __init__(self, cache: JitCache | None = None):
@@ -359,119 +349,8 @@ class PyJitEngine:
         return self._module(spec).run(out, value, idx, desc.mask)
 
     # ------------------------------------------------------------------
-    # fused kernels (planner-generated; see jit/fused_ops.py)
+    # the reduce-site fused pair: gb.reduce(u ⊕ v) in one pass
     # ------------------------------------------------------------------
-    def mxv_apply(self, out, a, u, add, mult, op_spec, desc, ta=False):
-        uparams, const = _unary_params(op_spec)
-        tdt = binary_result_dtype(mult, a.dtype, u.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        spec = KernelSpec.make(
-            "mxv_apply",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            ta=ta,
-            fused=True,
-            **uparams,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, u, desc.mask, const)
-
-    def vxm_apply(self, out, u, a, add, mult, op_spec, desc, ta=False):
-        uparams, const = _unary_params(op_spec)
-        tdt = binary_result_dtype(mult, u.dtype, a.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        spec = KernelSpec.make(
-            "vxm_apply",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            ta=ta,
-            fused=True,
-            **uparams,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, u, a, desc.mask, const)
-
-    def _ewise_apply(self, func, out, x, y, op, op_spec, desc, ta=False, tb=False,
-                     matrix=False):
-        uparams, const = _unary_params(op_spec)
-        pdt = binary_result_dtype(op, x.dtype, y.dtype)
-        params = dict(
-            a=KernelSpec.dt(x.dtype),
-            b=KernelSpec.dt(y.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(pdt),
-            p=KernelSpec.dt(pdt),
-            op=op,
-            fused=True,
-            **uparams,
-            **_desc_params(desc),
-        )
-        if matrix:
-            params.update(ta=ta, tb=tb)
-        spec = KernelSpec.make(func, **params)
-        return self._module(spec).run(out, x, y, desc.mask, const)
-
-    def ewise_add_vec_apply(self, out, u, v, op, op_spec, desc):
-        return self._ewise_apply("ewise_add_vec_apply", out, u, v, op, op_spec, desc)
-
-    def ewise_mult_vec_apply(self, out, u, v, op, op_spec, desc):
-        return self._ewise_apply("ewise_mult_vec_apply", out, u, v, op, op_spec, desc)
-
-    def ewise_add_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return self._ewise_apply(
-            "ewise_add_mat_apply", out, a, b, op, op_spec, desc, ta, tb, matrix=True
-        )
-
-    def ewise_mult_mat_apply(self, out, a, b, op, op_spec, desc, ta=False, tb=False):
-        return self._ewise_apply(
-            "ewise_mult_mat_apply", out, a, b, op, op_spec, desc, ta, tb, matrix=True
-        )
-
-    def mxm_reduce_rows(self, out, a, b, add, mult, rop, desc, ta=False, tb=False):
-        tdt = binary_result_dtype(mult, a.dtype, b.dtype)
-        pdt = binary_result_dtype(add, tdt, tdt)
-        spec = KernelSpec.make(
-            "mxm_reduce_rows",
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(tdt),
-            p=KernelSpec.dt(pdt),
-            add=add,
-            mult=mult,
-            rop=rop,
-            ta=ta,
-            tb=tb,
-            fused=True,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, b, desc.mask)
-
-    def apply_assign_vec(self, out, u, op_spec, idx, desc):
-        from ..backend.kernels import apply_result_dtype
-
-        uparams, const = _unary_params(op_spec)
-        spec = KernelSpec.make(
-            "apply_assign_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            p=KernelSpec.dt(apply_result_dtype(op_spec, u.dtype)),
-            fused=True,
-            **uparams,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, u, idx, desc.mask, const)
-
     def _ewise_reduce_scalar(self, func, u, v, op, rop, identity):
         from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
 

@@ -31,13 +31,12 @@ from .stats import (
     quantile_ns,
     render_stats,
 )
-from .tracer import FUSED_OPS, Tracer, TracingEngine
+from .tracer import Tracer, TracingEngine
 
 __all__ = [
     "ACTIVE",
     "Tracer",
     "TracingEngine",
-    "FUSED_OPS",
     "StatsAggregator",
     "tracing",
     "active_tracer",

@@ -30,23 +30,7 @@ import numpy as np
 
 from .stats import StatsAggregator, persist_stats
 
-__all__ = ["Tracer", "TracingEngine", "FUSED_OPS"]
-
-#: dispatch methods that are fused producer+consumer kernels (PR 2's
-#: planner output) — spans carry this as the ``fused`` attribute
-FUSED_OPS = frozenset({
-    "mxv_apply",
-    "vxm_apply",
-    "ewise_add_vec_apply",
-    "ewise_mult_vec_apply",
-    "ewise_add_mat_apply",
-    "ewise_mult_mat_apply",
-    "mxm_reduce_rows",
-    "apply_assign_vec",
-    "ewise_add_vec_reduce_scalar",
-    "ewise_mult_vec_reduce_scalar",
-})
-
+__all__ = ["Tracer", "TracingEngine"]
 
 def _payload(args) -> tuple[int, int]:
     """(nvals, bytes) summed over the backend containers in *args* —
@@ -197,13 +181,14 @@ class TracingEngine:
         value = getattr(self._inner, attr)
         if attr.startswith("_") or not callable(value):
             return value
+        from ..backend.kernels import FUSED_KERNELS
         from ..core.dispatch import _DISPATCH_METHODS
 
         if attr not in _DISPATCH_METHODS:
             return value
         tracer = self._tracer
         engine_name = self.name
-        fused = attr in FUSED_OPS
+        fused = attr in FUSED_KERNELS
 
         def traced(*args, **kwargs):
             t0 = time.perf_counter_ns()

@@ -237,8 +237,8 @@ _TUNER = AutoTuner()
 
 
 class Schedule:
-    """Per-operation schedule annotation, attached to traversal-shaped
-    ``OpNode``s in the plan IR and resolved against runtime densities
+    """Per-operation schedule annotation, attached to the traversal-shaped
+    expressions (``MXV``/``VXM``) and resolved against runtime densities
     just before dispatch.
 
     Two phases mirror expression lifetime: :meth:`capture` (expression
@@ -393,13 +393,6 @@ class Schedule:
         """True when the dispatcher should time the engine call for the
         autotuner's benefit."""
         return self.bucket is not None
-
-    @property
-    def pins_direction(self) -> bool:
-        """True when this schedule forces a non-dense direction.  Fused
-        kernels only implement the dense strategy, so the planner must
-        not absorb a pinned node into a fused pair."""
-        return (self.forced or self.mode) in ("push", "pull")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,6 +29,7 @@ from repro.jit.catalog import (
     bake_catalog,
     catalog_kernel_specs,
     load_catalog,
+    pyjit_kernel_specs,
     validate_catalog,
 )
 from repro.jit.precompile import algorithm_kernel_specs
@@ -73,6 +74,20 @@ def test_catalog_specs_cover_algorithm_set():
 def test_catalog_specs_deduplicated():
     specs = catalog_kernel_specs()
     assert len({s.key_hash for s in specs}) == len(specs)
+
+
+def test_catalog_enumerates_only_kernels_an_engine_dispatches():
+    """Every baked shape is one an engine method can ask for — in
+    particular the only ``fused`` specs are the reduce-site pair."""
+    from repro.backend.kernels import FUSED_KERNELS
+    from repro.core.dispatch import _DISPATCH_METHODS
+
+    cpp, pyjit = catalog_kernel_specs(), pyjit_kernel_specs()
+    for spec in cpp + pyjit:
+        assert spec.func in _DISPATCH_METHODS, spec.key
+        assert bool(spec.get("fused")) == (spec.func in FUSED_KERNELS), spec.key
+    assert {s.func for s in cpp if s.get("fused")} == FUSED_KERNELS
+    assert (len(cpp), len(pyjit)) == (232, 427)
 
 
 # ----------------------------------------------------------------------

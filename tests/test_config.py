@@ -8,8 +8,7 @@ path that rests on it.
   scoped context managers still win over the snapshot;
 * a warm dispatch reads ``os.environ`` zero times; a disarmed layer is a
   bound call that still honours what arms it later (a monkeypatched
-  engine method, a fault rule), and no layer is ever skipped;
-* a one-node statement is dispatched without a ``Plan``.
+  engine method, a fault rule), and no layer is ever skipped.
 
 (``tests/conftest.py`` reloads the snapshot after every in-process write
 to a ``PYGB_*`` variable, so ``monkeypatch.setenv`` below is "set the
@@ -29,17 +28,13 @@ import pytest
 import repro as gb
 from repro import config, guard, schedule, tiling
 from repro.algorithms import bfs_levels
-from repro.core import plan
 from repro.core.dispatch import (
     _DISPATCH_METHODS,
-    CountingEngine,
     InterpretedEngine,
     PartitionedEngine,
     ResilientEngine,
-    make_engine,
 )
 from repro.exceptions import KernelExecutionError
-from repro.jit import fusion
 from repro.jit.cache import default_compile_jobs
 from repro.jit.cppengine import compile_timeout, parallel_requested, toolchain_works
 from repro.jit.health import jit_retries, jit_strict
@@ -67,8 +62,6 @@ PARSE_TABLE = [
     ("PYGB_PARALLEL", "parallel",
      {UNSET: True, "1": True, "0": False, "false": False, " OFF ": False, "": False}, ()),
     ("PYGB_THREADS", "threads", {UNSET: None, "4": 4, "0": None, "junk": None}, ()),
-    ("PYGB_FUSION", "fusion",
-     {UNSET: True, "1": True, "yes": True, "0": False, "no": False, "": False}, ()),
     ("PYGB_SCHEDULE", "schedule",
      {UNSET: "auto", "": "auto", "auto": "auto", "fixed": "fixed", "dense": "fixed",
       "0": "fixed", "no": "fixed", "push": "push", " PULL ": "pull"}, ("sideways",)),
@@ -129,11 +122,11 @@ class TestParsing:
 
     def test_snapshot_is_frozen(self):
         with pytest.raises(AttributeError):
-            config.current().fusion = False
+            config.current().tiles = 1
 
     def test_public_readers_are_reads_of_the_snapshot(self, monkeypatch):
         for variable, raw in {
-            "PYGB_OP_TIMEOUT": "0.25", "PYGB_WORKER_TIMEOUT": "0.5", "PYGB_FUSION": "0",
+            "PYGB_OP_TIMEOUT": "0.25", "PYGB_WORKER_TIMEOUT": "0.5",
             "PYGB_SCHEDULE": "push", "PYGB_SCHEDULE_TUNER": "0", "PYGB_TILES": "4",
             "PYGB_WORKERS": "3", "PYGB_PARALLEL": "0", "PYGB_JIT_STRICT": "1",
             "PYGB_JIT_RETRIES": "7", "PYGB_COMPILE_TIMEOUT": "7.5", "PYGB_COMPILE_JOBS": "5",
@@ -143,7 +136,6 @@ class TestParsing:
             monkeypatch.setenv(variable, raw)
         assert (guard.op_timeout(), guard.worker_timeout()) == (0.25, 0.5)
         assert (guard.fault_sleep_seconds(), guard.hang_seconds()) == (10.0, 2.0)
-        assert not plan.fusion_enabled()
         assert (schedule.schedule_mode(), schedule.tuner_enabled()) == ("push", False)
         assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 3)
         assert not parallel_requested()
@@ -168,7 +160,7 @@ class TestParsing:
         before = config.current()
         monkeypatch.setattr(config, "_from_env", lambda env: pytest.fail("parsed on a read"))
         assert config.current() is before
-        assert plan.fusion_enabled() == before.fusion
+        assert tiling.tiles_mode() == before.tiles
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +171,8 @@ class TestParsing:
 @pytest.fixture
 def defaults(monkeypatch, no_faults):
     """The dispatch-path tests count calls: pin what a CI leg's
-    environment could change under them (fusion, forced directions the
-    planner will not fuse across, tile fan-out, ambient faults)."""
-    monkeypatch.setenv("PYGB_FUSION", "1")
+    environment could change under them (forced directions, tile fan-out,
+    ambient faults)."""
     monkeypatch.setenv("PYGB_SCHEDULE", "auto")
     monkeypatch.setenv("PYGB_TILES", "1")
 
@@ -198,32 +189,31 @@ def _operands(n=16, seed=3):
 class TestVisibilityAndPrecedence:
     def test_reload_reaches_a_running_thread_at_its_next_statement(self, monkeypatch, defaults):
         """The worker thread's second statement — the same one — is
-        planned under the snapshot published while it was parked."""
+        built under the snapshot published while it was parked."""
         a, u = _operands()
         parked, resume = threading.Event(), threading.Event()
-        counts = []
+        modes, results = [], []
 
         def worker():
-            eng = CountingEngine(make_engine("pyjit"))
-            with gb.use_engine(eng):
+            with gb.use_engine("pyjit"):
                 for _ in range(2):
-                    before = dict(eng.counts)
+                    product = a @ u
+                    modes.append(product.schedule.mode)
                     w = gb.Vector(shape=u.shape, dtype=float)
-                    w[None] = gb.apply(a @ u)
-                    assert w.nvals  # observed: a nonblocking queue has run it
-                    counts.append({k: v - before.get(k, 0) for k, v in eng.counts.items()
-                                   if v - before.get(k, 0)})
+                    w[None] = product
+                    results.append(w.to_coo())
                     parked.set()
                     assert resume.wait(10)
 
         thread = threading.Thread(target=worker)
         thread.start()
         assert parked.wait(30)
-        monkeypatch.setenv("PYGB_FUSION", "0")
+        monkeypatch.setenv("PYGB_SCHEDULE", "push")
         resume.set()
         thread.join(30)
         assert not thread.is_alive()
-        assert counts == [{"mxv_apply": 1}, {"mxv": 1, "apply_vec": 1}]
+        assert modes == ["auto", "push"]
+        np.testing.assert_array_equal(results[0], results[1])
 
     def test_scoped_context_managers_win_over_the_snapshot(self, monkeypatch):
         monkeypatch.setenv("PYGB_TILES", "4")
@@ -394,39 +384,3 @@ def test_every_dispatch_passes_every_layer_exactly_once(defaults):
     assert per_layer["partitioned"] == per_layer["guard"]
     assert per_layer["resilient"] == per_layer["guard"]
     assert per_layer["jit"] == per_layer["guard"]
-
-
-class TestOneNodeStatements:
-    @pytest.fixture
-    def plans(self, monkeypatch, defaults):
-        """Every ``Plan`` the planner builds, as a list of its roots."""
-        built = []
-
-        class Spy(plan.Plan):
-            def __init__(self, root):
-                built.append(root)
-                super().__init__(root)
-
-        monkeypatch.setattr(fusion, "Plan", Spy)
-        return built
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_one_node_builds_no_plan_and_a_pair_still_fuses(self, plans, buffered):
-        a, u = _operands()
-        with gb.use_engine("interpreted"):
-            want_product = gb.Vector(a @ u).to_coo()
-            want_scaled = gb.Vector(gb.apply(gb.UnaryOp("Times", 2.0), a @ u)).to_coo()
-        assert plans == []  # the interpreted engine never plans
-        eng = CountingEngine(make_engine("pyjit"))
-        with gb.use_engine(eng):
-            w = gb.Vector(shape=u.shape, dtype=float)
-            if buffered:
-                w[0] = 7.0  # parked on the container: the full-overwrite branch
-            w[None] = a @ u
-            np.testing.assert_array_equal(w.to_coo(), want_product)
-            assert plans == [] and eng.counts == {"mxv": 1}
-            if buffered:
-                w[1] = 7.0
-            w[None] = gb.apply(gb.UnaryOp("Times", 2.0), a @ u)
-            np.testing.assert_array_equal(w.to_coo(), want_scaled)
-            assert len(plans) == 1 and eng.counts == {"mxv": 1, "mxv_apply": 1}

@@ -97,7 +97,7 @@ class TestPyCodegen:
         base = dict(
             a="float64", b="float64", u="float64", c="float64",
             t_dtype="float64", p="float64", add="Plus", mult="Times",
-            op="Plus", uop="Identity", rop="Plus",
+            op="Plus", rop="Plus",
             mask="none", comp=False, repl=False, accum="none",
             ta=False, tb=False, form="unary", side="none",
         )

@@ -275,11 +275,9 @@ def test_unmerged_results_own_their_memory(interp, rng, out_dtype):
         eng.apply_mat(out, a, times2, nodesc),
         eng.ewise_add_mat(out, a, b, "Plus", nodesc),
         eng.ewise_mult_mat(out, a, b, "Times", nodesc),
-        eng.ewise_add_mat_apply(out, a, b, "Plus", times2, nodesc),
-        eng.ewise_mult_mat_apply(out, a, b, "Times", times2, nodesc),
     ]
     _same(results[0], interp.mxm(out, a, b, "Plus", "Times", nodesc))
-    _same(results[4], interp.ewise_add_mat_apply(out, a, b, "Plus", times2, nodesc))
+    _same(results[2], interp.ewise_add_mat(out, a, b, "Plus", nodesc))
     saved = []
     for r in results:
         assert r.nvals > 0 and r.dtype == out_dtype
@@ -328,8 +326,6 @@ def test_streaming_matrix_ops_forward_under_tiles(no_faults):
             "select_mat": (out, a, "Tril", -1, nodesc),
             "ewise_add_mat": (out, a, a, "Plus", nodesc),
             "ewise_mult_mat": (out, a, a, "Times", nodesc),
-            "ewise_add_mat_apply": (out, a, a, "Plus", plus1, nodesc),
-            "ewise_mult_mat_apply": (out, a, a, "Times", plus1, nodesc),
         }
         for op, args in streaming.items():
             tiling.reset_stats()

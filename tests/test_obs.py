@@ -20,7 +20,7 @@ from repro.obs.stats import (
     quantile_ns,
     render_stats,
 )
-from repro.obs.tracer import FUSED_OPS, Tracer, TracingEngine
+from repro.obs.tracer import Tracer, TracingEngine
 
 
 def _workload():
@@ -91,9 +91,24 @@ class TestSpanCapture:
         assert tr.stats.snapshot()["ops"] == {}
 
     def test_fused_ops_is_subset_of_dispatch(self):
+        from repro.backend.kernels import FUSED_KERNELS
         from repro.core.dispatch import _DISPATCH_METHODS
 
-        assert FUSED_OPS <= _DISPATCH_METHODS
+        assert FUSED_KERNELS and FUSED_KERNELS <= _DISPATCH_METHODS
+
+    def test_fused_attribute_marks_the_reduce_site_kernel(self):
+        """The span attribute and the stats roll-up take the fused names
+        from ``backend.kernels.FUSED_KERNELS``, not a list of their own."""
+        u = gb.Vector([1.0, 2.0, 3.0])
+        with gb.use_engine("pyjit"), gb.tracing() as tr:
+            tr._events = []  # capture without a file sink
+            gb.reduce(u * u)
+            gb.reduce(u)
+        fused = {e["name"]: e["args"]["fused"] for e in tr._events if e["cat"] == "op"}
+        assert fused == {"ewise_mult_vec_reduce_scalar": True, "reduce_vec_scalar": False}
+        ops = tr.stats.snapshot()["ops"]
+        assert ops["ewise_mult_vec_reduce_scalar"]["fused"] == 1
+        assert ops["reduce_vec_scalar"]["fused"] == 0
 
 
 class TestTracingEngine:

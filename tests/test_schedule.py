@@ -14,8 +14,7 @@ Four layers of coverage:
 * **determinism** — the edges-examined counters are engine-independent:
   interpreted and pyjit report identical numbers for a forced direction;
 * **integration** — BFS under ``schedule="push"`` examines fewer edges
-  than the dense sweep on a power-law graph; a pinned direction refuses
-  plan fusion but still computes the right answer; the frontier
+  than the dense sweep on a power-law graph; the frontier
   representations memoized on ``SparseVector`` are built once.
 """
 
@@ -30,7 +29,6 @@ import repro as gb
 from repro import schedule as S
 from repro.backend.kernels import OpDesc
 from repro.core.context import use_engine
-from repro.core.dispatch import CountingEngine, make_engine
 
 from helpers import mat_from_dict, random_mat_dict, random_vec_dict, vec_from_dict
 
@@ -238,12 +236,6 @@ class TestResolve:
         S.Schedule("fixed").resolve("mxv", a, u, OpDesc(), False, "Plus")
         assert S.stats()["switches"] == 1
 
-    def test_pins_direction(self):
-        assert S.Schedule("push").pins_direction
-        assert S.Schedule("auto", forced="pull").pins_direction
-        assert not S.Schedule("auto").pins_direction
-        assert not S.Schedule("fixed").pins_direction
-
 
 # ----------------------------------------------------------------------
 # bit-identity: every mode matches the dense strategy exactly, per engine
@@ -356,7 +348,7 @@ class TestCounterDeterminism:
 
 
 # ----------------------------------------------------------------------
-# integration: algorithms, fusion gate, obs surfacing, memoized frontiers
+# integration: algorithms, obs surfacing, memoized frontiers
 # ----------------------------------------------------------------------
 
 
@@ -421,28 +413,6 @@ class TestAlgorithms:
         S.reset_stats()
         bfs_levels(g, 0, schedule="fixed")
         assert st["edges_total"] * 2 <= S.stats()["edges"]["dense"]
-
-
-class TestFusionGate:
-    def _fused_shape(self, mode):
-        """`(A @ u) * 2` — the mxv+apply pair the planner fuses."""
-        rng = np.random.default_rng(11)
-        a = mat_from_dict(random_mat_dict(rng, N, N, density=0.25), N, N)
-        u = vec_from_dict(random_vec_dict(rng, N, density=0.5), N)
-        out = gb.Vector(shape=(N,), dtype=np.float64)
-        eng = CountingEngine(make_engine("pyjit"))
-        with gb.use_engine(eng), S.Scheduled(mode), gb.ArithmeticSemiring:
-            out[None] = (a @ u) * 2
-        return eng, out._store.to_dict()
-
-    def test_pinned_push_blocks_fusion(self, monkeypatch):
-        monkeypatch.setenv("PYGB_FUSION", "1")
-        fused_eng, fused = self._fused_shape("auto")
-        assert fused_eng.counts.get("mxv_apply") == 1
-        pinned_eng, pinned = self._fused_shape("push")
-        assert "mxv_apply" not in pinned_eng.counts
-        assert pinned_eng.counts.get("mxv") == 1
-        assert pinned == fused  # same answer either way
 
 
 class TestObsIntegration:
