@@ -67,7 +67,6 @@ print(first_op, snap["compiles"], snap["catalog_hits"])
 def _run_child(engine: str, cache_dir: str, pack: str | None) -> tuple[float, int, int]:
     env = {**os.environ,
            "PYGB_CACHE_DIR": cache_dir,
-           "PYGB_SCHEDULE_TUNER": "0",
            "PYTHONPATH": str(REPO_ROOT / "src")}
     if pack:
         env["PYGB_CATALOG"] = str(pack)

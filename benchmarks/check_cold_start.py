@@ -86,13 +86,11 @@ json.dump({"digests": digests,
 """
 
 
-def run_algorithms(pack: str | None, schedule_tuner_off: bool = True) -> dict:
+def run_algorithms(pack: str | None) -> dict:
     """One cold child process: fresh cache dir, optional catalog."""
     env = {**os.environ,
            "PYGB_CACHE_DIR": tempfile.mkdtemp(prefix="pygb-cold-"),
            "PYTHONPATH": str(REPO_ROOT / "src")}
-    if schedule_tuner_off:
-        env["PYGB_SCHEDULE_TUNER"] = "0"
     if pack:
         env["PYGB_CATALOG"] = str(pack)
     else:

@@ -43,9 +43,11 @@ def compare(baseline: dict, candidate: dict, threshold: float) -> list[str]:
         limit = base * (1.0 + threshold)
         status = "ok"
         if cand > limit:
+            # a zero baseline has no percentage: any count above it fails
+            by = f"{(cand / base - 1.0) * 100.0:.1f}%" if base else f"{cand}"
             failures.append(
                 f"{key}: {cand} exceeds baseline {base} by "
-                f"{(cand / base - 1.0) * 100.0:.1f}% (limit +{threshold * 100.0:.0f}%)"
+                f"{by} (limit +{threshold * 100.0:.0f}%)"
             )
             status = "FAIL"
         elif cand < base:

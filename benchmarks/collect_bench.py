@@ -23,7 +23,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
@@ -36,7 +35,7 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 os.environ.setdefault("PYGB_CACHE_DIR", str(REPO_ROOT / ".pygb_cache"))
 
 import repro as gb  # noqa: E402
-from repro import config, tiling  # noqa: E402
+from repro import tiling  # noqa: E402
 from repro.algorithms import pagerank  # noqa: E402
 from repro.core.dispatch import CountingEngine, make_engine  # noqa: E402
 from repro.core.nonblocking import reset_stats, stats  # noqa: E402
@@ -55,23 +54,6 @@ def _git_sha() -> str:
         ).stdout.strip()
     except Exception:
         return "unknown"
-
-
-@contextlib.contextmanager
-def _env(name: str, value: str):
-    """Run a block with ``$name`` set: the variable is written and the
-    configuration snapshot reloaded, on the way in and on the way out."""
-    old = os.environ.get(name)
-    os.environ[name] = value
-    config.reload()
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = old
-        config.reload()
 
 
 def _count(fn) -> int:
@@ -115,8 +97,8 @@ def _schedule_metrics() -> dict:
     """Direction-optimization counters for BFS on a power-law R-MAT
     graph (the schedule layer's headline workload).
 
-    ``PYGB_SCHEDULE_TUNER=0`` pins the pure cost model, so the examined
-    edge counts and switch count are fully deterministic and gate hard.
+    Direction is a function of the operands, so the examined edge counts
+    and switch count are fully deterministic and gate hard.
     Two invariants are asserted rather than tracked: every mode yields
     bit-identical levels, and the auto schedule examines at least 2x
     fewer edges than fixed-push (the direction-optimization payoff).
@@ -126,12 +108,11 @@ def _schedule_metrics() -> dict:
     from repro.io.generators import rmat
 
     g = rmat(RMAT_SCALE, edge_factor=RMAT_EDGE_FACTOR, seed=42)
-    with _env("PYGB_SCHEDULE_TUNER", "0"):
-        levels, counters = {}, {}
-        for mode in ("fixed", "push", "pull", "auto"):
-            S.reset_stats()
-            levels[mode] = bfs_levels(g, 0, schedule=mode)._store.to_dict()
-            counters[mode] = S.stats()
+    levels, counters = {}, {}
+    for mode in ("fixed", "push", "pull", "auto"):
+        S.reset_stats()
+        levels[mode] = bfs_levels(g, 0, schedule=mode)._store.to_dict()
+        counters[mode] = S.stats()
 
     for mode in ("push", "pull", "auto"):
         assert levels[mode] == levels["fixed"], (
@@ -157,10 +138,10 @@ def _tiled_metrics() -> dict:
     """Deterministic partition counters for the tiled data plane.
 
     Tile and worker counts are forced through ``gb.tiled`` (not read
-    from the machine) and the schedule autotuner is pinned off (a
-    timing-driven push/pull choice would flip dispatches between the
-    partitioned and forwarded buckets), so partitioned-dispatch, merge,
-    and tile-task counts depend only on the program — they gate hard.
+    from the machine) and the direction is pinned dense (``auto`` runs
+    PageRank's ``vxm`` as a push, which forwards past the tiler — this
+    leg measures the fan-out), so partitioned-dispatch, merge, and
+    tile-task counts depend only on the program — they gate hard.
     Two invariants are asserted rather than tracked: the tiled PageRank
     is bit-identical to the monolithic run, and ``tiles=1`` is a clean
     ablation that never creates a tile or fans out a dispatch.
@@ -171,17 +152,16 @@ def _tiled_metrics() -> dict:
 
     def run():
         pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
-        pagerank(g, pr, threshold=1.0e-8)
+        pagerank(g, pr, threshold=1.0e-8, schedule="dense")
         return pr.to_numpy()
 
-    with _env("PYGB_SCHEDULE_TUNER", "0"):
-        with gb.tiled(tiles=1):
-            mono = run()
+    with gb.tiled(tiles=1):
+        mono = run()
 
-        tiling.reset_stats()
-        with gb.tiled(tiles=4, workers=2):
-            tiled_result = run()
-        counters = tiling.stats()
+    tiling.reset_stats()
+    with gb.tiled(tiles=4, workers=2):
+        tiled_result = run()
+    counters = tiling.stats()
     assert np.array_equal(mono, tiled_result), (
         "tiled PageRank diverged from the monolithic run"
     )
@@ -214,7 +194,8 @@ def _guard_metrics() -> dict:
     tile task only, so the ladder must degrade that one fan-out to a
     monolithic re-execution (degrades=1) and quarantine tiling for the
     crashed op signature (quarantines=1) — counts that depend only on
-    the program, never the machine.  Bit-identity with the fault-free
+    the program, never the machine; the direction is pinned dense for
+    the same reason as in the tiled leg.  Bit-identity with the fault-free
     run is an invariant, asserted rather than tracked, so a ladder that
     returns partial tile results can never publish a green point.
     """
@@ -229,7 +210,7 @@ def _guard_metrics() -> dict:
 
     def run():
         pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
-        pagerank(g, pr, threshold=1.0e-8)
+        pagerank(g, pr, threshold=1.0e-8, schedule="dense")
         return pr.to_numpy()
 
     with gb.tiled(tiles=1):
@@ -307,7 +288,6 @@ def _catalog_metrics() -> dict:
     def run(with_pack: bool) -> dict:
         env = {**os.environ,
                "PYGB_CACHE_DIR": tempfile.mkdtemp(prefix="pygb-bench-cold-"),
-               "PYGB_SCHEDULE_TUNER": "0",
                "PYTHONPATH": str(REPO_ROOT / "src")}
         if with_pack:
             env["PYGB_CATALOG"] = pack

@@ -301,11 +301,7 @@ def cmd_doctor(args) -> int:
     )
     from . import schedule as _schedule
 
-    print(
-        f"schedule:        {_schedule.schedule_mode()} (PYGB_SCHEDULE)   "
-        f"autotuner: {'on' if _schedule.tuner_enabled() else 'off'} "
-        f"(PYGB_SCHEDULE_TUNER)"
-    )
+    print(f"schedule:        {_schedule.schedule_mode()} (PYGB_SCHEDULE)")
     from . import tiling as _tiling
 
     tstats = _tiling.stats()

@@ -272,7 +272,7 @@ def _vectorize1(fn):
 
     def wrapped(a):
         a = np.asarray(a)
-        out = uf(a)
+        out = np.asarray(uf(a))  # frompyfunc hands back a bare scalar for 0-d input
         return out.astype(a.dtype) if a.size else a
 
     return wrapped
@@ -284,9 +284,9 @@ def _vectorize2(fn):
     def wrapped(a, b):
         a = np.asarray(a)
         b = np.asarray(b)
-        out = uf(a, b)
+        out = np.asarray(uf(a, b))  # frompyfunc hands back a bare scalar for 0-d inputs
         res_dt = np.result_type(a, b)
-        return out.astype(res_dt) if np.asarray(out).size else np.empty(0, res_dt)
+        return out.astype(res_dt) if out.size else np.empty(0, res_dt)
 
     return wrapped
 

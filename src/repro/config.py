@@ -32,14 +32,11 @@ class Config:
 
     backend: str = "pyjit"
     mode: str = "blocking"
-    queue_max: int = 256
-    prefetch: bool = True
     cxx: str | None = None
     cache_dir: str | None = None
     parallel: bool = True
     threads: int | None = None  # for the record: the C++ kernels getenv it themselves, per call
     schedule: str = "auto"
-    schedule_tuner: bool = True
     tiles: int | str = "auto"
     workers: int = _CPU_COUNT
     catalog: str | None = None
@@ -51,7 +48,6 @@ class Config:
     worker_timeout: float | None = 60.0
     fault: str = ""
     fault_sleep: float = 0.05
-    fault_hang: float = 30.0
     request_timeout: float | None = None
     batch_max: int = 16
     serve_workers: int = 2
@@ -68,14 +64,14 @@ def _bad(name: str, raw: str, valid: str, instead: str, what: str = "bad") -> No
     warnings.warn(f"pygb: {what} ${name}={raw!r} (valid: {valid}); {instead}", stacklevel=5)
 
 
-def _switch(env, name: str, default: bool, empty: bool = False) -> bool:
-    """On unless the value is ``0/false/off/no``; unset is *default*, an
-    empty value *empty*."""
+def _switch(env, name: str, default: bool) -> bool:
+    """On unless the value is empty or ``0/false/off/no``; unset is
+    *default*."""
     raw = env.get(name)
     if raw is None:
         return default
     raw = raw.strip().lower()
-    return raw not in _FALSEY if raw else empty
+    return bool(raw) and raw not in _FALSEY
 
 
 def _quiet(env, name: str, cast, default):
@@ -140,14 +136,11 @@ def _from_env(env) -> Config:
     return Config(
         backend=get("PYGB_BACKEND", Config.backend),
         mode="nonblocking" if get("PYGB_MODE", "").strip().lower() == "nonblocking" else "blocking",
-        queue_max=max(1, _quiet(env, "PYGB_QUEUE_MAX", int, Config.queue_max)),
-        prefetch=_switch(env, "PYGB_PREFETCH", True, empty=True),
         cxx=get("PYGB_CXX") or None,
         cache_dir=get("PYGB_CACHE_DIR") or None,
         parallel=_switch(env, "PYGB_PARALLEL", True),
         threads=threads if threads > 0 else None,
         schedule=_schedule(env),
-        schedule_tuner=_switch(env, "PYGB_SCHEDULE_TUNER", True, empty=True),
         tiles=_count(env, "PYGB_TILES", "auto", "auto, or an integer >= 1"),
         workers=_count(env, "PYGB_WORKERS", _CPU_COUNT, "an integer >= 1", "using the CPU count"),
         catalog=get("PYGB_CATALOG") or None,
@@ -160,7 +153,6 @@ def _from_env(env) -> Config:
                                 "seconds, or 0 to disable", "using the default"),
         fault=get("PYGB_FAULT", ""),
         fault_sleep=_quiet(env, "PYGB_FAULT_SLEEP", float, Config.fault_sleep),
-        fault_hang=_quiet(env, "PYGB_FAULT_HANG", float, Config.fault_hang),
         request_timeout=_seconds(env, "PYGB_REQUEST_TIMEOUT", None, "number >= 1e-09",
                                  "using the default", floor=1e-9),
         batch_max=_count(env, "PYGB_BATCH_MAX", Config.batch_max),

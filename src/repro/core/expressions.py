@@ -23,7 +23,6 @@ the comparison to.
 from __future__ import annotations
 
 import numbers
-import time
 
 import numpy as np
 
@@ -105,18 +104,6 @@ def _check_inner(kind: str, a, ta: bool, other, axis: int) -> None:
     inner, extent = _shape_of(a)[0 if over_rows else 1], _shape_of(other)[axis]
     if inner != extent:
         raise DimensionMismatch(f"{kind}: inner dimensions disagree ({inner} vs {extent})")
-
-
-def _dispatch_scheduled(method, sched, *args):
-    """Invoke an engine traversal method under a resolved schedule,
-    feeding the wall-clock latency back to the autotuner when this
-    dispatch is one it is sampling (``sched.wants_timing``)."""
-    if sched.wants_timing:
-        t0 = time.perf_counter_ns()
-        result = method(*args, sched=sched)
-        sched.note_latency(time.perf_counter_ns() - t0)
-        return result
-    return method(*args, sched=sched)
 
 
 class Expression:
@@ -335,10 +322,9 @@ class MXV(Expression):
         sched = self.schedule.resolve(
             "mxv", a_store, u_store, desc, self.ta, self.add_op
         )
-        out._store = _dispatch_scheduled(
-            current_backend_engine().mxv, sched,
+        out._store = current_backend_engine().mxv(
             out._store, a_store, u_store,
-            self.add_op, self.mult_op, desc, self.ta,
+            self.add_op, self.mult_op, desc, self.ta, sched=sched,
         )
 
 
@@ -370,10 +356,9 @@ class VXM(Expression):
         sched = self.schedule.resolve(
             "vxm", a_store, u_store, desc, self.ta, self.add_op
         )
-        out._store = _dispatch_scheduled(
-            current_backend_engine().vxm, sched,
+        out._store = current_backend_engine().vxm(
             out._store, u_store, a_store,
-            self.add_op, self.mult_op, desc, self.ta,
+            self.add_op, self.mult_op, desc, self.ta, sched=sched,
         )
 
 

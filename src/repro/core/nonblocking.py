@@ -12,7 +12,7 @@ until the queue flushes.  Flushes happen
   flushes first;
 * on explicit :func:`wait`;
 * on ``nonblocking()`` context exit;
-* when the queue reaches ``$PYGB_QUEUE_MAX`` entries (default 256).
+* when the queue reaches :data:`QUEUE_MAX` entries.
 
 What the queue buys over per-statement dispatch:
 
@@ -24,8 +24,7 @@ What the queue buys over per-statement dispatch:
   zero dispatches;
 * **compile prefetch** — on the cpp engine, enqueueing starts background
   JIT compilation for the kernel specs the flush will need, so the
-  compile latency overlaps with Python-side queue building (gate:
-  ``$PYGB_PREFETCH``, default on).
+  compile latency overlaps with Python-side queue building.
 
 Hazard rules (all verified by ``tests/test_nonblocking.py``):
 
@@ -88,6 +87,9 @@ _DEFERRABLE = frozenset(
      Kronecker, TransposeExpr}
 )
 
+#: queue length that triggers an automatic flush
+QUEUE_MAX = 256
+
 _COUNTER_KEYS = (
     "enqueued", "flushes", "dead_stores", "copy_elisions",
     "prefetch_submitted", "flush_errors",
@@ -144,10 +146,9 @@ class _State:
     __slots__ = ("depth", "default_on", "queue")
 
     def __init__(self):
-        cfg = _config()
         self.depth = 0
-        self.default_on = cfg.mode == "nonblocking"
-        self.queue = LazyQueue(cfg.queue_max)
+        self.default_on = _config().mode == "nonblocking"
+        self.queue = LazyQueue(QUEUE_MAX)
 
 
 _tls = threading.local()
@@ -398,7 +399,7 @@ def _commit(q, target, entry, kill: bool = True) -> None:
         flush("queue-cap")
     elif FAULTS.fire("queue_overflow"):
         # injected overflow: exercise the cap-flush path deterministically
-        # regardless of the configured PYGB_QUEUE_MAX
+        # without QUEUE_MAX statements
         flush("overflow")
 
 
@@ -524,7 +525,7 @@ def _maybe_prefetch(q, entry: _Entry) -> None:
     latency overlaps with queue building instead of stalling the flush."""
     engine = getattr(entry.engine, "primary", entry.engine)
     jobs_fn = getattr(engine, "prefetch_jobs", None)
-    if jobs_fn is None or not _config().prefetch:
+    if jobs_fn is None:
         return
     try:
         jobs = [

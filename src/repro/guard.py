@@ -105,13 +105,6 @@ def fault_sleep_seconds() -> float:
     return _config().fault_sleep
 
 
-def hang_seconds() -> float:
-    """Stall injected by the ``worker_hang`` fault (``$PYGB_FAULT_HANG``,
-    default 30s — far past any test's worker timeout, so the hang is
-    always detected rather than waited out)."""
-    return _config().fault_hang
-
-
 # ----------------------------------------------------------------------
 # deadline scopes
 # ----------------------------------------------------------------------

@@ -34,8 +34,8 @@ pins this cross-engine and cross-mode.
 
 Selection is controlled by ``$PYGB_SCHEDULE``:
 
-* ``auto`` (default) — per-operation cost model over deterministic
-  density counters, refined by the online autotuner below;
+* ``auto`` (default) — the cheapest direction under the cost model
+  below, a pure function of the operands;
 * ``fixed`` — the legacy dense strategy everywhere (pre-schedule-layer
   behaviour, the ablation baseline);
 * ``push`` / ``pull`` — force one direction (``pull`` degrades to
@@ -44,15 +44,31 @@ Selection is controlled by ``$PYGB_SCHEDULE``:
 A :class:`Scheduled` context manager overrides the environment for a
 block, mirroring the operator-context idiom (``with Scheduled("pull")``).
 
-The **online autotuner** (``auto`` mode) reuses the observability
-layer's log2 latency histograms (``repro/obs/stats.py``): per call site
-and frontier-density bucket it first *explores* — runs each cost-viable
-direction a couple of times — then *exploits* the direction with the
-lowest median observed latency.  The cost model bounds its freedom: only
-directions within ``_TUNER_BAND``× of the modeled optimum are ever
-tried, so a mistimed sample cannot pick a catastrophic schedule.
-``PYGB_SCHEDULE_TUNER=0`` disables the timing feedback, leaving the pure
-(deterministic) cost model — the benchmarks gate on that configuration.
+The **cost model** charges each direction the stored entries it would
+examine, plus the transpose it would have to build to run.  Push
+scatters along one orientation of the matrix, dense and pull gather
+along the other; the one that is not ``a`` itself is ``a.T``, memoised
+on the store once built:
+
+=========  ===================================  ===========================
+direction  edges                                ``a.T`` needed, not at hand
+=========  ===================================  ===========================
+``dense``  ``nnz``                              ``+ nnz``: it would be built
+                                                only to run this statement
+``push``   ``Σ out-degree(frontier)``           frontier ≤ ¼ full: built to
+                                                read the degrees (once per
+                                                store); denser: not a
+                                                candidate
+``pull``   ``Σ in-degree(mask candidates)``;    built to read the degrees
+           ``÷ 4 + |candidates|`` when the      (once per store; masked
+           add monoid is ``LogicalOr``          statements only)
+=========  ===================================  ===========================
+
+Ties go to ``dense``, then ``push``, then ``pull``.  So a full frontier
+is ``dense`` when its gather matrix is at hand and ``push`` when it is
+not — PageRank's ``vxm`` on a freshly built matrix never transposes it.
+No timing enters the choice: the same operands give the same direction
+in every process.
 
 Deterministic counters (:func:`stats`) track calls, examined edges per
 direction, direction switches, and pull→dense fallbacks; the perf
@@ -66,15 +82,12 @@ import numpy as np
 
 from . import obs
 from .config import current as _config
-from .obs.stats import HIST_BUCKETS, quantile_ns
 
 __all__ = [
     "DIRECTIONS",
     "Schedule",
     "Scheduled",
-    "AutoTuner",
     "schedule_mode",
-    "tuner_enabled",
     "note_edges",
     "reset_stats",
     "stats",
@@ -87,26 +100,10 @@ DIRECTIONS = ("dense", "push", "pull")
 #: on BFS-like frontiers most candidates hit within a few neighbours)
 _EARLY_EXIT_DISCOUNT = 4
 
-#: the autotuner may only choose among directions whose modeled cost is
-#: within this factor of the cheapest — the cost model stays in charge
-#: of the asymptotics, timing only breaks near-ties
-_TUNER_BAND = 4.0
-
-#: samples per (site, density-bucket, direction) before the tuner trusts
-#: its latency data ("first iterations explore, rest exploit")
-_TUNER_EXPLORE = 2
-
 
 def schedule_mode() -> str:
-    """The ``$PYGB_SCHEDULE`` mode (``fixed`` | ``auto`` | ``push`` |
-    ``pull``)."""
+    """The ``$PYGB_SCHEDULE`` mode (``fixed`` | ``auto`` | ``push`` | ``pull``)."""
     return _config().schedule
-
-
-def tuner_enabled() -> bool:
-    """``$PYGB_SCHEDULE_TUNER`` gate for the latency-feedback stage
-    (``0/false/off/no`` leaves the deterministic cost model in charge)."""
-    return _config().schedule_tuner
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +132,6 @@ STATS = _ScheduleStats()
 #: by the number of distinct (op, shape, nnz) sites in a process
 _LAST_DIRECTION: dict = {}
 _LAST_DIRECTION_CAP = 4096
-#: the same bound for the autotuner's (site, bucket, direction) table
-_TUNER_HISTS_CAP = 4096
 
 
 def note_edges(direction: str, count: int) -> None:
@@ -146,10 +141,9 @@ def note_edges(direction: str, count: int) -> None:
 
 
 def reset_stats() -> None:
-    """Zero the counters, the switch tracker, and the autotuner."""
+    """Zero the counters and the switch tracker."""
     STATS.reset()
     _LAST_DIRECTION.clear()
-    _TUNER.reset()
 
 
 def stats() -> dict:
@@ -162,73 +156,6 @@ def stats() -> dict:
         "switches": STATS.switches,
         "fallbacks": STATS.fallbacks,
     }
-
-
-# ----------------------------------------------------------------------
-# the online autotuner
-# ----------------------------------------------------------------------
-
-
-def _log2_bucket(n: int) -> int:
-    """Coarse density bucket: the bit length of *n* (0 for empty)."""
-    return int(n).bit_length()
-
-
-class AutoTuner:
-    """Explore-then-exploit direction choice from observed latencies.
-
-    Observations are stored as the same 64-bucket log2 latency
-    histograms the obs layer aggregates (``repro/obs/stats.py``), keyed
-    by ``(site, density bucket, direction)``; the exploit phase compares
-    histogram medians (:func:`repro.obs.stats.quantile_ns`).  Sample
-    count and median change only in :meth:`note`, so they are kept
-    beside the histogram and :meth:`choose` is dictionary reads.
-    """
-
-    def __init__(self):
-        #: key -> [histogram, samples, median_ns]
-        self._hists: dict = {}
-
-    def reset(self) -> None:
-        self._hists.clear()
-
-    def observations(self, site, bucket, direction) -> int:
-        entry = self._hists.get((site, bucket, direction))
-        return entry[1] if entry else 0
-
-    def note(self, site, bucket, direction: str, dur_ns: int) -> None:
-        key = (site, bucket, direction)
-        entry = self._hists.get(key)
-        if entry is None:
-            # the site holds nnz: a long-lived process would otherwise
-            # keep one entry set per graph it ever traversed
-            if len(self._hists) >= _TUNER_HISTS_CAP:
-                self._hists.clear()
-            entry = self._hists[key] = [[0] * HIST_BUCKETS, 0, 0]
-        hist = entry[0]
-        hist[min(max(int(dur_ns), 0).bit_length(), HIST_BUCKETS - 1)] += 1
-        entry[1] += 1
-        entry[2] = quantile_ns(hist, 0.5)
-
-    def choose(self, site, bucket, candidates) -> tuple[str, str]:
-        """Pick from *candidates* (``[(direction, modeled_cost), ...]``,
-        cheapest first).  Returns ``(direction, chosen_by)``."""
-        best_cost = max(candidates[0][1], 1)
-        band = [d for d, c in candidates if c <= best_cost * _TUNER_BAND]
-        if len(band) == 1:
-            return band[0], "heuristic"
-        # explore: give every cost-viable direction its trial runs, in
-        # deterministic (cost) order
-        entries = [self._hists.get((site, bucket, d)) for d in band]
-        for d, entry in zip(band, entries):
-            if entry is None or entry[1] < _TUNER_EXPLORE:
-                return d, "explore"
-        # exploit: lowest median latency, cost order breaking ties
-        _median, best = min((entry[2], i) for i, entry in enumerate(entries))
-        return band[best], "tuner"
-
-
-_TUNER = AutoTuner()
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +182,6 @@ class Schedule:
         "frontier",
         "chosen_by",
         "candidates",
-        "site",
-        "bucket",
         "tiles",
         "workers",
     )
@@ -268,8 +193,6 @@ class Schedule:
         self.frontier = None
         self.chosen_by = None
         self.candidates = None
-        self.site = None
-        self.bucket = None
         # filled in by the PartitionedEngine when this dispatch fans out
         # over row tiles — surfaces in trace span attributes
         self.tiles = None
@@ -320,8 +243,7 @@ class Schedule:
         self.chosen_by = chosen_by
 
         STATS.calls[direction] += 1
-        site = self.site or (func, a.nrows, a.ncols, int(a.indices.size), bool(ta))
-        self.site = site
+        site = (func, a.nrows, a.ncols, int(a.indices.size), bool(ta))
         prev = _LAST_DIRECTION.get(site)
         if prev is not None and prev != direction:
             STATS.switches += 1
@@ -339,23 +261,28 @@ class Schedule:
         return self
 
     def _choose_auto(self, func, a, u, desc, ta, add_op):
-        """Beamer-style density-adaptive choice via the cost model, with
-        the banded autotuner breaking near-ties from observed latency."""
+        """The cheapest direction under the cost model (module
+        docstring): examined edges plus the transpose a direction would
+        have to build; ties go to the earlier of :data:`DIRECTIONS`."""
         nnz = int(a.indices.size)
         size = int(u.size)
         unnz = int(u.indices.size)
         mask = getattr(desc, "mask", None)
+        # push scatters along `a` itself when scatter_ready, and then
+        # dense and pull gather along `a.T`; otherwise the other way round
+        scatter_ready = (func == "mxv") == bool(ta)
+        transposed = a.transpose_memo() is not None
 
-        # dense: scan every stored entry of the gather matrix
-        candidates = [("dense", nnz)]
+        # dense: scan every stored entry of the gather matrix, after
+        # building it when it is `a.T` and not at hand
+        candidates = [("dense", 2 * nnz if scatter_ready and not transposed else nnz)]
 
         # push: Σ out-degree(frontier) on the scatter matrix.  When the
         # frontier is dense the bound density * nnz already rules push
         # out without forcing a transpose build.
-        scatter_ready = (func == "mxv") == bool(ta)
         if unnz == 0:
             candidates.append(("push", 0))
-        elif scatter_ready or unnz * 4 <= size or a.transpose_memo() is not None:
+        elif scatter_ready or transposed or unnz * 4 <= size:
             s = a if scatter_ready else a.transposed()
             deg = s.row_lengths()[u.indices]
             candidates.append(("push", int(deg.sum())))
@@ -365,8 +292,6 @@ class Schedule:
         if mask is not None:
             cand = _pull_candidates(mask, desc)
             self.candidates = cand
-            # the gather matrix is `a` exactly when the scatter matrix
-            # is its transpose, and vice versa
             g = a.transposed() if scatter_ready else a
             pdeg = g.row_lengths()[cand]
             cost = int(pdeg.sum())
@@ -374,25 +299,8 @@ class Schedule:
                 cost = cost // _EARLY_EXIT_DISCOUNT + cand.size
             candidates.append(("pull", cost))
 
-        candidates.sort(key=lambda dc: (dc[1], DIRECTIONS.index(dc[0])))
-        if not _config().schedule_tuner:
-            return candidates[0][0], "heuristic"
-        site = (func, a.nrows, a.ncols, nnz, bool(ta))
-        self.site = site
-        self.bucket = (_log2_bucket(unnz), _log2_bucket(size - unnz))
-        return _TUNER.choose(site, self.bucket, candidates)
-
-    def note_latency(self, dur_ns: int) -> None:
-        """Feed one engine-call latency back to the autotuner (only
-        meaningful for auto-mode schedules with a tuner site)."""
-        if self.site is not None and self.bucket is not None:
-            _TUNER.note(self.site, self.bucket, self.direction, dur_ns)
-
-    @property
-    def wants_timing(self) -> bool:
-        """True when the dispatcher should time the engine call for the
-        autotuner's benefit."""
-        return self.bucket is not None
+        # built in DIRECTIONS order, and min() keeps the first of a tie
+        return min(candidates, key=lambda dc: dc[1])[0], "heuristic"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -328,9 +328,9 @@ class AdmissionController:
                     self._groups[key] = group
             start = time.perf_counter_ns()
             self._run_batch(batch)
-            self._note_latency(batch, start, time.perf_counter_ns() - start)
+            self._record_latency(batch, start, time.perf_counter_ns() - start)
 
-    def _note_latency(self, batch: list[_Pending], start: int, ran_ns: int) -> None:
+    def _record_latency(self, batch: list[_Pending], start: int, ran_ns: int) -> None:
         algorithm = batch[0].request.algorithm
         with self._cond:
             waits, runs = self._latency.setdefault(

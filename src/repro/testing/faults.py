@@ -38,8 +38,8 @@ Supported kinds and their hook points:
                     ``gb.deadline`` / ``PYGB_OP_TIMEOUT`` for real
 ``worker_crash``    one tile-worker task raises ``KernelExecutionError``
                     mid-fan-out, exercising monolithic re-execution
-``worker_hang``     one tile-worker task stalls ``$PYGB_FAULT_HANG``
-                    (30s default), tripping ``PYGB_WORKER_TIMEOUT``
+``worker_hang``     one tile-worker task stalls 30 s, tripping
+                    ``PYGB_WORKER_TIMEOUT``
 ``queue_overflow``  the nonblocking queue flushes immediately after the
                     next enqueue (a forced ``overflow`` flush reason)
 ================== ====================================================

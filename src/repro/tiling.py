@@ -169,6 +169,10 @@ STATS = _TilingStats()
 #: dispatch-thread-only)
 _TASK_COUNT_LOCK = threading.Lock()
 
+#: stall injected by the ``worker_hang`` fault: far past any worker
+#: timeout in use, so the hang is always detected rather than waited out
+_HANG_SECONDS = 30.0
+
 
 def note_partition(op: str, ntiles: int, workers: int) -> None:
     """Record one dispatch fanned out over *ntiles* row blocks."""
@@ -384,7 +388,7 @@ def run_tile_tasks(tasks):
             if FAULTS.fire("worker_crash"):
                 raise KernelExecutionError("injected tile-worker crash")
             if FAULTS.fire("worker_hang"):
-                guard.cooperative_sleep(guard.hang_seconds(), extra_event=abort)
+                guard.cooperative_sleep(_HANG_SECONDS, extra_event=abort)
                 raise KernelExecutionError("injected tile-worker hang")
             with _TASK_COUNT_LOCK:
                 STATS.tile_tasks += 1

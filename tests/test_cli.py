@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,3 +158,16 @@ def test_precompile_failure_exits_nonzero(tmp_path, monkeypatch, capsys):
     finally:
         monkeypatch.undo()
         reset_default_cache()
+
+
+def test_counter_gate_fails_a_metric_that_leaves_zero(capsys):
+    """``benchmarks/check_regression.py``: a tracked counter going 0 -> n
+    is a FAIL line, not a division by the baseline."""
+    path = Path(__file__).parent.parent / "benchmarks" / "check_regression.py"
+    spec = importlib.util.spec_from_file_location("check_regression", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    failures = gate.compare({"metrics": {"forwarded": 0, "merges": 3}},
+                            {"metrics": {"forwarded": 3, "merges": 3}}, 0.15)
+    assert len(failures) == 1 and "forwarded: 3 exceeds baseline 0" in failures[0]
+    assert "FAIL" in capsys.readouterr().out

@@ -54,9 +54,6 @@ PARSE_TABLE = [
     ("PYGB_MODE", "mode",
      {UNSET: "blocking", "nonblocking": "nonblocking", " NonBlocking ": "nonblocking",
       "blocking": "blocking", "banana": "blocking"}, ()),
-    ("PYGB_QUEUE_MAX", "queue_max", {UNSET: 256, "8": 8, "0": 1, "-5": 1, "junk": 256, "": 256}, ()),
-    ("PYGB_PREFETCH", "prefetch",
-     {UNSET: True, "1": True, "": True, "0": False, "off": False, " No ": False}, ()),
     ("PYGB_CXX", "cxx", {UNSET: None, "": None, "clang++": "clang++"}, ()),
     ("PYGB_CACHE_DIR", "cache_dir", {UNSET: None, "": None, "/tmp/c": "/tmp/c"}, ()),
     ("PYGB_PARALLEL", "parallel",
@@ -65,8 +62,6 @@ PARSE_TABLE = [
     ("PYGB_SCHEDULE", "schedule",
      {UNSET: "auto", "": "auto", "auto": "auto", "fixed": "fixed", "dense": "fixed",
       "0": "fixed", "no": "fixed", "push": "push", " PULL ": "pull"}, ("sideways",)),
-    ("PYGB_SCHEDULE_TUNER", "schedule_tuner",
-     {UNSET: True, "1": True, "": True, "0": False, "off": False}, ()),
     ("PYGB_TILES", "tiles",
      {UNSET: "auto", "": "auto", " AUTO ": "auto", "1": 1, "4": 4}, ("banana", "0", "-2")),
     ("PYGB_WORKERS", "workers", {UNSET: CPUS, "": CPUS, " 3 ": 3}, ("banana", "0", "-3")),
@@ -83,7 +78,6 @@ PARSE_TABLE = [
      {UNSET: 60.0, "": 60.0, "0": None, "no": None, "0.5": 0.5, "-2": None}, ("banana",)),
     ("PYGB_FAULT", "fault", {UNSET: "", "kernel_fail:0.5": "kernel_fail:0.5"}, ()),
     ("PYGB_FAULT_SLEEP", "fault_sleep", {UNSET: 0.05, "": 0.05, "10": 10.0, "junk": 0.05}, ()),
-    ("PYGB_FAULT_HANG", "fault_hang", {UNSET: 30.0, "2": 2.0, "junk": 30.0}, ()),
     ("PYGB_REQUEST_TIMEOUT", "request_timeout",
      {UNSET: None, "": None, "0": None, "off": None, "2.5": 2.5}, ("banana", "-1", "1e-12")),
     ("PYGB_BATCH_MAX", "batch_max", {UNSET: 16, "": 16, "2": 2}, ("banana", "0")),
@@ -127,16 +121,16 @@ class TestParsing:
     def test_public_readers_are_reads_of_the_snapshot(self, monkeypatch):
         for variable, raw in {
             "PYGB_OP_TIMEOUT": "0.25", "PYGB_WORKER_TIMEOUT": "0.5",
-            "PYGB_SCHEDULE": "push", "PYGB_SCHEDULE_TUNER": "0", "PYGB_TILES": "4",
+            "PYGB_SCHEDULE": "push", "PYGB_TILES": "4",
             "PYGB_WORKERS": "3", "PYGB_PARALLEL": "0", "PYGB_JIT_STRICT": "1",
             "PYGB_JIT_RETRIES": "7", "PYGB_COMPILE_TIMEOUT": "7.5", "PYGB_COMPILE_JOBS": "5",
             "PYGB_REQUEST_TIMEOUT": "2.5", "PYGB_BATCH_MAX": "2", "PYGB_SERVE_WORKERS": "4",
-            "PYGB_SERVICE_MAX_LINE": "256", "PYGB_FAULT_SLEEP": "10", "PYGB_FAULT_HANG": "2",
+            "PYGB_SERVICE_MAX_LINE": "256", "PYGB_FAULT_SLEEP": "10",
         }.items():
             monkeypatch.setenv(variable, raw)
         assert (guard.op_timeout(), guard.worker_timeout()) == (0.25, 0.5)
-        assert (guard.fault_sleep_seconds(), guard.hang_seconds()) == (10.0, 2.0)
-        assert (schedule.schedule_mode(), schedule.tuner_enabled()) == ("push", False)
+        assert guard.fault_sleep_seconds() == 10.0
+        assert schedule.schedule_mode() == "push"
         assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 3)
         assert not parallel_requested()
         assert (jit_strict(), jit_retries()) == (True, 7)

@@ -144,8 +144,9 @@ class TestPackReuse:
 
     def test_dsl_mutation_gets_fresh_store_and_pack(self, pack_log, no_faults):
         # monolithic throughout: under the tiled CI leg containers would be
-        # built row-blocked and the packs would belong to their tile views
-        with gb.tiled(tiles=1):
+        # built row-blocked and the packs would belong to their tile views;
+        # dense throughout: a push would pack the transpose's arrays instead
+        with gb.tiled(tiles=1), gb.Scheduled("dense"):
             g = erdos_renyi(N, nedges=200, seed=5, weighted=True, dtype=float)
             u = gb.Vector((np.ones(N), np.arange(N)), shape=(N,), dtype=float)
 

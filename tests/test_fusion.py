@@ -377,10 +377,9 @@ def _bare_engine(name):
     return {"interpreted": InterpretedEngine, "pyjit": PyJitEngine, "cpp": CppJitEngine}[name]()
 
 
-def _check_reduce(engine_name, rule, du, dv, da, db, rop="Plus", identity=None, size=24,
-                  want=None):
+def _check_reduce(engine_name, rule, du, dv, da, db, rop="Plus", identity=None, size=24):
     """The engine's fused method against the two-kernel sequence on the
-    same engine and against the dict reference (or a hand-folded *want*)."""
+    same engine and against the dict reference."""
     op, ref_ewise, _ = _RULES[rule]
     u, v = vec_from_dict(du, size, da), vec_from_dict(dv, size, db)
     pdt = binary_result_dtype(op, da, db)
@@ -391,13 +390,7 @@ def _check_reduce(engine_name, rule, du, dv, da, db, rop="Plus", identity=None, 
     two_step = eng.reduce_vec_scalar(t, rop, identity)
     assert np.asarray(got).dtype == pdt, (da, db)
     assert got == two_step, (da, db, got, two_step)
-    if engine_name == "cpp" and op == "Plus" and da == db == np.bool_:
-        # a disagreement older than this kernel (ROADMAP item 3): C++
-        # promotes first (``true + true == 2``), NumPy's bool ``add`` is a
-        # logical or (1) — each engine's fused kernel follows its own eWise
-        return
-    if want is None:
-        want = R.ref_reduce_scalar(ref_ewise(du, dv, op), rop, identity, dtype=pdt)
+    want = R.ref_reduce_scalar(ref_ewise(du, dv, op), rop, identity, dtype=pdt)
     assert got == want, (da, db, got, want)
 
 
@@ -440,7 +433,7 @@ class TestReduceSiteKernels:
             merged = _RULES[rule][1](du, dv, _RULES[rule][0])
             assert sum(merged.values()) > 20  # the fold saturates
             _check_reduce(engine_name, rule, du, dv, np.int64, np.int64,
-                          rop="TSatPlus", identity=0, want=20)
+                          rop="TSatPlus", identity=0)
             # and through the DSL: the monoid reaches the fused kernel
             u, v = vec_from_dict(du, 24, np.int64), vec_from_dict(dv, 24, np.int64)
             with gb.use_engine(engine_name):

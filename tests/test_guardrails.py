@@ -39,16 +39,9 @@ N = 48
 @pytest.fixture(autouse=True)
 def _clean_guard_state(monkeypatch):
     """Every test starts with no faults, no quarantine, zero counters,
-    and no guard-related environment configuration.  The cost model
-    alone picks traversal directions: the fan-out tests inject their
-    fault into a dense dispatch, which the latency tuner is free to
-    replace with a (forwarded) push once it has samples."""
-    for var in (
-        "PYGB_FAULT", "PYGB_OP_TIMEOUT", "PYGB_WORKER_TIMEOUT",
-        "PYGB_FAULT_SLEEP", "PYGB_FAULT_HANG",
-    ):
+    and no guard-related environment configuration."""
+    for var in ("PYGB_FAULT", "PYGB_OP_TIMEOUT", "PYGB_WORKER_TIMEOUT", "PYGB_FAULT_SLEEP"):
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "0")
     FAULTS.clear()
     guard.reset_stats()
     guard.tiling_health().reset()
@@ -221,11 +214,13 @@ class TestDegradationLadder:
     def test_worker_crash_degrades_bit_identical(self, engine):
         """A tile worker crashing mid-PageRank must yield byte-identical
         ranks via monolithic re-execution, recorded as a guard.degrade
-        obs event and a deterministic counter."""
-        with gb.tiled(tiles=1):
+        obs event and a deterministic counter.  The fan-out under test
+        is the dense ``vxm``'s: ``auto`` runs PageRank's as a push,
+        which forwards past the tiler."""
+        with gb.Scheduled("dense"), gb.tiled(tiles=1):
             clean = _pagerank_prog()
         with _quiet_degrades(), gb.tracing() as tr:
-            with gb.tiled(tiles=4, workers=2):
+            with gb.Scheduled("dense"), gb.tiled(tiles=4, workers=2):
                 with fault_injection("worker_crash", rate=1.0, times=1):
                     chaotic = _pagerank_prog()
         assert chaotic == clean

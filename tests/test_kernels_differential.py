@@ -11,10 +11,16 @@ from repro.backend import reference as R
 from repro.backend.kernels import OpDesc
 from repro.backend.smatrix import SparseMatrix
 from repro.backend.svector import SparseVector
+from repro.jit.cppengine import toolchain_works
 
 from helpers import mat_from_dict, random_mat_dict, random_vec_dict, vec_from_dict
 
 N = 12  # container dimension for randomized cases
+
+needs_cxx = [
+    pytest.mark.cpp,
+    pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain"),
+]
 
 
 def _vec_store(d, size, dtype=np.float64):
@@ -176,6 +182,30 @@ def test_ewise_add_vec(engine, rng, dcfg, op):
     )
     want = _ref_final_vec(c, R.ref_ewise_add(u, v, op), dcfg, mask)
     _approx_eq(got.to_dict(), want)
+
+
+@pytest.mark.parametrize("out_dtype", [np.bool_, np.int64, np.float64])
+@pytest.mark.parametrize(
+    "da, db",
+    [(np.bool_, np.bool_), (np.bool_, np.int64), (np.int64, np.bool_),
+     (np.bool_, np.float64), (np.float64, np.bool_)],
+)
+@pytest.mark.parametrize("engine_name", ["interpreted", "pyjit", pytest.param("cpp", marks=needs_cxx)])
+def test_plus_of_two_true_values(engine_name, da, db, out_dtype):
+    """``True + True`` at an index both operands store: ``bool`` with
+    ``bool`` adds as ``bool`` (one), whatever dtype the output then widens
+    it to; with a wider operand the sum is formed at that dtype (two)."""
+    one_u, one_v = np.dtype(da).type(1).item(), np.dtype(db).type(1).item()
+    u, v = {0: one_u, 1: one_u}, {1: one_v, 2: one_v}
+    with gb.use_engine(engine_name):
+        got = gb.current_backend_engine().ewise_add_vec(
+            SparseVector.empty(3, out_dtype), _vec_store(u, 3, da), _vec_store(v, 3, db),
+            "Plus", OpDesc(),
+        )
+    want = R.ref_finalize_vec({}, R.ref_ewise_add(u, v, "Plus"), 3, out_dtype,
+                              None, False, False, None)
+    assert got.to_dict() == want
+    assert want[1] == (1 if da == db == np.bool_ or out_dtype == np.bool_ else 2)
 
 
 @pytest.mark.parametrize("dcfg", DESCS)

@@ -3,7 +3,7 @@
 Four layers of coverage:
 
 * **unit** — ``$PYGB_SCHEDULE`` parsing, the :class:`Scheduled` context,
-  the deterministic counters, the explore-then-exploit autotuner, and
+  the deterministic counters, the cost model's decision rows, and
   :meth:`Schedule.resolve` feasibility rules (unmasked pull degrades to
   dense and counts a fallback; switches are detected per call site);
 * **bit-identity** — every mode (``fixed``/``push``/``pull``/``auto``)
@@ -39,7 +39,7 @@ N = 24
 
 @pytest.fixture(autouse=True)
 def _fresh_schedule_state():
-    """Counter/tuner state is process-global; isolate every test."""
+    """Counter state is process-global; isolate every test."""
     S.reset_stats()
     yield
     S.reset_stats()
@@ -78,14 +78,6 @@ class TestModeParsing:
         with pytest.warns(UserWarning, match="PYGB_SCHEDULE"):
             monkeypatch.setenv("PYGB_SCHEDULE", "sideways")
         assert S.schedule_mode() == "auto"
-
-    def test_tuner_gate(self, monkeypatch):
-        monkeypatch.delenv("PYGB_SCHEDULE_TUNER", raising=False)
-        assert S.tuner_enabled()
-        monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "0")
-        assert not S.tuner_enabled()
-        monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "off")
-        assert not S.tuner_enabled()
 
 
 class TestScheduledContext:
@@ -126,41 +118,6 @@ class TestCounters:
         st = S.stats()
         assert st["edges_total"] == 0 and st["calls_total"] == 0
         assert st["switches"] == 0 and st["fallbacks"] == 0
-
-
-# ----------------------------------------------------------------------
-# unit: the autotuner
-# ----------------------------------------------------------------------
-
-
-class TestAutoTuner:
-    SITE = ("mxv", 8, 8, 30, False)
-    BUCKET = (2, 3)
-
-    def test_explore_then_exploit(self):
-        t = S.AutoTuner()
-        cands = [("push", 10), ("pull", 20)]
-        picks = []
-        for _ in range(4):
-            d, by = t.choose(self.SITE, self.BUCKET, cands)
-            picks.append((d, by))
-            # make pull observably faster than push
-            t.note(self.SITE, self.BUCKET, d, 1_000 if d == "pull" else 500_000)
-        assert picks == [("push", "explore")] * 2 + [("pull", "explore")] * 2
-        assert t.choose(self.SITE, self.BUCKET, cands) == ("pull", "tuner")
-
-    def test_band_excludes_expensive_direction(self):
-        t = S.AutoTuner()
-        # dense is 100x the modeled optimum: never sampled, no timing risk
-        cands = [("push", 10), ("dense", 1000)]
-        assert t.choose(self.SITE, self.BUCKET, cands) == ("push", "heuristic")
-
-    def test_reset_forgets_observations(self):
-        t = S.AutoTuner()
-        t.note(self.SITE, self.BUCKET, "push", 100)
-        assert t.observations(self.SITE, self.BUCKET, "push") == 1
-        t.reset()
-        assert t.observations(self.SITE, self.BUCKET, "push") == 0
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +162,7 @@ class TestResolve:
         expected = sorted(set(range(n)) - {i for i, v in mask_d.items() if v})
         np.testing.assert_array_equal(sched.candidates, expected)
 
-    def test_auto_heuristic_prefers_push_for_sparse_frontier(self, monkeypatch):
-        monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "0")
+    def test_auto_heuristic_prefers_push_for_sparse_frontier(self):
         n = 32
         rng = np.random.default_rng(1)
         a = mat_from_dict(random_mat_dict(rng, n, n, density=0.4), n, n)
@@ -217,14 +173,57 @@ class TestResolve:
         assert sched.direction == "push"
         assert sched.chosen_by == "heuristic"
 
-    def test_empty_frontier_is_free_push(self, monkeypatch):
-        monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "0")
+    def test_empty_frontier_is_free_push(self):
         a, _, _, _ = _stores()
         u = gb.Vector(shape=(8,), dtype=np.float64)
         sched = S.Schedule("auto").resolve(
             "mxv", a, u._store, OpDesc(), False, "Plus"
         )
         assert sched.direction == "push"
+
+    @pytest.mark.parametrize(
+        "func, ta, memo, frontier, expect",
+        [
+            # full frontier, push scatters along `a` itself: dense would
+            # have to build a.T to gather along, so it is charged for it
+            ("vxm", False, False, "full", "push"),
+            ("mxv", True, False, "full", "push"),
+            # ... unless the transpose is at hand: the tie goes to dense
+            ("vxm", False, True, "full", "dense"),
+            ("mxv", True, True, "full", "dense"),
+            # `a @ u` gathers along `a` itself: nothing to build
+            ("mxv", False, False, "full", "dense"),
+            # a sparse frontier pushes whichever side `a` is (`a @ u`:
+            # test_auto_heuristic_prefers_push_for_sparse_frontier)
+            ("mxv", True, False, "sparse", "push"),
+        ],
+    )
+    def test_cost_model_rows(self, func, ta, memo, frontier, expect):
+        n = 32
+        a = mat_from_dict(random_mat_dict(np.random.default_rng(1), n, n, density=0.4), n, n)._store
+        assert a.transpose_memo() is None
+        if memo:
+            a.transposed()
+        idx = range(n) if frontier == "full" else [3]
+        u = gb.Vector((np.ones(len(idx)), idx), shape=(n,), dtype=np.float64)._store
+        sched = S.Schedule("auto").resolve(func, a, u, OpDesc(), ta, "Plus")
+        assert (sched.direction, sched.chosen_by) == (expect, "heuristic")
+        if frontier == "full":
+            # a full frontier never makes `auto` build a transpose
+            assert (a.transpose_memo() is not None) == memo
+
+    def test_masked_step_with_few_candidates_pulls(self):
+        """A BFS step late in the traversal: wide frontier, three
+        unvisited vertices left under the complemented mask."""
+        n = 32
+        a = mat_from_dict(random_mat_dict(np.random.default_rng(1), n, n, density=0.4), n, n)._store
+        u = gb.Vector((np.ones(16, dtype=bool), range(16)), shape=(n,), dtype=bool)._store
+        visited = gb.Vector((np.ones(n - 3, dtype=bool), range(n - 3)), shape=(n,), dtype=bool)._store
+        sched = S.Schedule("auto").resolve(
+            "mxv", a, u, OpDesc(mask=visited, complement=True), True, "LogicalOr"
+        )
+        assert sched.direction == "pull"
+        np.testing.assert_array_equal(sched.candidates, [n - 3, n - 2, n - 1])
 
     def test_switch_detected_per_site(self):
         a, u, _, _ = _stores()
@@ -396,13 +395,11 @@ class TestAlgorithms:
         assert S.stats()["calls"]["push"] > 0
         assert push_edges * 2 <= dense_edges
 
-    def test_auto_bfs_switches_and_stays_correct(self, engine, monkeypatch):
-        """Pure cost model (tuner off): deterministic direction choices,
-        fewer examined edges than the dense sweep, identical levels."""
+    def test_auto_bfs_switches_and_stays_correct(self, engine):
+        """Fewer examined edges than the dense sweep, identical levels."""
         from repro.algorithms import bfs_levels
         from repro.io.generators import rmat
 
-        monkeypatch.setenv("PYGB_SCHEDULE_TUNER", "0")
         g = rmat(7, edge_factor=8, seed=4)
         base = bfs_levels(g, 0, schedule="fixed")
         S.reset_stats()
@@ -413,6 +410,52 @@ class TestAlgorithms:
         S.reset_stats()
         bfs_levels(g, 0, schedule="fixed")
         assert st["edges_total"] * 2 <= S.stats()["edges"]["dense"]
+
+
+    def test_direction_is_independent_of_latency(self, engine, no_faults, monkeypatch):
+        """The same operands give the same directions whatever the
+        dispatches cost: a second run with every kernel call stalled
+        leaves ``calls``, ``edges`` and ``switches`` as they were."""
+        from repro.algorithms import bfs_levels, pagerank, sssp_distances
+        from repro.io.generators import rmat, scale_free
+        from repro.testing.faults import fault_injection
+
+        monkeypatch.setenv("PYGB_FAULT_SLEEP", "0.002")
+        g = rmat(7, edge_factor=8, seed=4)
+        gw = rmat(6, edge_factor=4, seed=5, weighted=True, dtype=float)
+        pr = scale_free(64, out_degree=3, seed=7)
+
+        def run():
+            S.reset_stats()
+            bfs_levels(g, 0, schedule="auto")
+            sssp_distances(gw, 0, schedule="auto")
+            pagerank(pr, gb.Vector(shape=(64,), dtype=float), schedule="auto")
+            st = S.stats()
+            return st["calls"], st["edges"], st["switches"]
+
+        quiet = run()
+        with fault_injection("slow_kernel", rate=1.0):
+            stalled = run()
+        assert stalled == quiet
+        assert len([d for d, n in quiet[0].items() if n]) >= 2  # a real mix of directions
+
+    def test_auto_pagerank_never_transposes(self, engine, monkeypatch):
+        """The rank vector is full from the first iteration and ``m`` is
+        built fresh by every call: dense would gather along ``m.T``."""
+        from repro.algorithms import pagerank
+        from repro.backend.smatrix import SparseMatrix
+        from repro.io.generators import scale_free
+
+        built = []
+        build = SparseMatrix._build_transpose
+        monkeypatch.setattr(
+            SparseMatrix, "_build_transpose", lambda self: built.append(self) or build(self)
+        )
+        g = scale_free(64, out_degree=3, seed=7)
+        pagerank(g, gb.Vector(shape=(64,), dtype=float), schedule="auto")
+        st = S.stats()
+        assert st["calls"]["push"] == st["calls_total"] > 0
+        assert built == []
 
 
 class TestObsIntegration:
