@@ -46,16 +46,21 @@ def apply_mat(
     desc: OpDesc = OpDesc(),
     transpose_a: bool = False,
 ) -> SparseMatrix:
-    """``C<M, z> = C (accum) f(A)``; the pattern of ``f(A)`` equals the
-    pattern of ``A`` (apply never drops or creates entries)."""
+    """``C<M, z> = C (accum) f(A)``.  ``f(A)`` stores exactly where ``A``
+    does (apply never drops or creates entries), so with no mask and no
+    accumulator the result is new values on ``A``'s ``indptr`` /
+    ``indices`` — stores are immutable, only the pattern is shared.
+    Otherwise ``f(A)`` goes through the keyed merge of
+    :func:`~repro.backend.kernels.common.finalize_mat`."""
     if transpose_a:
         a = a.transposed()
     if c.shape != a.shape:
         raise DimensionMismatch(f"apply: output shape {c.shape} != operand shape {a.shape}")
-    rows, cols, vals = a.coo()
-    t_vals = resolve_unary(op_spec)(vals)
-    t_keys = P.encode_keys(rows, cols, a.ncols)
-    return finalize_mat(c, t_keys, np.asarray(t_vals), desc)
+    t_vals = np.asarray(resolve_unary(op_spec)(a.values))
+    if desc.mask is None and desc.accum is None:
+        return a.with_values(t_vals.astype(c.dtype, copy=False))
+    rows, cols, _vals = a.coo()
+    return finalize_mat(c, P.encode_keys(rows, cols, a.ncols), t_vals, desc)
 
 
 def apply_vec(

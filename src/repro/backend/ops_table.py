@@ -68,6 +68,16 @@ def _second(a, b):
     return np.broadcast_arrays(a, b)[1].copy()
 
 
+def _minus(a, b):
+    """``a - b``; two ``bool`` operands combine as ``bool`` — GBTL's
+    ``Minus<bool>`` is ``bool(a - b)``, which is XOR — where NumPy
+    refuses boolean subtract."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == b.dtype == np.bool_:
+        return np.logical_xor(a, b)
+    return np.subtract(a, b)
+
+
 def _logical_xor(a, b):
     return np.logical_xor(np.asarray(a).astype(bool), np.asarray(b).astype(bool))
 
@@ -125,7 +135,7 @@ BINARY_OPS: dict[str, BinaryOpDef] = {
     d.name: d
     for d in (
         BinaryOpDef("Plus", np.add, "(({a}) + ({b}))", "arith", np.add),
-        BinaryOpDef("Minus", np.subtract, "(({a}) - ({b}))", "arith", None),
+        BinaryOpDef("Minus", _minus, "(({a}) - ({b}))", "arith", None),
         BinaryOpDef("Times", np.multiply, "(({a}) * ({b}))", "arith", np.multiply),
         BinaryOpDef("Div", _c_div, "(({b}) == 0 ? T(0) : T(({a}) / ({b})))", "arith", None),
         BinaryOpDef("Min", np.minimum, "((({a}) < ({b})) ? ({a}) : ({b}))", "arith", np.minimum),

@@ -302,13 +302,16 @@ class SparseMatrix:
             return self.values[pos]
         return default
 
+    def with_values(self, values: np.ndarray) -> "SparseMatrix":
+        """A plain store of *values* on this store's pattern: ``indptr``
+        and ``indices`` are shared, not copied (stores are immutable)."""
+        return SparseMatrix(self.nrows, self.ncols, self.indptr, self.indices, values)
+
     def astype(self, dtype) -> "SparseMatrix":
         dt = normalize_dtype(dtype)
         if dt == self.dtype:
             return self
-        return SparseMatrix(
-            self.nrows, self.ncols, self.indptr, self.indices, self.values.astype(dt)
-        )
+        return self.with_values(self.values.astype(dt))
 
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(

@@ -111,6 +111,10 @@ class SparseVector:
     # properties
     # ------------------------------------------------------------------
     @property
+    def shape(self) -> tuple[int]:
+        return (self.size,)
+
+    @property
     def nvals(self) -> int:
         """Number of stored entries."""
         return int(self.indices.size)

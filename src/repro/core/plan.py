@@ -16,11 +16,38 @@ dispatch traffic that decision rests on.
 
 from __future__ import annotations
 
+from ..exceptions import DimensionMismatch
+from .expressions import _EWise, _shape_of
+
 __all__ = ["evaluate"]
+
+
+def _check_conforming(expr, out, desc) -> None:
+    """A whole-container statement writes *out* entry for entry, so the
+    expression, the second operand of an eWise node and the mask must all
+    have the output's extent.  Checked here for every engine, before any
+    is entered: a compiled kernel sizes its buffers from one of the three
+    and indexes them with the others."""
+    shape = out.shape
+    if expr.result_shape() != shape:
+        raise DimensionMismatch(
+            f"{type(expr).__name__} of shape {expr.result_shape()} "
+            f"assigned to a container of shape {shape}"
+        )
+    if isinstance(expr, _EWise):  # result_shape() is op(a)'s
+        b = _shape_of(expr.b)
+        if (b[::-1] if expr.tb else b) != shape:
+            raise DimensionMismatch(
+                f"{type(expr).__name__}: operand shapes disagree ({shape} vs {b})"
+            )
+    mask = desc.mask
+    if mask is not None and mask.shape != shape:
+        raise DimensionMismatch(f"mask of shape {mask.shape} on a container of shape {shape}")
 
 
 def evaluate(expr, out, desc) -> None:
     """Dispatch *expr* into container *out* under descriptor *desc*."""
+    _check_conforming(expr, out, desc)
     if out._pending is not None and desc.mask is None and desc.accum is None:
         # a full overwrite takes only extent and dtype from `out`: run it
         # against a stand-in over the unmerged store, so buffered element

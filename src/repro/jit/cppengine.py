@@ -16,10 +16,13 @@ resident across calls:
 * each (immutable) backend store carries its marshalled argument tuple
   (:mod:`repro.backend.ffipack`), which the C++ side wraps in non-owning
   views — nothing is copied in;
-* vector results are written by the kernel into NumPy-owned buffers;
-  matrix results (nnz unknown up front) are parked in the shared
-  object's ``thread_local`` holder and fetched once, into exactly-sized
-  NumPy arrays, by a second call.
+* results are NumPy-owned, under one of three rules: a vector kernel
+  writes into two size-long buffers; an unmasked, unaccumulated
+  ``apply_mat`` writes one values buffer and borrows ``indptr`` /
+  ``indices`` from its (immutable) operand — nothing held, nothing
+  fetched; every other matrix result (nnz unknown up front) is parked in
+  the shared object's ``thread_local`` holder and fetched once, into
+  exactly-sized arrays, by a second call.
 
 Operations without a native C++ binding (the index-heavy matrix
 assign/extract forms and standalone transpose — none of which appear in
@@ -233,6 +236,7 @@ _GROUPS = {
     "I": (_P, _I),  # index list: pointer, length
     "S": (_D, _I),  # scalar constant in both encodings
     "O": (_P, _P),  # vector result buffers: indices, values
+    "W": (_P,),  # values of a matrix result on its operand's pattern
     "P": (_P,),  # scalar result
 }
 
@@ -260,8 +264,10 @@ _APPLY = ("form", "op", "side")
 #: func -> (dtype params, operator params, derived dtype params, layout).
 #: The first two name, in order, what an engine method passes to
 #: ``_kernel``; together with the descriptor flags they are the spec.
-#: Layouts ending in ``O`` return a vector, in ``P`` a scalar, anything
-#: else a matrix (collected with ``pygb_fetch``).
+#: Layouts ending in ``O`` return a vector, in ``P`` a scalar, in ``W``
+#: a matrix on its operand's pattern, anything else a matrix collected
+#: with ``pygb_fetch``.  ``apply_mat`` is bound as ``MSW`` when its spec
+#: has neither mask nor accumulator (``_gen_apply_mat``'s other form).
 _OPS = {
     "mxv": (("a", "u", "c"), ("add", "mult"), _semiring("a", "u"), "MVVvO"),
     "vxm": (("a", "u", "c"), ("add", "mult"), _semiring("u", "a"), "MVVvO"),
@@ -312,7 +318,7 @@ class _Bound:
         self.run.argtypes = [t for group in layout for t in _GROUPS[group]]
         self.run.restype = None if layout[-1] == "P" else c_int64
         self.fetch = None
-        if layout[-1] not in "OP":
+        if layout[-1] not in "OPW":
             self.fetch = lib.pygb_fetch
             self.fetch.argtypes = (_P, _P, _P)
             self.fetch.restype = None
@@ -557,6 +563,8 @@ class CppJitEngine:
         layout = _OPS[func][3]
         if direction == "pull":
             layout = layout[:-1] + "IO"  # the mask's candidate rows
+        elif func == "apply_mat" and spec.unmerged():
+            layout = "MSW"
         if layout[-1] == "P":
             # the (fused) producer dtype when there is one, else the operand's
             scalar_dtype = spec.dtype("p" if spec.get("p") else "a")
@@ -750,8 +758,14 @@ class CppJitEngine:
     def apply_mat(self, out, a, op_spec, desc, ta=False):
         a = _t(a, ta)
         bound = self._kernel("apply_mat", (a.dtype, out.dtype), _apply_ops(op_spec), desc)
+        const = self._const(bound, op_spec)
+        if bound.fetch is None:
+            # no mask, no accumulator: f(A) stores exactly where A does
+            values = np.empty(a.nvals, out.dtype)
+            self._run(bound, a.ffi_pack().args + const + (address(values),))
+            return a.with_values(values)
         args = a.ffi_pack().args + out.ffi_pack().args[2:] + self._mat_mask(desc)
-        return self._mat_out(bound, args + self._const(bound, op_spec), out)
+        return self._mat_out(bound, args + const, out)
 
     def _reduce_scalar(self, func, x, op, identity):
         if identity is None:

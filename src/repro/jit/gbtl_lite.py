@@ -764,15 +764,23 @@ CSR<TT> ewise_mult_mat(const MatA& A, const MatB& B, Op op) {
     return out;
 }
 
+// out[k] = f(TT(in[k])) over n stored values: the whole of `apply`,
+// which never drops or creates an entry.  An unmasked, unaccumulated
+// apply_mat binding calls this straight into a caller-owned buffer and
+// shares the operand's indptr/indices on the Python side.
+// Element-parallel map: trivially bit-identical.
+template <class TT, class TA, class F>
+void apply_values(const TA* in, Index n, F f, TT* out) {
+    #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
+    for (Index k = 0; k < n; ++k) out[k] = f(static_cast<TT>(in[k]));
+}
+
 template <class TT, class VecU, class F>
 Vec<TT> apply_vec(const VecU& u, F f) {
     Vec<TT> out; out.size = u.size;
     out.idx.insert(out.idx.end(), u.idx.begin(), u.idx.end());
-    const Index n = static_cast<Index>(u.val.size());
-    out.val.resize(n);
-    // element-parallel map: trivially bit-identical
-    #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
-    for (Index k = 0; k < n; ++k) out.val[k] = f(static_cast<TT>(u.val[k]));
+    out.val.resize(u.val.size());
+    apply_values<TT>(u.val.data(), static_cast<Index>(u.val.size()), f, out.val.data());
     return out;
 }
 
@@ -781,10 +789,8 @@ CSR<TT> apply_mat(const MatA& A, F f) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
     out.indptr.insert(out.indptr.end(), A.indptr.begin(), A.indptr.end());
     out.indices.insert(out.indices.end(), A.indices.begin(), A.indices.end());
-    const Index n = static_cast<Index>(A.values.size());
-    out.values.resize(n);
-    #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
-    for (Index k = 0; k < n; ++k) out.values[k] = f(static_cast<TT>(A.values[k]));
+    out.values.resize(A.values.size());
+    apply_values<TT>(A.values.data(), static_cast<Index>(A.values.size()), f, out.values.data());
     return out;
 }
 

@@ -19,7 +19,7 @@ __all__ = ["KernelSpec", "CODEGEN_VERSION"]
 
 #: bumped whenever generated-code layout changes, so stale disk-cache
 #: entries from older library versions can never be loaded.
-CODEGEN_VERSION = 14
+CODEGEN_VERSION = 15
 
 
 #: ``KernelSpec.make`` arguments -> the spec they built: every dispatch asks
@@ -68,6 +68,12 @@ class KernelSpec:
 
     def flag(self, key: str) -> bool:
         return self.get(key) == "1"
+
+    def unmerged(self) -> bool:
+        """No mask and no accumulator: the write-back is ``C<> = T`` —
+        all of ``T`` is stored and nothing of ``C`` survives (the
+        complement and replace flags have nothing to act on)."""
+        return self.get("mask") == "none" and self.get("accum", "none") == "none"
 
     # the three key forms are read several times per cache lookup (memory
     # key, health key, artifact name, trace args); each is computed once

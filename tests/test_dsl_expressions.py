@@ -258,7 +258,7 @@ class TestDtypeInference:
         assert out.dtype == np.int64 and out[0, 0] == 3
 
 
-@pytest.mark.parametrize(
+_every_engine = pytest.mark.parametrize(
     "engine_name",
     [
         "interpreted",
@@ -272,19 +272,27 @@ class TestDtypeInference:
         ),
     ],
 )
-@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
+_both_modes = pytest.mark.parametrize(
+    "nonblocking", [False, True], ids=["blocking", "nonblocking"]
+)
+
+
+@pytest.fixture
+def statement_scope(engine_name, nonblocking):
+    mode = gb.nonblocking() if nonblocking else contextlib.nullcontext()
+    with gb.use_engine(engine_name), mode:
+        yield
+
+
+@_every_engine
+@_both_modes
+@pytest.mark.usefixtures("statement_scope")
 class TestProductExtents:
     """A product whose operands disagree on the extent it sums over is
     refused at the statement, on every engine — the cpp kernel used to
     index ``B.indptr`` by ``A``'s column (a segfault, so these run in
     this process on purpose), pyjit leaked an ``IndexError``, and with
     no entry out of range both returned a value."""
-
-    @pytest.fixture(autouse=True)
-    def _scope(self, engine_name, nonblocking):
-        mode = gb.nonblocking() if nonblocking else contextlib.nullcontext()
-        with gb.use_engine(engine_name), mode:
-            yield
 
     @pytest.mark.parametrize(
         "a_shape, a_entry, b_shape",
@@ -328,3 +336,147 @@ class TestProductExtents:
         assert gb.Vector(a.T @ v).to_numpy().tolist() == [0.0, 0.0, 6.0]
         assert gb.Matrix(a @ a.T).shape == (2, 2) and gb.Matrix(a.T @ a).shape == (3, 3)
         assert gb.Vector((a @ a.T) @ v).shape == (2,)  # an expression operand
+
+
+@_every_engine
+@_both_modes
+@pytest.mark.usefixtures("statement_scope")
+class TestStatementExtents:
+    """``C[M] = expr`` writes ``C`` entry for entry: an expression, an
+    eWise operand or a mask of another extent is refused before any
+    engine is entered (in nonblocking mode, when the statement runs).
+    The cpp kernels sized their buffers from one of them and indexed with
+    another — heap corruption, a store with 16 values behind a 4-long
+    ``indptr``, a segfault on an undersized mask — so these too run in
+    this process on purpose; pyjit returned a size-3 vector holding
+    index 3."""
+
+    @staticmethod
+    def _refused(out, statement):
+        kept = out.to_numpy().tolist()
+        with pytest.raises(gb.DimensionMismatch):
+            statement()
+            out.nvals
+        assert out.to_numpy().tolist() == kept
+
+    def test_vector_statements(self):
+        a = gb.Matrix(np.arange(1.0, 17.0).reshape(4, 4))
+        u = gb.Vector(np.arange(1.0, 5.0))
+        w = gb.Vector(([7.0], [1]), shape=(3,))
+
+        def mxv():
+            w[None] = a @ u
+
+        def vxm():
+            w[None] = u @ a
+
+        def apply():
+            w[None] = gb.apply(u)
+
+        def copy():
+            w[None] = u
+
+        def ewise():
+            w[None] = u + u
+
+        def reduce_rows():
+            w[None] = gb.reduce(gb.Monoid("Plus", "PlusIdentity"), a)
+
+        for statement in (mxv, vxm, apply, copy, ewise, reduce_rows):
+            self._refused(w, statement)
+
+    def test_matrix_statements(self):
+        a = gb.Matrix(np.arange(1.0, 17.0).reshape(4, 4))
+        b = gb.Matrix(np.arange(2.0, 18.0).reshape(4, 4))
+        c = gb.Matrix(([7.0], ([1], [2])), shape=(3, 3))
+
+        def copy():
+            c[None] = a
+
+        def apply():
+            c[None] = gb.apply(a.T)
+
+        def mxm():
+            c[None] = a @ b
+
+        def ewise_add():
+            c[None] = a + b
+
+        def ewise_mult():
+            c[None] = a * b
+
+        def transpose():
+            c[None] = a.T
+
+        def accumulate():
+            c[None] += a
+
+        for statement in (copy, apply, mxm, ewise_add, ewise_mult, transpose, accumulate):
+            self._refused(c, statement)
+
+    def test_ewise_operands_of_different_extents(self):
+        a = gb.Matrix(np.arange(1.0, 17.0).reshape(4, 4))
+        small = gb.Matrix([[1.0, 2.0], [3.0, 4.0]])
+        wide = gb.Matrix(np.ones((2, 4)))
+        c = gb.Matrix(([7.0], ([1], [2])), shape=(4, 4))
+        u, short = gb.Vector(np.arange(1.0, 5.0)), gb.Vector([1.0, 2.0])
+        w = gb.Vector(([7.0], [1]), shape=(4,))
+
+        def add():
+            c[None] = a + small
+
+        def mult():
+            c[None] = a * small
+
+        def transposed():
+            c[None] = a + wide.T.T
+
+        def nested():
+            c[None] = gb.apply(a + small)
+
+        for statement in (add, mult, transposed, nested):
+            self._refused(c, statement)
+
+        def vec_add():
+            w[None] = u + short
+
+        def vec_mult():
+            w[None] = u * short
+
+        for statement in (vec_add, vec_mult):
+            self._refused(w, statement)
+
+    def test_undersized_masks(self):
+        n = 2000  # the cpp merge walked 2000 rows of a 3-long mask indptr
+        diag = gb.Matrix((np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+        m = gb.Matrix([[True, True], [True, True]])
+        c = gb.Matrix(([7.0], ([1], [2])), shape=(n, n))
+        with pytest.raises(gb.DimensionMismatch, match="mask"):
+            c[m] = diag + diag
+            c.nvals
+        with pytest.raises(gb.DimensionMismatch, match="mask"):
+            c[~m] = diag @ diag
+            c.nvals
+        assert c.nvals == 1 and c[1, 2] == 7.0
+        u = gb.Vector(np.ones(n))
+        vm = gb.Vector([True, True])
+        w = gb.Vector(([7.0], [1]), shape=(n,))
+        with pytest.raises(gb.DimensionMismatch, match="mask"):
+            w[vm] = diag @ u
+            w.nvals
+        with pytest.raises(gb.DimensionMismatch, match="mask"):
+            w[vm] = gb.apply(u)
+            w.nvals
+        assert w.nvals == 1 and w[1] == 7.0
+
+    def test_conforming_statements_still_run(self):
+        a = gb.Matrix([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+        m = gb.Matrix([[True, False], [False, True], [True, True]])
+        c = gb.Matrix(shape=(3, 2), dtype=float)
+        c[m] = a.T + a.T
+        assert c.to_numpy().tolist() == [[2.0, 0.0], [0.0, 6.0], [0.0, 8.0]]
+        c[None] = gb.apply(a.T)
+        assert c.to_numpy().tolist() == [[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]]
+        w = gb.Vector(shape=(2,), dtype=float)
+        w[gb.Vector([True, False])] = a @ gb.Vector([1.0, 1.0, 1.0])
+        assert w.to_numpy().tolist() == [3.0, 0.0]

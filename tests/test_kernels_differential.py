@@ -3,6 +3,9 @@ interpreted and the Python-JIT engines) against the naive dict-of-keys
 reference implementation, across randomized inputs and the full grid of
 descriptor variants (mask × complement × replace × accumulate)."""
 
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ needs_cxx = [
     pytest.mark.cpp,
     pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain"),
 ]
+_ALL_ENGINES = ["interpreted", "pyjit", pytest.param("cpp", marks=needs_cxx)]
 
 
 def _vec_store(d, size, dtype=np.float64):
@@ -206,6 +210,41 @@ def test_plus_of_two_true_values(engine_name, da, db, out_dtype):
                               None, False, False, None)
     assert got.to_dict() == want
     assert want[1] == (1 if da == db == np.bool_ or out_dtype == np.bool_ else 2)
+
+
+@pytest.mark.parametrize("out_dtype", [np.bool_, np.int64])
+@pytest.mark.parametrize("engine_name", _ALL_ENGINES)
+def test_minus_of_two_bool_operands(engine_name, out_dtype):
+    """``Minus`` on ``bool`` with ``bool`` is GBTL's ``Minus<bool>``,
+    ``bool(a - b)`` — XOR — on every engine and in the reference (NumPy
+    itself refuses boolean subtract), whatever the output widens it to."""
+    u, v = {0: True, 1: True, 2: False, 3: False}, {1: True, 2: True, 3: False, 4: True}
+    a = {(i, j): i >= j for i in range(3) for j in range(4)}
+    b = {(i, j): (i + j) % 2 == 0 for i in range(3) for j in range(4) if i != j}
+    with gb.use_engine(engine_name):
+        eng = gb.current_backend_engine()
+        vec = eng.ewise_add_vec(
+            SparseVector.empty(5, out_dtype), _vec_store(u, 5, np.bool_),
+            _vec_store(v, 5, np.bool_), "Minus", OpDesc(),
+        )
+        mat = eng.ewise_add_mat(
+            SparseMatrix.empty(3, 4, out_dtype), _mat_store(a, 3, 4, np.bool_),
+            _mat_store(b, 3, 4, np.bool_), "Minus", OpDesc(),
+        )
+        # one stored entry a row: each product is the row's whole sum
+        row = {(i, i): bool(i % 2) for i in range(4)}
+        prod = eng.mxv(
+            SparseVector.empty(4, out_dtype), _mat_store(row, 4, 4, np.bool_),
+            _vec_store(u, 4, np.bool_), "Plus", "Minus", OpDesc(),
+        )
+    none = (None, False, False, None)
+    assert vec.dtype == mat.dtype == prod.dtype == np.dtype(out_dtype)
+    assert vec.to_dict() == R.ref_finalize_vec({}, R.ref_ewise_add(u, v, "Minus"), 5, out_dtype, *none)
+    assert mat.to_dict() == R.ref_finalize_mat({}, R.ref_ewise_add(a, b, "Minus"), (3, 4), out_dtype, *none)
+    assert prod.to_dict() == R.ref_finalize_vec({}, R.ref_mxv(row, u, "Plus", "Minus"), 4, out_dtype, *none)
+    one = np.dtype(out_dtype).type(1).item()
+    assert vec.to_dict() == {0: one, 1: 0, 2: one, 3: 0, 4: one}  # False - True is 1, not -1
+    assert prod.to_dict() == {0: one, 1: 0, 2: 0, 3: one}
 
 
 @pytest.mark.parametrize("dcfg", DESCS)
@@ -421,3 +460,192 @@ class TestAssign:
             for s in cols:
                 want[(int(r), int(s))] = 7.0
         _approx_eq(got.to_dict(), want)
+
+
+# ----------------------------------------------------------------------
+# pattern-preserving apply: new values on the operand's indptr / indices
+# ----------------------------------------------------------------------
+#: (operator, operand dtype, output dtype).  Bound operators are listed
+#: at their natural output dtype or wider: into a narrower one the cpp
+#: functor runs at the output type (operand cast first) and the NumPy
+#: engines cast last — an older difference this change does not touch.
+_APPLY_CASES = [
+    (("unary", "Identity"), np.int64, np.float64),
+    (("unary", "Identity"), np.float64, np.int64),  # truncation
+    (("unary", "Identity"), np.float64, np.bool_),  # GB::Bool: 0.5 is true
+    (("unary", "Identity"), np.bool_, np.int64),
+    (("unary", "Identity"), np.float64, np.float64),  # equal dtypes still copy
+    (("unary", "AdditiveInverse"), np.int64, np.float64),
+    (("unary", "AdditiveInverse"), np.float64, np.int64),
+    (("unary", "LogicalNot"), np.int64, np.bool_),
+    (("unary", "LogicalNot"), np.bool_, np.int64),
+    (("bind", "Plus", 3, "second"), np.int64, np.float64),
+    (("bind", "Minus", 100, "first"), np.bool_, np.int64),
+    (("bind", "Times", 2.5, "second"), np.float64, np.float64),
+    (("bind", "Minus", 1.5, "first"), np.int64, np.float64),
+]
+
+
+def _dsl_op(op_spec):
+    if op_spec[0] == "unary":
+        return gb.UnaryOp(op_spec[1])
+    return gb.UnaryOp(op_spec[1], op_spec[2], bind=op_spec[3])
+
+
+def _apply_operand(kind, dtype):
+    """A 9 x 7 operand as ``{(i, j): value}``: fractional values for
+    float (0.5 among them), zeros stored for int and bool."""
+    if kind == "empty":
+        return {}
+    rng = np.random.default_rng(7)
+    cells = rng.integers(-4, 5, (9, 7)) * (rng.random((9, 7)) < 0.6)
+    cells[3, :] = 0  # one empty row
+    rows, cols = np.nonzero(cells)
+    vals = cells[rows, cols] + (0.5 if np.dtype(dtype).kind == "f" else 0)
+    if np.dtype(dtype) == np.bool_:
+        vals = vals > 0
+    return {
+        (int(i), int(j)): np.dtype(dtype).type(v).item() for i, j, v in zip(rows, cols, vals)
+    }
+
+
+@pytest.mark.parametrize("engine_name", _ALL_ENGINES)
+class TestPatternSharingApply:
+    """``C<> = f(A)`` stores exactly where ``A`` does: every engine
+    returns new values on the operand's own ``indptr`` / ``indices``."""
+
+    @pytest.fixture(autouse=True)
+    def _engine(self, engine_name):
+        with gb.use_engine(engine_name):
+            yield
+
+    @pytest.mark.parametrize(
+        "op_spec, da, dc", _APPLY_CASES,
+        ids=[f"{c[0][1]}-{np.dtype(c[1])}-{np.dtype(c[2])}" for c in _APPLY_CASES],
+    )
+    def test_values_match_the_reference_bit_for_bit(self, op_spec, da, dc):
+        from repro.backend.tiled import TiledMatrix
+
+        for kind in ("empty", "one-empty-row", "tiled"):
+            cells = _apply_operand(kind, da)
+            scope = gb.tiled(tiles=4, workers=2) if kind == "tiled" else contextlib.nullcontext()
+            with scope:
+                a = mat_from_dict(cells, 9, 7, da)
+                assert kind != "tiled" or isinstance(a._store, TiledMatrix)
+                for ta, nonblocking in itertools.product((False, True), repeat=2):
+                    operand = a.T if ta else a
+                    source = a._store.transposed() if ta else a._store
+                    c = gb.Matrix(shape=operand.shape, dtype=dc)
+                    with gb.nonblocking() if nonblocking else contextlib.nullcontext():
+                        c[None] = gb.apply(_dsl_op(op_spec), operand)
+                    got = c._store
+                    want = R.ref_finalize_mat(
+                        {}, R.ref_apply(source.to_dict(), op_spec), operand.shape, dc,
+                        None, False, False, None,
+                    )
+                    label = (kind, ta, nonblocking)
+                    assert got.dtype == np.dtype(dc) and got.shape == operand.shape, label
+                    assert got.indptr is source.indptr and got.indices is source.indices, label
+                    assert not np.shares_memory(got.values, source.values), label
+                    assert list(want) == list(source.to_dict()), label
+                    assert got.values.tobytes() == np.array(list(want.values()), dc).tobytes(), label
+
+    @pytest.mark.parametrize("how", ["masked", "accumulated"])
+    def test_a_mask_or_an_accumulator_still_merges(self, rng, how):
+        """Neither statement keeps the operand's pattern, so neither may
+        borrow it: both go through the merge and own what they return."""
+        a, c, mask = (random_mat_dict(rng, N, N) for _ in range(3))
+        dcfg = dict(mask=how == "masked", comp=False, repl=False,
+                    accum="Plus" if how == "accumulated" else None)
+        op_spec = ("bind", "Times", 3.0, "second")
+        a_store = _mat_store(a, N, N)
+        got = gb.current_backend_engine().apply_mat(
+            _mat_store(c, N, N), a_store, op_spec, _make_desc(dcfg, _mat_store(mask, N, N))
+        )
+        _approx_eq(got.to_dict(), _ref_final_mat(c, R.ref_apply(a, op_spec), dcfg, mask))
+        for mine in (got.indptr, got.indices, got.values):
+            for theirs in (a_store.indptr, a_store.indices, a_store.values):
+                assert not np.shares_memory(mine, theirs)
+
+    def test_a_write_to_the_copy_leaves_the_source_alone(self):
+        m1 = gb.Matrix([[1, 0, 2], [0, 0, 3]], dtype=np.int64)
+        store = m1._store
+        before = [x.copy() for x in (store.indptr, store.indices, store.values)]
+        m2 = gb.Matrix(shape=m1.shape, dtype=np.float64)
+        m2[None] = m1
+        assert m2._store.indptr is store.indptr and m2._store.indices is store.indices
+        m2[0, 0] = 9  # an overwrite
+        m2[1, 0] = 7  # an insertion: the pattern itself changes
+        assert m2.to_numpy().tolist() == [[9, 0, 2], [7, 0, 3]]
+        assert m1._store is store and m1.to_numpy().tolist() == [[1, 0, 2], [0, 0, 3]]
+        for now, was in zip((store.indptr, store.indices, store.values), before):
+            assert now.tobytes() == was.tobytes()
+
+    def test_a_cancelled_scope_leaves_the_output_unchanged(self):
+        from repro.exceptions import OperationCancelled
+
+        a = gb.Matrix([[1.0, 2.0], [0.0, 4.0]])
+        c = gb.Matrix([[5, 0], [0, 6]], dtype=np.int64)
+        kept = c._store
+        with pytest.raises(OperationCancelled):
+            with gb.deadline() as scope:
+                scope.cancel()
+                c[None] = gb.apply(a)
+                gb.wait()
+        assert c._store is kept
+        c[None] = gb.apply(a)
+        assert c.to_numpy().tolist() == [[1, 2], [0, 4]]
+
+
+@pytest.mark.cpp
+@pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+def test_values_only_kernel_returns_the_cancel_sentinel(rng):
+    """The raised flag is seen before the first write: ``-2``, surfaced
+    as ``OperationCancelled``; lowering it restores the kernel."""
+    from repro import guard
+    from repro.exceptions import OperationCancelled
+    from repro.jit.cppengine import CppJitEngine
+
+    eng = CppJitEngine()
+    a = _mat_store(random_mat_dict(rng, N, N), N, N)
+    out, op_spec = SparseMatrix.empty(N, N, np.int64), ("unary", "AdditiveInverse")
+    clean = eng.apply_mat(out, a, op_spec, OpDesc())  # loads and registers the library
+    with guard._CANCEL_LOCK:
+        libs = list(guard._CANCEL_LIBS)
+    for lib in libs:
+        lib.pygb_request_cancel(1)
+    try:
+        with pytest.raises(OperationCancelled):
+            eng.apply_mat(out, a, op_spec, OpDesc())
+    finally:
+        for lib in libs:
+            lib.pygb_request_cancel(0)
+    again = eng.apply_mat(out, a, op_spec, OpDesc())
+    assert again.values.tobytes() == clean.values.tobytes()
+    assert again.indptr is a.indptr and again.indices is a.indices
+
+
+@pytest.mark.parametrize("form", ["unary", "bind"])
+def test_values_only_apply_mat_source_has_no_holder(form):
+    """The spec decides at generation time: no mask and no accumulator →
+    one output pointer, the cancellation check ahead of the only write,
+    nothing parked and nothing to fetch."""
+    from repro.jit.cppcodegen import generate_cpp_source
+    from repro.jit.spec import KernelSpec
+
+    def source(mask, accum):
+        return generate_cpp_source(KernelSpec.make(
+            "apply_mat", a="int64", c="float64", form=form,
+            op="Identity" if form == "unary" else "Times",
+            side="none" if form == "unary" else "second",
+            mask=mask, comp=False, repl=False, accum=accum, par=True,
+        ))
+
+    shared = source("none", "none")
+    assert "pygb_fetch" not in shared and "pygb_held" not in shared
+    assert "c_indptr" not in shared and "m_indptr" not in shared
+    assert shared.index("if (GB::cancel_requested()) return -2;") < shared.index(
+        "GB::apply_values<TC>(a_vals, nnz, make_unary(dconst, iconst), out_vals);"
+    )
+    for merged in (source("value", "none"), source("none", "Plus")):
+        assert "pygb_fetch" in merged and "GB::write_back_mat<TC>" in merged

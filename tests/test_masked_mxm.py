@@ -254,14 +254,17 @@ def test_fold_order_is_ascending_k(cpp, parallel):
 
 
 # ----------------------------------------------------------------------
-# (c) an elided write-back still hands out NumPy-owned arrays
+# (c) every result is NumPy's: fetched whole, or values on a borrowed pattern
 # ----------------------------------------------------------------------
 @needs_cpp
 @pytest.mark.parametrize("out_dtype", [F_, I_], ids=["moved", "cast"])
 def test_unmerged_results_own_their_memory(interp, rng, out_dtype):
-    """No mask, no accumulator: the kernel's arrays become the held
-    result by move.  What ``pygb_fetch`` returns must still be a copy
-    into NumPy's buffers, alive after the engine and its libraries."""
+    """No mask, no accumulator.  ``mxm`` / eWise: the kernel's arrays
+    become the held result by move, and ``pygb_fetch`` copies all three
+    into NumPy's buffers.  ``apply_mat``: the kernel writes ``values``
+    only, into a NumPy buffer, and ``indptr`` / ``indices`` *are* the
+    operand's.  Either way nothing points into the shared object: all of
+    it is alive after the engine and its libraries."""
     from repro.jit.cppengine import CppJitEngine
 
     eng = CppJitEngine()
@@ -270,20 +273,24 @@ def test_unmerged_results_own_their_memory(interp, rng, out_dtype):
     b = SparseMatrix.from_dense(rng.integers(-2, 3, (n, n)).astype(float), F_)
     out, nodesc = SparseMatrix.empty(n, n, out_dtype), OpDesc()
     times2 = ("bind", "Times", 2.0, "second")
-    results = [
+    fetched = [
         eng.mxm(out, a, b, "Plus", "Times", nodesc),
-        eng.apply_mat(out, a, times2, nodesc),
         eng.ewise_add_mat(out, a, b, "Plus", nodesc),
         eng.ewise_mult_mat(out, a, b, "Times", nodesc),
     ]
-    _same(results[0], interp.mxm(out, a, b, "Plus", "Times", nodesc))
-    _same(results[2], interp.ewise_add_mat(out, a, b, "Plus", nodesc))
-    saved = []
-    for r in results:
+    applied = eng.apply_mat(out, a, times2, nodesc)
+    _same(fetched[0], interp.mxm(out, a, b, "Plus", "Times", nodesc))
+    _same(fetched[1], interp.ewise_add_mat(out, a, b, "Plus", nodesc))
+    _same(applied, interp.apply_mat(out, a, times2, nodesc))
+    assert applied.indptr is a.indptr and applied.indices is a.indices
+    assert applied.values is not a.values
+    owned = [arr for r in fetched for arr in (r.indptr, r.indices, r.values)]
+    owned.append(applied.values)
+    for r in (*fetched, applied):
         assert r.nvals > 0 and r.dtype == out_dtype
-        for arr in (r.indptr, r.indices, r.values):
-            assert arr.flags.owndata and arr.flags.writeable
-            saved.append((arr, arr.copy()))
+    for arr in owned:
+        assert arr.flags.owndata and arr.flags.writeable
+    saved = [(arr, arr.copy()) for arr in (*owned, applied.indptr, applied.indices)]
     cache = eng.cache
     del eng
     cache.clear_memory()
