@@ -91,13 +91,7 @@ def pagerank_native(
     nodesc = OpDesc()
 
     # m = normalize_rows(float(graph)) * damping_factor
-    vals = graph.values.astype(np.float64, copy=True)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), graph.row_lengths())
-    sums = np.zeros(n, dtype=np.float64)
-    np.add.at(sums, row_ids, vals)
-    nz = sums[row_ids] != 0
-    vals[nz] = vals[nz] / sums[row_ids][nz]
-    m = SparseMatrix(n, graph.ncols, graph.indptr, graph.indices, vals)
+    m = utilities.normalized_rows(graph.astype(np.float64))
     m = K.apply_mat(m, m, ("bind", "Times", damping_factor, "second"), nodesc)
 
     page_rank = SparseVector.from_dense(np.full(n, 1.0 / n))

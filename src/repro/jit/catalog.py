@@ -157,8 +157,9 @@ def _reduction_grid(parallel: bool) -> list[KernelSpec]:
 def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
     """The hot non-semiring companions every algorithm-shaped loop
     dispatches between its mxv/vxm steps: vector eWise combine, the
-    scalar-bound apply (PageRank's damping multiply), and whole-container
-    scalar reductions (convergence checks, sums)."""
+    scalar-bound apply (PageRank's damping multiply), whole-container
+    scalar reductions (convergence checks, sums), and the row
+    normalisation of a transition matrix (``utilities.normalize_rows``)."""
     from ..backend.ops_table import binary_result_dtype
     from .cppcodegen import PARALLEL_FUNCS
 
@@ -176,6 +177,7 @@ def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
         for func in ("reduce_mat_scalar", "reduce_vec_scalar"):
             for op in ("Plus", "Min", "Max"):
                 shapes.append((func, dict(a=d, op=op)))
+        shapes.append(("normalize_rows", dict(a=d, c="float64")))
         for func, params in shapes:
             if parallel and func in PARALLEL_FUNCS:
                 params["par"] = True

@@ -18,9 +18,9 @@ resident across calls:
   views — nothing is copied in;
 * results are NumPy-owned, under one of three rules: a vector kernel
   writes into two size-long buffers; an unmasked, unaccumulated
-  ``apply_mat`` writes one values buffer and borrows ``indptr`` /
-  ``indices`` from its (immutable) operand — nothing held, nothing
-  fetched; every other matrix result (nnz unknown up front) is parked in
+  ``apply_mat`` (and GBTL's ``normalize_rows`` helper) writes one values
+  buffer and borrows ``indptr`` / ``indices`` from its (immutable)
+  operand — nothing held, nothing fetched; every other matrix result (nnz unknown up front) is parked in
   the shared object's ``thread_local`` holder and fetched once, into
   exactly-sized arrays, by a second call.
 
@@ -58,6 +58,7 @@ from ..backend.svector import SparseVector
 from ..config import Config, current as _config
 from ..exceptions import BackendUnavailable, CompilationError, OperationCancelled
 from ..testing.faults import FAULTS
+from ..types import CXX_NAMES
 from .cache import JitCache, default_cache
 from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
@@ -85,6 +86,7 @@ def compile_timeout() -> float | None:
     return _config().compile_timeout
 
 _I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
 
 
 def find_cxx_compiler() -> str | None:
@@ -276,11 +278,14 @@ _OPS = {
     "ewise_mult_vec": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "VvVvO"),
     "ewise_add_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
     "ewise_mult_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
-    "apply_vec": (("a", "c"), _APPLY, None, "VVvSO"),
-    "apply_mat": (("a", "c"), _APPLY, None, "MmmS"),
+    "apply_vec": (("a", "c", "t_dtype"), _APPLY, None, "VVvSO"),
+    "apply_mat": (("a", "c", "t_dtype"), _APPLY, None, "MmmS"),
     "reduce_mat_scalar": (("a",), ("op",), None, "MSP"),
     "reduce_vec_scalar": (("a",), ("op",), None, "VSP"),
     "reduce_rows": (("a", "c"), ("op",), None, "MVvO"),
+    # GBTL's normalize_rows helper, not an Engine-interface method
+    # (CppJitEngine.normalize_rows)
+    "normalize_rows": (("a", "c"), (), None, "MW"),
     "assign_vec": (("a", "c"), (), None, "VVIvO"),
     "assign_vec_scalar": (("c",), (), None, "VSIvO"),
     "extract_vec": (("a", "c"), (), None, "VVIvO"),
@@ -299,6 +304,22 @@ def _apply_ops(op_spec) -> tuple:
     if op_spec[0] == "unary":
         return "unary", op_spec[1], "none"
     return "bind", op_spec[1], op_spec[3]
+
+
+def _bound_dtype(op_spec, a_dtype, c_dtype):
+    """The dtype a bound operator computes at, when it is not *c_dtype*
+    (``None`` otherwise, and for unary operators): the NumPy engines and
+    ``backend/reference.py`` apply ``op(a, const)`` at the promotion of
+    operand and constant — a selector at the dtype it selects — and cast
+    to the output last, so ``Times 2.5`` into ``int64`` is
+    ``int64(a * 2.5)``.  The spec carries it as ``t_dtype``."""
+    if op_spec[0] != "bind":
+        return None
+    _, name, const, side = op_spec
+    k = np.asarray(const).dtype
+    x, y = (k, a_dtype) if side == "first" else (a_dtype, k)
+    t = x if name == "First" else y if name == "Second" else np.promote_types(x, y)
+    return None if t == c_dtype or t not in CXX_NAMES else t
 
 
 def _t(m: SparseMatrix, transpose: bool) -> SparseMatrix:
@@ -383,7 +404,7 @@ class CppJitEngine:
         o = dict(zip(op_names, ops))
         if derive is not None:
             d.update(derive(d, o))
-        params = {name: KernelSpec.dt(dt) for name, dt in d.items()}
+        params = {name: KernelSpec.dt(dt) for name, dt in d.items() if dt is not None}
         params.update(o)
         if desc is not None:
             params.update(_desc_params(desc))
@@ -571,7 +592,10 @@ class CppJitEngine:
             const_dtype = scalar_dtype
         else:
             scalar_dtype = None
-            const_dtype = spec.dtype("c")
+            # a bound apply constant is read at the dtype its functor runs at
+            const_dtype = spec.dtype("t_dtype")
+            if const_dtype is None:
+                const_dtype = spec.dtype("c")
         return _Bound(spec, lib, layout, const_dtype, scalar_dtype)
 
     # ------------------------------------------------------------------
@@ -751,13 +775,15 @@ class CppJitEngine:
         return self._ewise_mat("ewise_mult_mat", out, a, b, op, desc, ta, tb)
 
     def apply_vec(self, out, u, op_spec, desc):
-        bound = self._kernel("apply_vec", (u.dtype, out.dtype), _apply_ops(op_spec), desc)
+        dtypes = (u.dtype, out.dtype, _bound_dtype(op_spec, u.dtype, out.dtype))
+        bound = self._kernel("apply_vec", dtypes, _apply_ops(op_spec), desc)
         args = u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
         return self._vec_out(bound, args + self._const(bound, op_spec), out)
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
         a = _t(a, ta)
-        bound = self._kernel("apply_mat", (a.dtype, out.dtype), _apply_ops(op_spec), desc)
+        dtypes = (a.dtype, out.dtype, _bound_dtype(op_spec, a.dtype, out.dtype))
+        bound = self._kernel("apply_mat", dtypes, _apply_ops(op_spec), desc)
         const = self._const(bound, op_spec)
         if bound.fetch is None:
             # no mask, no accumulator: f(A) stores exactly where A does
@@ -850,7 +876,8 @@ class CppJitEngine:
                         (dt(node.a), dt(node.b), out_dt), (node.op,), node_desc)
             elif kind is ex.Apply:
                 add_job("apply_mat" if node.produces_matrix else "apply_vec",
-                        (dt(node.a), out_dt), _apply_ops(node.op_spec), node_desc)
+                        (dt(node.a), out_dt, _bound_dtype(node.op_spec, dt(node.a), out_dt)),
+                        _apply_ops(node.op_spec), node_desc)
             elif kind is ex.ReduceRows:
                 add_job("reduce_rows", (dt(node.a), out_dt), (node.op,), node_desc)
             # Select / Kronecker / Transpose / Extract are rare enough that
@@ -877,6 +904,21 @@ class CppJitEngine:
 
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity=None):
         return self._ewise_reduce_scalar("ewise_mult_vec_reduce_scalar", u, v, op, rop, identity)
+
+    # ------------------------------------------------------------------
+    # GBTL's normalize_rows helper: not part of the Engine interface,
+    # ``utilities.normalize_rows`` calls it when the thread's engine is cpp
+    # ------------------------------------------------------------------
+    def normalize_rows(self, a: SparseMatrix) -> SparseMatrix:
+        """*a* with each row divided by the left-to-right double sum of
+        its stored values (1 where that is zero), as one compiled pass per
+        row: new values on *a*'s own ``indptr``/``indices``, ``float32``
+        for ``float32`` input and ``float64`` for every other dtype."""
+        c_dtype = a.dtype if a.dtype == np.float32 else _F64
+        bound = self._kernel("normalize_rows", (a.dtype, c_dtype), ())
+        values = np.empty(a.nvals, c_dtype)
+        self._run(bound, a.ffi_pack().args + (address(values),))
+        return a.with_values(values)
 
     # -- Python-JIT fallbacks (index-heavy matrix forms) -----------------
     def transpose(self, out, a, desc):

@@ -764,15 +764,36 @@ CSR<TT> ewise_mult_mat(const MatA& A, const MatB& B, Op op) {
     return out;
 }
 
-// out[k] = f(TT(in[k])) over n stored values: the whole of `apply`,
-// which never drops or creates an entry.  An unmasked, unaccumulated
-// apply_mat binding calls this straight into a caller-owned buffer and
-// shares the operand's indptr/indices on the Python side.
-// Element-parallel map: trivially bit-identical.
+// out[k] = TT(f(in[k])) over n stored values: the whole of `apply`,
+// which never drops or creates an entry.  f converts its argument to the
+// type it computes at (the output's, or for a bound operator whose
+// operand and constant promote to another type, that one) and its result
+// converts last.  An unmasked, unaccumulated apply_mat binding calls this
+// straight into a caller-owned buffer and shares the operand's
+// indptr/indices on the Python side.  Element-parallel map: trivially
+// bit-identical.
 template <class TT, class TA, class F>
 void apply_values(const TA* in, Index n, F f, TT* out) {
     #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
-    for (Index k = 0; k < n; ++k) out[k] = f(static_cast<TT>(in[k]));
+    for (Index k = 0; k < n; ++k) out[k] = static_cast<TT>(f(in[k]));
+}
+
+// GBTL's normalize_rows helper (paper Fig. 8 line 16) as one pass per CSR
+// row, into a caller-owned buffer on A's pattern: the row's stored values
+// summed left to right in double from 0.0 (the order numpy's
+// bincount(weights=) folds in, so both give the same bits; no pairwise
+// or blocked sum), 1 where that sum is zero (the row stays as it is), and
+// every value divided in double before its one conversion to TC.
+template <class TC, class TA>
+void normalize_rows(Index nrows, const Index* indptr, const TA* values, TC* out) {
+    for (Index i = 0; i < nrows; ++i) {
+        const Index lo = indptr[i], hi = indptr[i + 1];
+        double s = 0.0;
+        for (Index p = lo; p < hi; ++p) s += static_cast<double>(values[p]);
+        if (s == 0.0) s = 1.0;
+        for (Index p = lo; p < hi; ++p)
+            out[p] = static_cast<TC>(static_cast<double>(values[p]) / s);
+    }
 }
 
 template <class TT, class VecU, class F>

@@ -79,6 +79,8 @@ _ALGORITHM_KERNELS: tuple[tuple[str, dict], ...] = (
     ("mxv", dict(a="int64", accum="none", add="LogicalOr", c="bool", comp=1,
                  dir="pull", mask="value", mult="LogicalAnd", repl=1,
                  t_dtype="bool", u="bool")),
+    # PageRank's set-up: GBTL's normalize_rows helper (no descriptor)
+    ("normalize_rows", dict(a="float64", c="float64")),
     ("reduce_mat_scalar", dict(a="int64", op="Plus")),
     ("reduce_vec_scalar", dict(a="float64", op="Plus")),
     ("vxm", dict(a="float64", accum="Second", add="Plus", c="float64",

@@ -1,7 +1,11 @@
 """Utility routines mirroring GBTL's helper functions.
 
 ``gb.utilities.normalize_rows`` appears in the paper's PageRank (Fig. 7
-line 9, ``GB::normalize_rows`` in Fig. 8 line 16).
+line 9, ``GB::normalize_rows`` in Fig. 8 line 16).  On the cpp engine it
+runs as that helper does, one compiled pass per row
+(``GB::normalize_rows`` in ``jit/gbtl_lite.py``); every other engine, and
+a cpp engine whose compiler fails, runs the NumPy fold below — the same
+fold, so the same bits.
 """
 
 from __future__ import annotations
@@ -9,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .backend.smatrix import SparseMatrix
+from .core.context import current_raw_engine
 from .core.matrix import Matrix
+from .exceptions import CompilationError
+from .jit.health import jit_strict
 
-__all__ = ["normalize_rows", "normalize_cols"]
+__all__ = ["normalize_rows", "normalize_cols", "normalized_rows"]
 
 
 def _divisors(lines: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -33,6 +40,27 @@ def _scaled(store: SparseMatrix, divisor_per_entry: np.ndarray) -> SparseMatrix:
     return SparseMatrix(store.nrows, store.ncols, store.indptr, store.indices, vals)
 
 
+def normalized_rows(store: SparseMatrix) -> SparseMatrix:
+    """*store* with each row scaled so its stored values sum to 1 (a row
+    summing to zero is kept as it is): a plain store on *store*'s
+    pattern, ``float32`` for ``float32`` input and ``float64`` otherwise.
+    The row sums fold left to right in double on every path."""
+    engine = current_raw_engine()
+    if engine.name == "cpp":
+        try:
+            return engine.normalize_rows(store)
+        except CompilationError:
+            # the kernel is an optimisation, not a capability: the engine's
+            # health layer has warned once (JitFallbackWarning) and
+            # quarantines the spec, so later calls come straight here
+            if jit_strict():
+                raise
+            engine.cache.note_fallback()
+    lengths = store.row_lengths()
+    rows = np.repeat(np.arange(store.nrows, dtype=np.int64), lengths)
+    return _scaled(store, np.repeat(_divisors(rows, store.values, store.nrows), lengths))
+
+
 def normalize_rows(m: Matrix) -> Matrix:
     """Scale each row of *m* in place so its stored values sum to 1.
 
@@ -42,9 +70,7 @@ def normalize_rows(m: Matrix) -> Matrix:
     store = m._store
     if store.nvals == 0:
         return m
-    lengths = store.row_lengths()
-    rows = np.repeat(np.arange(store.nrows, dtype=np.int64), lengths)
-    m._store = _scaled(store, np.repeat(_divisors(rows, store.values, store.nrows), lengths))
+    m._store = normalized_rows(store)
     return m
 
 

@@ -32,6 +32,7 @@ from repro.jit.catalog import (
     pyjit_kernel_specs,
     validate_catalog,
 )
+from repro.jit.cppengine import toolchain_works
 from repro.jit.precompile import algorithm_kernel_specs
 from repro.jit.pycodegen import generate_source
 from repro.jit.spec import KernelSpec
@@ -84,10 +85,11 @@ def test_catalog_enumerates_only_kernels_an_engine_dispatches():
 
     cpp, pyjit = catalog_kernel_specs(), pyjit_kernel_specs()
     for spec in cpp + pyjit:
-        assert spec.func in _DISPATCH_METHODS, spec.key
+        # normalize_rows is the cpp engine's one helper outside the interface
+        assert spec.func in _DISPATCH_METHODS | {"normalize_rows"}, spec.key
         assert bool(spec.get("fused")) == (spec.func in FUSED_KERNELS), spec.key
     assert {s.func for s in cpp if s.get("fused")} == FUSED_KERNELS
-    assert (len(cpp), len(pyjit)) == (232, 427)
+    assert (len(cpp), len(pyjit)) == (234, 427)
 
 
 # ----------------------------------------------------------------------
@@ -419,3 +421,39 @@ def test_same_process_race_dedupes_to_one_compile(tmp_path):
         t.join()
     assert len({id(m) for m in results}) == 1
     assert cache.stats.snapshot()["compiles"] == 1
+
+
+@pytest.mark.cpp
+@pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+def test_pack_serves_normalize_rows_without_a_compiler(tmp_path, monkeypatch, no_faults):
+    """A deployment with the pack and a compiler that fails every build:
+    PageRank's ``normalize_rows`` kernel loads from the pack, 0 compiles."""
+    import numpy as np
+
+    import repro as gb
+    from repro import utilities
+    from repro.jit import catalog
+    from repro.jit.cppengine import CppJitEngine
+
+    spec = KernelSpec.make("normalize_rows", a="float64", c="float64")
+    assert spec in algorithm_kernel_specs()
+    monkeypatch.setattr(catalog, "catalog_kernel_specs", lambda parallel=False: [spec])
+    monkeypatch.setattr(catalog, "algorithm_module_specs", lambda parallel=False: [])
+    monkeypatch.delenv("PYGB_CATALOG", raising=False)
+    report = bake_catalog(tmp_path / "pack", include_pyjit=False)
+    assert report["failed"] == [] and report["cpp_entries"] == 1
+
+    bogus = tmp_path / "failing-g++"
+    bogus.write_text("#!/bin/sh\nexit 1\n")
+    bogus.chmod(0o755)
+    monkeypatch.setenv("PYGB_CXX", str(bogus))
+    cache = JitCache(tmp_path / "cold")
+    load_catalog(tmp_path / "pack", cache)
+    m = gb.Matrix(np.array([[1.0, 3.0], [0.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", JitFallbackWarning)
+        with gb.use_engine(CppJitEngine(cache)):
+            utilities.normalize_rows(m)
+    assert m.to_numpy().tolist() == [[0.25, 0.75], [0.0, 1.0]]
+    snap = cache.stats.snapshot()
+    assert (snap["compiles"], snap["catalog_hits"]) == (0, 1)

@@ -465,10 +465,9 @@ class TestAssign:
 # ----------------------------------------------------------------------
 # pattern-preserving apply: new values on the operand's indptr / indices
 # ----------------------------------------------------------------------
-#: (operator, operand dtype, output dtype).  Bound operators are listed
-#: at their natural output dtype or wider: into a narrower one the cpp
-#: functor runs at the output type (operand cast first) and the NumPy
-#: engines cast last — an older difference this change does not touch.
+#: (operator, operand dtype, output dtype).  A bound operator runs at the
+#: promotion of operand and constant and casts to the output last, on
+#: every engine and into a narrower output too: ``int64(a * 2.5)``.
 _APPLY_CASES = [
     (("unary", "Identity"), np.int64, np.float64),
     (("unary", "Identity"), np.float64, np.int64),  # truncation
@@ -483,6 +482,13 @@ _APPLY_CASES = [
     (("bind", "Minus", 100, "first"), np.bool_, np.int64),
     (("bind", "Times", 2.5, "second"), np.float64, np.float64),
     (("bind", "Minus", 1.5, "first"), np.int64, np.float64),
+    (("bind", "Times", 2.5, "second"), np.float64, np.int64),
+    (("bind", "Times", 2.5, "second"), np.int64, np.int64),
+    (("bind", "Times", 0.1, "second"), np.float32, np.float32),  # rounds once, from double
+    (("bind", "Minus", 1.5, "first"), np.float64, np.bool_),
+    (("bind", "Minus", 2, "second"), np.int64, np.bool_),
+    (("bind", "GreaterThan", 0.5, "second"), np.float64, np.int64),
+    (("bind", "Plus", True, "second"), np.bool_, np.int64),  # bool + bool is bool
 ]
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro as gb
 from repro import tiling, utilities
+from repro.backend import kernels as K
 from repro.backend import reference as R
 from repro.backend.kernels import OpDesc
 from repro.backend.smatrix import SparseMatrix
@@ -414,3 +415,153 @@ def test_normalize_matches_the_add_at_implementation(kind, axis):
     np.testing.assert_array_equal(got.indices, before.indices)
     # the store the matrix held is shared by convention: never scaled in place
     assert before.values.tobytes() == before_values.tobytes()
+
+
+# ----------------------------------------------------------------------
+# (f) normalize_rows: on cpp one compiled pass per row, the same fold
+# ----------------------------------------------------------------------
+#: one row per case the fold must get right: plain values, an empty row,
+#: a zero-sum row, a row holding only -0.0, the fold-order row (left to
+#: right 1e16 + 1.0 - 1e16 is 0 and the row is kept; pairwise it is 1),
+#: a sum that rounds, a negative entry, a single entry
+_FOLD_ROWS = [
+    [1.5, 2.25, 3.0],
+    [],
+    [2.5, -2.5],
+    [-0.0],
+    [1e16, 1.0, -1e16],
+    [0.1, 0.2, 0.3, 0.7],
+    [-1.5, 4.0],
+    [7.0],
+]
+
+_ENGINES = [
+    "interpreted",
+    "pyjit",
+    pytest.param("cpp", marks=[
+        pytest.mark.cpp,
+        pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain"),
+    ]),
+]
+
+
+def _fold_input(kind: str) -> "gb.Matrix":
+    shape = (len(_FOLD_ROWS), 5)
+    if kind == "empty":
+        return gb.Matrix(shape=shape, dtype=float)
+    rows = [i for i, row in enumerate(_FOLD_ROWS) for _ in row]
+    cols = [j for row in _FOLD_ROWS for j in range(len(row))]
+    vals = np.array([v for row in _FOLD_ROWS for v in row])
+    if kind == "tiled":
+        with gb.tiled(tiles=4, workers=2):
+            m = gb.Matrix((vals, (rows, cols)), shape=shape, dtype=float)
+        assert isinstance(m._store, TiledMatrix)
+        return m
+    if kind == "int64":
+        vals = np.trunc(vals)  # 1e16 and -1e16 still cancel; 0.1 ... 0.7 sum to zero
+    elif kind == "bool":
+        vals = vals != 0  # the -0.0 row becomes a zero-sum row
+    return gb.Matrix((vals.astype(kind), (rows, cols)), shape=shape, dtype=kind)
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "bool", "empty", "tiled"])
+@pytest.mark.parametrize("engine_name", _ENGINES)
+def test_normalize_rows_is_the_add_at_fold_on_every_engine(engine_name, kind, monkeypatch):
+    """The cpp engine runs ``GB::normalize_rows``, the others the NumPy
+    fold; both give the bytes of ``np.add.at`` (sums in double, ``float32``
+    included), as a plain store on the input's own pattern."""
+    from repro.jit.cppengine import CppJitEngine
+
+    calls = []
+    kernel = CppJitEngine.normalize_rows
+    monkeypatch.setattr(CppJitEngine, "normalize_rows",
+                        lambda self, a: calls.append(a) or kernel(self, a))
+    m = _fold_input(kind)
+    before = m._store
+    if kind in ("float64", "float32", "tiled"):
+        assert np.signbit(before.values[before.indptr[3]])  # the -0.0 is stored
+    want = _old_normalize_rows(before) if before.nvals else before.values
+    with gb.use_engine(engine_name):
+        assert utilities.normalize_rows(m) is m
+    got = m._store
+    assert len(calls) == (engine_name == "cpp" and before.nvals > 0)
+    assert got is before if not before.nvals else type(got) is SparseMatrix
+    assert got.values.dtype == want.dtype == (np.float32 if kind == "float32" else F_)
+    assert got.values.tobytes() == want.tobytes()
+    assert got.indptr is before.indptr and got.indices is before.indices
+
+
+def test_normalize_rows_source_writes_values_only():
+    """The operand pack and one ``TC* out_vals``; the cancellation check
+    comes before the first write; nothing is held, nothing fetched."""
+    source = generate_cpp_source(KernelSpec.make("normalize_rows", a="float32", c="float32"))
+    assert "pygb_fetch" not in source and "pygb_held" not in source
+    assert "const TA* a_vals,\n    TC* out_vals)" in source
+    assert source.index("if (GB::cancel_requested()) return -2;") < source.index(
+        "GB::normalize_rows<TC>(a_nrows, a_indptr, a_vals, out_vals);"
+    )
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fallback", "strict"])
+def test_normalize_rows_survives_a_failing_compiler(tmp_path, monkeypatch, no_faults, strict):
+    """A compiler that fails every build leaves the NumPy fold in place
+    with one ``JitFallbackWarning``; ``PYGB_JIT_STRICT`` raises instead."""
+    from repro.exceptions import CompilationError, JitFallbackWarning
+    from repro.jit.cache import JitCache
+    from repro.jit.cppengine import CppJitEngine
+
+    bogus = tmp_path / "failing-g++"
+    bogus.write_text("#!/bin/sh\nexit 1\n")
+    bogus.chmod(0o755)
+    monkeypatch.delenv("PYGB_CATALOG", raising=False)
+    monkeypatch.setenv("PYGB_CXX", str(bogus))
+    if strict:
+        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
+    engine = CppJitEngine(JitCache(tmp_path / "cache"))
+    m = _fold_input("float64")
+    before = m._store
+    with gb.use_engine(engine):
+        if strict:
+            with pytest.raises(CompilationError):
+                utilities.normalize_rows(m)
+            assert m._store is before
+            return
+        with pytest.warns(JitFallbackWarning):
+            utilities.normalize_rows(m)
+    assert m._store.values.tobytes() == _old_normalize_rows(before).tobytes()
+    assert engine.cache.stats.fallbacks == 1
+
+
+class _RecordsVxm:
+    """An engine that records the matrix of every ``vxm`` it forwards."""
+
+    def __init__(self, inner):
+        self._inner, self.name, self.matrices = inner, inner.name, []
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def vxm(self, out, u, a, *args, **kwargs):
+        self.matrices.append(a)
+        return self._inner.vxm(out, u, a, *args, **kwargs)
+
+
+@pytest.mark.parametrize("engine_name", _ENGINES)
+def test_pagerank_native_normalises_like_the_listing(engine_name, monkeypatch):
+    """Fig. 8's ``normalize_rows(float(graph)) * damping`` in
+    ``pagerank_native`` and Fig. 7's set-up statements in ``pagerank``
+    build the same ``m``, byte for byte."""
+    from repro.algorithms.pagerank import pagerank, pagerank_native
+    from repro.core.dispatch import make_engine
+    from repro.io.generators import scale_free
+
+    graph = scale_free(64, seed=7)
+    engine = _RecordsVxm(make_engine(engine_name))
+    native = []
+    vxm = K.vxm
+    with gb.use_engine(engine):
+        pagerank(graph, gb.Vector(shape=(64,), dtype=float), max_iters=1)
+        monkeypatch.setattr(K, "vxm", lambda out, u, a, *rest: native.append(a) or vxm(out, u, a, *rest))
+        pagerank_native(graph._store, max_iters=1)
+    (v1,), (v2,) = engine.matrices, native
+    _same(v2, v1)
