@@ -11,6 +11,8 @@ with the *module retrieval* stage owned by this package:
 * :mod:`~repro.jit.spec` — the canonical kernel specification (operation
   name, operand dtypes, operator names, descriptor flags) and its stable
   hash — the analog of the paper's ``hash(kwargs)``;
+* :mod:`~repro.jit.kernels` — the kernel table (one row per kernel
+  family) and the one builder of per-operation specs;
 * :mod:`~repro.jit.cache` — memory → catalog → disk → compile lookup,
   with hit/miss/compile-time statistics;
 * :mod:`~repro.jit.catalog` — the AOT kernel catalog: ``repro bake``

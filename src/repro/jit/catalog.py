@@ -8,9 +8,11 @@ pre-built kernel library show the hot spec space is enumerable ahead of
 time; this module does exactly that for PyGB:
 
 * :func:`catalog_kernel_specs` enumerates the hot spec space — the
-  traced algorithm kernel set from :mod:`~repro.jit.precompile` (kept
-  honest by its drift guard), a predefined-semiring × dtype ×
-  schedule-direction grid, and the reduce-site fused pair;
+  ``traced`` and ``grid`` columns of the kernel table
+  (:mod:`~repro.jit.kernels`): the algorithm kernel set
+  :mod:`~repro.jit.precompile` warms (kept honest by its drift guard),
+  a predefined-semiring × dtype × schedule-direction grid, its
+  elementwise and reduction companions and the reduce-site fused pair;
 * :func:`bake_catalog` batch-builds those specs with the existing
   concurrent compile pool (:meth:`JitCache.precompile`) into one shared
   pack directory and emits ``catalog.json`` — spec key hash → artifact
@@ -40,7 +42,8 @@ from pathlib import Path
 
 from ..exceptions import BackendUnavailable, CatalogError
 from .cache import CACHE_FORMAT_VERSION, JitCache, default_cache
-from .precompile import algorithm_kernel_specs, algorithm_module_specs
+from .kernels import KERNELS, PLAIN, spec
+from .precompile import algorithm_module_specs
 from .spec import CODEGEN_VERSION, KernelSpec
 
 __all__ = [
@@ -59,219 +62,35 @@ CATALOG_FILENAME = "catalog.json"
 #: bumped whenever the catalog.json layout changes.
 CATALOG_SCHEMA_VERSION = 1
 
-#: ``(add, mult)`` of every predefined semiring (core/predefined.py) —
-#: the grid axis the ISSUE calls "predefined semirings".
-_SEMIRING_PAIRS: tuple[tuple[str, str], ...] = (
-    ("Plus", "Times"),          # ArithmeticSemiring
-    ("LogicalOr", "LogicalAnd"),  # LogicalSemiring
-    ("Min", "Plus"),            # MinPlusSemiring
-    ("Max", "Plus"),            # MaxPlusSemiring
-    ("Min", "Times"),           # MinTimesSemiring
-    ("Max", "Times"),           # MaxTimesSemiring
-    ("Min", "First"),           # MinSelect1stSemiring
-    ("Min", "Second"),          # MinSelect2ndSemiring
-    ("Max", "First"),           # MaxSelect1stSemiring
-    ("Max", "Second"),          # MaxSelect2ndSemiring
-)
-
-#: the dtypes the bundled algorithms and examples actually traffic in.
-_GRID_DTYPES = ("int64", "float64")
-
-_UNMASKED = dict(mask="none", comp=0, repl=0, accum="none")
-#: the traversal shape: structural-complement mask, replace semantics —
-#: what direction-optimized BFS/SSSP frontier expansion dispatches.
-_MASKED = dict(mask="value", comp=1, repl=1, accum="none")
-
-
-def _result_dtypes(add: str, mult: str, d: str) -> tuple[str, str]:
-    """``(t_dtype, c)`` for a semiring applied to operands of dtype *d*,
-    computed exactly the way the cpp engine does at dispatch time."""
-    from ..backend.ops_table import binary_result_dtype
-
-    t = KernelSpec.dt(binary_result_dtype(mult, d, d))
-    c = KernelSpec.dt(binary_result_dtype(add, t, t))
-    return t, c
-
-
-def _semiring_grid(parallel: bool) -> list[KernelSpec]:
-    """mxv/vxm over every predefined semiring × grid dtype, in every
-    schedule direction the engine can actually pick: ``dense`` and
-    ``push`` unmasked, ``push``/``pull`` under the traversal mask
-    (``schedule.resolve`` only offers ``pull`` when a mask bounds the
-    gather candidates, so there is no unmasked-pull variant to bake)."""
-    from .cppcodegen import PARALLEL_FUNCS
-
-    specs = []
-    for add, mult in _SEMIRING_PAIRS:
-        # the logical semiring's native operand dtype is bool (BFS
-        # frontiers); the arithmetic-flavoured pairs never see it
-        dtypes = _GRID_DTYPES
-        if (add, mult) == ("LogicalOr", "LogicalAnd"):
-            dtypes = _GRID_DTYPES + ("bool",)
-        for d in dtypes:
-            t, c = _result_dtypes(add, mult, d)
-            base = dict(a=d, u=d, c=c, t_dtype=t, add=add, mult=mult)
-            shapes = [
-                ("mxv", dict(base, **_UNMASKED)),
-                ("mxv", dict(base, dir="push", **_UNMASKED)),
-                ("mxv", dict(base, dir="push", **_MASKED)),
-                ("mxv", dict(base, dir="pull", **_MASKED)),
-                # the relaxation idiom (`d[:] accum= A @ d` with the add
-                # monoid as accumulator — SSSP/Bellman-Ford steps)
-                ("mxv", dict(base, **{**_UNMASKED, "accum": add})),
-                ("mxv", dict(base, dir="push",
-                             **{**_UNMASKED, "accum": add})),
-                ("vxm", dict(base, **_UNMASKED)),
-                ("vxm", dict(base, dir="push", **_UNMASKED)),
-                # the frontier-update idiom (`w[...] << v.vxm(A)` with
-                # Second accumulation) that PageRank-style loops dispatch
-                ("vxm", dict(base, dir="push",
-                             **{**_UNMASKED, "accum": "Second"})),
-            ]
-            for func, params in shapes:
-                if parallel and func in PARALLEL_FUNCS:
-                    params["par"] = True
-                specs.append(KernelSpec.make(func, **params))
-    return specs
-
-
-def _reduction_grid(parallel: bool) -> list[KernelSpec]:
-    """``reduce_rows`` over every monoid a predefined semiring adds
-    with, per grid dtype — the rank-normalisation step of PageRank-style
-    loops (`v << A.reduce_rows()`)."""
-    from ..backend.ops_table import binary_result_dtype
-    from .cppcodegen import PARALLEL_FUNCS
-
-    monoids = sorted({add for add, _ in _SEMIRING_PAIRS})
-    specs = []
-    for op in monoids:
-        for d in _GRID_DTYPES:
-            c = KernelSpec.dt(binary_result_dtype(op, d, d))
-            params = dict(a=d, c=c, op=op, **_UNMASKED)
-            if parallel and "reduce_rows" in PARALLEL_FUNCS:
-                params["par"] = True
-            specs.append(KernelSpec.make("reduce_rows", **params))
-    return specs
-
-
-def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
-    """The hot non-semiring companions every algorithm-shaped loop
-    dispatches between its mxv/vxm steps: vector eWise combine, the
-    scalar-bound apply (PageRank's damping multiply), whole-container
-    scalar reductions (convergence checks, sums), and the row
-    normalisation of a transition matrix (``utilities.normalize_rows``)."""
-    from ..backend.ops_table import binary_result_dtype
-    from .cppcodegen import PARALLEL_FUNCS
-
-    specs = []
-    for d in _GRID_DTYPES:
-        shapes = []
-        for func, op in (("ewise_add_vec", "Plus"), ("ewise_add_vec", "Min"),
-                         ("ewise_mult_vec", "Times")):
-            t = KernelSpec.dt(binary_result_dtype(op, d, d))
-            shapes.append((func, dict(a=d, b=d, c=t, t_dtype=t, op=op,
-                                      **_UNMASKED)))
-        for op in ("Times", "Plus"):
-            shapes.append(("apply_vec", dict(a=d, c=d, form="bind", op=op,
-                                             side="second", **_UNMASKED)))
-        for func in ("reduce_mat_scalar", "reduce_vec_scalar"):
-            for op in ("Plus", "Min", "Max"):
-                shapes.append((func, dict(a=d, op=op)))
-        shapes.append(("normalize_rows", dict(a=d, c="float64")))
-        for func, params in shapes:
-            if parallel and func in PARALLEL_FUNCS:
-                params["par"] = True
-            specs.append(KernelSpec.make(func, **params))
-    return specs
-
-
-def _fused_grid(parallel: bool) -> list[KernelSpec]:
-    """The reduce-site fused pair for float64 (``gb.reduce(u * v)`` is
-    PageRank's squared error), mirroring the spec construction in
-    ``cppengine``; a scalar output carries no descriptor."""
-    from .cppcodegen import PARALLEL_FUNCS
-
-    f = "float64"
-    specs = []
-    for func, op in (("ewise_add_vec_reduce_scalar", "Plus"),
-                     ("ewise_mult_vec_reduce_scalar", "Times")):
-        params = dict(a=f, b=f, p=f, op=op, rop="Plus", fused=True)
-        if parallel and func in PARALLEL_FUNCS:
-            params["par"] = True
-        specs.append(KernelSpec.make(func, **params))
-    return specs
-
-
 def _dedup(specs: list[KernelSpec]) -> list[KernelSpec]:
-    seen: set[str] = set()
-    out = []
-    for spec in specs:
-        if spec.key_hash not in seen:
-            seen.add(spec.key_hash)
-            out.append(spec)
-    return out
+    return list({s.key_hash: s for s in specs}.values())
 
 
 def catalog_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
-    """The hot per-operation spec space, deduplicated by key hash:
-    the traced algorithm kernel set (tier 1 — reuses ``precompile.py``'s
-    list and therefore its drift guard), the predefined-semiring grid
-    with its row-reduction companions (tier 2) and the reduce-site
-    fused pair (tier 3)."""
-    return _dedup(
-        algorithm_kernel_specs(parallel)
-        + _semiring_grid(parallel)
-        + _reduction_grid(parallel)
-        + _elementwise_grid(parallel)
-        + _fused_grid(parallel)
-    )
-
-
-#: the pyjit engine keeps transposition inside the generated kernel, so
-#: its specs carry ``ta`` (and ``tb``) flags the cpp engine resolves by
-#: pre-transposing the operand instead (cppengine transposes, pyengine
-#: specialises) — mirror that when baking the .py flavour
-_PYJIT_TA_FUNCS = frozenset({
-    "mxv", "vxm", "apply_mat", "reduce_rows", "select_mat", "extract_mat",
-    "assign_mat",
-})
-_PYJIT_TATB_FUNCS = frozenset({
-    "mxm", "ewise_add_mat", "ewise_mult_mat", "kronecker",
-})
+    """The hot per-operation spec space, deduplicated by key hash: every
+    row's traced instances (``precompile``'s list, and therefore its drift
+    guard) and its catalog grid."""
+    return _dedup([spec(func, *use, parallel=parallel)
+                   for func, row in KERNELS.items() for use in row.traced + row.grid])
 
 
 def pyjit_kernel_specs() -> list[KernelSpec]:
     """The catalog spec space as the *pyjit* engine would key it: the
-    same enumeration re-shaped with the pyjit-only ``ta``/``tb`` params,
-    restricted to funcs the Python code generator covers.  Traversal
-    funcs additionally get the transposed variant (``A.T @ u`` /
-    ``L @ U.T`` — reverse-edge walks and triangle counting), which the
-    cpp engine needs no extra kernel for (it pre-transposes)."""
-    from .pycodegen import GENERATORS
-
+    rows it has a generator for, with their pyjit-only transpose params
+    unset, plus each row's ``baked_transposes`` (``A.T @ u`` / ``L @ U.T``
+    — reverse-edge walks and triangle counting), which the cpp engine
+    needs no extra kernel for (it pre-transposes)."""
     specs = []
-    for spec in catalog_kernel_specs(parallel=False):
-        if spec.func not in GENERATORS:
+    for func, row in KERNELS.items():
+        if row.py is None:
             continue
-        params = dict(spec.params)
-        if spec.func in _PYJIT_TA_FUNCS:
-            params.setdefault("ta", "0")
-        elif spec.func in _PYJIT_TATB_FUNCS:
-            params.setdefault("ta", "0")
-            params.setdefault("tb", "0")
-        specs.append(KernelSpec.make(spec.func, **params))
-        if spec.func in ("mxv", "vxm"):
-            specs.append(KernelSpec.make(spec.func,
-                                         **dict(params, ta="1")))
-        elif spec.func == "mxm":
-            specs.append(KernelSpec.make(spec.func,
-                                         **dict(params, tb="1")))
+        for use in row.traced + row.grid:
+            for transposes in ((False,) * len(row.transposes),) + row.baked_transposes:
+                specs.append(spec(func, *use, transposes=transposes))
     # pyjit runs the float->float identity cast the cpp engine traced as
     # int64 input (the engines promote dtypes at different points)
-    specs.append(KernelSpec.make(
-        "apply_mat", a="float64", c="float64", form="unary", op="Identity",
-        side="none", ta=False, **_UNMASKED,
-    ))
+    specs.append(spec("apply_mat", ("float64", "float64"), ("unary", "Identity", "none"), PLAIN,
+                      transposes=(False,)))
     return _dedup(specs)
 
 

@@ -27,7 +27,8 @@ resident across calls:
 Operations without a native C++ binding (the index-heavy matrix
 assign/extract forms and standalone transpose — none of which appear in
 the evaluated algorithms' hot loops) delegate to the Python JIT engine;
-the native set is ``repro.jit.cppcodegen.CPP_SUPPORTED``.
+the native set is the rows of ``repro.jit.kernels.KERNELS`` that have a
+C++ generator.
 """
 
 from __future__ import annotations
@@ -41,18 +42,14 @@ import tempfile
 import threading
 import time
 from ctypes import c_double, c_int64, c_void_p
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .. import guard, obs, schedule as _schedule
 from ..backend.ffipack import address
-from ..backend.kernels import FUSED_KERNELS
-from ..backend.ops_table import (
-    DEFAULT_IDENTITY_NAME,
-    binary_result_dtype,
-    identity_value,
-)
+from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
 from ..config import Config, current as _config
@@ -60,9 +57,10 @@ from ..exceptions import BackendUnavailable, CompilationError, OperationCancelle
 from ..testing.faults import FAULTS
 from ..types import CXX_NAMES
 from .cache import JitCache, default_cache
-from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
+from .cppcodegen import generate_cpp_source
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
-from .pyengine import PyJitEngine, _desc_params
+from .kernels import KERNELS, apply_ops, spec as kernel_spec
+from .pyengine import PyJitEngine
 from .spec import KernelSpec
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "compiler_available",
     "toolchain_works",
     "openmp_available",
-    "parallel_requested",
     "compile_timeout",
 ]
 
@@ -193,13 +190,6 @@ def toolchain_works(cxx: str | None = None) -> bool:
     return result
 
 
-def parallel_requested() -> bool:
-    """The ``$PYGB_PARALLEL`` switch (default: on).  Serial and OpenMP
-    artifacts are separate kernels, so a reload that flips it takes
-    effect at the next dispatch without rebuilding engines."""
-    return _config().parallel
-
-
 def _float_pair(value) -> tuple:
     """``(double, int64)`` encodings of a scalar for a floating-point
     kernel; the generated C++ selects one leg by element type, so the
@@ -224,7 +214,7 @@ def _bool_pair(value) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# the kernel table: everything that differs between operations
+# binding: the ctypes side of a kernel-table row's argument layout
 # ----------------------------------------------------------------------
 _P, _I, _D = c_void_p, c_int64, c_double
 
@@ -242,68 +232,9 @@ _GROUPS = {
     "P": (_P,),  # scalar result
 }
 
-
-def _semiring(x: str, y: str):
-    """Derived dtype of a semiring product ``x ⊗ y``."""
-
-    def derive(d, o):
-        return {"t_dtype": binary_result_dtype(o["mult"], d[x], d[y])}
-
-    return derive
-
-
-def _ewise(name: str):
-    """The eWise result dtype, under *name*."""
-
-    def derive(d, o):
-        return {name: binary_result_dtype(o["op"], d["a"], d["b"])}
-
-    return derive
-
-
-_APPLY = ("form", "op", "side")
-
-#: func -> (dtype params, operator params, derived dtype params, layout).
-#: The first two name, in order, what an engine method passes to
-#: ``_kernel``; together with the descriptor flags they are the spec.
-#: Layouts ending in ``O`` return a vector, in ``P`` a scalar, in ``W``
-#: a matrix on its operand's pattern, anything else a matrix collected
-#: with ``pygb_fetch``.  ``apply_mat`` is bound as ``MSW`` when its spec
-#: has neither mask nor accumulator (``_gen_apply_mat``'s other form).
-_OPS = {
-    "mxv": (("a", "u", "c"), ("add", "mult"), _semiring("a", "u"), "MVVvO"),
-    "vxm": (("a", "u", "c"), ("add", "mult"), _semiring("u", "a"), "MVVvO"),
-    "mxm": (("a", "b", "c"), ("add", "mult"), _semiring("a", "b"), "MMMm"),
-    "ewise_add_vec": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "VvVvO"),
-    "ewise_mult_vec": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "VvVvO"),
-    "ewise_add_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
-    "ewise_mult_mat": (("a", "b", "c"), ("op",), _ewise("t_dtype"), "Mmmm"),
-    "apply_vec": (("a", "c", "t_dtype"), _APPLY, None, "VVvSO"),
-    "apply_mat": (("a", "c", "t_dtype"), _APPLY, None, "MmmS"),
-    "reduce_mat_scalar": (("a",), ("op",), None, "MSP"),
-    "reduce_vec_scalar": (("a",), ("op",), None, "VSP"),
-    "reduce_rows": (("a", "c"), ("op",), None, "MVvO"),
-    # GBTL's normalize_rows helper, not an Engine-interface method
-    # (CppJitEngine.normalize_rows)
-    "normalize_rows": (("a", "c"), (), None, "MW"),
-    "assign_vec": (("a", "c"), (), None, "VVIvO"),
-    "assign_vec_scalar": (("c",), (), None, "VSIvO"),
-    "extract_vec": (("a", "c"), (), None, "VVIvO"),
-    # the reduce-site fused pair: gb.reduce(u ⊕ v)
-    "ewise_add_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
-    "ewise_mult_vec_reduce_scalar": (("a", "b"), ("op", "rop"), _ewise("p"), "VvSP"),
-}
-
 _NO_VEC_MASK = (None, None, 0)
 _NO_MAT_MASK = (None, None, None)
 _NO_CONST = (0.0, 0)
-
-
-def _apply_ops(op_spec) -> tuple:
-    """``(form, operator, side)`` spec params of an apply operator."""
-    if op_spec[0] == "unary":
-        return "unary", op_spec[1], "none"
-    return "bind", op_spec[1], op_spec[3]
 
 
 def _bound_dtype(op_spec, a_dtype, c_dtype):
@@ -394,28 +325,6 @@ class CppJitEngine:
             self._openmp = openmp_available(self.cxx)
         return self._openmp
 
-    def _spec(self, func: str, dtypes, ops, desc=None, direction=None) -> KernelSpec:
-        """The kernel spec of table row *func* for these operand dtypes,
-        operators and descriptor; parallel-capable operations are marked
-        ``par=1`` so serial and OpenMP artifacts hash (and cache)
-        separately."""
-        dtype_names, op_names, derive, _layout = _OPS[func]
-        d = dict(zip(dtype_names, dtypes))
-        o = dict(zip(op_names, ops))
-        if derive is not None:
-            d.update(derive(d, o))
-        params = {name: KernelSpec.dt(dt) for name, dt in d.items() if dt is not None}
-        params.update(o)
-        if desc is not None:
-            params.update(_desc_params(desc))
-        if func in FUSED_KERNELS:
-            params["fused"] = True
-        if direction is not None:
-            params["dir"] = direction
-        if func in PARALLEL_FUNCS and self.parallel_enabled():
-            params["par"] = True
-        return KernelSpec.make(func, **params)
-
     def _ensure_header(self) -> None:
         if self._header_written:
             return
@@ -470,14 +379,11 @@ class CppJitEngine:
             data = out_path.read_bytes()
             out_path.write_bytes(data[:512])
 
-    def _compile_parallel(self, src_path: Path, out_path: Path) -> None:
-        self._compile(src_path, out_path, parallel=True)
-
     def compiler_for(self, spec: KernelSpec):
         """The compile callable matching *spec*: ``par=1`` specs build
         with ``-fopenmp`` (when supported), everything else with the
         serial flag set."""
-        return self._compile_parallel if spec.flag("par") else self._compile
+        return partial(self._compile, parallel=True) if spec.flag("par") else self._compile
 
     def _lib(self, spec: KernelSpec) -> ctypes.CDLL:
         """Compiled module for *spec*, with the resilience wrapper: a
@@ -550,7 +456,7 @@ class CppJitEngine:
         moves (``clear_memory``, ``invalidate``, a recorded failure), so
         fault tolerance and the catalog see every lookup they used to."""
         t0 = time.perf_counter_ns() if obs.ACTIVE else 0
-        par = func in PARALLEL_FUNCS and self.parallel_enabled()
+        par = self.parallel_enabled()
         if desc is None:
             key = (func, dtypes, ops, direction, par)
         else:
@@ -563,7 +469,7 @@ class CppJitEngine:
             self._bound = (cache.generation, table)
         bound = table.get(key)
         if bound is None:
-            bound = table[key] = self._bind(func, dtypes, ops, desc, direction)
+            bound = table[key] = self._bind(func, dtypes, ops, desc, direction, par)
         else:
             cache.note_memory_hit(bound.spec, ".so")
         if obs.ACTIVE:
@@ -578,10 +484,10 @@ class CppJitEngine:
                 )
         return bound
 
-    def _bind(self, func, dtypes, ops, desc, direction) -> _Bound:
-        spec = self._spec(func, dtypes, ops, desc, direction)
+    def _bind(self, func, dtypes, ops, desc, direction, par) -> _Bound:
+        spec = kernel_spec(func, dtypes, ops, desc, direction, parallel=par)
         lib = self._lib(spec)
-        layout = _OPS[func][3]
+        layout = KERNELS[func].layout
         if direction == "pull":
             layout = layout[:-1] + "IO"  # the mask's candidate rows
         elif func == "apply_mat" and spec.unmerged():
@@ -776,14 +682,14 @@ class CppJitEngine:
 
     def apply_vec(self, out, u, op_spec, desc):
         dtypes = (u.dtype, out.dtype, _bound_dtype(op_spec, u.dtype, out.dtype))
-        bound = self._kernel("apply_vec", dtypes, _apply_ops(op_spec), desc)
+        bound = self._kernel("apply_vec", dtypes, apply_ops(op_spec), desc)
         args = u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
         return self._vec_out(bound, args + self._const(bound, op_spec), out)
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
         a = _t(a, ta)
         dtypes = (a.dtype, out.dtype, _bound_dtype(op_spec, a.dtype, out.dtype))
-        bound = self._kernel("apply_mat", dtypes, _apply_ops(op_spec), desc)
+        bound = self._kernel("apply_mat", dtypes, apply_ops(op_spec), desc)
         const = self._const(bound, op_spec)
         if bound.fetch is None:
             # no mask, no accumulator: f(A) stores exactly where A does
@@ -850,8 +756,10 @@ class CppJitEngine:
         def dt(operand):
             return np.dtype(ex._dtype_of(operand))
 
+        par = self.parallel_enabled()
+
         def add_job(func, dtypes, ops, node_desc):
-            spec = self._spec(func, dtypes, ops, node_desc)
+            spec = kernel_spec(func, dtypes, ops, node_desc, parallel=par)
             jobs.append((spec, generate_cpp_source, ".cpp", self.compiler_for(spec)))
 
         def walk(node, out_dt, node_desc):
@@ -877,7 +785,7 @@ class CppJitEngine:
             elif kind is ex.Apply:
                 add_job("apply_mat" if node.produces_matrix else "apply_vec",
                         (dt(node.a), out_dt, _bound_dtype(node.op_spec, dt(node.a), out_dt)),
-                        _apply_ops(node.op_spec), node_desc)
+                        apply_ops(node.op_spec), node_desc)
             elif kind is ex.ReduceRows:
                 add_job("reduce_rows", (dt(node.a), out_dt), (node.op,), node_desc)
             # Select / Kronecker / Transpose / Extract are rare enough that

@@ -7,7 +7,8 @@ algorithm kernel set out over :meth:`JitCache.precompile`'s thread pool,
 so by the time an algorithm dispatches its first operation the shared
 object is already on disk (a cache hit, not a compile).
 
-The spec list below was captured by tracing every bundled algorithm
+The spec list is the ``traced`` column of the kernel table
+(:mod:`~repro.jit.kernels`), captured by tracing every bundled algorithm
 (BFS, SSSP, PageRank, triangle count — both the operation-at-a-time and
 the whole-algorithm compiled versions) under the ``cpp`` engine; the
 ``test_warm_cache_covers_algorithms`` drift guard re-derives it the same
@@ -19,74 +20,11 @@ from __future__ import annotations
 
 from ..exceptions import CompilationError
 from .cache import JitCache, default_cache
-from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
+from .cppcodegen import generate_cpp_source
+from .kernels import KERNELS, module_spec, spec
 from .spec import KernelSpec
 
 __all__ = ["algorithm_kernel_specs", "algorithm_module_specs", "warm_cache"]
-
-# (func, params) for every per-operation kernel the bundled algorithms
-# dispatch.  Keep sorted by func for readability.
-_ALGORITHM_KERNELS: tuple[tuple[str, dict], ...] = (
-    ("apply_mat", dict(a="float64", accum="none", c="float64", comp=0,
-                       form="bind", mask="none", op="Times", repl=0,
-                       side="second")),
-    ("apply_mat", dict(a="int64", accum="none", c="float64", comp=0,
-                       form="unary", mask="none", op="Identity", repl=0,
-                       side="none")),
-    ("apply_vec", dict(a="float64", accum="none", c="float64", comp=0,
-                       form="bind", mask="none", op="Plus", repl=0,
-                       side="second")),
-    ("assign_vec", dict(a="float64", accum="none", c="float64", comp=0,
-                        mask="none", repl=0)),
-    ("assign_vec_scalar", dict(accum="none", c="float64", comp=0,
-                               mask="none", repl=0)),
-    ("assign_vec_scalar", dict(accum="none", c="int64", comp=0,
-                               mask="value", repl=0)),
-    ("ewise_add_vec", dict(a="float64", accum="none", b="float64",
-                           c="float64", comp=0, mask="none", op="Minus",
-                           repl=0, t_dtype="float64")),
-    ("ewise_mult_vec", dict(a="float64", accum="none", b="float64",
-                            c="float64", comp=0, mask="none", op="Times",
-                            repl=0, t_dtype="float64")),
-    ("ewise_mult_vec_reduce_scalar", dict(a="float64", b="float64", fused=1,
-                                          op="Times", p="float64",
-                                          rop="Plus")),
-    ("mxm", dict(a="int64", accum="none", add="Plus", b="int64", c="int64",
-                 comp=0, mask="value", mult="Times", repl=0,
-                 t_dtype="int64")),
-    ("mxv", dict(a="float64", accum="Min", add="Min", c="float64", comp=0,
-                 mask="none", mult="Plus", repl=0, t_dtype="float64",
-                 u="float64")),
-    ("mxv", dict(a="float64", accum="Min", add="Min", c="float64", comp=0,
-                 dir="push", mask="none", mult="Plus", repl=0,
-                 t_dtype="float64", u="float64")),
-    ("mxv", dict(a="int64", accum="Min", add="Min", c="int64", comp=0,
-                 mask="none", mult="Second", repl=0, t_dtype="int64",
-                 u="int64")),
-    ("mxv", dict(a="int64", accum="Min", add="Min", c="int64", comp=0,
-                 dir="push", mask="none", mult="Second", repl=0,
-                 t_dtype="int64", u="int64")),
-    ("mxv", dict(a="int64", accum="none", add="LogicalOr", c="bool", comp=1,
-                 mask="value", mult="LogicalAnd", repl=1, t_dtype="bool",
-                 u="bool")),
-    # the auto schedule's direction-optimized variants of the BFS step
-    # (push on sparse frontiers, pull with the LogicalOr early exit on
-    # dense ones) and of the unmasked SSSP / connected-components
-    # relaxations (push)
-    ("mxv", dict(a="int64", accum="none", add="LogicalOr", c="bool", comp=1,
-                 dir="push", mask="value", mult="LogicalAnd", repl=1,
-                 t_dtype="bool", u="bool")),
-    ("mxv", dict(a="int64", accum="none", add="LogicalOr", c="bool", comp=1,
-                 dir="pull", mask="value", mult="LogicalAnd", repl=1,
-                 t_dtype="bool", u="bool")),
-    # PageRank's set-up: GBTL's normalize_rows helper (no descriptor)
-    ("normalize_rows", dict(a="float64", c="float64")),
-    ("reduce_mat_scalar", dict(a="int64", op="Plus")),
-    ("reduce_vec_scalar", dict(a="float64", op="Plus")),
-    ("vxm", dict(a="float64", accum="Second", add="Plus", c="float64",
-                 comp=0, mask="none", mult="Times", repl=0,
-                 t_dtype="float64", u="float64")),
-)
 
 # (func, vtype) for the whole-algorithm compiled modules (Fig. 10
 # versions 2/3).
@@ -101,24 +39,13 @@ _ALGORITHM_MODULES: tuple[tuple[str, str], ...] = (
 def algorithm_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
     """The per-operation kernel specs the bundled algorithms use, with
     ``par=1`` stamped on parallel-capable functions when *parallel*."""
-    specs = []
-    for func, params in _ALGORITHM_KERNELS:
-        p = dict(params)
-        if parallel and func in PARALLEL_FUNCS:
-            p["par"] = True
-        specs.append(KernelSpec.make(func, **p))
-    return specs
+    return [spec(func, *use, parallel=parallel)
+            for func, row in KERNELS.items() for use in row.traced]
 
 
 def algorithm_module_specs(parallel: bool = False) -> list[KernelSpec]:
     """Specs of the whole-algorithm C++ modules."""
-    specs = []
-    for func, vtype in _ALGORITHM_MODULES:
-        p: dict = {"vtype": vtype}
-        if parallel:
-            p["par"] = True
-        specs.append(KernelSpec.make(func, **p))
-    return specs
+    return [module_spec(func, vtype, parallel) for func, vtype in _ALGORITHM_MODULES]
 
 
 def warm_cache(

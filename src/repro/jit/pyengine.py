@@ -3,8 +3,9 @@ code generation.
 
 Each method inspects its runtime arguments exactly the way the paper's
 ``operate()`` does — "the data types of each operand is checked to
-determine the output type through standard typecasting rules" — builds
-the :class:`~repro.jit.spec.KernelSpec`, fetches the specialised module
+determine the output type through standard typecasting rules" — asks
+the kernel table (:mod:`~repro.jit.kernels`) for the
+:class:`~repro.jit.spec.KernelSpec`, fetches the specialised module
 through the memory→disk→compile cache, and invokes its ``run``.
 """
 
@@ -13,24 +14,15 @@ from __future__ import annotations
 import time
 
 from .. import obs, schedule as _schedule
-from ..backend.kernels import OpDesc
-from ..backend.ops_table import binary_result_dtype
+from ..backend.ops_table import DEFAULT_IDENTITY_NAME, binary_result_dtype, identity_value
 from ..exceptions import CompilationError
 from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
+from .kernels import apply_ops, spec
 from .pycodegen import generate_source
 from .spec import KernelSpec
 
 __all__ = ["PyJitEngine"]
-
-
-def _desc_params(desc: OpDesc) -> dict:
-    return {
-        "mask": "none" if desc.mask is None else "value",
-        "comp": desc.complement,
-        "repl": desc.replace,
-        "accum": desc.accum or "none",
-    }
 
 
 class _TracedModule:
@@ -101,135 +93,74 @@ class PyJitEngine:
                 return _TracedModule(mod, spec.key, tracer)
         return mod
 
+    def _kernel(self, func, dtypes, ops=(), desc=None, direction=None, transposes=()):
+        """The module of kernel-table row *func* for one dispatch."""
+        return self._module(spec(func, dtypes, ops, desc, direction, transposes))
+
     # ------------------------------------------------------------------
     # multiplication
     # ------------------------------------------------------------------
     def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):
-        spec = KernelSpec.make(
-            "mxm",
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, a.dtype, b.dtype)),
-            add=add,
-            mult=mult,
-            ta=ta,
-            tb=tb,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, b, desc.mask)
+        mod = self._kernel("mxm", (a.dtype, b.dtype, out.dtype), (add, mult), desc, None, (ta, tb))
+        return mod.run(out, a, b, desc.mask)
 
-    def _spmv_params(self, direction: str) -> dict:
+    def _spmv(self, func, out, x, y, a, u, add, mult, desc, ta, sched):
+        """mxv / vxm: *x*, *y* are the operands in call order, *a*, *u*
+        the same two as matrix and vector."""
+        direction = sched.direction if sched is not None else "dense"
         # dense keeps the legacy spec keys so scheduled and unscheduled
         # dispatches share one cache entry per variant
-        return {} if direction == "dense" else {"dir": direction}
+        mod = self._kernel(func, (a.dtype, u.dtype, out.dtype), (add, mult), desc,
+                           None if direction == "dense" else direction, (ta,))
+        if direction == "pull":
+            return mod.run(out, x, y, desc.mask, sched.candidates)
+        result = mod.run(out, x, y, desc.mask)
+        if sched is not None and direction == "dense":
+            _schedule.note_edges("dense", int(a.indices.size))
+        return result
 
     def mxv(self, out, a, u, add, mult, desc, ta=False, sched=None):
-        direction = sched.direction if sched is not None else "dense"
-        spec = KernelSpec.make(
-            "mxv",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, a.dtype, u.dtype)),
-            add=add,
-            mult=mult,
-            ta=ta,
-            **self._spmv_params(direction),
-            **_desc_params(desc),
-        )
-        if direction == "pull":
-            return self._module(spec).run(out, a, u, desc.mask, sched.candidates)
-        result = self._module(spec).run(out, a, u, desc.mask)
-        if sched is not None and direction == "dense":
-            _schedule.note_edges("dense", int(a.indices.size))
-        return result
+        return self._spmv("mxv", out, a, u, a, u, add, mult, desc, ta, sched)
 
     def vxm(self, out, u, a, add, mult, desc, ta=False, sched=None):
-        direction = sched.direction if sched is not None else "dense"
-        spec = KernelSpec.make(
-            "vxm",
-            a=KernelSpec.dt(a.dtype),
-            u=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(mult, u.dtype, a.dtype)),
-            add=add,
-            mult=mult,
-            ta=ta,
-            **self._spmv_params(direction),
-            **_desc_params(desc),
-        )
-        if direction == "pull":
-            return self._module(spec).run(out, u, a, desc.mask, sched.candidates)
-        result = self._module(spec).run(out, u, a, desc.mask)
-        if sched is not None and direction == "dense":
-            _schedule.note_edges("dense", int(a.indices.size))
-        return result
+        return self._spmv("vxm", out, u, a, a, u, add, mult, desc, ta, sched)
 
     # ------------------------------------------------------------------
     # elementwise
     # ------------------------------------------------------------------
-    def _ewise(self, func, out, x, y, op, desc, ta=False, tb=False, matrix=False):
-        params = dict(
-            a=KernelSpec.dt(x.dtype),
-            b=KernelSpec.dt(y.dtype),
-            c=KernelSpec.dt(out.dtype),
-            t_dtype=KernelSpec.dt(binary_result_dtype(op, x.dtype, y.dtype)),
-            op=op,
-            **_desc_params(desc),
-        )
-        if matrix:
-            params.update(ta=ta, tb=tb)
-        spec = KernelSpec.make(func, **params)
-        return self._module(spec).run(out, x, y, desc.mask)
+    def _ewise(self, func, out, x, y, op, desc, transposes=()):
+        mod = self._kernel(func, (x.dtype, y.dtype, out.dtype), (op,), desc, None, transposes)
+        return mod.run(out, x, y, desc.mask)
 
     def ewise_add_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise("ewise_add_mat", out, a, b, op, desc, ta, tb, matrix=True)
+        return self._ewise("ewise_add_mat", out, a, b, op, desc, (ta, tb))
 
     def ewise_add_vec(self, out, u, v, op, desc):
         return self._ewise("ewise_add_vec", out, u, v, op, desc)
 
     def ewise_mult_mat(self, out, a, b, op, desc, ta=False, tb=False):
-        return self._ewise("ewise_mult_mat", out, a, b, op, desc, ta, tb, matrix=True)
+        return self._ewise("ewise_mult_mat", out, a, b, op, desc, (ta, tb))
 
     def ewise_mult_vec(self, out, u, v, op, desc):
         return self._ewise("ewise_mult_vec", out, u, v, op, desc)
 
     # ------------------------------------------------------------------
-    # apply / reduce / transpose
+    # apply / reduce / transpose / select / kronecker
     # ------------------------------------------------------------------
-    def _apply(self, func, out, x, op_spec, desc, ta=False, matrix=False):
-        if op_spec[0] == "unary":
-            form, op, side, const = "unary", op_spec[1], "none", None
-        else:
-            _, op, const, side = op_spec
-        params = dict(
-            a=KernelSpec.dt(x.dtype),
-            c=KernelSpec.dt(out.dtype),
-            form="unary" if op_spec[0] == "unary" else "bind",
-            op=op,
-            side=side,
-            **_desc_params(desc),
-        )
-        if matrix:
-            params.update(ta=ta)
-        spec = KernelSpec.make(func, **params)
-        return self._module(spec).run(out, x, desc.mask, const)
+    def _apply(self, func, out, x, op_spec, desc, transposes=()):
+        mod = self._kernel(func, (x.dtype, out.dtype), apply_ops(op_spec), desc, None, transposes)
+        return mod.run(out, x, desc.mask, op_spec[2] if op_spec[0] == "bind" else None)
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
-        return self._apply("apply_mat", out, a, op_spec, desc, ta, matrix=True)
+        return self._apply("apply_mat", out, a, op_spec, desc, (ta,))
 
     def apply_vec(self, out, u, op_spec, desc):
         return self._apply("apply_vec", out, u, op_spec, desc)
 
     def _reduce_scalar(self, func, x, op, identity):
-        from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
-
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[op]
-        ident_val = identity_value(identity, x.dtype)
-        spec = KernelSpec.make(func, a=KernelSpec.dt(x.dtype), op=op)
-        return self._module(spec).run(x, ident_val)
+        return self._kernel(func, (x.dtype,), (op,)).run(x, identity_value(identity, x.dtype))
 
     def reduce_mat_scalar(self, a, op, identity):
         return self._reduce_scalar("reduce_mat_scalar", a, op, identity)
@@ -238,143 +169,63 @@ class PyJitEngine:
         return self._reduce_scalar("reduce_vec_scalar", u, op, identity)
 
     def reduce_rows(self, out, a, op, desc, ta=False):
-        spec = KernelSpec.make(
-            "reduce_rows",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            op=op,
-            ta=ta,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, desc.mask)
+        mod = self._kernel("reduce_rows", (a.dtype, out.dtype), (op,), desc, None, (ta,))
+        return mod.run(out, a, desc.mask)
 
     def transpose(self, out, a, desc):
-        spec = KernelSpec.make(
-            "transpose",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, desc.mask)
+        return self._kernel("transpose", (a.dtype, out.dtype), (), desc).run(out, a, desc.mask)
 
     def select_mat(self, out, a, op, thunk, desc, ta=False):
-        spec = KernelSpec.make(
-            "select_mat",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            op=op,
-            ta=ta,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, thunk, desc.mask)
+        mod = self._kernel("select_mat", (a.dtype, out.dtype), (op,), desc, None, (ta,))
+        return mod.run(out, a, thunk, desc.mask)
 
     def select_vec(self, out, u, op, thunk, desc):
-        spec = KernelSpec.make(
-            "select_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            op=op,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, u, thunk, desc.mask)
+        mod = self._kernel("select_vec", (u.dtype, out.dtype), (op,), desc)
+        return mod.run(out, u, thunk, desc.mask)
 
     def kronecker(self, out, a, b, op, desc, ta=False, tb=False):
-        spec = KernelSpec.make(
-            "kronecker",
-            a=KernelSpec.dt(a.dtype),
-            b=KernelSpec.dt(b.dtype),
-            c=KernelSpec.dt(out.dtype),
-            op=op,
-            ta=ta,
-            tb=tb,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, b, desc.mask)
+        mod = self._kernel("kronecker", (a.dtype, b.dtype, out.dtype), (op,), desc, None, (ta, tb))
+        return mod.run(out, a, b, desc.mask)
 
     # ------------------------------------------------------------------
     # extract / assign (partially specialised delegates)
     # ------------------------------------------------------------------
     def extract_mat(self, out, a, rows, cols, desc, ta=False):
-        spec = KernelSpec.make(
-            "extract_mat",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            ta=ta,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, rows, cols, desc.mask)
+        mod = self._kernel("extract_mat", (a.dtype, out.dtype), (), desc, None, (ta,))
+        return mod.run(out, a, rows, cols, desc.mask)
 
     def extract_vec(self, out, u, idx, desc):
-        spec = KernelSpec.make(
-            "extract_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, u, idx, desc.mask)
+        mod = self._kernel("extract_vec", (u.dtype, out.dtype), (), desc)
+        return mod.run(out, u, idx, desc.mask)
 
     def assign_mat(self, out, a, rows, cols, desc, ta=False):
-        spec = KernelSpec.make(
-            "assign_mat",
-            a=KernelSpec.dt(a.dtype),
-            c=KernelSpec.dt(out.dtype),
-            ta=ta,
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, a, rows, cols, desc.mask)
+        mod = self._kernel("assign_mat", (a.dtype, out.dtype), (), desc, None, (ta,))
+        return mod.run(out, a, rows, cols, desc.mask)
 
     def assign_vec(self, out, u, idx, desc):
-        spec = KernelSpec.make(
-            "assign_vec",
-            a=KernelSpec.dt(u.dtype),
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, u, idx, desc.mask)
+        mod = self._kernel("assign_vec", (u.dtype, out.dtype), (), desc)
+        return mod.run(out, u, idx, desc.mask)
 
     def assign_mat_scalar(self, out, value, rows, cols, desc):
-        spec = KernelSpec.make(
-            "assign_mat_scalar",
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, value, rows, cols, desc.mask)
+        mod = self._kernel("assign_mat_scalar", (out.dtype,), (), desc)
+        return mod.run(out, value, rows, cols, desc.mask)
 
     def assign_vec_scalar(self, out, value, idx, desc):
-        spec = KernelSpec.make(
-            "assign_vec_scalar",
-            c=KernelSpec.dt(out.dtype),
-            **_desc_params(desc),
-        )
-        return self._module(spec).run(out, value, idx, desc.mask)
+        mod = self._kernel("assign_vec_scalar", (out.dtype,), (), desc)
+        return mod.run(out, value, idx, desc.mask)
 
     # ------------------------------------------------------------------
     # the reduce-site fused pair: gb.reduce(u ⊕ v) in one pass
     # ------------------------------------------------------------------
     def _ewise_reduce_scalar(self, func, u, v, op, rop, identity):
-        from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
-
         pdt = binary_result_dtype(op, u.dtype, v.dtype)
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[rop]
-        ident_val = identity_value(identity, pdt)
-        spec = KernelSpec.make(
-            func,
-            a=KernelSpec.dt(u.dtype),
-            b=KernelSpec.dt(v.dtype),
-            p=KernelSpec.dt(pdt),
-            op=op,
-            rop=rop,
-            fused=True,
-        )
-        return self._module(spec).run(u, v, ident_val)
+        mod = self._kernel(func, (u.dtype, v.dtype), (op, rop))
+        return mod.run(u, v, identity_value(identity, pdt))
 
     def ewise_add_vec_reduce_scalar(self, u, v, op, rop, identity=None):
-        return self._ewise_reduce_scalar(
-            "ewise_add_vec_reduce_scalar", u, v, op, rop, identity
-        )
+        return self._ewise_reduce_scalar("ewise_add_vec_reduce_scalar", u, v, op, rop, identity)
 
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity=None):
-        return self._ewise_reduce_scalar(
-            "ewise_mult_vec_reduce_scalar", u, v, op, rop, identity
-        )
+        return self._ewise_reduce_scalar("ewise_mult_vec_reduce_scalar", u, v, op, rop, identity)

@@ -4,14 +4,13 @@
 line 9, ``GB::normalize_rows`` in Fig. 8 line 16).  On the cpp engine it
 runs as that helper does, one compiled pass per row
 (``GB::normalize_rows`` in ``jit/gbtl_lite.py``); every other engine, and
-a cpp engine whose compiler fails, runs the NumPy fold below — the same
-fold, so the same bits.
+a cpp engine whose compiler fails, runs the NumPy fold of
+``backend/kernels/normalize.py`` — the same fold, so the same bits.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from .backend.kernels import normalize
 from .backend.smatrix import SparseMatrix
 from .core.context import current_raw_engine
 from .core.matrix import Matrix
@@ -19,25 +18,6 @@ from .exceptions import CompilationError
 from .jit.health import jit_strict
 
 __all__ = ["normalize_rows", "normalize_cols", "normalized_rows"]
-
-
-def _divisors(lines: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """What each of *n* lines divides by: the sum of its *values*, or 1
-    where that is zero (``x / 1.0`` is ``x``, so such a line stays as it
-    is).  ``bincount`` folds left to right, as a per-line loop would;
-    ``np.add.reduceat`` is faster still but sums pairwise."""
-    sums = np.bincount(lines, weights=values, minlength=n)
-    sums[sums == 0] = 1.0
-    return sums
-
-
-def _scaled(store: SparseMatrix, divisor_per_entry: np.ndarray) -> SparseMatrix:
-    vals = np.divide(store.values, divisor_per_entry)
-    if store.dtype.kind == "f":
-        vals = vals.astype(store.dtype, copy=False)
-    # integer matrices are promoted to float64, matching GBTL's PageRank
-    # usage where the graph is first copied into a floating-point matrix
-    return SparseMatrix(store.nrows, store.ncols, store.indptr, store.indices, vals)
 
 
 def normalized_rows(store: SparseMatrix) -> SparseMatrix:
@@ -56,9 +36,7 @@ def normalized_rows(store: SparseMatrix) -> SparseMatrix:
             if jit_strict():
                 raise
             engine.cache.note_fallback()
-    lengths = store.row_lengths()
-    rows = np.repeat(np.arange(store.nrows, dtype=np.int64), lengths)
-    return _scaled(store, np.repeat(_divisors(rows, store.values, store.nrows), lengths))
+    return normalize.normalize_rows(store)
 
 
 def normalize_rows(m: Matrix) -> Matrix:
@@ -79,6 +57,5 @@ def normalize_cols(m: Matrix) -> Matrix:
     store = m._store
     if store.nvals == 0:
         return m
-    divisors = _divisors(store.indices, store.values, store.ncols)
-    m._store = _scaled(store, divisors[store.indices])
+    m._store = normalize.normalize_cols(store)
     return m

@@ -36,7 +36,7 @@ from repro.core.dispatch import (
 )
 from repro.exceptions import KernelExecutionError
 from repro.jit.cache import default_compile_jobs
-from repro.jit.cppengine import compile_timeout, parallel_requested, toolchain_works
+from repro.jit.cppengine import compile_timeout, toolchain_works
 from repro.jit.health import jit_retries, jit_strict
 from repro.jit.pyengine import PyJitEngine
 from repro.service.admission import batch_max, request_timeout, serve_workers
@@ -132,7 +132,7 @@ class TestParsing:
         assert guard.fault_sleep_seconds() == 10.0
         assert schedule.schedule_mode() == "push"
         assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 3)
-        assert not parallel_requested()
+        assert not config.current().parallel
         assert (jit_strict(), jit_retries()) == (True, 7)
         assert (compile_timeout(), default_compile_jobs()) == (7.5, 5)
         assert (request_timeout(), batch_max(), serve_workers()) == (2.5, 2, 4)

@@ -38,9 +38,8 @@ from repro.backend.svector import SparseVector
 from repro.core.dispatch import _DISPATCH_METHODS, CountingEngine, InterpretedEngine, make_engine
 from repro.core.masks import AccumExpr
 from repro.core.nonblocking import set_mode
-from repro.jit.cppcodegen import CPP_GENERATORS, PARALLEL_FUNCS
 from repro.jit.cppengine import CppJitEngine, toolchain_works
-from repro.jit.pycodegen import GENERATORS
+from repro.jit.kernels import KERNELS
 from repro.jit.pyengine import PyJitEngine
 from repro.types import POD_TYPES
 
@@ -570,17 +569,16 @@ class TestListingTraffic:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_every_fused_op_has_all_backends(self):
-        """Each fused kernel must have a pyjit generator, a C++ generator,
-        a reference kernel and a method on every engine, and (for
-        warm-cache stamping) membership in PARALLEL_FUNCS."""
+        """Each fused kernel is a fused, parallel-capable row of the kernel
+        table with a pyjit generator, a C++ generator and its reference
+        kernel, and a method on every engine."""
         names = K.FUSED_KERNELS
         assert names == {"ewise_add_vec_reduce_scalar", "ewise_mult_vec_reduce_scalar"}
-        assert names <= set(GENERATORS)
-        assert names <= set(CPP_GENERATORS)
-        assert names <= set(PARALLEL_FUNCS)
         assert names <= _DISPATCH_METHODS
         for name in names:
-            assert callable(getattr(K, name))
+            row = KERNELS[name]
+            assert row.fused and row.py and row.cpp and row.layout and row.parallel
+            assert row.reference is getattr(K, name)
             for engine in (InterpretedEngine, PyJitEngine, CppJitEngine):
                 assert callable(getattr(engine, name))
 

@@ -15,7 +15,8 @@ from repro.backend.kernels import OpDesc
 from repro.backend.svector import SparseVector
 from repro.exceptions import CompilationError
 from repro.jit.cache import JitCache
-from repro.jit.pycodegen import GENERATORS, generate_source
+from repro.jit.kernels import KERNELS
+from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION, KernelSpec
 
@@ -104,7 +105,7 @@ class TestPyCodegen:
         base.update(extra)
         return KernelSpec.make(func, **base)
 
-    @pytest.mark.parametrize("func", sorted(GENERATORS))
+    @pytest.mark.parametrize("func", sorted(f for f, row in KERNELS.items() if row.py))
     def test_every_generator_produces_compilable_source(self, func):
         extra = {}
         if func.startswith("apply"):

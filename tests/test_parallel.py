@@ -328,8 +328,8 @@ def test_warm_cache_covers_algorithms(rng, no_faults):
     pagerank_compiled(pg._store)
     triangle_count_compiled(L._store)
     assert cache.stats.compiles == before, (
-        "algorithms compiled kernels warm_cache missed — update "
-        "repro.jit.precompile._ALGORITHM_KERNELS"
+        "algorithms compiled kernels warm_cache missed — update the "
+        "traced uses of their rows in repro.jit.kernels.KERNELS"
     )
 
 
