@@ -4,7 +4,7 @@
 Compares a candidate ``BENCH_<sha>.json`` (from ``collect_bench.py``)
 against the committed baseline ``benchmarks/bench_baseline.json``.  Every
 tracked metric is a deterministic, lower-is-better count (engine
-dispatches, queue statistics), so the comparison is exact and
+dispatches, layer counters), so the comparison is exact and
 machine-independent; wall-clock timings are carried in the bench file for
 trajectory plots but never gated.
 

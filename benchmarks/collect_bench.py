@@ -4,8 +4,8 @@
 The perf-trajectory CI leg runs this after the timing benchmarks.  Two
 kinds of metrics land in the file:
 
-* **tracked** — deterministic dispatch/engine-call counts and queue
-  statistics, measured in-process here (CountingEngine, no timing).
+* **tracked** — deterministic dispatch/engine-call counts and layer
+  counters, measured in-process here (CountingEngine, no timing).
   These are machine-independent, so ``check_regression.py`` gates them
   hard against ``benchmarks/bench_baseline.json``;
 * **timing** — wall-clock medians copied from
@@ -38,7 +38,6 @@ import repro as gb  # noqa: E402
 from repro import tiling  # noqa: E402
 from repro.algorithms import pagerank  # noqa: E402
 from repro.core.dispatch import CountingEngine, make_engine  # noqa: E402
-from repro.core.nonblocking import reset_stats, stats  # noqa: E402
 from repro.io.generators import erdos_renyi  # noqa: E402
 
 PAGERANK_N = 256
@@ -64,33 +63,13 @@ def _count(fn) -> int:
 
 
 def _pagerank_metrics() -> dict:
-    import numpy as np
-
     g = erdos_renyi(PAGERANK_N, seed=7, weighted=True, dtype=float)
 
-    def blocking():
+    def run():
         pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
         pagerank(g, pr, threshold=1.0e-8)
-        return pr
 
-    def deferred():
-        pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
-        with gb.nonblocking():
-            pagerank(g, pr, threshold=1.0e-8)
-        return pr
-
-    metrics = {"pagerank.dispatches.blocking": _count(blocking)}
-    reset_stats()
-    metrics["pagerank.dispatches.nonblocking"] = _count(deferred)
-    queue = stats()
-    metrics["pagerank.queue.dead_stores"] = queue["dead_stores"]
-    metrics["pagerank.queue.copy_elisions"] = queue["copy_elisions"]
-    # bit-identical across modes is an invariant, not a metric — assert it
-    # here so a broken queue can never publish a green trajectory point
-    rb = blocking().to_numpy()
-    rn = deferred().to_numpy()
-    assert np.array_equal(rb, rn), "nonblocking PageRank diverged from blocking"
-    return metrics
+    return {"pagerank.dispatches.blocking": _count(run)}
 
 
 def _schedule_metrics() -> dict:

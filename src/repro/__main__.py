@@ -474,10 +474,6 @@ def main(argv=None) -> int:
         "--engine", choices=["interpreted", "pyjit", "cpp"], default=None,
         help="execution engine (default: $PYGB_BACKEND or pyjit)",
     )
-    parser.add_argument(
-        "--mode", choices=["blocking", "nonblocking"], default=None,
-        help="execution mode (default: $PYGB_MODE or blocking)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="matrix/graph statistics")
@@ -598,17 +594,7 @@ def main(argv=None) -> int:
         from .core.context import use_engine
 
         use_engine(args.engine)
-    if args.mode:
-        from .core.nonblocking import set_mode
-
-        set_mode(args.mode)
-    try:
-        return args.fn(args)
-    finally:
-        if args.mode == "nonblocking":
-            from .core.nonblocking import wait
-
-            wait()  # drain the lazy queue before the process reports done
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ class Config:
     *Environment variables*, documents each)."""
 
     backend: str = "pyjit"
-    mode: str = "blocking"
     cxx: str | None = None
     cache_dir: str | None = None
     parallel: bool = True
@@ -135,7 +134,6 @@ def _from_env(env) -> Config:
     threads = _quiet(env, "PYGB_THREADS", int, 0)
     return Config(
         backend=get("PYGB_BACKEND", Config.backend),
-        mode="nonblocking" if get("PYGB_MODE", "").strip().lower() == "nonblocking" else "blocking",
         cxx=get("PYGB_CXX") or None,
         cache_dir=get("PYGB_CACHE_DIR") or None,
         parallel=_switch(env, "PYGB_PARALLEL", True),

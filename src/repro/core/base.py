@@ -33,7 +33,6 @@ from .masks import (
     build_desc,
     parse_mask_key,
 )
-from .nonblocking import enabled, enqueue_assign, enqueue_set, flush
 from .plan import evaluate
 
 __all__ = ["Container"]
@@ -48,7 +47,6 @@ class Container:
 
     is_vector = False
     _backing = None  # backend SparseMatrix / SparseVector
-    _nb_entry = None  # pending nonblocking-queue entry writing this container
     #: buffered element writes not yet merged into the store: a list of
     #: ``(*index, value)`` tuples in program order, plain Python data
     _pending = None
@@ -56,24 +54,17 @@ class Container:
     # ------------------------------------------------------------------
     # the store accessor is the single observation point: any read of a
     # container's store (every conversion / extraction / operand or mask
-    # use) first flushes the nonblocking queue when a statement writing
-    # this container is pending (program order), then merges buffered
-    # element writes — so neither needs per-call-site hooks
+    # use) first merges buffered element writes, so no call site needs
+    # its own hook
     # ------------------------------------------------------------------
     @property
     def _store(self):
-        if self._nb_entry is not None:
-            flush("observe")
         if self._pending is not None:
             self._merge_pending()
         return self._backing
 
     @_store.setter
     def _store(self, store):
-        if self._nb_entry is not None:
-            # an out-of-band rebind (clear(), io helpers) while a write is
-            # pending: run the pending program-order writes first
-            flush("store-rebind")
         self._rebind(store)
 
     def _rebind(self, store) -> None:
@@ -103,9 +94,9 @@ class Container:
             self._merge_pending()
 
     def __getstate__(self):
-        """``copy`` / ``pickle`` take the container's value — statements
-        queued on it run, buffered element writes merge — not its buffer
-        (a shallow copy would share it) or its place in the queue."""
+        """``copy`` / ``pickle`` take the container's value — buffered
+        element writes merge — not its buffer (a shallow copy would share
+        it)."""
         return {"_backing": self._store}
 
     # ------------------------------------------------------------------
@@ -114,13 +105,13 @@ class Container:
     @property
     def nvals(self) -> int:
         """Number of stored values (``GrB_nvals``) — an observation, so it
-        flushes pending nonblocking work."""
+        merges buffered element writes."""
         return self._store.nvals
 
     @property
     def dtype(self) -> np.dtype:
         # dtype is write-invariant (kernels preserve the output dtype), so
-        # reading it must not force a nonblocking flush
+        # reading it must not merge buffered element writes
         return self._backing.dtype
 
     # ------------------------------------------------------------------
@@ -185,14 +176,6 @@ class Container:
             self._set_masked(setkey, value, accum)
 
     def _set_masked(self, setkey: SetKey, value, accum: str | None):
-        if enabled() and enqueue_set(self, setkey, value, accum):
-            return
-        self._set_masked_exec(setkey, value, accum)
-
-    def _set_masked_exec(self, setkey: SetKey, value, accum: str | None):
-        """The dispatching tail of :meth:`_set_masked` — runs eagerly in
-        blocking mode, and at flush time (with a frozen ``setkey``) for
-        deferred statements."""
         desc = build_desc(setkey, accum)
         if isinstance(value, Expression):
             evaluate(value, self, desc)
@@ -208,16 +191,11 @@ class Container:
         else:
             raise InvalidValue(f"cannot assign object of type {type(value).__name__}")
 
-    def _assign(self, setkey: SetKey, index_key, value, accum=None):
-        if enabled() and enqueue_assign(self, setkey, index_key, value, accum):
-            return
-        self._assign_exec(setkey, index_key, value, accum)
-
     # subclasses implement:
     def _extract(self, key):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _assign_exec(self, setkey: SetKey, index_key, value, accum=None):  # pragma: no cover
+    def _assign(self, setkey: SetKey, index_key, value, accum=None):  # pragma: no cover
         raise NotImplementedError
 
     def _full_slice(self):  # pragma: no cover - interface

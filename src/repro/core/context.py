@@ -159,12 +159,8 @@ def current_backend_engine():
 
 
 def current_raw_engine():
-    """The thread's engine *without* the observability wrapper.
-
-    The nonblocking queue captures this per entry so deferred statements
-    replay on the engine that was current when they were issued; the
-    flush re-enters through :func:`current_backend_engine`, which applies
-    the tracing wrapper exactly once."""
+    """The thread's engine *without* the observability wrapper (the
+    callers that test which engine runs must not see the tracing one)."""
     engine = getattr(_engine_state, "engine", None)
     if engine is None:
         current_backend_engine()  # resolve (and possibly degrade) once

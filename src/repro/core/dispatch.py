@@ -279,9 +279,8 @@ class PartitionedEngine:
     and stitching tiles would move them all again.
 
     Everything not explicitly partitioned here forwards untouched via
-    ``__getattr__`` — including ``primary``/``cache``/``prefetch_jobs``,
-    which the nonblocking queue and resilience layer reach through this
-    wrapper.
+    ``__getattr__`` — including ``primary``/``cache``, which the
+    resilience layer reaches through this wrapper.
     """
 
     def __init__(self, inner):

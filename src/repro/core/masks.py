@@ -78,12 +78,6 @@ class SetKey:
             return self.replace
         return context.replace_active()
 
-    def frozen(self) -> "SetKey":
-        """Snapshot with the replace flag resolved against the *current*
-        operator context — the nonblocking queue captures this at enqueue
-        time so a flush never re-reads the (long unwound) context stack."""
-        return SetKey(self.mask, self.complement, self.resolved_replace(), self.indices)
-
 
 _Container = None
 

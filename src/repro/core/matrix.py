@@ -119,7 +119,7 @@ class Matrix(Container):
     # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
-        # extent is write-invariant: no nonblocking flush on shape reads
+        # extent is write-invariant: no merge of buffered writes on shape reads
         return self._backing.shape
 
     @property
@@ -171,10 +171,7 @@ class Matrix(Container):
             )
         return ExtractMat(self, rows, cols)
 
-    def _validate_index(self, index_key) -> None:
-        parse_matrix_indices(index_key, self.shape)
-
-    def _assign_exec(self, setkey: SetKey, index_key, value, accum=None):
+    def _assign(self, setkey: SetKey, index_key, value, accum=None):
         rows, cols, kind = parse_matrix_indices(index_key, self.shape)
         if kind == "scalar" and setkey.mask is None and accum is None and _is_scalar(value):
             self._buffer_write((int(rows[0]), int(cols[0])), value)

@@ -88,7 +88,7 @@ class Vector(Container):
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        # extent is write-invariant: no nonblocking flush on shape reads
+        # extent is write-invariant: no merge of buffered writes on shape reads
         return self._backing.size
 
     @property
@@ -127,10 +127,7 @@ class Vector(Container):
             return val.item() if hasattr(val, "item") else val
         return ExtractVec(lambda: self._store, self.size, idx)
 
-    def _validate_index(self, index_key) -> None:
-        parse_vector_index(index_key, self.size)
-
-    def _assign_exec(self, setkey: SetKey, index_key, value, accum=None):
+    def _assign(self, setkey: SetKey, index_key, value, accum=None):
         idx, kind = parse_vector_index(index_key, self.size)
         if kind == "scalar" and setkey.mask is None and accum is None and _is_scalar(value):
             self._buffer_write((int(idx[0]),), value)

@@ -84,8 +84,8 @@ class _GuardrailError(GraphBLASError):
 class OperationTimeout(_GuardrailError):
     """An operation exceeded its deadline budget (``gb.deadline(...)``
     scope or ``$PYGB_OP_TIMEOUT``).  Catchable: the process stays
-    functional — pending nonblocking entries are flushed, worker pools
-    stay clean, and the next operation starts from a fresh budget."""
+    functional — worker pools stay clean, and the next operation starts
+    from a fresh budget."""
 
 
 class OperationCancelled(_GuardrailError):

@@ -3,9 +3,9 @@ and the degradation ladder.
 
 PR 3 made *compilation* fault tolerant (fallback chain, quarantine,
 compile timeouts); this module does the same for *execution*.  It is the
-robustness substrate the serve-mode roadmap item sits on: a hung kernel,
-a crashed tile worker, or a runaway nonblocking queue must degrade a
-single operation, never wedge the process.
+robustness substrate the serve-mode roadmap item sits on: a hung kernel
+or a crashed tile worker must degrade a single operation, never wedge
+the process.
 
 The engine stack becomes ``Tracing(Guard(Partitioned(Resilient(...))))``:
 

@@ -737,66 +737,6 @@ class CppJitEngine:
         return self._vec_out(bound, args + self._vec_mask(desc), out)
 
     # ------------------------------------------------------------------
-    # compile prefetch (nonblocking queue): predict the kernel specs a
-    # deferred expression will dispatch so the JIT cache can start g++
-    # in the background while the queue is still being built
-    # ------------------------------------------------------------------
-    def prefetch_jobs(self, expr, out_dtype, desc):
-        """Best-effort ``(spec, generate, suffix, compiler)`` jobs for the
-        kernels evaluating *expr* into a *out_dtype* container under
-        *desc* will need.  Mispredictions are harmless: the flush
-        compiles whatever is missing, and warm cache entries are hits,
-        not rebuilds."""
-        from ..backend.kernels import OpDesc
-        from ..core import expressions as ex
-
-        jobs: list = []
-        seen: set[int] = set()
-
-        def dt(operand):
-            return np.dtype(ex._dtype_of(operand))
-
-        par = self.parallel_enabled()
-
-        def add_job(func, dtypes, ops, node_desc):
-            spec = kernel_spec(func, dtypes, ops, node_desc, parallel=par)
-            jobs.append((spec, generate_cpp_source, ".cpp", self.compiler_for(spec)))
-
-        def walk(node, out_dt, node_desc):
-            if not isinstance(node, ex.Expression) or node._materialized is not None:
-                return
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            if out_dt is None:
-                out_dt = dt(node)  # interior temporaries use natural dtype
-            if node_desc is None:
-                node_desc = OpDesc()
-            kind = type(node)
-            if kind in (ex.MXV, ex.VXM):
-                add_job("mxv" if kind is ex.MXV else "vxm", (dt(node.a), dt(node.u), out_dt),
-                        (node.add_op, node.mult_op), node_desc)
-            elif kind is ex.MXM:
-                add_job("mxm", (dt(node.a), dt(node.b), out_dt),
-                        (node.add_op, node.mult_op), node_desc)
-            elif kind in (ex.EWiseAdd, ex.EWiseMult):
-                add_job(node.engine_mat if node.produces_matrix else node.engine_vec,
-                        (dt(node.a), dt(node.b), out_dt), (node.op,), node_desc)
-            elif kind is ex.Apply:
-                add_job("apply_mat" if node.produces_matrix else "apply_vec",
-                        (dt(node.a), out_dt, _bound_dtype(node.op_spec, dt(node.a), out_dt)),
-                        apply_ops(node.op_spec), node_desc)
-            elif kind is ex.ReduceRows:
-                add_job("reduce_rows", (dt(node.a), out_dt), (node.op,), node_desc)
-            # Select / Kronecker / Transpose / Extract are rare enough that
-            # the flush-time compile is acceptable
-            for slot in node.operand_slots:
-                walk(getattr(node, slot), None, None)
-
-        walk(expr, np.dtype(out_dtype), desc)
-        return jobs
-
-    # ------------------------------------------------------------------
     # the reduce-site fused pair: one FFI call for gb.reduce(u ⊕ v), the
     # elementwise result stays inside the shared object
     # ------------------------------------------------------------------

@@ -80,8 +80,8 @@ def record_event(name: str, cat: str, **attrs) -> None:
 
 
 def record_span(name: str, cat: str, t0_ns: int, dur_ns: int, **attrs) -> None:
-    """Complete span with explicit start/duration (nonblocking-queue flush
-    spans and other non-engine work); caller guards with ``obs.ACTIVE``."""
+    """Complete span with explicit start/duration (service batch spans
+    and other non-engine work); caller guards with ``obs.ACTIVE``."""
     tracer = _TRACER
     if tracer is not None:
         tracer.record(name, cat, t0_ns, dur_ns, attrs)

@@ -15,10 +15,8 @@ batch is what queued while the workers were occupied, run as **one**:
 * whole-graph algorithms (pagerank, components, triangles) deduplicate —
   one execution, every waiting client gets the same payload.
 
-Each batch runs under a per-request execution context: a fresh
-nonblocking scope (its statements batch through the lazy queue and flush
-on observation, isolated per worker thread) inside a ``gb.deadline``
-budget when ``$PYGB_REQUEST_TIMEOUT`` is set.  A blown budget surfaces
+Each batch runs inside a ``gb.deadline`` budget when
+``$PYGB_REQUEST_TIMEOUT`` is set.  A blown budget surfaces
 as a structured ``timeout`` error on every request of the batch — the
 connection stays up.
 
@@ -37,7 +35,6 @@ import numpy as np
 
 from .. import obs
 from ..config import current as _config
-from ..core.nonblocking import nonblocking
 from ..exceptions import GraphBLASError, OperationCancelled, OperationTimeout
 from ..guard import deadline
 from ..obs.stats import HIST_BUCKETS, hist_bucket, quantiles_ms
@@ -367,7 +364,7 @@ class AdmissionController:
         budget = request_timeout()
         scope = deadline(seconds=budget) if budget is not None else contextlib.nullcontext()
         try:
-            with scope, nonblocking():
+            with scope:
                 results = run_requests(
                     graph, graph_name, algorithm, first.params, sources
                 )

@@ -40,11 +40,9 @@ Supported kinds and their hook points:
                     mid-fan-out, exercising monolithic re-execution
 ``worker_hang``     one tile-worker task stalls 30 s, tripping
                     ``PYGB_WORKER_TIMEOUT``
-``queue_overflow``  the nonblocking queue flushes immediately after the
-                    next enqueue (a forced ``overflow`` flush reason)
 ================== ====================================================
 
-The five runtime kinds (``kernel_fail`` … ``queue_overflow``) sit on hot
+The four runtime kinds (``kernel_fail`` … ``worker_hang``) sit on hot
 dispatch paths, so :meth:`FaultPlan.fire` returns on one attribute test
 when no rule is in force; ``$PYGB_FAULT`` becomes rules when the
 configuration snapshot is built or reloaded, never inside a hook.
@@ -62,7 +60,7 @@ FAULT_KINDS = frozenset({
     # compile/load pipeline faults (PR 3)
     "compile_fail", "slow_compile", "corrupt_so", "dlopen_fail", "pyjit_fail",
     # runtime execution faults (guardrail ladder)
-    "kernel_fail", "slow_kernel", "worker_crash", "worker_hang", "queue_overflow",
+    "kernel_fail", "slow_kernel", "worker_crash", "worker_hang",
 })
 
 

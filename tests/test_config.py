@@ -51,9 +51,6 @@ UNSET = None
 #: the malformed values that fall back to the unset value with a warning
 PARSE_TABLE = [
     ("PYGB_BACKEND", "backend", {UNSET: "pyjit", "cpp": "cpp", "interpreted": "interpreted"}, ()),
-    ("PYGB_MODE", "mode",
-     {UNSET: "blocking", "nonblocking": "nonblocking", " NonBlocking ": "nonblocking",
-      "blocking": "blocking", "banana": "blocking"}, ()),
     ("PYGB_CXX", "cxx", {UNSET: None, "": None, "clang++": "clang++"}, ()),
     ("PYGB_CACHE_DIR", "cache_dir", {UNSET: None, "": None, "/tmp/c": "/tmp/c"}, ()),
     ("PYGB_PARALLEL", "parallel",

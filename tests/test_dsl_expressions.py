@@ -344,7 +344,7 @@ class TestProductExtents:
 class TestStatementExtents:
     """``C[M] = expr`` writes ``C`` entry for entry: an expression, an
     eWise operand or a mask of another extent is refused before any
-    engine is entered (in nonblocking mode, when the statement runs).
+    engine is entered, inside a nonblocking scope as outside it.
     The cpp kernels sized their buffers from one of them and indexed with
     another — heap corruption, a store with 16 values behind a 4-long
     ``indptr``, a segfault on an undersized mask — so these too run in

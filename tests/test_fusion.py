@@ -37,7 +37,6 @@ from repro.backend.ops_table import binary_result_dtype
 from repro.backend.svector import SparseVector
 from repro.core.dispatch import _DISPATCH_METHODS, CountingEngine, InterpretedEngine, make_engine
 from repro.core.masks import AccumExpr
-from repro.core.nonblocking import set_mode
 from repro.jit.cppengine import CppJitEngine, toolchain_works
 from repro.jit.kernels import KERNELS
 from repro.jit.pyengine import PyJitEngine
@@ -53,12 +52,9 @@ needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ too
 @pytest.fixture
 def pinned(monkeypatch, no_faults):
     """The counting tests assert exact dispatch tables: pin what a CI
-    leg's environment could change under them (the execution mode, tile
-    fan-out, ambient faults)."""
+    leg's environment could change under them (tile fan-out, ambient
+    faults)."""
     monkeypatch.setenv("PYGB_TILES", "1")
-    set_mode("blocking")
-    yield
-    set_mode("blocking")
 
 
 def _data(dtype):
@@ -239,8 +235,8 @@ class TestCppDifferential:
 
 
 # ----------------------------------------------------------------------
-# multi-node statements: blocking and nonblocking, buffered element
-# writes pending on the target, every node dispatched once
+# multi-node statements: outside and inside a nonblocking scope, buffered
+# element writes pending on the target, every node dispatched once
 # ----------------------------------------------------------------------
 def _diamond(a, u, v, w):
     s = u + v
@@ -507,8 +503,7 @@ class TestCallSavings:
 
 #: what one round of the four listings dispatches on the ``dsl_small``
 #: shapes of ``bench_e2e`` (|V| = 256, |E| = |V|^1.5; PageRank on the
-#: scale-free graph) — 60 blocking; the nonblocking queue elides
-#: PageRank's eight rank copies
+#: scale-free graph) — 60, inside a nonblocking scope as outside it
 _LISTING_TABLE = {
     "mxv": 11, "vxm": 8, "apply_vec": 8, "ewise_add_vec": 8,
     "ewise_mult_vec_reduce_scalar": 8, "assign_vec": 8, "assign_vec_scalar": 5,
@@ -557,11 +552,8 @@ class TestListingTraffic:
                     round_()
             else:
                 round_()
-        want = dict(_LISTING_TABLE)
-        if nonblocking:
-            del want["assign_vec"]  # copy elision: `ranks[:] = new_rank`
-        assert eng.counts == want
-        assert eng.total == (52 if nonblocking else 60)
+        assert eng.counts == _LISTING_TABLE
+        assert eng.total == 60
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Runtime guardrails: deadlines, cancellation, and the degradation ladder.
 
-The chaos contract under test: a hung kernel, a crashed or hung tile
-worker, or a poisoned nonblocking queue entry must degrade a *single
-operation* — with a catchable, attributed exception or a transparent
+The chaos contract under test: a hung kernel or a crashed or hung tile
+worker must degrade a *single operation* — with a catchable, attributed exception or a transparent
 monolithic re-execution — and never wedge or corrupt the process.  Every
 rung is driven deterministically through ``repro.testing.faults`` and
 asserted three ways: the result (bit-identity with the clean run), the
@@ -331,84 +330,6 @@ class TestKernelFaults:
 
 
 # ----------------------------------------------------------------------
-# nonblocking mode under runtime faults (S3)
-# ----------------------------------------------------------------------
-
-
-class TestNonblockingFaults:
-    def _three_stores(self):
-        u = gb.Vector((np.arange(1.0, N + 1), range(N)), shape=(N,), dtype=np.float64)
-        v = gb.Vector((np.ones(N), range(N)), shape=(N,), dtype=np.float64)
-        w1 = gb.Vector(shape=(N,), dtype=np.float64)
-        w2 = gb.Vector(shape=(N,), dtype=np.float64)
-        w3 = gb.Vector(shape=(N,), dtype=np.float64)
-        with gb.BinaryOp("Plus"):
-            w1[None] = u + v
-        with gb.BinaryOp("Times"):
-            w2[None] = u * v
-        with gb.BinaryOp("Minus"):
-            w3[None] = u + v
-        return w1, w2, w3
-
-    def test_flush_isolates_poisoned_entry(self):
-        """One queue entry whose replay crashes must not drop or
-        double-apply its neighbours: the rest of the queue replays in
-        order, the error is counted, and the first exception re-raises
-        after the drain (differential vs the eager run)."""
-        from repro.core.nonblocking import stats as nb_stats
-
-        eager = tuple(w._store.to_dict() for w in self._three_stores())
-        errors_before = nb_stats()["flush_errors"]
-        with use_engine("pyjit"):
-            with gb.nonblocking():
-                from repro.core.nonblocking import pending
-
-                w1, w2, w3 = self._three_stores()
-                assert pending() == 3
-                # exhaust the fallback chain (pyjit + interpreted) for
-                # exactly the first replayed entry
-                FAULTS.install("kernel_fail", rate=1.0, times=2)
-                with pytest.raises(KernelExecutionError):
-                    gb.wait()
-                FAULTS.clear()
-        assert nb_stats()["flush_errors"] == errors_before + 1
-        # the poisoned first store kept its pre-statement value; the
-        # stores queued after it still applied, in order
-        assert w1._store.to_dict() == {}
-        assert w2._store.to_dict() == eager[1]
-        assert w3._store.to_dict() == eager[2]
-
-    def test_queue_overflow_fault_forces_early_flush(self, engine):
-        """The injected overflow flushes mid-block; results must match
-        the eager run exactly."""
-        from repro.core.nonblocking import stats as nb_stats
-
-        eager = tuple(w._store.to_dict() for w in self._three_stores())
-        flushes_before = nb_stats()["flushes"]
-        with fault_injection("queue_overflow", rate=1.0, times=1):
-            with gb.nonblocking():
-                chaotic = tuple(w._store.to_dict() for w in self._three_stores())
-        assert chaotic == eager
-        assert nb_stats()["flushes"] > flushes_before
-
-    def test_timeout_during_flush_still_drains_queue(self, monkeypatch):
-        """A deadline expiring mid-flush poisons the in-flight entry but
-        the queue still fully drains (no entry is silently dropped into
-        a later, unrelated flush)."""
-        from repro.core.nonblocking import pending
-
-        monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
-            with pytest.raises(OperationTimeout):
-                with gb.deadline(seconds=0.15):
-                    with gb.nonblocking():
-                        self._three_stores()
-                        FAULTS.install("slow_kernel", rate=1.0, times=1)
-        FAULTS.clear()
-        assert pending() == 0  # nothing left queued after the unwind
-
-
-# ----------------------------------------------------------------------
 # fault configuration (S2) and observability rollup
 # ----------------------------------------------------------------------
 
@@ -514,15 +435,12 @@ class TestCppCancellation:
             cmat = gb.Matrix(shape=(n, n), dtype=np.float64)
             with gb.ArithmeticSemiring:  # warm the kernel cache unguarded
                 cmat[None] = a @ b
-            gb.wait()  # in nonblocking mode: flush the warm-up eagerly
             with pytest.raises(OperationTimeout):
                 with gb.deadline(seconds=0.05):
                     d = gb.Matrix(shape=(n, n), dtype=np.float64)
                     with gb.ArithmeticSemiring:
                         d[None] = a @ b
-                    gb.wait()  # force the deferred statement under the budget
             # the flag must be clear again: the next dispatch succeeds
             e = gb.Matrix(shape=(n, n), dtype=np.float64)
             with gb.ArithmeticSemiring:
                 e[None] = a @ b
-            gb.wait()

@@ -4,7 +4,6 @@ reference implementation, across randomized inputs and the full grid of
 descriptor variants (mask × complement × replace × accumulate)."""
 
 import contextlib
-import itertools
 
 import numpy as np
 import pytest
@@ -538,18 +537,17 @@ class TestPatternSharingApply:
             with scope:
                 a = mat_from_dict(cells, 9, 7, da)
                 assert kind != "tiled" or isinstance(a._store, TiledMatrix)
-                for ta, nonblocking in itertools.product((False, True), repeat=2):
+                for ta in (False, True):
                     operand = a.T if ta else a
                     source = a._store.transposed() if ta else a._store
                     c = gb.Matrix(shape=operand.shape, dtype=dc)
-                    with gb.nonblocking() if nonblocking else contextlib.nullcontext():
-                        c[None] = gb.apply(_dsl_op(op_spec), operand)
+                    c[None] = gb.apply(_dsl_op(op_spec), operand)
                     got = c._store
                     want = R.ref_finalize_mat(
                         {}, R.ref_apply(source.to_dict(), op_spec), operand.shape, dc,
                         None, False, False, None,
                     )
-                    label = (kind, ta, nonblocking)
+                    label = (kind, ta)
                     assert got.dtype == np.dtype(dc) and got.shape == operand.shape, label
                     assert got.indptr is source.indptr and got.indices is source.indices, label
                     assert not np.shares_memory(got.values, source.values), label
@@ -597,7 +595,6 @@ class TestPatternSharingApply:
             with gb.deadline() as scope:
                 scope.cancel()
                 c[None] = gb.apply(a)
-                gb.wait()
         assert c._store is kept
         c[None] = gb.apply(a)
         assert c.to_numpy().tolist() == [[1, 2], [0, 4]]

@@ -1,51 +1,31 @@
-"""Nonblocking execution mode: differential fuzz + targeted hazard tests.
+"""Nonblocking execution mode: ``gb.nonblocking()`` and ``gb.wait()``.
 
-The core correctness statement: any program run under ``gb.nonblocking()``
-produces bit-identical container state to the same program run in blocking
-mode, on every engine.  A seeded fuzzer generates randomized statement
-sequences (masked/accumulated writes, aliased ``A[None] = A @ A``,
-copies, scalar fills, mid-program observations) and compares the exact
-final store dicts and dtypes between modes.
+The C API lets a nonblocking-mode implementation complete each method
+before it returns, and this one does: the scope changes nothing.  Four
+checks pin that down — a statement's target holds its result when the
+statement returns, a kernel error raises at its statement, ``gb.wait()``
+changes nothing, and (``test_fusion.TestListingTraffic``) the four
+listings dispatch the same 60 kernels inside the scope as outside it.
 
-Targeted tests cover each queue mechanism individually: flush triggers,
-dead-store elimination, copy elision, temporaries overwritten after
-they were read (WAR), the queue cap, ``PYGB_MODE``, and the
-observability events the queue emits.
+A seeded fuzzer and a handful of read/write-order programs then check
+that a program run inside the scope leaves bit-identical container state
+to the same program run outside it, on every engine.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import repro as gb
-from repro.core.dispatch import CountingEngine, make_engine
-from repro.core.nonblocking import (
-    _st,
-    pending,
-    reset_stats,
-    set_mode,
-    stats,
-)
+from repro.exceptions import KernelExecutionError
 from repro.jit.cppengine import toolchain_works
+from repro.testing.faults import fault_injection
 
 N = 8
-
-
-@pytest.fixture(autouse=True)
-def _force_blocking_default():
-    """These tests compare the two modes explicitly, so the process-wide
-    default must be blocking even when the suite itself runs under
-    ``PYGB_MODE=nonblocking`` (the CI nonblocking leg)."""
-    set_mode("blocking")
-    yield
-    set_mode("blocking")
 
 
 _BINOPS = ["Plus", "Minus", "Times", "Min", "Max", "First", "Second"]
@@ -58,7 +38,7 @@ _SEMIRINGS = [("Plus", "Times"), ("Min", "Plus"), ("Max", "First")]
 
 def _gen_program(seed: int) -> list[dict]:
     """A randomized statement sequence over matrices A, B and vectors
-    x, y, w (all int64), exercising every enqueue path."""
+    x, y, w (all int64), exercising every kind of write."""
     rnd = random.Random(seed)
     kinds = [
         "vec_ewise",        # w[None] = x + y / x * y (varying op)
@@ -176,7 +156,6 @@ def _run_program(steps, seed: int, nonblocking: bool) -> tuple:
                 observations.append(gb.reduce(gb.Monoid("Plus"), w))
             # rotate so later statements consume earlier results
             x, y = y, x
-    assert pending() == 0  # leaving the context must have flushed
     return (
         {n: (c._store.to_dict(), str(c.dtype)) for n, c in
          [("a", a), ("b", b), ("x", x), ("y", y), ("w", w)]},
@@ -194,8 +173,8 @@ def _accum(expr):
 def test_fuzz_nonblocking_matches_blocking(engine, seed):
     steps = _gen_program(seed)
     blocking = _run_program(steps, seed, nonblocking=False)
-    deferred = _run_program(steps, seed, nonblocking=True)
-    assert blocking == deferred
+    scoped = _run_program(steps, seed, nonblocking=True)
+    assert blocking == scoped
 
 
 @pytest.mark.cpp
@@ -205,12 +184,12 @@ def test_fuzz_nonblocking_matches_blocking_cpp(seed):
     steps = _gen_program(seed)
     with gb.use_engine("cpp"):
         blocking = _run_program(steps, seed, nonblocking=False)
-        deferred = _run_program(steps, seed, nonblocking=True)
-    assert blocking == deferred
+        scoped = _run_program(steps, seed, nonblocking=True)
+    assert blocking == scoped
 
 
 # ----------------------------------------------------------------------
-# flush triggers
+# what the scope means: every statement completes before it returns
 # ----------------------------------------------------------------------
 
 def _vecs():
@@ -220,160 +199,41 @@ def _vecs():
     return u, v, w
 
 
-def test_statements_defer_until_context_exit(engine):
+def test_statement_completes_before_it_returns(engine):
     u, v, w = _vecs()
-    with gb.nonblocking():
-        w[None] = u + v
-        assert pending() == 1
-        assert w._backing.nvals == 0  # not executed yet
-    assert pending() == 0
-    assert w._store.to_dict() == {0: 1.0, 2: 6.0, 5: 3.0, 6: 5.0}
-
-
-def test_observation_flushes(engine):
-    u, v, w = _vecs()
-    with gb.nonblocking():
-        w[None] = u + v
-        assert w.nvals == 4  # nvals is an observation → flush
-        assert pending() == 0
-
-
-def test_wait_flushes(engine):
-    u, v, w = _vecs()
-    with gb.nonblocking():
-        w[None] = u + v
-        gb.wait()
-        assert pending() == 0
-        assert w._backing.nvals == 4
-
-
-def test_flush_on_exception_unwind(engine):
-    u, v, w = _vecs()
-    with pytest.raises(RuntimeError):
-        with gb.nonblocking():
-            w[None] = u + v
-            raise RuntimeError("boom")
-    # statements issued before the raise still ran, like blocking mode
-    assert pending() == 0
-    assert w._backing.nvals == 4
-
-
-def test_queue_cap_triggers_flush(engine):
-    u, v, w = _vecs()
-    st = _st()
-    old_cap = st.queue.max_len
-    st.queue.max_len = 3
-    try:
-        with gb.nonblocking():
-            with gb.BinaryOp("Plus"):
-                w[None] = u + v
-                w[None] = u + v
-                assert pending() == 2
-                w[None] = u + v  # hits the cap
-                assert pending() == 0
-    finally:
-        st.queue.max_len = old_cap
-
-
-def test_nested_contexts_flush_only_at_outer_exit(engine):
-    u, v, w = _vecs()
-    with gb.nonblocking():
-        with gb.nonblocking():
-            w[None] = u + v
-        # inner exit flushes (context-exit is unconditional, like GrB_wait)
-        assert pending() == 0
-        w[None] = v + u
-        assert pending() == 1
-    assert pending() == 0
-
-
-# ----------------------------------------------------------------------
-# queue optimisations, verified via dispatch counts
-# ----------------------------------------------------------------------
-
-@contextlib.contextmanager
-def _counting(engine_name="pyjit"):
-    eng = CountingEngine(make_engine(engine_name))
-    with gb.use_engine(eng):
-        yield eng
-
-
-def test_dead_store_elimination(engine):
-    u, v, w = _vecs()
-    reset_stats()
-    with _counting() as eng:
-        with gb.nonblocking():
-            with gb.BinaryOp("Plus"):
-                w[None] = u + v  # dead: overwritten before any read
-                w[None] = u * v
-    assert stats()["dead_stores"] == 1
-    assert sum(eng.counts.values()) == 1  # only the surviving statement ran
-    assert w._store.to_dict() == {2: 6.0}
-
-
-def test_dead_store_kept_when_observed(engine):
-    u, v, w = _vecs()
-    reset_stats()
     with gb.nonblocking():
         with gb.BinaryOp("Plus"):
             w[None] = u + v
-            first = w.nvals  # observation: the first write must execute
-            w[None] = u * v
-    assert first == 4
-    assert stats()["dead_stores"] == 0
-    assert w._store.to_dict() == {2: 6.0}
+        # the raw store, read before anything observes w
+        assert w._backing.to_dict() == {0: 1.0, 2: 6.0, 5: 3.0, 6: 5.0}
 
 
-def test_copy_elision_zero_dispatch(engine):
-    u, _, w = _vecs()
-    reset_stats()
-    with _counting() as eng:
-        with gb.nonblocking():
-            w[:] = u
-    assert stats()["copy_elisions"] == 1
-    assert sum(eng.counts.values()) == 0  # store aliasing, no kernel
-    assert w._store.to_dict() == u._store.to_dict()
-    # backend stores are immutable-by-convention, so aliasing is safe: a
-    # subsequent write to w rebinds, never mutates u's store
-    with gb.BinaryOp("Plus"):
-        w[None] = w + w
-    assert u._store.to_dict() == {0: 1.0, 2: 2.0, 5: 3.0}
-
-
-def test_copy_elision_requires_equal_dtype(engine):
-    u, _, _ = _vecs()
-    w = gb.Vector(shape=(N,), dtype=np.int64)
-    reset_stats()
-    with gb.nonblocking():
-        w[:] = u  # float → int: must replay the blocking cast kernel
-    assert stats()["copy_elisions"] == 0
-    assert str(w.dtype) == "int64"
-    assert w._store.to_dict() == {0: 1, 2: 2, 5: 3}
-
-
-def test_cross_statement_substitution_fuses(engine):
-    """t = u + v; w = apply(t); t = overwritten — the read of the pending
-    temporary keeps its producer alive, and the three statements replay in
-    program order, one dispatch each (there is no cross-statement fusion)."""
+def test_kernel_error_raises_at_the_statement(no_faults):
     u, v, w = _vecs()
-    t = gb.Vector(shape=(N,), dtype=float)
-    reset_stats()
-    with _counting() as eng:
-        with gb.nonblocking():
-            with gb.BinaryOp("Plus"):
-                t[None] = u + v
-                w[None] = gb.apply(gb.UnaryOp("Times", 2.0), t)
-                t[None] = u * v  # kills the first write of t
-    assert stats()["dead_stores"] == 0  # t's first value was read
-    assert eng.counts == {"ewise_add_vec": 1, "apply_vec": 1, "ewise_mult_vec": 1}
-    assert w._store.to_dict() == {0: 2.0, 2: 12.0, 5: 6.0, 6: 10.0}
-    assert t._store.to_dict() == {2: 6.0}
+    with gb.use_engine("pyjit"), gb.nonblocking():
+        # exhaust the fallback chain (pyjit, then interpreted)
+        with fault_injection("kernel_fail", rate=1.0, times=2):
+            with pytest.raises(KernelExecutionError), gb.BinaryOp("Plus"):
+                w[None] = u + v
+        assert w._backing.nvals == 0  # the failed statement wrote nothing
+    assert w.nvals == 0  # and leaving the scope runs nothing either
+
+
+def test_wait_changes_nothing(engine):
+    u, v, w = _vecs()
+    with gb.nonblocking():
+        with gb.BinaryOp("Plus"):
+            w[None] = u + v
+        before = w._backing
+        gb.wait()
+        assert w._backing is before
+    gb.wait()
+    assert w._backing is before
 
 
 def test_war_hazard_forces_producer_eval(engine):
     """Producer → input overwrite → consumer → producer overwritten: the
-    producer runs at its own queue position (the consumer registered a
-    read of it), so it sees the pre-overwrite input."""
+    producer sees the pre-overwrite input."""
 
     def run(nonblocking):
         u, v, _ = _vecs()
@@ -383,7 +243,7 @@ def test_war_hazard_forces_producer_eval(engine):
         with ctx:
             with gb.BinaryOp("Plus"):
                 t[None] = u + v            # producer reads u
-                u[:] = 0.0                 # WAR: pending overwrite of u
+                u[:] = 0.0                 # WAR: overwrite of u
                 w[None] = gb.apply(gb.UnaryOp("Times", 2.0), t)  # consumer
                 t[None] = v * v            # WAW: kills the producer
         return w._store.to_dict(), t._store.to_dict(), u._store.to_dict()
@@ -392,9 +252,8 @@ def test_war_hazard_forces_producer_eval(engine):
 
 
 def test_war_after_consumer_resolved_in_order(engine):
-    """Producer → consumer → input overwrite → kill: in-order replay
-    evaluates the consumer before the overwrite lands; results must match
-    blocking mode exactly."""
+    """Producer → consumer → input overwrite → overwrite of the
+    producer's target: the consumer sees the producer's value."""
 
     def run(nonblocking):
         u, v, _ = _vecs()
@@ -414,7 +273,7 @@ def test_war_after_consumer_resolved_in_order(engine):
 
 def test_war_hazard_through_stitched_chain(engine):
     """A two-deep chain of temporaries whose leaf input is overwritten
-    mid-queue still replays like blocking mode."""
+    mid-program."""
 
     def run(nonblocking):
         u, v, _ = _vecs()
@@ -437,22 +296,20 @@ def test_war_hazard_through_stitched_chain(engine):
 
 
 def test_raw_through_copy_of_pending_expr(engine):
-    """Copying a container whose write is still pending registers a read
-    of it, so the copy survives the source being overwritten."""
+    """A copy survives its source being overwritten."""
     u, v, w = _vecs()
     t = gb.Vector(shape=(N,), dtype=float)
     with gb.nonblocking():
         with gb.BinaryOp("Plus"):
             t[None] = u + v
-            w[:] = t          # copy of a pending expr result
-            t[None] = u * v   # overwrite the source before any flush
+            w[:] = t          # copy of an expression's result
+            t[None] = u * v   # overwrite the source before any observation
     assert w._store.to_dict() == {0: 1.0, 2: 6.0, 5: 3.0, 6: 5.0}
     assert t._store.to_dict() == {2: 6.0}
 
 
 def test_masked_accum_replace_differential(engine):
-    """The opaque-thunk path: masked + accumulated + replace writes are
-    replayed verbatim with a frozen descriptor."""
+    """Masked + accumulated + replace writes."""
 
     def run(nonblocking):
         u, v, w = _vecs()
@@ -469,8 +326,7 @@ def test_masked_accum_replace_differential(engine):
 
 
 def test_replace_flag_frozen_at_statement(engine):
-    """A descriptor context exited before the flush must still apply: the
-    SetKey is frozen at enqueue time."""
+    """The replace flag is the one in force at the statement."""
 
     def run(nonblocking):
         u, v, w = _vecs()
@@ -481,8 +337,6 @@ def test_replace_flag_frozen_at_statement(engine):
             with gb.BinaryOp("Plus"):
                 with gb.Replace:
                     w[mask] = u + v
-                # Replace context has exited; the deferred write must not
-                # see the current (non-replace) context at flush time
         return w._store.to_dict()
 
     assert run(False) == run(True)
@@ -499,109 +353,6 @@ def test_aliased_matrix_squaring(engine):
         return m._store.to_dict()
 
     assert run(False) == run(True)
-
-
-def test_indexed_assign_defers_and_freezes_index(engine):
-    u, _, w = _vecs()
-    idx = [0, 3, 5]
-    with gb.nonblocking():
-        w[idx] = 9.0
-        idx.append(7)  # caller mutates the index list after the statement
-        assert pending() == 1
-    assert w._store.to_dict() == {0: 9.0, 3: 9.0, 5: 9.0}
-
-
-# ----------------------------------------------------------------------
-# mode plumbing
-# ----------------------------------------------------------------------
-
-def test_set_mode_roundtrip(engine):
-    u, v, w = _vecs()
-    set_mode("nonblocking")
-    try:
-        with gb.BinaryOp("Plus"):
-            w[None] = u + v
-        assert pending() == 1
-        set_mode("blocking")  # switching back flushes
-        assert pending() == 0
-        assert w._backing.nvals == 4
-    finally:
-        set_mode("blocking")
-    with pytest.raises(ValueError):
-        set_mode("turbo")
-
-
-def test_pygb_mode_env(tmp_path):
-    """PYGB_MODE=nonblocking turns deferral on process-wide."""
-    code = (
-        "import repro as gb\n"
-        "from repro.core.nonblocking import pending\n"
-        "u = gb.Vector(([1.0], [0]), shape=(4,), dtype=float)\n"
-        "w = gb.Vector(shape=(4,), dtype=float)\n"
-        "with gb.BinaryOp('Plus'):\n"
-        "    w[None] = u + u\n"
-        "assert pending() == 1, pending()\n"
-        "assert w.nvals == 1\n"
-        "assert pending() == 0\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, PYGB_MODE="nonblocking", PYGB_BACKEND="pyjit")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"),
-         env.get("PYTHONPATH", "")]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "ok" in out.stdout
-
-
-# ----------------------------------------------------------------------
-# observability integration
-# ----------------------------------------------------------------------
-
-def test_queue_events_traced(engine, tmp_path):
-    trace_path = tmp_path / "trace.json"
-    u, v, w = _vecs()
-    with gb.tracing(chrome=str(trace_path)):
-        with gb.nonblocking():
-            with gb.BinaryOp("Plus"):
-                w[None] = u + v
-    import json
-
-    events = json.loads(trace_path.read_text())["traceEvents"]
-    names = [e["name"] for e in events]
-    assert "nb.enqueue" in names
-    assert "nb.flush" in names
-    flush_ev = next(e for e in events if e["name"] == "nb.flush")
-    assert flush_ev["args"]["reason"] == "context-exit"
-    assert flush_ev["args"]["entries"] == 1
-
-
-# ----------------------------------------------------------------------
-# whole-algorithm acceptance: fewer dispatches, identical results
-# ----------------------------------------------------------------------
-
-def test_pagerank_fewer_dispatches(engine):
-    from repro.algorithms import pagerank
-    from repro.io.generators import erdos_renyi
-
-    m = erdos_renyi(60, seed=7, weighted=False, dtype=float)
-
-    def run(nonblocking):
-        eng = CountingEngine(make_engine("pyjit"))
-        pr = gb.Vector(shape=(60,), dtype=float)
-        ctx = gb.nonblocking() if nonblocking else contextlib.nullcontext()
-        with gb.use_engine(eng):
-            with ctx:
-                pagerank(m, pr)
-        return pr.to_numpy(), sum(eng.counts.values())
-
-    ranks_b, calls_b = run(False)
-    ranks_nb, calls_nb = run(True)
-    assert np.array_equal(ranks_b, ranks_nb)  # bit-identical
-    assert calls_nb < calls_b
 
 
 def test_bfs_identical_under_nonblocking(engine, small_graph):

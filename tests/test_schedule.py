@@ -309,8 +309,8 @@ class TestBitIdentity:
     def test_nonblocking_matches_blocking(self, engine, rng, mode):
         a, u, mask = _containers(rng)
         blocking = _traversal(mode, a, u, mask, ta=True)
-        queued = _traversal(mode, a, u, mask, ta=True, nonblocking=True)
-        assert queued == blocking
+        scoped = _traversal(mode, a, u, mask, ta=True, nonblocking=True)
+        assert scoped == blocking
 
     def test_minplus_sssp_shaped(self, engine, rng):
         """Unmasked Min/Plus relaxation (pull falls back to dense)."""

@@ -33,7 +33,6 @@ from repro.backend.kernels import OpDesc
 from repro.backend.smatrix import SparseMatrix
 from repro.backend.svector import SparseVector
 from repro.core.dispatch import CountingEngine, make_engine
-from repro.core.nonblocking import reset_stats, stats
 from repro.exceptions import DimensionMismatch, IndexOutOfBounds
 from repro.jit.cppengine import toolchain_works
 
@@ -287,7 +286,6 @@ class TestHazards:
             with pytest.raises(DimensionMismatch):
                 with gb.ArithmeticSemiring:
                     m[None] = gb.Matrix(shape=(N, N + 1)) @ gb.Matrix(shape=(N + 2, N))
-                gb.wait()
             _same(m._store, want)
 
     @config
@@ -330,16 +328,13 @@ class TestHazards:
             _same(m._store, want)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_copy_elision_then_source_write_leaves_the_copy_alone(self, engine):
+    def test_copy_then_source_write_leaves_the_copy_alone(self, engine):
         with gb.use_engine(engine):
             u = gb.Vector(np.arange(N, dtype=float))
             w = gb.Vector(shape=(N,), dtype=float)
             before = u._store.copy()
-            reset_stats()
-            with gb.nonblocking():
-                w[:] = u
-                u[3] = 77.0
-            assert stats()["copy_elisions"] == 1
+            w[:] = u
+            u[3] = 77.0
             _same(w._store, before)
             assert u[3] == 77.0 and u.nvals == N
 
