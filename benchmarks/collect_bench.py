@@ -336,7 +336,9 @@ def _service_metrics() -> dict:
 
     for req, resp in zip(reqs, responses):
         assert resp.get("ok"), f"service request failed: {req} -> {resp}"
-        oracle = solo_reference(graph, "er", req["algorithm"], req.get("source"), {})
+        oracle = solo_reference(
+            graph, "er", req["algorithm"], req.get("source"), {}, engine=controller.engine
+        )
         assert (_json.dumps(resp["result"], sort_keys=True)
                 == _json.dumps(oracle, sort_keys=True)), (
             f"batched response diverged from its solo run: {req}"

@@ -10,8 +10,8 @@ compatible ones among them queue up and fuse, then **gates**:
 * at least one fused batch formed (the admission controller actually
   merged concurrent compatible requests into a multi-source run);
 * every response is **bit-identical** to a direct in-process solo run of
-  the same request through the public single-source API — batching must
-  be invisible to clients.
+  the same request through the public single-source API, on the engine
+  the server's ``health`` names — batching must be invisible to clients.
 
 Two modes:
 
@@ -106,10 +106,12 @@ def build_registry():
 
 
 class Oracle:
-    """Solo-run reference results, computed once per distinct request."""
+    """Solo-run reference results on the serving engine, computed once
+    per distinct request."""
 
     def __init__(self, registry):
         self.registry = registry
+        self.engine: str | None = None  # set from the server's health reply
         self._cache: dict[tuple, str] = {}
         self._lock = threading.Lock()
 
@@ -123,7 +125,7 @@ class Oracle:
             return hit
         result = solo_reference(
             self.registry.get(req["graph"]), req["graph"],
-            req["algorithm"], req.get("source"), {},
+            req["algorithm"], req.get("source"), {}, engine=self.engine,
         )
         text = json.dumps(result, sort_keys=True)
         with self._lock:
@@ -158,6 +160,7 @@ class Client(threading.Thread):
 
 
 def replay(host, port, tape, oracle, hold_admission=None) -> dict:
+    oracle.engine = fetch(host, port, "health")["engine"]
     clients = len(tape[0])
     barrier = threading.Barrier(clients + 1)
     columns = [[tape[v][c] for v in range(len(tape))] for c in range(clients)]
@@ -224,9 +227,10 @@ def replay(host, port, tape, oracle, hold_admission=None) -> dict:
     }
 
 
-def fetch_stats(host, port) -> dict:
+def fetch(host, port, op: str) -> dict:
+    """The result of one ``health`` / ``stats`` request."""
     with socket.create_connection((host, port), timeout=30) as sock:
-        sock.sendall(b'{"op": "stats"}\n')
+        sock.sendall(json.dumps({"op": op}).encode() + b"\n")
         return json.loads(sock.makefile("rb").readline())["result"]
 
 
@@ -275,9 +279,9 @@ def main(argv=None) -> int:
     if args.connect:
         host, _, port = args.connect.rpartition(":")
         host, port = host or "127.0.0.1", int(port)
-        before = fetch_stats(host, port)
+        before = fetch(host, port, "stats")
         report = replay(host, port, tape, oracle)
-        after = fetch_stats(host, port)
+        after = fetch(host, port, "stats")
         counters = {
             key: after[key] - before[key]
             for key in ("requests", "batches", "batched_requests",
@@ -304,13 +308,14 @@ def main(argv=None) -> int:
         }
         counters["batch_hist"] = service.stats()["batch_hist"]
     report["counters"] = counters
+    report["engine"] = oracle.engine
 
     out = Path(args.output) if args.output else RESULTS_DIR / "service.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     print(f"replayed {report['requests']} requests from {report['clients']} "
-          f"clients in {report['elapsed_s']:.2f}s "
+          f"clients on {oracle.engine} in {report['elapsed_s']:.2f}s "
           f"({report['throughput_rps']:.0f} req/s)")
     print(f"admission: {counters['batches']} batches, "
           f"{counters['batched_requests']} batched requests, "

@@ -15,7 +15,8 @@
     python -m repro stats                      # per-op profile from traced runs
     python -m repro serve --graphs m.json      # multi-tenant graph query server
 
-Every command accepts ``--engine {interpreted,pyjit,cpp}``.
+Every command accepts ``--engine {interpreted,pyjit,cpp}``; without it
+``serve`` runs cpp wherever a C++ toolchain works.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def cmd_components(args) -> int:
 
 def cmd_engines(args) -> int:
     from .jit.cppengine import compiler_available, find_cxx_compiler
+    from .service.admission import serve_engine
 
     print("interpreted: available (no code generation)")
     print("pyjit:       available (default)")
@@ -128,6 +130,10 @@ def cmd_engines(args) -> int:
         print(f"cpp:         available (compiler: {find_cxx_compiler()})")
     else:
         print("cpp:         unavailable (no g++/c++ on PATH)")
+    print(
+        f"serve:       {serve_engine(args.engine)} (--engine, else $PYGB_BACKEND, "
+        "else cpp when the C++ toolchain works, else pyjit)"
+    )
     return 0
 
 
@@ -221,7 +227,7 @@ def cmd_bake(args) -> int:
 
 def cmd_serve(args) -> int:
     from . import service
-    from .service import GraphRegistry, GraphServer, load_manifest
+    from .service import AdmissionController, GraphRegistry, GraphServer, load_manifest
     from .service.admission import batch_max, request_timeout, serve_workers
     from .service.protocol import ALGORITHMS
 
@@ -237,9 +243,14 @@ def cmd_serve(args) -> int:
             "(every 'run' request will fail with unknown-graph)",
             file=sys.stderr,
         )
-    server = GraphServer(registry, host=args.host, port=args.port)
+    admission = AdmissionController(registry, engine=args.engine)
+    server = GraphServer(registry, host=args.host, port=args.port, admission=admission)
     timeout = request_timeout()
+    engine = admission.engine
+    if engine == "cpp":
+        engine += f" ({'openmp' if admission.engines[0].parallel_enabled() else 'serial'})"
     print(f"pygb service on {server.host}:{server.port}")
+    print(f"engine:     {engine}")
     print(f"graphs:     {', '.join(registry.names()) or 'none'}")
     print(f"algorithms: {', '.join(sorted(ALGORITHMS))}")
     print(
@@ -472,7 +483,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine", choices=["interpreted", "pyjit", "cpp"], default=None,
-        help="execution engine (default: $PYGB_BACKEND or pyjit)",
+        help="execution engine (default: $PYGB_BACKEND or pyjit; "
+        "serve: $PYGB_BACKEND, else cpp when the C++ toolchain works, else pyjit)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

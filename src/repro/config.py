@@ -30,7 +30,7 @@ class Config:
     and its default is the value of an unset variable (README,
     *Environment variables*, documents each)."""
 
-    backend: str = "pyjit"
+    backend: str | None = None  # unset: pyjit, and ``repro serve`` chooses for itself
     cxx: str | None = None
     cache_dir: str | None = None
     parallel: bool = True

@@ -28,6 +28,7 @@ __all__ = [
     "Replace",
     "replace_active",
     "use_engine",
+    "make_env_engine",
     "current_backend_engine",
     "current_raw_engine",
 ]
@@ -117,40 +118,43 @@ _engine_state = threading.local()
 _ENGINE_DEGRADATION = {"cpp": "pyjit"}
 
 
+def make_env_engine(name: str):
+    """``make_engine(name)`` for an engine the environment chose: when it
+    is unavailable on this machine (no C++ toolchain) the next engine
+    down is made instead, with a warning rather than a failure —
+    unless ``PYGB_JIT_STRICT`` is set."""
+    from ..exceptions import BackendUnavailable, JitFallbackWarning
+    from ..jit.health import jit_strict
+    from .dispatch import make_engine
+
+    try:
+        return make_engine(name)
+    except BackendUnavailable as exc:
+        fallback = _ENGINE_DEGRADATION.get(name)
+        if fallback is None or jit_strict():
+            raise
+        import warnings
+
+        warnings.warn(
+            f"pygb: $PYGB_BACKEND={name} is unavailable ({exc}); "
+            f"using the {fallback} engine instead "
+            "(set PYGB_JIT_STRICT=1 to raise)",
+            JitFallbackWarning,
+            stacklevel=3,
+        )
+        return make_engine(fallback)
+
+
 def current_backend_engine():
     """The engine executing GraphBLAS operations for this thread.
 
     Resolved lazily from ``$PYGB_BACKEND`` (``interpreted``, ``pyjit`` —
-    the default — or ``cpp``); override per-scope with :func:`use_engine`.
-    When the env-selected engine is unavailable on this machine (no C++
-    toolchain) the thread degrades to the next engine down with a warning
-    instead of failing the first operation — unless ``PYGB_JIT_STRICT``
-    is set.
+    the default — or ``cpp``) through :func:`make_env_engine`; override
+    per-scope with :func:`use_engine`.
     """
     engine = getattr(_engine_state, "engine", None)
     if engine is None:
-        from ..exceptions import BackendUnavailable, JitFallbackWarning
-        from ..jit.health import jit_strict
-        from .dispatch import make_engine
-
-        name = _config().backend
-        try:
-            engine = make_engine(name)
-        except BackendUnavailable as exc:
-            fallback = _ENGINE_DEGRADATION.get(name)
-            if fallback is None or jit_strict():
-                raise
-            import warnings
-
-            warnings.warn(
-                f"pygb: $PYGB_BACKEND={name} is unavailable ({exc}); "
-                f"using the {fallback} engine instead "
-                "(set PYGB_JIT_STRICT=1 to raise)",
-                JitFallbackWarning,
-                stacklevel=2,
-            )
-            engine = make_engine(fallback)
-        _engine_state.engine = engine
+        engine = _engine_state.engine = make_env_engine(_config().backend or "pyjit")
     # the observability hook: one predicated branch per operation when
     # tracing is off (the layer's zero-cost contract; see repro/obs)
     if obs.ACTIVE:

@@ -143,6 +143,14 @@ _MAT_MASK = """\
     GB::CSRView<uint8_t> m;
     if (kHasMask) m = GB::CSRView<uint8_t>(c_nrows, c_ncols, m_indptr, m_indices, m_vals);"""
 
+#: the second entry point of every matrix-valued TU
+_MAT_FETCH = """
+extern "C" void pygb_fetch(Index* indptr, Index* indices, TC* values)
+{
+    GB::fetch_csr(pygb_held, indptr, indices, values);
+}
+"""
+
 #: matrix results are parked in the TU's ``thread_local`` holder and
 #: collected by the engine's follow-up ``pygb_fetch`` call on the same
 #: thread (see ``GB::fetch_csr``); ``t`` is handed over by rvalue so an
@@ -153,12 +161,7 @@ _MAT_WRITEBACK = """
                                        kHasAccum, AccumOp{});
     return static_cast<Index>(pygb_held.indices.size());
 }
-
-extern "C" void pygb_fetch(Index* indptr, Index* indices, TC* values)
-{
-    GB::fetch_csr(pygb_held, indptr, indices, values);
-}
-"""
+""" + _MAT_FETCH
 
 #: declared between the type aliases and ``pygb_run`` of every
 #: matrix-valued TU
@@ -605,6 +608,96 @@ extern "C" Index pygb_run(
     }}
 """
         + _ASSIGN_EPILOGUE
+    )
+
+
+def _gen_assign_mat_scalar(spec: KernelSpec) -> str:
+    """``C<M, z>(rows, cols) = C (accum) s`` as one merge per row of C's
+    row, the mask's row and the region's columns: the region is the
+    product of the two index lists (duplicates collapse), so nothing is
+    sized by nrows x ncols.  Under a mask that is not complemented a
+    region cell outside the mask can never be written, so a region row
+    walks the mask's entries instead of every region column (BFS's
+    ``levels[frontier][:, :] = depth`` touches the frontier, not the
+    matrix).  An index out of range returns -3 (row) or -4 (column)
+    before anything is written."""
+    return (
+        _cxx_header(spec)
+        + "#include <vector>\n#include <type_traits>\n"
+        + f"""
+using TC = {cxx_name(spec.get('c'))};
+{_flags_block(spec)}
+{_MAT_HOLDER}
+
+extern "C" Index pygb_run(
+    Index c_nrows, Index c_ncols, const Index* c_indptr, const Index* c_indices,
+    const TC* c_vals,
+    double dvalue, int64_t ivalue,
+    const Index* rows, Index n_rows, const Index* cols, Index n_cols,
+    const Index* m_indptr, const Index* m_indices, const uint8_t* m_vals)
+{{
+    std::vector<uint8_t> in_row(c_nrows, 0), in_col(c_ncols, 0);
+    for (Index k = 0; k < n_rows; ++k) {{
+        if (rows[k] < 0 || rows[k] >= c_nrows) return -3;
+        in_row[rows[k]] = 1;
+    }}
+    for (Index k = 0; k < n_cols; ++k) {{
+        if (cols[k] < 0 || cols[k] >= c_ncols) return -4;
+        in_col[cols[k]] = 1;
+    }}
+    std::vector<Index> region;  // the region's columns, ascending, unique
+    for (Index j = 0; j < c_ncols; ++j)
+        if (in_col[j]) region.push_back(j);
+    const TC value = std::is_floating_point<TC>::value
+        ? static_cast<TC>(dvalue) : static_cast<TC>(ivalue);
+    constexpr bool kMaskRows = kHasMask && !kComp;
+    GB::CSR<TC> out;
+    out.nrows = c_nrows; out.ncols = c_ncols;
+    out.indptr.assign(c_nrows + 1, 0);
+    for (Index r = 0; r < c_nrows; ++r) {{
+        if ((r & 1023) == 0 && GB::cancel_requested()) return -2;
+        Index pc = c_indptr[r];
+        const Index ec = c_indptr[r + 1];
+        Index pm = kHasMask ? m_indptr[r] : 0;
+        const Index em = kHasMask ? m_indptr[r + 1] : 0;
+        // the next region column this row writes (c_ncols: none left)
+        Index pt = kMaskRows ? pm : 0;
+        auto next_t = [&]() -> Index {{
+            if (!in_row[r]) return c_ncols;
+            if (kMaskRows) {{
+                while (pt < em && !(m_vals[pt] && in_col[m_indices[pt]])) ++pt;
+                return pt < em ? m_indices[pt] : c_ncols;
+            }}
+            return pt < static_cast<Index>(region.size()) ? region[pt] : c_ncols;
+        }};
+        for (;;) {{
+            const Index jc = pc < ec ? c_indices[pc] : c_ncols;
+            const Index jt = next_t();
+            const Index j = jc < jt ? jc : jt;
+            if (j == c_ncols) break;
+            const bool ch = jc == j, th = jt == j;
+            bool in_mask = true;
+            if (kHasMask) {{
+                while (pm < em && m_indices[pm] < j) ++pm;
+                in_mask = (pm < em && m_indices[pm] == j && m_vals[pm]) != kComp;
+            }}
+            if (in_mask && th) {{
+                out.indices.push_back(j);
+                out.values.push_back(kHasAccum && ch ? AccumOp{{}}(c_vals[pc], value) : value);
+            }} else if (ch && (in_mask || !kRepl)) {{
+                out.indices.push_back(j);
+                out.values.push_back(c_vals[pc]);
+            }}
+            pc += ch; pt += th;
+        }}
+        out.indptr[r + 1] = static_cast<Index>(out.indices.size());
+    }}
+    if (GB::cancel_requested()) return -2;
+    pygb_held = std::move(out);
+    return static_cast<Index>(pygb_held.indices.size());
+}}
+"""
+        + _MAT_FETCH
     )
 
 

@@ -24,8 +24,8 @@ resident across calls:
   the shared object's ``thread_local`` holder and fetched once, into
   exactly-sized arrays, by a second call.
 
-Operations without a native C++ binding (the index-heavy matrix
-assign/extract forms and standalone transpose — none of which appear in
+Operations without a native C++ binding (assign/extract of a matrix
+operand and standalone transpose — none of which appear in
 the evaluated algorithms' hot loops) delegate to the Python JIT engine;
 the native set is the rows of ``repro.jit.kernels.KERNELS`` that have a
 C++ generator.
@@ -53,7 +53,12 @@ from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
 from ..config import Config, current as _config
-from ..exceptions import BackendUnavailable, CompilationError, OperationCancelled
+from ..exceptions import (
+    BackendUnavailable,
+    CompilationError,
+    IndexOutOfBounds,
+    OperationCancelled,
+)
 from ..testing.faults import FAULTS
 from ..types import CXX_NAMES
 from .cache import JitCache, default_cache
@@ -134,7 +139,8 @@ def _probe_openmp(cxx: str) -> bool:
 def openmp_available(cxx: str | None = None) -> bool:
     """Whether *cxx* (default: the discovered compiler) accepts
     ``-fopenmp``; probed once per compiler path with a tiny test compile
-    and cached for the life of the process."""
+    and cached for the life of the process.  A passing probe built a
+    shared object, so it settles :func:`toolchain_works` for *cxx* too."""
     cxx = cxx or find_cxx_compiler()
     if cxx is None:
         return False
@@ -145,6 +151,8 @@ def openmp_available(cxx: str | None = None) -> bool:
     result = _probe_openmp(cxx)
     with _PROBE_LOCK:
         _OPENMP_PROBES[cxx] = result
+        if result:
+            _TOOLCHAIN_PROBES[cxx] = True
     return result
 
 
@@ -176,7 +184,8 @@ def toolchain_works(cxx: str | None = None) -> bool:
     that resolves but fails every invocation (a broken install, or the
     fault-tolerance CI leg's ``PYGB_CXX=/bin/false``) passes that check
     and fails this one.  Probed once per compiler path with a tiny test
-    compile and memoised for the life of the process."""
+    compile (none when :func:`openmp_available` already built one) and
+    memoised for the life of the process."""
     cxx = cxx or find_cxx_compiler()
     if cxx is None:
         return False
@@ -537,13 +546,18 @@ class CppJitEngine:
                 },
             )
 
-    def _run(self, bound: _Bound, args: tuple) -> int:
+    def _run(self, bound: _Bound, args: tuple, out=None) -> int:
         nnz = self._call(bound, args)
-        if nnz == -2:
-            # cancellation sentinel: the kernel bailed before the writeback,
-            # so nothing was written or parked
-            raise OperationCancelled("C++ kernel observed cancellation flag")
         if nnz < 0:
+            if nnz == -2:
+                # cancellation sentinel: the kernel bailed before the
+                # writeback, so nothing was written or parked
+                raise OperationCancelled("C++ kernel observed cancellation flag")
+            if nnz in (-3, -4):
+                # an index list reached past *out* (the reference kernels'
+                # check and message); nothing was written or parked
+                what, limit = ("row", out.nrows) if nnz == -3 else ("column", out.ncols)
+                raise IndexOutOfBounds(f"{what} index out of range (limit {limit})")
             raise CompilationError("C++ kernel signalled failure")
         return nnz
 
@@ -566,7 +580,7 @@ class CppJitEngine:
         """Run a matrix-valued kernel, then fetch the result it parked in
         its ``thread_local`` holder into exactly-sized NumPy arrays (nnz
         is only known after the kernel ran)."""
-        nnz = self._run(bound, args)
+        nnz = self._run(bound, args, out)
         indptr = np.empty(out.nrows + 1, _I64)
         indices = np.empty(nnz, _I64)
         values = np.empty(nnz, out.dtype)
@@ -736,6 +750,14 @@ class CppJitEngine:
         args = out.ffi_pack().args + bound.const(value) + (address(idx), idx.size)
         return self._vec_out(bound, args + self._vec_mask(desc), out)
 
+    def assign_mat_scalar(self, out, value, rows, cols, desc):
+        bound = self._kernel("assign_mat_scalar", (out.dtype,), (), desc)
+        rows = np.ascontiguousarray(rows, _I64)
+        cols = np.ascontiguousarray(cols, _I64)
+        args = out.ffi_pack().args + bound.const(value)
+        args += (address(rows), rows.size, address(cols), cols.size)
+        return self._mat_out(bound, args + self._mat_mask(desc), out)
+
     # ------------------------------------------------------------------
     # the reduce-site fused pair: one FFI call for gb.reduce(u ⊕ v), the
     # elementwise result stays inside the shared object
@@ -777,9 +799,6 @@ class CppJitEngine:
 
     def assign_mat(self, out, a, rows, cols, desc, ta=False):
         return self._fallback.assign_mat(out, a, rows, cols, desc, ta)
-
-    def assign_mat_scalar(self, out, value, rows, cols, desc):
-        return self._fallback.assign_mat_scalar(out, value, rows, cols, desc)
 
     def select_mat(self, out, a, op, thunk, desc, ta=False):
         return self._fallback.select_mat(out, a, op, thunk, desc, ta)

@@ -15,8 +15,8 @@ kernel families:
   generator (``None`` where only cpp has it);
 * what it must agree with: its reference kernel;
 * which instances exist ahead of time: the ones the bundled algorithms
-  dispatch (``traced``, warmed by ``repro precompile``) and the catalog
-  grid (``repro bake``).
+  and the graph service dispatch (``traced``, warmed by ``repro
+  precompile``) and the catalog grid (``repro bake``).
 
 :func:`spec` turns one engine call into its spec; both engines,
 ``precompile`` and ``catalog`` build every per-operation spec with it.
@@ -146,8 +146,10 @@ KERNELS: dict[str, Kernel] = {
         partial(cpp._gen_spmv, vxm=False), partial(py._gen_spmv, vxm=False), **_SPMV,
         traced=(
             # SSSP and connected components relax dense and push
-            *(Use(d * 3, ("Min", mult), OpDesc(accum="Min"), direction)
-              for d, mult in ((F64, "Plus"), (I64, "Second")) for direction in (None, "push")),
+            *(Use(d, ("Min", mult), OpDesc(accum="Min"), direction)
+              for d, mult in ((F64 * 3, "Plus"), (I64 * 3, "Second"),
+                              (F64 + I64 * 2, "Second"))  # components of a served graph
+              for direction in (None, "push")),
             # BFS steps dense, push on sparse frontiers and pull on dense ones
             *(Use(("int64", "bool", "bool"), ("LogicalOr", "LogicalAnd"), TRAVERSAL, direction)
               for direction in (None, "push", "pull")),
@@ -169,7 +171,12 @@ KERNELS: dict[str, Kernel] = {
     "mxm": Kernel(
         ("a", "b", "c"), ("add", "mult"), K.mxm, _product("a", "b"), "MMMm",
         cpp._gen_mxm, py._gen_mxm, transposes=("ta", "tb"), parallel=True,
-        traced=(Use(I64 * 3, ("Plus", "Times"), MASKED),),  # triangle count
+        traced=(
+            Use(I64 * 3, ("Plus", "Times"), MASKED),  # triangle count
+            # the service's fused traversals: k sources as k frontier rows
+            Use(("bool", "float64", "bool"), ("LogicalOr", "LogicalAnd"), TRAVERSAL),
+            Use(F64 * 3, ("Min", "Plus"), OpDesc(accum="Min")),
+        ),
         baked_transposes=((False, True),),  # L @ U.T
     ),
     "ewise_add_vec": Kernel(
@@ -209,7 +216,7 @@ KERNELS: dict[str, Kernel] = {
         **_APPLY, reference=K.apply_mat, layout="MmmS",
         cpp=cpp._gen_apply_mat, py=py._gen_apply_mat, transposes=("ta",),
         traced=(Use(F64 * 2, ("bind", "Times", "second"), PLAIN),
-                Use(I64 + F64, ("unary", "Identity", "none"), PLAIN)),
+                *(Use((d, "float64"), ("unary", "Identity", "none"), PLAIN) for d in _DTYPES)),
     ),
     "reduce_mat_scalar": Kernel(
         **_REDUCE, reference=K.reduce_mat_scalar, layout="MSP",
@@ -264,7 +271,9 @@ KERNELS: dict[str, Kernel] = {
         py=_delegate("assign_vec", "c, u, idx"), traced=(Use(F64 * 2, (), PLAIN),),
     ),
     "assign_mat_scalar": Kernel(
-        ("c",), (), K.assign_mat_scalar, py=_delegate("assign_mat_scalar", "c, value, rows, cols"),
+        ("c",), (), K.assign_mat_scalar, layout="MSIIm", cpp=cpp._gen_assign_mat_scalar,
+        py=_delegate("assign_mat_scalar", "c, value, rows, cols"),
+        traced=(Use(I64, (), MASKED),),  # the service's fused BFS: levels[frontier][:, :] = depth
     ),
     "assign_vec_scalar": Kernel(
         ("c",), (), K.assign_vec_scalar, layout="VSIvO", cpp=cpp._gen_assign_vec_scalar,

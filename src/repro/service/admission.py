@@ -20,6 +20,11 @@ Each batch runs inside a ``gb.deadline`` budget when
 as a structured ``timeout`` error on every request of the batch — the
 connection stays up.
 
+Every worker executes on one engine, :func:`serve_engine`'s choice:
+``cpp`` wherever a C++ toolchain works, so served requests run compiled
+kernels.  ``health`` reports it, and :func:`solo_reference` takes it so
+an oracle compares on the engine that served.
+
 ``hold()`` parks the queue so tests, the replay harness, and the bench
 collector can submit a known set of requests and release them as
 deterministic batches (batch sizes otherwise depend on arrival timing).
@@ -35,6 +40,7 @@ import numpy as np
 
 from .. import obs
 from ..config import current as _config
+from ..core.context import make_env_engine, use_engine
 from ..exceptions import GraphBLASError, OperationCancelled, OperationTimeout
 from ..guard import deadline
 from ..obs.stats import HIST_BUCKETS, hist_bucket, quantiles_ms
@@ -46,6 +52,7 @@ __all__ = [
     "request_timeout",
     "batch_max",
     "serve_workers",
+    "serve_engine",
     "solo_reference",
     "run_requests",
 ]
@@ -66,6 +73,21 @@ def serve_workers() -> int:
     """Worker threads executing admitted batches (``$PYGB_SERVE_WORKERS``,
     default 2)."""
     return _config().serve_workers
+
+
+def serve_engine(name: str | None = None) -> str:
+    """The engine the service's workers run: *name* (``--engine``) if
+    given, else ``$PYGB_BACKEND`` if set, else ``cpp`` when
+    :func:`~repro.jit.cppengine.toolchain_works`, else ``pyjit``."""
+    if name is None:
+        name = _config().backend
+    if name is None:
+        from ..jit.cppengine import openmp_available, toolchain_works
+
+        # a passing -fopenmp probe settles toolchain_works, and a parallel
+        # cpp engine asks it at its first dispatch: one probe compile, not two
+        name = "cpp" if openmp_available() or toolchain_works() else "pyjit"
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +161,16 @@ def run_requests(graph, graph_name: str, algorithm: str, params: dict, sources) 
     return [shared] * len(sources)
 
 
-def solo_reference(graph, graph_name: str, algorithm: str, source, params: dict) -> dict:
+def solo_reference(graph, graph_name: str, algorithm: str, source, params: dict,
+                   engine: str | None = None) -> dict:
     """The oracle: run one request through the public **single-source**
-    algorithm API, no service machinery.  The replay harness and the
-    protocol tests compare every batched response against this — fusion
-    must be invisible, bit for bit."""
+    algorithm API, no service machinery, on *engine* (the caller's own
+    by default).  The replay harness and the protocol tests compare every
+    batched response against this on the engine that served it (``health``
+    names it) — fusion must be invisible, bit for bit."""
+    if engine is not None:
+        with use_engine(engine):
+            return solo_reference(graph, graph_name, algorithm, source, params)
     from ..algorithms import bfs_levels, sssp_distances
 
     if algorithm == "bfs":
@@ -197,15 +224,28 @@ class _Group:
 
 class AdmissionController:
     """The batching queue.  ``submit()`` is called from connection
-    handler threads; the worker threads pull batches from it."""
+    handler threads; the worker threads pull batches from it, each on
+    its own instance of the :func:`serve_engine` engine for *engine*."""
 
     def __init__(
         self,
         registry: GraphRegistry,
         max_batch: int | None = None,
         workers: int | None = None,
+        engine: str | None = None,
     ):
+        from ..core.dispatch import make_engine
+
         self.registry = registry
+        count = workers if workers is not None else serve_workers()
+        name = serve_engine(engine)
+        # made here, so an engine that cannot exist fails the caller: an
+        # explicit one raises, one the environment chose degrades
+        make = make_engine if engine is not None else make_env_engine
+        #: one engine per worker thread
+        self.engines = [make(name) for _ in range(count)]
+        #: what the workers execute on (``health`` reports it)
+        self.engine: str = self.engines[0].name
         self._max_batch = max_batch
         self._cond = threading.Condition()
         #: dict order is queue order: a key enters at the back
@@ -215,8 +255,8 @@ class AdmissionController:
         #: algorithm -> (queue-wait, execute) log2 histograms of ns
         self._latency: dict[str, tuple[list[int], list[int]]] = {}
         self._workers = [
-            threading.Thread(target=self._work, name=f"pygb-serve_{k}", daemon=True)
-            for k in range(workers if workers is not None else serve_workers())
+            threading.Thread(target=self._work, args=(eng,), name=f"pygb-serve_{k}", daemon=True)
+            for k, eng in enumerate(self.engines)
         ]
         for worker in self._workers:
             worker.start()
@@ -308,7 +348,8 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # the queue (worker threads)
     # ------------------------------------------------------------------
-    def _work(self) -> None:
+    def _work(self, engine) -> None:
+        use_engine(engine)  # this thread's engine, for good
         while True:
             with self._cond:
                 while self._held or not self._groups:

@@ -9,8 +9,10 @@ One daemon thread per connection reads newline-framed JSON requests
   clients may pipeline by tagging requests with ``id``;
 * ``health`` / ``stats`` / ``graphs`` answer immediately from the
   registry and the deterministic service counters (the live equivalents
-  of ``repro doctor`` and ``repro stats``); ``stats`` adds the queue-wait
-  and execute-time quantiles of the requests served so far.
+  of ``repro doctor`` and ``repro stats``); ``health`` names the engine
+  the workers execute on, and ``stats`` adds the queue-wait and
+  execute-time quantiles of the requests served so far and a ``jit``
+  block of kernel-cache tier hits and compiles.
 
 Failure policy: every protocol error produces a structured
 ``{"ok": false, "error": {...}}`` response on the same connection —
@@ -190,6 +192,7 @@ class GraphServer(socketserver.ThreadingTCPServer):
         counters = service_stats()
         return {
             "status": "ok",
+            "engine": self.admission.engine,
             "graphs": self.registry.names(),
             "algorithms": sorted(ALGORITHMS),
             "requests": counters["requests"],
@@ -198,10 +201,15 @@ class GraphServer(socketserver.ThreadingTCPServer):
 
     def stats(self) -> dict:
         """The deterministic counters plus this server's ``latency``
-        block (queue wait and execute time per algorithm)."""
+        block (queue wait and execute time per algorithm) and the
+        process's ``jit`` block: kernel-cache hits per tier and compiles
+        (nested, so the top level stays the request counters)."""
+        from ..jit.cache import default_cache
         from . import stats as service_stats
 
-        return {**service_stats(), "latency": self.admission.latency()}
+        snap = default_cache().stats.snapshot()
+        jit = {key: snap[key] for key in ("memory_hits", "catalog_hits", "disk_hits", "compiles")}
+        return {**service_stats(), "latency": self.admission.latency(), "jit": jit}
 
     # ------------------------------------------------------------------
     def _note_protocol_error(self) -> None:

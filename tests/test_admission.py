@@ -369,8 +369,11 @@ class TestFailingBatch:
 # ----------------------------------------------------------------------
 
 
-def test_stress_every_response_equals_solo_reference(registry, graph):
-    clients, each = 8, 50
+def _stress(registry, graph, clients, each, **controller):
+    """*clients* threads submit *each* interleaved requests of the service
+    mix with no ``hold()``; every response must be byte-identical to the
+    solo reference on the controller's engine, and every request must run
+    in exactly one batch."""
     mix = ("bfs",) * 5 + ("sssp",) * 3 + ("pagerank", "components")
     solo: dict[tuple, dict] = {}
 
@@ -381,12 +384,13 @@ def test_stress_every_response_equals_solo_reference(registry, graph):
             source = rng.randrange(12) if algorithm in ("bfs", "sssp") else None
             yield f"{k}/{i}", algorithm, source
 
+    ctl = AdmissionController(registry, **controller)
     for k in range(clients):
         for _, algorithm, source in tape(k):
             if (algorithm, source) not in solo:
-                solo[algorithm, source] = solo_reference(graph, "er", algorithm, source, {})
-
-    ctl = AdmissionController(registry, workers=2)
+                solo[algorithm, source] = solo_reference(
+                    graph, "er", algorithm, source, {}, engine=ctl.engine
+                )
     wrong, errors = [], []
 
     def client(k):
@@ -422,6 +426,54 @@ def test_stress_every_response_equals_solo_reference(registry, graph):
     latency = ctl.latency()
     assert sum(row["queue_wait_ms"]["n"] for row in latency.values()) == clients * each
     assert sum(row["execute_ms"]["n"] for row in latency.values()) == clients * each
+    return ctl.engine
+
+
+def test_stress_every_response_equals_solo_reference(registry, graph):
+    _stress(registry, graph, clients=8, each=50, workers=2, engine="pyjit")
+
+
+@pytest.mark.cpp
+@pytest.mark.parametrize("workers", [2, 4])
+def test_cpp_workers_share_one_graph_bit_identically(registry, graph, no_faults, workers):
+    """Concurrent cpp workers over one resident registry graph (its packs
+    and memoised transpose shared by every thread): each response is the
+    cpp solo reference, byte for byte.  Without injected faults: a kernel
+    fault on cpp reruns that dispatch on pyjit, whose PageRank sums differ
+    from cpp's in the last bits."""
+    from repro.jit.cppengine import toolchain_works
+
+    if not toolchain_works():
+        pytest.skip("no working C++ toolchain")
+    assert _stress(registry, graph, clients=6, each=30, workers=workers, engine="cpp") == "cpp"
+
+
+@pytest.mark.cpp
+def test_serve_engine_pays_one_probe_compile(monkeypatch):
+    """Choosing the engine and the cpp workers' OpenMP question share one
+    probe compile: a passing ``-fopenmp`` probe settles the toolchain."""
+    from repro.jit import cppengine
+
+    if not cppengine.openmp_available():
+        pytest.skip("needs a compiler that accepts -fopenmp")
+    monkeypatch.delenv("PYGB_BACKEND", raising=False)
+    monkeypatch.setattr(cppengine, "_OPENMP_PROBES", {})
+    monkeypatch.setattr(cppengine, "_TOOLCHAIN_PROBES", {})
+    compiles = []
+    for probe in ("_probe_openmp", "_probe_toolchain"):
+        real = getattr(cppengine, probe)
+        monkeypatch.setattr(
+            cppengine, probe, lambda cxx, real=real, probe=probe: compiles.append(probe) or real(cxx)
+        )
+    assert admission.serve_engine() == "cpp"
+    ctl = AdmissionController(GraphRegistry(), workers=2)
+    try:
+        assert ctl.engine == "cpp"
+        for engine in ctl.engines:
+            engine.parallel_enabled()  # what each worker asks at its first dispatch
+    finally:
+        ctl.close()
+    assert compiles == ["_probe_openmp"]
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +510,10 @@ class TestLatencyBlock:
             assert reply["latency"]["bfs"]["queue_wait_ms"]["n"] == 1
             assert reply["latency"]["bfs"]["execute_ms"]["p50"] > 0
             flat = service.stats()
-            assert "latency" not in flat
-            assert {k: v for k, v in reply.items() if k != "latency"} == flat
+            assert "latency" not in flat and "jit" not in flat
+            assert {k: v for k, v in reply.items() if k not in ("latency", "jit")} == flat
+            # the kernel cache, nested: a top-level int would read as a request counter
+            assert sorted(reply["jit"]) == ["catalog_hits", "compiles", "disk_hits", "memory_hits"]
 
     def test_served_batches_reach_the_stats_aggregator(self, registry, gate):
         import repro as gb

@@ -89,7 +89,7 @@ def test_catalog_enumerates_only_kernels_an_engine_dispatches():
         assert spec.func in _DISPATCH_METHODS | {"normalize_rows"}, spec.key
         assert bool(spec.get("fused")) == (spec.func in FUSED_KERNELS), spec.key
     assert {s.func for s in cpp if s.get("fused")} == FUSED_KERNELS
-    assert (len(cpp), len(pyjit)) == (234, 427)
+    assert (len(cpp), len(pyjit)) == (240, 436)
 
 
 # ----------------------------------------------------------------------

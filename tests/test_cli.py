@@ -1,6 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import importlib.util
+import json
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +89,12 @@ def test_components(sym_file, capsys):
 
 
 def test_engines(capsys):
+    from repro.service.admission import serve_engine
+
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
     assert "pyjit" in out and "interpreted" in out
+    assert f"serve:       {serve_engine()} (" in out
 
 
 def test_engine_flag(graph_file, capsys):
@@ -171,3 +179,54 @@ def test_counter_gate_fails_a_metric_that_leaves_zero(capsys):
                             {"metrics": {"forwarded": 3, "merges": 3}}, 0.15)
     assert len(failures) == 1 and "forwarded: 3 exceeds baseline 0" in failures[0]
     assert "FAIL" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# `serve` runs its workers on the engine its rule picks
+# ----------------------------------------------------------------------
+def _serve_once(flags, manifest) -> tuple[list[str], dict, dict]:
+    """Boot ``python -m repro [flags] serve`` on an ephemeral port, serve
+    one bfs request, and return (banner lines, the reply, ``health``)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *flags, "serve", "--port", "0", "--graphs", str(manifest)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        banner = [proc.stdout.readline() for _ in range(2)]
+        port = int(banner[0].rpartition(":")[2])
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+            f = sock.makefile("rwb")
+            f.write(b'{"op": "run", "graph": "er", "algorithm": "bfs", "source": 0}\n'
+                    b'{"op": "health"}\n')
+            f.flush()
+            reply, health = (json.loads(f.readline()) for _ in range(2))
+        return banner, reply, health["result"]
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+
+
+@pytest.mark.parametrize("flags", [["--engine", "pyjit"], ["--engine", "cpp"], []],
+                         ids=["pyjit", "cpp", "default"])
+def test_serve_workers_run_the_chosen_engine(tmp_path, flags):
+    """``--engine`` reaches the worker threads (it used to set only the
+    main thread's engine), and without it the rule picks: $PYGB_BACKEND,
+    else cpp when the toolchain works, else pyjit."""
+    from repro.io.generators import erdos_renyi
+    from repro.jit.cppengine import find_cxx_compiler
+    from repro.service.admission import serve_engine, solo_reference
+
+    if flags[-1:] == ["cpp"] and find_cxx_compiler() is None:
+        pytest.skip("the cpp engine needs a C++ compiler on PATH")
+    manifest = tmp_path / "graphs.json"
+    spec = {"generator": "erdos_renyi", "nodes": 32, "nedges": 96, "seed": 5, "weighted": True}
+    manifest.write_text(json.dumps({"graphs": {"er": spec}}))
+    expected = flags[1] if flags else serve_engine()
+    banner, reply, health = _serve_once(flags, manifest)
+    assert health["engine"] == expected
+    assert banner[1].split()[:2] == ["engine:", expected]
+    graph = erdos_renyi(32, nedges=96, seed=5, weighted=True, dtype=float)
+    assert reply["result"] == solo_reference(graph, "er", "bfs", 0, {}, engine=expected)

@@ -50,7 +50,7 @@ UNSET = None
 #: variable, Config field, {raw value: what the old reader returned}, and
 #: the malformed values that fall back to the unset value with a warning
 PARSE_TABLE = [
-    ("PYGB_BACKEND", "backend", {UNSET: "pyjit", "cpp": "cpp", "interpreted": "interpreted"}, ()),
+    ("PYGB_BACKEND", "backend", {UNSET: None, "cpp": "cpp", "interpreted": "interpreted"}, ()),
     ("PYGB_CXX", "cxx", {UNSET: None, "": None, "clang++": "clang++"}, ()),
     ("PYGB_CACHE_DIR", "cache_dir", {UNSET: None, "": None, "/tmp/c": "/tmp/c"}, ()),
     ("PYGB_PARALLEL", "parallel",

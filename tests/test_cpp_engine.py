@@ -6,6 +6,8 @@ engine across the descriptor grid, dtype handling across the POD set, the
 whole-algorithm compiled modules (versions 2/3), and C++ compile caching.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.backend.smatrix import SparseMatrix
 from repro.backend.svector import SparseVector
 from repro.core.dispatch import InterpretedEngine
 from repro.jit.cppengine import toolchain_works
+from repro.types import POD_TYPES
 
 from helpers import mat_from_dict, random_mat_dict, random_vec_dict, vec_from_dict
 
@@ -208,6 +211,85 @@ class TestMatrixOpsAgainstInterpreted:
         got = cpp.apply_mat(_ms(a), _ms(a), spec, OpDesc())
         want = interp.apply_mat(_ms(a), _ms(a), spec, OpDesc())
         _same_mat(got, want)
+
+
+class TestNativeAssignMatScalar:
+    """``assign_mat_scalar`` on cpp (BFS's ``levels[front][:, :] = depth``
+    over a fused k×n frontier) against ``backend/kernels/assign_.py``, bit
+    for bit: the descriptor grid on int64, mask + complement + accumulate
+    on every POD type, and each index form on every kernel."""
+
+    #: full slice, index lists, duplicates, an empty region
+    INDEXES = [
+        (np.arange(N), np.arange(N)),
+        (np.array([3, 0, 7]), np.array([11, 2, 5, 4])),
+        (np.array([5, 5, 1, 5]), np.array([0, 9, 0, 9, 0])),
+        (np.array([], np.int64), np.arange(N)),
+    ]
+
+    @staticmethod
+    def _store(rng, dtype, density=0.3):
+        keys = np.flatnonzero(rng.random(N * N) < density)
+        vals = rng.integers(0, 4, keys.size).astype(dtype)  # zeros: false mask entries
+        return SparseMatrix.from_coo(N, N, keys // N, keys % N, vals, dtype=dtype)
+
+    def _check(self, cpp, rng, dtype, value, mask, **desc):
+        from repro.backend.kernels import assign_mat_scalar
+
+        c = self._store(rng, dtype)
+        desc = OpDesc(mask=self._store(rng, mask) if mask else None, **desc)
+        for rows, cols in self.INDEXES:
+            got = cpp.assign_mat_scalar(c, value, rows, cols, desc)
+            want = assign_mat_scalar(c, value, rows, cols, desc)
+            assert got.values.dtype == want.values.dtype == np.dtype(dtype)
+            for name in ("indptr", "indices", "values"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("desc", [
+        dict(), dict(accum="Minus"), dict(complement=True), dict(replace=True),
+        dict(complement=True, replace=True, accum="Min"),
+    ], ids=["plain", "accum", "comp", "repl", "comp-repl-accum"])
+    def test_descriptor_grid(self, cpp, rng, desc):
+        # under replace the mask is int64: its stored zeros must read as false
+        self._check(cpp, rng, np.int64, 7, np.int64 if desc.get("replace") else np.bool_, **desc)
+
+    def test_bfs_form(self, cpp, rng):
+        """The traced instance: a bool mask into int64, no accumulator."""
+        self._check(cpp, rng, np.int64, 3, np.bool_)
+        self._check(cpp, rng, np.int64, 2.7, np.bool_)  # truncates as NumPy casts
+
+    @pytest.mark.parametrize("dtype", [t.type for t in POD_TYPES], ids=str)
+    def test_every_dtype(self, cpp, rng, dtype):
+        value = True if dtype is np.bool_ else 2.5 if np.dtype(dtype).kind == "f" else 3
+        self._check(cpp, rng, dtype, value, np.bool_, complement=True, accum="Plus")
+
+    @pytest.mark.parametrize("rows, cols", [([N], [0]), ([0], [-1]), ([-1], [0]), ([0], [N + 5])])
+    def test_out_of_range_raises_as_the_reference_does(self, cpp, rows, cols):
+        from repro.backend.kernels import assign_mat_scalar
+        from repro.exceptions import IndexOutOfBounds
+
+        c = SparseMatrix.empty(N, N, np.int64)
+        with pytest.raises(IndexOutOfBounds) as want:
+            assign_mat_scalar(c, 1, rows, cols, OpDesc())
+        with pytest.raises(IndexOutOfBounds, match=re.escape(str(want.value))):
+            cpp.assign_mat_scalar(c, 1, np.array(rows), np.array(cols), OpDesc())
+
+    def test_fused_bfs_stays_native(self, cpp, monkeypatch, no_faults):
+        """A fused multi-source BFS on cpp calls pyjit's assign_mat_scalar
+        0 times (it used to run every level's ``levels[frontier]`` write;
+        an injected kernel fault would rerun one there, hence no chaos)."""
+        from repro.algorithms.multisource import bfs_levels_multi
+        from repro.io.generators import erdos_renyi
+        from repro.jit.pyengine import PyJitEngine
+
+        monkeypatch.setattr(PyJitEngine, "assign_mat_scalar",
+                            lambda *args: pytest.fail("fell back to pyjit"))
+        graph = erdos_renyi(64, nedges=256, seed=4, weighted=True, dtype=float)
+        with gb.use_engine("cpp"):
+            fused = bfs_levels_multi(graph, [0, 9, 33])
+        with gb.use_engine("interpreted"):
+            want = bfs_levels_multi(graph, [0, 9, 33])
+        assert fused.isequal(want)
 
 
 class TestDtypes:

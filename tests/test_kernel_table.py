@@ -34,11 +34,11 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "9627d73972bbe1a1cce04bf6abc23320ff4201cc1f023f861e1ad3c266c1ab14"
+CATALOG_DIGEST = "97467eab36d4c9c2573c4d50a71fb5dcd67f7575cef984220be07790fafa64fa"
 ENGINE_DIGESTS = {
     "pyjit": "7188970385c8bf936b45acfdc923c89bb2d036fc061dbc4aec605a0a693f2162",
-    "cpp": "7333d1e8080ba20622b70cc7b8e844b1bda6d9596ee917d758bb005bb2e34b52",
-    "cpp-parallel": "5912b4593814d4b8ff58ba185f2df8647a87eed3c7ef727578f4c51b5ed8f214",
+    "cpp": "8697658e56bca0b338ec8aa45db658d8c9d9a61ebaaccdf0339b9b1192d49a14",
+    "cpp-parallel": "d0165b14cd6fcb3dd15662e008319f34bb8e67667cb8bb008e5ee5e023024f91",
 }
 
 
@@ -66,7 +66,7 @@ def test_the_table_has_one_row_per_kernel():
         assert row.py is not None or not row.interface, func
         assert row.dtypes and all(len(t) == len(row.transposes) for t in row.baked_transposes)
     assert {f for f, row in KERNELS.items() if not row.interface} == {"normalize_rows"}
-    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (234, 427)
+    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (240, 436)
 
 
 def test_codegen_version_is_pinned():
@@ -77,7 +77,7 @@ def test_catalog_keys_and_generated_sources_are_byte_identical():
     entries = [(s.key, _sha(generate_cpp_source(s)))
                for parallel in (False, True) for s in catalog_kernel_specs(parallel)]
     entries += [(s.key, _sha(generate_source(s))) for s in pyjit_kernel_specs()]
-    assert len(entries) == 895
+    assert len(entries) == 916
     assert _digest(f"{key}\t{src}" for key, src in entries) == CATALOG_DIGEST
 
 

@@ -13,6 +13,7 @@ Three properties under test:
 
 from __future__ import annotations
 
+import json
 import stat
 import threading
 
@@ -330,6 +331,54 @@ def test_warm_cache_covers_algorithms(rng, no_faults):
     assert cache.stats.compiles == before, (
         "algorithms compiled kernels warm_cache missed — update the "
         "traced uses of their rows in repro.jit.kernels.KERNELS"
+    )
+
+
+def test_warm_cache_covers_the_service(no_faults, monkeypatch):
+    """Every kernel a cpp server asks for on the first request of each
+    kind — fused bfs/sssp batches, pagerank and components on the float64
+    graphs a manifest loads — is one warm_cache builds, so after it they
+    compile nothing."""
+    from repro.io.generators import erdos_renyi, ring_graph
+    from repro.jit.cache import default_cache
+    from repro.jit.cppengine import CppJitEngine
+    from repro.jit.precompile import algorithm_kernel_specs, warm_cache
+    from repro.service import AdmissionController, GraphRegistry
+    from repro.service.protocol import parse_request
+
+    assert warm_cache()["failed"] == []
+    registry = GraphRegistry()
+    registry.add("er", erdos_renyi(128, nedges=1024, seed=3, weighted=True, dtype=float))
+    registry.add("ring", ring_graph(64, weighted=True, dtype=float))
+    cache = default_cache()
+    asked = set()
+    get_module = cache.get_module
+
+    def recording(spec, *args, **kwargs):
+        asked.add(spec.key)
+        return get_module(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "get_module", recording)
+    before = cache.stats.compiles
+    ctl = AdmissionController(registry, workers=1, engine="cpp")
+    try:
+        with ctl.hold():
+            pendings = [
+                ctl.submit(parse_request(json.dumps(
+                    {"op": "run", "graph": g, "algorithm": a, **({"source": s} if s is not None else {})}
+                ))["request"])
+                for g in ("er", "ring")
+                for a, s in (("bfs", 1), ("bfs", 5), ("sssp", 2), ("sssp", 7),
+                             ("pagerank", None), ("components", None))
+            ]
+        assert all(p.wait(120)["ok"] for p in pendings)
+    finally:
+        ctl.close()
+    parallel = CppJitEngine().parallel_enabled()
+    missed = asked - {s.key for s in algorithm_kernel_specs(parallel)}
+    assert not missed and cache.stats.compiles == before, (
+        "served requests need kernels warm_cache does not build — add the "
+        f"service's instances to the traced uses in repro.jit.kernels.KERNELS: {missed}"
     )
 
 
