@@ -52,7 +52,7 @@ from repro.jit.cache import cache_statistics
 
 engine = sys.argv[1]
 n = 64
-with use_engine(engine), gb.tiled(tiles=1):
+with use_engine(engine):
     a = erdos_renyi(n, seed=n, weighted=True, dtype=float)
     u = gb.Vector((np.ones(n), np.arange(n)), shape=(n,))
     w = gb.Vector(shape=(n,), dtype=float)

@@ -51,7 +51,7 @@ def digest(arrays):
     return h.hexdigest()
 
 digests = {}
-with gb.use_engine("cpp"), gb.tiled(tiles=1):
+with gb.use_engine("cpp"):
     g = erdos_renyi(48, seed=3)
     digests["bfs"] = digest(bfs_levels(g, 0).to_coo())
     wg = grid_graph(6, weighted=True, seed=5, dtype=float)

@@ -10,7 +10,7 @@ overhead matters most) and fails when the guarded dispatch is more than ``THRESH
 dispatching straight into the unwrapped inner stack.
 
 The A/B pair shares one engine object: ``make_engine("pyjit")`` returns
-``Guarded(Partitioned(Resilient(...)))`` and the baseline leg installs
+``Guarded(Resilient(...))`` and the baseline leg installs
 its ``_inner`` directly, so JIT caches, allocator state, and the whole
 downstream stack are identical — the measurement isolates exactly the
 guard wrapper.  A/B batches are interleaved and the minimum per-batch

@@ -35,7 +35,6 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 os.environ.setdefault("PYGB_CACHE_DIR", str(REPO_ROOT / ".pygb_cache"))
 
 import repro as gb  # noqa: E402
-from repro import tiling  # noqa: E402
 from repro.algorithms import pagerank  # noqa: E402
 from repro.core.dispatch import CountingEngine, make_engine  # noqa: E402
 from repro.io.generators import erdos_renyi  # noqa: E402
@@ -113,115 +112,6 @@ def _schedule_metrics() -> dict:
     }
 
 
-def _tiled_metrics() -> dict:
-    """Deterministic partition counters for the tiled data plane.
-
-    Tile and worker counts are forced through ``gb.tiled`` (not read
-    from the machine) and the direction is pinned dense (``auto`` runs
-    PageRank's ``vxm`` as a push, which forwards past the tiler — this
-    leg measures the fan-out), so partitioned-dispatch, merge, and
-    tile-task counts depend only on the program — they gate hard.
-    Two invariants are asserted rather than tracked: the tiled PageRank
-    is bit-identical to the monolithic run, and ``tiles=1`` is a clean
-    ablation that never creates a tile or fans out a dispatch.
-    """
-    import numpy as np
-
-    g = erdos_renyi(PAGERANK_N, seed=7, weighted=True, dtype=float)
-
-    def run():
-        pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
-        pagerank(g, pr, threshold=1.0e-8, schedule="dense")
-        return pr.to_numpy()
-
-    with gb.tiled(tiles=1):
-        mono = run()
-
-    tiling.reset_stats()
-    with gb.tiled(tiles=4, workers=2):
-        tiled_result = run()
-    counters = tiling.stats()
-    assert np.array_equal(mono, tiled_result), (
-        "tiled PageRank diverged from the monolithic run"
-    )
-
-    tiling.reset_stats()
-    with gb.tiled(tiles=1):
-        ablation = run()
-    ablation_counters = tiling.stats()
-    assert np.array_equal(mono, ablation), "tiles=1 ablation diverged"
-    assert ablation_counters["tiles_created"] == 0, (
-        "tiles=1 ablation created tiles"
-    )
-    assert ablation_counters["partitioned_total"] == 0, (
-        "tiles=1 ablation partitioned a dispatch"
-    )
-
-    return {
-        "tiled.pagerank.tiles_created": counters["tiles_created"],
-        "tiled.pagerank.partitioned_dispatches": counters["partitioned_total"],
-        "tiled.pagerank.forwarded_dispatches": counters["forwarded_total"],
-        "tiled.pagerank.tile_tasks": counters["tile_tasks"],
-        "tiled.pagerank.merges": counters["merges_total"],
-    }
-
-
-def _guard_metrics() -> dict:
-    """Deterministic guardrail counters: inject exactly one tile-worker
-    crash into a tiled PageRank and count the degradation ladder's
-    response.  ``times=1`` makes the fault accumulator fire on the first
-    tile task only, so the ladder must degrade that one fan-out to a
-    monolithic re-execution (degrades=1) and quarantine tiling for the
-    crashed op signature (quarantines=1) — counts that depend only on
-    the program, never the machine; the direction is pinned dense for
-    the same reason as in the tiled leg.  Bit-identity with the fault-free
-    run is an invariant, asserted rather than tracked, so a ladder that
-    returns partial tile results can never publish a green point.
-    """
-    import warnings
-
-    import numpy as np
-
-    from repro import guard
-    from repro.testing.faults import FAULTS
-
-    g = erdos_renyi(PAGERANK_N, seed=7, weighted=True, dtype=float)
-
-    def run():
-        pr = gb.Vector(shape=(PAGERANK_N,), dtype=float)
-        pagerank(g, pr, threshold=1.0e-8, schedule="dense")
-        return pr.to_numpy()
-
-    with gb.tiled(tiles=1):
-        clean = run()
-
-    guard.reset_stats()
-    guard.tiling_health().reset()
-    FAULTS.install("worker_crash", rate=1.0, times=1)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # degrade/quarantine warnings
-            with gb.tiled(tiles=4, workers=2):
-                survived = run()
-        counters = guard.stats()
-    finally:
-        FAULTS.clear()
-        guard.tiling_health().reset()
-        guard.reset_stats()
-
-    assert np.array_equal(clean, survived), (
-        "PageRank under an injected tile-worker crash diverged from the "
-        "fault-free run"
-    )
-    assert counters["timeouts_total"] == 0 and counters["cancels_total"] == 0, (
-        "worker-crash injection tripped unrelated guard counters"
-    )
-    return {
-        "guard.pagerank.degrades": counters["degrades_total"],
-        "guard.pagerank.quarantines": counters["quarantines_total"],
-    }
-
-
 def _catalog_metrics() -> dict:
     """Deterministic AOT-catalog counters: bake a ``.py``-flavour pack
     (no toolchain needed, so the numbers are machine-independent), then
@@ -252,7 +142,7 @@ def _catalog_metrics() -> dict:
         "from repro.io.generators import erdos_renyi\n"
         "from repro.jit.cache import cache_statistics\n"
         f"n = {PAGERANK_N}\n"
-        "with gb.use_engine('pyjit'), gb.tiled(tiles=1):\n"
+        "with gb.use_engine('pyjit'):\n"
         "    g = erdos_renyi(n, seed=7, weighted=True, dtype=float)\n"
         "    pr = gb.Vector(shape=(n,), dtype=float)\n"
         "    pagerank(g, pr, threshold=1.0e-8)\n"
@@ -373,13 +263,8 @@ def main(argv=None) -> int:
 
     sha = args.sha or _git_sha()
     metrics = {}
-    # the legacy counts run under the tiles=1 ablation so they stay
-    # exactly the pre-tiling dispatch stream on any machine/config
-    with gb.tiled(tiles=1):
-        metrics.update(_pagerank_metrics())
-        metrics.update(_schedule_metrics())
-    metrics.update(_tiled_metrics())
-    metrics.update(_guard_metrics())
+    metrics.update(_pagerank_metrics())
+    metrics.update(_schedule_metrics())
     metrics.update(_catalog_metrics())
     metrics.update(_service_metrics())
 

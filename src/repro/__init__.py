@@ -87,7 +87,6 @@ from .exceptions import (
 from .guard import deadline
 from .obs import tracing
 from .schedule import Scheduled
-from .tiling import tiled
 
 __version__ = "1.0.0"
 
@@ -116,7 +115,6 @@ __all__ = [
     "wait",
     # traversal schedule override (push/pull direction; §13)
     "Scheduled",
-    "tiled",
     # runtime guardrails (deadlines, cancellation; §15)
     "deadline",
     "guard",

@@ -313,19 +313,6 @@ def cmd_doctor(args) -> int:
     from . import schedule as _schedule
 
     print(f"schedule:        {_schedule.schedule_mode()} (PYGB_SCHEDULE)")
-    from . import tiling as _tiling
-
-    tstats = _tiling.stats()
-    print(
-        f"tiling:          tiles={_tiling.tiles_mode()} (PYGB_TILES)   "
-        f"workers={_tiling.workers_count()} (PYGB_WORKERS)"
-    )
-    print(
-        f"tiled dispatch:  {tstats['partitioned_total']} partitioned, "
-        f"{tstats['forwarded_total']} forwarded, "
-        f"{tstats['tile_tasks']} tile tasks, "
-        f"{tstats['tiles_created']} tiles created"
-    )
     catalog_env = config.current().catalog
     if cache.catalog is not None:
         print(
@@ -374,30 +361,15 @@ def cmd_doctor(args) -> int:
     from . import guard as _guard
 
     timeout = _guard.op_timeout()
-    wtimeout = _guard.worker_timeout()
     print(
         f"guardrails:      op timeout "
-        f"{f'{timeout:g}s' if timeout else 'disabled'} (PYGB_OP_TIMEOUT)   "
-        f"worker timeout "
-        f"{f'{wtimeout:g}s' if wtimeout else 'disabled'} (PYGB_WORKER_TIMEOUT)"
+        f"{f'{timeout:g}s' if timeout else 'disabled'} (PYGB_OP_TIMEOUT)"
     )
     gstats = _guard.stats()
     print(
         f"guard activity:  {gstats['timeouts_total']} timeouts, "
-        f"{gstats['cancels_total']} cancellations, "
-        f"{gstats['degrades_total']} tiled-execution degrades, "
-        f"{gstats['quarantines_total']} tiling quarantines"
+        f"{gstats['cancels_total']} cancellations"
     )
-    ghealth = _guard.tiling_health().snapshot()
-    if ghealth["specs"]:
-        print(f"quarantined tiling ops ({len(ghealth['specs'])}):")
-        for row in ghealth["specs"]:
-            print(
-                f"  {row['key']}: {row['failures']} failure(s), {row['state']}"
-                + (f" — {row['last_error']}" if row["last_error"] else "")
-            )
-    else:
-        print("quarantined tiling ops: none")
     from . import service as _service
     from .service.admission import (
         batch_max as _batch_max,

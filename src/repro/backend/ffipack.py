@@ -6,8 +6,8 @@ addresses of its ``indptr``/``indices``/``values`` buffers, exactly the
 leading arguments of a generated ``pygb_run`` — is computed once and
 memoised on the store (``SparseMatrix.ffi_pack`` /
 ``SparseVector.ffi_pack``).  A traversal iteration then marshals only the
-vectors that are new this iteration; the graph, its cached transpose and
-its tile views marshal once.
+vectors that are new this iteration; the graph and its cached transpose
+marshal once.
 
 A pack owns every buffer it points into (the store's own arrays, or the
 contiguous/int64 copies it had to make), never the store itself, so it

@@ -180,8 +180,8 @@ class SparseMatrix:
         """Per-row entry counts (memoized, read-only).
 
         The schedule cost model consults these on every traversal
-        iteration and the tile splitter on every partition decision, so
-        the ``np.diff`` scan over ``indptr`` runs at most once per store.
+        iteration, so the ``np.diff`` scan over ``indptr`` runs at most
+        once per store.
         """
         lengths = self._lengths_cache
         if lengths is None:

@@ -6,8 +6,8 @@ The environment is parsed once into a frozen :class:`Config`;
 touches ``os.environ`` zero times and a malformed value warns where it
 is parsed, not on every operation.  Code that changes a variable
 in-process calls :func:`reload`; every thread sees the new snapshot at
-its next statement.  The scoped context managers (``gb.tiled``,
-``gb.Scheduled``, ``gb.deadline``, ``gb.use_engine``, ...) win over the
+its next statement.  The scoped context managers (``gb.Scheduled``,
+``gb.deadline``, ``gb.use_engine``, ...) win over the
 snapshot, the snapshot over the field default (docs/architecture.md,
 *Configuration*).
 """
@@ -36,15 +36,12 @@ class Config:
     parallel: bool = True
     threads: int | None = None  # for the record: the C++ kernels getenv it themselves, per call
     schedule: str = "auto"
-    tiles: int | str = "auto"
-    workers: int = _CPU_COUNT
     catalog: str | None = None
     compile_jobs: int = max(2, min(8, 2 * _CPU_COUNT))
     compile_timeout: float | None = 120.0
     jit_retries: int = 3
     jit_strict: bool = False
     op_timeout: float | None = None
-    worker_timeout: float | None = 60.0
     fault: str = ""
     fault_sleep: float = 0.05
     request_timeout: float | None = None
@@ -83,18 +80,17 @@ def _quiet(env, name: str, cast, default):
         return default
 
 
-def _count(env, name: str, default, valid="integer >= 1", instead=None):
-    """An integer >= 1; unset, empty or spelling *default* (``auto``) is
-    *default*, anything else warns."""
+def _count(env, name: str, default, valid="integer >= 1"):
+    """An integer >= 1; unset or empty is *default*, anything else warns."""
     raw = env.get(name, "").strip().lower()
-    if not raw or raw == default:
+    if not raw:
         return default
     try:
         if (n := int(raw)) >= 1:
             return n
     except ValueError:
         pass
-    _bad(name, raw, valid, instead or f"using {default}")
+    _bad(name, raw, valid, f"using {default}")
     return default
 
 
@@ -139,16 +135,12 @@ def _from_env(env) -> Config:
         parallel=_switch(env, "PYGB_PARALLEL", True),
         threads=threads if threads > 0 else None,
         schedule=_schedule(env),
-        tiles=_count(env, "PYGB_TILES", "auto", "auto, or an integer >= 1"),
-        workers=_count(env, "PYGB_WORKERS", _CPU_COUNT, "an integer >= 1", "using the CPU count"),
         catalog=get("PYGB_CATALOG") or None,
         compile_jobs=_count(env, "PYGB_COMPILE_JOBS", Config.compile_jobs),
         compile_timeout=compile_timeout if compile_timeout > 0 else None,
         jit_retries=max(1, _quiet(env, "PYGB_JIT_RETRIES", int, Config.jit_retries)),
         jit_strict=_switch(env, "PYGB_JIT_STRICT", False),
         op_timeout=_seconds(env, "PYGB_OP_TIMEOUT", None, "seconds > 0", "ignoring"),
-        worker_timeout=_seconds(env, "PYGB_WORKER_TIMEOUT", Config.worker_timeout,
-                                "seconds, or 0 to disable", "using the default"),
         fault=get("PYGB_FAULT", ""),
         fault_sleep=_quiet(env, "PYGB_FAULT_SLEEP", float, Config.fault_sleep),
         request_timeout=_seconds(env, "PYGB_REQUEST_TIMEOUT", None, "number >= 1e-09",

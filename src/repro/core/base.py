@@ -21,7 +21,6 @@ import numbers
 import numpy as np
 
 from ..exceptions import InvalidValue
-from ..tiling import maybe_tile
 from . import operators
 from .expressions import Apply, EWiseAdd, EWiseMult, Expression, TransposeView, TransposeExpr
 from .masks import (
@@ -76,7 +75,7 @@ class Container:
         self._pending = None
 
     def _merge_pending(self) -> None:
-        self._rebind(maybe_tile(self._backing.set_elements(*zip(*self._pending))))
+        self._rebind(self._backing.set_elements(*zip(*self._pending)))
 
     def _buffer_write(self, index: tuple, value) -> None:
         """``self[index] = value`` at a scalar index with no mask and no

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..backend.smatrix import SparseMatrix
 from ..exceptions import EmptyObject, InvalidValue
-from ..tiling import maybe_tile
 from ..types import default_dtype_for, normalize_dtype
 from .base import Container, _is_scalar
 from .context import current_backend_engine
@@ -46,7 +45,7 @@ class Matrix(Container):
 
     def __init__(self, data=None, shape=None, dtype=None):
         if isinstance(data, SparseMatrix):  # internal: wrap a backend store
-            self._store = maybe_tile(data if dtype is None else data.astype(dtype))
+            self._store = data if dtype is None else data.astype(dtype)
             return
         if isinstance(data, Expression):
             self._store = data.new(dtype=dtype)._store
@@ -55,7 +54,6 @@ class Matrix(Container):
             self._store = data.parent._store.transposed()
             if dtype is not None:
                 self._store = self._store.astype(dtype)
-            self._store = maybe_tile(self._store)
             return
         if isinstance(data, Matrix):
             src = data._store
@@ -66,14 +64,14 @@ class Matrix(Container):
                 # never alias (mutating either matrix would corrupt the
                 # other, along with its cached transpose/degree memos)
                 store = src.copy()
-            self._store = maybe_tile(store)
+            self._store = store
             return
         if data is None:
             if shape is None:
                 raise InvalidValue("an empty Matrix needs an explicit shape")
-            self._store = maybe_tile(SparseMatrix.empty(
+            self._store = SparseMatrix.empty(
                 shape[0], shape[1], normalize_dtype(dtype) if dtype is not None else np.float64
-            ))
+            )
             return
         if isinstance(data, tuple) and len(data) == 2:
             vals, rc = data
@@ -88,31 +86,27 @@ class Matrix(Container):
                 c = int(np.max(cols)) + 1 if len(cols) else 0
                 shape = (r, c)
             dt = normalize_dtype(dtype) if dtype is not None else default_dtype_for(vals_arr)
-            self._store = maybe_tile(
-                SparseMatrix.from_coo(shape[0], shape[1], rows, cols, vals_arr, dt)
-            )
+            self._store = SparseMatrix.from_coo(shape[0], shape[1], rows, cols, vals_arr, dt)
             return
         if hasattr(data, "tocoo"):  # SciPy sparse (duck-typed)
             coo = data.tocoo()
             dt = normalize_dtype(dtype) if dtype is not None else default_dtype_for(coo.data)
-            self._store = maybe_tile(SparseMatrix.from_coo(
+            self._store = SparseMatrix.from_coo(
                 coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data, dt
-            ))
+            )
             return
         if hasattr(data, "adjacency"):  # NetworkX graph (duck-typed)
             from ..io.convert import networkx_to_coo
 
             nrows, ncols, rows, cols, vals = networkx_to_coo(data)
             dt = normalize_dtype(dtype) if dtype is not None else default_dtype_for(vals)
-            self._store = maybe_tile(
-                SparseMatrix.from_coo(nrows, ncols, rows, cols, vals, dt)
-            )
+            self._store = SparseMatrix.from_coo(nrows, ncols, rows, cols, vals, dt)
             return
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise InvalidValue(f"cannot build a Matrix from {arr.ndim}-D data")
         dt = normalize_dtype(dtype) if dtype is not None else default_dtype_for(arr)
-        self._store = maybe_tile(SparseMatrix.from_dense(arr, dt))
+        self._store = SparseMatrix.from_dense(arr, dt)
 
     # ------------------------------------------------------------------
     # properties

@@ -1,13 +1,11 @@
-"""Runtime guardrails: operation deadlines, cooperative cancellation,
-and the degradation ladder.
+"""Runtime guardrails: operation deadlines and cooperative cancellation.
 
-PR 3 made *compilation* fault tolerant (fallback chain, quarantine,
-compile timeouts); this module does the same for *execution*.  It is the
-robustness substrate the serve-mode roadmap item sits on: a hung kernel
-or a crashed tile worker must degrade a single operation, never wedge
-the process.
+The JIT layer made *compilation* fault tolerant (fallback chain,
+quarantine, compile timeouts); this module bounds *execution*.  It is
+the robustness substrate the query server sits on: a hung kernel must
+fail a single operation, never wedge the process.
 
-The engine stack becomes ``Tracing(Guard(Partitioned(Resilient(...))))``:
+The engine stack is ``Tracing(Guard(Resilient(...)))``:
 
 * :class:`GuardedEngine` wraps every dispatch method.  With no deadline
   scope active and no ``$PYGB_OP_TIMEOUT`` set, the wrapper is a single
@@ -19,22 +17,15 @@ The engine stack becomes ``Tracing(Guard(Partitioned(Resilient(...))))``:
   cancellation signals and the op raises a catchable
   :class:`~repro.exceptions.OperationTimeout` carrying op/engine/elapsed.
 * Cancellation is **cooperative** at every layer: pyjit kernels call
-  :func:`check_cancelled` on entry, the tile executor checks between
-  tiles and bounds its future waits, and C++ kernels poll an atomic flag
+  :func:`check_cancelled` on entry, and C++ kernels poll an atomic flag
   exported over the FFI boundary (``pygb_request_cancel`` /
   ``pygb_cancel_requested`` externs; the kernel returns the ``-2``
   sentinel instead of unwinding C++ exceptions across OpenMP regions or
   ``extern "C"`` frames, which would be undefined behaviour).
-* The **degradation ladder** for the tiled plane: a tile worker that
-  raises or hangs cancels the remaining futures, discards partials, and
-  transparently re-executes the op monolithically; repeated failures
-  quarantine tiling for that op signature through the
-  ``jit/health.py`` circuit breaker (exponential backoff,
-  doctor-visible).
 
-Every guard intervention (timeout, cancel, degrade, quarantine) is a
-deterministic counter in :func:`stats` and — when tracing is active — an
-``obs`` instant event in the ``guard`` category, rolled up by
+Every guard intervention (timeout, cancel) is a deterministic counter
+in :func:`stats` and — when tracing is active — an ``obs`` instant
+event in the ``guard`` category, rolled up by
 ``python -m repro stats`` and ``python -m repro doctor``.
 """
 
@@ -44,37 +35,25 @@ import heapq
 import threading
 import time
 
-from .config import Config, current as _config
+from .config import current as _config
 from .exceptions import OperationCancelled, OperationTimeout
 
 __all__ = [
     "deadline",
     "current_scope",
     "op_timeout",
-    "worker_timeout",
     "check_cancelled",
     "cooperative_sleep",
-    "bound_op",
-    "current_op",
-    "op_deadline_at",
     "GuardedEngine",
     "register_cancel_lib",
-    "tiling_health",
-    "tiling_quarantined",
-    "note_tile_failure",
     "stats",
     "reset_stats",
-    "DEFAULT_WORKER_TIMEOUT",
 ]
-
-#: ceiling on how long the tile executor waits for a single worker before
-#: declaring it hung (``$PYGB_WORKER_TIMEOUT`` overrides; falsey disables)
-DEFAULT_WORKER_TIMEOUT = Config.worker_timeout
 
 _TLS = threading.local()
 
 #: number of currently armed guards, process-wide.  ``check_cancelled``
-#: (called from every pyjit kernel and between tiles) returns on a single
+#: (called from every pyjit kernel) returns on a single
 #: global read when nothing is armed; only the guarded slow path touches
 #: it, under the watchdog lock.
 _ACTIVE = 0
@@ -89,13 +68,6 @@ def op_timeout() -> float | None:
     """The per-operation budget from ``$PYGB_OP_TIMEOUT`` in seconds, or
     ``None`` when unset/falsey."""
     return _config().op_timeout
-
-
-def worker_timeout() -> float | None:
-    """How long the tile executor waits on one worker future before
-    treating it as hung (``$PYGB_WORKER_TIMEOUT``, default
-    :data:`DEFAULT_WORKER_TIMEOUT`; ``0``/falsey disables the bound)."""
-    return _config().worker_timeout
 
 
 def fault_sleep_seconds() -> float:
@@ -199,8 +171,8 @@ class deadline:
 
 
 class _OpGuard:
-    """One armed operation: what the watchdog times and what worker
-    threads consult through :func:`check_cancelled`."""
+    """One armed operation: what the watchdog times and what
+    :func:`check_cancelled` consults."""
 
     __slots__ = (
         "op", "engine", "scope", "event", "deadline_at", "from_scope",
@@ -286,45 +258,10 @@ def _fire(og: _OpGuard) -> None:
     _assert_cancel(og)
 
 
-def current_op() -> _OpGuard | None:
-    """The guard armed for the operation running on this thread."""
-    return getattr(_TLS, "op_guard", None)
-
-
-def op_deadline_at() -> float | None:
-    """Monotonic deadline of the current guarded op (``None`` unguarded).
-    The tile executor uses this to bound its future waits."""
-    og = getattr(_TLS, "op_guard", None)
-    return og.deadline_at if og is not None else None
-
-
-class bound_op:
-    """Propagate the dispatching thread's guard into a worker thread::
-
-        og = guard.current_op()
-        pool.submit(lambda: run_with(bound_op(og)))
-
-    so checkpoints inside per-tile kernels observe the same deadline and
-    cancellation state as the op that fanned them out."""
-
-    def __init__(self, og: _OpGuard | None):
-        self._og = og
-        self._prev = None
-
-    def __enter__(self):
-        self._prev = getattr(_TLS, "op_guard", None)
-        _TLS.op_guard = self._og
-        return self._og
-
-    def __exit__(self, *exc):
-        _TLS.op_guard = self._prev
-        return False
-
-
 def check_cancelled() -> None:
     """Cooperative checkpoint: raise ``OperationCancelled`` when the
     current op's scope was cancelled or its deadline has passed.  Called
-    from generated pyjit kernels and between tiles; a single global read
+    from generated pyjit kernels; a single global read
     when no guard is armed anywhere in the process."""
     if not _ACTIVE:
         return
@@ -351,20 +288,16 @@ def check_cancelled() -> None:
         )
 
 
-def cooperative_sleep(seconds: float, extra_event: threading.Event | None = None) -> bool:
-    """Sleep in small slices, honouring cancellation at each slice.
-    Returns ``True`` after a full sleep, ``False`` when *extra_event* was
-    set first; raises through :func:`check_cancelled` on cancellation.
-    Fault hooks (``slow_kernel``, ``worker_hang``) stall through here so
-    injected delays stay interruptible."""
+def cooperative_sleep(seconds: float) -> None:
+    """Sleep in small slices, honouring cancellation at each slice
+    (raises through :func:`check_cancelled`).  The ``slow_kernel`` fault
+    stalls through here so its injected delay stays interruptible."""
     end = time.monotonic() + seconds
     while True:
         check_cancelled()
-        if extra_event is not None and extra_event.is_set():
-            return False
         remaining = end - time.monotonic()
         if remaining <= 0:
-            return True
+            return
         time.sleep(min(0.01, remaining))
 
 
@@ -423,7 +356,7 @@ def _clear_cancel(token) -> None:
 
 
 class _GuardStats:
-    __slots__ = ("timeouts", "cancels", "degrades", "quarantines")
+    __slots__ = ("timeouts", "cancels")
 
     def __init__(self):
         self.reset()
@@ -431,8 +364,6 @@ class _GuardStats:
     def reset(self):
         self.timeouts = {}
         self.cancels = {}
-        self.degrades = {}
-        self.quarantines = {}
 
 
 _STATS = _GuardStats()
@@ -467,17 +398,13 @@ def _note_cancel(op: str, engine: str, elapsed: float) -> None:
 
 def stats() -> dict:
     """Snapshot of the deterministic guard counters (per-op dicts plus
-    totals), mirroring ``tiling.stats()`` / ``schedule.stats()``."""
+    totals), mirroring ``schedule.stats()``."""
     with _STATS_LOCK:
         return {
             "timeouts": dict(_STATS.timeouts),
             "timeouts_total": sum(_STATS.timeouts.values()),
             "cancels": dict(_STATS.cancels),
             "cancels_total": sum(_STATS.cancels.values()),
-            "degrades": dict(_STATS.degrades),
-            "degrades_total": sum(_STATS.degrades.values()),
-            "quarantines": dict(_STATS.quarantines),
-            "quarantines_total": sum(_STATS.quarantines.values()),
         }
 
 
@@ -485,64 +412,6 @@ def reset_stats() -> None:
     """Zero the guard counters."""
     with _STATS_LOCK:
         _STATS.reset()
-
-
-# ----------------------------------------------------------------------
-# tiling quarantine: the degradation ladder's circuit breaker
-# ----------------------------------------------------------------------
-
-_TILING_HEALTH = None
-_TILING_HEALTH_LOCK = threading.Lock()
-
-_TILING_WARN = (
-    "pygb: tiled execution of {key} failed ({error}); degraded to "
-    "monolithic execution and quarantined with backoff "
-    "(see `python -m repro doctor`)"
-)
-
-
-def tiling_health():
-    """The circuit breaker quarantining tiled fan-out per op signature
-    (lazy singleton; same exponential-backoff machinery as the JIT
-    quarantine, keyed under the pseudo-engine name ``tiling``)."""
-    global _TILING_HEALTH
-    if _TILING_HEALTH is None:
-        with _TILING_HEALTH_LOCK:
-            if _TILING_HEALTH is None:
-                from .jit.health import EngineHealth
-
-                _TILING_HEALTH = EngineHealth(
-                    warn_template=_TILING_WARN,
-                    event_name="guard.quarantine",
-                    event_cat="guard",
-                )
-    return _TILING_HEALTH
-
-
-def tiling_quarantined(op: str) -> bool:
-    """Whether tiled fan-out for *op* is currently circuit-broken (the
-    partitioned executor then forwards the op monolithically without
-    paying for another doomed fan-out)."""
-    if _TILING_HEALTH is None:
-        return False
-    return _TILING_HEALTH.quarantined("tiling", op)
-
-
-def note_tile_failure(op: str, error: BaseException) -> None:
-    """A tiled fan-out failed and the op is being re-executed
-    monolithically: count the degrade, trace it, and advance the
-    quarantine circuit breaker."""
-    _bump(_STATS.degrades, op)
-    from . import obs
-
-    if obs.ACTIVE:
-        obs.record_event(
-            "guard.degrade", "guard", op=op,
-            error=str(error).splitlines()[0][:200] if str(error) else type(error).__name__,
-        )
-    newly = tiling_health().record_failure("tiling", op, error)
-    if newly:
-        _bump(_STATS.quarantines, op)
 
 
 # ----------------------------------------------------------------------
@@ -592,13 +461,13 @@ def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
         )
     og = _OpGuard(op, engine_name, scope, deadline_at, from_scope, budget, now)
     _WATCHDOG.arm(og)
-    binder = bound_op(og)
+    prev = getattr(_TLS, "op_guard", None)
     try:
-        binder.__enter__()
+        _TLS.op_guard = og
         try:
             result = method(*args, **kwargs)
         finally:
-            binder.__exit__()
+            _TLS.op_guard = prev
     except OperationCancelled as exc:
         elapsed = time.monotonic() - og.t0
         if og.fired or (scope is not None and scope.expired):
@@ -638,7 +507,7 @@ def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
 
 
 class GuardedEngine:
-    """Deadline/cancellation wrapper around the partitioned engine stack.
+    """Deadline/cancellation wrapper around the engine stack.
 
     Dispatch methods are wrapped lazily (first use) and the wrapper is
     cached on the instance; each call looks at the thread's scope stack

@@ -65,19 +65,8 @@ class _SpecHealth:
 class EngineHealth:
     """Failure counters and quarantine state keyed by ``(engine, spec key)``."""
 
-    #: default one-time warning; ``{engine}``/``{key}``/``{error}`` slots
-    DEFAULT_WARN_TEMPLATE = (
-        "pygb: {engine} JIT failed for {key} ({error}); quarantined, "
-        "executing on the next engine in the fallback chain "
-        "(set PYGB_JIT_STRICT=1 to raise instead)"
-    )
-
     def __init__(self, retries: int | None = None,
-                 backoff: float = DEFAULT_BACKOFF_SECONDS, *,
-                 warn_template: str | None = None,
-                 event_name: str = "quarantine",
-                 event_cat: str = "cache",
-                 on_failure=None):
+                 backoff: float = DEFAULT_BACKOFF_SECONDS, *, on_failure=None):
         #: called (no arguments) after every recorded failure, so the
         #: owner can invalidate whatever it bound to a now-suspect spec
         self._on_failure = on_failure
@@ -85,9 +74,6 @@ class EngineHealth:
         self._records: dict[tuple[str, str], _SpecHealth] = {}
         self._retries = retries
         self._backoff = backoff
-        self._warn_template = warn_template or self.DEFAULT_WARN_TEMPLATE
-        self._event_name = event_name
-        self._event_cat = event_cat
 
     def _max_attempts(self) -> int:
         return self._retries if self._retries is not None else jit_retries()
@@ -134,15 +120,15 @@ class EngineHealth:
 
             if obs.ACTIVE:
                 obs.record_event(
-                    self._event_name, self._event_cat, engine=engine, spec=key,
+                    "quarantine", "cache", engine=engine, spec=key,
                     failures=rec.failures,
                 )
         if newly:
             warnings.warn(
-                self._warn_template.format(
-                    engine=engine, key=key,
-                    error=rec.last_error.splitlines()[0][:200],
-                ),
+                f"pygb: {engine} JIT failed for {key} "
+                f"({rec.last_error.splitlines()[0][:200]}); quarantined, "
+                "executing on the next engine in the fallback chain "
+                "(set PYGB_JIT_STRICT=1 to raise instead)",
                 JitFallbackWarning,
                 stacklevel=3,
             )
@@ -156,11 +142,6 @@ class EngineHealth:
             self._records.pop((engine, key), None)
 
     # ------------------------------------------------------------------
-    def quarantined(self, engine: str, key: str) -> bool:
-        with self._lock:
-            rec = self._records.get((engine, key))
-            return rec is not None and time.monotonic() < rec.quarantined_until
-
     def snapshot(self) -> dict:
         """Totals plus one row per unhealthy spec (for ``repro doctor``)."""
         now = time.monotonic()

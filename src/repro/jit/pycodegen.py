@@ -549,7 +549,7 @@ def run(u, v, identity):
 def _instrument_cancellation(source: str) -> str:
     """Insert a guard checkpoint as the first statement of ``run``.
 
-    Python kernels are single ufunc sweeps, so (unlike the C++ tiles)
+    Python kernels are single ufunc sweeps, so (unlike the C++ loops)
     one poll at entry is the only cheap place to observe a deadline that
     expired between ops of an algorithm loop."""
     marker = "\ndef run("

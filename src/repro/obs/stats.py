@@ -67,7 +67,6 @@ class StatsAggregator:
         self.cache_events: dict[str, int] = {}
         self.ffi: dict = {"calls": 0, "total_ns": 0, "kernel_ns": 0}
         self.schedule: dict = {"directions": {}, "chosen_by": {}, "switches": 0}
-        self.tiling: dict = {"partitioned": 0, "tile_tasks": 0, "forwarded": 0}
         self.guard: dict[str, int] = {}
         self.service: dict = {
             "requests": 0,
@@ -118,15 +117,8 @@ class StatsAggregator:
             if name == "schedule.switch":
                 with self._lock:
                     self.schedule["switches"] += 1
-        elif cat == "tiling":
-            with self._lock:
-                if name == "tiling.partition":
-                    self.tiling["partitioned"] += 1
-                    self.tiling["tile_tasks"] += int(attrs.get("tiles") or 0)
-                elif name == "tiling.forward":
-                    self.tiling["forwarded"] += 1
         elif cat == "guard":
-            # guard.timeout / guard.cancel / guard.degrade / guard.quarantine
+            # guard.timeout / guard.cancel
             with self._lock:
                 self.guard[name] = self.guard.get(name, 0) + 1
         elif cat == "service":
@@ -164,7 +156,6 @@ class StatsAggregator:
                     "chosen_by": dict(self.schedule["chosen_by"]),
                     "switches": self.schedule["switches"],
                 },
-                "tiling": dict(self.tiling),
                 "guard": dict(self.guard),
                 "service": dict(self.service),
                 "service_latency": {k: list(h) for k, h in self.service_latency.items()},
@@ -273,10 +264,6 @@ def merge_stats(base: dict, extra: dict) -> dict:
         sched["chosen_by"][key] = sched["chosen_by"].get(key, 0) + n
     sched["switches"] += extra_sched.get("switches", 0)
     out["schedule"] = sched
-    tiling = dict(base.get("tiling", {}))
-    for key, n in extra.get("tiling", {}).items():
-        tiling[key] = tiling.get(key, 0) + n
-    out["tiling"] = tiling
     guard = dict(base.get("guard", {}))
     for key, n in extra.get("guard", {}).items():
         guard[key] = guard.get(key, 0) + n
@@ -363,20 +350,11 @@ def render_stats(data: dict, cache_stats: dict | None = None) -> str:
             f"{sched.get('switches', 0)} direction switches"
             + (f"; chosen by {by}" if by else "")
         )
-    tiling = data.get("tiling", {})
-    if tiling.get("partitioned") or tiling.get("forwarded"):
-        lines.append(
-            f"tiled data plane: {tiling.get('partitioned', 0)} partitioned "
-            f"dispatches ({tiling.get('tile_tasks', 0)} tile tasks), "
-            f"{tiling.get('forwarded', 0)} forwarded monolithically"
-        )
     guard = data.get("guard", {})
     if guard:
         lines.append(
             f"runtime guardrails: {guard.get('guard.timeout', 0)} timeouts, "
-            f"{guard.get('guard.cancel', 0)} cancellations, "
-            f"{guard.get('guard.degrade', 0)} tiled-execution degrades, "
-            f"{guard.get('guard.quarantine', 0)} tiling quarantines"
+            f"{guard.get('guard.cancel', 0)} cancellations"
         )
     service = data.get("service", {})
     if service.get("requests") or service.get("batches"):

@@ -210,11 +210,6 @@ class TracingEngine:
                     attrs["direction"] = sched.direction
                     attrs["frontier"] = sched.frontier
                     attrs["chosen_by"] = sched.chosen_by
-                    # tiled-data-plane annotation: the PartitionedEngine
-                    # records its fan-out on the schedule before the
-                    # span closes (None when the dispatch ran monolithic)
-                    attrs["tiles"] = getattr(sched, "tiles", None)
-                    attrs["workers"] = getattr(sched, "workers", None)
                 tracer.record(attr, "op", t0, dur, attrs)
 
         traced.__name__ = attr

@@ -182,8 +182,6 @@ class Schedule:
         "frontier",
         "chosen_by",
         "candidates",
-        "tiles",
-        "workers",
     )
 
     def __init__(self, mode: str = "auto", forced: str | None = None):
@@ -193,10 +191,6 @@ class Schedule:
         self.frontier = None
         self.chosen_by = None
         self.candidates = None
-        # filled in by the PartitionedEngine when this dispatch fans out
-        # over row tiles — surfaces in trace span attributes
-        self.tiles = None
-        self.workers = None
 
     @classmethod
     def capture(cls) -> "Schedule":

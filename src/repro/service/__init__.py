@@ -16,8 +16,8 @@ module         role
 This module also owns the service's **deterministic counters** —
 requests, batches, batched requests, fusion totals, the batch-size
 histogram, timeouts, and error tallies — mirroring the module-level
-``stats()`` / ``reset_stats()`` convention of :mod:`repro.tiling`,
-:mod:`repro.schedule`, and :mod:`repro.guard` so ``repro stats``,
+``stats()`` / ``reset_stats()`` convention of :mod:`repro.schedule`
+and :mod:`repro.guard` so ``repro stats``,
 ``repro doctor``, and ``benchmarks/collect_bench.py`` can gate on them.
 """
 

@@ -36,13 +36,9 @@ Supported kinds and their hook points:
 ``slow_kernel``     the dispatch stalls for ``$PYGB_FAULT_SLEEP`` (50ms
                     default) via an interruptible sleep, tripping
                     ``gb.deadline`` / ``PYGB_OP_TIMEOUT`` for real
-``worker_crash``    one tile-worker task raises ``KernelExecutionError``
-                    mid-fan-out, exercising monolithic re-execution
-``worker_hang``     one tile-worker task stalls 30 s, tripping
-                    ``PYGB_WORKER_TIMEOUT``
 ================== ====================================================
 
-The four runtime kinds (``kernel_fail`` … ``worker_hang``) sit on hot
+The two runtime kinds (``kernel_fail``, ``slow_kernel``) sit on hot
 dispatch paths, so :meth:`FaultPlan.fire` returns on one attribute test
 when no rule is in force; ``$PYGB_FAULT`` becomes rules when the
 configuration snapshot is built or reloaded, never inside a hook.
@@ -59,8 +55,8 @@ __all__ = ["FAULT_KINDS", "FaultPlan", "FAULTS", "fault_injection"]
 FAULT_KINDS = frozenset({
     # compile/load pipeline faults (PR 3)
     "compile_fail", "slow_compile", "corrupt_so", "dlopen_fail", "pyjit_fail",
-    # runtime execution faults (guardrail ladder)
-    "kernel_fail", "slow_kernel", "worker_crash", "worker_hang",
+    # runtime execution faults
+    "kernel_fail", "slow_kernel",
 })
 
 

@@ -75,15 +75,11 @@ def no_faults(monkeypatch):
     """Opt a counter-exact test out of ambient chaos injection.
 
     The chaos CI leg runs the whole suite under ``PYGB_FAULT=...``; the
-    guardrail ladder keeps every *result* bit-identical, but tests that
-    assert exact tiling/dispatch counters would observe the (correct)
-    degrade-to-monolithic bookkeeping instead."""
-    from repro import guard
+    fallback chain keeps every *result* bit-identical, but tests that
+    assert exact dispatch or cache counters would observe the (correct)
+    fallback bookkeeping instead."""
     from repro.testing.faults import FAULTS
 
     monkeypatch.delenv("PYGB_FAULT", raising=False)
     FAULTS.clear()
-    # earlier chaos-injected failures may have quarantined tiling for
-    # some op signatures; counter-exact tests need the fan-out live
-    guard.tiling_health().reset()
     yield

@@ -26,13 +26,13 @@ import numpy as np
 import pytest
 
 import repro as gb
-from repro import config, guard, schedule, tiling
+from repro import config, guard, schedule
 from repro.algorithms import bfs_levels
 from repro.core.dispatch import (
     _DISPATCH_METHODS,
     InterpretedEngine,
-    PartitionedEngine,
     ResilientEngine,
+    make_engine,
 )
 from repro.exceptions import KernelExecutionError
 from repro.jit.cache import default_compile_jobs
@@ -59,9 +59,6 @@ PARSE_TABLE = [
     ("PYGB_SCHEDULE", "schedule",
      {UNSET: "auto", "": "auto", "auto": "auto", "fixed": "fixed", "dense": "fixed",
       "0": "fixed", "no": "fixed", "push": "push", " PULL ": "pull"}, ("sideways",)),
-    ("PYGB_TILES", "tiles",
-     {UNSET: "auto", "": "auto", " AUTO ": "auto", "1": 1, "4": 4}, ("banana", "0", "-2")),
-    ("PYGB_WORKERS", "workers", {UNSET: CPUS, "": CPUS, " 3 ": 3}, ("banana", "0", "-3")),
     ("PYGB_CATALOG", "catalog", {UNSET: None, "": None, "/tmp/pack": "/tmp/pack"}, ()),
     ("PYGB_COMPILE_JOBS", "compile_jobs", {UNSET: JOBS, "5": 5}, ("banana", "0", "-3")),
     ("PYGB_COMPILE_TIMEOUT", "compile_timeout",
@@ -71,8 +68,6 @@ PARSE_TABLE = [
      {UNSET: False, "": False, "1": True, "yes": True, "0": False, "off": False}, ()),
     ("PYGB_OP_TIMEOUT", "op_timeout",
      {UNSET: None, "": None, "0": None, "off": None, "0.25": 0.25, "-1": None}, ("banana",)),
-    ("PYGB_WORKER_TIMEOUT", "worker_timeout",
-     {UNSET: 60.0, "": 60.0, "0": None, "no": None, "0.5": 0.5, "-2": None}, ("banana",)),
     ("PYGB_FAULT", "fault", {UNSET: "", "kernel_fail:0.5": "kernel_fail:0.5"}, ()),
     ("PYGB_FAULT_SLEEP", "fault_sleep", {UNSET: 0.05, "": 0.05, "10": 10.0, "junk": 0.05}, ()),
     ("PYGB_REQUEST_TIMEOUT", "request_timeout",
@@ -113,22 +108,20 @@ class TestParsing:
 
     def test_snapshot_is_frozen(self):
         with pytest.raises(AttributeError):
-            config.current().tiles = 1
+            config.current().schedule = "push"
 
     def test_public_readers_are_reads_of_the_snapshot(self, monkeypatch):
         for variable, raw in {
-            "PYGB_OP_TIMEOUT": "0.25", "PYGB_WORKER_TIMEOUT": "0.5",
-            "PYGB_SCHEDULE": "push", "PYGB_TILES": "4",
-            "PYGB_WORKERS": "3", "PYGB_PARALLEL": "0", "PYGB_JIT_STRICT": "1",
+            "PYGB_OP_TIMEOUT": "0.25", "PYGB_SCHEDULE": "push",
+            "PYGB_PARALLEL": "0", "PYGB_JIT_STRICT": "1",
             "PYGB_JIT_RETRIES": "7", "PYGB_COMPILE_TIMEOUT": "7.5", "PYGB_COMPILE_JOBS": "5",
             "PYGB_REQUEST_TIMEOUT": "2.5", "PYGB_BATCH_MAX": "2", "PYGB_SERVE_WORKERS": "4",
             "PYGB_SERVICE_MAX_LINE": "256", "PYGB_FAULT_SLEEP": "10",
         }.items():
             monkeypatch.setenv(variable, raw)
-        assert (guard.op_timeout(), guard.worker_timeout()) == (0.25, 0.5)
+        assert guard.op_timeout() == 0.25
         assert guard.fault_sleep_seconds() == 10.0
         assert schedule.schedule_mode() == "push"
-        assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 3)
         assert not config.current().parallel
         assert (jit_strict(), jit_retries()) == (True, 7)
         assert (compile_timeout(), default_compile_jobs()) == (7.5, 5)
@@ -137,21 +130,21 @@ class TestParsing:
 
     @pytest.mark.filterwarnings("ignore:pygb. bad")  # monkeypatch's undo passes back through it
     def test_malformed_warns_once_per_reload_not_per_use(self, monkeypatch):
-        with pytest.warns(UserWarning, match="PYGB_TILES"):
-            monkeypatch.setenv("PYGB_TILES", "banana")
+        with pytest.warns(UserWarning, match="PYGB_BATCH_MAX"):
+            monkeypatch.setenv("PYGB_BATCH_MAX", "banana")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                assert tiling.tiles_mode() == "auto"
-                assert config.current().tiles == "auto"
-        with pytest.warns(UserWarning, match="PYGB_TILES"):
+                assert batch_max() == 16
+                assert config.current().batch_max == 16
+        with pytest.warns(UserWarning, match="PYGB_BATCH_MAX"):
             config.reload()
 
     def test_only_reload_parses_again(self, monkeypatch):
         before = config.current()
         monkeypatch.setattr(config, "_from_env", lambda env: pytest.fail("parsed on a read"))
         assert config.current() is before
-        assert tiling.tiles_mode() == before.tiles
+        assert schedule.schedule_mode() == before.schedule
 
 
 # ----------------------------------------------------------------------
@@ -162,10 +155,9 @@ class TestParsing:
 @pytest.fixture
 def defaults(monkeypatch, no_faults):
     """The dispatch-path tests count calls: pin what a CI leg's
-    environment could change under them (forced directions, tile fan-out,
-    ambient faults)."""
+    environment could change under them (forced directions, ambient
+    faults)."""
     monkeypatch.setenv("PYGB_SCHEDULE", "auto")
-    monkeypatch.setenv("PYGB_TILES", "1")
 
 
 def _operands(n=16, seed=3):
@@ -207,16 +199,8 @@ class TestVisibilityAndPrecedence:
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_scoped_context_managers_win_over_the_snapshot(self, monkeypatch):
-        monkeypatch.setenv("PYGB_TILES", "4")
-        monkeypatch.setenv("PYGB_WORKERS", "3")
         monkeypatch.setenv("PYGB_SCHEDULE", "push")
         monkeypatch.setenv("PYGB_BACKEND", "interpreted")
-        with gb.tiled(tiles=1):
-            # the innermost block's unset half falls to the snapshot
-            assert (tiling.tiles_mode(), tiling.workers_count()) == (1, 3)
-            with gb.tiled(workers=2):
-                assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 2)
-        assert (tiling.tiles_mode(), tiling.workers_count()) == (4, 3)
         with gb.Scheduled("pull"):
             sched = schedule.Schedule.capture()
             assert (sched.mode, sched.forced) == ("push", "pull")
@@ -362,16 +346,32 @@ def test_every_dispatch_passes_every_layer_exactly_once(defaults):
     log: list = []
     chain = [Forward("jit", PyJitEngine(), log), InterpretedEngine()]
     resilient = Forward("resilient", ResilientEngine(chain), log)
-    partitioned = Forward("partitioned", PartitionedEngine(resilient), log)
-    stack = Forward("guard", guard.GuardedEngine(partitioned), log)
+    stack = Forward("guard", guard.GuardedEngine(resilient), log)
     graph = _path_graph()
     with gb.use_engine(stack):
         levels = bfs_levels(graph, 0)
     with gb.use_engine("interpreted"):
         np.testing.assert_array_equal(levels.to_coo(), bfs_levels(graph, 0).to_coo())
     per_layer = {layer: [op for at, op in log if at == layer]
-                 for layer in ("guard", "partitioned", "resilient", "jit")}
+                 for layer in ("guard", "resilient", "jit")}
     assert len(per_layer["guard"]) >= 20  # an assign and a product per iteration
-    assert per_layer["partitioned"] == per_layer["guard"]
     assert per_layer["resilient"] == per_layer["guard"]
     assert per_layer["jit"] == per_layer["guard"]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["resilient", "strict"])
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_make_engine_is_the_guard_directly_over_the_chain(engine_name, strict, monkeypatch):
+    """``Guard(Resilient(jit))``, or ``Guard(jit)`` under
+    ``PYGB_JIT_STRICT``: no layer sits between the guard and the chain."""
+    monkeypatch.setenv("PYGB_JIT_STRICT", "1" if strict else "0")
+    stack = make_engine(engine_name)
+    assert type(stack) is guard.GuardedEngine
+    inner = stack._inner
+    if strict or engine_name == "interpreted":  # the interpreter has nothing to fall back to
+        assert type(inner).__name__ == {
+            "interpreted": "InterpretedEngine", "pyjit": "PyJitEngine", "cpp": "CppJitEngine",
+        }[engine_name]
+    else:
+        assert type(inner) is ResilientEngine
+        assert inner.primary.name == engine_name

@@ -143,10 +143,8 @@ class TestPackReuse:
         assert mask.ffi_pack().mask_args() is truth  # the truth view is built once too
 
     def test_dsl_mutation_gets_fresh_store_and_pack(self, pack_log, no_faults):
-        # monolithic throughout: under the tiled CI leg containers would be
-        # built row-blocked and the packs would belong to their tile views;
         # dense throughout: a push would pack the transpose's arrays instead
-        with gb.tiled(tiles=1), gb.Scheduled("dense"):
+        with gb.Scheduled("dense"):
             g = erdos_renyi(N, nedges=200, seed=5, weighted=True, dtype=float)
             u = gb.Vector((np.ones(N), np.arange(N)), shape=(N,), dtype=float)
 
@@ -213,10 +211,9 @@ class TestPackOwnership:
         # a pack is raw addresses: carried along, it would point a clone
         # at the original's buffers (or another process's address space)
         n = 20_000
-        with gb.tiled(tiles=1):
-            g = erdos_renyi(N, nedges=300, seed=3, weighted=True, dtype=float)
-            u = gb.Vector((np.full(n, 1000000.5), np.arange(n)), shape=(n,), dtype=float)
-            m = gb.Vector(([2.0, 0.0, 7.0], [1, 5, 9]), shape=(N,), dtype=float)
+        g = erdos_renyi(N, nedges=300, seed=3, weighted=True, dtype=float)
+        u = gb.Vector((np.full(n, 1000000.5), np.arange(n)), shape=(n,), dtype=float)
+        m = gb.Vector(([2.0, 0.0, 7.0], [1, 5, 9]), shape=(N,), dtype=float)
         desc = OpDesc(mask=m._store, complement=True)
         x = SparseVector.from_dense(np.arange(1.0, N + 1))
         run = lambda eng, mat, d: eng.mxv(SparseVector.empty(N, float), mat, x, "Min", "Plus", d)
@@ -283,24 +280,6 @@ class TestConcurrentDispatch:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures[0]
-
-    def test_tiled_fan_out_is_bit_identical(self, no_faults):
-        g = erdos_renyi(200, nedges=4000, seed=2, weighted=True, dtype=float)
-        u = gb.Vector((np.linspace(1, 2, 200), np.arange(200)), shape=(200,), dtype=float)
-
-        def run():
-            with gb.use_engine("cpp"), gb.ArithmeticSemiring:
-                w = gb.Vector(shape=(200,), dtype=float)
-                w[None] = g @ u
-                c = gb.Matrix(shape=(200, 200), dtype=float)
-                c[None] = g @ g
-                return w._store, c._store
-
-        mono = run()
-        with gb.tiled(tiles=4, workers=2):
-            tiled = run()
-        _same(mono[0], tiled[0])
-        _same(mono[1], tiled[1])
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.backend.kernels import OpDesc
 from repro.backend.svector import SparseVector
 from repro.core.dispatch import (
     InterpretedEngine,
-    PartitionedEngine,
     ResilientEngine,
     make_engine,
 )
@@ -117,8 +116,11 @@ class TestFaultPlan:
         assert FAULTS.active() == {}
 
     def test_env_var_bad_kind_raises(self, monkeypatch):
-        with pytest.raises(ValueError):
-            monkeypatch.setenv("PYGB_FAULT", "no_such_fault")
+        # the tile-worker kinds went with the row-tile fan-out: an old
+        # chaos setting must fail loudly, not inject nothing
+        for raw in ("no_such_fault", "worker_crash:0.05", "worker_hang"):
+            with monkeypatch.context() as patch, pytest.raises(ValueError):
+                patch.setenv("PYGB_FAULT", raw)
 
     def test_context_manager_clears_on_exit(self):
         with fault_injection("dlopen_fail"):
@@ -212,10 +214,9 @@ class TestPyJitFallback:
         from repro.guard import GuardedEngine
 
         eng = make_engine("pyjit")
-        # composition order: Guard(Partitioned(Resilient(pyjit -> interpreted)))
+        # composition order: Guard(Resilient(pyjit -> interpreted))
         assert isinstance(eng, GuardedEngine)
-        assert isinstance(eng._inner, PartitionedEngine)
-        assert isinstance(eng._inner._inner, ResilientEngine)
+        assert isinstance(eng._inner, ResilientEngine)
         assert eng.name == "pyjit"  # chain reports the primary's name
 
     def test_strict_mode_returns_bare_engine(self, monkeypatch):
@@ -224,8 +225,7 @@ class TestPyJitFallback:
         monkeypatch.setenv("PYGB_JIT_STRICT", "1")
         eng = make_engine("pyjit")
         assert isinstance(eng, GuardedEngine)
-        assert isinstance(eng._inner, PartitionedEngine)
-        assert not isinstance(eng._inner._inner, ResilientEngine)
+        assert isinstance(eng._inner, PyJitEngine)
 
     def test_strict_mode_raises_through_dsl(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PYGB_JIT_STRICT", "1")

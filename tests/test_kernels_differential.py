@@ -3,8 +3,6 @@ interpreted and the Python-JIT engines) against the naive dict-of-keys
 reference implementation, across randomized inputs and the full grid of
 descriptor variants (mask × complement × replace × accumulate)."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -529,30 +527,24 @@ class TestPatternSharingApply:
         ids=[f"{c[0][1]}-{np.dtype(c[1])}-{np.dtype(c[2])}" for c in _APPLY_CASES],
     )
     def test_values_match_the_reference_bit_for_bit(self, op_spec, da, dc):
-        from repro.backend.tiled import TiledMatrix
-
-        for kind in ("empty", "one-empty-row", "tiled"):
-            cells = _apply_operand(kind, da)
-            scope = gb.tiled(tiles=4, workers=2) if kind == "tiled" else contextlib.nullcontext()
-            with scope:
-                a = mat_from_dict(cells, 9, 7, da)
-                assert kind != "tiled" or isinstance(a._store, TiledMatrix)
-                for ta in (False, True):
-                    operand = a.T if ta else a
-                    source = a._store.transposed() if ta else a._store
-                    c = gb.Matrix(shape=operand.shape, dtype=dc)
-                    c[None] = gb.apply(_dsl_op(op_spec), operand)
-                    got = c._store
-                    want = R.ref_finalize_mat(
-                        {}, R.ref_apply(source.to_dict(), op_spec), operand.shape, dc,
-                        None, False, False, None,
-                    )
-                    label = (kind, ta)
-                    assert got.dtype == np.dtype(dc) and got.shape == operand.shape, label
-                    assert got.indptr is source.indptr and got.indices is source.indices, label
-                    assert not np.shares_memory(got.values, source.values), label
-                    assert list(want) == list(source.to_dict()), label
-                    assert got.values.tobytes() == np.array(list(want.values()), dc).tobytes(), label
+        for kind in ("empty", "one-empty-row"):
+            a = mat_from_dict(_apply_operand(kind, da), 9, 7, da)
+            for ta in (False, True):
+                operand = a.T if ta else a
+                source = a._store.transposed() if ta else a._store
+                c = gb.Matrix(shape=operand.shape, dtype=dc)
+                c[None] = gb.apply(_dsl_op(op_spec), operand)
+                got = c._store
+                want = R.ref_finalize_mat(
+                    {}, R.ref_apply(source.to_dict(), op_spec), operand.shape, dc,
+                    None, False, False, None,
+                )
+                label = (kind, ta)
+                assert got.dtype == np.dtype(dc) and got.shape == operand.shape, label
+                assert got.indptr is source.indptr and got.indices is source.indices, label
+                assert not np.shares_memory(got.values, source.values), label
+                assert list(want) == list(source.to_dict()), label
+                assert got.values.tobytes() == np.array(list(want.values()), dc).tobytes(), label
 
     @pytest.mark.parametrize("how", ["masked", "accumulated"])
     def test_a_mask_or_an_accumulator_still_merges(self, rng, how):

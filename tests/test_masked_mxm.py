@@ -2,12 +2,11 @@
 
 ``GB::mxm`` forms only the part of the product a (non-complemented)
 write mask can accept, ``GB::write_back_mat`` hands ``T`` through when
-nothing merges into it and merges three sorted rows otherwise, and the
-streaming matrix maps no longer fan out over row tiles.  None of that may
-be observable: results are compared *by bytes* against the dict oracle
-(``backend/reference.py``) and against "whole product, then
+nothing merges into it and merges three sorted rows otherwise.  None of
+that may be observable: results are compared *by bytes* against the dict
+oracle (``backend/reference.py``) and against "whole product, then
 ``finalize_mat``" (the interpreted kernel), on the serial and the OpenMP
-build and under row tiling.
+build.
 
 Random operands hold small integers (as floats where the dtype is
 float), so every dtype mix and association agrees exactly; the fold
@@ -23,14 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as gb
-from repro import tiling, utilities
+from repro import utilities
 from repro.backend import kernels as K
 from repro.backend import reference as R
 from repro.backend.kernels import OpDesc
 from repro.backend.smatrix import SparseMatrix
-from repro.backend.svector import SparseVector
-from repro.backend.tiled import TiledMatrix
-from repro.core.dispatch import InterpretedEngine, PartitionedEngine
+from repro.core.dispatch import InterpretedEngine
 from repro.jit.cppcodegen import generate_cpp_source
 from repro.jit.cppengine import toolchain_works
 from repro.jit.spec import KernelSpec
@@ -168,8 +165,6 @@ def test_masked_mxm_matches_both_oracles(cpp, interp, cfg, data):
     for parallel in (False, True):
         with _build(parallel):
             _same(cpp.mxm(C, A, Bm, add, mult, desc, ta, tb), oracle)
-    with gb.tiled(tiles=4, workers=2):
-        _same(PartitionedEngine(cpp).mxm(C, A, Bm, add, mult, desc, ta, tb), oracle)
 
 
 @needs_cpp
@@ -190,7 +185,7 @@ class TestMaskedMxmPinned:
 
     @pytest.mark.parametrize("accum", [None, "Plus"])
     @pytest.mark.parametrize("repl", [False, True])
-    def test_parallel_region_and_tiles(self, cpp, interp, rng, accum, repl):
+    def test_parallel_region(self, cpp, interp, rng, accum, repl):
         A, Bm, C, M = self._operands(rng)
         # rows 10..39 of the mask are empty, and it stores zeros (false)
         lo, hi = int(M.indptr[10]), int(M.indptr[40])
@@ -205,8 +200,6 @@ class TestMaskedMxmPinned:
         for parallel in (False, True):
             with _build(parallel):
                 _same(cpp.mxm(C, A, Bm, "Plus", "Times", desc, False, True), want)
-        with gb.tiled(tiles=4, workers=2):
-            _same(PartitionedEngine(cpp).mxm(C, A, Bm, "Plus", "Times", desc, False, True), want)
 
     def test_aliased_statements(self, rng):
         """``C[C] = C @ C`` and ``B[L] = L @ L.T``: output, mask and
@@ -319,38 +312,6 @@ def test_generated_source_pushes_only_a_plain_mask_into_the_product():
         assert "MultOp{}, &m" not in source
 
 
-def test_streaming_matrix_ops_forward_under_tiles(no_faults):
-    eng, mono = PartitionedEngine(InterpretedEngine()), InterpretedEngine()
-    n = 32
-    rng = np.random.default_rng(5)
-    dense = rng.integers(1, 5, (n, n)) * (rng.random((n, n)) < 0.5)
-    out, nodesc = SparseMatrix.empty(n, n, I_), OpDesc()
-    plus1 = ("bind", "Plus", 1, "second")
-    with gb.tiled(tiles=4, workers=2):
-        a = tiling.maybe_tile(SparseMatrix.from_dense(dense, I_))
-        assert isinstance(a, TiledMatrix) and a.ntiles == 4
-        streaming = {
-            "apply_mat": (out, a, plus1, nodesc),
-            "select_mat": (out, a, "Tril", -1, nodesc),
-            "ewise_add_mat": (out, a, a, "Plus", nodesc),
-            "ewise_mult_mat": (out, a, a, "Times", nodesc),
-        }
-        for op, args in streaming.items():
-            tiling.reset_stats()
-            result = getattr(eng, op)(*args)
-            counts = tiling.stats()
-            assert counts["forwarded"] == {op: 1}, op
-            assert counts["partitioned_total"] == 0 and counts["tile_tasks"] == 0, op
-            assert isinstance(result, TiledMatrix), op  # outputs still re-tile
-            _same(result, getattr(mono, op)(*args))
-        # the products keep their fan-out
-        tiling.reset_stats()
-        u = SparseVector.from_dense(np.arange(1, n + 1))
-        eng.mxv(SparseVector.empty(n, I_), a, u, "Plus", "Times", nodesc)
-        counts = tiling.stats()
-        assert counts["partitioned"] == {"mxv": 1} and counts["tile_tasks"] == 4
-
-
 # ----------------------------------------------------------------------
 # (e) normalize_rows / normalize_cols against the implementation they replace
 # ----------------------------------------------------------------------
@@ -388,17 +349,12 @@ def _normalize_input(kind: str) -> "gb.Matrix":
     dense[3, [1, 2]] = (2.5, -2.5)  # zero-sum row with stored values
     dense[:, 4] = 0
     dense[[5, 6], 4] = (1.5, -1.5)  # zero-sum column with stored values
-    if kind == "tiled":
-        with gb.tiled(tiles=4, workers=2):
-            m = gb.Matrix(dense)
-        assert isinstance(m._store, TiledMatrix)
-        return m
     if kind == "int64":
         return gb.Matrix(np.trunc(dense).astype(np.int64))
     return gb.Matrix(dense.astype(kind), dtype=kind)
 
 
-@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "empty", "tiled"])
+@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "empty"])
 @pytest.mark.parametrize("axis", ["rows", "cols"])
 def test_normalize_matches_the_add_at_implementation(kind, axis):
     m = _normalize_input(kind)
@@ -452,11 +408,6 @@ def _fold_input(kind: str) -> "gb.Matrix":
     rows = [i for i, row in enumerate(_FOLD_ROWS) for _ in row]
     cols = [j for row in _FOLD_ROWS for j in range(len(row))]
     vals = np.array([v for row in _FOLD_ROWS for v in row])
-    if kind == "tiled":
-        with gb.tiled(tiles=4, workers=2):
-            m = gb.Matrix((vals, (rows, cols)), shape=shape, dtype=float)
-        assert isinstance(m._store, TiledMatrix)
-        return m
     if kind == "int64":
         vals = np.trunc(vals)  # 1e16 and -1e16 still cancel; 0.1 ... 0.7 sum to zero
     elif kind == "bool":
@@ -464,7 +415,7 @@ def _fold_input(kind: str) -> "gb.Matrix":
     return gb.Matrix((vals.astype(kind), (rows, cols)), shape=shape, dtype=kind)
 
 
-@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "bool", "empty", "tiled"])
+@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "bool", "empty"])
 @pytest.mark.parametrize("engine_name", _ENGINES)
 def test_normalize_rows_is_the_add_at_fold_on_every_engine(engine_name, kind, monkeypatch):
     """The cpp engine runs ``GB::normalize_rows``, the others the NumPy
@@ -478,7 +429,7 @@ def test_normalize_rows_is_the_add_at_fold_on_every_engine(engine_name, kind, mo
                         lambda self, a: calls.append(a) or kernel(self, a))
     m = _fold_input(kind)
     before = m._store
-    if kind in ("float64", "float32", "tiled"):
+    if kind in ("float64", "float32"):
         assert np.signbit(before.values[before.indptr[3]])  # the -0.0 is stored
     want = _old_normalize_rows(before) if before.nvals else before.values
     with gb.use_engine(engine_name):

@@ -199,6 +199,19 @@ class TestStats:
         assert merged["ops"]["mxv"]["total_ns"] == 2000
         assert merged["ops"]["mxv"]["engines"] == {"pyjit": 2}
         assert sum(merged["ops"]["mxv"]["hist"]) == 2
+        # a file written while the row-tile fan-out existed: its ``tiling``
+        # block and tile-degradation ``guard`` keys read without error
+        old = {
+            **one,
+            "tiling": {"forwarded": 1, "partitioned": 1, "tile_tasks": 4},
+            "guard": {"guard.degrade": 1, "guard.quarantine": 1},
+        }
+        merged = merge_stats(old, one)
+        assert "tiling" not in merged and merged["ops"]["mxv"]["count"] == 2
+        for data in (old, merged, merge_stats(one, old)):
+            text = render_stats(data)
+            assert "mxv" in text and "runtime guardrails" in text
+            assert "tiled" not in text and "tiling" not in text
 
     def test_persist_merges_across_processes(self, tmp_path):
         path = tmp_path / "stats.json"

@@ -1,4 +1,5 @@
-"""Unit tests for the backend CSR sparse matrix container."""
+"""Unit tests for the backend CSR sparse matrix container and the memos
+its stores (and the vector stores) cache."""
 
 import copy
 import gc
@@ -8,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
+import repro as gb
 from repro.backend.smatrix import SparseMatrix
-from repro.backend.tiled import TiledMatrix
 from repro.exceptions import DimensionMismatch, IndexOutOfBounds
 
 
@@ -112,15 +113,12 @@ class TestTranspose:
         t = m.transposed()
         assert t.shape == (5, 2) and t.nvals == 0
 
-    @pytest.mark.parametrize("tiled", [False, True], ids=["plain", "tiled"])
-    def test_store_with_a_transpose_is_freed_by_refcount(self, tiled):
+    def test_store_with_a_transpose_is_freed_by_refcount(self):
         # the memo must not be a strong cycle: with the collector off, a
         # cycle would survive `del` (and did, until the next gen-2 pass)
         gc.disable()
         try:
             m = mk(4, 3, [(0, 2, 1.0), (3, 0, 2.0)])
-            if tiled:
-                m = TiledMatrix.from_monolithic(m, 2)
             t = m.transposed()
             assert type(t) is type(m) and t.transposed() is m
             source, transpose = weakref.ref(m), weakref.ref(t)
@@ -149,20 +147,14 @@ class TestTranspose:
         [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    @pytest.mark.parametrize("tiled", [False, True], ids=["plain", "tiled"])
-    def test_clones_carry_the_value_not_the_memos(self, clone, tiled):
+    def test_clones_carry_the_value_not_the_memos(self, clone):
         m = mk(4, 3, [(0, 2, 1.0), (3, 0, 2.0)])
-        if tiled:
-            m = TiledMatrix.from_monolithic(m, 2)
-            m.tiles()
         m.transposed()
         m.degree_stats()
         for store in (m, m.transposed()):  # the weak side does not pickle either
             c = clone(store)
             assert c._transpose_cache is None and c._lengths_cache is None
             assert c._degree_stats_cache is None and c._ffi_cache is None
-            if tiled:
-                assert c._tiles_cache is None and list(c.splits) == list(store.splits)
             assert type(c) is type(store) and c.shape == store.shape
             assert c.to_dict() == store.to_dict() and c.dtype == store.dtype
             assert c.transposed().to_dict() == store.transposed().to_dict()
@@ -179,3 +171,56 @@ class TestTransforms:
         c = m.copy()
         c.values[0] = 7.0
         assert m.get(0, 0) == 1.0
+
+
+def _mat(seed, n=48, density=0.15):
+    rng = np.random.default_rng(seed)
+    r, c = np.nonzero(rng.random((n, n)) < density)
+    return gb.Matrix((rng.integers(-8, 8, r.size), (r, c)), shape=(n, n), dtype=np.int64)
+
+
+def _vec(seed, n=48, density=0.4):
+    rng = np.random.default_rng(seed)
+    idx = np.flatnonzero(rng.random(n) < density)
+    return gb.Vector((rng.integers(-8, 8, idx.size), idx), shape=(n,), dtype=np.int64)
+
+
+class TestStoreCacheAliasing:
+    def test_matrix_copy_is_independent_after_transposed(self):
+        a = _mat(50, n=10, density=0.5)
+        before_t = gb.Matrix(a.T)._store.to_dict()
+        b = gb.Matrix(a)  # same dtype: astype() would have aliased
+        assert b._store is not a._store
+        b[0, :] = _vec(51, n=10)
+        assert gb.Matrix(a.T)._store.to_dict() == before_t
+        assert a._store.to_dict() != b._store.to_dict()
+
+    def test_vector_copy_is_independent(self):
+        u = _vec(52, n=10, density=0.9)
+        before = u._store.to_dict()
+        v = gb.Vector(u)
+        assert v._store is not u._store
+        v[0:10] = 99
+        assert u._store.to_dict() == before
+
+    def test_row_lengths_memo_is_read_only_and_cached(self):
+        m = _mat(53)._store
+        first = m.row_lengths()
+        assert m.row_lengths() is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, np.diff(m.indptr))
+
+    def test_degree_stats_match_lengths(self):
+        m = _mat(54)._store
+        nnz, dmax = m.degree_stats()
+        assert nnz == m.nvals
+        assert dmax == int(m.row_lengths().max())
+        assert m.degree_stats() is m.degree_stats()
+
+    def test_copies_get_fresh_memos(self):
+        m = _mat(55)._store
+        m.row_lengths()
+        c = m.copy()
+        assert c._lengths_cache is None
+        f = m.astype(np.float64)
+        assert f._lengths_cache is None

@@ -5,7 +5,7 @@ builds that skip the sort they do not need.
   with every kind of observation leave the container bit-identical
   (``indptr``, ``indices``, ``values``, dtype) to applying the
   ``assign_*_scalar`` kernel one write at a time, and equal to the
-  dict-of-keys reference, on every engine × mode × tiling;
+  dict-of-keys reference, on every engine × mode × OpenMP team size;
 * **hazards** — whatever replaces or reads the store between writes
   sees them in program order, or drops them when they are dead;
 * **cost** — a deterministic guard: k writes and one observation are 0
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import os
 import pickle
 
 import numpy as np
@@ -41,17 +42,32 @@ DTYPES = [np.float64, np.int64, np.bool_]
 ENGINES = ["interpreted", "pyjit"] + (["cpp"] if toolchain_works() else [])
 
 config = pytest.mark.parametrize(
-    "engine,mode,tiles",
+    "engine,mode,threads",
     [(e, m, t) for e in ENGINES for m in ("blocking", "nonblocking") for t in (None, 4)],
 )
 
 
 @contextlib.contextmanager
-def _configured(engine, mode, tiles):
+def _omp_threads(n):
+    """Cap the C++ kernels' OpenMP team at *n* (they read ``PYGB_THREADS``
+    on every call; the NumPy engines are single-threaded and ignore it)."""
+    before = os.environ.get("PYGB_THREADS")
+    os.environ["PYGB_THREADS"] = str(n)
+    try:
+        yield
+    finally:
+        if before is None:
+            del os.environ["PYGB_THREADS"]
+        else:
+            os.environ["PYGB_THREADS"] = before
+
+
+@contextlib.contextmanager
+def _configured(engine, mode, threads):
     with contextlib.ExitStack() as stack:
         stack.enter_context(gb.use_engine(engine))
-        if tiles:
-            stack.enter_context(gb.tiled(tiles=tiles, workers=2))
+        if threads:
+            stack.enter_context(_omp_threads(threads))
         if mode == "nonblocking":
             stack.enter_context(gb.nonblocking())
         yield
@@ -151,10 +167,10 @@ class TestPrograms:
     @config
     @settings(max_examples=12, deadline=None)
     @given(program=matrix_program())
-    def test_matrix(self, engine, mode, tiles, program):
+    def test_matrix(self, engine, mode, threads, program):
         dtype, flat, vals, steps = program
         rows, cols = [f // N for f in flat], [f % N for f in flat]
-        with _configured(engine, mode, tiles):
+        with _configured(engine, mode, threads):
             start = np.array([_cast(v, dtype) for v in vals], dtype=dtype)
             m = gb.Matrix((start, (rows, cols)), shape=(N, N), dtype=dtype)
             oracle = SparseMatrix.from_coo(N, N, rows, cols, start, dtype)
@@ -186,8 +202,8 @@ class TestPrograms:
             max_size=14,
         ),
     )
-    def test_vector(self, engine, mode, tiles, dtype, idx, steps):
-        with _configured(engine, mode, tiles):
+    def test_vector(self, engine, mode, threads, dtype, idx, steps):
+        with _configured(engine, mode, threads):
             v = gb.Vector((np.ones(len(idx), dtype=dtype), idx), shape=(N,), dtype=dtype)
             oracle = SparseVector.from_coo(N, idx, np.ones(len(idx), dtype=dtype), dtype)
             ref = oracle.to_dict()
@@ -230,8 +246,7 @@ class TestPrograms:
 
 @pytest.fixture
 def merges(monkeypatch):
-    """Counts ``set_elements`` merges (both store kinds; ``TiledMatrix``
-    inherits the matrix one)."""
+    """Counts ``set_elements`` merges (both store kinds)."""
     calls = []
     for cls in (SparseMatrix, SparseVector):
         inner = cls.set_elements
@@ -253,8 +268,8 @@ def _graph(seed=5, nvals=60, dtype=float):
 
 class TestHazards:
     @config
-    def test_full_overwrite_drops_the_buffer_unmerged(self, engine, mode, tiles, merges):
-        with _configured(engine, mode, tiles):
+    def test_full_overwrite_drops_the_buffer_unmerged(self, engine, mode, threads, merges):
+        with _configured(engine, mode, threads):
             a, b = _graph(1), _graph(2)
             m, plain = _graph(3), _graph(3)
             m[0, 0] = 99.0
@@ -266,8 +281,8 @@ class TestHazards:
             assert merges == []
 
     @config
-    def test_full_overwrite_reading_its_own_target_merges_first(self, engine, mode, tiles):
-        with _configured(engine, mode, tiles):
+    def test_full_overwrite_reading_its_own_target_merges_first(self, engine, mode, threads):
+        with _configured(engine, mode, threads):
             m, twin = _graph(3), _graph(3)
             m[0, 0] = 2.0
             twin._store = K.assign_mat_scalar(twin._store, 2.0, [0], [0], OpDesc())
@@ -289,8 +304,8 @@ class TestHazards:
             _same(m._store, want)
 
     @config
-    def test_clear_drops_the_buffer(self, engine, mode, tiles, merges):
-        with _configured(engine, mode, tiles):
+    def test_clear_drops_the_buffer(self, engine, mode, threads, merges):
+        with _configured(engine, mode, threads):
             m = _graph(3)
             v = gb.Vector(np.arange(N, dtype=float))
             m[1, 1] = 5.0
@@ -303,8 +318,8 @@ class TestHazards:
 
     @config
     @pytest.mark.parametrize("statement", ["masked", "accumulated", "sliced", "row"])
-    def test_kernel_assigns_see_earlier_element_writes(self, engine, mode, tiles, statement):
-        with _configured(engine, mode, tiles):
+    def test_kernel_assigns_see_earlier_element_writes(self, engine, mode, threads, statement):
+        with _configured(engine, mode, threads):
             m, mask, a = _graph(3), _graph(4, nvals=30), _graph(6)
             want = K.assign_mat_scalar(m._store, 4.0, [1], [2], OpDesc())
             want = K.assign_mat_scalar(want, 3.0, [0], [0], OpDesc())
@@ -344,8 +359,8 @@ class TestHazards:
         [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    def test_clone_takes_the_unmerged_writes_and_nothing_shared(self, engine, mode, tiles, clone):
-        with _configured(engine, mode, tiles):
+    def test_clone_takes_the_unmerged_writes_and_nothing_shared(self, engine, mode, threads, clone):
+        with _configured(engine, mode, threads):
             m = _graph(3)
             v = gb.Vector(np.arange(N, dtype=float))
             want_m = K.assign_mat_scalar(m._store, 4.0, [1], [2], OpDesc())
@@ -362,8 +377,8 @@ class TestHazards:
 
 class TestBounds:
     @config
-    def test_out_of_range_raises_at_the_statement(self, engine, mode, tiles):
-        with _configured(engine, mode, tiles):
+    def test_out_of_range_raises_at_the_statement(self, engine, mode, threads):
+        with _configured(engine, mode, threads):
             m = _graph(3)
             v = gb.Vector(np.arange(N, dtype=float))
             want = K.assign_mat_scalar(m._store, 5.0, [1], [1], OpDesc())
@@ -543,5 +558,3 @@ class TestTranspose:
         order = np.lexsort((rows, cols))
         want = SparseMatrix.from_coo_sorted(ncols, N, cols[order], rows[order], vals[order])
         _same(m.transposed(), want)
-        with gb.tiled(tiles=4, workers=2):
-            _same(gb.Matrix(m)._store.transposed(), want)
