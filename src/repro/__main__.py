@@ -228,7 +228,7 @@ def cmd_bake(args) -> int:
 def cmd_serve(args) -> int:
     from . import service
     from .service import AdmissionController, GraphRegistry, GraphServer, load_manifest
-    from .service.admission import batch_max, request_timeout, serve_workers
+    from .service.admission import request_timeout
     from .service.protocol import ALGORITHMS
 
     if args.catalog:
@@ -254,8 +254,8 @@ def cmd_serve(args) -> int:
     print(f"graphs:     {', '.join(registry.names()) or 'none'}")
     print(f"algorithms: {', '.join(sorted(ALGORITHMS))}")
     print(
-        f"admission:  batch max {batch_max()}, "
-        f"{serve_workers()} workers, request timeout "
+        f"admission:  batch max {admission.max_batch}, "
+        f"{len(admission.engines)} workers, request timeout "
         f"{f'{timeout:g}s' if timeout else 'disabled'}"
     )
     print('try: echo \'{"op": "health"}\' | nc '
@@ -284,7 +284,6 @@ def cmd_doctor(args) -> int:
         openmp_available,
         toolchain_works,
     )
-    from .jit.health import jit_retries, jit_strict
     from .testing.faults import FAULTS
 
     cache = default_cache()
@@ -306,8 +305,6 @@ def cmd_doctor(args) -> int:
     print(f"cache format:    v{CACHE_FORMAT_VERSION}")
     timeout = compile_timeout()
     print(
-        f"strict mode:     {'on' if jit_strict() else 'off'}   "
-        f"retries: {jit_retries()}   "
         f"compile timeout: {f'{timeout:g}s' if timeout else 'disabled'}"
     )
     from . import schedule as _schedule
@@ -360,28 +357,17 @@ def cmd_doctor(args) -> int:
         print(f"fault injection: {rendered}")
     from . import guard as _guard
 
-    timeout = _guard.op_timeout()
-    print(
-        f"guardrails:      op timeout "
-        f"{f'{timeout:g}s' if timeout else 'disabled'} (PYGB_OP_TIMEOUT)"
-    )
     gstats = _guard.stats()
     print(
         f"guard activity:  {gstats['timeouts_total']} timeouts, "
         f"{gstats['cancels_total']} cancellations"
     )
     from . import service as _service
-    from .service.admission import (
-        batch_max as _batch_max,
-        request_timeout as _request_timeout,
-        serve_workers as _serve_workers,
-    )
+    from .service.admission import request_timeout as _request_timeout
 
     rtimeout = _request_timeout()
     print(
-        f"service:         batch max {_batch_max()} (PYGB_BATCH_MAX)   "
-        f"workers {_serve_workers()} (PYGB_SERVE_WORKERS)   "
-        f"request timeout "
+        f"service:         request timeout "
         f"{f'{rtimeout:g}s' if rtimeout else 'disabled'} (PYGB_REQUEST_TIMEOUT)"
     )
     sstats = _service.stats()
@@ -500,7 +486,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="concurrent compile jobs (default: $PYGB_COMPILE_JOBS or auto)",
+        help="concurrent compile jobs (default: twice the core count, from 2 to 8)",
     )
     p.add_argument(
         "--serial", action="store_true",
@@ -518,7 +504,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="concurrent compile jobs (default: $PYGB_COMPILE_JOBS or auto)",
+        help="concurrent compile jobs (default: twice the core count, from 2 to 8)",
     )
     flavour = p.add_mutually_exclusive_group()
     flavour.add_argument(

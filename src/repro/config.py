@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = ["Config", "current", "reload", "on_load"]
 
 _FALSEY = frozenset({"0", "false", "off", "no"})
-_CPU_COUNT = os.cpu_count() or 1  # a system call, and the answer does not change: read once
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,10 @@ class Config:
     threads: int | None = None  # for the record: the C++ kernels getenv it themselves, per call
     schedule: str = "auto"
     catalog: str | None = None
-    compile_jobs: int = max(2, min(8, 2 * _CPU_COUNT))
     compile_timeout: float | None = 120.0
-    jit_retries: int = 3
-    jit_strict: bool = False
-    op_timeout: float | None = None
     fault: str = ""
     fault_sleep: float = 0.05
     request_timeout: float | None = None
-    batch_max: int = 16
-    serve_workers: int = 2
     service_max_line: int = 1 << 20
     trace: str = ""
     stats: str = ""
@@ -80,7 +73,7 @@ def _quiet(env, name: str, cast, default):
         return default
 
 
-def _count(env, name: str, default, valid="integer >= 1"):
+def _count(env, name: str, default, valid):
     """An integer >= 1; unset or empty is *default*, anything else warns."""
     raw = env.get(name, "").strip().lower()
     if not raw:
@@ -94,22 +87,20 @@ def _count(env, name: str, default, valid="integer >= 1"):
     return default
 
 
-def _seconds(env, name: str, default, valid, instead, floor=float("-inf")):
-    """A budget in seconds, ``None`` for no limit: ``0/false/off/no`` and
-    values <= 0 switch it off, unset or empty is *default*, a malformed
-    value or one below *floor* warns."""
+def _seconds(env, name: str, floor: float):
+    """A budget in seconds, ``None`` for no limit: unset, empty,
+    ``0/false/off/no`` and values <= 0 switch it off, a malformed value or
+    one below *floor* warns."""
     raw = env.get(name, "").strip().lower()
-    if raw in _FALSEY:
+    if not raw or raw in _FALSEY:
         return None
-    if not raw:
-        return default
     try:
         if (v := float(raw)) >= floor:
             return v if v > 0 else None
     except ValueError:
         pass
-    _bad(name, raw, valid, instead)
-    return default
+    _bad(name, raw, f"number >= {floor:g}", "using the default")
+    return None
 
 
 def _schedule(env) -> str:
@@ -136,17 +127,10 @@ def _from_env(env) -> Config:
         threads=threads if threads > 0 else None,
         schedule=_schedule(env),
         catalog=get("PYGB_CATALOG") or None,
-        compile_jobs=_count(env, "PYGB_COMPILE_JOBS", Config.compile_jobs),
         compile_timeout=compile_timeout if compile_timeout > 0 else None,
-        jit_retries=max(1, _quiet(env, "PYGB_JIT_RETRIES", int, Config.jit_retries)),
-        jit_strict=_switch(env, "PYGB_JIT_STRICT", False),
-        op_timeout=_seconds(env, "PYGB_OP_TIMEOUT", None, "seconds > 0", "ignoring"),
         fault=get("PYGB_FAULT", ""),
         fault_sleep=_quiet(env, "PYGB_FAULT_SLEEP", float, Config.fault_sleep),
-        request_timeout=_seconds(env, "PYGB_REQUEST_TIMEOUT", None, "number >= 1e-09",
-                                 "using the default", floor=1e-9),
-        batch_max=_count(env, "PYGB_BATCH_MAX", Config.batch_max),
-        serve_workers=_count(env, "PYGB_SERVE_WORKERS", Config.serve_workers),
+        request_timeout=_seconds(env, "PYGB_REQUEST_TIMEOUT", floor=1e-9),
         service_max_line=_count(env, "PYGB_SERVICE_MAX_LINE", Config.service_max_line,
                                 "bytes >= 1"),
         trace=get("PYGB_TRACE", "").strip(),

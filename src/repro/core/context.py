@@ -121,24 +121,22 @@ _ENGINE_DEGRADATION = {"cpp": "pyjit"}
 def make_env_engine(name: str):
     """``make_engine(name)`` for an engine the environment chose: when it
     is unavailable on this machine (no C++ toolchain) the next engine
-    down is made instead, with a warning rather than a failure —
-    unless ``PYGB_JIT_STRICT`` is set."""
+    down is made instead, with a :class:`JitFallbackWarning` rather than
+    a failure (an ``"error"`` warnings filter makes that warning raise)."""
     from ..exceptions import BackendUnavailable, JitFallbackWarning
-    from ..jit.health import jit_strict
     from .dispatch import make_engine
 
     try:
         return make_engine(name)
     except BackendUnavailable as exc:
         fallback = _ENGINE_DEGRADATION.get(name)
-        if fallback is None or jit_strict():
+        if fallback is None:
             raise
         import warnings
 
         warnings.warn(
             f"pygb: $PYGB_BACKEND={name} is unavailable ({exc}); "
-            f"using the {fallback} engine instead "
-            "(set PYGB_JIT_STRICT=1 to raise)",
+            f"using the {fallback} engine instead",
             JitFallbackWarning,
             stacklevel=3,
         )

@@ -174,10 +174,9 @@ class ResilientEngine:
     :class:`KernelExecutionError` on one engine is retried verbatim on
     the next; the per-spec circuit breaker lives below, in the engines'
     module-retrieval step, so retries after the first failure skip the
-    doomed compile entirely.  ``$PYGB_JIT_STRICT=1`` bypasses this
-    wrapper (``make_engine`` returns the bare engine).  With no fault
-    rule armed a dispatch is the loop's first iteration: one attribute
-    test and the primary engine's method.
+    doomed compile entirely.  With no fault rule armed a dispatch is the
+    loop's first iteration: one attribute test and the primary engine's
+    method.
 
     The ``kernel_fail`` and ``slow_kernel`` runtime faults hook in here,
     per engine attempt — inside the chain loop, so an injected crash on
@@ -251,34 +250,29 @@ def make_engine(name: str):
 
     Every engine comes wrapped, outermost, in the runtime-guardrail layer
     (:class:`~repro.guard.GuardedEngine`, inert until a
-    ``gb.deadline(...)`` scope or ``$PYGB_OP_TIMEOUT`` arms it) — with
-    tracing on, the full stack is ``Tracing(Guard(Resilient(jit)))``.
-    The wrapper stays outside the per-dispatch hot path the overhead
-    guards measure.  The JIT engines additionally sit in the
-    :class:`ResilientEngine` fallback chain unless ``$PYGB_JIT_STRICT``
-    is set; ``cpp`` still raises :class:`BackendUnavailable` **eagerly**
-    when no compiler exists — an explicitly requested engine that can
-    never work is a configuration error, not a degradation case.
+    ``gb.deadline(...)`` scope arms it) — with tracing on, the full stack
+    is ``Tracing(Guard(Resilient(jit)))``.  The wrapper stays outside the
+    per-dispatch hot path the overhead guards measure.  The JIT engines
+    additionally sit in the :class:`ResilientEngine` fallback chain, whose
+    degradations warn with :class:`~repro.exceptions.JitFallbackWarning`
+    (a warnings filter set to ``"error"`` makes them raise); ``cpp`` still
+    raises :class:`BackendUnavailable` **eagerly** when no compiler
+    exists — an explicitly requested engine that can never work is a
+    configuration error, not a degradation case.
     """
     from ..guard import GuardedEngine
-    from ..jit.health import jit_strict
 
     if name == "interpreted":
         return GuardedEngine(InterpretedEngine())
     if name == "pyjit":
         from ..jit.pyengine import PyJitEngine
 
-        engine = PyJitEngine()
-        if jit_strict():
-            return GuardedEngine(engine)
-        return GuardedEngine(ResilientEngine([engine, InterpretedEngine()]))
+        return GuardedEngine(ResilientEngine([PyJitEngine(), InterpretedEngine()]))
     if name == "cpp":
         from ..jit.cppengine import CppJitEngine
         from ..jit.pyengine import PyJitEngine
 
         engine = CppJitEngine()
-        if jit_strict():
-            return GuardedEngine(engine)
         return GuardedEngine(
             ResilientEngine([engine, PyJitEngine(engine.cache), InterpretedEngine()])
         )

@@ -82,8 +82,8 @@ class _GuardrailError(GraphBLASError):
 
 
 class OperationTimeout(_GuardrailError):
-    """An operation exceeded its deadline budget (``gb.deadline(...)``
-    scope or ``$PYGB_OP_TIMEOUT``).  Catchable: the process stays
+    """An operation exceeded the budget of its ``gb.deadline(...)``
+    scope.  Catchable: the process stays
     functional — worker pools stay clean, and the next operation starts
     from a fresh budget."""
 
@@ -106,5 +106,5 @@ class JitFallbackWarning(UserWarning):
     """The JIT runtime degraded gracefully: a compile/load failure sent a
     kernel to the next engine in the fallback chain, or the cache
     relocated to a temporary directory.  The program keeps running on a
-    slower-but-correct path; set ``PYGB_JIT_STRICT=1`` to turn these
-    situations back into hard errors."""
+    slower-but-correct path.  ``warnings.simplefilter("error",
+    JitFallbackWarning)`` turns these situations into hard errors."""

@@ -8,9 +8,9 @@ fail a single operation, never wedge the process.
 The engine stack is ``Tracing(Guard(Resilient(...)))``:
 
 * :class:`GuardedEngine` wraps every dispatch method.  With no deadline
-  scope active and no ``$PYGB_OP_TIMEOUT`` set, the wrapper is a single
-  predicated branch (the same zero-cost-when-off contract as ``obs``,
-  held to <=2% by ``benchmarks/check_guard_overhead.py``).
+  scope active the wrapper is a single predicated branch (the same
+  zero-cost-when-off contract as ``obs``, held to <=2% by
+  ``benchmarks/check_guard_overhead.py``).
 * ``with gb.deadline(seconds=...)`` establishes a per-scope budget
   (scopes nest; the effective deadline is the minimum).  A lazy watchdog
   thread arms one timer per guarded op; expiry flips the cooperative
@@ -41,7 +41,6 @@ from .exceptions import OperationCancelled, OperationTimeout
 __all__ = [
     "deadline",
     "current_scope",
-    "op_timeout",
     "check_cancelled",
     "cooperative_sleep",
     "GuardedEngine",
@@ -60,14 +59,8 @@ _ACTIVE = 0
 
 
 # ----------------------------------------------------------------------
-# configuration knobs
+# the chaos harness's one knob
 # ----------------------------------------------------------------------
-
-
-def op_timeout() -> float | None:
-    """The per-operation budget from ``$PYGB_OP_TIMEOUT`` in seconds, or
-    ``None`` when unset/falsey."""
-    return _config().op_timeout
 
 
 def fault_sleep_seconds() -> float:
@@ -175,18 +168,16 @@ class _OpGuard:
     :func:`check_cancelled` consults."""
 
     __slots__ = (
-        "op", "engine", "scope", "event", "deadline_at", "from_scope",
-        "budget", "t0", "done", "fired",
+        "op", "engine", "scope", "event", "deadline_at", "budget", "t0", "done", "fired",
     )
 
-    def __init__(self, op, engine, scope, deadline_at, from_scope, budget, t0):
+    def __init__(self, op, engine, scope, t0):
         self.op = op
         self.engine = engine
         self.scope = scope
         self.event = threading.Event()
-        self.deadline_at = deadline_at
-        self.from_scope = from_scope
-        self.budget = budget
+        self.deadline_at = scope.deadline_at
+        self.budget = scope.seconds
         self.t0 = t0
         self.done = False
         self.fired = False
@@ -252,8 +243,7 @@ def _fire(og: _OpGuard) -> None:
     """Deadline expiry: flip every cooperative cancellation signal the
     running op might be watching."""
     og.fired = True
-    if og.from_scope and og.scope is not None:
-        og.scope.expired = True
+    og.scope.expired = True
     og.event.set()
     _assert_cancel(og)
 
@@ -269,7 +259,7 @@ def check_cancelled() -> None:
     if og is None or og.done:
         return
     scope = og.scope
-    if scope is not None and scope.cancelled:
+    if scope.cancelled:
         raise OperationCancelled(
             f"operation {og.op!r} cancelled",
             op=og.op, engine=og.engine, elapsed=time.monotonic() - og.t0,
@@ -280,8 +270,7 @@ def check_cancelled() -> None:
         # mark the expiry so the guard wrapper converts this to
         # OperationTimeout even if the watchdog has not fired yet
         og.fired = True
-        if og.from_scope and scope is not None:
-            scope.expired = True
+        scope.expired = True
         raise OperationCancelled(
             f"operation {og.op!r} cancelled (deadline reached)",
             op=og.op, engine=og.engine, elapsed=time.monotonic() - og.t0,
@@ -430,36 +419,24 @@ def _dispatch_methods():
     return _METHODS
 
 
-def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
+def _run_guarded(op, engine_name, scope, method, args, kwargs):
     now = time.monotonic()
-    deadline_at = None
-    from_scope = False
-    budget = None
-    if scope is not None:
-        if scope.cancelled:
-            _note_cancel(op, engine_name, 0.0)
-            raise OperationCancelled(
-                f"operation {op!r} cancelled before it started "
-                "(enclosing deadline scope was cancelled)",
-                op=op, engine=engine_name, elapsed=0.0,
-            )
-        if scope.deadline_at is not None:
-            deadline_at = scope.deadline_at
-            from_scope = True
-            budget = scope.seconds
-    if timeout is not None and (deadline_at is None or now + timeout < deadline_at):
-        deadline_at = now + timeout
-        from_scope = False
-        budget = timeout
+    if scope.cancelled:
+        _note_cancel(op, engine_name, 0.0)
+        raise OperationCancelled(
+            f"operation {op!r} cancelled before it started "
+            "(enclosing deadline scope was cancelled)",
+            op=op, engine=engine_name, elapsed=0.0,
+        )
+    og = _OpGuard(op, engine_name, scope, now)
+    deadline_at, budget = og.deadline_at, og.budget
     if deadline_at is not None and now >= deadline_at:
-        if from_scope:
-            scope.expired = True
+        scope.expired = True
         _note_timeout(op, engine_name, 0.0, budget)
         raise OperationTimeout(
             f"operation {op!r} not started: deadline budget already exhausted",
             op=op, engine=engine_name, elapsed=0.0, budget=budget,
         )
-    og = _OpGuard(op, engine_name, scope, deadline_at, from_scope, budget, now)
     _WATCHDOG.arm(og)
     prev = getattr(_TLS, "op_guard", None)
     try:
@@ -470,7 +447,7 @@ def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
             _TLS.op_guard = prev
     except OperationCancelled as exc:
         elapsed = time.monotonic() - og.t0
-        if og.fired or (scope is not None and scope.expired):
+        if og.fired or scope.expired:
             _note_timeout(op, engine_name, elapsed, budget)
             raise OperationTimeout(
                 f"operation {op!r} on engine {engine_name!r} exceeded its "
@@ -488,8 +465,7 @@ def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
     if og.fired or (deadline_at is not None and time.monotonic() >= deadline_at):
         # the kernel finished, but past its budget: the result is
         # discarded so deadline semantics stay deterministic for callers
-        if from_scope:
-            scope.expired = True
+        scope.expired = True
         _note_timeout(op, engine_name, elapsed, budget)
         raise OperationTimeout(
             f"operation {op!r} on engine {engine_name!r} finished after its "
@@ -497,7 +473,7 @@ def _run_guarded(op, engine_name, scope, timeout, method, args, kwargs):
             "result discarded",
             op=op, engine=engine_name, elapsed=elapsed, budget=budget,
         )
-    if scope is not None and scope.cancelled:
+    if scope.cancelled:
         _note_cancel(op, engine_name, elapsed)
         raise OperationCancelled(
             f"operation {op!r} cancelled",
@@ -510,10 +486,9 @@ class GuardedEngine:
     """Deadline/cancellation wrapper around the engine stack.
 
     Dispatch methods are wrapped lazily (first use) and the wrapper is
-    cached on the instance; each call looks at the thread's scope stack
-    and the configuration snapshot, so guards engage mid-program.  With
-    neither armed, the wrapper costs one thread-local read, one global
-    read and the call it bound."""
+    cached on the instance; each call looks at the thread's scope stack,
+    so guards engage mid-program.  With no scope open, the wrapper costs
+    one thread-local read and the call it bound."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -534,13 +509,9 @@ class GuardedEngine:
 
         def guarded(*args, __method=value, __op=attr, __inner=inner, **kwargs):
             scopes = getattr(_TLS, "scopes", None)
-            timeout = _config().op_timeout
-            if not scopes and timeout is None:
+            if not scopes:
                 return __method(*args, **kwargs)
-            return _run_guarded(
-                __op, __inner.name, scopes[-1] if scopes else None, timeout,
-                __method, args, kwargs,
-            )
+            return _run_guarded(__op, __inner.name, scopes[-1], __method, args, kwargs)
 
         guarded.__name__ = attr
         guarded.__qualname__ = f"GuardedEngine.{attr}"

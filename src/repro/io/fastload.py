@@ -128,7 +128,6 @@ def _loader():
         return _lib
     from ..exceptions import CompilationError, JitFallbackWarning
     from ..jit.cppengine import CppJitEngine, compiler_available
-    from ..jit.health import jit_strict
 
     if not compiler_available():
         _lib_failed = True
@@ -143,14 +142,11 @@ def _loader():
     except (CompilationError, OSError) as exc:
         # the loader is an optimisation, not a capability: a compiler that
         # fails (or a .so that won't load) degrades to the Python reader
-        if jit_strict():
-            raise
         _lib_failed = True
         default_cache().note_jit_failure()
         warnings.warn(
             "pygb: C++ fast MatrixMarket loader unavailable "
-            f"({str(exc).splitlines()[0][:200]}); using the pure-Python "
-            "reader (set PYGB_JIT_STRICT=1 to raise instead)",
+            f"({str(exc).splitlines()[0][:200]}); using the pure-Python reader",
             JitFallbackWarning,
             stacklevel=3,
         )

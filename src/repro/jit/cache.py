@@ -56,7 +56,7 @@ __all__ = [
     "cache_statistics",
     "clear_memory_cache",
     "reset_default_cache",
-    "default_compile_jobs",
+    "DEFAULT_COMPILE_JOBS",
     "CACHE_FORMAT_VERSION",
 ]
 
@@ -71,13 +71,10 @@ _FORMAT_STAMP = "CACHE_FORMAT"
 _TMP_GRACE_SECONDS = 3600.0
 
 
-def default_compile_jobs() -> int:
-    """Worker count for parallel compilation: ``$PYGB_COMPILE_JOBS``, else
-    a small multiple of the core count (``g++`` is subprocess-bound, so a
-    little oversubscription hides process-spawn latency).  An unparseable
-    or non-positive value warns where it is parsed and falls back to the
-    default — ``0`` means "you pick", not "one worker"."""
-    return _config().compile_jobs
+#: worker count for parallel compilation when the caller names none: a
+#: small multiple of the core count (``g++`` is subprocess-bound, so a
+#: little oversubscription hides process-spawn latency)
+DEFAULT_COMPILE_JOBS = max(2, min(8, 2 * (os.cpu_count() or 1)))
 
 
 @dataclass
@@ -551,8 +548,9 @@ class JitCache:
         tuples — the same arguments :meth:`get_module` takes.  Each job
         runs through the normal lookup (so warm artifacts are hits, not
         rebuilds) on a thread pool; per-spec locking means distinct specs
-        really do compile in parallel.  Failures are collected, not
-        raised.  Returns a report dict.
+        really do compile in parallel; *max_workers* sizes the pool
+        (``None`` or below 1: :data:`DEFAULT_COMPILE_JOBS`).  Failures are
+        collected, not raised.  Returns a report dict.
 
         The report counts the outcome of each *submitted job* — not
         global-counter deltas, which concurrent foreground dispatch on
@@ -565,7 +563,7 @@ class JitCache:
             "catalog": "catalog_hits",
         }
         jobs = list(jobs)
-        workers = max_workers if max_workers else default_compile_jobs()
+        workers = max_workers if max_workers and max_workers > 0 else DEFAULT_COMPILE_JOBS
         workers = max(1, min(workers, len(jobs)) if jobs else 1)
         counts = {k: 0 for k in outcome_keys.values()}
         failed: list[tuple[str, str]] = []

@@ -4,17 +4,17 @@ A spec whose compile or load fails is *quarantined*: the engine refuses
 to re-attempt the build until an exponential-backoff window expires, so
 a hot loop dispatching the same broken kernel thousands of times pays
 for exactly one doomed ``g++`` run per window instead of one per call.
-After ``$PYGB_JIT_RETRIES`` failed attempts (default 3) the quarantine
-becomes permanent for the life of the process.
+After ``DEFAULT_RETRIES`` failed attempts (``EngineHealth(retries=)``
+sets another count) the quarantine becomes permanent for the life of
+the process.
 
 The registry lives on each :class:`~repro.jit.cache.JitCache` (shared by
 the engines that share the cache) and is surfaced by
 ``python -m repro doctor``.
 
-``$PYGB_JIT_STRICT=1`` restores the pre-resilience behaviour: failures
-are still recorded for diagnostics, but nothing is quarantined, no
-fallback warning is emitted, and the dispatch layer lets the original
-exception propagate.
+The first failure of each spec emits one :class:`JitFallbackWarning`; a
+caller that wants JIT failures to raise instead turns that warning into
+an error (``warnings.simplefilter("error", JitFallbackWarning)``).
 """
 
 from __future__ import annotations
@@ -24,31 +24,16 @@ import threading
 import time
 import warnings
 
-from ..config import Config, current as _config
 from ..exceptions import JitFallbackWarning, KernelQuarantined
 
 __all__ = [
     "EngineHealth",
-    "jit_retries",
-    "jit_strict",
     "DEFAULT_RETRIES",
     "DEFAULT_BACKOFF_SECONDS",
 ]
 
-DEFAULT_RETRIES = Config.jit_retries
+DEFAULT_RETRIES = 3  # build attempts per spec before its quarantine is permanent
 DEFAULT_BACKOFF_SECONDS = 0.5  # doubles after every failed retry
-
-
-def jit_strict() -> bool:
-    """The ``$PYGB_JIT_STRICT`` switch: raise on JIT failure instead of
-    degrading down the engine chain."""
-    return _config().jit_strict
-
-
-def jit_retries() -> int:
-    """Build attempts per spec before its quarantine becomes permanent
-    (``$PYGB_JIT_RETRIES``, default 3)."""
-    return _config().jit_retries
 
 
 class _SpecHealth:
@@ -65,7 +50,7 @@ class _SpecHealth:
 class EngineHealth:
     """Failure counters and quarantine state keyed by ``(engine, spec key)``."""
 
-    def __init__(self, retries: int | None = None,
+    def __init__(self, retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF_SECONDS, *, on_failure=None):
         #: called (no arguments) after every recorded failure, so the
         #: owner can invalidate whatever it bound to a now-suspect spec
@@ -75,14 +60,11 @@ class EngineHealth:
         self._retries = retries
         self._backoff = backoff
 
-    def _max_attempts(self) -> int:
-        return self._retries if self._retries is not None else jit_retries()
-
     # ------------------------------------------------------------------
     def check(self, engine: str, key: str) -> None:
         """Raise :class:`KernelQuarantined` when *key* is circuit-broken
-        on *engine*; cheap no-op for healthy specs (and in strict mode)."""
-        if not self._records or jit_strict():
+        on *engine*; cheap no-op for healthy specs."""
+        if not self._records:
             return
         with self._lock:
             rec = self._records.get((engine, key))
@@ -98,37 +80,33 @@ class EngineHealth:
     def record_failure(self, engine: str, key: str, error: BaseException) -> bool:
         """Record a compile/load failure; returns True when the spec just
         entered quarantine for the first time (one warning per spec)."""
-        strict = jit_strict()
         with self._lock:
             rec = self._records.setdefault((engine, key), _SpecHealth())
             rec.failures += 1
             rec.attempts += 1
             rec.last_error = str(error) or type(error).__name__
-            if not strict:
-                if rec.attempts >= self._max_attempts():
-                    rec.quarantined_until = math.inf
-                else:
-                    rec.quarantined_until = time.monotonic() + (
-                        self._backoff * 2 ** (rec.attempts - 1)
-                    )
-            newly = not rec.warned and not strict
-            rec.warned = rec.warned or newly
+            if rec.attempts >= self._retries:
+                rec.quarantined_until = math.inf
+            else:
+                rec.quarantined_until = time.monotonic() + (
+                    self._backoff * 2 ** (rec.attempts - 1)
+                )
+            newly = not rec.warned
+            rec.warned = True
         if self._on_failure is not None:
             self._on_failure()
-        if not strict:
-            from .. import obs
+        from .. import obs
 
-            if obs.ACTIVE:
-                obs.record_event(
-                    "quarantine", "cache", engine=engine, spec=key,
-                    failures=rec.failures,
-                )
+        if obs.ACTIVE:
+            obs.record_event(
+                "quarantine", "cache", engine=engine, spec=key,
+                failures=rec.failures,
+            )
         if newly:
             warnings.warn(
                 f"pygb: {engine} JIT failed for {key} "
                 f"({rec.last_error.splitlines()[0][:200]}); quarantined, "
-                "executing on the next engine in the fallback chain "
-                "(set PYGB_JIT_STRICT=1 to raise instead)",
+                "executing on the next engine in the fallback chain",
                 JitFallbackWarning,
                 stacklevel=3,
             )

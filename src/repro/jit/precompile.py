@@ -51,7 +51,6 @@ def algorithm_module_specs(parallel: bool = False) -> list[KernelSpec]:
 def warm_cache(
     cache: JitCache | None = None,
     parallel: bool | None = None,
-    include_algorithm_modules: bool = True,
     max_workers: int | None = None,
 ) -> dict:
     """Pre-build the algorithm kernel set with concurrent g++ jobs.
@@ -74,12 +73,10 @@ def warm_cache(
     jobs = [
         (spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
         for spec in algorithm_kernel_specs(parallel)
+    ] + [
+        (spec, generate_algorithm_source, ".cpp", engine.compiler_for(spec))
+        for spec in algorithm_module_specs(parallel)
     ]
-    if include_algorithm_modules:
-        jobs += [
-            (spec, generate_algorithm_source, ".cpp", engine.compiler_for(spec))
-            for spec in algorithm_module_specs(parallel)
-        ]
     report = cache.precompile(jobs, max_workers=max_workers)
     # failed specs are recorded against the cpp engine's health up front,
     # so a later algorithm run skips straight to the fallback chain (and

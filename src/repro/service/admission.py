@@ -5,7 +5,7 @@ Every validated ``run`` request joins the group of its
 groups queue in arrival order and the worker threads pull from that
 queue.  A free worker takes the oldest group at once — an idle server
 adds no wait; while all are busy, compatible requests accumulate and
-the next free worker takes up to ``$PYGB_BATCH_MAX`` of them, the rest
+the next free worker takes up to ``max_batch`` of them, the rest
 going to the back so a hot key cannot starve the others.  No timer: a
 batch is what queued while the workers were occupied, run as **one**:
 
@@ -50,8 +50,8 @@ from .registry import GraphRegistry
 __all__ = [
     "AdmissionController",
     "request_timeout",
-    "batch_max",
-    "serve_workers",
+    "DEFAULT_MAX_BATCH",
+    "DEFAULT_WORKERS",
     "serve_engine",
     "solo_reference",
     "run_requests",
@@ -64,15 +64,11 @@ def request_timeout() -> float | None:
     return _config().request_timeout
 
 
-def batch_max() -> int:
-    """Most requests one batch takes (``$PYGB_BATCH_MAX``, default 16)."""
-    return _config().batch_max
-
-
-def serve_workers() -> int:
-    """Worker threads executing admitted batches (``$PYGB_SERVE_WORKERS``,
-    default 2)."""
-    return _config().serve_workers
+#: most requests one batch takes; what is left of a larger group queues
+#: behind the other waiting groups
+DEFAULT_MAX_BATCH = 16
+#: worker threads executing admitted batches
+DEFAULT_WORKERS = 2
 
 
 def serve_engine(name: str | None = None) -> str:
@@ -230,23 +226,23 @@ class AdmissionController:
     def __init__(
         self,
         registry: GraphRegistry,
-        max_batch: int | None = None,
-        workers: int | None = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        workers: int = DEFAULT_WORKERS,
         engine: str | None = None,
     ):
         from ..core.dispatch import make_engine
 
         self.registry = registry
-        count = workers if workers is not None else serve_workers()
         name = serve_engine(engine)
         # made here, so an engine that cannot exist fails the caller: an
         # explicit one raises, one the environment chose degrades
         make = make_engine if engine is not None else make_env_engine
         #: one engine per worker thread
-        self.engines = [make(name) for _ in range(count)]
+        self.engines = [make(name) for _ in range(workers)]
         #: what the workers execute on (``health`` reports it)
         self.engine: str = self.engines[0].name
-        self._max_batch = max_batch
+        #: most requests one batch takes
+        self.max_batch = max_batch
         self._cond = threading.Condition()
         #: dict order is queue order: a key enters at the back
         self._groups: dict[tuple, _Group] = {}
@@ -260,10 +256,6 @@ class AdmissionController:
         ]
         for worker in self._workers:
             worker.start()
-
-    def max_batch(self) -> int:
-        """The constructor override, else ``$PYGB_BATCH_MAX``."""
-        return self._max_batch if self._max_batch is not None else batch_max()
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -358,7 +350,7 @@ class AdmissionController:
                     self._cond.wait()
                 key = next(iter(self._groups))  # the oldest group
                 group = self._groups.pop(key)
-                cap = self.max_batch()
+                cap = self.max_batch
                 batch = group.pendings[:cap]
                 if len(group.pendings) > cap:
                     # the rest queues behind the keys already waiting

@@ -29,6 +29,7 @@ queue is guaranteed well-formed, so the execution path never parses.
 from __future__ import annotations
 
 import json
+import math
 
 from ..config import Config, current as _config
 
@@ -116,10 +117,17 @@ def _validate_params(algorithm: str, raw) -> dict:
             raise ProtocolError(
                 "bad-params", f"unknown parameter {key!r} for {algorithm}"
             )
-        caster = allowed[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError("bad-params", f"parameter {key!r} must be a number")
-        out[key] = caster(value)
+        try:
+            # json reads Infinity and NaN, and an int may not fit a float
+            out[key] = allowed[key](value)
+            if not math.isfinite(out[key]):
+                raise ValueError
+        except (OverflowError, ValueError):
+            raise ProtocolError(
+                "bad-params", f"parameter {key!r} must be a finite number"
+            ) from None
     return out
 
 

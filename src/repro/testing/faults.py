@@ -35,7 +35,7 @@ Supported kinds and their hook points:
                     "crashed"), exercising the execution fallback chain
 ``slow_kernel``     the dispatch stalls for ``$PYGB_FAULT_SLEEP`` (50ms
                     default) via an interruptible sleep, tripping
-                    ``gb.deadline`` / ``PYGB_OP_TIMEOUT`` for real
+                    ``gb.deadline`` for real
 ================== ====================================================
 
 The two runtime kinds (``kernel_fail``, ``slow_kernel``) sit on hot

@@ -15,7 +15,6 @@ from .backend.smatrix import SparseMatrix
 from .core.context import current_raw_engine
 from .core.matrix import Matrix
 from .exceptions import CompilationError
-from .jit.health import jit_strict
 
 __all__ = ["normalize_rows", "normalize_cols", "normalized_rows"]
 
@@ -33,8 +32,6 @@ def normalized_rows(store: SparseMatrix) -> SparseMatrix:
             # the kernel is an optimisation, not a capability: the engine's
             # health layer has warned once (JitFallbackWarning) and
             # quarantines the spec, so later calls come straight here
-            if jit_strict():
-                raise
             engine.cache.note_fallback()
     return normalize.normalize_rows(store)
 

@@ -267,9 +267,10 @@ class TestCapAndFairness:
         ]
         assert [a["result"]["source"] for a in answers[1:11]] == list(range(10))
 
-    def test_cap_comes_from_the_environment(self, controller, gate, monkeypatch):
-        monkeypatch.setenv("PYGB_BATCH_MAX", "2")
-        ctl = controller(workers=1)
+    def test_cap_comes_from_the_environment(self, controller, gate):
+        """The cap is the constructor's ``max_batch`` (``DEFAULT_MAX_BATCH``
+        when the caller names none)."""
+        ctl = controller(workers=1, max_batch=2)
         blockers = occupy(ctl, gate, 1)
         queued = [ctl.submit(req("bfs", s)) for s in range(3)]
         gate.finish(3)

@@ -1,7 +1,7 @@
 """AOT kernel catalog tests: baking, the catalog lookup tier, wholesale
 version rejection vs per-entry checksum fall-through, read-only packs —
 plus regression tests for the cache bugs the catalog work exposed
-(key-lock leak, precompile report inflation, $PYGB_COMPILE_JOBS parsing)
+(key-lock leak, precompile report inflation, the precompile pool size)
 and the cross-process compile race.
 
 Everything here bakes the ``.py`` kernel flavour only, so the tests run
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import CatalogError, JitFallbackWarning
-from repro.jit.cache import JitCache, default_compile_jobs
+from repro.jit.cache import DEFAULT_COMPILE_JOBS, JitCache
 from repro.jit.catalog import (
     CATALOG_FILENAME,
     KernelCatalog,
@@ -334,26 +334,30 @@ def test_precompile_reports_catalog_hits(tmp_path):
     assert report["compiled"] == 0
 
 
-@pytest.mark.filterwarnings("ignore:pygb. bad")  # monkeypatch's undo passes back through them
-def test_compile_jobs_env_rejects_garbage(monkeypatch):
-    """Regression: an unparseable $PYGB_COMPILE_JOBS was silently
-    swallowed and 0/negative clamped to one worker; now it warns once,
-    where the configuration is parsed, and uses the default."""
-    default = max(2, min(8, 2 * (os.cpu_count() or 1)))
-    for bad in ("banana", "0", "-3"):
-        with pytest.warns(UserWarning, match="bad \\$PYGB_COMPILE_JOBS"):
-            monkeypatch.setenv("PYGB_COMPILE_JOBS", bad)
-        # ... and not again on use
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_compile_jobs() == default
+def _fake_jobs(n):
+    def generate(spec):
+        return "source\n"
+
+    def compiler(src_path, out_path):
+        out_path.write_text("binary")
+
+    return [(KernelSpec.make("fake", variant=i), generate, ".cpp", compiler) for i in range(n)]
 
 
-def test_compile_jobs_env_valid_value(monkeypatch):
-    monkeypatch.setenv("PYGB_COMPILE_JOBS", "5")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert default_compile_jobs() == 5
+def test_compile_jobs_env_rejects_garbage(tmp_path):
+    """Regression: a pool size below 1 was clamped to one worker; with
+    no size, or one below 1, ``precompile`` runs the default pool, twice
+    the core count from 2 to 8."""
+    assert DEFAULT_COMPILE_JOBS == max(2, min(8, 2 * (os.cpu_count() or 1)))
+    for k, bad in enumerate((None, 0, -3)):
+        report = JitCache(tmp_path / str(k)).precompile(_fake_jobs(12), max_workers=bad)
+        assert report["jobs"] == DEFAULT_COMPILE_JOBS
+        assert report["compiled"] == 12
+
+
+def test_compile_jobs_env_valid_value(tmp_path):
+    report = JitCache(tmp_path).precompile(_fake_jobs(12), max_workers=5)
+    assert (report["jobs"], report["compiled"]) == (5, 12)
 
 
 # ----------------------------------------------------------------------

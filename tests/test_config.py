@@ -34,17 +34,13 @@ from repro.core.dispatch import (
     ResilientEngine,
     make_engine,
 )
-from repro.exceptions import KernelExecutionError
-from repro.jit.cache import default_compile_jobs
+from repro.exceptions import JitFallbackWarning, KernelExecutionError
 from repro.jit.cppengine import compile_timeout, toolchain_works
-from repro.jit.health import jit_retries, jit_strict
 from repro.jit.pyengine import PyJitEngine
-from repro.service.admission import batch_max, request_timeout, serve_workers
+from repro.service.admission import request_timeout
 from repro.service.protocol import max_line_bytes
 from repro.testing.faults import FAULTS, fault_injection
 
-CPUS = os.cpu_count() or 1
-JOBS = max(2, min(8, 2 * CPUS))
 UNSET = None
 
 #: variable, Config field, {raw value: what the old reader returned}, and
@@ -60,20 +56,12 @@ PARSE_TABLE = [
      {UNSET: "auto", "": "auto", "auto": "auto", "fixed": "fixed", "dense": "fixed",
       "0": "fixed", "no": "fixed", "push": "push", " PULL ": "pull"}, ("sideways",)),
     ("PYGB_CATALOG", "catalog", {UNSET: None, "": None, "/tmp/pack": "/tmp/pack"}, ()),
-    ("PYGB_COMPILE_JOBS", "compile_jobs", {UNSET: JOBS, "5": 5}, ("banana", "0", "-3")),
     ("PYGB_COMPILE_TIMEOUT", "compile_timeout",
      {UNSET: 120.0, "": 120.0, "7.5": 7.5, "0": None, "-1": None, "junk": 120.0}, ()),
-    ("PYGB_JIT_RETRIES", "jit_retries", {UNSET: 3, "7": 7, "0": 1, "junk": 3}, ()),
-    ("PYGB_JIT_STRICT", "jit_strict",
-     {UNSET: False, "": False, "1": True, "yes": True, "0": False, "off": False}, ()),
-    ("PYGB_OP_TIMEOUT", "op_timeout",
-     {UNSET: None, "": None, "0": None, "off": None, "0.25": 0.25, "-1": None}, ("banana",)),
     ("PYGB_FAULT", "fault", {UNSET: "", "kernel_fail:0.5": "kernel_fail:0.5"}, ()),
     ("PYGB_FAULT_SLEEP", "fault_sleep", {UNSET: 0.05, "": 0.05, "10": 10.0, "junk": 0.05}, ()),
     ("PYGB_REQUEST_TIMEOUT", "request_timeout",
      {UNSET: None, "": None, "0": None, "off": None, "2.5": 2.5}, ("banana", "-1", "1e-12")),
-    ("PYGB_BATCH_MAX", "batch_max", {UNSET: 16, "": 16, "2": 2}, ("banana", "0")),
-    ("PYGB_SERVE_WORKERS", "serve_workers", {UNSET: 2, "4": 4}, ("banana", "-1")),
     ("PYGB_SERVICE_MAX_LINE", "service_max_line", {UNSET: 1 << 20, "256": 256}, ("banana", "0")),
     ("PYGB_TRACE", "trace", {UNSET: "", " log ": "log", "chrome:/tmp/t.json": "chrome:/tmp/t.json"}, ()),
     ("PYGB_STATS", "stats", {UNSET: "", "1": "1", " /tmp/s.json ": "/tmp/s.json"}, ()),
@@ -101,7 +89,7 @@ class TestParsing:
         assert {row[1] for row in PARSE_TABLE} == fields
         with open(Path(__file__).parent.parent / "README.md") as f:
             documented = {line.split("`")[1] for line in f if line.startswith("| `PYGB_")}
-        assert documented <= {row[0] for row in PARSE_TABLE}
+        assert documented == {row[0] for row in PARSE_TABLE}
 
     def test_an_empty_environment_is_the_field_defaults(self):
         assert config._from_env({}) == config.Config()
@@ -112,32 +100,27 @@ class TestParsing:
 
     def test_public_readers_are_reads_of_the_snapshot(self, monkeypatch):
         for variable, raw in {
-            "PYGB_OP_TIMEOUT": "0.25", "PYGB_SCHEDULE": "push",
-            "PYGB_PARALLEL": "0", "PYGB_JIT_STRICT": "1",
-            "PYGB_JIT_RETRIES": "7", "PYGB_COMPILE_TIMEOUT": "7.5", "PYGB_COMPILE_JOBS": "5",
-            "PYGB_REQUEST_TIMEOUT": "2.5", "PYGB_BATCH_MAX": "2", "PYGB_SERVE_WORKERS": "4",
-            "PYGB_SERVICE_MAX_LINE": "256", "PYGB_FAULT_SLEEP": "10",
+            "PYGB_SCHEDULE": "push", "PYGB_PARALLEL": "0", "PYGB_COMPILE_TIMEOUT": "7.5",
+            "PYGB_REQUEST_TIMEOUT": "2.5", "PYGB_SERVICE_MAX_LINE": "256",
+            "PYGB_FAULT_SLEEP": "10",
         }.items():
             monkeypatch.setenv(variable, raw)
-        assert guard.op_timeout() == 0.25
         assert guard.fault_sleep_seconds() == 10.0
         assert schedule.schedule_mode() == "push"
         assert not config.current().parallel
-        assert (jit_strict(), jit_retries()) == (True, 7)
-        assert (compile_timeout(), default_compile_jobs()) == (7.5, 5)
-        assert (request_timeout(), batch_max(), serve_workers()) == (2.5, 2, 4)
+        assert (compile_timeout(), request_timeout()) == (7.5, 2.5)
         assert max_line_bytes() == 256
 
     @pytest.mark.filterwarnings("ignore:pygb. bad")  # monkeypatch's undo passes back through it
     def test_malformed_warns_once_per_reload_not_per_use(self, monkeypatch):
-        with pytest.warns(UserWarning, match="PYGB_BATCH_MAX"):
-            monkeypatch.setenv("PYGB_BATCH_MAX", "banana")
+        with pytest.warns(UserWarning, match="PYGB_SERVICE_MAX_LINE"):
+            monkeypatch.setenv("PYGB_SERVICE_MAX_LINE", "banana")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                assert batch_max() == 16
-                assert config.current().batch_max == 16
-        with pytest.warns(UserWarning, match="PYGB_BATCH_MAX"):
+                assert max_line_bytes() == 1 << 20
+                assert config.current().service_max_line == 1 << 20
+        with pytest.warns(UserWarning, match="PYGB_SERVICE_MAX_LINE"):
             config.reload()
 
     def test_only_reload_parses_again(self, monkeypatch):
@@ -361,17 +344,18 @@ def test_every_dispatch_passes_every_layer_exactly_once(defaults):
 
 @pytest.mark.parametrize("strict", [False, True], ids=["resilient", "strict"])
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_make_engine_is_the_guard_directly_over_the_chain(engine_name, strict, monkeypatch):
-    """``Guard(Resilient(jit))``, or ``Guard(jit)`` under
-    ``PYGB_JIT_STRICT``: no layer sits between the guard and the chain."""
-    monkeypatch.setenv("PYGB_JIT_STRICT", "1" if strict else "0")
-    stack = make_engine(engine_name)
+def test_make_engine_is_the_guard_directly_over_the_chain(engine_name, strict):
+    """``Guard(Resilient(jit))``: no layer sits between the guard and
+    the chain, and a caller who makes ``JitFallbackWarning`` an error
+    (strict) gets the same stack — one shape per engine."""
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error", JitFallbackWarning)
+        stack = make_engine(engine_name)
     assert type(stack) is guard.GuardedEngine
     inner = stack._inner
-    if strict or engine_name == "interpreted":  # the interpreter has nothing to fall back to
-        assert type(inner).__name__ == {
-            "interpreted": "InterpretedEngine", "pyjit": "PyJitEngine", "cpp": "CppJitEngine",
-        }[engine_name]
+    if engine_name == "interpreted":  # the interpreter has nothing to fall back to
+        assert type(inner) is InterpretedEngine
     else:
         assert type(inner) is ResilientEngine
         assert inner.primary.name == engine_name

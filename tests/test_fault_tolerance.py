@@ -2,8 +2,9 @@
 
 Exercises every recovery path the resilience layer promises: compile
 failures and timeouts, corrupt/truncated artifacts, dlopen failures,
-unwritable cache directories, quarantine/backoff semantics, the
-``PYGB_JIT_STRICT`` escape hatch, and the acceptance criterion that a
+unwritable cache directories, quarantine/backoff semantics, strict
+mode (``JitFallbackWarning`` made an error by the warnings filter), and
+the acceptance criterion that a
 machine with a broken compiler still runs every bundled algorithm
 correctly with exactly one warning per quarantined kernel spec.
 """
@@ -31,7 +32,7 @@ from repro.exceptions import (
     KernelQuarantined,
 )
 from repro.jit.cache import CACHE_FORMAT_VERSION, JitCache
-from repro.jit.health import EngineHealth, jit_retries
+from repro.jit.health import DEFAULT_RETRIES, EngineHealth
 from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import KernelSpec
@@ -174,21 +175,29 @@ class TestQuarantine:
         assert health.snapshot()["specs"] == []
         health.check("cpp", "k1")  # healthy again
 
-    def test_retries_env_override(self, monkeypatch):
-        monkeypatch.setenv("PYGB_JIT_RETRIES", "7")
-        assert jit_retries() == 7
-        monkeypatch.setenv("PYGB_JIT_RETRIES", "junk")
-        assert jit_retries() == 3
+    def test_retries_env_override(self):
+        """``EngineHealth(retries=)`` sets the attempts before a spec's
+        quarantine is permanent; the default is ``DEFAULT_RETRIES``."""
+        for health, retries in ((EngineHealth(retries=7, backoff=0.0), 7),
+                                (EngineHealth(backoff=0.0), DEFAULT_RETRIES)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for _ in range(retries - 1):
+                    health.record_failure("cpp", "k1", CompilationError("x"))
+                assert health.snapshot()["specs"][0]["state"] == "retry allowed"
+                health.record_failure("cpp", "k1", CompilationError("x"))
+            assert health.snapshot()["specs"][0]["state"] == "quarantined (permanent)"
+        assert DEFAULT_RETRIES == 3
 
-    def test_strict_mode_records_but_never_quarantines(self, monkeypatch):
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
+    def test_strict_mode_raises_and_still_records(self):
+        """With ``JitFallbackWarning`` an error, the first failure of a
+        spec raises it, and the failure is recorded for ``doctor``."""
         health = EngineHealth(retries=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            health.record_failure("cpp", "k1", CompilationError("x"))
-        assert caught == []  # no fallback warning in strict mode
-        health.check("cpp", "k1")  # and no quarantine
-        assert health.snapshot()["failures"] == 1  # still visible to doctor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", JitFallbackWarning)
+            with pytest.raises(JitFallbackWarning, match="k1"):
+                health.record_failure("cpp", "k1", CompilationError("x"))
+        assert health.snapshot()["failures"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -219,20 +228,18 @@ class TestPyJitFallback:
         assert isinstance(eng._inner, ResilientEngine)
         assert eng.name == "pyjit"  # chain reports the primary's name
 
-    def test_strict_mode_returns_bare_engine(self, monkeypatch):
-        from repro.guard import GuardedEngine
-
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
-        eng = make_engine("pyjit")
-        assert isinstance(eng, GuardedEngine)
-        assert isinstance(eng._inner, PyJitEngine)
-
-    def test_strict_mode_raises_through_dsl(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
-        eng = PyJitEngine(JitCache(tmp_path))
-        with fault_injection("pyjit_fail", rate=1.0):
-            with pytest.raises(CompilationError):
-                eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+    def test_strict_mode_raises_through_dsl(self, tmp_path):
+        """Strict mode is the warnings filter: the chain's degradation
+        raises out of the DSL statement instead of running on the
+        interpreter."""
+        eng = ResilientEngine([PyJitEngine(JitCache(tmp_path)), InterpretedEngine()])
+        u = gb.Vector([1.0, 2.0])
+        with gb.use_engine(eng), fault_injection("pyjit_fail", rate=1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", JitFallbackWarning)
+                with pytest.raises(JitFallbackWarning) as exc_info:
+                    gb.Vector(u + u)
+        assert isinstance(exc_info.value.__context__, CompilationError)
 
 
 # ----------------------------------------------------------------------
@@ -506,14 +513,17 @@ class TestBrokenCompilerAcceptance:
         assert cache.stats.jit_failures == len(quarantined)
         assert cache.stats.fallbacks >= len(quarantined)
 
-    def test_strict_mode_restores_raise(self, tmp_path, monkeypatch):
-        from repro.jit.cppengine import CppJitEngine
-
-        monkeypatch.setenv("PYGB_CXX", "/bin/false")
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
-        eng = CppJitEngine(JitCache(tmp_path))
-        with pytest.raises(CompilationError):
-            eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+    def test_strict_mode_restores_raise(self, broken_chain):
+        """A failing cpp compile under an ``"error"`` filter for
+        ``JitFallbackWarning`` raises out of the chain, with the compile
+        error as its context, instead of falling back."""
+        cache, chain = broken_chain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", JitFallbackWarning)
+            with pytest.raises(JitFallbackWarning) as exc_info:
+                chain.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+        assert isinstance(exc_info.value.__context__, CompilationError)
+        assert cache.stats.fallbacks == 0
 
 
 # ----------------------------------------------------------------------
@@ -588,20 +598,25 @@ class TestEngineDegradation:
         assert len(seen["warnings"]) == 1
 
     def test_env_selected_cpp_strict_raises(self, monkeypatch):
+        """With ``JitFallbackWarning`` an error, an env-selected ``cpp``
+        with no toolchain raises instead of degrading to pyjit."""
         import threading
 
         monkeypatch.setenv("PYGB_BACKEND", "cpp")
         monkeypatch.setenv("PYGB_CXX", "/nonexistent/pygb-no-such-compiler")
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
         errors = []
 
         def worker():
             try:
                 gb.current_backend_engine()
-            except BackendUnavailable as exc:
+            except JitFallbackWarning as exc:
                 errors.append(exc)
 
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
+        with warnings.catch_warnings():  # the filter list is process-wide
+            warnings.simplefilter("error", JitFallbackWarning)
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join(30)
+        assert not t.is_alive()
         assert len(errors) == 1
+        assert isinstance(errors[0].__context__, BackendUnavailable)

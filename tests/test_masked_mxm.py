@@ -15,6 +15,7 @@ order itself is pinned separately with values that do not associate.
 
 import contextlib
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -456,7 +457,8 @@ def test_normalize_rows_source_writes_values_only():
 @pytest.mark.parametrize("strict", [False, True], ids=["fallback", "strict"])
 def test_normalize_rows_survives_a_failing_compiler(tmp_path, monkeypatch, no_faults, strict):
     """A compiler that fails every build leaves the NumPy fold in place
-    with one ``JitFallbackWarning``; ``PYGB_JIT_STRICT`` raises instead."""
+    with one ``JitFallbackWarning``; with that warning an error (strict) the
+    call raises it instead and leaves the matrix as it was."""
     from repro.exceptions import CompilationError, JitFallbackWarning
     from repro.jit.cache import JitCache
     from repro.jit.cppengine import CppJitEngine
@@ -466,16 +468,18 @@ def test_normalize_rows_survives_a_failing_compiler(tmp_path, monkeypatch, no_fa
     bogus.chmod(0o755)
     monkeypatch.delenv("PYGB_CATALOG", raising=False)
     monkeypatch.setenv("PYGB_CXX", str(bogus))
-    if strict:
-        monkeypatch.setenv("PYGB_JIT_STRICT", "1")
     engine = CppJitEngine(JitCache(tmp_path / "cache"))
     m = _fold_input("float64")
     before = m._store
     with gb.use_engine(engine):
         if strict:
-            with pytest.raises(CompilationError):
-                utilities.normalize_rows(m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", JitFallbackWarning)
+                with pytest.raises(JitFallbackWarning) as exc_info:
+                    utilities.normalize_rows(m)
+            assert isinstance(exc_info.value.__context__, CompilationError)
             assert m._store is before
+            assert engine.cache.stats.fallbacks == 0
             return
         with pytest.warns(JitFallbackWarning):
             utilities.normalize_rows(m)

@@ -325,6 +325,29 @@ class TestServerFailures:
                              "source": 0, "id": "tag-1"}])[0]
         assert not resp["ok"] and resp["id"] == "tag-1"
 
+    @pytest.mark.parametrize("param, value", [
+        ("max_iters", "Infinity"), ("max_iters", "NaN"), ("max_iters", "1e400"),
+        ("tol", "NaN"), ("damping", "-Infinity"),
+    ])
+    def test_non_finite_param_is_bad_params_on_a_live_connection(self, server, param, value):
+        """Python's json reads ``Infinity`` and ``NaN``: a non-finite
+        parameter is a structured ``bad-params`` reply that echoes the id,
+        and the connection goes on answering."""
+        line = ('{"op": "run", "graph": "er", "algorithm": "pagerank", "id": "nf", '
+                f'"params": {{"{param}": {value}}}}}\n')
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(line.encode())
+            f.flush()
+            resp = json.loads(f.readline())
+            assert not resp["ok"] and resp["error"]["code"] == "bad-params"
+            assert resp["id"] == "nf"
+            assert param in resp["error"]["message"]
+            f.write(b'{"op": "health"}\n')
+            f.flush()
+            assert json.loads(f.readline())["ok"]
+        assert service.stats()["protocol_errors"] == 1
+
     def test_oversized_line_rejected_then_closed(self, server, monkeypatch):
         monkeypatch.setenv("PYGB_SERVICE_MAX_LINE", "256")
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
