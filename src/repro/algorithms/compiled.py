@@ -1,9 +1,12 @@
 """The compiled whole-algorithm execution versions (paper Sec. VI).
 
 Each function here JIT-compiles the complete algorithm as a single C++
-module (:mod:`~repro.jit.algorithm_codegen`), calls it once, and returns
-``(result, elapsed_ns)`` where ``elapsed_ns`` was measured *inside* the
-C++ code with ``std::chrono``:
+module, calls it once, and returns ``(result, elapsed_ns)`` where
+``elapsed_ns`` was measured *inside* the C++ code with ``std::chrono``.
+BFS and SSSP are k=1 calls of the cpp engine's k-source traversal rows
+(the kernels the graph service runs, so there is one native BFS and one
+native SSSP); PageRank and triangle counting are whole-algorithm modules
+(:mod:`~repro.jit.algorithm_codegen`):
 
 * timing the Python call from outside gives the paper's **version 2**
   (Python calls a complete C++ algorithm — includes the single FFI
@@ -106,33 +109,26 @@ def _take_vec(nnz: int, idx, vals, size: int) -> SparseVector:
     return SparseVector.from_sorted(size, idx[:nnz], vals[:nnz])
 
 
+def _traversal(func: str, graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
+    """A k=1 call of the cpp engine's k-source traversal family: row 0 of
+    the result, and the kernel's own clock (``pygb_kernel_ns``)."""
+    engine = _get_runner()._engine
+    result = getattr(engine, func)(graph, [source])
+    elapsed = engine._kernel(func, (graph.dtype,), ()).kernel_ns()
+    return SparseVector.from_sorted(graph.ncols, result.indices, result.values), elapsed
+
+
 def bfs_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
-    """BFS as one compiled C++ module.  Takes the backend store of the
-    graph; returns ``(levels, elapsed_ns)``."""
-    gt = graph.transposed()
-    lib = _get_runner().lib("algo_bfs", gt.dtype)
-    indptr, indices, values = _csr_ptrs(gt)
-    out_idx, out_vals = _out_buffers(gt.nrows, np.int64)
-    elapsed = c_int64(0)
-    nnz = lib.pygb_run(
-        c_int64(gt.nrows), _ptr(indptr), _ptr(indices), _ptr(values),
-        c_int64(source), _ptr(out_idx), _ptr(out_vals), byref(elapsed),
-    )
-    return _take_vec(nnz, out_idx, out_vals, gt.nrows), elapsed.value
+    """BFS as one compiled C++ call (``bfs_multi`` from one source).
+    Takes the backend store of the graph; returns ``(levels,
+    elapsed_ns)``."""
+    return _traversal("bfs_multi", graph, source)
 
 
 def sssp_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
-    """SSSP (converging variant) as one compiled C++ module."""
-    gt = graph.transposed()
-    lib = _get_runner().lib("algo_sssp", gt.dtype)
-    indptr, indices, values = _csr_ptrs(gt)
-    out_idx, out_vals = _out_buffers(gt.nrows, gt.dtype)
-    elapsed = c_int64(0)
-    nnz = lib.pygb_run(
-        c_int64(gt.nrows), _ptr(indptr), _ptr(indices), _ptr(values),
-        c_int64(source), _ptr(out_idx), _ptr(out_vals), byref(elapsed),
-    )
-    return _take_vec(nnz, out_idx, out_vals, gt.nrows), elapsed.value
+    """SSSP (converging variant) as one compiled C++ call
+    (``sssp_multi`` from one source)."""
+    return _traversal("sssp_multi", graph, source)
 
 
 def pagerank_compiled(

@@ -16,6 +16,12 @@ accumulators act elementwise per row.  So the fused run performs the
 *same* floating-point operations in the *same* order per source, and
 every row is bit-identical to its solo counterpart (asserted by
 ``tests/test_service.py`` and the replay harness).
+
+Each traversal is **one** Engine-interface dispatch (``bfs_multi`` /
+``sssp_multi``, rows of the kernel table): the interpreted and pyjit
+engines run the backend-level reference loop
+(:mod:`repro.backend.kernels.traversal`), the cpp engine the same loop
+generated into one C++ call, during which ctypes releases the GIL.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import core
-from ..core.operators import Accumulator
-from ..core.predefined import LogicalSemiring, MinPlusSemiring
+from ..core.context import current_backend_engine
 from ..exceptions import InvalidValue
-from .bfs import _scheduled
 
 __all__ = ["bfs_levels_multi", "sssp_distances_multi", "matrix_row"]
 
@@ -41,9 +45,13 @@ def _check_sources(sources, n: int) -> list[int]:
     return srcs
 
 
-def bfs_levels_multi(
-    graph: "core.Matrix", sources, schedule: str | None = None
-) -> "core.Matrix":
+def _traverse(method: str, graph: "core.Matrix", sources) -> "core.Matrix":
+    srcs = _check_sources(sources, graph.nrows)
+    engine = current_backend_engine()
+    return core.Matrix(getattr(engine, method)(graph._store, np.asarray(srcs, np.int64)))
+
+
+def bfs_levels_multi(graph: "core.Matrix", sources) -> "core.Matrix":
     """Level-synchronous BFS from every vertex in *sources* at once.
 
     Returns a ``k×n`` Matrix whose row ``s`` holds 1 + the hop distance
@@ -55,29 +63,13 @@ def bfs_levels_multi(
     masked ``graph.T @ frontier`` step becomes ``frontier @ graph``
     under the same LogicalSemiring/complement-mask/replace descriptor
     (``(F @ A)[s, j] = ⋁ᵢ F[s, i] ∧ A[i, j]`` — row-wise exactly the
-    pull of the transposed single-source product).
+    pull of the transposed single-source product).  The whole loop is
+    one dispatch, the engine's ``bfs_multi``.
     """
-    gb = core
-    n = graph.nrows
-    srcs = _check_sources(sources, n)
-    k = len(srcs)
-    frontier = gb.Matrix(
-        ([True] * k, (list(range(k)), srcs)), shape=(k, n), dtype=bool
-    )
-    levels = gb.Matrix(shape=(k, n), dtype=np.int64)
-    depth = 0
-    with _scheduled(schedule):
-        while frontier.nvals > 0:
-            depth += 1
-            levels[frontier][:, :] = depth
-            with LogicalSemiring, gb.Replace:
-                frontier[~levels] = frontier @ graph
-    return levels
+    return _traverse("bfs_multi", graph, sources)
 
 
-def sssp_distances_multi(
-    graph: "core.Matrix", sources, schedule: str | None = None
-) -> "core.Matrix":
+def sssp_distances_multi(graph: "core.Matrix", sources) -> "core.Matrix":
     """Bellman-Ford relaxation from every vertex in *sources* at once.
 
     Returns a ``k×n`` Matrix whose row ``s`` holds the shortest weighted
@@ -91,23 +83,9 @@ def sssp_distances_multi(
     exits early at the shared fixed point (every row converges no later
     than the slowest source, and min-plus relaxation past a row's own
     fixed point cannot change it — identical per-row arithmetic either
-    way).
+    way).  The whole loop is one dispatch, the engine's ``sssp_multi``.
     """
-    gb = core
-    n = graph.nrows
-    srcs = _check_sources(sources, n)
-    k = len(srcs)
-    dist = gb.Matrix(
-        ([0.0] * k, (list(range(k)), srcs)), shape=(k, n), dtype=graph.dtype
-    )
-    with _scheduled(schedule), MinPlusSemiring, Accumulator("Min"):
-        for _ in range(n):
-            before_nvals = dist.nvals
-            before = dist.dup()
-            dist[None] += dist @ graph
-            if dist.nvals == before_nvals and dist.isequal(before):
-                break
-    return dist
+    return _traverse("sssp_multi", graph, sources)
 
 
 def matrix_row(result: "core.Matrix", row: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from .assign_ import (
 )
 from . import fused
 from .fused import ewise_add_vec_reduce_scalar, ewise_mult_vec_reduce_scalar
+from .traversal import bfs_multi, sssp_multi
 
 #: the engine methods that are fused producer+consumer kernels — the one
 #: list the JIT engines (``fused=True`` spec parameter) and the tracer
@@ -59,5 +60,7 @@ __all__ = [
     "assign_vec_scalar",
     "ewise_add_vec_reduce_scalar",
     "ewise_mult_vec_reduce_scalar",
+    "bfs_multi",
+    "sssp_multi",
     "FUSED_KERNELS",
 ]

@@ -125,6 +125,13 @@ class InterpretedEngine:
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity):
         return K.ewise_mult_vec_reduce_scalar(u, v, op, rop, identity)
 
+    # -- whole k-source traversals: one dispatch per served batch ---------
+    def bfs_multi(self, graph, sources):
+        return K.bfs_multi(graph, sources)
+
+    def sssp_multi(self, graph, sources):
+        return K.sssp_multi(graph, sources)
+
 
 class CountingEngine:
     """Wraps any engine, counting calls per method name — the measurement
@@ -154,7 +161,8 @@ class CountingEngine:
 
 
 #: the full engine interface (InterpretedEngine implements every method,
-#: including the two fused reference kernels) — only these are wrapped with
+#: including the two fused reference kernels and the two traversal
+#: loops) — only these are wrapped with
 #: fallback logic; any other attribute forwards to the primary engine
 _DISPATCH_METHODS = frozenset(
     name

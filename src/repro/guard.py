@@ -21,7 +21,10 @@ The engine stack is ``Tracing(Guard(Resilient(...)))``:
   exported over the FFI boundary (``pygb_request_cancel`` /
   ``pygb_cancel_requested`` externs; the kernel returns the ``-2``
   sentinel instead of unwinding C++ exceptions across OpenMP regions or
-  ``extern "C"`` frames, which would be undefined behaviour).
+  ``extern "C"`` frames, which would be undefined behaviour).  The flag
+  is one per loaded library, so it is raised only while a cancelled op
+  is in flight, and a kernel that sees it on a thread whose own op was
+  not cancelled reruns once it falls (:func:`cancel_was_foreign`).
 
 Every guard intervention (timeout, cancel) is a deterministic counter
 in :func:`stats` and — when tracing is active — an ``obs`` instant
@@ -45,6 +48,7 @@ __all__ = [
     "cooperative_sleep",
     "GuardedEngine",
     "register_cancel_lib",
+    "cancel_was_foreign",
     "stats",
     "reset_stats",
 ]
@@ -113,6 +117,7 @@ class deadline:
         self.deadline_at: float | None = None
         self.cancelled = False
         self.expired = False
+        self.parent = None
         self._entered = False
 
     def __enter__(self):
@@ -123,6 +128,7 @@ class deadline:
         if parent is not None and parent.deadline_at is not None:
             if self.deadline_at is None or parent.deadline_at < self.deadline_at:
                 self.deadline_at = parent.deadline_at
+        self.parent = parent
         stack.append(self)
         self._entered = True
         return self
@@ -136,16 +142,16 @@ class deadline:
                 stack.remove(self)
             except ValueError:
                 pass
-        _clear_cancel(self)
         return False
 
     def cancel(self) -> None:
         """Cancel the scope (thread-safe, idempotent).  The operation
         currently running under it observes the flag at its next
         checkpoint and raises ``OperationCancelled``; operations started
-        afterwards fail fast at dispatch entry."""
+        afterwards fail fast at dispatch entry — also those under a
+        nested scope."""
         self.cancelled = True
-        _assert_cancel(self)
+        _cancel_ops_under(self)
 
     def remaining(self) -> float | None:
         """Seconds left on the budget (``None`` for pure-cancel scopes)."""
@@ -245,7 +251,17 @@ def _fire(og: _OpGuard) -> None:
     og.fired = True
     og.scope.expired = True
     og.event.set()
-    _assert_cancel(og)
+    with _CANCEL_LOCK:
+        _raise_flag(og)
+
+
+def _cancelled(scope) -> bool:
+    """Whether *scope* or a scope it is nested in was cancelled."""
+    while scope is not None:
+        if scope.cancelled:
+            return True
+        scope = scope.parent
+    return False
 
 
 def check_cancelled() -> None:
@@ -259,7 +275,7 @@ def check_cancelled() -> None:
     if og is None or og.done:
         return
     scope = og.scope
-    if scope.cancelled:
+    if _cancelled(scope):
         raise OperationCancelled(
             f"operation {og.op!r} cancelled",
             op=og.op, engine=og.engine, elapsed=time.monotonic() - og.t0,
@@ -296,12 +312,23 @@ def cooperative_sleep(seconds: float) -> None:
 
 # ctypes loads each kernel .so RTLD_LOCAL, so every library carries its
 # own `static std::atomic` flag; asserting a cancel means setting it on
-# every loaded library.  Tokens (the scope or guard that asserted) are
-# tracked so concurrent guards don't clobber each other's flag: the flag
-# drops to 0 only when the last asserter clears.
+# every loaded library.  The flag belongs to no thread, so every thread's
+# kernels see it: it is raised only for an op in flight whose guard fired
+# or whose scope was cancelled, and it falls when the last such op ends.
+# A scope cancelled between ops raises nothing — its later ops fail fast
+# at entry — so no thread waits on a flag for longer than one cancelled
+# op takes to bail.
 _CANCEL_LOCK = threading.Lock()
+_CANCEL_CLEARED = threading.Condition(_CANCEL_LOCK)
 _CANCEL_LIBS: list = []
-_ASSERTED: set = set()
+_LIVE: set = set()  # guarded ops in flight
+_ASSERTED: set = set()  # the live ones whose cancel raised the flag
+
+#: bumped each time the flag rises or falls.  A C++ kernel that saw the
+#: flag raised may stop a loop short and still return a result if the
+#: flag fell before its final check, so cppengine compares this around a
+#: call and treats a change like the ``-2`` sentinel
+FLAG_EPOCH = 0
 
 
 def register_cancel_lib(lib) -> None:
@@ -317,26 +344,91 @@ def register_cancel_lib(lib) -> None:
             pass
 
 
-def _assert_cancel(token) -> None:
-    with _CANCEL_LOCK:
-        _ASSERTED.add(token)
-        for lib in _CANCEL_LIBS:
-            try:
-                lib.pygb_request_cancel(1)
-            except Exception:
-                pass
+def _set_flags(value: int) -> None:
+    global FLAG_EPOCH
+    FLAG_EPOCH += 1
+    for lib in _CANCEL_LIBS:
+        try:
+            lib.pygb_request_cancel(value)
+        except Exception:
+            pass
 
 
-def _clear_cancel(token) -> None:
+def _raise_flag(og: _OpGuard) -> None:
+    """Assert *og*'s cancel (caller holds ``_CANCEL_LOCK``).  An op that
+    already ended is skipped: its end cleared under this lock, and a
+    token added after that would keep the flag raised for good."""
+    if og.done or og in _ASSERTED:
+        return
+    if not _ASSERTED:
+        _set_flags(1)
+    _ASSERTED.add(og)
+
+
+def _cancel_ops_under(scope) -> None:
+    """``deadline.cancel()``: raise the flag for the ops in flight under
+    *scope* (directly or in a nested scope)."""
     with _CANCEL_LOCK:
-        _ASSERTED.discard(token)
-        if _ASSERTED:
-            return
-        for lib in _CANCEL_LIBS:
-            try:
-                lib.pygb_request_cancel(0)
-            except Exception:
-                pass
+        for og in list(_LIVE):
+            s = og.scope
+            while s is not None and s is not scope:
+                s = s.parent
+            if s is scope:
+                _raise_flag(og)
+
+
+def _op_started(og: _OpGuard) -> None:
+    with _CANCEL_LOCK:
+        _LIVE.add(og)
+        if _cancelled(og.scope):
+            # cancel() ran between the entry check and here
+            _raise_flag(og)
+
+
+def _op_ended(og: _OpGuard) -> None:
+    with _CANCEL_LOCK:
+        og.done = True
+        _LIVE.discard(og)
+        if og in _ASSERTED:
+            _ASSERTED.discard(og)
+            if not _ASSERTED:
+                _set_flags(0)
+                _CANCEL_CLEARED.notify_all()
+
+
+def _own_cancel() -> bool:
+    """Whether this thread's armed op guard fired, its deadline passed or
+    a scope on its stack was cancelled or expired — the last covers an
+    un-guarded helper such as ``normalize_rows``."""
+    og = getattr(_TLS, "op_guard", None)
+    if og is not None and not og.done:
+        try:
+            check_cancelled()
+        except OperationCancelled:
+            return True
+    return any(s.cancelled or s.expired for s in getattr(_TLS, "scopes", ()))
+
+
+def cancel_was_foreign(flag) -> bool:
+    """A C++ kernel on this thread returned the ``-2`` sentinel, or the
+    flag rose or fell while it ran; *flag* reads that library's
+    cancellation flag.  The flag is one per library, not per thread, so
+    another thread's deadline or cancel raises it under this thread's
+    kernels too.  Returns True — once the flag has fallen — when the
+    cancel was not this thread's: the caller reruns the kernel.  False
+    when it was this thread's op or scope, or when the flag was raised
+    outside the guard.  The wait lasts at most as long as the other
+    threads' cancelled ops take to bail; the timed wait re-checks this
+    thread's own deadline meanwhile."""
+    with _CANCEL_CLEARED:
+        while True:
+            if _own_cancel():
+                return False
+            if not flag():
+                return True
+            if not _ASSERTED:
+                return False
+            _CANCEL_CLEARED.wait(0.05)
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +513,7 @@ def _dispatch_methods():
 
 def _run_guarded(op, engine_name, scope, method, args, kwargs):
     now = time.monotonic()
-    if scope.cancelled:
+    if _cancelled(scope):
         _note_cancel(op, engine_name, 0.0)
         raise OperationCancelled(
             f"operation {op!r} cancelled before it started "
@@ -438,6 +530,7 @@ def _run_guarded(op, engine_name, scope, method, args, kwargs):
             op=op, engine=engine_name, elapsed=0.0, budget=budget,
         )
     _WATCHDOG.arm(og)
+    _op_started(og)
     prev = getattr(_TLS, "op_guard", None)
     try:
         _TLS.op_guard = og
@@ -460,7 +553,7 @@ def _run_guarded(op, engine_name, scope, method, args, kwargs):
         raise
     finally:
         _WATCHDOG.disarm(og)
-        _clear_cancel(og)
+        _op_ended(og)
     elapsed = time.monotonic() - og.t0
     if og.fired or (deadline_at is not None and time.monotonic() >= deadline_at):
         # the kernel finished, but past its budget: the result is
@@ -473,7 +566,7 @@ def _run_guarded(op, engine_name, scope, method, args, kwargs):
             "result discarded",
             op=op, engine=engine_name, elapsed=elapsed, budget=budget,
         )
-    if scope.cancelled:
+    if _cancelled(scope):
         _note_cancel(op, engine_name, elapsed)
         raise OperationCancelled(
             f"operation {op!r} cancelled",

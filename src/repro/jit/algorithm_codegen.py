@@ -3,7 +3,9 @@
 The paper's Fig. 10 compares three execution modes; the second is "Python
 calls a complete C++ algorithm where the data between GBTL calls is
 handled by C++", and the third is "native GBTL code timed in C++".  This
-module generates one C++ translation unit per (algorithm, value-type):
+module generates one C++ translation unit per (algorithm, value-type)
+for PageRank and triangle counting (BFS and SSSP are the kernel table's
+``bfs_multi`` / ``sssp_multi`` rows, called from one source):
 the full outer loop runs in C++ against the mini-GBTL kernels, and the
 elapsed time of the algorithm proper is measured *inside* C++ with
 ``std::chrono`` and returned through an out-parameter.
@@ -33,16 +35,6 @@ _PRELUDE = """
 #include <vector>
 using GB::Index;
 
-// value-coerced boolean view of a vector (mask semantics, Sec. III)
-template <class T>
-static GB::Vec<uint8_t> as_mask(const GB::Vec<T>& v) {
-    GB::Vec<uint8_t> m; m.size = v.size;
-    m.idx = v.idx;
-    m.val.reserve(v.val.size());
-    for (const T x : v.val) m.val.push_back(uint8_t(bool(x)));
-    return m;
-}
-
 // "no mask" for write_back_vec, whose mask type is deduced
 static const GB::Vec<uint8_t>* const kNoMask = nullptr;
 
@@ -60,96 +52,6 @@ def _header(spec: KernelSpec) -> str:
     return (
         f"// Auto-generated by the PyGB JIT (whole-algorithm module) — do not edit.\n"
         f"// spec: {spec.key}\n"
-    )
-
-
-def _gen_bfs(spec: KernelSpec) -> str:
-    vt = cxx_name(spec.get("vtype"))
-    return (
-        _header(spec)
-        + _PRELUDE
-        + f"""
-using TV = {vt};  // graph value type (coerced to logical by the semiring)
-
-extern "C" Index pygb_run(
-    Index n, const Index* gt_indptr, const Index* gt_indices, const TV* gt_vals,
-    Index source,
-    Index* out_idx, int64_t* out_vals, int64_t* elapsed_ns)
-{{
-    const GB::CSRView<TV> GT(n, n, gt_indptr, gt_indices, gt_vals);
-    const auto t0 = std::chrono::steady_clock::now();
-
-    GB::Vec<uint8_t> frontier; frontier.size = n;
-    frontier.idx.push_back(source); frontier.val.push_back(1);
-    GB::Vec<int64_t> levels; levels.size = n;
-
-    int64_t depth = 0;
-    while (!frontier.idx.empty()) {{
-        ++depth;
-        // levels<frontier, merge> = depth: inside the mask take the new
-        // constant, outside keep the old levels (GrB_assign + mask merge)
-        {{
-            GB::Vec<int64_t> t; t.size = n;
-            for (size_t k = 0; k < frontier.idx.size(); ++k)
-                if (frontier.val[k]) {{
-                    t.idx.push_back(frontier.idx[k]);
-                    t.val.push_back(depth);
-                }}
-            levels = GB::write_back_vec<int64_t>(
-                levels, t, &frontier, /*comp=*/false, /*replace=*/false,
-                false, GB::Second<int64_t>{{}});
-        }}
-        // frontier<!levels, replace> = GTᵀ ⊕.⊗ frontier (logical semiring)
-        auto t = GB::mxv<uint8_t>(GT, frontier,
-                                  GB::LogicalOr<uint8_t>{{}}, GB::LogicalAnd<uint8_t>{{}});
-        auto lmask = as_mask(levels);
-        frontier = GB::write_back_vec<uint8_t>(
-            frontier, t, &lmask, /*comp=*/true, /*replace=*/true,
-            false, GB::Second<uint8_t>{{}});
-    }}
-
-    const auto t1 = std::chrono::steady_clock::now();
-    *elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    return emit_vec(levels, out_idx, out_vals);
-}}
-"""
-    )
-
-
-def _gen_sssp(spec: KernelSpec) -> str:
-    vt = cxx_name(spec.get("vtype"))
-    return (
-        _header(spec)
-        + _PRELUDE
-        + f"""
-using TV = {vt};
-
-extern "C" Index pygb_run(
-    Index n, const Index* gt_indptr, const Index* gt_indices, const TV* gt_vals,
-    Index source,
-    Index* out_idx, TV* out_vals, int64_t* elapsed_ns)
-{{
-    const GB::CSRView<TV> GT(n, n, gt_indptr, gt_indices, gt_vals);
-    const auto t0 = std::chrono::steady_clock::now();
-
-    GB::Vec<TV> path; path.size = n;
-    path.idx.push_back(source); path.val.push_back(TV(0));
-
-    // |V| relaxation rounds with the fixed-point early exit used by all
-    // three execution versions of the benchmark (EXPERIMENTS.md)
-    for (Index it = 0; it < n; ++it) {{
-        auto t = GB::mxv<TV>(GT, path, GB::Min<TV>{{}}, GB::Plus<TV>{{}});
-        auto next = GB::write_back_vec<TV>(
-            path, t, kNoMask, false, false, /*accum*/ true, GB::Min<TV>{{}});
-        if (next.idx == path.idx && next.val == path.val) break;
-        path = std::move(next);
-    }}
-
-    const auto t1 = std::chrono::steady_clock::now();
-    *elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    return emit_vec(path, out_idx, out_vals);
-}}
-"""
     )
 
 
@@ -251,8 +153,6 @@ extern "C" void pygb_run(
 
 
 ALGORITHM_GENERATORS = {
-    "algo_bfs": _gen_bfs,
-    "algo_sssp": _gen_sssp,
     "algo_pagerank": _gen_pagerank,
     "algo_triangle_count": _gen_triangle_count,
 }

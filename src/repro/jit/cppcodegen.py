@@ -15,7 +15,8 @@ translation unit that
    kernels write their result into two caller-owned buffers and return
    nnz; an unmasked, unaccumulated ``apply_mat`` and GBTL's
    ``normalize_rows`` helper write their values into one caller-owned
-   buffer (the pattern is the operand's); the other
+   buffer (the pattern is the operand's); the k-source traversals write
+   their k×n result into three caller buffers of capacity k·n; the other
    matrix-valued ones park their result in a ``thread_local`` holder and
    add a second entry point, ``pygb_fetch``, that copies it into
    exactly-sized caller buffers and releases it.
@@ -767,6 +768,148 @@ extern "C" void pygb_run(
     *out_scalar = GB::reduce_values<TP>(t.val, RedOp{{}}, identity);
 }}
 """
+    )
+
+
+# ----------------------------------------------------------------------
+# whole k-source traversals: the bfs_multi / sssp_multi rows
+#
+# The listing's loop runs in C++ over a k×n state, one row per source,
+# built from the same mini-GBTL kernels the per-operation bindings call.
+# A row only ever combines with itself, so each round runs row by row:
+# ``GB::vxm`` scatters the row over A into a dense accumulator (each
+# column folds over ascending i, the order of the reference's mxm and of
+# the solo listing's kernels) and emits in column order with no sort,
+# and ``GB::write_back_vec`` applies mask, replace and accumulate per
+# entry — so every row is bit-identical to the single-source listing
+# (backend/kernels/traversal.py is the reference).  One call per batch;
+# the result goes into caller buffers sized k + 1, k·n and k·n
+# (nnz <= k·n), so nothing is held or fetched.  The engine has checked
+# the graph is square and every source in range.  The flag is polled
+# once a round and after the last; a ``GB::vxm`` cut short by a flag
+# that fell again before the next poll still returns a count, which the
+# engine reruns because ``guard.FLAG_EPOCH`` moved.  Serial build: a
+# served batch is small, and the service's parallelism is its worker
+# threads.
+# ----------------------------------------------------------------------
+
+_TRAVERSAL_SIGNATURE = """
+extern "C" Index pygb_run(
+    Index a_nrows, Index a_ncols, const Index* a_indptr, const Index* a_indices,
+    const TA* a_vals,
+    const Index* sources, Index k,
+    Index* out_indptr, Index* out_indices, TC* out_vals)
+{
+    const auto A = GB::CSRView<TA>(a_nrows, a_ncols, a_indptr, a_indices, a_vals);
+"""
+
+#: the k rows, one after the other, into the caller's buffers
+_TRAVERSAL_EMIT_ROWS = """\
+    if (GB::cancel_requested()) return -2;
+    Index nnz = 0;
+    out_indptr[0] = 0;
+    for (Index s = 0; s < k; ++s) {{
+        std::copy({name}[s].idx.begin(), {name}[s].idx.end(), out_indices + nnz);
+        std::copy({name}[s].val.begin(), {name}[s].val.end(), out_vals + nnz);
+        nnz += static_cast<Index>({name}[s].idx.size());
+        out_indptr[s + 1] = nnz;
+    }}
+    return nnz;
+}}
+"""
+
+
+def _gen_bfs_multi(spec: KernelSpec) -> str:
+    """``levels[frontier][:, :] = depth`` then, under LogicalSemiring and
+    Replace, ``frontier[~levels] = frontier @ A``, until no row has a
+    frontier — row by row, ``GB::vxm`` and ``GB::write_back_vec``."""
+    return (
+        _cxx_header(spec)
+        + f"""
+using TA = {cxx_name(spec.get('a'))};
+using TC = int64_t;
+using TT = {cxx_name(spec.get('t_dtype'))};
+using AddOp = GB::LogicalOr<TT>;
+using MultOp = GB::LogicalAnd<TT>;
+"""
+        + _TRAVERSAL_SIGNATURE
+        + """    std::vector<GB::Vec<GB::Bool>> frontier(k);
+    std::vector<GB::Vec<TC>> levels(k);
+    for (Index s = 0; s < k; ++s) {
+        frontier[s].size = levels[s].size = a_ncols;
+        frontier[s].idx.push_back(sources[s]);
+        frontier[s].val.push_back(GB::Bool(true));
+    }
+    for (TC depth = 1;; ++depth) {
+        if (GB::cancel_requested()) return -2;
+        bool any = false;
+        for (Index s = 0; s < k; ++s) {
+            auto& f = frontier[s];
+            if (f.idx.empty()) continue;
+            any = true;
+            // levels<frontier> = depth over every cell: depth lands on the
+            // frontier's true entries, every other level stays
+            GB::Vec<TC> t; t.size = a_ncols;
+            for (size_t p = 0; p < f.idx.size(); ++p)
+                if (f.val[p]) { t.idx.push_back(f.idx[p]); t.val.push_back(depth); }
+            levels[s] = GB::write_back_vec<TC>(levels[s], t, &f, false, false, false,
+                                               GB::Second<TC>{});
+            f = GB::write_back_vec<GB::Bool>(f, GB::vxm<TT>(f, A, AddOp{}, MultOp{}), &levels[s],
+                                             /*comp=*/true, /*replace=*/true, false,
+                                             GB::Second<GB::Bool>{});
+        }
+        if (!any) break;
+    }
+"""
+        + _TRAVERSAL_EMIT_ROWS.format(name="levels")
+    )
+
+
+def _narrow(spec: KernelSpec) -> bool:
+    """Whether ``Plus`` on two ``bool`` graph values combines as ``bool``
+    although the product widens (:func:`_product_using`'s rule)."""
+    return spec.get("a") == "bool" and spec.get("t_dtype") != "bool"
+
+
+def _gen_sssp_multi(spec: KernelSpec) -> str:
+    """``dist[None] += dist @ A`` under MinPlusSemiring and a Min
+    accumulator, at most |V| rounds, stopping once a round changes no
+    row.  A row that a round left unchanged is a fixed point, so later
+    rounds skip it."""
+    return (
+        _cxx_header(spec)
+        + f"""
+using TA = {cxx_name(spec.get('a'))};
+using TC = TA;
+using TT = {cxx_name(spec.get('t_dtype'))};
+using AddOp = GB::Min<TT>;
+using MultOp = GB::Plus<{"GB::Bool" if _narrow(spec) else "TT"}>;
+using NoMask = GB::Vec<uint8_t>;
+"""
+        + _TRAVERSAL_SIGNATURE
+        + """    std::vector<GB::Vec<TC>> dist(k);
+    std::vector<uint8_t> settled(k, 0);
+    for (Index s = 0; s < k; ++s) {
+        dist[s].size = a_ncols;
+        dist[s].idx.push_back(sources[s]);
+        dist[s].val.push_back(TC(0));
+    }
+    for (Index round = 0; round < a_nrows; ++round) {
+        if (GB::cancel_requested()) return -2;
+        bool all_settled = true;
+        for (Index s = 0; s < k; ++s) {
+            if (settled[s]) continue;
+            auto next = GB::write_back_vec<TC>(
+                dist[s], GB::vxm<TT>(dist[s], A, AddOp{}, MultOp{}),
+                static_cast<const NoMask*>(nullptr), false, false, /*accum=*/true, GB::Min<TC>{});
+            settled[s] = next.idx == dist[s].idx && next.val == dist[s].val;
+            all_settled = all_settled && settled[s];
+            dist[s] = std::move(next);
+        }
+        if (all_settled) break;
+    }
+"""
+        + _TRAVERSAL_EMIT_ROWS.format(name="dist")
     )
 
 

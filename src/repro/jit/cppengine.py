@@ -16,13 +16,16 @@ resident across calls:
 * each (immutable) backend store carries its marshalled argument tuple
   (:mod:`repro.backend.ffipack`), which the C++ side wraps in non-owning
   views — nothing is copied in;
-* results are NumPy-owned, under one of three rules: a vector kernel
+* results are NumPy-owned, under one of four rules: a vector kernel
   writes into two size-long buffers; an unmasked, unaccumulated
   ``apply_mat`` (and GBTL's ``normalize_rows`` helper) writes one values
   buffer and borrows ``indptr`` / ``indices`` from its (immutable)
-  operand — nothing held, nothing fetched; every other matrix result (nnz unknown up front) is parked in
-  the shared object's ``thread_local`` holder and fetched once, into
-  exactly-sized arrays, by a second call.
+  operand — nothing held, nothing fetched; a k-source traversal
+  (``bfs_multi`` / ``sssp_multi``, the whole loop in one call) writes
+  its k×n result into buffers of capacity k·n; every other matrix
+  result (nnz unknown up front) is parked in the shared object's
+  ``thread_local`` holder and fetched once, into exactly-sized arrays,
+  by a second call.
 
 Operations without a native C++ binding (assign/extract of a matrix
 operand and standalone transpose — none of which appear in
@@ -49,6 +52,7 @@ import numpy as np
 
 from .. import guard, obs, schedule as _schedule
 from ..backend.ffipack import address
+from ..backend.kernels.traversal import check_traversal
 from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
@@ -239,6 +243,7 @@ _GROUPS = {
     "O": (_P, _P),  # vector result buffers: indices, values
     "W": (_P,),  # values of a matrix result on its operand's pattern
     "P": (_P,),  # scalar result
+    "R": (_P, _P, _P),  # matrix result buffers of known capacity: indptr, indices, values
 }
 
 _NO_VEC_MASK = (None, None, 0)
@@ -271,7 +276,8 @@ class _Bound:
     time: entry points with ``argtypes``/``restype`` set once, the
     scalar-constant encoder and the scalar result dtype."""
 
-    __slots__ = ("spec", "run", "fetch", "kernel_ns", "edges", "lib_name", "const", "scalar_dtype")
+    __slots__ = ("spec", "run", "fetch", "kernel_ns", "edges", "cancelled", "lib_name", "const",
+                 "scalar_dtype")
 
     def __init__(self, spec: KernelSpec, lib: ctypes.CDLL, layout: str, const_dtype, scalar_dtype):
         self.spec = spec
@@ -279,7 +285,7 @@ class _Bound:
         self.run.argtypes = [t for group in layout for t in _GROUPS[group]]
         self.run.restype = None if layout[-1] == "P" else c_int64
         self.fetch = None
-        if layout[-1] not in "OPW":
+        if layout[-1] not in "OPRW":
             self.fetch = lib.pygb_fetch
             self.fetch.argtypes = (_P, _P, _P)
             self.fetch.restype = None
@@ -291,6 +297,8 @@ class _Bound:
         if spec.get("dir") == "pull":
             self.edges = lib.pygb_edges_examined
             self.edges.restype = c_int64
+        # this library's cancellation flag (set up by CppJitEngine._load_lib)
+        self.cancelled = lib.pygb_cancel_requested
         self.lib_name = os.path.basename(lib._name) if lib._name else None
         self.const = {"f": _float_pair, "b": _bool_pair}.get(const_dtype.kind, _int_pair)
         self.scalar_dtype = scalar_dtype
@@ -547,12 +555,21 @@ class CppJitEngine:
             )
 
     def _run(self, bound: _Bound, args: tuple, out=None) -> int:
+        epoch = guard.FLAG_EPOCH
         nnz = self._call(bound, args)
-        if nnz < 0:
-            if nnz == -2:
-                # cancellation sentinel: the kernel bailed before the
-                # writeback, so nothing was written or parked
+        while nnz == -2 or (nnz >= 0 and guard.FLAG_EPOCH != epoch):
+            # cancellation sentinel: the kernel bailed before the writeback,
+            # so nothing was written or parked.  A flag that rose or fell
+            # during the call may have stopped a loop short without the
+            # sentinel, so that result is not trusted either.  The flag is
+            # one per .so, not per thread: raise only when the cancel was
+            # this thread's, else rerun once the other thread's has cleared
+            # (a rerun overwrites the buffers and the parked result)
+            if not guard.cancel_was_foreign(bound.cancelled):
                 raise OperationCancelled("C++ kernel observed cancellation flag")
+            epoch = guard.FLAG_EPOCH
+            nnz = self._call(bound, args)
+        if nnz < 0:
             if nnz in (-3, -4):
                 # an index list reached past *out* (the reference kernels'
                 # check and message); nothing was written or parked
@@ -774,6 +791,33 @@ class CppJitEngine:
 
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity=None):
         return self._ewise_reduce_scalar("ewise_mult_vec_reduce_scalar", u, v, op, rop, identity)
+
+    # ------------------------------------------------------------------
+    # whole k-source traversals: one FFI call runs the listing's loop
+    # ------------------------------------------------------------------
+    def _traversal(self, func, graph: SparseMatrix, sources, dtype) -> SparseMatrix:
+        """Run *func*'s generated loop from *sources* into NumPy-owned
+        buffers of capacity k·n (every row has at most n entries)."""
+        sources = check_traversal(graph, sources)
+        bound = self._kernel(func, (graph.dtype,), ())
+        k, n = sources.size, graph.ncols
+        indptr = np.empty(k + 1, _I64)
+        indices = np.empty(k * n, _I64)
+        values = np.empty(k * n, dtype)
+        args = graph.ffi_pack().args + (address(sources), k)
+        nnz = self._run(bound, args + (address(indptr), address(indices), address(values)))
+        if 2 * nnz < k * n:
+            # trim by copy, so the result does not pin two k·n buffers
+            indices, values = indices[:nnz].copy(), values[:nnz].copy()
+        else:
+            indices, values = indices[:nnz], values[:nnz]
+        return SparseMatrix(k, n, indptr, indices, values)
+
+    def bfs_multi(self, graph, sources):
+        return self._traversal("bfs_multi", graph, sources, _I64)
+
+    def sssp_multi(self, graph, sources):
+        return self._traversal("sssp_multi", graph, sources, graph.dtype)
 
     # ------------------------------------------------------------------
     # GBTL's normalize_rows helper: not part of the Engine interface,

@@ -18,15 +18,24 @@ kernel families:
   and the graph service dispatch (``traced``, warmed by ``repro
   precompile``) and the catalog grid (``repro bake``).
 
+Two rows are whole loops rather than single operations: ``bfs_multi``
+and ``sssp_multi`` run a k-source traversal — the graph service's batch,
+and Fig. 10's native BFS/SSSP at k=1 — in one dispatch.  Their reference
+is the backend-level loop of :mod:`repro.backend.kernels.traversal`,
+which the interpreted and pyjit engines run (no Python generator); their
+C++ generator emits the same loop as one serial translation unit.
+
 :func:`spec` turns one engine call into its spec; both engines,
 ``precompile`` and ``catalog`` build every per-operation spec with it.
 
 A layout names the argument groups of ``pygb_run`` (``cppengine._GROUPS``).
 Layouts ending in ``O`` return a vector, in ``P`` a scalar, in ``W`` a
-matrix on its operand's pattern, anything else a matrix collected with
-``pygb_fetch``.  ``apply_mat`` is bound as ``MSW`` when its spec has
-neither mask nor accumulator (``_gen_apply_mat``'s other form), and a
-pull-direction spmv takes the mask's candidate rows before its output.
+matrix on its operand's pattern, in ``R`` a matrix written into caller
+buffers of known capacity (the traversals' k·n), anything else a matrix
+collected with ``pygb_fetch``.  ``apply_mat`` is bound as ``MSW`` when
+its spec has neither mask nor accumulator (``_gen_apply_mat``'s other
+form), and a pull-direction spmv takes the mask's candidate rows before
+its output.
 """
 
 from __future__ import annotations
@@ -76,6 +85,12 @@ class Kernel(NamedTuple):
 def _product(x: str, y: str, name: str = "t_dtype", op: str = "mult"):
     """Derived dtype *name*: what operator *op* yields on operands *x*, *y*."""
     return lambda d, o: {name: binary_result_dtype(o[op], d[x], d[y])}
+
+
+def _fixed(op: str, x: str):
+    """Derived ``t_dtype`` of a row with a fixed operator *op* combining
+    *x* (a dtype param, or a dtype) with the graph dtype ``a``."""
+    return lambda d, o: {"t_dtype": binary_result_dtype(op, d.get(x, x), d["a"])}
 
 
 def apply_ops(op_spec) -> tuple:
@@ -171,12 +186,7 @@ KERNELS: dict[str, Kernel] = {
     "mxm": Kernel(
         ("a", "b", "c"), ("add", "mult"), K.mxm, _product("a", "b"), "MMMm",
         cpp._gen_mxm, py._gen_mxm, transposes=("ta", "tb"), parallel=True,
-        traced=(
-            Use(I64 * 3, ("Plus", "Times"), MASKED),  # triangle count
-            # the service's fused traversals: k sources as k frontier rows
-            Use(("bool", "float64", "bool"), ("LogicalOr", "LogicalAnd"), TRAVERSAL),
-            Use(F64 * 3, ("Min", "Plus"), OpDesc(accum="Min")),
-        ),
+        traced=(Use(I64 * 3, ("Plus", "Times"), MASKED),),  # triangle count
         baked_transposes=((False, True),),  # L @ U.T
     ),
     "ewise_add_vec": Kernel(
@@ -273,12 +283,24 @@ KERNELS: dict[str, Kernel] = {
     "assign_mat_scalar": Kernel(
         ("c",), (), K.assign_mat_scalar, layout="MSIIm", cpp=cpp._gen_assign_mat_scalar,
         py=_delegate("assign_mat_scalar", "c, value, rows, cols"),
-        traced=(Use(I64, (), MASKED),),  # the service's fused BFS: levels[frontier][:, :] = depth
     ),
     "assign_vec_scalar": Kernel(
         ("c",), (), K.assign_vec_scalar, layout="VSIvO", cpp=cpp._gen_assign_vec_scalar,
         py=_delegate("assign_vec_scalar", "c, value, idx"),
         traced=(Use(F64, (), PLAIN), Use(I64, (), MASKED)),
+    ),
+    # whole k-source traversals, one dispatch per served batch: the
+    # interpreted and pyjit engines run the reference loop, cpp the loop
+    # generated into one serial TU (layout R: caller buffers of k·n)
+    "bfs_multi": Kernel(
+        ("a",), (), K.bfs_multi, _fixed("LogicalAnd", "bool"), "MIR", cpp._gen_bfs_multi,
+        traced=(Use(F64), Use(I64)),  # served graphs; Fig. 10's unweighted graph
+        grid=tuple(Use((d,)) for d in _DTYPES),
+    ),
+    "sssp_multi": Kernel(
+        ("a",), (), K.sssp_multi, _fixed("Plus", "a"), "MIR", cpp._gen_sssp_multi,
+        traced=(Use(F64),),
+        grid=tuple(Use((d,)) for d in _DTYPES),
     ),
     # the reduce-site fused pair: gb.reduce(u ⊕ v); PageRank's squared error
     "ewise_add_vec_reduce_scalar": Kernel(

@@ -27,11 +27,9 @@ from .spec import KernelSpec
 __all__ = ["algorithm_kernel_specs", "algorithm_module_specs", "warm_cache"]
 
 # (func, vtype) for the whole-algorithm compiled modules (Fig. 10
-# versions 2/3).
+# versions 2/3; BFS and SSSP are the kernel table's traversal rows).
 _ALGORITHM_MODULES: tuple[tuple[str, str], ...] = (
-    ("algo_bfs", "int64"),
     ("algo_pagerank", "float64"),
-    ("algo_sssp", "float64"),
     ("algo_triangle_count", "int64"),
 )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 
 from .. import obs, schedule as _schedule
+from ..backend import kernels as K
 from ..backend.ops_table import DEFAULT_IDENTITY_NAME, binary_result_dtype, identity_value
 from ..exceptions import CompilationError
 from ..testing.faults import FAULTS
@@ -229,3 +230,13 @@ class PyJitEngine:
 
     def ewise_mult_vec_reduce_scalar(self, u, v, op, rop, identity=None):
         return self._ewise_reduce_scalar("ewise_mult_vec_reduce_scalar", u, v, op, rop, identity)
+
+    # ------------------------------------------------------------------
+    # whole k-source traversals: the kernel table's reference loops (the
+    # table has no Python generator for them; their native form is cpp's)
+    # ------------------------------------------------------------------
+    def bfs_multi(self, graph, sources):
+        return K.bfs_multi(graph, sources)
+
+    def sssp_multi(self, graph, sources):
+        return K.sssp_multi(graph, sources)

@@ -11,7 +11,9 @@ batch is what queued while the workers were occupied, run as **one**:
 
 * source-parameterised algorithms (bfs, sssp) fuse k pending sources
   into one multi-source traversal — k rows of one Matrix frontier
-  (:mod:`repro.algorithms.multisource`), demultiplexed per client;
+  (:mod:`repro.algorithms.multisource`), demultiplexed per client.  It
+  is one engine dispatch; on cpp one C++ call that holds no GIL, so the
+  worker threads run traversals side by side;
 * whole-graph algorithms (pagerank, components, triangles) deduplicate —
   one execution, every waiting client gets the same payload.
 
@@ -146,9 +148,9 @@ def run_requests(graph, graph_name: str, algorithm: str, params: dict, sources) 
 
     if algorithm in ("bfs", "sssp"):
         runner = bfs_levels_multi if algorithm == "bfs" else sssp_distances_multi
-        rows, cols, vals = runner(graph, sources).to_coo()
-        # row-major: request k's answer is the slice where rows == k
-        cuts = np.searchsorted(rows, np.arange(len(sources) + 1)).tolist()
+        # one dispatch; request k's answer is row k of the k×n CSR result
+        store = runner(graph, sources)._store
+        cols, vals, cuts = store.indices, store.values, store.indptr.tolist()
         return [
             _coo_result(algorithm, graph_name, cols[lo:hi], vals[lo:hi], source)
             for lo, hi, source in zip(cuts, cuts[1:], sources)

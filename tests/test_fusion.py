@@ -573,8 +573,8 @@ class TestRegistry:
                 assert callable(getattr(engine, name))
 
     def test_every_engine_implements_the_same_interface(self):
-        """24 methods, on every engine and every wrapper's forwarding."""
-        assert len(_DISPATCH_METHODS) == 24
+        """26 methods, on every engine and every wrapper's forwarding."""
+        assert len(_DISPATCH_METHODS) == 26
         for engine in (PyJitEngine, CppJitEngine):
             public = {n for n, v in vars(engine).items()
                       if callable(v) and not n.startswith("_")}

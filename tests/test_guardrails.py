@@ -334,3 +334,117 @@ class TestCppCancellation:
             e = gb.Matrix(shape=(n, n), dtype=np.float64)
             with gb.ArithmeticSemiring:
                 e[None] = a @ b
+
+    @staticmethod
+    def _foreign_op(scope):
+        """An op guard in flight under *scope*, standing in for another
+        thread's guarded op (what ``_run_guarded`` arms around a call)."""
+        og = guard._OpGuard("mxm", "cpp", scope, time.monotonic())
+        guard._WATCHDOG.arm(og)
+        guard._op_started(og)
+        return og
+
+    @staticmethod
+    def _end(og):
+        guard._WATCHDOG.disarm(og)
+        guard._op_ended(og)
+
+    def test_another_threads_cancel_does_not_fail_this_threads_kernel(self):
+        """The flag is one per loaded library, so a cancel asserted for
+        one thread's op makes every thread's C++ kernels return -2.  An
+        unguarded kernel must not raise for it: it waits until that op
+        ends (0.3 s here) and reruns (nothing was written)."""
+        a, u = _operands(11)
+        with use_engine("cpp"):
+            clean = _mxv(a, u)  # compiles + registers the library
+        lib = guard._CANCEL_LIBS[-1]
+        og = self._foreign_op(gb.deadline(seconds=30))
+        try:
+            guard._fire(og)  # its deadline passed while it runs
+            assert lib.pygb_cancel_requested() == 1
+            threading.Timer(0.3, self._end, (og,)).start()
+            start = time.monotonic()
+            with use_engine("cpp"):
+                assert _mxv(a, u) == clean
+            assert time.monotonic() - start >= 0.25  # it waited the cancel out
+        finally:
+            self._end(og)
+        assert lib.pygb_cancel_requested() == 0
+        assert guard.stats()["cancels_total"] == 0
+
+    def test_a_fire_after_the_op_ended_raises_no_flag(self):
+        """The watchdog reads ``done`` without the lock, so it can fire a
+        guard whose op has just ended and cleared.  That late fire must
+        not leave the flag raised, or every later kernel on a thread with
+        no deadline would wait on it forever."""
+        a, u = _operands(11)
+        with use_engine("cpp"):
+            clean = _mxv(a, u)
+        lib = guard._CANCEL_LIBS[-1]
+        og = self._foreign_op(gb.deadline(seconds=30))
+        self._end(og)
+        guard._fire(og)  # the op ended between the watchdog's check and here
+        assert not guard._ASSERTED
+        assert lib.pygb_cancel_requested() == 0
+        with use_engine("cpp"):
+            assert _mxv(a, u) == clean
+
+    def test_a_scope_cancelled_between_ops_raises_no_flag(self):
+        """A scope cancelled while none of its ops runs stalls no other
+        thread: its later ops fail fast at entry, nested scopes too."""
+        a, u = _operands(11)
+        with use_engine("cpp"):
+            clean = _mxv(a, u)
+            lib = guard._CANCEL_LIBS[-1]
+            with gb.deadline() as outer:
+                with gb.deadline(seconds=30):
+                    outer.cancel()
+                    assert lib.pygb_cancel_requested() == 0
+                    with pytest.raises(OperationCancelled):
+                        _mxv(a, u)
+            assert _mxv(a, u) == clean
+
+    def test_cancelling_an_outer_scope_raises_the_flag_for_its_nested_op(self):
+        """The flag is raised for an op in flight under the cancelled
+        scope or a scope nested in it, and falls when that op ends."""
+        a, u = _operands(11)
+        with use_engine("cpp"):
+            _mxv(a, u)
+        lib = guard._CANCEL_LIBS[-1]
+        with gb.deadline() as outer, gb.deadline(seconds=30) as inner:
+            og = self._foreign_op(inner)
+            try:
+                outer.cancel()
+                assert guard._ASSERTED == {og}
+                assert lib.pygb_cancel_requested() == 1
+            finally:
+                self._end(og)
+        assert lib.pygb_cancel_requested() == 0
+
+    def test_a_flag_raised_and_cleared_during_a_call_reruns_it(self, monkeypatch):
+        """A kernel that saw the flag raised may stop a loop short and
+        still return a count if the flag fell before its last check.  A
+        change of ``FLAG_EPOCH`` across the call marks that result
+        untrusted: the engine reruns the kernel."""
+        from repro.jit.cppengine import CppJitEngine
+
+        a, u = _operands(11)
+        with use_engine("cpp"):
+            clean = _mxv(a, u)
+        calls = []
+        real = CppJitEngine._call
+
+        def racing_call(self, bound, args):
+            nnz = real(self, bound, args)
+            calls.append(nnz)
+            if len(calls) == 1:  # another thread's cancel came and went
+                self_og = TestCppCancellation._foreign_op(gb.deadline(seconds=30))
+                guard._fire(self_og)
+                TestCppCancellation._end(self_og)
+            return nnz
+
+        monkeypatch.setattr(CppJitEngine, "_call", racing_call)
+        with use_engine("cpp"):
+            assert _mxv(a, u) == clean
+        assert len(calls) == 2
+        assert guard.stats()["cancels_total"] == 0

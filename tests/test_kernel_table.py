@@ -34,11 +34,11 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "97467eab36d4c9c2573c4d50a71fb5dcd67f7575cef984220be07790fafa64fa"
+CATALOG_DIGEST = "d9fe92dc1ec05f557543122f71c686b9470489c3d50654c34962d866ac95852b"
 ENGINE_DIGESTS = {
     "pyjit": "7188970385c8bf936b45acfdc923c89bb2d036fc061dbc4aec605a0a693f2162",
-    "cpp": "8697658e56bca0b338ec8aa45db658d8c9d9a61ebaaccdf0339b9b1192d49a14",
-    "cpp-parallel": "d0165b14cd6fcb3dd15662e008319f34bb8e67667cb8bb008e5ee5e023024f91",
+    "cpp": "46066c3ffbe23ce44ae46832743ecd9f7aad74a31e1d93e30d86970dca135e05",
+    "cpp-parallel": "16dc723be63407f533ee7b390af38b36f12a4cd3a1656ea760ba2b3649bee260",
 }
 
 
@@ -63,10 +63,12 @@ def test_the_table_has_one_row_per_kernel():
     for func, row in KERNELS.items():
         assert callable(row.reference), func
         assert (row.cpp is None) == (row.layout is None), func
-        assert row.py is not None or not row.interface, func
+        # pyjit runs the traversal rows' reference loops; cpp generates them
+        traversal = func in ("bfs_multi", "sssp_multi")
+        assert (row.py is not None or not row.interface) != traversal, func
         assert row.dtypes and all(len(t) == len(row.transposes) for t in row.baked_transposes)
     assert {f for f, row in KERNELS.items() if not row.interface} == {"normalize_rows"}
-    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (240, 436)
+    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (241, 431)
 
 
 def test_codegen_version_is_pinned():
@@ -77,7 +79,7 @@ def test_catalog_keys_and_generated_sources_are_byte_identical():
     entries = [(s.key, _sha(generate_cpp_source(s)))
                for parallel in (False, True) for s in catalog_kernel_specs(parallel)]
     entries += [(s.key, _sha(generate_source(s))) for s in pyjit_kernel_specs()]
-    assert len(entries) == 916
+    assert len(entries) == 913
     assert _digest(f"{key}\t{src}" for key, src in entries) == CATALOG_DIGEST
 
 
@@ -165,7 +167,15 @@ def _calls():
         ("ewise_add_vec_reduce_scalar", (u_i, u_f, "Plus", "Plus")),
         ("ewise_mult_vec_reduce_scalar", (u_f, u_f, "Times", "Max", 0.0)),
     ]
-    return calls
+    return calls + _traversal_calls()
+
+
+def _traversal_calls():
+    """The whole-traversal methods: a cpp kernel each, while pyjit runs
+    their reference loops and asks the cache for nothing."""
+    sources = np.array([0, 2], np.int64)
+    return [(method, (_mat(dt), sources))
+            for method in ("bfs_multi", "sssp_multi") for dt in (np.int64, np.float64, np.bool_)]
 
 
 def _asked(engine, calls) -> list[str]:
@@ -182,8 +192,10 @@ def test_every_engine_method_is_called():
 
 
 def test_pyjit_spec_keys_are_pinned(tmp_path):
-    asked = _asked(PyJitEngine(_RecordingCache(tmp_path)), _calls())
-    assert len(asked) == len(_calls())
+    traversals = {method for method, _ in _traversal_calls()}
+    calls = [call for call in _calls() if call[0] not in traversals]
+    asked = _asked(PyJitEngine(_RecordingCache(tmp_path)), calls)
+    assert len(asked) == len(calls)
     assert _digest(asked) == ENGINE_DIGESTS["pyjit"], "\n".join(asked)
 
 
