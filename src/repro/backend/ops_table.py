@@ -138,8 +138,12 @@ BINARY_OPS: dict[str, BinaryOpDef] = {
         BinaryOpDef("Minus", _minus, "(({a}) - ({b}))", "arith", None),
         BinaryOpDef("Times", np.multiply, "(({a}) * ({b}))", "arith", np.multiply),
         BinaryOpDef("Div", _c_div, "(({b}) == 0 ? T(0) : T(({a}) / ({b})))", "arith", None),
-        BinaryOpDef("Min", np.minimum, "((({a}) < ({b})) ? ({a}) : ({b}))", "arith", np.minimum),
-        BinaryOpDef("Max", np.maximum, "((({a}) > ({b})) ? ({a}) : ({b}))", "arith", np.maximum),
+        BinaryOpDef("Min", np.minimum,
+                    "((({a}) != ({a})) ? ({a}) : ((({a}) < ({b})) ? ({a}) : ({b})))",
+                    "arith", np.minimum),
+        BinaryOpDef("Max", np.maximum,
+                    "((({a}) != ({a})) ? ({a}) : ((({a}) > ({b})) ? ({a}) : ({b})))",
+                    "arith", np.maximum),
         BinaryOpDef("First", _first, "({a})", "select", None),
         BinaryOpDef("Second", _second, "({b})", "select", None),
         BinaryOpDef(

@@ -13,18 +13,19 @@ The engine stack is ``Tracing(Guard(Resilient(...)))``:
   ``benchmarks/check_guard_overhead.py``).
 * ``with gb.deadline(seconds=...)`` establishes a per-scope budget
   (scopes nest; the effective deadline is the minimum).  A lazy watchdog
-  thread arms one timer per guarded op; expiry flips the cooperative
-  cancellation signals and the op raises a catchable
+  thread arms one timer per guarded op; expiry raises the op's thread's
+  cancel cell and the op raises a catchable
   :class:`~repro.exceptions.OperationTimeout` carrying op/engine/elapsed.
-* Cancellation is **cooperative** at every layer: pyjit kernels call
-  :func:`check_cancelled` on entry, and C++ kernels poll an atomic flag
-  exported over the FFI boundary (``pygb_request_cancel`` /
-  ``pygb_cancel_requested`` externs; the kernel returns the ``-2``
-  sentinel instead of unwinding C++ exceptions across OpenMP regions or
-  ``extern "C"`` frames, which would be undefined behaviour).  The flag
-  is one per loaded library, so it is raised only while a cancelled op
-  is in flight, and a kernel that sees it on a thread whose own op was
-  not cancelled reruns once it falls (:func:`cancel_was_foreign`).
+* Cancellation is **cooperative** at every layer, through one signal
+  per thread: each Python thread owns a cancel cell (an ``int64``) that
+  is up exactly while an op on that thread is in flight whose guard
+  fired or whose scope was cancelled.  pyjit kernels call
+  :func:`check_cancelled` on entry, and every C++ kernel gets the cell's
+  address as the first argument of ``pygb_run`` and polls it; a raised
+  cell makes the kernel return the ``-2`` sentinel instead of unwinding
+  C++ exceptions across OpenMP regions or ``extern "C"`` frames, which
+  would be undefined behaviour.  A cell belongs to one thread, so no
+  other thread's cancel can reach its kernels.
 
 Every guard intervention (timeout, cancel) is a deterministic counter
 in :func:`stats` and — when tracing is active — an ``obs`` instant
@@ -34,6 +35,7 @@ event in the ``guard`` category, rolled up by
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import threading
 import time
@@ -47,13 +49,26 @@ __all__ = [
     "check_cancelled",
     "cooperative_sleep",
     "GuardedEngine",
-    "register_cancel_lib",
-    "cancel_was_foreign",
     "stats",
     "reset_stats",
 ]
 
-_TLS = threading.local()
+
+class _ThreadState(threading.local):
+    """Per-thread guard state.  The class-level defaults answer a thread
+    that never opened a scope without a thread-local miss; ``__init__``
+    runs once per thread and creates its cancel cell, whose address
+    every C++ kernel call on that thread passes."""
+
+    scopes = ()
+    op_guard = None
+
+    def __init__(self):
+        self.cancel = ctypes.c_int64(0)
+        self.cancel_addr = ctypes.addressof(self.cancel)
+
+
+_TLS = _ThreadState()
 
 #: number of currently armed guards, process-wide.  ``check_cancelled``
 #: (called from every pyjit kernel) returns on a single
@@ -80,15 +95,15 @@ def fault_sleep_seconds() -> float:
 
 
 def _scope_stack() -> list:
-    stack = getattr(_TLS, "scopes", None)
-    if stack is None:
+    stack = _TLS.scopes
+    if stack == ():  # the class default: the first push on this thread
         stack = _TLS.scopes = []
     return stack
 
 
 def current_scope():
     """The innermost active :class:`deadline` scope on this thread."""
-    stack = getattr(_TLS, "scopes", None)
+    stack = _TLS.scopes
     return stack[-1] if stack else None
 
 
@@ -146,10 +161,10 @@ class deadline:
 
     def cancel(self) -> None:
         """Cancel the scope (thread-safe, idempotent).  The operation
-        currently running under it observes the flag at its next
-        checkpoint and raises ``OperationCancelled``; operations started
-        afterwards fail fast at dispatch entry — also those under a
-        nested scope."""
+        currently running under it sees its thread's cancel cell raised
+        at its next checkpoint and raises ``OperationCancelled``;
+        operations started afterwards fail fast at dispatch entry — also
+        those under a nested scope."""
         self.cancelled = True
         _cancel_ops_under(self)
 
@@ -171,22 +186,25 @@ class deadline:
 
 class _OpGuard:
     """One armed operation: what the watchdog times and what
-    :func:`check_cancelled` consults."""
+    :func:`check_cancelled` consults.  ``cell`` is the cancel cell of the
+    thread that started the op; ``raised`` whether this op raised it."""
 
     __slots__ = (
-        "op", "engine", "scope", "event", "deadline_at", "budget", "t0", "done", "fired",
+        "op", "engine", "scope", "cell", "deadline_at", "budget", "t0", "done", "fired",
+        "raised",
     )
 
     def __init__(self, op, engine, scope, t0):
         self.op = op
         self.engine = engine
         self.scope = scope
-        self.event = threading.Event()
+        self.cell = _TLS.cancel
         self.deadline_at = scope.deadline_at
         self.budget = scope.seconds
         self.t0 = t0
         self.done = False
         self.fired = False
+        self.raised = False
 
 
 class _Watchdog:
@@ -246,13 +264,11 @@ _WATCHDOG = _Watchdog()
 
 
 def _fire(og: _OpGuard) -> None:
-    """Deadline expiry: flip every cooperative cancellation signal the
-    running op might be watching."""
+    """Deadline expiry: raise the cancel cell the running op watches."""
     og.fired = True
     og.scope.expired = True
-    og.event.set()
     with _CANCEL_LOCK:
-        _raise_flag(og)
+        _raise_cell(og)
 
 
 def _cancelled(scope) -> bool:
@@ -271,7 +287,7 @@ def check_cancelled() -> None:
     when no guard is armed anywhere in the process."""
     if not _ACTIVE:
         return
-    og = getattr(_TLS, "op_guard", None)
+    og = _TLS.op_guard
     if og is None or og.done:
         return
     scope = og.scope
@@ -280,7 +296,7 @@ def check_cancelled() -> None:
             f"operation {og.op!r} cancelled",
             op=og.op, engine=og.engine, elapsed=time.monotonic() - og.t0,
         )
-    if og.event.is_set() or (
+    if og.cell.value or (
         og.deadline_at is not None and time.monotonic() >= og.deadline_at
     ):
         # mark the expiry so the guard wrapper converts this to
@@ -307,66 +323,29 @@ def cooperative_sleep(seconds: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# the C++ cancellation flag registry
+# the per-thread cancel cells
 # ----------------------------------------------------------------------
 
-# ctypes loads each kernel .so RTLD_LOCAL, so every library carries its
-# own `static std::atomic` flag; asserting a cancel means setting it on
-# every loaded library.  The flag belongs to no thread, so every thread's
-# kernels see it: it is raised only for an op in flight whose guard fired
-# or whose scope was cancelled, and it falls when the last such op ends.
-# A scope cancelled between ops raises nothing — its later ops fail fast
-# at entry — so no thread waits on a flag for longer than one cancelled
-# op takes to bail.
+# A cell counts the ops in flight on its thread that raised it, so with
+# nested guarded ops it falls only when the op that raised it ends.  It
+# is raised only for an op in flight, under this lock, and lowered when
+# that op ends, under the same lock: a fire that arrives after the end
+# finds ``og.done`` set and raises nothing.  A scope cancelled between
+# ops raises nothing either — its later ops fail fast at entry.
 _CANCEL_LOCK = threading.Lock()
-_CANCEL_CLEARED = threading.Condition(_CANCEL_LOCK)
-_CANCEL_LIBS: list = []
-_LIVE: set = set()  # guarded ops in flight
-_ASSERTED: set = set()  # the live ones whose cancel raised the flag
-
-#: bumped each time the flag rises or falls.  A C++ kernel that saw the
-#: flag raised may stop a loop short and still return a result if the
-#: flag fell before its final check, so cppengine compares this around a
-#: call and treats a change like the ``-2`` sentinel
-FLAG_EPOCH = 0
+_LIVE: set = set()  # guarded ops in flight, on every thread
 
 
-def register_cancel_lib(lib) -> None:
-    """Register a loaded kernel library exporting ``pygb_request_cancel``
-    (cppengine calls this at dlopen time) so watchdog fires reach it."""
-    with _CANCEL_LOCK:
-        if any(existing is lib for existing in _CANCEL_LIBS):
-            return
-        _CANCEL_LIBS.append(lib)
-        try:
-            lib.pygb_request_cancel(1 if _ASSERTED else 0)
-        except Exception:
-            pass
-
-
-def _set_flags(value: int) -> None:
-    global FLAG_EPOCH
-    FLAG_EPOCH += 1
-    for lib in _CANCEL_LIBS:
-        try:
-            lib.pygb_request_cancel(value)
-        except Exception:
-            pass
-
-
-def _raise_flag(og: _OpGuard) -> None:
-    """Assert *og*'s cancel (caller holds ``_CANCEL_LOCK``).  An op that
-    already ended is skipped: its end cleared under this lock, and a
-    token added after that would keep the flag raised for good."""
-    if og.done or og in _ASSERTED:
+def _raise_cell(og: _OpGuard) -> None:
+    """Raise *og*'s thread's cell for it (caller holds ``_CANCEL_LOCK``)."""
+    if og.done or og.raised:
         return
-    if not _ASSERTED:
-        _set_flags(1)
-    _ASSERTED.add(og)
+    og.raised = True
+    og.cell.value += 1
 
 
 def _cancel_ops_under(scope) -> None:
-    """``deadline.cancel()``: raise the flag for the ops in flight under
+    """``deadline.cancel()``: raise the cells of the ops in flight under
     *scope* (directly or in a nested scope)."""
     with _CANCEL_LOCK:
         for og in list(_LIVE):
@@ -374,7 +353,7 @@ def _cancel_ops_under(scope) -> None:
             while s is not None and s is not scope:
                 s = s.parent
             if s is scope:
-                _raise_flag(og)
+                _raise_cell(og)
 
 
 def _op_started(og: _OpGuard) -> None:
@@ -382,53 +361,15 @@ def _op_started(og: _OpGuard) -> None:
         _LIVE.add(og)
         if _cancelled(og.scope):
             # cancel() ran between the entry check and here
-            _raise_flag(og)
+            _raise_cell(og)
 
 
 def _op_ended(og: _OpGuard) -> None:
     with _CANCEL_LOCK:
         og.done = True
         _LIVE.discard(og)
-        if og in _ASSERTED:
-            _ASSERTED.discard(og)
-            if not _ASSERTED:
-                _set_flags(0)
-                _CANCEL_CLEARED.notify_all()
-
-
-def _own_cancel() -> bool:
-    """Whether this thread's armed op guard fired, its deadline passed or
-    a scope on its stack was cancelled or expired — the last covers an
-    un-guarded helper such as ``normalize_rows``."""
-    og = getattr(_TLS, "op_guard", None)
-    if og is not None and not og.done:
-        try:
-            check_cancelled()
-        except OperationCancelled:
-            return True
-    return any(s.cancelled or s.expired for s in getattr(_TLS, "scopes", ()))
-
-
-def cancel_was_foreign(flag) -> bool:
-    """A C++ kernel on this thread returned the ``-2`` sentinel, or the
-    flag rose or fell while it ran; *flag* reads that library's
-    cancellation flag.  The flag is one per library, not per thread, so
-    another thread's deadline or cancel raises it under this thread's
-    kernels too.  Returns True — once the flag has fallen — when the
-    cancel was not this thread's: the caller reruns the kernel.  False
-    when it was this thread's op or scope, or when the flag was raised
-    outside the guard.  The wait lasts at most as long as the other
-    threads' cancelled ops take to bail; the timed wait re-checks this
-    thread's own deadline meanwhile."""
-    with _CANCEL_CLEARED:
-        while True:
-            if _own_cancel():
-                return False
-            if not flag():
-                return True
-            if not _ASSERTED:
-                return False
-            _CANCEL_CLEARED.wait(0.05)
+        if og.raised:
+            og.cell.value -= 1
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +472,7 @@ def _run_guarded(op, engine_name, scope, method, args, kwargs):
         )
     _WATCHDOG.arm(og)
     _op_started(og)
-    prev = getattr(_TLS, "op_guard", None)
+    prev = _TLS.op_guard
     try:
         _TLS.op_guard = og
         try:
@@ -601,7 +542,7 @@ class GuardedEngine:
             return value
 
         def guarded(*args, __method=value, __op=attr, __inner=inner, **kwargs):
-            scopes = getattr(_TLS, "scopes", None)
+            scopes = _TLS.scopes
             if not scopes:
                 return __method(*args, **kwargs)
             return _run_guarded(__op, __inner.name, scopes[-1], __method, args, kwargs)

@@ -123,9 +123,9 @@ def _flags_block(spec: KernelSpec, tc: str = "TC") -> str:
     return "\n".join(lines)
 
 
-#: the kernel result ``t`` may be partial when a compute loop observed the
-#: cancellation flag and broke out early — the ``-2`` sentinel (checked
-#: before anything is written to the caller's buffers) tells the engine
+#: the kernel result ``t`` may be partial when a compute loop saw the
+#: thread's cancel cell raised and broke out early — the ``-2`` sentinel
+#: (checked before anything is written to the caller's buffers) tells the engine
 #: to discard it and raise ``OperationCancelled`` instead of surfacing a
 #: truncated result.  Vector results go straight into the two
 #: ``c_size``-long NumPy buffers the engine passed in.
@@ -405,7 +405,7 @@ using TC = {cxx_name(spec.get('c'))};
         # C<> = f(A) stores exactly where A does: the binding computes
         # values only and the engine pairs them with A's indptr/indices.
         # The caller sized out_vals from A's nnz; nothing is written once
-        # the cancellation flag is seen (the -2 contract)
+        # the cancel cell is seen raised (the -2 contract)
         return head + f"""{_unary_functor(spec)}
 
 extern "C" Index pygb_run(
@@ -785,12 +785,11 @@ extern "C" void pygb_run(
 # (backend/kernels/traversal.py is the reference).  One call per batch;
 # the result goes into caller buffers sized k + 1, k·n and k·n
 # (nnz <= k·n), so nothing is held or fetched.  The engine has checked
-# the graph is square and every source in range.  The flag is polled
-# once a round and after the last; a ``GB::vxm`` cut short by a flag
-# that fell again before the next poll still returns a count, which the
-# engine reruns because ``guard.FLAG_EPOCH`` moved.  Serial build: a
-# served batch is small, and the service's parallelism is its worker
-# threads.
+# the graph is square and every source in range.  The cancel cell is
+# polled once a round and after the last; it does not fall before the op
+# ends, so a ``GB::vxm`` it cut short never yields a count.  Serial
+# build: a served batch is small, and the service's parallelism is its
+# worker threads.
 # ----------------------------------------------------------------------
 
 _TRAVERSAL_SIGNATURE = """
@@ -933,21 +932,21 @@ def _instrument_kernel_timing(source: str) -> str:
     )
 
 
-#: every TU exposes the cancellation flag both ways: the Python watchdog
-#: asserts it (pygb_request_cancel) while a kernel runs on another
-#: thread, and the engine/tests can read it back (pygb_cancel_requested).
-#: One flag per loaded .so — ctypes dlopens RTLD_LOCAL — so the guard
-#: layer keeps a registry of every library it must reach.
-_CANCEL_ACCESSORS = (
-    '\nextern "C" void pygb_request_cancel(GB::Index v)'
-    " { GB::cancel_flag_ref().store(v); }\n"
-    'extern "C" GB::Index pygb_cancel_requested()'
-    " { return GB::cancel_flag_ref().load(); }\n"
-)
-
-
 def _instrument_cancellation(source: str) -> str:
-    return source + _CANCEL_ACCESSORS
+    """Give ``pygb_run`` this thread's cancel cell: a leading ``const
+    GB::Index*`` parameter (the engine passes the calling thread's cell)
+    and a ``GB::CancelScope`` as its first statement, which points the
+    kernels' thread-local slot at the cell for the call and restores it
+    on every exit path."""
+    anchor = source.find("pygb_run(") + len("pygb_run(")
+    brace = source.find("{", anchor)
+    return (
+        source[:anchor]
+        + "const GB::Index* pygb_cancel,"
+        + source[anchor : brace + 1]
+        + "\n    GB::CancelScope _pygb_cancel_scope(pygb_cancel);"
+        + source[brace + 1 :]
+    )
 
 
 def generate_cpp_source(spec: KernelSpec) -> str:

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import guard, obs, schedule as _schedule
+from .. import obs, schedule as _schedule
 from ..backend.ffipack import address
 from ..backend.kernels.traversal import check_traversal
 from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
@@ -63,6 +63,7 @@ from ..exceptions import (
     IndexOutOfBounds,
     OperationCancelled,
 )
+from ..guard import _TLS as _THREAD  # this thread's cancel cell
 from ..testing.faults import FAULTS
 from ..types import CXX_NAMES
 from .cache import JitCache, default_cache
@@ -231,8 +232,9 @@ def _bool_pair(value) -> tuple:
 # ----------------------------------------------------------------------
 _P, _I, _D = c_void_p, c_int64, c_double
 
-#: argument groups of a generated ``pygb_run`` signature (cppcodegen);
-#: stores pass as the raw addresses of their resident packs
+#: argument groups of a generated ``pygb_run`` signature (cppcodegen),
+#: after its leading cancel cell; stores pass as the raw addresses of
+#: their resident packs
 _GROUPS = {
     "M": (_I, _I, _P, _P, _P),  # matrix: nrows, ncols, indptr, indices, values
     "m": (_P, _P, _P),  # matrix sharing those dims; a matrix mask
@@ -276,13 +278,14 @@ class _Bound:
     time: entry points with ``argtypes``/``restype`` set once, the
     scalar-constant encoder and the scalar result dtype."""
 
-    __slots__ = ("spec", "run", "fetch", "kernel_ns", "edges", "cancelled", "lib_name", "const",
+    __slots__ = ("spec", "run", "fetch", "kernel_ns", "edges", "lib_name", "const",
                  "scalar_dtype")
 
     def __init__(self, spec: KernelSpec, lib: ctypes.CDLL, layout: str, const_dtype, scalar_dtype):
         self.spec = spec
         self.run = lib.pygb_run
-        self.run.argtypes = [t for group in layout for t in _GROUPS[group]]
+        # the calling thread's cancel cell, then the layout's groups
+        self.run.argtypes = [_P] + [t for group in layout for t in _GROUPS[group]]
         self.run.restype = None if layout[-1] == "P" else c_int64
         self.fetch = None
         if layout[-1] not in "OPRW":
@@ -297,8 +300,6 @@ class _Bound:
         if spec.get("dir") == "pull":
             self.edges = lib.pygb_edges_examined
             self.edges.restype = c_int64
-        # this library's cancellation flag (set up by CppJitEngine._load_lib)
-        self.cancelled = lib.pygb_cancel_requested
         self.lib_name = os.path.basename(lib._name) if lib._name else None
         self.const = {"f": _float_pair, "b": _bool_pair}.get(const_dtype.kind, _int_pair)
         self.scalar_dtype = scalar_dtype
@@ -446,12 +447,6 @@ class CppJitEngine:
                     f"cannot load compiled kernel {artifact.name} even after "
                     f"rebuilding: {exc2} (first failure: {exc})"
                 ) from exc2
-        # cooperative cancellation flag; the guard watchdog asserts it
-        # from its own thread while a kernel is running
-        lib.pygb_request_cancel.restype = None
-        lib.pygb_request_cancel.argtypes = (c_int64,)
-        lib.pygb_cancel_requested.restype = c_int64
-        guard.register_cancel_lib(lib)
         with self._libs_lock:
             return self._libs.setdefault(str(artifact), lib)
 
@@ -525,19 +520,21 @@ class CppJitEngine:
     # the FFI boundary
     # ------------------------------------------------------------------
     def _call(self, bound: _Bound, args: tuple):
-        """One ``pygb_run`` invocation with the observability split:
-        Python's monotonic clock around the whole call (FFI total) and
-        the kernel's own C++-side clock pair read back through
-        ``pygb_kernel_ns()``; the difference is the ctypes/marshalling
-        boundary cost (the per-op overhead of paper Figs. 7/8)."""
+        """One ``pygb_run`` invocation, passing this thread's cancel cell,
+        with the observability split: Python's monotonic clock around the
+        whole call (FFI total) and the kernel's own C++-side clock pair
+        read back through ``pygb_kernel_ns()``; the difference is the
+        ctypes/marshalling boundary cost (the per-op overhead of paper
+        Figs. 7/8)."""
+        cell = _THREAD.cancel_addr
         if not obs.ACTIVE:
-            return bound.run(*args)
+            return bound.run(cell, *args)
         tracer = obs.active_tracer()
         if tracer is None:
-            return bound.run(*args)
+            return bound.run(cell, *args)
         t0 = time.perf_counter_ns()
         try:
-            return bound.run(*args)
+            return bound.run(cell, *args)
         finally:
             dur = time.perf_counter_ns() - t0
             kernel_ns = int(bound.kernel_ns())
@@ -555,21 +552,13 @@ class CppJitEngine:
             )
 
     def _run(self, bound: _Bound, args: tuple, out=None) -> int:
-        epoch = guard.FLAG_EPOCH
         nnz = self._call(bound, args)
-        while nnz == -2 or (nnz >= 0 and guard.FLAG_EPOCH != epoch):
-            # cancellation sentinel: the kernel bailed before the writeback,
-            # so nothing was written or parked.  A flag that rose or fell
-            # during the call may have stopped a loop short without the
-            # sentinel, so that result is not trusted either.  The flag is
-            # one per .so, not per thread: raise only when the cancel was
-            # this thread's, else rerun once the other thread's has cleared
-            # (a rerun overwrites the buffers and the parked result)
-            if not guard.cancel_was_foreign(bound.cancelled):
-                raise OperationCancelled("C++ kernel observed cancellation flag")
-            epoch = guard.FLAG_EPOCH
-            nnz = self._call(bound, args)
         if nnz < 0:
+            if nnz == -2:
+                # cancellation sentinel: this thread's cell was raised, and
+                # the kernel bailed before the writeback — nothing was
+                # written or parked
+                raise OperationCancelled("C++ kernel observed its thread's cancel cell")
             if nnz in (-3, -4):
                 # an index list reached past *out* (the reference kernels'
                 # check and message); nothing was written or parked

@@ -37,7 +37,6 @@ GBTL_LITE_HEADER = r"""
 // gbtl_lite.hpp — mini-GBTL for the PyGB reproduction. Auto-written; do not edit.
 #pragma once
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -85,25 +84,42 @@ inline int64_t& edges_examined_ref() {
 }
 
 // ---------------------------------------------------------------------
-// cooperative cancellation.  The Python watchdog thread asserts this flag
-// through the FFI boundary (pygb_request_cancel) while a kernel runs on a
-// DIFFERENT thread, so it must be one process-wide atomic per loaded
-// library — NOT thread_local.  Long serial row sweeps poll it every 1024
-// iterations and break; the generated writeback stage then returns the
-// -2 sentinel instead of exporting a partial result (no C++ exception
-// ever crosses an OpenMP region or the extern "C" frame — that would be
-// undefined behaviour).  OpenMP-parallel paths run to completion (the
-// masked mxm, one loop for both builds, stops per thread instead); the
-// sentinel check after them still discards the result promptly.
+// cooperative cancellation.  Each Python thread owns one cancel cell;
+// the engine passes its address as the first argument of every
+// generated pygb_run, and the binding's CancelScope points this
+// thread_local slot at it for the call (null outside a kernel, so code
+// that no binding called never sees a cancel).  A cell belongs to one
+// thread: only the guard of an op running on that thread raises it.
+// Long serial row sweeps poll it every 1024 iterations and break; the
+// generated writeback stage then returns the -2 sentinel instead of
+// exporting a partial result (no C++ exception ever crosses an OpenMP
+// region or the extern "C" frame — that would be undefined behaviour).
+// OpenMP team threads do not share the slot, so a parallel region reads
+// the cell through a pointer captured before it (the masked mxm, one
+// loop for both builds, stops per thread); other OpenMP-parallel paths
+// run to completion, and the sentinel check after them still discards
+// the result promptly.
 // ---------------------------------------------------------------------
-inline std::atomic<int64_t>& cancel_flag_ref() {
-    static std::atomic<int64_t> flag{0};
-    return flag;
+inline const int64_t*& cancel_flag_ref() {
+    thread_local const int64_t* cell = nullptr;
+    return cell;
+}
+
+inline bool cancel_requested(const int64_t* cell) {
+    return cell && __atomic_load_n(cell, __ATOMIC_RELAXED) != 0;
 }
 
 inline bool cancel_requested() {
-    return cancel_flag_ref().load(std::memory_order_relaxed) != 0;
+    return cancel_requested(cancel_flag_ref());
 }
+
+struct CancelScope {
+    const int64_t* prev;
+    explicit CancelScope(const int64_t* cell) : prev(cancel_flag_ref()) {
+        cancel_flag_ref() = cell;
+    }
+    ~CancelScope() { cancel_flag_ref() = prev; }
+};
 
 // ---------------------------------------------------------------------
 // threading runtime.  Serial artifacts are compiled from this same file
@@ -150,8 +166,23 @@ template <class T> struct Times { T operator()(T a, T b) const { return a * b; }
 template <class T> struct Div {
     T operator()(T a, T b) const { return b == T(0) ? T(0) : T(a / b); }
 };
-template <class T> struct Min { T operator()(T a, T b) const { return b < a ? b : a; } };
-template <class T> struct Max { T operator()(T a, T b) const { return a < b ? b : a; } };
+// NumPy's np.minimum / np.maximum, bit for bit: a NaN operand wins (the
+// first when both are), and of two equal operands (±0) the second wins.
+// The NaN test is a branch marked unlikely, so a min-plus fold keeps one
+// minsd on its dependency chain (as a select, or fused into one
+// condition, it costs the fold up to twice the latency)
+template <class T> struct Min {
+    T operator()(T a, T b) const {
+        if (__builtin_expect(a != a, 0)) return a;
+        return a < b ? a : b;
+    }
+};
+template <class T> struct Max {
+    T operator()(T a, T b) const {
+        if (__builtin_expect(a != a, 0)) return a;
+        return a > b ? a : b;
+    }
+};
 template <class T> struct First  { T operator()(T a, T) const { return a; } };
 template <class T> struct Second { T operator()(T, T b) const { return b; } };
 template <class T> struct LogicalOr {
@@ -476,6 +507,7 @@ CSR<TT> mxm(const MatA& A, const MatB& B, AddOp add, MultOp mult,
         out.indices.resize(mask->indices.size());
         out.values.resize(mask->indices.size());
         std::vector<Index> count(A.nrows, 0);
+        const int64_t* const cancel = cancel_flag_ref();  // team threads do not share it
         #pragma omp parallel num_threads(A.nrows >= 64 ? num_threads() : 1)
         {
             std::vector<TT> acc(B.ncols);
@@ -484,7 +516,7 @@ CSR<TT> mxm(const MatA& A, const MatB& B, AddOp add, MultOp mult,
             bool cancelled = false;  // per thread: a loop under omp for cannot break
             #pragma omp for schedule(dynamic, 64)
             for (Index i = 0; i < A.nrows; ++i) {
-                if ((i & 1023) == 0 && cancel_requested()) cancelled = true;
+                if ((i & 1023) == 0 && cancel_requested(cancel)) cancelled = true;
                 if (cancelled) continue;
                 const Index lo = mask->indptr[i], hi = mask->indptr[i + 1];
                 for (Index p = lo; p < hi; ++p)

@@ -105,7 +105,7 @@ class TestVectorOpsAgainstInterpreted:
         want = interp.vxm(_vs(c), _vs(u), _ms(a), "Plus", "Times", desc)
         _same_vec(got, want)
 
-    @pytest.mark.parametrize("op", ["Plus", "Minus", "Min"])
+    @pytest.mark.parametrize("op", ["Plus", "Minus", "Min", "Max"])
     def test_ewise_vec(self, cpp, interp, rng, op):
         u, v = random_vec_dict(rng, N), random_vec_dict(rng, N)
         got = cpp.ewise_add_vec(_vs({}), _vs(u), _vs(v), op, OpDesc())
@@ -114,6 +114,18 @@ class TestVectorOpsAgainstInterpreted:
         got = cpp.ewise_mult_vec(_vs({}), _vs(u), _vs(v), op, OpDesc())
         want = interp.ewise_mult_vec(_vs({}), _vs(u), _vs(v), op, OpDesc())
         _same_vec(got, want)
+        if op in ("Min", "Max"):
+            # every ordered pair of NaN, signed zero and ordinary values:
+            # GB::Min / GB::Max are np.minimum / np.maximum bit for bit
+            special = [0.0, -0.0, np.nan, -np.nan, 1.0, -1.0, np.inf]
+            pairs = [(x, y) for x in special for y in special]
+            n = len(pairs)
+            u = _vs(dict(enumerate(x for x, _ in pairs)), n)
+            v = _vs(dict(enumerate(y for _, y in pairs)), n)
+            for method in ("ewise_add_vec", "ewise_mult_vec"):
+                got = getattr(cpp, method)(_vs({}, n), u, v, op, OpDesc())
+                want = getattr(interp, method)(_vs({}, n), u, v, op, OpDesc())
+                assert got.values.tobytes() == want.values.tobytes(), method
 
     @pytest.mark.parametrize(
         "op_spec",

@@ -348,19 +348,15 @@ class TestOperandForms:
         def mat():
             return cpp.mxm(SparseMatrix.empty(N, N, float), graph, graph, "Plus", "Times", OpDesc())
 
-        clean = vec(), mat()  # loads and registers both libraries
-        with guard._CANCEL_LOCK:
-            libs = list(guard._CANCEL_LIBS)
-        for lib in libs:
-            lib.pygb_request_cancel(1)
+        clean = vec(), mat()
+        guard._TLS.cancel.value = 1  # this thread's cancel cell
         try:
             with pytest.raises(OperationCancelled):
                 vec()
             with pytest.raises(OperationCancelled):
                 mat()
         finally:
-            for lib in libs:
-                lib.pygb_request_cancel(0)
+            guard._TLS.cancel.value = 0
         _same(vec(), clean[0])
         _same(mat(), clean[1])  # nothing stale was parked by the cancelled run
 

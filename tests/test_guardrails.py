@@ -15,6 +15,7 @@ deadline tests pin the ``pyjit`` engine explicitly.
 """
 
 import contextlib
+import sys
 import threading
 import time
 import warnings
@@ -275,8 +276,34 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
-# the C++ engine's cooperative cancellation flag
+# the C++ engine's per-thread cancel cell
 # ----------------------------------------------------------------------
+
+
+def _big_product_operands(n=1500):
+    """Operands of a serial product that runs 36-47 ms warm on a 2-vCPU
+    host, long enough for a budget well inside it to expire mid-kernel."""
+    rng = np.random.default_rng(5)
+    keep = rng.random((n, n)) < 0.03
+    r, c = np.nonzero(keep)
+    a = gb.Matrix((np.ones(r.size), (r, c)), shape=(n, n), dtype=np.float64)
+    b = gb.Matrix((np.ones(r.size), (c, r)), shape=(n, n), dtype=np.float64)
+    return a, b
+
+
+def _product(a, b):
+    n = a.shape[0]
+    c = gb.Matrix(shape=(n, n), dtype=np.float64)
+    with gb.ArithmeticSemiring:
+        c[None] = a @ b
+    return c
+
+
+def _masked_product(a):
+    c = gb.Matrix(shape=a.shape, dtype=np.float64)
+    with gb.ArithmeticSemiring:
+        c[a] = a @ a
+    return c._store.to_dict()
 
 
 @pytest.mark.cpp
@@ -289,57 +316,58 @@ class TestCppCancellation:
             pytest.skip("no working C++ toolchain")
 
     def test_flag_round_trip_over_ffi(self):
-        """Asserting the per-library atomic makes the kernel bail with
+        """Raising this thread's cancel cell makes the kernel bail with
         the -2 sentinel (surfaced as OperationCancelled, not a corrupt
-        result); clearing it restores normal execution."""
+        result); lowering it restores normal execution.  The masked
+        product reads the cell inside its OpenMP region."""
         a, u = _operands(3)
+        g = _graph(3, n=128)
+        cell = guard._TLS.cancel
         with use_engine("cpp"):
-            clean = _mxv(a, u)  # compiles + registers the library
-            assert guard._CANCEL_LIBS, "cpp engine did not register its cancel flag"
-            lib = guard._CANCEL_LIBS[-1]
-            lib.pygb_request_cancel(1)
+            clean = _mxv(a, u), _masked_product(g)
+            cell.value = 1
             try:
-                assert lib.pygb_cancel_requested() == 1
                 with pytest.raises(OperationCancelled):
                     _mxv(a, u)
+                with pytest.raises(OperationCancelled):
+                    _masked_product(g)
             finally:
-                lib.pygb_request_cancel(0)
-            assert _mxv(a, u) == clean
+                cell.value = 0
+            assert (_mxv(a, u), _masked_product(g)) == clean
 
     def test_deadline_cancels_running_cpp_kernel(self, monkeypatch):
-        """End to end: the watchdog thread asserts the flag while the
-        C++ kernel runs; the op raises OperationTimeout in bounded time
-        (the serial loops poll every 1024 rows and the writeback checks
-        once more, so even a coarse poll interval converts the result to
-        a timeout instead of surfacing a stale container)."""
-        rng = np.random.default_rng(5)
-        n = 1500
-        keep = rng.random((n, n)) < 0.03
-        r, c = np.nonzero(keep)
-        a = gb.Matrix((np.ones(r.size), (r, c)), shape=(n, n), dtype=np.float64)
-        b = gb.Matrix((np.ones(r.size), (c, r)), shape=(n, n), dtype=np.float64)
-        monkeypatch.setenv("PYGB_PARALLEL", "0")  # serial loops poll the flag
+        """End to end: the watchdog thread raises the cell while the C++
+        kernel runs; the op raises OperationTimeout in bounded time (the
+        serial loops poll every 1024 rows and the writeback checks once
+        more, so even a coarse poll interval converts the result to a
+        timeout instead of surfacing a stale container)."""
+        a, b = _big_product_operands()
+        monkeypatch.setenv("PYGB_PARALLEL", "0")  # serial loops poll the cell
         with use_engine("cpp"):
-            cmat = gb.Matrix(shape=(n, n), dtype=np.float64)
-            with gb.ArithmeticSemiring:  # warm the kernel cache unguarded
-                cmat[None] = a @ b
-            # the warm product runs 36-47 ms on a 2-vCPU host: a budget
-            # well inside that expires while the kernel is running
+            _product(a, b)  # warm the kernel cache unguarded
             with pytest.raises(OperationTimeout):
                 with gb.deadline(seconds=0.01):
-                    d = gb.Matrix(shape=(n, n), dtype=np.float64)
-                    with gb.ArithmeticSemiring:
-                        d[None] = a @ b
-            # the flag must be clear again: the next dispatch succeeds
-            e = gb.Matrix(shape=(n, n), dtype=np.float64)
-            with gb.ArithmeticSemiring:
-                e[None] = a @ b
+                    _product(a, b)
+            # the cell is down again: the next dispatch succeeds
+            assert guard._TLS.cancel.value == 0
+            _product(a, b)
 
     @staticmethod
-    def _foreign_op(scope):
-        """An op guard in flight under *scope*, standing in for another
-        thread's guarded op (what ``_run_guarded`` arms around a call)."""
-        og = guard._OpGuard("mxm", "cpp", scope, time.monotonic())
+    def _op_on(scope, thread=False):
+        """An op guard in flight under *scope*, as ``_run_guarded`` arms
+        one around a call — on this thread, or on another one."""
+        box = []
+
+        def make():
+            box.append(guard._OpGuard("mxm", "cpp", scope, time.monotonic()))
+
+        if thread:
+            t = threading.Thread(target=make)
+            t.start()
+            t.join(timeout=30)
+        else:
+            make()
+        og = box[0]
         guard._WATCHDOG.arm(og)
         guard._op_started(og)
         return og
@@ -350,101 +378,143 @@ class TestCppCancellation:
         guard._op_ended(og)
 
     def test_another_threads_cancel_does_not_fail_this_threads_kernel(self):
-        """The flag is one per loaded library, so a cancel asserted for
-        one thread's op makes every thread's C++ kernels return -2.  An
-        unguarded kernel must not raise for it: it waits until that op
-        ends (0.3 s here) and reruns (nothing was written)."""
+        """A cell belongs to one thread: a cancel raised for another
+        thread's op (which ends only after 0.3 s here) never reaches this
+        thread's kernel, which returns the exact result without waiting."""
         a, u = _operands(11)
         with use_engine("cpp"):
-            clean = _mxv(a, u)  # compiles + registers the library
-        lib = guard._CANCEL_LIBS[-1]
-        og = self._foreign_op(gb.deadline(seconds=30))
+            clean = _mxv(a, u)
+        og = self._op_on(gb.deadline(seconds=30), thread=True)
+        ender = threading.Timer(0.3, self._end, (og,))
         try:
             guard._fire(og)  # its deadline passed while it runs
-            assert lib.pygb_cancel_requested() == 1
-            threading.Timer(0.3, self._end, (og,)).start()
+            assert og.cell.value == 1 and guard._TLS.cancel.value == 0
+            ender.start()
             start = time.monotonic()
             with use_engine("cpp"):
                 assert _mxv(a, u) == clean
-            assert time.monotonic() - start >= 0.25  # it waited the cancel out
+            assert time.monotonic() - start < 0.25  # nothing waited
         finally:
+            ender.cancel()
             self._end(og)
-        assert lib.pygb_cancel_requested() == 0
+        assert og.cell.value == 0
+        assert guard.stats()["cancels_total"] == 0
+
+    def test_a_deadline_on_one_thread_leaves_the_other_threads_kernel_alone(self, monkeypatch):
+        """Three threads (more than this host's cores) run the same serial
+        product at once: the one under an expiring deadline times out,
+        the unguarded two return the exact result, and the counters see
+        only the timed-out op."""
+        a, b = _big_product_operands()
+        monkeypatch.setenv("PYGB_PARALLEL", "0")
+        with use_engine("cpp"):
+            want = _product(a, b).to_numpy().tobytes()
+        budgets = {"guarded": 0.01, "unguarded-1": None, "unguarded-2": None}
+        start = threading.Barrier(len(budgets), timeout=30)
+        outcome = {}
+
+        def run(name):
+            try:
+                with use_engine("cpp"):
+                    start.wait()
+                    budget = budgets[name]
+                    with gb.deadline(budget) if budget else contextlib.nullcontext():
+                        outcome[name] = _product(a, b).to_numpy().tobytes()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcome[name] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in budgets]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert isinstance(outcome.pop("guarded"), OperationTimeout)
+        assert outcome == {"unguarded-1": want, "unguarded-2": want}
+        assert guard.stats()["timeouts_total"] == 1
         assert guard.stats()["cancels_total"] == 0
 
     def test_a_fire_after_the_op_ended_raises_no_flag(self):
         """The watchdog reads ``done`` without the lock, so it can fire a
-        guard whose op has just ended and cleared.  That late fire must
-        not leave the flag raised, or every later kernel on a thread with
-        no deadline would wait on it forever."""
+        guard whose op has just ended.  That late fire must not leave the
+        cell raised, or every later kernel on the thread would bail."""
         a, u = _operands(11)
         with use_engine("cpp"):
             clean = _mxv(a, u)
-        lib = guard._CANCEL_LIBS[-1]
-        og = self._foreign_op(gb.deadline(seconds=30))
+        og = self._op_on(gb.deadline(seconds=30))
         self._end(og)
         guard._fire(og)  # the op ended between the watchdog's check and here
-        assert not guard._ASSERTED
-        assert lib.pygb_cancel_requested() == 0
+        assert guard._TLS.cancel.value == 0
         with use_engine("cpp"):
             assert _mxv(a, u) == clean
 
     def test_a_scope_cancelled_between_ops_raises_no_flag(self):
-        """A scope cancelled while none of its ops runs stalls no other
-        thread: its later ops fail fast at entry, nested scopes too."""
+        """A scope cancelled while none of its ops runs raises no cell:
+        its later ops fail fast at entry, nested scopes too."""
         a, u = _operands(11)
         with use_engine("cpp"):
             clean = _mxv(a, u)
-            lib = guard._CANCEL_LIBS[-1]
             with gb.deadline() as outer:
                 with gb.deadline(seconds=30):
                     outer.cancel()
-                    assert lib.pygb_cancel_requested() == 0
+                    assert guard._TLS.cancel.value == 0
                     with pytest.raises(OperationCancelled):
                         _mxv(a, u)
+            assert guard._TLS.cancel.value == 0
             assert _mxv(a, u) == clean
 
     def test_cancelling_an_outer_scope_raises_the_flag_for_its_nested_op(self):
-        """The flag is raised for an op in flight under the cancelled
-        scope or a scope nested in it, and falls when that op ends."""
-        a, u = _operands(11)
-        with use_engine("cpp"):
-            _mxv(a, u)
-        lib = guard._CANCEL_LIBS[-1]
+        """``cancel()`` raises the cell of an op in flight under the
+        cancelled scope or a scope nested in it — the cell of the op's
+        own thread — and it falls when that op ends."""
         with gb.deadline() as outer, gb.deadline(seconds=30) as inner:
-            og = self._foreign_op(inner)
+            og = self._op_on(inner, thread=True)
             try:
                 outer.cancel()
-                assert guard._ASSERTED == {og}
-                assert lib.pygb_cancel_requested() == 1
+                assert og.cell.value == 1 and guard._TLS.cancel.value == 0
             finally:
                 self._end(og)
-        assert lib.pygb_cancel_requested() == 0
+        assert og.cell.value == 0
 
-    def test_a_flag_raised_and_cleared_during_a_call_reruns_it(self, monkeypatch):
-        """A kernel that saw the flag raised may stop a loop short and
-        still return a count if the flag fell before its last check.  A
-        change of ``FLAG_EPOCH`` across the call marks that result
-        untrusted: the engine reruns the kernel."""
-        from repro.jit.cppengine import CppJitEngine
+    def test_a_nested_op_leaves_its_outer_ops_cell_raised(self):
+        """With nested guarded ops on one thread, the cell falls only when
+        the op that raised it ends — also when the nested op raised it
+        too."""
+        cell = guard._TLS.cancel
+        outer = self._op_on(gb.deadline(seconds=30))
+        try:
+            guard._fire(outer)
+            for fires in (False, True):
+                nested = self._op_on(gb.deadline(seconds=30))
+                if fires:
+                    guard._fire(nested)
+                self._end(nested)
+                assert cell.value, fires
+        finally:
+            self._end(outer)
+        assert cell.value == 0
 
-        a, u = _operands(11)
+    def test_a_cell_raised_during_a_call_never_yields_its_result(self, monkeypatch):
+        """The cell is raised 5 ms into a 36-47 ms serial kernel and only
+        lowered after the call, as a fired guard's op does: the kernel
+        polls it before its writeback, so the call raises instead of
+        returning a result its loops may have cut short."""
+        a, b = _big_product_operands()
+        monkeypatch.setenv("PYGB_PARALLEL", "0")
+        cell = guard._TLS.cancel
         with use_engine("cpp"):
-            clean = _mxv(a, u)
-        calls = []
-        real = CppJitEngine._call
-
-        def racing_call(self, bound, args):
-            nnz = real(self, bound, args)
-            calls.append(nnz)
-            if len(calls) == 1:  # another thread's cancel came and went
-                self_og = TestCppCancellation._foreign_op(gb.deadline(seconds=30))
-                guard._fire(self_og)
-                TestCppCancellation._end(self_og)
-            return nnz
-
-        monkeypatch.setattr(CppJitEngine, "_call", racing_call)
-        with use_engine("cpp"):
-            assert _mxv(a, u) == clean
-        assert len(calls) == 2
-        assert guard.stats()["cancels_total"] == 0
+            _product(a, b)  # warm
+            raiser = threading.Timer(0.005, setattr, (cell, "value", 1))
+            raiser.start()
+            try:
+                with pytest.raises(OperationCancelled):
+                    _product(a, b)
+            finally:
+                raiser.cancel()
+                raiser.join()
+                cell.value = 0

@@ -34,11 +34,11 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "d9fe92dc1ec05f557543122f71c686b9470489c3d50654c34962d866ac95852b"
+CATALOG_DIGEST = "9edb4199c3251287d89535d0880d58d5c3b002a2b023fc387beca53cb6460028"
 ENGINE_DIGESTS = {
-    "pyjit": "7188970385c8bf936b45acfdc923c89bb2d036fc061dbc4aec605a0a693f2162",
-    "cpp": "46066c3ffbe23ce44ae46832743ecd9f7aad74a31e1d93e30d86970dca135e05",
-    "cpp-parallel": "16dc723be63407f533ee7b390af38b36f12a4cd3a1656ea760ba2b3649bee260",
+    "pyjit": "8c592173cea342cf8b01f93f1cd8859f6ff02b02a80aee1a57451e88b6643449",
+    "cpp": "6ebfb52a96c037ab96f451dcf06f40f00a1b3367453da2300a840a15e3a4a63b",
+    "cpp-parallel": "b2f42709e9a7011d4f846bd578ce81836d9c22649ed07dee67dbf6d1a2558345",
 }
 
 
@@ -72,7 +72,7 @@ def test_the_table_has_one_row_per_kernel():
 
 
 def test_codegen_version_is_pinned():
-    assert CODEGEN_VERSION == 16
+    assert CODEGEN_VERSION == 17
 
 
 def test_catalog_keys_and_generated_sources_are_byte_identical():

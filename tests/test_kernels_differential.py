@@ -595,8 +595,9 @@ class TestPatternSharingApply:
 @pytest.mark.cpp
 @pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
 def test_values_only_kernel_returns_the_cancel_sentinel(rng):
-    """The raised flag is seen before the first write: ``-2``, surfaced
-    as ``OperationCancelled``; lowering it restores the kernel."""
+    """This thread's raised cancel cell is seen before the first write:
+    ``-2``, surfaced as ``OperationCancelled``; lowering it restores the
+    kernel."""
     from repro import guard
     from repro.exceptions import OperationCancelled
     from repro.jit.cppengine import CppJitEngine
@@ -604,17 +605,13 @@ def test_values_only_kernel_returns_the_cancel_sentinel(rng):
     eng = CppJitEngine()
     a = _mat_store(random_mat_dict(rng, N, N), N, N)
     out, op_spec = SparseMatrix.empty(N, N, np.int64), ("unary", "AdditiveInverse")
-    clean = eng.apply_mat(out, a, op_spec, OpDesc())  # loads and registers the library
-    with guard._CANCEL_LOCK:
-        libs = list(guard._CANCEL_LIBS)
-    for lib in libs:
-        lib.pygb_request_cancel(1)
+    clean = eng.apply_mat(out, a, op_spec, OpDesc())
+    guard._TLS.cancel.value = 1
     try:
         with pytest.raises(OperationCancelled):
             eng.apply_mat(out, a, op_spec, OpDesc())
     finally:
-        for lib in libs:
-            lib.pygb_request_cancel(0)
+        guard._TLS.cancel.value = 0
     again = eng.apply_mat(out, a, op_spec, OpDesc())
     assert again.values.tobytes() == clean.values.tobytes()
     assert again.indptr is a.indptr and again.indices is a.indices

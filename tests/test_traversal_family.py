@@ -117,14 +117,17 @@ def test_negative_cycle_runs_the_bounded_rounds(engine, dtype):
     assert fused[1, 5] < 0
 
 
-def test_nan_weight(engine, no_faults):
-    """A NaN weight, bit for bit.  (``GB::Min`` keeps the first operand
-    where NumPy's minimum propagates NaN, so the engines differ here; an
-    injected ``kernel_fail`` would rerun one of the listing's dispatches
-    on another engine, hence no chaos.)"""
+def test_nan_weight(engine):
+    """A NaN weight, bit for bit: every row equals the listing on this
+    engine, and every engine equals the interpreted one (``GB::Min`` is
+    NumPy's ``np.minimum``, NaN included, so an injected ``kernel_fail``
+    that reruns a dispatch on another engine cannot move a bit)."""
     graph, sources = _graph(np.float64, nan=True), _sources(16)
-    _assert_rows(sssp_distances_multi(graph, sources), sssp_distances, graph, sources)
-    _assert_rows(bfs_levels_multi(graph, sources), bfs_levels, graph, sources)
+    for multi, solo in ((sssp_distances_multi, sssp_distances), (bfs_levels_multi, bfs_levels)):
+        fused = multi(graph, sources)
+        _assert_rows(fused, solo, graph, sources)
+        with use_engine("interpreted"):
+            assert _bits(fused) == _bits(multi(graph, sources))
 
 
 def test_bad_input_raises_the_same_on_every_engine(engine):
