@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Cold-start acceptance check for the AOT kernel catalog.
 
-Runs every bundled algorithm on the cpp engine twice, in fresh child
-processes with **empty** cache directories:
+Runs every bundled algorithm on the cpp engine, and one
+``mmread_fast`` read, twice, in fresh child processes with **empty**
+cache directories:
 
 1. with ``PYGB_CATALOG`` pointing at a baked pack — must perform **zero**
    inline compiles (``compiles == 0``, ``catalog_hits > 0``);
@@ -32,16 +33,19 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: runs in a child process: every bundled algorithm (operation-at-a-time
-#: and whole-module compiled) on the cpp engine, digesting each result
+#: and whole-algorithm compiled) on the cpp engine and one read through the
+#: C++ MatrixMarket loader, digesting each result
 _CHILD = r"""
-import hashlib, json, sys
+import hashlib, json, os, sys, tempfile
 import numpy as np
 import repro as gb
 from repro.algorithms import (bfs_levels, connected_components, lower_triangle,
                               pagerank, sssp_distances, triangle_count)
 from repro.algorithms.compiled import (bfs_compiled, pagerank_compiled,
                                        sssp_compiled, triangle_count_compiled)
+from repro.io.fastload import mmread_fast
 from repro.io.generators import erdos_renyi, grid_graph, scale_free
+from repro.io.matrixmarket import mmwrite
 from repro.jit.cache import cache_statistics
 
 def digest(arrays):
@@ -76,6 +80,9 @@ digests["bfs_compiled"] = digest_sv(bfs_compiled(g._store, 0)[0])
 digests["sssp_compiled"] = digest_sv(sssp_compiled(wg._store, 0)[0])
 digests["pagerank_compiled"] = digest_sv(pagerank_compiled(pg._store)[0])
 digests["tc_compiled"] = digest([np.asarray([triangle_count_compiled(L._store)[0]])])
+path = os.path.join(tempfile.mkdtemp(prefix="pygb-cold-mtx-"), "g.mtx")
+mmwrite(path, wg)
+digests["mmread_fast"] = digest(mmread_fast(path).to_coo())
 
 snap = cache_statistics()
 json.dump({"digests": digests,

@@ -49,6 +49,7 @@ __all__ = [
     "check_cancelled",
     "cooperative_sleep",
     "GuardedEngine",
+    "guarded_call",
     "stats",
     "reset_stats",
 ]
@@ -514,6 +515,17 @@ def _run_guarded(op, engine_name, scope, method, args, kwargs):
             op=op, engine=engine_name, elapsed=elapsed,
         )
     return result
+
+
+def guarded_call(op: str, engine: str, method, *args):
+    """``method(*args)`` as one op *op* on *engine*, guarded as
+    :class:`GuardedEngine` guards a dispatch method: by the thread's
+    innermost deadline scope, when one is open.  The compiled whole
+    algorithms (:mod:`repro.algorithms.compiled`) run through it."""
+    scopes = _TLS.scopes
+    if not scopes:
+        return method(*args)
+    return _run_guarded(op, engine, scopes[-1], method, args, {})
 
 
 class GuardedEngine:

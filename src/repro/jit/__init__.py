@@ -12,7 +12,8 @@ with the *module retrieval* stage owned by this package:
   name, operand dtypes, operator names, descriptor flags) and its stable
   hash — the analog of the paper's ``hash(kwargs)``;
 * :mod:`~repro.jit.kernels` — the kernel table (one row per kernel
-  family) and the one builder of per-operation specs;
+  family, the whole-algorithm PageRank / triangle-count kernels and the
+  fast loader's MatrixMarket parser among them) and the one spec builder;
 * :mod:`~repro.jit.cache` — memory → catalog → disk → compile lookup,
   with hit/miss/compile-time statistics;
 * :mod:`~repro.jit.catalog` — the AOT kernel catalog: ``repro bake``
@@ -23,9 +24,9 @@ with the *module retrieval* stage owned by this package:
 * :mod:`~repro.jit.gbtl_lite` / :mod:`~repro.jit.cppcodegen` /
   :mod:`~repro.jit.cppengine` — per-spec C++ binding files compiled with
   ``g++`` against a bundled mini-GBTL template header and loaded through
-  ``ctypes`` (the paper's actual design);
-* :mod:`~repro.jit.algorithm_codegen` — whole-algorithm C++ modules (the
-  paper's "version 2"/"version 3" measurement points).
+  ``ctypes`` (the paper's actual design); every compiled translation
+  unit, the whole-algorithm ones behind the paper's "version 2"/"version
+  3" measurement points included, comes from ``cppcodegen``.
 """
 
 from .cache import JitCache, cache_statistics, clear_memory_cache, default_cache
@@ -37,7 +38,7 @@ from .catalog import (
     pyjit_kernel_specs,
     validate_catalog,
 )
-from .precompile import algorithm_kernel_specs, algorithm_module_specs, warm_cache
+from .precompile import algorithm_kernel_specs, warm_cache
 from .spec import KernelSpec
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "clear_memory_cache",
     "warm_cache",
     "algorithm_kernel_specs",
-    "algorithm_module_specs",
     "KernelCatalog",
     "bake_catalog",
     "catalog_kernel_specs",

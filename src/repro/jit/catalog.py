@@ -10,7 +10,8 @@ time; this module does exactly that for PyGB:
 * :func:`catalog_kernel_specs` enumerates the hot spec space — the
   ``traced`` and ``grid`` columns of the kernel table
   (:mod:`~repro.jit.kernels`): the algorithm kernel set
-  :mod:`~repro.jit.precompile` warms (kept honest by its drift guard),
+  :mod:`~repro.jit.precompile` warms (kept honest by its drift guard;
+  the whole-algorithm and loader rows among it),
   a predefined-semiring × dtype × schedule-direction grid, its
   elementwise and reduction companions and the reduce-site fused pair;
 * :func:`bake_catalog` batch-builds those specs with the existing
@@ -43,7 +44,6 @@ from pathlib import Path
 from ..exceptions import BackendUnavailable, CatalogError
 from .cache import CACHE_FORMAT_VERSION, JitCache, default_cache
 from .kernels import KERNELS, PLAIN, spec
-from .precompile import algorithm_module_specs
 from .spec import CODEGEN_VERSION, KernelSpec
 
 __all__ = [
@@ -239,21 +239,15 @@ def bake_catalog(
     cpp_skipped = None
     if include_cpp:
         try:
-            from .algorithm_codegen import generate_algorithm_source
             from .cppcodegen import generate_cpp_source
             from .cppengine import CppJitEngine
 
             engine = CppJitEngine(cache)
             if parallel is None:
                 parallel = engine.parallel_enabled()
-            kernel_specs = catalog_kernel_specs(parallel)
-            module_specs = algorithm_module_specs(parallel)
-            cpp_specs = kernel_specs + module_specs
-            for spec in kernel_specs:
-                jobs.append((spec, generate_cpp_source, ".cpp", engine.compiler_for(spec)))
-            for spec in module_specs:
-                jobs.append((spec, generate_algorithm_source, ".cpp",
-                             engine.compiler_for(spec)))
+            cpp_specs = catalog_kernel_specs(parallel)
+            jobs += [(spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
+                     for spec in cpp_specs]
         except BackendUnavailable as exc:
             cpp_skipped = str(exc)
     parallel = bool(parallel)

@@ -912,6 +912,210 @@ using NoMask = GB::Vec<uint8_t>;
     )
 
 
+# ----------------------------------------------------------------------
+# whole algorithms: the pagerank / triangle_count rows (paper Fig. 10,
+# versions 2 and 3 — "a series of operations ... compiled into a single
+# binary module").  The listing's loop runs in C++ against the mini-GBTL
+# kernels, the data between them never crosses the FFI; the kernel's own
+# clock (``pygb_kernel_ns``) is version 3.
+# ----------------------------------------------------------------------
+
+
+def _gen_pagerank(spec: KernelSpec) -> str:
+    """Fig. 8: normalise the rows and pre-scale by the damping factor,
+    then iterate ``vxm``, teleport and the squared error until it falls
+    under the threshold; the rank vector goes into two n-long caller
+    buffers.  The cancel cell is polled once an iteration and after the
+    last, so an iteration a cut-short ``GB::vxm`` spoiled never yields
+    ranks."""
+    return (
+        _cxx_header(spec)
+        + f"""
+using TV = {cxx_name(spec.get('a'))};  // rank type (double in the paper's Fig. 8)
+
+extern "C" Index pygb_run(
+    Index a_nrows, Index a_ncols, const Index* a_indptr, const Index* a_indices,
+    const TV* a_vals,
+    double damping, double threshold, int64_t max_iters,
+    Index* out_idx, TV* out_vals)
+{{
+    const Index n = a_nrows;
+    // the one input this kernel writes (row normalisation below): an
+    // owning copy, since views over the caller's buffers are read-only
+    const GB::CSRView<TV> g(n, a_ncols, a_indptr, a_indices, a_vals);
+    GB::CSR<TV> m; m.nrows = n; m.ncols = a_ncols;
+    m.indptr.insert(m.indptr.end(), g.indptr.begin(), g.indptr.end());
+    m.indices.insert(m.indices.end(), g.indices.begin(), g.indices.end());
+    m.values.insert(m.values.end(), g.values.begin(), g.values.end());
+
+    // normalize_rows + damping pre-scale (Fig. 8 lines 13-24)
+    for (Index i = 0; i < n; ++i) {{
+        TV sum = TV(0);
+        for (Index p = m.indptr[i]; p < m.indptr[i + 1]; ++p) sum += m.values[p];
+        if (sum != TV(0))
+            for (Index p = m.indptr[i]; p < m.indptr[i + 1]; ++p)
+                m.values[p] = TV(damping) * m.values[p] / sum;
+    }}
+
+    GB::Vec<TV> page_rank; page_rank.size = n;
+    for (Index i = 0; i < n; ++i) {{
+        page_rank.idx.push_back(i);
+        page_rank.val.push_back(TV(1) / TV(n));
+    }}
+    GB::Vec<TV> new_rank; new_rank.size = n;
+    const TV teleport = (TV(1) - TV(damping)) / TV(n);
+    static const GB::Vec<uint8_t>* const kNoMask = nullptr;
+
+    for (int64_t it = 0; it < max_iters; ++it) {{
+        if (GB::cancel_requested()) return -2;
+        auto t = GB::vxm<TV>(page_rank, m, GB::Plus<TV>{{}}, GB::Times<TV>{{}});
+        new_rank = GB::write_back_vec<TV>(
+            new_rank, t, kNoMask, false, false, true, GB::Second<TV>{{}});
+        new_rank = GB::apply_vec<TV>(
+            new_rank, GB::Bind2nd<TV, GB::Plus<TV>>(teleport));
+        auto delta = GB::ewise_add<TV>(page_rank, new_rank, GB::Minus<TV>{{}});
+        delta = GB::ewise_mult<TV>(delta, delta, GB::Times<TV>{{}});
+        const TV squared_error = GB::reduce_values<TV>(delta.val, GB::Plus<TV>{{}}, TV(0));
+        page_rank = new_rank;
+        if (squared_error / TV(n) < TV(threshold)) break;
+    }}
+    if (GB::cancel_requested()) return -2;
+
+    std::copy(page_rank.idx.begin(), page_rank.idx.end(), out_idx);
+    std::copy(page_rank.val.begin(), page_rank.val.end(), out_vals);
+    return static_cast<Index>(page_rank.idx.size());
+}}
+"""
+    )
+
+
+def _gen_triangle_count(spec: KernelSpec) -> str:
+    """Fig. 5b: ``B<L> = L ⊕.⊗ Lᵀ`` with the mask pushed into the product
+    exactly as the per-operation ``mxm`` binding does, then a Plus-reduce
+    of B into the caller's one-value buffer; 0, or -2 when the cancel
+    cell cut the product short."""
+    return (
+        _cxx_header(spec)
+        + f"""
+using TV = {cxx_name(spec.get('a'))};
+
+extern "C" Index pygb_run(
+    Index a_nrows, Index a_ncols, const Index* l_indptr, const Index* l_indices,
+    const TV* l_vals,
+    const Index* lt_indptr, const Index* lt_indices, const TV* lt_vals,
+    TV* out_triangles)
+{{
+    const Index n = a_nrows;
+    const GB::CSRView<TV> L(n, a_ncols, l_indptr, l_indices, l_vals);
+    const GB::CSRView<TV> LT(a_ncols, n, lt_indptr, lt_indices, lt_vals);
+
+    std::vector<uint8_t> ltrue;
+    ltrue.reserve(L.values.size());
+    for (const TV x : L.values) ltrue.push_back(uint8_t(bool(x)));
+    const GB::CSRView<uint8_t> lmask(n, a_ncols, l_indptr, l_indices, ltrue.data());
+    auto t = GB::mxm<TV>(L, LT, GB::Plus<TV>{{}}, GB::Times<TV>{{}}, &lmask);
+    if (GB::cancel_requested()) return -2;
+    GB::CSR<TV> empty; empty.nrows = n; empty.ncols = n;
+    empty.indptr.assign(n + 1, 0);
+    auto B = GB::write_back_mat<TV>(
+        empty, std::move(t), &lmask, false, false, false, GB::Second<TV>{{}});
+    *out_triangles = GB::reduce_values<TV>(B.values, GB::Plus<TV>{{}}, TV(0));
+    return 0;
+}}
+"""
+    )
+
+
+def _gen_mmread(spec: KernelSpec) -> str:
+    """The MatrixMarket coordinate-section parser (paper Sec. VIII: "wrapping
+    a C++ function to directly load a matrix ... would be trivial"): the
+    file's body after the size line, parsed into the caller's three
+    nnz-long arrays.  Accepts exactly the tokens the Python reader's NumPy
+    parse does."""
+    return (
+        _cxx_header(spec)
+        + f"""#include <charconv>
+#include <system_error>
+
+using TC = {cxx_name(spec.get('c'))};
+"""
+        + r"""
+namespace {
+
+inline bool is_space(char ch) { return ch == ' ' || (ch >= '\t' && ch <= '\r'); }
+
+// start of the next token, past one leading '+': NumPy's parser (the
+// Python reader) takes it, from_chars does not
+inline const char* token_start(const char* p, const char* end) {
+    while (p != end && is_space(*p)) ++p;
+    return (end - p > 1 && p[0] == '+' && p[1] != '+' && p[1] != '-') ? p + 1 : p;
+}
+
+// a token is well formed only if it ends at whitespace or the end of input
+inline const char* token_end(const char* p, const char* end) {
+    return (p == end || is_space(*p)) ? p : nullptr;
+}
+
+// both parsers return the first byte after the token, or nullptr
+inline const char* parse_index(const char* p, const char* end, int64_t& out) {
+    auto res = std::from_chars(token_start(p, end), end, out);
+    return res.ec == std::errc() ? token_end(res.ptr, end) : nullptr;
+}
+
+inline const char* parse_real(const char* p, const char* end, double& out) {
+    p = token_start(p, end);
+    if (p == end) return nullptr;
+#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
+    auto res = std::from_chars(p, end, out);
+    if (res.ec == std::errc()) return token_end(res.ptr, end);
+    if (res.ec != std::errc::result_out_of_range) return nullptr;
+#endif
+    // no floating-point from_chars in this standard library, or the token
+    // overflows a double (strtod yields +-inf / 0, as NumPy does); the
+    // buffer is a Python bytes object, NUL-terminated, so strtod stops
+    char* stop = nullptr;
+    out = std::strtod(p, &stop);
+    return (stop == p || stop > end) ? nullptr : token_end(stop, end);
+}
+
+}  // namespace
+
+// Parses exactly `nnz` "row col value" entries (1-based) from buf[0, len)
+// into the caller's arrays (0-based).  -1: an entry is malformed, missing,
+// or followed by anything but whitespace; 1: every entry is in range and
+// they are strictly increasing in row-major order (a CSR as they stand:
+// no sort, duplicate fold or bounds pass needed); 0 otherwise.
+extern "C" Index pygb_run(const char* buf, int64_t len, int64_t nnz,
+                          int64_t nrows, int64_t ncols,
+                          int64_t* rows, int64_t* cols, TC* vals)
+{
+    const char* p = buf;
+    const char* const end = buf + len;
+    bool canonical = true;
+    int64_t prev_r = -1, prev_c = -1;
+    for (int64_t k = 0; k < nnz; ++k) {
+        int64_t r, c;
+        double v;
+        if (!(p = parse_index(p, end, r))) return -1;
+        if (!(p = parse_index(p, end, c))) return -1;
+        if (!(p = parse_real(p, end, v))) return -1;
+        vals[k] = static_cast<TC>(v);
+        // 0-based; anything below 1 becomes -1 (r - 1 could overflow) and
+        // is reported by the bounds check of the non-canonical path
+        r = r < 1 ? -1 : r - 1;
+        c = c < 1 ? -1 : c - 1;
+        canonical = canonical && r >= 0 && r < nrows && c >= 0 && c < ncols &&
+                    (r > prev_r || (r == prev_r && c > prev_c));
+        rows[k] = prev_r = r;
+        cols[k] = prev_c = c;
+    }
+    if (token_start(p, end) != end) return -1;
+    return canonical ? 1 : 0;
+}
+"""
+    )
+
+
 def _instrument_kernel_timing(source: str) -> str:
     """Plant the observability clock pair into a generated TU: a
     ``GB::KernelTimer`` as the first statement of ``pygb_run`` (its

@@ -80,6 +80,7 @@ __all__ = [
     "toolchain_works",
     "openmp_available",
     "compile_timeout",
+    "native_engine",
 ]
 
 DEFAULT_COMPILE_TIMEOUT = Config.compile_timeout
@@ -240,12 +241,14 @@ _GROUPS = {
     "m": (_P, _P, _P),  # matrix sharing those dims; a matrix mask
     "V": (_I, _P, _P, _I),  # vector: size, indices, values, nvals
     "v": (_P, _P, _I),  # vector sharing that size; a vector mask
-    "I": (_P, _I),  # index list: pointer, length
+    "I": (_P, _I),  # index list (the loader's bytes): pointer, length
     "S": (_D, _I),  # scalar constant in both encodings
+    "D": (_D,),  # a double parameter
+    "N": (_I,),  # an integer parameter
     "O": (_P, _P),  # vector result buffers: indices, values
-    "W": (_P,),  # values of a matrix result on its operand's pattern
+    "W": (_P,),  # values of a matrix result on its operand's pattern; one result value
     "P": (_P,),  # scalar result
-    "R": (_P, _P, _P),  # matrix result buffers of known capacity: indptr, indices, values
+    "R": (_P, _P, _P),  # result buffers of known capacity: indptr (rows), indices, values
 }
 
 _NO_VEC_MASK = (None, None, 0)
@@ -511,9 +514,8 @@ class CppJitEngine:
         else:
             scalar_dtype = None
             # a bound apply constant is read at the dtype its functor runs at
-            const_dtype = spec.dtype("t_dtype")
-            if const_dtype is None:
-                const_dtype = spec.dtype("c")
+            const_dtype = next(dt for dt in map(spec.dtype, ("t_dtype", "c", "a"))
+                               if dt is not None)
         return _Bound(spec, lib, layout, const_dtype, scalar_dtype)
 
     # ------------------------------------------------------------------
@@ -823,6 +825,36 @@ class CppJitEngine:
         self._run(bound, a.ffi_pack().args + (address(values),))
         return a.with_values(values)
 
+    # ------------------------------------------------------------------
+    # whole algorithms and the fast loader's parser (paper Fig. 10 v2/v3,
+    # Sec. VIII): not part of the Engine interface, called through
+    # :func:`native_engine` by ``algorithms.compiled`` and ``io.fastload``
+    # ------------------------------------------------------------------
+    def pagerank(self, graph: SparseMatrix, damping: float, threshold: float,
+                 max_iters: int) -> SparseVector:
+        """Fig. 8's loop as one call: the rank vector, of *graph*'s dtype."""
+        bound = self._kernel("pagerank", (graph.dtype,), ())
+        args = graph.ffi_pack().args + (damping, threshold, max_iters)
+        return self._vec_out(bound, args, SparseVector.empty(graph.nrows, graph.dtype))
+
+    def triangle_count(self, lower: SparseMatrix):
+        """Fig. 5b as one call: the Plus-reduce of ``B<L> = L ⊕.⊗ Lᵀ``."""
+        bound = self._kernel("triangle_count", (lower.dtype,), ())
+        out = np.zeros(1, lower.dtype)
+        args = lower.ffi_pack().args + lower.transposed().ffi_pack().args[2:]
+        self._run(bound, args + (address(out),))
+        return out[0]
+
+    def mmread(self, body: bytes, nnz: int, nrows: int, ncols: int):
+        """``(status, rows, cols, values)`` of a MatrixMarket coordinate
+        section of *nnz* real entries, 0-based; status -1 is a malformed
+        body, 1 entries already in CSR order and in range, 0 any other."""
+        bound = self._kernel("mmread", (_F64,), ())
+        rows, cols, vals = np.empty(nnz, _I64), np.empty(nnz, _I64), np.empty(nnz, _F64)
+        status = self._call(bound, (body, len(body), nnz, nrows, ncols, address(rows),
+                                    address(cols), address(vals)))
+        return status, rows, cols, vals
+
     # -- Python-JIT fallbacks (index-heavy matrix forms) -----------------
     def transpose(self, out, a, desc):
         return self._fallback.transpose(out, a, desc)
@@ -841,3 +873,19 @@ class CppJitEngine:
 
     def kronecker(self, out, a, b, op, desc, ta=False, tb=False):
         return self._fallback.kronecker(out, a, b, op, desc, ta, tb)
+
+
+#: ((configuration, cache), engine) of :func:`native_engine`
+_NATIVE: tuple | None = None
+
+
+def native_engine() -> CppJitEngine:
+    """The cpp engine ``algorithms.compiled`` and ``io.fastload`` call their
+    kernel-table rows through: built at first use on the default cache,
+    and again once the configuration (``$PYGB_CXX``) or the default cache
+    is replaced.  Raises :class:`BackendUnavailable` without a compiler."""
+    global _NATIVE
+    key = (_config(), default_cache())
+    if _NATIVE is None or _NATIVE[0] != key:
+        _NATIVE = (key, CppJitEngine(key[1]))
+    return _NATIVE[1]

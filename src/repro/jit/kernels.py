@@ -18,29 +18,37 @@ kernel families:
   and the graph service dispatch (``traced``, warmed by ``repro
   precompile``) and the catalog grid (``repro bake``).
 
-Two rows are whole loops rather than single operations: ``bfs_multi``
+Five rows are whole loops rather than single operations.  ``bfs_multi``
 and ``sssp_multi`` run a k-source traversal — the graph service's batch,
 and Fig. 10's native BFS/SSSP at k=1 — in one dispatch.  Their reference
 is the backend-level loop of :mod:`repro.backend.kernels.traversal`,
 which the interpreted and pyjit engines run (no Python generator); their
 C++ generator emits the same loop as one serial translation unit.
+``pagerank`` and ``triangle_count`` are Fig. 10's other two compiled
+algorithms (:mod:`repro.algorithms.compiled`) and ``mmread`` is the
+MatrixMarket parser behind :func:`repro.io.fastload.mmread_fast`: cpp
+only and outside the Engine interface, like ``normalize_rows``, with the
+NumPy listing or reader they must agree with as their reference.
 
 :func:`spec` turns one engine call into its spec; both engines,
-``precompile`` and ``catalog`` build every per-operation spec with it.
+``precompile`` and ``catalog`` build every spec with it.
 
 A layout names the argument groups of ``pygb_run`` (``cppengine._GROUPS``).
-Layouts ending in ``O`` return a vector, in ``P`` a scalar, in ``W`` a
-matrix on its operand's pattern, in ``R`` a matrix written into caller
-buffers of known capacity (the traversals' k·n), anything else a matrix
-collected with ``pygb_fetch``.  ``apply_mat`` is bound as ``MSW`` when
-its spec has neither mask nor accumulator (``_gen_apply_mat``'s other
-form), and a pull-direction spmv takes the mask's candidate rows before
-its output.
+Layouts ending in ``O`` return a vector, in ``P`` a scalar, in ``W``
+values into one caller buffer of known size (a matrix on its operand's
+pattern; the triangle count), in ``R`` three caller buffers of known
+capacity (the traversals' k·n rows; the loader's coordinates), anything
+else a matrix collected with ``pygb_fetch``.  Groups ``D`` and ``N``
+pass one double or integer parameter.  ``apply_mat`` is bound as
+``MSW`` when its spec has neither mask nor accumulator
+(``_gen_apply_mat``'s other form), and a pull-direction spmv takes the
+mask's candidate rows before its output.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 from ..backend import kernels as K
@@ -49,7 +57,7 @@ from ..backend.ops_table import binary_result_dtype
 from . import cppcodegen as cpp, pycodegen as py
 from .spec import KernelSpec
 
-__all__ = ["KERNELS", "Kernel", "Use", "apply_ops", "module_spec", "spec"]
+__all__ = ["KERNELS", "Kernel", "Use", "apply_ops", "spec"]
 
 
 class Use(NamedTuple):
@@ -148,6 +156,13 @@ _REDUCE = dict(dtypes=("a",), ops=("op",), parallel=True)
 _FUSED = dict(dtypes=("a", "b"), ops=("op", "rop"), derive=_product("a", "b", "p", "op"),
               layout="VvSP", parallel=True, fused=True)
 _AC = ("a", "c")
+
+
+def _above(module: str, name: str) -> Callable:
+    """A reference that lives above the JIT layer (an algorithm listing,
+    the Python reader), imported at its first call: importing it here
+    would import the DSL while the JIT is being imported."""
+    return lambda *args, **kwargs: getattr(import_module(module), name)(*args, **kwargs)
 
 
 def _delegate(func: str, args: str):
@@ -315,6 +330,21 @@ KERNELS: dict[str, Kernel] = {
         py=partial(py._gen_ewise_reduce_scalar, merge="intersect_merge"),
         traced=(Use(F64 * 2, ("Times", "Plus")),),
     ),
+    # whole algorithms, one call each (Fig. 10 versions 2 and 3), and the
+    # fast loader's parser; PageRank and TC inline the OpenMP kernels
+    "pagerank": Kernel(
+        ("a",), (), _above("repro.algorithms.pagerank", "pagerank_native"), layout="MDDNO",
+        cpp=cpp._gen_pagerank, interface=False, parallel=True, traced=(Use(F64),),
+    ),
+    "triangle_count": Kernel(
+        ("a",), (), _above("repro.algorithms.triangle_count", "triangle_count_native"),
+        layout="MmW", cpp=cpp._gen_triangle_count, interface=False, parallel=True,
+        traced=(Use(I64),),
+    ),
+    "mmread": Kernel(
+        ("c",), (), _above("repro.io.matrixmarket", "mmread"), layout="INNNR",
+        cpp=cpp._gen_mmread, interface=False, traced=(Use(F64),),
+    ),
 }
 
 
@@ -359,8 +389,3 @@ def spec(func: str, dtypes: tuple, ops: tuple = (), desc=None, direction=None,
     if parallel and row.parallel:
         params["par"] = True
     return _SPECS.setdefault(raw, KernelSpec.make(func, **params))
-
-
-def module_spec(func: str, vtype: str, parallel: bool = False) -> KernelSpec:
-    """The spec of a whole-algorithm C++ module (``algorithm_codegen``)."""
-    return KernelSpec.make(func, vtype=vtype, **({"par": True} if parallel else {}))

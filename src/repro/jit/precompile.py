@@ -10,7 +10,8 @@ object is already on disk (a cache hit, not a compile).
 The spec list is the ``traced`` column of the kernel table
 (:mod:`~repro.jit.kernels`), captured by tracing every bundled algorithm
 (BFS, SSSP, PageRank, triangle count — both the operation-at-a-time and
-the whole-algorithm compiled versions) under the ``cpp`` engine; the
+the whole-algorithm compiled versions — and the fast MatrixMarket
+loader) under the ``cpp`` engine; the
 ``test_warm_cache_covers_algorithms`` drift guard re-derives it the same
 way, so additions to the algorithms fail loudly here instead of silently
 compiling at run time.
@@ -21,29 +22,17 @@ from __future__ import annotations
 from ..exceptions import CompilationError
 from .cache import JitCache, default_cache
 from .cppcodegen import generate_cpp_source
-from .kernels import KERNELS, module_spec, spec
+from .kernels import KERNELS, spec
 from .spec import KernelSpec
 
-__all__ = ["algorithm_kernel_specs", "algorithm_module_specs", "warm_cache"]
-
-# (func, vtype) for the whole-algorithm compiled modules (Fig. 10
-# versions 2/3; BFS and SSSP are the kernel table's traversal rows).
-_ALGORITHM_MODULES: tuple[tuple[str, str], ...] = (
-    ("algo_pagerank", "float64"),
-    ("algo_triangle_count", "int64"),
-)
+__all__ = ["algorithm_kernel_specs", "warm_cache"]
 
 
 def algorithm_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
-    """The per-operation kernel specs the bundled algorithms use, with
+    """The kernel specs the bundled algorithms and the loader use, with
     ``par=1`` stamped on parallel-capable functions when *parallel*."""
     return [spec(func, *use, parallel=parallel)
             for func, row in KERNELS.items() for use in row.traced]
-
-
-def algorithm_module_specs(parallel: bool = False) -> list[KernelSpec]:
-    """Specs of the whole-algorithm C++ modules."""
-    return [module_spec(func, vtype, parallel) for func, vtype in _ALGORITHM_MODULES]
 
 
 def warm_cache(
@@ -60,7 +49,6 @@ def warm_cache(
     """
     # imported late: cppengine raises BackendUnavailable without a
     # toolchain, and importing it triggers no probe by itself
-    from .algorithm_codegen import generate_algorithm_source
     from .cppengine import CppJitEngine, openmp_available
 
     cache = cache if cache is not None else default_cache()
@@ -71,9 +59,6 @@ def warm_cache(
     jobs = [
         (spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
         for spec in algorithm_kernel_specs(parallel)
-    ] + [
-        (spec, generate_algorithm_source, ".cpp", engine.compiler_for(spec))
-        for spec in algorithm_module_specs(parallel)
     ]
     report = cache.precompile(jobs, max_workers=max_workers)
     # failed specs are recorded against the cpp engine's health up front,

@@ -82,14 +82,18 @@ def test_catalog_enumerates_only_kernels_an_engine_dispatches():
     particular the only ``fused`` specs are the reduce-site pair."""
     from repro.backend.kernels import FUSED_KERNELS
     from repro.core.dispatch import _DISPATCH_METHODS
+    from repro.jit.cppengine import CppJitEngine
 
+    # the cpp engine's methods outside the interface: GBTL's normalize_rows
+    # helper, the whole algorithms and the fast loader's parser
+    helpers = {"normalize_rows", "pagerank", "triangle_count", "mmread"}
+    assert all(callable(getattr(CppJitEngine, f)) for f in helpers)
     cpp, pyjit = catalog_kernel_specs(), pyjit_kernel_specs()
     for spec in cpp + pyjit:
-        # normalize_rows is the cpp engine's one helper outside the interface
-        assert spec.func in _DISPATCH_METHODS | {"normalize_rows"}, spec.key
+        assert spec.func in _DISPATCH_METHODS | helpers, spec.key
         assert bool(spec.get("fused")) == (spec.func in FUSED_KERNELS), spec.key
     assert {s.func for s in cpp if s.get("fused")} == FUSED_KERNELS
-    assert (len(cpp), len(pyjit)) == (241, 431)
+    assert (len(cpp), len(pyjit)) == (244, 431)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +446,6 @@ def test_pack_serves_normalize_rows_without_a_compiler(tmp_path, monkeypatch, no
     spec = KernelSpec.make("normalize_rows", a="float64", c="float64")
     assert spec in algorithm_kernel_specs()
     monkeypatch.setattr(catalog, "catalog_kernel_specs", lambda parallel=False: [spec])
-    monkeypatch.setattr(catalog, "algorithm_module_specs", lambda parallel=False: [])
     monkeypatch.delenv("PYGB_CATALOG", raising=False)
     report = bake_catalog(tmp_path / "pack", include_pyjit=False)
     assert report["failed"] == [] and report["cpp_entries"] == 1

@@ -1,6 +1,7 @@
 """Tests for the JIT-compiled C++ MatrixMarket loader (Sec. VIII)."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,14 +83,13 @@ class TestFastLoader:
 def test_fallback_without_compiler(tmp_path, monkeypatch):
     """With the compiler hidden, mmread_fast silently uses the Python
     reader."""
-    import repro.io.fastload as fl
-
-    monkeypatch.setattr(fl, "_lib", None)
-    monkeypatch.setattr(fl, "_lib_failed", True)
     m = gb.Matrix(([7.0], ([0], [1])), shape=(2, 2))
     path = tmp_path / "fb.mtx"
     mmwrite(path, m)
-    assert fl.mmread_fast(path).isequal(m)
+    monkeypatch.setenv("PYGB_CXX", str(tmp_path / "no-such-compiler"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mmread_fast(path).isequal(m)
 
 
 # ----------------------------------------------------------------------

@@ -536,14 +536,10 @@ class TestFastLoaderDegradation:
     def test_loader_compile_failure_falls_back_to_python_reader(
         self, tmp_path, monkeypatch
     ):
-        import repro.io.fastload as fl
-        from repro.io.matrixmarket import mmwrite
         from repro.jit.cache import reset_default_cache
 
         monkeypatch.setenv("PYGB_CXX", "/bin/false")
         monkeypatch.setenv("PYGB_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(fl, "_lib", None)
-        monkeypatch.setattr(fl, "_lib_failed", False)
         reset_default_cache()
         try:
             self._run(tmp_path)
@@ -554,6 +550,7 @@ class TestFastLoaderDegradation:
     def _run(self, tmp_path):
         import repro.io.fastload as fl
         from repro.io.matrixmarket import mmwrite
+        from repro.jit.cache import default_cache
         m = gb.Matrix(
             (np.array([1.0, 2.0]), ([0, 1], [1, 0])), shape=(2, 2), dtype=float
         )
@@ -562,13 +559,84 @@ class TestFastLoaderDegradation:
         with pytest.warns(JitFallbackWarning):
             loaded = fl.mmread_fast(path, dtype=float)
         assert loaded.to_coo()[2].tolist() == [1.0, 2.0]
-        # the failure is latched: the second read is silent
+        # the parser is quarantined: the second read is silent
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fl.mmread_fast(path, dtype=float)
+            assert fl.mmread_fast(path, dtype=float).isequal(loaded)
         assert not [
             w for w in caught if issubclass(w.category, JitFallbackWarning)
         ]
+        cache = default_cache()
+        assert [row["key"] for row in cache.health.snapshot()["specs"]] == [
+            "v17:mmread(c=float64)"]
+        assert cache.stats.fallbacks == 2
+
+
+# ----------------------------------------------------------------------
+# the compiled whole algorithms and the fast loader are kernel-table rows:
+# a corrupt shared object is invalidated and rebuilt once, as for every
+# other kernel, and nothing latches
+# ----------------------------------------------------------------------
+@needs_cxx
+class TestNativeRowsRecover:
+    @pytest.fixture
+    def fresh_cache(self, tmp_path, monkeypatch):
+        from repro.jit.cache import reset_default_cache
+
+        monkeypatch.setenv("PYGB_CACHE_DIR", str(tmp_path / "cache"))
+        yield reset_default_cache()
+        monkeypatch.undo()
+        reset_default_cache()
+
+    @staticmethod
+    def _algorithm(name):
+        """``(compiled call, expected result)`` of one whole algorithm."""
+        from repro.algorithms import lower_triangle, pagerank_native, triangle_count_native
+        from repro.algorithms.compiled import pagerank_compiled, triangle_count_compiled
+        from repro.io.generators import erdos_renyi, scale_free
+
+        if name == "pagerank":
+            g = scale_free(60, seed=31)._store
+            want = pagerank_native(g, threshold=1e-13).to_dense()
+            return (lambda: pagerank_compiled(g, threshold=1e-13)[0].to_dense()), want
+        g = erdos_renyi(60, seed=37)
+        r, c, _ = g.to_coo()
+        sym = gb.Matrix(
+            (np.ones(2 * len(r)), (np.concatenate([r, c]), np.concatenate([c, r]))),
+            shape=g.shape, dtype=int,
+        )
+        L = lower_triangle(sym)._store
+        return (lambda: triangle_count_compiled(L)[0]), triangle_count_native(L)
+
+    @pytest.mark.parametrize("name", ["pagerank", "triangle_count"])
+    def test_corrupt_so_rebuilds_once(self, fresh_cache, name):
+        call, want = self._algorithm(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", JitFallbackWarning)
+            with fault_injection("corrupt_so", times=1):
+                got = call()
+            again = call()  # and the process is not left latched
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+        assert np.allclose(again, want, rtol=0, atol=1e-9)
+        assert fresh_cache.stats.integrity_rebuilds == 1
+        assert fresh_cache.health.snapshot()["specs"] == []
+
+    def test_corrupt_loader_rebuilds_instead_of_latching(self, fresh_cache, tmp_path):
+        from repro.io.fastload import mmread_fast
+        from repro.io.matrixmarket import mmread, mmwrite
+
+        path = tmp_path / "g.mtx"
+        mmwrite(path, gb.Matrix(
+            (np.array([2.5, -1.0, 4.0]), ([0, 1, 2], [2, 0, 1])), shape=(3, 3)))
+        want = mmread(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", JitFallbackWarning)
+            with fault_injection("corrupt_so", times=1):
+                assert mmread_fast(path).isequal(want)
+            assert mmread_fast(path).isequal(want)
+        snap = fresh_cache.stats.snapshot()
+        assert (snap["integrity_rebuilds"], snap["fallbacks"]) == (1, 0)
+        assert fresh_cache.health.snapshot()["specs"] == []
 
 
 # ----------------------------------------------------------------------

@@ -352,6 +352,26 @@ class TestCppCancellation:
             assert guard._TLS.cancel.value == 0
             _product(a, b)
 
+    def test_deadline_stops_a_long_compiled_pagerank(self):
+        """The whole-algorithm PageRank row polls the cell once an
+        iteration: a deadline stops a run that would never converge
+        (threshold 0) with the guard's OperationTimeout, and the cell is
+        down again for the next call."""
+        from repro.algorithms.compiled import pagerank_compiled
+        from repro.io.generators import scale_free
+
+        g = scale_free(200, seed=3)._store
+        pagerank_compiled(g, max_iters=2)  # build the kernel unguarded
+        t0 = time.monotonic()
+        with pytest.raises(OperationTimeout) as info:
+            with gb.deadline(seconds=0.05):
+                pagerank_compiled(g, threshold=0.0, max_iters=10**9)
+        assert time.monotonic() - t0 < 10
+        assert info.value.op == "pagerank"
+        assert guard._TLS.cancel.value == 0
+        ranks, _ = pagerank_compiled(g, threshold=1e-8)
+        assert ranks.nvals == 200
+
     @staticmethod
     def _op_on(scope, thread=False):
         """An op guard in flight under *scope*, as ``_run_guarded`` arms

@@ -34,7 +34,7 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "9edb4199c3251287d89535d0880d58d5c3b002a2b023fc387beca53cb6460028"
+CATALOG_DIGEST = "6831a21f4c2225b8cda1a76ad315be93eee85b29a34a2f5dc0009ee27ffc5d41"
 ENGINE_DIGESTS = {
     "pyjit": "8c592173cea342cf8b01f93f1cd8859f6ff02b02a80aee1a57451e88b6643449",
     "cpp": "6ebfb52a96c037ab96f451dcf06f40f00a1b3367453da2300a840a15e3a4a63b",
@@ -67,8 +67,9 @@ def test_the_table_has_one_row_per_kernel():
         traversal = func in ("bfs_multi", "sssp_multi")
         assert (row.py is not None or not row.interface) != traversal, func
         assert row.dtypes and all(len(t) == len(row.transposes) for t in row.baked_transposes)
-    assert {f for f, row in KERNELS.items() if not row.interface} == {"normalize_rows"}
-    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (241, 431)
+    assert {f for f, row in KERNELS.items() if not row.interface} == {
+        "normalize_rows", "pagerank", "triangle_count", "mmread"}
+    assert (len(catalog_kernel_specs()), len(pyjit_kernel_specs())) == (244, 431)
 
 
 def test_codegen_version_is_pinned():
@@ -79,7 +80,7 @@ def test_catalog_keys_and_generated_sources_are_byte_identical():
     entries = [(s.key, _sha(generate_cpp_source(s)))
                for parallel in (False, True) for s in catalog_kernel_specs(parallel)]
     entries += [(s.key, _sha(generate_source(s))) for s in pyjit_kernel_specs()]
-    assert len(entries) == 913
+    assert len(entries) == 919
     assert _digest(f"{key}\t{src}" for key, src in entries) == CATALOG_DIGEST
 
 

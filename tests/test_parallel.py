@@ -279,9 +279,10 @@ def test_precompile_collects_failures(tmp_path):
 # ----------------------------------------------------------------------
 # cache warming covers the algorithms (drift guard)
 # ----------------------------------------------------------------------
-def test_warm_cache_covers_algorithms(rng, no_faults):
+def test_warm_cache_covers_algorithms(rng, no_faults, tmp_path):
     """After warm_cache, running every bundled algorithm (operation-wise
-    and whole-module) must be all cache hits — zero inline compiles.
+    and whole-algorithm compiled) and reading a file through the fast
+    loader must be all cache hits — zero inline compiles.
     (Compile-count exact, so ambient chaos injection is opted out: an
     injected ``kernel_fail`` on a cpp dispatch falls back to pyjit,
     whose module is an inline compile warm_cache never promised.)"""
@@ -299,7 +300,9 @@ def test_warm_cache_covers_algorithms(rng, no_faults):
         sssp_compiled,
         triangle_count_compiled,
     )
+    from repro.io.fastload import mmread_fast
     from repro.io.generators import erdos_renyi, grid_graph, scale_free
+    from repro.io.matrixmarket import mmwrite
     from repro.jit.cache import default_cache
     from repro.jit.precompile import warm_cache
 
@@ -328,6 +331,8 @@ def test_warm_cache_covers_algorithms(rng, no_faults):
     sssp_compiled(wg._store, 0)
     pagerank_compiled(pg._store)
     triangle_count_compiled(L._store)
+    mmwrite(tmp_path / "wg.mtx", wg)
+    mmread_fast(tmp_path / "wg.mtx")
     assert cache.stats.compiles == before, (
         "algorithms compiled kernels warm_cache missed — update the "
         "traced uses of their rows in repro.jit.kernels.KERNELS"
