@@ -122,7 +122,7 @@ def main(argv=None) -> int:
         pack = tempfile.mkdtemp(prefix="pygb-pack-")
         print(f"baking catalog into {pack} ...")
         report = bake_catalog(pack)
-        print(f"  {report['entries']} entries in {report['seconds']:.1f}s")
+        print(f"  {len(report['artifacts'])} kernels in {report['seconds']:.1f}s")
 
     engines = ["pyjit"] + (["cpp"] if toolchain_works() else [])
     results: dict = {

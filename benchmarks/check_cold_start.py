@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cold-start acceptance check for the AOT kernel catalog.
+"""Cold-start acceptance check for a baked kernel pack.
 
 Runs every bundled algorithm on the cpp engine, and one
 ``mmread_fast`` read, twice, in fresh child processes with **empty**
@@ -12,7 +12,8 @@ cache directories:
 The two runs must produce bit-identical results (sha256 over every
 result array), proving the pack serves the same kernels the JIT would
 build.  Exits non-zero on any violation; the CI cold-start leg gates on
-it.
+it, on the baked pack and on a read-only copy of it (a pack is served
+in place and never written).
 
 Usage::
 

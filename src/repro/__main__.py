@@ -191,10 +191,10 @@ def cmd_bake(args) -> int:
         parallel = True
     report = bake_catalog(args.out, parallel=parallel, max_workers=args.jobs)
     flavour = "parallel" if report["parallel"] else "serial"
+    kinds = [kind for _, kind in report["artifacts"]]
     print(
-        f"baked {report['entries']} catalog entries "
-        f"({report['cpp_entries']} compiled .so [{flavour}], "
-        f"{report['py_entries']} generated .py) into {report['out']} with "
+        f"baked {kinds.count('.so')} compiled .so [{flavour}] and "
+        f"{kinds.count('.py')} generated .py kernels into {report['out']} with "
         f"{report['jobs']} concurrent jobs in {report['seconds']:.2f}s"
     )
     print(
@@ -206,10 +206,10 @@ def cmd_bake(args) -> int:
         print(f"cpp flavour skipped: {report['cpp_skipped']}")
     for key, err in report["failed"]:
         print(f"FAILED {key}: {err}", file=sys.stderr)
-    # round-trip: re-read the pack exactly the way a consumer process will
-    check = validate_catalog(args.out)
+    # round-trip: re-open the pack exactly the way a consumer process will
+    check = validate_catalog(args.out, report["artifacts"])
     print(
-        f"validation: {check['ok']}/{check['entries']} entries verify "
+        f"validation: {check['ok']}/{check['entries']} artifacts verify "
         f"({len(check['bad'])} bad)"
     )
     for key in check["bad"]:
@@ -311,14 +311,16 @@ def cmd_doctor(args) -> int:
 
     print(f"schedule:        {_schedule.schedule_mode()} (PYGB_SCHEDULE)")
     catalog_env = config.current().catalog
-    if cache.catalog is not None:
+    if cache.pack is not None:
+        from .jit.spec import CODEGEN_VERSION
+
+        total, ours = cache.artifact_counts(cache.pack)
         print(
-            f"catalog:         {cache.catalog.root} "
-            f"({len(cache.catalog)} entries, "
-            f"{'parallel' if cache.catalog.parallel else 'serial'} cpp flavour)"
+            f"catalog:         {cache.pack} — {total} artifacts, "
+            f"{ours} for v{CODEGEN_VERSION}"
         )
-    elif cache.catalog_error:
-        print(f"catalog:         REJECTED — {cache.catalog_error}")
+    elif cache.pack_error:
+        print(f"catalog:         REJECTED — {cache.pack_error}")
     else:
         print(
             f"catalog:         none attached "
@@ -496,7 +498,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bake",
-        help="bake a redistributable AOT kernel pack (catalog.json + artifacts)",
+        help="bake a redistributable AOT kernel pack (a precompiled cache directory)",
     )
     p.add_argument(
         "--out", default="pygb_catalog",

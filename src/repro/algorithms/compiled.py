@@ -39,17 +39,18 @@ __all__ = [
 ]
 
 
-def _timed(func: str, graph: SparseMatrix, *args):
-    """One call of row *func* on *graph* — a guarded op, which a
-    ``gb.deadline`` scope bounds — and that kernel's own clock."""
+def _timed(func: str, method: str, *args):
+    """One call of row *func* through the native engine's *method* — a
+    guarded op, which a ``gb.deadline`` scope bounds: the result and that
+    kernel's own clock, from its one lookup."""
     engine = native_engine()
-    result = guarded_call(func, engine.name, getattr(engine, func), graph, *args)
-    return result, engine._kernel(func, (graph.dtype,), ()).kernel_ns()
+    return guarded_call(func, engine.name, getattr(engine, method), *args)
 
 
-def _traversal(func: str, graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
-    """A k=1 call of the k-source traversal family: row 0 of the result."""
-    result, elapsed = _timed(func, graph, [source])
+def _traversal(func: str, graph: SparseMatrix, source: int, dtype) -> tuple[SparseVector, int]:
+    """A k=1 call of the k-source traversal family, its values of
+    *dtype*: row 0 of the result."""
+    result, elapsed = _timed(func, "_traversal", func, graph, [source], dtype)
     return SparseVector.from_sorted(graph.ncols, result.indices, result.values), elapsed
 
 
@@ -57,13 +58,13 @@ def bfs_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
     """BFS as one compiled C++ call (``bfs_multi`` from one source).
     Takes the backend store of the graph; returns ``(levels,
     elapsed_ns)``."""
-    return _traversal("bfs_multi", graph, source)
+    return _traversal("bfs_multi", graph, source, np.int64)
 
 
 def sssp_compiled(graph: SparseMatrix, source: int) -> tuple[SparseVector, int]:
     """SSSP (converging variant) as one compiled C++ call
     (``sssp_multi`` from one source)."""
-    return _traversal("sssp_multi", graph, source)
+    return _traversal("sssp_multi", graph, source, graph.dtype)
 
 
 def pagerank_compiled(
@@ -74,11 +75,12 @@ def pagerank_compiled(
 ) -> tuple[SparseVector, int]:
     """PageRank as one compiled C++ call (graph values are cast to the
     rank type, float64, before the call)."""
-    return _timed("pagerank", graph.astype(np.float64), damping_factor, threshold, max_iters)
+    return _timed("pagerank", "pagerank", graph.astype(np.float64), damping_factor, threshold,
+                  max_iters)
 
 
 def triangle_count_compiled(L: SparseMatrix) -> tuple[int, int]:
     """Triangle counting as one compiled C++ call; returns
     ``(triangles, elapsed_ns)``."""
-    count, elapsed = _timed("triangle_count", L)
+    count, elapsed = _timed("triangle_count", "triangle_count", L)
     return int(count), elapsed

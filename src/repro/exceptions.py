@@ -96,10 +96,9 @@ class OperationCancelled(_GuardrailError):
 
 
 class CatalogError(GraphBLASError):
-    """A pre-built kernel catalog could not be used: missing or garbled
-    ``catalog.json``, or version stamps from an incompatible library
-    (stale catalogs are rejected wholesale — individual entries never
-    load from a pack whose codegen/cache-format versions mismatch)."""
+    """A kernel pack could not be attached: the directory is missing, or
+    its ``CACHE_FORMAT`` stamp is missing or from an incompatible cache
+    layout (a pack is rejected as a whole, never entry by entry)."""
 
 
 class JitFallbackWarning(UserWarning):

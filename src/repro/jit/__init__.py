@@ -3,7 +3,7 @@
 Execution of a DSL operation flows
 
     expression construction → evaluation → dispatch →
-    module retrieval (memory cache → catalog → disk cache → compile) →
+    module retrieval (memory cache → kernel pack → disk cache → compile) →
     kernel invocation
 
 with the *module retrieval* stage owned by this package:
@@ -14,10 +14,11 @@ with the *module retrieval* stage owned by this package:
 * :mod:`~repro.jit.kernels` — the kernel table (one row per kernel
   family, the whole-algorithm PageRank / triangle-count kernels and the
   fast loader's MatrixMarket parser among them) and the one spec builder;
-* :mod:`~repro.jit.cache` — memory → catalog → disk → compile lookup,
-  with hit/miss/compile-time statistics;
-* :mod:`~repro.jit.catalog` — the AOT kernel catalog: ``repro bake``
-  compiles the hot spec space into a redistributable pack that
+* :mod:`~repro.jit.cache` — memory → pack → disk → compile lookup,
+  with hit/miss/compile-time statistics; a kernel pack is a cache
+  directory attached as a second, read-only disk tier;
+* :mod:`~repro.jit.catalog` — the hot spec space and ``repro bake``,
+  which precompiles it into a redistributable pack directory that
   ``$PYGB_CATALOG`` serves without any inline compilation;
 * :mod:`~repro.jit.pycodegen` / :mod:`~repro.jit.pyengine` — specialised
   *Python* kernel modules (portable default);
@@ -31,7 +32,6 @@ with the *module retrieval* stage owned by this package:
 
 from .cache import JitCache, cache_statistics, clear_memory_cache, default_cache
 from .catalog import (
-    KernelCatalog,
     bake_catalog,
     catalog_kernel_specs,
     load_catalog,
@@ -49,7 +49,6 @@ __all__ = [
     "clear_memory_cache",
     "warm_cache",
     "algorithm_kernel_specs",
-    "KernelCatalog",
     "bake_catalog",
     "catalog_kernel_specs",
     "load_catalog",

@@ -26,11 +26,17 @@ defends itself (the resilience layer's "cache integrity" half):
   ``os.replace``) are swept at construction;
 * an unwritable cache directory relocates to a fresh temporary directory
   with a warning rather than failing every compile.
+
+An attached **kernel pack** (:mod:`~repro.jit.catalog`) is a cache
+directory built ahead of time, read as a second disk tier — memory →
+pack → own directory → compile — under the same manifest check, and
+never written to.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
 import importlib.util
 import json
 import os
@@ -45,9 +51,9 @@ from pathlib import Path
 
 from .. import obs
 from ..config import current as _config
-from ..exceptions import CompilationError, JitFallbackWarning
+from ..exceptions import CatalogError, CompilationError, JitFallbackWarning
 from .health import EngineHealth
-from .spec import KernelSpec
+from .spec import CODEGEN_VERSION, KernelSpec
 
 __all__ = [
     "CacheStatistics",
@@ -58,6 +64,7 @@ __all__ = [
     "reset_default_cache",
     "DEFAULT_COMPILE_JOBS",
     "CACHE_FORMAT_VERSION",
+    "open_pack",
 ]
 
 #: bumped whenever the on-disk cache layout changes (artifact naming,
@@ -85,7 +92,7 @@ class CacheStatistics:
     memory_hits: int = 0
     disk_hits: int = 0
     compiles: int = 0
-    #: lookups served from an attached AOT kernel pack (jit/catalog.py)
+    #: lookups served from an attached kernel pack (jit/catalog.py)
     catalog_hits: int = 0
     #: lookups that consulted an attached pack and fell through
     catalog_misses: int = 0
@@ -164,7 +171,7 @@ class JitCache:
         #: ``clear_disk``, ``invalidate`` and every recorded JIT failure
         #: (the road to quarantine).  Engines key their bound-kernel
         #: tables on it and go back through :meth:`get_module` — health
-        #: check, catalog, disk — when it moves.
+        #: check, pack, disk — when it moves.
         self.generation = 0
         self.health = EngineHealth(on_failure=self._bump_generation)
         self.relocated = False
@@ -176,38 +183,22 @@ class JitCache:
         self._key_locks: dict[tuple[str, str], threading.Lock] = {}
         self._check_format_stamp()
         self.stats.tmp_swept = self._sweep_orphaned_tmp()
-        #: AOT kernel pack consulted between the memory and disk tiers
-        #: (jit/catalog.py); None when no pack is attached
-        self.catalog = None
+        #: the attached kernel pack directory, consulted between the
+        #: memory and own-directory tiers; None when no pack is attached
+        self.pack: Path | None = None
+        #: ``(key_hash, kind)`` of pack artifacts that failed their
+        #: manifest check, import or ``dlopen`` — skipped from then on
+        self._pack_bad: set[tuple[str, str]] = set()
         #: why $PYGB_CATALOG could not be attached, for `repro doctor`
-        self.catalog_error: str | None = None
-        env_pack = _config().catalog
-        if env_pack:
-            self._attach_catalog_env(env_pack)
+        self.pack_error: str | None = None
 
-    def attach_catalog(self, catalog) -> None:
-        """Install *catalog* (a :class:`~repro.jit.catalog.KernelCatalog`)
-        as this cache's pack tier; ``None`` detaches."""
-        self.catalog = catalog
-        self.catalog_error = None
-
-    def _attach_catalog_env(self, path: str) -> None:
-        """$PYGB_CATALOG attach: a missing/garbled/stale pack degrades to
-        a warning (the process runs on the normal compile path) instead
-        of failing at import time; ``repro doctor`` surfaces the reason."""
-        from ..exceptions import CatalogError
-
-        from .catalog import KernelCatalog  # late: catalog imports this module
-
-        try:
-            self.catalog = KernelCatalog.load(path)
-        except CatalogError as exc:
-            self.catalog_error = str(exc)
-            warnings.warn(
-                f"pygb: ignoring $PYGB_CATALOG: {exc}",
-                JitFallbackWarning,
-                stacklevel=4,
-            )
+    def attach_pack(self, path: str | os.PathLike) -> None:
+        """Serve lookups from the pack directory *path* (see :func:`open_pack`)."""
+        root = open_pack(path)
+        with self._lock:
+            self.pack = root
+            self.pack_error = None
+            self._pack_bad.clear()
 
     # ------------------------------------------------------------------
     # directory preparation (relocation, format stamp, tmp sweep)
@@ -236,20 +227,14 @@ class JitCache:
     def _check_format_stamp(self) -> None:
         """Sweep artifacts written under a different cache-format version
         (or before versioning existed), then stamp the directory."""
-        stamp = self.cache_dir / _FORMAT_STAMP
-        current = None
-        try:
-            current = int(stamp.read_text().strip())
-        except (OSError, ValueError):
-            pass
-        if current == CACHE_FORMAT_VERSION:
+        if _format_stamp(self.cache_dir) == CACHE_FORMAT_VERSION:
             return
         for p in self.cache_dir.glob("pygb_*"):
             try:
                 p.unlink()
             except OSError:
                 pass
-        self._atomic_write(stamp, f"{CACHE_FORMAT_VERSION}\n")
+        self._atomic_write(self.cache_dir / _FORMAT_STAMP, f"{CACHE_FORMAT_VERSION}\n")
 
     def _sweep_orphaned_tmp(self) -> int:
         """Delete ``*.tmp`` leftovers from writers that died mid-compile.
@@ -308,18 +293,33 @@ class JitCache:
             self._manifest_path(artifact), json.dumps(data, indent=1, sort_keys=True)
         )
 
-    def _artifact_intact(self, artifact: Path) -> bool:
+    @staticmethod
+    def artifact_counts(directory: Path) -> tuple[int, int]:
+        """``(artifacts, ours)`` of a cache or pack directory: how many
+        manifests it holds, and how many of those record a spec key of
+        this library's ``CODEGEN_VERSION``."""
+        keys = []
+        for manifest in directory.glob("pygb_*.manifest.json"):
+            try:
+                keys.append(str(json.loads(manifest.read_text()).get("key")))
+            except (OSError, ValueError, AttributeError):
+                keys.append("")
+        return len(keys), sum(key.startswith(f"v{CODEGEN_VERSION}:") for key in keys)
+
+    @staticmethod
+    def _artifact_intact(artifact: Path) -> bool:
         """Whether the on-disk artifact matches its manifest (size fast
         path, then full checksum).  Missing/garbled manifests count as
         corrupt — pre-manifest caches are invalidated by the format stamp
-        anyway."""
+        anyway.  The own-directory and the pack tier both trust an
+        artifact only through this check."""
         try:
-            data = json.loads(self._manifest_path(artifact).read_text())
+            data = json.loads(JitCache._manifest_path(artifact).read_text())
             if data.get("format") != CACHE_FORMAT_VERSION:
                 return False
             if artifact.stat().st_size != data.get("artifact_size"):
                 return False
-            return self._sha256_file(artifact) == data.get("artifact_sha256")
+            return JitCache._sha256_file(artifact) == data.get("artifact_sha256")
         except (OSError, ValueError):
             return False
 
@@ -363,13 +363,10 @@ class JitCache:
             self._modules.pop((spec.key_hash, kind), None)
             self.stats.integrity_rebuilds += 1
             self.generation += 1
+            # a pack's copy is never deleted, only skipped from now on
+            self._pack_bad.add((spec.key_hash, kind))
         if obs.ACTIVE:
             obs.record_event("integrity_rebuild", "cache", spec=spec.key, kind=kind)
-        if self.catalog is not None:
-            # the pack artifact itself is never deleted (packs may be
-            # read-only); quarantining the entry makes the next lookup
-            # fall through to a fresh compile instead
-            self.catalog.quarantine(spec.key_hash, kind)
         self._discard_artifact(self.cache_dir / f"{spec.module_stem}{kind}")
 
     # ------------------------------------------------------------------
@@ -388,40 +385,36 @@ class JitCache:
         """
         return self._get_module(spec, generate, suffix, compiler)[0]
 
-    def _try_catalog(self, spec: KernelSpec, kind: str, compiler):
-        """The pack tier: the entry's artifact served straight from the
-        catalog directory (no copy — packs may be read-only).  Returns
-        the loaded module or ``None`` to fall through to disk/compile.
-        Only consulted (and only counted) when a catalog is attached."""
-        entry = self.catalog.entry(spec.key_hash, kind)
+    def _from_pack(self, spec: KernelSpec, kind: str, compiler):
+        """The pack tier: *spec*'s artifact served in place from the
+        attached pack (no copy — packs may be read-only), or ``None`` to
+        fall through to the own directory and the compiler."""
+        key = (spec.key_hash, kind)
+        artifact = self.pack / f"{spec.module_stem}{kind}"
         mod = None
-        reason = "absent"
-        if entry is not None:
-            if self.catalog.verify(entry):
-                path = self.catalog.artifact_path(entry)
-                if compiler is not None:
-                    mod = path  # engines wrap the .so path in ctypes themselves
-                else:
-                    try:
-                        mod = self._import_py(path, spec)
-                    except CompilationError:
-                        # quarantine, fall through to the normal build
-                        self.catalog.quarantine(spec.key_hash, kind)
-                        reason = "import_failed"
-            else:
-                reason = "checksum"
+        if key in self._pack_bad or not artifact.exists():
+            reason = "absent"
+        elif not self._artifact_intact(artifact):
+            reason = "checksum"
+        elif compiler is not None:
+            mod = artifact  # engines wrap the .so path in ctypes themselves
+        else:
+            try:
+                mod = self._import_py(artifact, spec, _PackSourceLoader)
+            except CompilationError:
+                reason = "import_failed"
         with self._lock:
             if mod is not None:
                 self.stats.catalog_hits += 1
             else:
                 self.stats.catalog_misses += 1
+                if reason != "absent":
+                    self._pack_bad.add(key)
         if obs.ACTIVE:
             if mod is not None:
                 obs.record_event("catalog_hit", "cache", spec=spec.key, kind=kind)
             else:
-                obs.record_event(
-                    "catalog_miss", "cache", spec=spec.key, kind=kind, reason=reason
-                )
+                obs.record_event("catalog_miss", "cache", spec=spec.key, kind=kind, reason=reason)
         return mod
 
     def _get_module(self, spec: KernelSpec, generate, suffix: str = ".py", compiler=None):
@@ -447,8 +440,8 @@ class JitCache:
                 if mod is not None:
                     self._memory_hit(spec, kind)
                     return mod, "memory"
-            if self.catalog is not None:
-                mod = self._try_catalog(spec, kind, compiler)
+            if self.pack is not None:
+                mod = self._from_pack(spec, kind, compiler)
                 if mod is not None:
                     with self._lock:
                         self._modules[key] = mod
@@ -596,9 +589,10 @@ class JitCache:
         tmp.write_text(text)
         os.replace(tmp, path)
 
-    def _import_py(self, path: Path, spec: KernelSpec):
+    def _import_py(self, path: Path, spec: KernelSpec, loader_class=None):
         name = f"_pygb_jit.{spec.module_stem}"
-        loader_spec = importlib.util.spec_from_file_location(name, path)
+        loader = loader_class(name, str(path)) if loader_class else None
+        loader_spec = importlib.util.spec_from_file_location(name, path, loader=loader)
         if loader_spec is None or loader_spec.loader is None:
             raise CompilationError(f"cannot import generated module {path}")
         module = importlib.util.module_from_spec(loader_spec)
@@ -627,16 +621,68 @@ class JitCache:
             self.generation += 1
 
 
+class _PackSourceLoader(importlib.machinery.SourceFileLoader):
+    """Imports a pack's ``.py`` artifact from its checked source alone:
+    no ``__pycache__`` is read or written beside it, so the pack stays as
+    baked and a stale bytecode file cannot stand in for the source."""
+
+    def get_code(self, fullname):
+        return self.source_to_code(self.get_data(self.path), self.path)
+
+
+def _format_stamp(directory: Path) -> int | None:
+    """The ``CACHE_FORMAT`` stamp of a cache or pack directory, or
+    ``None`` when it is missing or garbled."""
+    try:
+        return int((directory / _FORMAT_STAMP).read_text().strip())
+    except (OSError, ValueError):
+        return None
+
+
+def open_pack(path: str | os.PathLike) -> Path:
+    """*path* as a kernel pack: a directory stamped with this library's
+    ``CACHE_FORMAT``, else :class:`CatalogError` — a pack is accepted or
+    rejected as a whole.  One baked for another ``CODEGEN_VERSION`` opens
+    and serves no hits: its artifacts carry other spec keys."""
+    root = Path(path)
+    stamp = _format_stamp(root)
+    if stamp != CACHE_FORMAT_VERSION:
+        found = "no readable" if stamp is None else f"format {stamp}"
+        raise CatalogError(
+            f"kernel pack {root} has {found} {_FORMAT_STAMP} stamp but this "
+            f"library expects {CACHE_FORMAT_VERSION} — re-run `python -m repro bake`"
+        )
+    return root
+
+
 _default: JitCache | None = None
 _default_lock = threading.Lock()
 
 
+def _new_default() -> JitCache:
+    """A cache on the configured directory with ``$PYGB_CATALOG``'s pack
+    attached.  A pack that cannot be attached degrades to a warning and
+    the normal compile path instead of failing at import time; ``repro
+    doctor`` shows the reason."""
+    cache = JitCache()
+    pack = _config().catalog
+    if pack:
+        try:
+            cache.attach_pack(pack)
+        except CatalogError as exc:
+            cache.pack_error = str(exc)
+            warnings.warn(f"pygb: ignoring $PYGB_CATALOG: {exc}", JitFallbackWarning,
+                          stacklevel=4)
+    return cache
+
+
 def default_cache() -> JitCache:
-    """The process-wide cache shared by all JIT engines."""
+    """The process-wide cache shared by all JIT engines — the one cache
+    ``$PYGB_CATALOG`` attaches its pack to."""
     global _default
     with _default_lock:
         if _default is None:
-            _default = JitCache()
+            _default = _new_default()
         return _default
 
 
@@ -647,7 +693,7 @@ def reset_default_cache() -> JitCache:
     directory mid-process (set the variable, ``config.reload()``, this)."""
     global _default
     with _default_lock:
-        _default = JitCache()
+        _default = _new_default()
         return _default
 
 

@@ -469,7 +469,7 @@ class CppJitEngine:
         :class:`KernelSpec` and goes through health check → ``JitCache`` →
         ``dlopen``.  The table is dropped whenever the cache's generation
         moves (``clear_memory``, ``invalidate``, a recorded failure), so
-        fault tolerance and the catalog see every lookup they used to."""
+        fault tolerance and the pack tier see every lookup they used to."""
         t0 = time.perf_counter_ns() if obs.ACTIVE else 0
         par = self.parallel_enabled()
         if desc is None:
@@ -786,9 +786,10 @@ class CppJitEngine:
     # ------------------------------------------------------------------
     # whole k-source traversals: one FFI call runs the listing's loop
     # ------------------------------------------------------------------
-    def _traversal(self, func, graph: SparseMatrix, sources, dtype) -> SparseMatrix:
+    def _traversal(self, func, graph: SparseMatrix, sources, dtype) -> tuple[SparseMatrix, int]:
         """Run *func*'s generated loop from *sources* into NumPy-owned
-        buffers of capacity k·n (every row has at most n entries)."""
+        buffers of capacity k·n (every row has at most n entries); the
+        result and the kernel's own clock."""
         sources = check_traversal(graph, sources)
         bound = self._kernel(func, (graph.dtype,), ())
         k, n = sources.size, graph.ncols
@@ -802,13 +803,13 @@ class CppJitEngine:
             indices, values = indices[:nnz].copy(), values[:nnz].copy()
         else:
             indices, values = indices[:nnz], values[:nnz]
-        return SparseMatrix(k, n, indptr, indices, values)
+        return SparseMatrix(k, n, indptr, indices, values), bound.kernel_ns()
 
     def bfs_multi(self, graph, sources):
-        return self._traversal("bfs_multi", graph, sources, _I64)
+        return self._traversal("bfs_multi", graph, sources, _I64)[0]
 
     def sssp_multi(self, graph, sources):
-        return self._traversal("sssp_multi", graph, sources, graph.dtype)
+        return self._traversal("sssp_multi", graph, sources, graph.dtype)[0]
 
     # ------------------------------------------------------------------
     # GBTL's normalize_rows helper: not part of the Engine interface,
@@ -828,22 +829,24 @@ class CppJitEngine:
     # ------------------------------------------------------------------
     # whole algorithms and the fast loader's parser (paper Fig. 10 v2/v3,
     # Sec. VIII): not part of the Engine interface, called through
-    # :func:`native_engine` by ``algorithms.compiled`` and ``io.fastload``
+    # :func:`native_engine` by ``algorithms.compiled`` and ``io.fastload``;
+    # the algorithms also return their kernel's own clock (v3)
     # ------------------------------------------------------------------
     def pagerank(self, graph: SparseMatrix, damping: float, threshold: float,
-                 max_iters: int) -> SparseVector:
+                 max_iters: int) -> tuple[SparseVector, int]:
         """Fig. 8's loop as one call: the rank vector, of *graph*'s dtype."""
         bound = self._kernel("pagerank", (graph.dtype,), ())
         args = graph.ffi_pack().args + (damping, threshold, max_iters)
-        return self._vec_out(bound, args, SparseVector.empty(graph.nrows, graph.dtype))
+        ranks = self._vec_out(bound, args, SparseVector.empty(graph.nrows, graph.dtype))
+        return ranks, bound.kernel_ns()
 
-    def triangle_count(self, lower: SparseMatrix):
+    def triangle_count(self, lower: SparseMatrix) -> tuple:
         """Fig. 5b as one call: the Plus-reduce of ``B<L> = L ⊕.⊗ Lᵀ``."""
         bound = self._kernel("triangle_count", (lower.dtype,), ())
         out = np.zeros(1, lower.dtype)
         args = lower.ffi_pack().args + lower.transposed().ffi_pack().args[2:]
         self._run(bound, args + (address(out),))
-        return out[0]
+        return out[0], bound.kernel_ns()
 
     def mmread(self, body: bytes, nnz: int, nrows: int, ncols: int):
         """``(status, rows, cols, values)`` of a MatrixMarket coordinate

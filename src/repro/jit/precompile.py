@@ -25,7 +25,7 @@ from .cppcodegen import generate_cpp_source
 from .kernels import KERNELS, spec
 from .spec import KernelSpec
 
-__all__ = ["algorithm_kernel_specs", "warm_cache"]
+__all__ = ["algorithm_kernel_specs", "cpp_jobs", "warm_cache"]
 
 
 def algorithm_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
@@ -35,6 +35,24 @@ def algorithm_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
             for func, row in KERNELS.items() for use in row.traced]
 
 
+def cpp_jobs(cache: JitCache, specs_of, parallel: bool | None = None):
+    """``(engine, parallel, jobs)``: a cpp engine on *cache*, the
+    artifact flavour (*parallel*, or when ``None`` whatever the engine
+    would dispatch right now — ``$PYGB_PARALLEL`` plus the ``-fopenmp``
+    probe) and the :meth:`JitCache.precompile` jobs for
+    ``specs_of(parallel)``.  Raises :class:`BackendUnavailable` without
+    a toolchain."""
+    # imported late: cppengine raises BackendUnavailable without a
+    # toolchain, and importing it triggers no probe by itself
+    from .cppengine import CppJitEngine
+
+    engine = CppJitEngine(cache)
+    if parallel is None:
+        parallel = engine.parallel_enabled()
+    return engine, parallel, [(spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
+                              for spec in specs_of(parallel)]
+
+
 def warm_cache(
     cache: JitCache | None = None,
     parallel: bool | None = None,
@@ -42,24 +60,14 @@ def warm_cache(
 ) -> dict:
     """Pre-build the algorithm kernel set with concurrent g++ jobs.
 
-    *parallel* selects which artifact flavour to warm; ``None`` means
-    "whatever the engine would dispatch right now" (``$PYGB_PARALLEL``
-    plus the ``-fopenmp`` probe).  Returns the :meth:`JitCache.precompile`
+    *parallel* selects which artifact flavour to warm (see
+    :func:`cpp_jobs`).  Returns the :meth:`JitCache.precompile`
     report dict with ``openmp`` and ``parallel`` keys added.
     """
-    # imported late: cppengine raises BackendUnavailable without a
-    # toolchain, and importing it triggers no probe by itself
-    from .cppengine import CppJitEngine, openmp_available
+    from .cppengine import openmp_available
 
     cache = cache if cache is not None else default_cache()
-    engine = CppJitEngine(cache)
-    if parallel is None:
-        parallel = engine.parallel_enabled()
-
-    jobs = [
-        (spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
-        for spec in algorithm_kernel_specs(parallel)
-    ]
+    engine, parallel, jobs = cpp_jobs(cache, algorithm_kernel_specs, parallel)
     report = cache.precompile(jobs, max_workers=max_workers)
     # failed specs are recorded against the cpp engine's health up front,
     # so a later algorithm run skips straight to the fallback chain (and

@@ -221,19 +221,3 @@ class GraphServer(socketserver.ThreadingTCPServer):
         from . import note_disconnect
 
         note_disconnect()
-
-
-def _client_roundtrip(host: str, port: int, payload: bytes, timeout: float = 10.0) -> bytes:
-    """One request, one response, over a fresh connection — the minimal
-    client used by the CLI smoke path and the tests."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(payload)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-        return b"".join(chunks)

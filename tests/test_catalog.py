@@ -1,5 +1,6 @@
-"""AOT kernel catalog tests: baking, the catalog lookup tier, wholesale
-version rejection vs per-entry checksum fall-through, read-only packs —
+"""Kernel pack tests: baking, the pack lookup tier, wholesale
+``CACHE_FORMAT`` rejection vs per-artifact checksum fall-through, stale
+code generators, read-only and never-written packs —
 plus regression tests for the cache bugs the catalog work exposed
 (key-lock leak, precompile report inflation, the precompile pool size)
 and the cross-process compile race.
@@ -10,8 +11,10 @@ Everything here bakes the ``.py`` kernel flavour only, so the tests run
 CI cold-start leg (``benchmarks/check_cold_start.py``).
 """
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -22,10 +25,10 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import CatalogError, JitFallbackWarning
-from repro.jit.cache import DEFAULT_COMPILE_JOBS, JitCache
+from repro.jit import catalog as catalog_module
+from repro.jit import spec as spec_module
+from repro.jit.cache import DEFAULT_COMPILE_JOBS, JitCache, reset_default_cache
 from repro.jit.catalog import (
-    CATALOG_FILENAME,
-    KernelCatalog,
     bake_catalog,
     catalog_kernel_specs,
     load_catalog,
@@ -45,8 +48,19 @@ def pack(tmp_path_factory):
     out = tmp_path_factory.mktemp("pack")
     report = bake_catalog(out, include_cpp=False)
     assert report["failed"] == []
-    assert report["py_entries"] == report["entries"] > 0
+    assert {kind for _, kind in report["artifacts"]} == {".py"}
+    assert report["compiled"] == len(report["artifacts"]) > 0
+    assert not (out / "catalog.json").exists()  # the directory is the pack
     return out
+
+
+def _copy(pack: Path, dest: Path) -> Path:
+    shutil.copytree(pack, dest)
+    return dest
+
+
+def _py_artifacts():
+    return [(s, ".py") for s in pyjit_kernel_specs()]
 
 
 def _pyjit_spec() -> KernelSpec:
@@ -136,79 +150,115 @@ def test_bake_is_incremental(pack):
     assert report["disk_hits"] == report["requested"]
 
 
+def test_bake_under_an_attached_pack_builds_every_artifact(pack, tmp_path, monkeypatch):
+    """A bake's cache never reads ``$PYGB_CATALOG``'s pack: a spec that
+    pack holds is still built into the new one, and a pack that cannot
+    be attached gives the bake no warning."""
+    monkeypatch.setenv("PYGB_CATALOG", str(pack))
+    monkeypatch.setattr(catalog_module, "pyjit_kernel_specs", lambda: [_pyjit_spec()])
+    report = bake_catalog(tmp_path / "pack", include_cpp=False)
+    assert (report["compiled"], report["catalog_hits"]) == (1, 0)
+    assert validate_catalog(tmp_path / "pack", report["artifacts"])["bad"] == []
+    monkeypatch.setenv("PYGB_CATALOG", str(tmp_path / "nowhere"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bake_catalog(tmp_path / "pack", include_cpp=False)["disk_hits"] == 1
+
+
 def test_validate_catalog_round_trip(pack):
-    check = validate_catalog(pack)
+    """Every baked spec's artifact passes the pack tier's manifest check;
+    a spec the pack lacks does not."""
+    check = validate_catalog(pack, _py_artifacts())
     assert check["bad"] == []
-    assert check["ok"] == check["entries"] > 0
+    assert check["ok"] == check["entries"] == len(pyjit_kernel_specs())
+    absent = KernelSpec.make("reduce_vec_scalar", a="int16", op="Max")
+    assert validate_catalog(pack, [(absent, ".py")])["bad"] == [absent.key]
 
 
 # ----------------------------------------------------------------------
-# wholesale rejection (version stamps) vs per-entry fall-through
+# wholesale rejection (the CACHE_FORMAT stamp) vs per-artifact fall-through
 # ----------------------------------------------------------------------
-def _rewrite_catalog(pack: Path, **overrides):
-    path = pack / CATALOG_FILENAME
-    data = json.loads(path.read_text())
-    data.update(overrides)
-    path.write_text(json.dumps(data))
-
-
-@pytest.mark.parametrize("field", ["schema", "codegen_version", "cache_format_version"])
-def test_stale_version_stamp_rejected_wholesale(pack, tmp_path, field):
-    stale = tmp_path / "stale"
-    stale.mkdir()
-    for p in pack.iterdir():
-        (stale / p.name).write_bytes(p.read_bytes())
-    _rewrite_catalog(stale, **{field: 999})
-    with pytest.raises(CatalogError, match="stale kernel catalog"):
-        KernelCatalog.load(stale)
-    # programmatic attach is strict too
-    with pytest.raises(CatalogError):
+@pytest.mark.parametrize("stamp", ["999\n", None], ids=["cache_format_version", "missing"])
+def test_stale_version_stamp_rejected_wholesale(pack, tmp_path, stamp):
+    stale = _copy(pack, tmp_path / "stale")
+    if stamp is None:
+        (stale / "CACHE_FORMAT").unlink()
+    else:
+        (stale / "CACHE_FORMAT").write_text(stamp)
+    with pytest.raises(CatalogError, match="CACHE_FORMAT stamp"):
         load_catalog(stale, JitCache(tmp_path / "cold"))
 
 
 def test_garbled_catalog_rejected(tmp_path):
-    (tmp_path / CATALOG_FILENAME).write_text("{not json")
-    with pytest.raises(CatalogError, match="garbled"):
-        KernelCatalog.load(tmp_path)
-    with pytest.raises(CatalogError, match="cannot read"):
-        KernelCatalog.load(tmp_path / "nowhere")
+    """A directory that is not a pack, or no directory at all."""
+    (tmp_path / "CACHE_FORMAT").write_text("{not a number")
+    with pytest.raises(CatalogError, match="no readable CACHE_FORMAT stamp"):
+        load_catalog(tmp_path, JitCache(tmp_path / "cold"))
+    with pytest.raises(CatalogError, match="nowhere has no readable CACHE_FORMAT stamp"):
+        load_catalog(tmp_path / "nowhere", JitCache(tmp_path / "cold2"))
 
 
-def test_env_catalog_degrades_to_warning(pack, tmp_path, monkeypatch):
-    """$PYGB_CATALOG pointing at a stale/garbled pack must not break the
-    process: the cache warns, records the reason for `repro doctor`, and
-    serves the normal compile path."""
-    stale = tmp_path / "stale"
-    stale.mkdir()
-    for p in pack.iterdir():
-        (stale / p.name).write_bytes(p.read_bytes())
-    _rewrite_catalog(stale, codegen_version=999)
+def test_pack_from_another_codegen_version_attaches(tmp_path, monkeypatch):
+    """Every spec key embeds ``CODEGEN_VERSION``: a pack baked by another
+    code generator attaches without error and simply serves no hits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spec_module, "CODEGEN_VERSION", 999)
+        stale_spec = _pyjit_spec()
+        assert stale_spec.key.startswith("v999:")
+        patch.setattr(catalog_module, "pyjit_kernel_specs", lambda: [stale_spec])
+        report = bake_catalog(tmp_path / "pack", include_cpp=False)
+    assert report["failed"] == [] and report["compiled"] == 1
+    cache = JitCache(tmp_path / "cold")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_catalog(tmp_path / "pack", cache)
+    mod = cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
+    assert callable(getattr(mod, "run"))
+    snap = cache.stats.snapshot()
+    assert (snap["catalog_hits"], snap["catalog_misses"], snap["compiles"]) == (0, 1, 1)
+
+
+@pytest.fixture
+def env_default_cache(tmp_path, monkeypatch):
+    """Builds the process-wide cache on a fresh directory under the
+    test's environment; the suite's default cache comes back after."""
+    monkeypatch.setenv("PYGB_CACHE_DIR", str(tmp_path / "cold"))
+    yield reset_default_cache
+    monkeypatch.undo()
+    reset_default_cache()
+
+
+def test_env_catalog_degrades_to_warning(pack, tmp_path, monkeypatch, env_default_cache):
+    """$PYGB_CATALOG pointing at a pack of another cache format must not
+    break the process: the cache warns, records the reason for `repro
+    doctor`, and serves the normal compile path."""
+    stale = _copy(pack, tmp_path / "stale")
+    (stale / "CACHE_FORMAT").write_text("999\n")
     monkeypatch.setenv("PYGB_CATALOG", str(stale))
     with pytest.warns(JitFallbackWarning, match="ignoring \\$PYGB_CATALOG"):
-        cache = JitCache(tmp_path / "cold")
-    assert cache.catalog is None
-    assert "stale kernel catalog" in cache.catalog_error
+        cache = env_default_cache()
+    assert cache.pack is None
+    assert "format 999 CACHE_FORMAT stamp" in cache.pack_error
     mod = cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
     assert callable(getattr(mod, "run"))
     assert cache.stats.snapshot()["compiles"] == 1
 
 
-def test_env_catalog_attaches(pack, tmp_path, monkeypatch):
+def test_env_catalog_attaches(pack, tmp_path, monkeypatch, env_default_cache):
+    """$PYGB_CATALOG attaches to the process-wide cache only; a cache
+    built directly has no pack until ``load_catalog``."""
     monkeypatch.setenv("PYGB_CATALOG", str(pack))
-    cache = JitCache(tmp_path / "cold")
-    assert cache.catalog is not None
-    assert len(cache.catalog) > 0
-    assert cache.catalog_error is None
+    cache = env_default_cache()
+    assert cache.pack == pack
+    assert cache.pack_error is None
+    assert JitCache(tmp_path / "own").pack is None
 
 
 def test_checksum_mismatch_falls_through_to_compile(pack, tmp_path):
     """A single corrupted artifact quarantines that entry only; the
     lookup degrades to a normal compile and every other entry still
     serves."""
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in pack.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
+    broken = _copy(pack, tmp_path / "broken")
     spec = _pyjit_spec()
     (broken / f"{spec.module_stem}.py").write_text("garbage ][")
     cache = JitCache(tmp_path / "cold")
@@ -226,33 +276,74 @@ def test_checksum_mismatch_falls_through_to_compile(pack, tmp_path):
     )
     cache.get_module(other, generate_source, suffix=".py")
     assert cache.stats.snapshot()["catalog_hits"] == 1
-    check = validate_catalog(broken)
+    check = validate_catalog(broken, _py_artifacts())
     assert check["bad"] == [spec.key]
+
+
+def _bake_unimportable(pack: Path, spec: KernelSpec) -> None:
+    """Replace *spec*'s pack artifact by a module that raises on import,
+    with a manifest that faithfully records it."""
+    artifact = pack / f"{spec.module_stem}.py"
+    artifact.write_bytes(b"raise RuntimeError('baked broken')\n")
+    manifest = JitCache._manifest_path(artifact)
+    data = json.loads(manifest.read_text())
+    data.update(artifact_sha256=JitCache._sha256_file(artifact),
+                artifact_size=artifact.stat().st_size)
+    manifest.write_text(json.dumps(data))
 
 
 def test_unloadable_entry_quarantined(pack, tmp_path):
     """Checksum-clean but unimportable (pack baked from a broken file
-    that was then faithfully checksummed): quarantine + recompile, once."""
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in pack.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
+    whose manifest then faithfully recorded it): quarantine + recompile,
+    once."""
+    broken = _copy(pack, tmp_path / "broken")
     spec = _pyjit_spec()
-    bad = b"raise RuntimeError('baked broken')\n"
-    (broken / f"{spec.module_stem}.py").write_bytes(bad)
-    path = broken / CATALOG_FILENAME
-    data = json.loads(path.read_text())
-    for entry in data["entries"]:
-        if entry["key_hash"] == spec.key_hash:
-            entry["sha256"] = JitCache._sha256_file(broken / f"{spec.module_stem}.py")
-            entry["size"] = len(bad)
-    path.write_text(json.dumps(data))
+    _bake_unimportable(broken, spec)
     cache = JitCache(tmp_path / "cold")
-    catalog = load_catalog(broken, cache)
+    load_catalog(broken, cache)
     mod = cache.get_module(spec, generate_source, suffix=".py")
     assert callable(getattr(mod, "run"))
     assert cache.stats.snapshot()["compiles"] == 1
-    assert catalog.entry(spec.key_hash, ".py") is None  # quarantined
+    assert (spec.key_hash, ".py") in cache._pack_bad  # quarantined
+    # once out of memory, the lookup skips the bad pack artifact for the
+    # own directory's rebuilt copy
+    cache.clear_memory()
+    cache.get_module(spec, generate_source, suffix=".py")
+    snap = cache.stats.snapshot()
+    assert (snap["catalog_misses"], snap["disk_hits"], snap["compiles"]) == (2, 1, 1)
+
+
+def _fingerprint(directory: Path) -> dict:
+    return {str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_pack_is_never_written(pack, tmp_path):
+    """A checksum-bad artifact and an unimportable one each fall through
+    to one compile, an intact one is a hit, and the pack directory stays
+    byte-for-byte as it was: no stamp, no sweep, no discard, and no
+    ``__pycache__`` from importing its ``.py`` artifacts."""
+    broken = _copy(pack, tmp_path / "broken")
+    corrupt = _pyjit_spec()
+    (broken / f"{corrupt.module_stem}.py").write_text("garbage ][")
+    unimportable = KernelSpec.make(
+        "vxm", a="float64", u="float64", c="float64", t_dtype="float64",
+        add="Plus", mult="Times", ta=False, mask="none", comp=0, repl=0,
+        accum="none",
+    )
+    _bake_unimportable(broken, unimportable)
+    # an orphaned temp file a cache directory would sweep
+    (broken / "pygb_orphan.py.1.1.tmp").write_text("")
+    before = _fingerprint(broken)
+
+    cache = JitCache(tmp_path / "cold")
+    load_catalog(broken, cache)
+    intact = next(s for s in pyjit_kernel_specs() if s not in (corrupt, unimportable))
+    for spec in (corrupt, unimportable, intact):
+        assert callable(getattr(cache.get_module(spec, generate_source, suffix=".py"), "run"))
+    snap = cache.stats.snapshot()
+    assert (snap["catalog_hits"], snap["catalog_misses"], snap["compiles"]) == (1, 2, 2)
+    assert _fingerprint(broken) == before
 
 
 def test_readonly_catalog_dir(pack, tmp_path):
@@ -440,15 +531,14 @@ def test_pack_serves_normalize_rows_without_a_compiler(tmp_path, monkeypatch, no
 
     import repro as gb
     from repro import utilities
-    from repro.jit import catalog
     from repro.jit.cppengine import CppJitEngine
 
     spec = KernelSpec.make("normalize_rows", a="float64", c="float64")
     assert spec in algorithm_kernel_specs()
-    monkeypatch.setattr(catalog, "catalog_kernel_specs", lambda parallel=False: [spec])
+    monkeypatch.setattr(catalog_module, "catalog_kernel_specs", lambda parallel=False: [spec])
     monkeypatch.delenv("PYGB_CATALOG", raising=False)
     report = bake_catalog(tmp_path / "pack", include_pyjit=False)
-    assert report["failed"] == [] and report["cpp_entries"] == 1
+    assert report["failed"] == [] and report["artifacts"] == [(spec, ".so")]
 
     bogus = tmp_path / "failing-g++"
     bogus.write_text("#!/bin/sh\nexit 1\n")
