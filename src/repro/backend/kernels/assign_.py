@@ -29,12 +29,13 @@ def _check_indices(idx, limit: int, what: str) -> np.ndarray:
 
 def _assign_merge(old_keys, old_vals, region_keys, t_keys, t_vals, accum, out_dtype):
     """Region-local merge: Z = (C \\ region) ∪ inside, where *inside* is the
-    mapped source, accumulated with the region's old entries when an
+    mapped source, accumulated with the region's old entries (in C's
+    domain, as :func:`~repro.backend.primitives.finalize` does) when an
     accumulator is bound."""
     if accum is not None:
         in_old_keys, in_old_vals = P.restrict(old_keys, old_vals, region_keys, False)
         in_keys, in_vals = P.union_merge(
-            in_old_keys, in_old_vals, t_keys, t_vals,
+            in_old_keys, in_old_vals, t_keys, np.asarray(t_vals).astype(out_dtype, copy=False),
             ops_table.binary_def(accum).func, out_dtype,
         )
     else:

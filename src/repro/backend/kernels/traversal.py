@@ -62,7 +62,9 @@ def bfs_multi(graph: SparseMatrix, sources) -> SparseMatrix:
     levels = SparseMatrix.empty(k, n, np.int64)
     all_rows, all_cols = np.arange(k, dtype=np.int64), np.arange(n, dtype=np.int64)
     depth = 0
-    while frontier.nvals > 0:
+    # a frontier of false entries only (reached over stored-zero edges)
+    # levels nothing and stays false: the loop ends with the true ones
+    while frontier.values.any():
         guard.check_cancelled()
         depth += 1
         # levels[frontier][:, :] = depth

@@ -78,6 +78,14 @@ def _minus(a, b):
     return np.subtract(a, b)
 
 
+def _additive_inverse(a):
+    """``-a``; a ``bool`` operand is negated as the integer C++ promotes
+    it to (``-true`` is ``-1``, true again in a ``bool`` output), where
+    NumPy refuses boolean negative."""
+    a = np.asarray(a)
+    return np.negative(a.astype(np.int64) if a.dtype == np.bool_ else a)
+
+
 def _logical_xor(a, b):
     return np.logical_xor(np.asarray(a).astype(bool), np.asarray(b).astype(bool))
 
@@ -123,7 +131,7 @@ UNARY_OPS: dict[str, UnaryOpDef] = {
     d.name: d
     for d in (
         UnaryOpDef("Identity", lambda a: np.asarray(a).copy(), "({a})"),
-        UnaryOpDef("AdditiveInverse", np.negative, "(-({a}))"),
+        UnaryOpDef("AdditiveInverse", _additive_inverse, "(-({a}))"),
         UnaryOpDef(
             "LogicalNot", lambda a: np.logical_not(np.asarray(a).astype(bool)), "(!({a}))"
         ),

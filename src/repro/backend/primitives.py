@@ -238,7 +238,9 @@ def finalize(
     ``C<M, z> = C (accum) T`` per the C API Specification.
 
     1. ``Z = accum(C, T)`` (an eWiseAdd-structured merge) when an
-       accumulator is bound, else ``Z = T``;
+       accumulator is bound, else ``Z = T``; the accumulator runs in C's
+       domain, as the C++ kernels' ``Accum<TC>`` does, so ``T`` is cast
+       to *out_dtype* first;
     2. with no mask, ``C = Z``;
     3. with a mask, inside-mask entries come from ``Z`` (entries *absent*
        from ``Z`` inside the mask are deleted) and outside-mask entries are
@@ -246,7 +248,8 @@ def finalize(
     """
     if accum_map2 is not None:
         z_keys, z_vals = union_merge(
-            old_keys, old_vals, t_keys, t_vals, accum_map2, out_dtype
+            old_keys, old_vals, t_keys, np.asarray(t_vals).astype(out_dtype, copy=False),
+            accum_map2, out_dtype,
         )
     else:
         z_keys, z_vals = t_keys, np.asarray(t_vals).astype(out_dtype, copy=False)

@@ -8,6 +8,11 @@ entry by entry.
 
 Containers here are plain dicts: ``{index: value}`` for vectors and
 ``{(row, col): value}`` for matrices; scalars are Python numbers.
+
+Products and eWise operations take an optional *dtype*, the domain of
+their result ``T`` (the C API's ``D_out``): every product, partial sum
+and eWise value is cast into it as it is formed.  Left as ``None``,
+values keep NumPy's natural type for the operands at hand.
 """
 
 from __future__ import annotations
@@ -59,14 +64,21 @@ def _cast(value, dtype):
     return np.dtype(dtype).type(value).item()
 
 
+def _typed(f, dtype):
+    """*f* with its result cast into *dtype* (``None``: left as it is)."""
+    if dtype is None:
+        return f
+    return lambda a, b: _cast(f(a, b), dtype)
+
+
 # ----------------------------------------------------------------------
 # raw operations (no mask / accumulate — those are ref_finalize_*)
 # ----------------------------------------------------------------------
 
 
-def ref_mxm(a: dict, b: dict, add_op: str, mult_op: str) -> dict:
+def ref_mxm(a: dict, b: dict, add_op: str, mult_op: str, dtype=None) -> dict:
     """T(i, j) = ⊕_k A(i, k) ⊗ B(k, j), over stored entries only."""
-    add, mult = _b(add_op), _b(mult_op)
+    add, mult = _typed(_b(add_op), dtype), _typed(_b(mult_op), dtype)
     out: dict = {}
     b_by_row: dict = {}
     for (k, j), bv in b.items():
@@ -78,9 +90,9 @@ def ref_mxm(a: dict, b: dict, add_op: str, mult_op: str) -> dict:
     return out
 
 
-def ref_mxv(a: dict, u: dict, add_op: str, mult_op: str) -> dict:
+def ref_mxv(a: dict, u: dict, add_op: str, mult_op: str, dtype=None) -> dict:
     """T(i) = ⊕_j A(i, j) ⊗ u(j)."""
-    add, mult = _b(add_op), _b(mult_op)
+    add, mult = _typed(_b(add_op), dtype), _typed(_b(mult_op), dtype)
     out: dict = {}
     for (i, j), av in a.items():
         if j in u:
@@ -89,9 +101,9 @@ def ref_mxv(a: dict, u: dict, add_op: str, mult_op: str) -> dict:
     return out
 
 
-def ref_vxm(u: dict, a: dict, add_op: str, mult_op: str) -> dict:
+def ref_vxm(u: dict, a: dict, add_op: str, mult_op: str, dtype=None) -> dict:
     """T(j) = ⊕_i u(i) ⊗ A(i, j)."""
-    add, mult = _b(add_op), _b(mult_op)
+    add, mult = _typed(_b(add_op), dtype), _typed(_b(mult_op), dtype)
     out: dict = {}
     for (i, j), av in a.items():
         if i in u:
@@ -100,18 +112,20 @@ def ref_vxm(u: dict, a: dict, add_op: str, mult_op: str) -> dict:
     return out
 
 
-def ref_ewise_add(a: dict, b: dict, op: str) -> dict:
-    """Union structure; *op* applied only where both sides are stored."""
-    f = _b(op)
-    out = dict(a)
+def ref_ewise_add(a: dict, b: dict, op: str, dtype=None) -> dict:
+    """Union structure; *op* applied only where both sides are stored,
+    a value stored on one side only is cast into *dtype* as it is."""
+    f = _typed(_b(op), dtype)
+    keep = (lambda v: v) if dtype is None else (lambda v: _cast(v, dtype))
+    out = {k: keep(v) for k, v in a.items()}
     for k, bv in b.items():
-        out[k] = f(a[k], bv) if k in a else bv
+        out[k] = f(a[k], bv) if k in a else keep(bv)
     return out
 
 
-def ref_ewise_mult(a: dict, b: dict, op: str) -> dict:
+def ref_ewise_mult(a: dict, b: dict, op: str, dtype=None) -> dict:
     """Intersection structure."""
-    f = _b(op)
+    f = _typed(_b(op), dtype)
     return {k: f(av, b[k]) for k, av in a.items() if k in b}
 
 
@@ -131,11 +145,14 @@ def ref_reduce_scalar(a: dict, op: str, identity=None, dtype=np.float64):
     return _cast(acc, dtype)
 
 
-def ref_reduce_rows(a: dict, op: str) -> dict:
-    """Row-wise monoid reduction; empty rows produce no entry."""
-    f = _b(op)
+def ref_reduce_rows(a: dict, op: str, dtype=None) -> dict:
+    """Row-wise monoid reduction; empty rows produce no entry.  With a
+    *dtype* (the monoid's domain) every entry is cast into it first."""
+    f = _typed(_b(op), dtype)
     out: dict = {}
     for (i, _j), v in sorted(a.items()):
+        if dtype is not None:
+            v = _cast(v, dtype)
         out[i] = f(out[i], v) if i in out else v
     return out
 
@@ -157,8 +174,9 @@ def ref_extract_vec(u: dict, indices) -> dict:
     return {p: u[i] for p, i in enumerate(indices) if i in u}
 
 
-def ref_assign_mat(c: dict, a: dict, rows, cols, accum: str | None) -> dict:
-    """Region-local replace/merge of GrB_assign (before the mask stage)."""
+def ref_assign_mat(c: dict, a: dict, rows, cols, accum: str | None, dtype=None) -> dict:
+    """Region-local replace/merge of GrB_assign (before the mask stage);
+    an accumulator runs in C's *dtype*, as in :func:`ref_finalize_mat`."""
     out = dict(c)
     region = {(r, s) for r in rows for s in cols}
     if accum is None:
@@ -170,11 +188,11 @@ def ref_assign_mat(c: dict, a: dict, rows, cols, accum: str | None) -> dict:
         f = _b(accum)
         for (i, j), v in a.items():
             k = (rows[i], cols[j])
-            out[k] = f(c[k], v) if k in c else v
+            out[k] = f(c[k], v if dtype is None else _cast(v, dtype)) if k in c else v
     return out
 
 
-def ref_assign_vec(c: dict, u: dict, indices, accum: str | None) -> dict:
+def ref_assign_vec(c: dict, u: dict, indices, accum: str | None, dtype=None) -> dict:
     out = dict(c)
     if accum is None:
         for i in indices:
@@ -185,7 +203,7 @@ def ref_assign_vec(c: dict, u: dict, indices, accum: str | None) -> dict:
         f = _b(accum)
         for i, v in u.items():
             k = indices[i]
-            out[k] = f(c[k], v) if k in c else v
+            out[k] = f(c[k], v if dtype is None else _cast(v, dtype)) if k in c else v
     return out
 
 
@@ -208,12 +226,14 @@ def ref_finalize_vec(
     replace: bool,
     accum: str | None,
 ) -> dict:
-    """Literal transliteration of the C API's masked accumulate-write."""
+    """Literal transliteration of the C API's masked accumulate-write; the
+    accumulator runs in the output's domain (``T`` is cast into *dtype*
+    first), as every engine's does."""
     if accum is not None:
         f = _b(accum)
         z = dict(c)
         for k, v in t.items():
-            z[k] = f(c[k], v) if k in c else v
+            z[k] = f(c[k], _cast(v, dtype)) if k in c else v
     else:
         z = dict(t)
     out: dict = {}
@@ -245,7 +265,7 @@ def ref_finalize_mat(
         f = _b(accum)
         z = dict(c)
         for k, v in t.items():
-            z[k] = f(c[k], v) if k in c else v
+            z[k] = f(c[k], _cast(v, dtype)) if k in c else v
     else:
         z = dict(t)
     out: dict = {}

@@ -443,6 +443,14 @@ extern "C" Index pygb_run(
     )
 
 
+def _monoid_domain(op: str, dtype: str) -> str:
+    """``using TR = ...;``: the domain a monoid folds in over *dtype*
+    values, as the NumPy engines fold — ``bool`` for a logical monoid,
+    ``int64`` for arithmetic over ``bool`` — so a one-value fold is cast
+    into it too (``LogicalOr`` of a lone ``-1`` is true)."""
+    return f"using TR = {cxx_name(ops_table.binary_result_dtype(op, dtype, dtype).name)};"
+
+
 def _gen_reduce_scalar(spec: KernelSpec, matrix: bool) -> str:
     op = spec.get("op")
     ta = cxx_name(spec.get("a"))
@@ -462,7 +470,8 @@ def _gen_reduce_scalar(spec: KernelSpec, matrix: bool) -> str:
         + "#include <type_traits>\n"
         + f"""
 using TA = {ta};
-{_binop_using("Op", op, "TA")}
+{_monoid_domain(op, spec.get("a"))}
+{_binop_using("Op", op, "TR")}
 
 extern "C" void pygb_run(
     {sig}
@@ -472,19 +481,23 @@ extern "C" void pygb_run(
     {mk}
     const TA identity = std::is_floating_point<TA>::value
         ? static_cast<TA>(didentity) : static_cast<TA>(iidentity);
-    *out_scalar = GB::reduce_values<TA>({values}, Op{{}}, identity);
+    *out_scalar = static_cast<TA>(
+        GB::reduce_values<TR>({values}, Op{{}}, static_cast<TR>(identity)));
 }}
 """
     )
 
 
 def _gen_reduce_rows(spec: KernelSpec) -> str:
+    # each entry is cast into the monoid's domain before it is folded:
+    # Plus over bool counts
     return (
         _cxx_header(spec)
         + f"""
 using TA = {cxx_name(spec.get('a'))};
+{_monoid_domain(spec.get("op"), spec.get("a"))}
 using TC = {cxx_name(spec.get('c'))};
-{_binop_using("Op", spec.get('op'), "TA")}
+{_binop_using("Op", spec.get('op'), "TR")}
 {_flags_block(spec)}
 
 extern "C" Index pygb_run(
@@ -496,7 +509,7 @@ extern "C" Index pygb_run(
 {{
     const auto A = GB::CSRView<TA>(a_nrows, a_ncols, a_indptr, a_indices, a_vals);
     const auto c = GB::VecView<TC>(c_size, c_idx, c_vals, c_nnz);
-    auto t = GB::reduce_rows<TA>(A, Op{{}});
+    auto t = GB::reduce_rows<TR>(A, Op{{}});
 """
         + _VEC_WRITEBACK
     )
@@ -752,7 +765,8 @@ using TU = {cxx_name(spec.get('a'))};
 using TV = {cxx_name(spec.get('b'))};
 using TP = {cxx_name(spec.get('p'))};
 {_product_using("Op", spec, "op", "a", "b", "TP", "p")}
-{_binop_using("RedOp", spec.get('rop'), "TP")}
+{_monoid_domain(spec.get('rop'), spec.get('p'))}
+{_binop_using("RedOp", spec.get('rop'), "TR")}
 
 extern "C" void pygb_run(
     Index u_size, const Index* u_idx, const TU* u_vals, Index u_nnz,
@@ -765,7 +779,8 @@ extern "C" void pygb_run(
     auto t = GB::{kernel}<TP>(u, v, Op{{}});
     const TP identity = std::is_floating_point<TP>::value
         ? static_cast<TP>(didentity) : static_cast<TP>(iidentity);
-    *out_scalar = GB::reduce_values<TP>(t.val, RedOp{{}}, identity);
+    *out_scalar = static_cast<TP>(
+        GB::reduce_values<TR>(t.val, RedOp{{}}, static_cast<TR>(identity)));
 }}
 """
     )
@@ -820,8 +835,8 @@ _TRAVERSAL_EMIT_ROWS = """\
 
 def _gen_bfs_multi(spec: KernelSpec) -> str:
     """``levels[frontier][:, :] = depth`` then, under LogicalSemiring and
-    Replace, ``frontier[~levels] = frontier @ A``, until no row has a
-    frontier — row by row, ``GB::vxm`` and ``GB::write_back_vec``."""
+    Replace, ``frontier[~levels] = frontier @ A``, until no row's frontier
+    holds a true entry — row by row, ``GB::vxm`` and ``GB::write_back_vec``."""
     return (
         _cxx_header(spec)
         + f"""
@@ -844,13 +859,16 @@ using MultOp = GB::LogicalAnd<TT>;
         bool any = false;
         for (Index s = 0; s < k; ++s) {
             auto& f = frontier[s];
-            if (f.idx.empty()) continue;
-            any = true;
             // levels<frontier> = depth over every cell: depth lands on the
-            // frontier's true entries, every other level stays
+            // frontier's true entries, every other level stays.  A row
+            // whose frontier holds no true entry is done: false entries
+            // (reached over stored-zero edges) level nothing, and all
+            // their products are false
             GB::Vec<TC> t; t.size = a_ncols;
             for (size_t p = 0; p < f.idx.size(); ++p)
                 if (f.val[p]) { t.idx.push_back(f.idx[p]); t.val.push_back(depth); }
+            if (t.idx.empty()) continue;
+            any = true;
             levels[s] = GB::write_back_vec<TC>(levels[s], t, &f, false, false, false,
                                                GB::Second<TC>{});
             f = GB::write_back_vec<GB::Bool>(f, GB::vxm<TT>(f, A, AddOp{}, MultOp{}), &levels[s],

@@ -88,8 +88,8 @@ def _finalize_vec(spec: KernelSpec) -> str:
     lines = []
     if accum != "none":
         lines.append(
-            "    z_keys, z_vals = P.union_merge("
-            "c.indices, c.values, t_idx, t_vals, _ACCUM, _C_DT)"
+            "    z_keys, z_vals = P.union_merge(c.indices, c.values, t_idx, "
+            "np.asarray(t_vals).astype(_C_DT, copy=False), _ACCUM, _C_DT)"
         )
     else:
         lines.append("    z_keys, z_vals = t_idx, np.asarray(t_vals).astype(_C_DT, copy=False)")
@@ -124,8 +124,8 @@ def _finalize_mat(spec: KernelSpec) -> str:
     ]
     if accum != "none":
         lines.append(
-            "    z_keys, z_vals = P.union_merge("
-            "old_keys, c_vals, t_keys, t_vals, _ACCUM, _C_DT)"
+            "    z_keys, z_vals = P.union_merge(old_keys, c_vals, t_keys, "
+            "np.asarray(t_vals).astype(_C_DT, copy=False), _ACCUM, _C_DT)"
         )
     else:
         lines.append("    z_keys, z_vals = t_keys, np.asarray(t_vals).astype(_C_DT, copy=False)")

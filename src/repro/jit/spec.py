@@ -19,7 +19,7 @@ __all__ = ["KernelSpec", "CODEGEN_VERSION"]
 
 #: bumped whenever generated-code layout changes, so stale disk-cache
 #: entries from older library versions can never be loaded.
-CODEGEN_VERSION = 17
+CODEGEN_VERSION = 18
 
 
 #: ``KernelSpec.make`` arguments -> the spec they built: every dispatch asks

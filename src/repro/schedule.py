@@ -29,8 +29,8 @@ semiring products are combined in ascending inner-index order under
 every strategy (CSR column indices are sorted; the push scatter expands
 frontier rows in ascending order and coalesces with a stable sort; the
 pull gather scans rows in storage order), so even non-commutative or
-floating-point reductions agree exactly.  ``tests/test_schedule.py``
-pins this cross-engine and cross-mode.
+floating-point reductions agree exactly.  ``tests/test_conformance.py``
+pins this against the reference on every engine under every mode.
 
 Selection is controlled by ``$PYGB_SCHEDULE``:
 

@@ -143,7 +143,7 @@ def parse_request(line: bytes | str) -> dict:
             raise ProtocolError("bad-json", f"request line is not UTF-8: {exc}") from None
     try:
         doc = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting deeper than the parser's stack
         raise ProtocolError("bad-json", f"request line is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ProtocolError("bad-request", "request must be a JSON object")

@@ -123,7 +123,7 @@ def _peek_id(line: bytes):
         doc = json.loads(line)
         req_id = doc.get("id") if isinstance(doc, dict) else None
         return req_id if isinstance(req_id, (str, int, float)) else None
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
 

@@ -568,7 +568,7 @@ class TestFastLoaderDegradation:
         ]
         cache = default_cache()
         assert [row["key"] for row in cache.health.snapshot()["specs"]] == [
-            "v17:mmread(c=float64)"]
+            "v18:mmread(c=float64)"]
         assert cache.stats.fallbacks == 2
 
 

@@ -34,11 +34,11 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "6831a21f4c2225b8cda1a76ad315be93eee85b29a34a2f5dc0009ee27ffc5d41"
+CATALOG_DIGEST = "d78fa07cb7a2c8beddacca71ebe0b89bbea758850d7d1a7c5922600ec978865a"
 ENGINE_DIGESTS = {
-    "pyjit": "8c592173cea342cf8b01f93f1cd8859f6ff02b02a80aee1a57451e88b6643449",
-    "cpp": "6ebfb52a96c037ab96f451dcf06f40f00a1b3367453da2300a840a15e3a4a63b",
-    "cpp-parallel": "b2f42709e9a7011d4f846bd578ce81836d9c22649ed07dee67dbf6d1a2558345",
+    "pyjit": "f64eb76dd54bab7ceb02e90e5e390c2209d68eb3abe2bae9625a6b774fb655c9",
+    "cpp": "75bbafb64eb2a92aaf18b3e26cb8be5ec45226b27547fd29bc9312b39bb51199",
+    "cpp-parallel": "07177bf41450605a4af0979119da39cb960756f9cec913b33a92c8da070dd108",
 }
 
 
@@ -73,7 +73,7 @@ def test_the_table_has_one_row_per_kernel():
 
 
 def test_codegen_version_is_pinned():
-    assert CODEGEN_VERSION == 17
+    assert CODEGEN_VERSION == 18
 
 
 def test_catalog_keys_and_generated_sources_are_byte_identical():

@@ -7,185 +7,31 @@ statement returns, a kernel error raises at its statement, ``gb.wait()``
 changes nothing, and (``test_fusion.TestListingTraffic``) the four
 listings dispatch the same 60 kernels inside the scope as outside it.
 
-A seeded fuzzer and a handful of read/write-order programs then check
-that a program run inside the scope leaves bit-identical container state
-to the same program run outside it, on every engine.
+A handful of read/write-order programs then check that a program run
+inside the scope leaves bit-identical container state to the same
+program run outside it.  Drawn programs are the conformance runner's
+(``tests/test_conformance.py``): with the scope eager, a program inside
+it is the same program outside it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import random
 
 import numpy as np
 import pytest
 
 import repro as gb
 from repro.exceptions import KernelExecutionError
-from repro.jit.cppengine import toolchain_works
 from repro.testing.faults import fault_injection
 
 N = 8
-
-
-_BINOPS = ["Plus", "Minus", "Times", "Min", "Max", "First", "Second"]
-_SEMIRINGS = [("Plus", "Times"), ("Min", "Plus"), ("Max", "First")]
-
-
-# ----------------------------------------------------------------------
-# fuzz program generation / execution
-# ----------------------------------------------------------------------
-
-def _gen_program(seed: int) -> list[dict]:
-    """A randomized statement sequence over matrices A, B and vectors
-    x, y, w (all int64), exercising every kind of write."""
-    rnd = random.Random(seed)
-    kinds = [
-        "vec_ewise",        # w[None] = x + y / x * y (varying op)
-        "vec_ewise_masked",  # w[key] = x + y (mask/comp/replace/accum grid)
-        "mxv", "vxm",        # w[None] = A @ x / x @ A (semiring grid)
-        "mat_aliased",       # A[None] = A @ A
-        "mat_ewise",         # B[None] = A + B
-        "self_ewise",        # w[None] = w + w
-        "vec_copy",          # w[:] = x
-        "mat_copy",          # B[None] = A
-        "scalar_fill",       # w[key] = c (masked and unmasked)
-        "apply",             # w[None] = gb.apply(UnaryOp, x)
-        "select",            # w[None] = gb.select("ValueGT", x, c)
-        "observe",           # read w.nvals mid-program
-        "reduce",            # scalar = gb.reduce(monoid, w) — observation
-    ]
-    steps = []
-    for _ in range(rnd.randint(4, 12)):
-        steps.append(
-            dict(
-                kind=rnd.choice(kinds),
-                op=rnd.choice(_BINOPS),
-                semiring=rnd.choice(_SEMIRINGS),
-                masked=rnd.random() < 0.5,
-                comp=rnd.random() < 0.5,
-                replace=rnd.random() < 0.5,
-                accum=rnd.choice([None, None, "Plus", "Min"]),
-                const=rnd.randint(-3, 3),
-            )
-        )
-    return steps
-
-
-def _fresh_state(seed: int):
-    rnd = np.random.default_rng(seed)
-
-    def vec():
-        idx = np.flatnonzero(rnd.random(N) < 0.6)
-        return gb.Vector(
-            (rnd.integers(-8, 8, idx.size), idx), shape=(N,), dtype=np.int64
-        )
-
-    def mat():
-        flat = np.flatnonzero(rnd.random(N * N) < 0.35)
-        return gb.Matrix(
-            (rnd.integers(-8, 8, flat.size), (flat // N, flat % N)),
-            shape=(N, N),
-            dtype=np.int64,
-        )
-
-    return mat(), mat(), vec(), vec(), vec()
-
-
-def _run_program(steps, seed: int, nonblocking: bool) -> tuple:
-    a, b, x, y, w = _fresh_state(seed)
-    mask = gb.Vector(([True] * 3, [0, 3, 6]), shape=(N,), dtype=bool)
-    observations = []
-
-    def key_for(s):
-        if not s["masked"]:
-            return None
-        return (~mask if s["comp"] else mask, s["replace"])
-
-    def write(target, s, expr):
-        key = key_for(s)
-        if s["accum"]:
-            with gb.Accumulator(s["accum"]):
-                if key is None:
-                    target[None] = _accum(expr)
-                else:
-                    target.__setitem__(key, _accum(expr))
-        elif key is None:
-            target[None] = expr
-        else:
-            target[key] = expr
-
-    ctx = gb.nonblocking() if nonblocking else contextlib.nullcontext()
-    with ctx:
-        for s in steps:
-            sr = gb.Semiring(gb.Monoid(s["semiring"][0]), s["semiring"][1])
-            if s["kind"] == "vec_ewise":
-                with gb.BinaryOp(s["op"]):
-                    w[None] = x + y if s["const"] % 2 else x * y
-            elif s["kind"] == "vec_ewise_masked":
-                with gb.BinaryOp(s["op"]):
-                    write(w, s, x + y)
-            elif s["kind"] == "mxv":
-                with sr:
-                    write(w, s, a @ x)
-            elif s["kind"] == "vxm":
-                with sr:
-                    write(w, s, x @ a)
-            elif s["kind"] == "mat_aliased":
-                with sr:
-                    a[None] = a @ a
-            elif s["kind"] == "mat_ewise":
-                with gb.BinaryOp(s["op"]):
-                    b[None] = a + b
-            elif s["kind"] == "self_ewise":
-                with gb.BinaryOp(s["op"]):
-                    w[None] = w + w
-            elif s["kind"] == "vec_copy":
-                w[:] = x
-            elif s["kind"] == "mat_copy":
-                b[None] = a
-            elif s["kind"] == "scalar_fill":
-                write(w, s, s["const"])
-            elif s["kind"] == "apply":
-                w[None] = gb.apply(gb.UnaryOp("Plus", s["const"]), x)
-            elif s["kind"] == "select":
-                w[None] = gb.select("ValueGT", x, s["const"])
-            elif s["kind"] == "observe":
-                observations.append(w.nvals)
-            else:  # reduce
-                observations.append(gb.reduce(gb.Monoid("Plus"), w))
-            # rotate so later statements consume earlier results
-            x, y = y, x
-    return (
-        {n: (c._store.to_dict(), str(c.dtype)) for n, c in
-         [("a", a), ("b", b), ("x", x), ("y", y), ("w", w)]},
-        observations,
-    )
 
 
 def _accum(expr):
     from repro.core.masks import AccumExpr
 
     return AccumExpr(expr)
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_fuzz_nonblocking_matches_blocking(engine, seed):
-    steps = _gen_program(seed)
-    blocking = _run_program(steps, seed, nonblocking=False)
-    scoped = _run_program(steps, seed, nonblocking=True)
-    assert blocking == scoped
-
-
-@pytest.mark.cpp
-@pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
-@pytest.mark.parametrize("seed", range(8))
-def test_fuzz_nonblocking_matches_blocking_cpp(seed):
-    steps = _gen_program(seed)
-    with gb.use_engine("cpp"):
-        blocking = _run_program(steps, seed, nonblocking=False)
-        scoped = _run_program(steps, seed, nonblocking=True)
-    assert blocking == scoped
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.backend.smatrix import SparseMatrix
 from repro.backend.svector import SparseVector
@@ -44,7 +46,7 @@ from repro.io.generators import erdos_renyi
 from repro import service
 from repro.service import GraphRegistry, GraphServer, load_manifest
 from repro.service.admission import solo_reference
-from repro.service.protocol import ProtocolError, parse_request
+from repro.service.protocol import ALGORITHMS, ProtocolError, parse_request
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +165,97 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as err:
             parse_request(line)
         assert err.value.code == code
+
+
+# ----------------------------------------------------------------------
+# the protocol under arbitrary input
+# ----------------------------------------------------------------------
+
+#: the stable error codes of ``service/protocol.py``'s module docstring
+ERROR_CODES = {
+    "line-too-long", "bad-json", "bad-request", "unknown-op", "unknown-graph",
+    "unknown-algorithm", "bad-source", "bad-params", "timeout", "cancelled",
+    "internal", "shutting-down",
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+#: JSON documents shaped like requests: every field optional, each either
+#: plausible or arbitrary
+_requests = st.fixed_dictionaries({}, optional={
+    "op": st.sampled_from(["run", "health", "stats", "graphs", "explode"]) | _json_values,
+    "graph": st.sampled_from(["er", ""]) | _json_values,
+    "algorithm": st.sampled_from(sorted(ALGORITHMS) + ["dijkstra"]) | _json_values,
+    "source": st.integers(-2, 100) | _json_values,
+    "params": st.fixed_dictionaries({}, optional={
+        "damping": st.floats() | _json_values, "tol": st.floats(), "max_iters": st.integers(),
+        "beta": _json_values}) | _json_values,
+    "id": _json_values,
+})
+_lines = st.binary(max_size=64) | (_requests | _json_values).map(
+    lambda doc: json.dumps(doc).encode())
+_FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _parses_or_refuses(line) -> bool:
+    """``parse_request`` returns a request dict or raises a
+    ``ProtocolError`` with a documented code — nothing else; True when
+    the line was refused."""
+    try:
+        doc = parse_request(line)
+    except ProtocolError as exc:
+        assert exc.code in ERROR_CODES, exc.code
+        return True
+    assert isinstance(doc, dict) and doc["op"] in ("run", "health", "stats", "graphs")
+    return False
+
+
+class TestProtocolFuzz:
+    @_FUZZ
+    @example(b"[" * 100_000)  # nesting deeper than the JSON parser's stack
+    @example(b'{"op": "run", "graph": "er", "algorithm": "pagerank", "params": {"tol": 1e400}}')
+    @given(_lines)
+    def test_arbitrary_bytes(self, line):
+        _parses_or_refuses(line)
+
+    @_FUZZ
+    @given(_requests | _json_values)
+    def test_arbitrary_json_values(self, doc):
+        _parses_or_refuses(json.dumps(doc))
+
+    def test_a_live_connection_answers_every_fuzzed_line(self, server):
+        """50 fuzzed lines down one connection: one JSON reply each, the
+        connection stays open, and ``protocol_errors`` counts the refused."""
+        lines = []
+
+        @settings(max_examples=1, derandomize=True, database=None, deadline=None)
+        @given(st.lists(_lines, min_size=50, max_size=50))
+        def draw(drawn):
+            lines.extend(drawn)
+
+        draw()
+        # one request per line: no newline inside, and not blank (the
+        # server skips a blank line without a reply); the error reply to
+        # an over-deep line must not trip over recovering its id
+        lines = [line.replace(b"\n", b" ").replace(b"\r", b" ") for line in lines]
+        lines = [b"[" * 100_000] + [line if line.strip() else b"{}" for line in lines]
+        refused = sum(_parses_or_refuses(line) for line in lines)
+        with socket.create_connection((server.host, server.port), timeout=15) as sock:
+            f = sock.makefile("rwb")
+            for line in lines:
+                f.write(line + b"\n")
+                f.write(b'{"op": "health", "id": "sync"}\n')
+            f.flush()
+            for line in lines:
+                reply = json.loads(f.readline())
+                assert reply["ok"] or reply["error"]["code"] in ERROR_CODES, (line, reply)
+                assert json.loads(f.readline())["id"] == "sync", line
+        assert refused > 0
+        assert service.stats()["protocol_errors"] == refused
 
 
 # ----------------------------------------------------------------------
