@@ -12,10 +12,13 @@ Typical usage (examples in this repo write ``import repro as gb``)::
     frontier = gb.Vector(([True], [src]), shape=(n,), dtype=bool)
     levels = gb.Vector(shape=(n,), dtype=int)
 
-    depth = 0
+    depth, reached = 0, -1
     while frontier.nvals > 0:
         depth += 1
         levels[frontier][:] = depth
+        if levels.nvals == reached:  # only edges of stored value 0 left
+            break
+        reached = levels.nvals
         with gb.LogicalSemiring, gb.Replace:
             frontier[~levels] = graph.T @ frontier
 

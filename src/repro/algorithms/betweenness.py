@@ -35,8 +35,10 @@ def bc_from_source(graph: "core.Matrix", source: int) -> np.ndarray:
         with ArithmeticSemiring, gb.Replace:
             nxt = gb.Vector(shape=(n,), dtype=float)
             nxt[~sigma] = graph.T @ frontier  # unreached vertices only
-        sigma[None] += gb.apply(nxt)  # σ accumulates path counts (Plus)
-        frontier = nxt
+        # a path over an edge of stored value 0 counts nothing: the next
+        # level is the vertices some path reached
+        frontier = gb.select("NonZero", nxt).new()
+        sigma[None] += gb.apply(frontier)  # σ accumulates path counts (Plus)
     if len(levels) <= 1:
         return np.zeros(n)
 

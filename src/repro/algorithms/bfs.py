@@ -38,7 +38,8 @@ def bfs(
 ) -> "core.Vector":
     """Level-synchronous BFS: on return ``levels[v]`` is 1 + the hop
     distance from the seed(s) set in *frontier*; unreached vertices hold
-    no entry.  (Paper Fig. 2b.)
+    no entry.  (Paper Fig. 2b, plus an end test for an edge whose stored
+    value is 0, which the Boolean semiring reads as no edge.)
 
     This is the canonical direction-optimizing traversal (Beamer et al.,
     SC'12): each ``graph.T @ frontier`` step is masked by the unvisited
@@ -49,11 +50,16 @@ def bfs(
     ``"push"``, ``"pull"``); results are bit-identical either way.
     """
     gb = core
-    depth = 0
+    depth, reached = 0, -1
     with _scheduled(schedule):
         while frontier.nvals > 0:
             depth += 1
             levels[frontier][:] = depth
+            # a frontier holding only false entries (reached over edges
+            # of stored value 0) levels no vertex: the traversal is over
+            if levels.nvals == reached:
+                break
+            reached = levels.nvals
             with LogicalSemiring, gb.Replace:
                 frontier[~levels] = graph.T @ frontier
     return levels
@@ -77,7 +83,8 @@ def bfs_native(graph: SparseMatrix, source: int) -> SparseVector:
     gt = graph.transposed()
     all_indices = np.arange(n, dtype=np.int64)
     depth = 0
-    while frontier.nvals > 0:
+    # false entries (reached over edges of stored value 0) level nothing
+    while frontier.values.any():
         depth += 1
         levels = K.assign_vec_scalar(levels, depth, all_indices, OpDesc(mask=frontier))
         frontier = K.mxv(

@@ -36,6 +36,7 @@ __all__ = [
     "binary_def",
     "identity_value",
     "binary_result_dtype",
+    "unary_domain",
     "apply_binary",
     "apply_unary",
     "reduce_ufunc",
@@ -319,7 +320,8 @@ def register_unary_op(name: str, func, cxx: str | None = None, vectorized: bool 
 
     *func* maps one scalar to one scalar (or, with ``vectorized=True``, an
     array to an array).  *cxx* is an optional C++ expression with an
-    ``{a}`` placeholder and element type ``T``; without it, only the
+    ``{a}`` placeholder and element type ``T``, the dtype *func* yields
+    over the operand's (:func:`unary_domain`); without it, only the
     Python engines can execute the operator.  Registration is per-process
     — a fresh interpreter must register the operator before any cached
     module referencing it is loaded.
@@ -431,6 +433,16 @@ def apply_binary(name: str, a: np.ndarray, b: np.ndarray, out_dtype=None) -> np.
     if out_dtype is not None:
         res = np.asarray(res).astype(normalize_dtype(out_dtype), copy=False)
     return np.asarray(res)
+
+
+def unary_domain(name: str, dtype) -> np.dtype:
+    """The dtype unary operator *name* computes at over *dtype* operands
+    before any cast to the output — what :func:`apply_unary` yields
+    (``LogicalNot`` at ``bool``, ``AdditiveInverse`` of a ``bool`` at
+    ``int64``, a user-defined operator's per-element Python function at
+    the operand's dtype), so ``MultiplicativeInverse`` of ``0.5`` into
+    ``int64`` is ``int64(2.0)``."""
+    return np.asarray(unary_def(name).func(np.zeros(0, normalize_dtype(dtype)))).dtype
 
 
 def apply_unary(name: str, a: np.ndarray, out_dtype=None) -> np.ndarray:

@@ -343,19 +343,21 @@ def _unary_functor(spec: KernelSpec) -> str:
     """Lines defining ``UnaryF make_unary(double, int64_t)``."""
     form = spec.get("form")
     op = spec.get("op")
-    if form == "unary":
-        return (
-            _unary_using("UnaryF", op, "TC")
-            + "\nstatic UnaryF make_unary(double, int64_t) { return UnaryF{}; }\n"
-        )
-    # a bound operator runs where the NumPy engines run it: at the
-    # promotion of operand and constant, ``t_dtype`` when that is not the
-    # output's (``int64(a * 2.5)``, not ``int64(a) * 2``), then
+    # an operator runs where the NumPy engines run it: a unary one at its
+    # domain over the operand, a bound one at the promotion of operand and
+    # constant — ``t_dtype`` when that is not the output's
+    # (``int64(a * 2.5)``, not ``int64(a) * 2``) — then
     # GB::apply_values casts to TC last
-    binder = "Bind1st" if spec.get("side") == "first" else "Bind2nd"
     t, head = "TC", ""
     if spec.get("t_dtype"):
         t, head = "TT", f"using TT = {cxx_name(spec.get('t_dtype'))};\n"
+    if form == "unary":
+        return (
+            head
+            + _unary_using("UnaryF", op, t)
+            + "\nstatic UnaryF make_unary(double, int64_t) { return UnaryF{}; }\n"
+        )
+    binder = "Bind1st" if spec.get("side") == "first" else "Bind2nd"
     return (
         head
         + _binop_using("BoundOp", op, t)

@@ -53,7 +53,9 @@ import numpy as np
 from .. import obs, schedule as _schedule
 from ..backend.ffipack import address
 from ..backend.kernels.traversal import check_traversal
-from ..backend.ops_table import DEFAULT_IDENTITY_NAME, identity_value
+from ..backend.ops_table import (
+    DEFAULT_IDENTITY_NAME, identity_value, unary_domain,
+)
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
 from ..config import Config, current as _config
@@ -256,19 +258,26 @@ _NO_MAT_MASK = (None, None, None)
 _NO_CONST = (0.0, 0)
 
 
-def _bound_dtype(op_spec, a_dtype, c_dtype):
-    """The dtype a bound operator computes at, when it is not *c_dtype*
-    (``None`` otherwise, and for unary operators): the NumPy engines and
-    ``backend/reference.py`` apply ``op(a, const)`` at the promotion of
-    operand and constant — a selector at the dtype it selects — and cast
-    to the output last, so ``Times 2.5`` into ``int64`` is
-    ``int64(a * 2.5)``.  The spec carries it as ``t_dtype``."""
+def _apply_dtype(op_spec, a_dtype, c_dtype):
+    """The dtype an ``apply`` operator computes at, when it is not
+    *c_dtype* (``None`` otherwise): the NumPy engines and
+    ``backend/reference.py`` apply a unary operator at
+    :func:`~repro.backend.ops_table.unary_domain` over the operand and a
+    bound operator ``op(a, const)`` at the promotion of operand and
+    constant — a selector at the dtype it selects — and cast to the
+    output last, so ``Times 2.5`` into ``int64`` is ``int64(a * 2.5)``
+    and ``LogicalNot`` of ``0.5`` is false.  ``Identity`` commutes with
+    the cast and keeps ``None``.  The spec carries the dtype as
+    ``t_dtype``."""
     if op_spec[0] != "bind":
-        return None
-    _, name, const, side = op_spec
-    k = np.asarray(const).dtype
-    x, y = (k, a_dtype) if side == "first" else (a_dtype, k)
-    t = x if name == "First" else y if name == "Second" else np.promote_types(x, y)
+        if op_spec[1] == "Identity":
+            return None
+        t = unary_domain(op_spec[1], a_dtype)
+    else:
+        _, name, const, side = op_spec
+        k = np.asarray(const).dtype
+        x, y = (k, a_dtype) if side == "first" else (a_dtype, k)
+        t = x if name == "First" else y if name == "Second" else np.promote_types(x, y)
     return None if t == c_dtype or t not in CXX_NAMES else t
 
 
@@ -703,14 +712,14 @@ class CppJitEngine:
         return self._ewise_mat("ewise_mult_mat", out, a, b, op, desc, ta, tb)
 
     def apply_vec(self, out, u, op_spec, desc):
-        dtypes = (u.dtype, out.dtype, _bound_dtype(op_spec, u.dtype, out.dtype))
+        dtypes = (u.dtype, out.dtype, _apply_dtype(op_spec, u.dtype, out.dtype))
         bound = self._kernel("apply_vec", dtypes, apply_ops(op_spec), desc)
         args = u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
         return self._vec_out(bound, args + self._const(bound, op_spec), out)
 
     def apply_mat(self, out, a, op_spec, desc, ta=False):
         a = _t(a, ta)
-        dtypes = (a.dtype, out.dtype, _bound_dtype(op_spec, a.dtype, out.dtype))
+        dtypes = (a.dtype, out.dtype, _apply_dtype(op_spec, a.dtype, out.dtype))
         bound = self._kernel("apply_mat", dtypes, apply_ops(op_spec), desc)
         const = self._const(bound, op_spec)
         if bound.fetch is None:

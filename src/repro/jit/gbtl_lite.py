@@ -204,8 +204,11 @@ template <class T> struct LessEqual    { T operator()(T a, T b) const { return T
 template <class T> struct Identity        { T operator()(T a) const { return a; } };
 template <class T> struct AdditiveInverse { T operator()(T a) const { return T(-a); } };
 template <class T> struct LogicalNot      { T operator()(T a) const { return T(!bool(a)); } };
+// an integer 1/0 is 0 (NumPy's nan_to_num of inf); a float one is IEEE inf
 template <class T> struct MultiplicativeInverse {
-    T operator()(T a) const { return a == T(0) ? T(0) : T(T(1) / a); }
+    T operator()(T a) const {
+        return std::is_floating_point<T>::value || a != T(0) ? T(T(1) / a) : T(0);
+    }
 };
 
 // binary op with a bound constant (GBTL's BinaryOp_Bind1st / Bind2nd)

@@ -3,11 +3,14 @@ reference-dict format and the DSL format."""
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 
 import repro as gb
 
-__all__ = ["random_vec_dict", "random_mat_dict", "vec_from_dict", "mat_from_dict"]
+__all__ = ["random_vec_dict", "random_mat_dict", "vec_from_dict", "mat_from_dict", "within"]
 
 
 def random_vec_dict(rng, size: int, density: float = 0.4, dtype=np.float64) -> dict:
@@ -51,3 +54,20 @@ def mat_from_dict(d: dict, nrows: int, ncols: int, dtype=np.float64) -> "gb.Matr
     cols = [k[1] for k in keys]
     vals = [d[k] for k in keys]
     return gb.Matrix((vals, (rows, cols)), shape=(nrows, ncols), dtype=dtype)
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail with ``TimeoutError`` instead of hanging when the block's
+    Python code runs past *seconds* (main thread only: ``SIGALRM``)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

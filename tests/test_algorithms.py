@@ -22,6 +22,8 @@ from repro.algorithms import (
 )
 from repro.io.generators import erdos_renyi, grid_graph, ring_graph, scale_free
 
+from helpers import within
+
 nx = pytest.importorskip("networkx")
 
 
@@ -52,6 +54,14 @@ class TestBFS:
         g = gb.Matrix(([1.0], ([0], [1])), shape=(4, 4))
         levels = bfs_levels(g, 0)
         assert set(_vec_dict(levels)) == {0, 1}
+
+    def test_edges_of_stored_value_zero_end_the_traversal(self, engine):
+        # 0→1 and the self-loop 1→1 store 0, which the Boolean semiring
+        # reads as no edge: the frontier's false entry at 1 levels nothing
+        g = gb.Matrix(([0, 0], ([0, 1], [1, 1])), shape=(3, 3), dtype=np.int64)
+        with within(10):
+            levels, native = bfs_levels(g, 0), bfs_native(g._store, 0)
+        assert _vec_dict(levels) == native.to_dict() == {0: 1}
 
     def test_multi_source(self, engine):
         g = ring_graph(10)

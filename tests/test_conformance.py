@@ -13,11 +13,11 @@ This module checks that semantics with one oracle:
   every Engine-interface method: products with ``.T``, eWise add/mult and
   ``gb.reduce(u ⊕ v)``, unary and bound-operator ``apply`` into every
   output dtype, reduce to a scalar and to rows, ``select``, ``kron``,
-  extract/assign with index lists and scalars, the k-source traversals,
-  aliasing ``C[M] = C @ C``, buffered element writes, ``copy`` /
-  ``deepcopy`` / ``pickle`` mid-program, and non-conforming shapes that
-  must raise — each write under a drawn mask × complement × replace ×
-  accumulate descriptor.  Operators and constants come from a fixed
+  extract/assign with index lists and scalars, the k-source traversals
+  and the Fig. 2 BFS listing, aliasing ``C[M] = C @ C``, buffered
+  element writes, ``copy`` / ``deepcopy`` / ``pickle`` mid-program, and
+  non-conforming shapes that must raise — each write under a drawn
+  mask × complement × replace × accumulate descriptor.  Operators and constants come from a fixed
   pool, so every fold is exact and the set of compiled kernels is bounded.
 * **one reference** — :class:`ReferenceEngine` implements the Engine
   interface with ``backend/reference.py``'s ``ref_*`` functions, so the
@@ -55,6 +55,7 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import repro as gb
+from repro.algorithms import bfs_levels
 from repro.algorithms.multisource import bfs_levels_multi, sssp_distances_multi
 from repro.backend import kernels as K
 from repro.backend import reference as R
@@ -79,7 +80,7 @@ SEMIRINGS = (("Plus", "Times"), ("Min", "Plus"), ("Max", "First"),
              ("LogicalOr", "LogicalAnd"), ("Plus", "Minus"))
 MONOIDS = ("Plus", "Times", "Min", "Max", "LogicalOr")
 ACCUMS = (None, None, "Plus", "Min", "Minus", "Second")
-UNARY = (("Identity",), ("AdditiveInverse",), ("LogicalNot",),
+UNARY = (("Identity",), ("AdditiveInverse",), ("LogicalNot",), ("MultiplicativeInverse",),
          ("Plus", 3, "second"), ("Times", 2.5, "second"), ("Minus", 1, "first"),
          ("GreaterThan", 0, "second"), ("Plus", True, "second"))
 SELECTS = ("Tril", "Triu", "Diag", "Offdiag", "NonZero", "ValueGT", "ValueLE")
@@ -377,7 +378,7 @@ def _statement(draw, kind):
         s.update(a=draw(vec), b=draw(vec), add=draw(st.booleans()),
                  op=draw(st.sampled_from(BINOPS)), monoid=draw(st.sampled_from(MONOIDS)))
     elif kind == "traverse":
-        s.update(a=draw(mat), algorithm=draw(st.sampled_from(("bfs", "sssp"))),
+        s.update(a=draw(mat), algorithm=draw(st.sampled_from(("bfs", "sssp", "listing"))),
                  sources=draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=3)))
     elif kind == "dup":
         names = draw(st.sampled_from((MATRICES, VECTORS)))
@@ -508,8 +509,11 @@ def _statement_run(env, s, seen):
         with gb.BinaryOp(s["op"]):
             seen.append(gb.reduce(gb.Monoid(s["monoid"]), a + b if s["add"] else a * b))
     elif kind == "traverse":
-        run = bfs_levels_multi if s["algorithm"] == "bfs" else sssp_distances_multi
-        seen.append(_snapshot(run(env[s["a"]], s["sources"])))
+        if s["algorithm"] == "listing":  # the Fig. 2 DSL loop, one source
+            seen.append(_snapshot(bfs_levels(env[s["a"]], s["sources"][0])))
+        else:
+            run = bfs_levels_multi if s["algorithm"] == "bfs" else sssp_distances_multi
+            seen.append(_snapshot(run(env[s["a"]], s["sources"])))
     elif kind == "dup":
         how = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                "pickle": lambda c: pickle.loads(pickle.dumps(c))}[s["how"]]
@@ -580,13 +584,16 @@ def run(program, eng, schedule="auto"):
 
 
 def _too_large(final, seen):
-    """Whether a container value or a reduced scalar left the range where
-    every fold order gives the same float."""
+    """Whether a finite container value or reduced scalar left the range
+    where every fold order gives the same float (an infinity folds the
+    same in any order)."""
     for snap in final.values():
         values = np.frombuffer(snap[-1], dtype=snap[2])
-        if values.dtype.kind in "if" and np.any(np.abs(values[~np.isnan(values)]) > LIMIT):
+        finite = values[np.isfinite(values)] if values.dtype.kind == "f" else values
+        if values.dtype.kind in "if" and np.any(np.abs(finite) > LIMIT):
             return True
-    return any(kind in ("int", "float") and x != "nan" and abs(x) > LIMIT for kind, x in seen)
+    return any(kind in ("int", "float") and x != "nan" and LIMIT < abs(x) < np.inf
+               for kind, x in seen)
 
 
 @contextlib.contextmanager
@@ -708,10 +715,20 @@ FOUND = [
     _program([dict(kind="reduce_rows", a="A", ta=False, monoid="LogicalOr", **_w("u")),
               dict(kind="reduce_rows", a="B", ta=False, monoid="Plus", **_w("v"))],
              A=("int64", {0: -1, 8: 0, 9: 0, 18: 2}), B=("bool", {0: True, 1: True, 9: True})),
-    # a k-source BFS whose frontier reaches a cycle of stored-zero edges
-    # holds only false entries there: it ended on no engine
-    _program([dict(kind="traverse", a="A", algorithm="bfs", sources=[0, 2])],
+    # a BFS whose frontier reaches a cycle of stored-zero edges holds
+    # only false entries there: neither the k-source kernels nor the
+    # Fig. 2 listing ended on any engine
+    _program([dict(kind="traverse", a="A", algorithm="bfs", sources=[0, 2]),
+              dict(kind="traverse", a="A", algorithm="listing", sources=[0])],
              A=("int64", {1: 0, 9: 0, 10: 3})),
+    # a plain unary operator runs at its domain over the operand, then
+    # casts: 1/0.5 into int64 is 2 and !0.5 is false (cpp cast 0.5 to 0
+    # first); a float 1/0 is inf (cpp gave 0)
+    _program([dict(kind="apply_vec", a="u", op=("MultiplicativeInverse",), ta=False, **_w("w")),
+              dict(kind="apply_vec", a="u", op=("LogicalNot",), ta=False, **_w("v")),
+              dict(kind="apply_mat", a="A", op=("MultiplicativeInverse",), ta=False, **_w("B"))],
+             u=("float64", {0: 0.5, 1: 4.0}), A=("float64", {0: 0.0, 1: -2.0}),
+             B=("float64", {})),
     # the reference's T has the operator's domain: a bool product counted
     # in int64, and First over (bool, int64) casts a one-sided int to bool
     _program([_mxv(**_w("w")), _ewise("First", out="v")],

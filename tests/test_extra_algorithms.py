@@ -17,6 +17,8 @@ from repro.algorithms import (
 )
 from repro.io.generators import erdos_renyi, ring_graph
 
+from helpers import within
+
 nx = pytest.importorskip("networkx")
 
 
@@ -138,6 +140,13 @@ class TestBetweenness:
         mine = betweenness_centrality(g, normalized=True)
         expect = nx.betweenness_centrality(gb.io.to_networkx(g), normalized=True)
         assert np.abs(mine - np.array([expect[i] for i in range(n)])).max() < 1e-9
+
+    def test_edges_of_stored_value_zero_carry_no_path(self, engine):
+        # 0→1 and 1→1 store 0, 0→2 stores 1: only 2 is reached from 0
+        g = gb.Matrix(([0.0, 0.0, 1.0], ([0, 1, 0], [1, 1, 2])), shape=(3, 3))
+        with within(10):
+            delta = bc_from_source(g, 0)
+        assert delta.tolist() == [0.0, 0.0, 0.0]
 
     def test_path_graph_middle_dominates(self, engine):
         # 0→1→2→3→4: vertex 2 lies on the most shortest paths

@@ -37,8 +37,8 @@ from repro.jit.spec import CODEGEN_VERSION
 CATALOG_DIGEST = "d78fa07cb7a2c8beddacca71ebe0b89bbea758850d7d1a7c5922600ec978865a"
 ENGINE_DIGESTS = {
     "pyjit": "f64eb76dd54bab7ceb02e90e5e390c2209d68eb3abe2bae9625a6b774fb655c9",
-    "cpp": "75bbafb64eb2a92aaf18b3e26cb8be5ec45226b27547fd29bc9312b39bb51199",
-    "cpp-parallel": "07177bf41450605a4af0979119da39cb960756f9cec913b33a92c8da070dd108",
+    "cpp": "f829017ed9513188880aa44798d61c06dda52a39418d0d3232187abb05812144",
+    "cpp-parallel": "b80e006e1e75725d2b883d8e126fbd66df7c410b98b745ec1dbb5b5273fb82bd",
 }
 
 

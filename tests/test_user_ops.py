@@ -157,6 +157,23 @@ class TestCppUserOps:
             out = gb.Vector(gb.apply(op, v))
         assert list(out.to_numpy()) == [0.5, 1.0]
 
+    @pytest.mark.parametrize("func, cxx, values, out_dtype, expect", [
+        # 0.5 * 2 is 1 before the cast to int64 (cpp cast 0.5 to 0 first)
+        (lambda a: a * 2, "({a}) * 2", [0.5, 1.5], int, [1, 3]),
+        # the Python function's result is cast to the operand's int64
+        (lambda a: a / 2, "({a}) / 2", [3, 5], float, [1.0, 2.0]),
+    ])
+    def test_user_unary_runs_at_the_operand_domain(self, cleanup, func, cxx, values,
+                                                   out_dtype, expect):
+        op = gb.UnaryOp.define("TCppDomain", func, cxx=cxx)
+        cleanup.append("TCppDomain")
+        u = gb.Vector(values)
+        for eng in ("interpreted", "cpp"):
+            with gb.use_engine(eng):
+                w = gb.Vector(shape=(2,), dtype=out_dtype)
+                w[None] = gb.apply(op, u)
+            assert w.to_numpy().tolist() == expect, eng
+
     def test_user_op_without_cxx_degrades_on_cpp(self, cleanup):
         """A Python-only operator cannot compile to C++; the resilient
         chain degrades to pyjit with a warning, and with that warning an
