@@ -77,24 +77,38 @@ def _schedule_metrics() -> dict:
 
     Direction is a function of the operands, so the examined edge counts
     and switch count are fully deterministic and gate hard.
-    Two invariants are asserted rather than tracked: every mode yields
-    bit-identical levels, and the auto schedule examines at least 2x
-    fewer edges than fixed-push (the direction-optimization payoff).
+    Three invariants are asserted rather than tracked: every mode yields
+    bit-identical levels, every available engine reports the same
+    counters (the cpp kernels count their own edges, the NumPy engines
+    theirs), and the auto schedule examines at least 2x fewer edges than
+    fixed-push (the direction-optimization payoff).
     """
     from repro import schedule as S
     from repro.algorithms import bfs_levels
     from repro.io.generators import rmat
+    from repro.jit.cppengine import toolchain_works
 
     g = rmat(RMAT_SCALE, edge_factor=RMAT_EDGE_FACTOR, seed=42)
-    levels, counters = {}, {}
-    for mode in ("fixed", "push", "pull", "auto"):
-        S.reset_stats()
-        levels[mode] = bfs_levels(g, 0, schedule=mode)._store.to_dict()
-        counters[mode] = S.stats()
+    engines = ("interpreted", "pyjit") + (("cpp",) if toolchain_works() else ())
+    runs = {}
+    for engine in engines:
+        levels, counters = {}, {}
+        with gb.use_engine(engine):
+            for mode in ("fixed", "push", "pull", "auto"):
+                S.reset_stats()
+                levels[mode] = bfs_levels(g, 0, schedule=mode)._store.to_dict()
+                counters[mode] = S.stats()
+        runs[engine] = levels, counters
 
+    levels, counters = runs["interpreted"]
     for mode in ("push", "pull", "auto"):
         assert levels[mode] == levels["fixed"], (
             f"schedule mode {mode!r} diverged from the dense BFS levels"
+        )
+    for engine, run in runs.items():
+        assert run == runs["interpreted"], (
+            f"BFS levels or schedule counters on {engine!r} differ from the "
+            f"interpreted engine's: {run[1]} != {counters}"
         )
     auto_edges = counters["auto"]["edges_total"]
     push_edges = counters["push"]["edges_total"]

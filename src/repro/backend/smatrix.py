@@ -179,9 +179,9 @@ class SparseMatrix:
     def row_lengths(self) -> np.ndarray:
         """Per-row entry counts (memoized, read-only).
 
-        The schedule cost model consults these on every traversal
-        iteration, so the ``np.diff`` scan over ``indptr`` runs at most
-        once per store.
+        ``coo``, row normalisation and the degree statistics read them,
+        so the ``np.diff`` scan over ``indptr`` runs at most once per
+        store.
         """
         lengths = self._lengths_cache
         if lengths is None:

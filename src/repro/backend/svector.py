@@ -22,9 +22,8 @@ __all__ = ["SparseVector"]
 
 #: guards lazy memo construction when server threads share one vector.
 #: Module-level (not per-instance) to keep __slots__ instances light —
-#: builds are rare, so contention is negligible; reentrant because
-#: ``true_bitmap`` builds via ``bool_indices`` under the same lock.
-_MEMO_LOCK = threading.RLock()
+#: builds are rare, so contention is negligible.
+_MEMO_LOCK = threading.Lock()
 
 
 class SparseVector:
@@ -42,7 +41,7 @@ class SparseVector:
         self.indices = indices
         self.values = values
         # lazily built dense representations (dense_lookup / bool_indices
-        # / true_bitmap results); safe to memoize because vectors are
+        # results); safe to memoize because vectors are
         # immutable by convention — see the class docstring
         self._repr_cache = None
         # the cpp engine's resident argument pack: same immutability
@@ -184,25 +183,15 @@ class SparseVector:
     def bool_indices(self) -> np.ndarray:
         """Indices of entries whose value coerces to True (mask support).
 
-        Memoized (read-only): masks are consulted by both the schedule
-        resolver and the write-back stage of the same dispatch."""
+        Memoized (read-only): a NumPy engine's pull reads a mask's true
+        set for its candidate rows and again in the write-back stage of
+        the same dispatch."""
         def build():
             out = self.indices[self.values.astype(bool)]
             out.setflags(write=False)
             return out
 
         return self._memo("bool", build)
-
-    def true_bitmap(self) -> np.ndarray:
-        """Dense boolean bitmap of the true-valued entries — the schedule
-        layer's dense frontier representation (memoized, read-only)."""
-        def build():
-            bitmap = np.zeros(self.size, dtype=bool)
-            bitmap[self.bool_indices()] = True
-            bitmap.setflags(write=False)
-            return bitmap
-
-        return self._memo("bitmap", build)
 
     def ffi_pack(self) -> ArgPack:
         """``(size, indices, values, nvals)`` as the cpp engine passes this

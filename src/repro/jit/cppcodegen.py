@@ -186,18 +186,26 @@ _EDGES_ACCESSOR = (
 )
 
 
+def counts_edges(spec: KernelSpec) -> bool:
+    """Whether the ``mxv``/``vxm`` TU of *spec* exports
+    ``pygb_edges_examined``: every TU that runs the ``GB::vxm`` scatter
+    (``vxm``, and ``mxv`` pushed) or a pull gather."""
+    return spec.func == "vxm" or (spec.func == "mxv" and spec.get("dir") is not None)
+
+
 def _gen_spmv(spec: KernelSpec, vxm: bool) -> str:
     """``mxv``/``vxm`` translation units, branched on the schedule's
     ``dir`` param (absent → the legacy dense kernel, preserving the cache
-    key and generated code of unscheduled dispatches).
+    key of unscheduled dispatches).
 
     The engine resolves orientation before dispatch: dense/pull TUs
     receive the gather matrix (``A`` effective for mxv, its transpose for
-    vxm) and push TUs the scatter matrix (the other one).  Pull TUs take
-    the mask's candidate rows as an extra index list and export the
-    deterministic ``pygb_edges_examined`` counter; push edge counts are a
-    frontier degree sum the engine reads off the CSR row pointers without
-    entering C++.
+    vxm) and push TUs the scatter matrix (the other one).  Pull TUs walk
+    the rows the write mask can accept straight from the mask arguments
+    (``kComp`` picks its complement).  The kernels count the edges they
+    examine — the scatter ``Σ out-degree(frontier)``, the pull its
+    candidates' scanned neighbours — and the TUs that run them
+    (:func:`counts_edges`) export the count as ``pygb_edges_examined``.
     """
     direction = spec.get("dir", "dense")
     dense_call = "GB::vxm<TT>(u, A, AddOp{}, MultOp{})" if vxm else \
@@ -208,16 +216,15 @@ def _gen_spmv(spec: KernelSpec, vxm: bool) -> str:
             "GB::vxm<TT>(u, A, AddOp{}, MultFlip{})"
     elif direction == "pull":
         mult_op = "MultFlip{}" if vxm else "MultOp{}"
+        rows = "m_idx, m_vals, m_nnz, kComp"
         if spec.get("add") == "LogicalOr" and spec.get("t_dtype") == "bool":
-            call = f"GB::mxv_pull_or<TT>(A, u, cand, n_cand, {mult_op})"
+            call = f"GB::mxv_pull_or<TT>(A, u, {rows}, {mult_op})"
         else:
-            call = f"GB::mxv_pull<TT>(A, u, cand, n_cand, AddOp{{}}, {mult_op})"
+            call = f"GB::mxv_pull<TT>(A, u, {rows}, AddOp{{}}, {mult_op})"
     else:
         call = dense_call
     flip_line = f"\n{_MULT_FLIP}" if "MultFlip" in call else ""
-    cand_params = "\n    const Index* cand, Index n_cand," \
-        if direction == "pull" else ""
-    accessor = _EDGES_ACCESSOR if direction == "pull" else ""
+    accessor = _EDGES_ACCESSOR if counts_edges(spec) else ""
     return (
         _cxx_header(spec)
         + f"""
@@ -234,7 +241,7 @@ extern "C" Index pygb_run(
     const TA* a_vals,
     Index u_size, const Index* u_idx, const TU* u_vals, Index u_nnz,
     Index c_size, const Index* c_idx, const TC* c_vals, Index c_nnz,
-    const Index* m_idx, const uint8_t* m_vals, Index m_nnz,{cand_params}
+    const Index* m_idx, const uint8_t* m_vals, Index m_nnz,
     Index* out_idx, TC* out_vals)
 {{
     const auto A = GB::CSRView<TA>(a_nrows, a_ncols, a_indptr, a_indices, a_vals);

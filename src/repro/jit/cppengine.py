@@ -69,7 +69,7 @@ from ..guard import _TLS as _THREAD  # this thread's cancel cell
 from ..testing.faults import FAULTS
 from ..types import CXX_NAMES
 from .cache import JitCache, default_cache
-from .cppcodegen import generate_cpp_source
+from .cppcodegen import counts_edges, generate_cpp_source
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
 from .kernels import KERNELS, apply_ops, spec as kernel_spec
 from .pyengine import PyJitEngine
@@ -307,9 +307,9 @@ class _Bound:
         # observability accessor generated alongside every kernel
         self.kernel_ns = lib.pygb_kernel_ns
         self.kernel_ns.restype = c_int64
-        # deterministic traversal counter; pull TUs only
+        # deterministic traversal counter; scatter and pull TUs only
         self.edges = None
-        if spec.get("dir") == "pull":
+        if counts_edges(spec):
             self.edges = lib.pygb_edges_examined
             self.edges.restype = c_int64
         self.lib_name = os.path.basename(lib._name) if lib._name else None
@@ -512,9 +512,7 @@ class CppJitEngine:
         spec = kernel_spec(func, dtypes, ops, desc, direction, parallel=par)
         lib = self._lib(spec)
         layout = KERNELS[func].layout
-        if direction == "pull":
-            layout = layout[:-1] + "IO"  # the mask's candidate rows
-        elif func == "apply_mat" and spec.unmerged():
+        if func == "apply_mat" and spec.unmerged():
             layout = "MSW"
         if layout[-1] == "P":
             # the (fused) producer dtype when there is one, else the operand's
@@ -625,16 +623,6 @@ class CppJitEngine:
     # ------------------------------------------------------------------
     # engine interface
     # ------------------------------------------------------------------
-    @staticmethod
-    def _frontier_edges(s: SparseMatrix, u: SparseVector) -> int:
-        """Σ degree(frontier) over the scatter matrix's row pointers —
-        exactly the edges the GB::vxm scatter kernel walks."""
-        if u.nvals == 0:
-            return 0
-        rows = np.asarray(u.indices, _I64)
-        indptr = np.asarray(s.indptr)
-        return int((indptr[rows + 1] - indptr[rows]).sum())
-
     def mxv(self, out, a, u, add, mult, desc, ta=False, sched=None):
         direction = sched.direction if sched is not None else "dense"
         # orientation resolves here, as for plain transposes: dense/pull
@@ -645,41 +633,32 @@ class CppJitEngine:
             "mxv", (a.dtype, u.dtype, out.dtype), (add, mult), desc,
             None if direction == "dense" else direction,
         )
-        result = self._spmv_run(bound, out, a, u, desc, sched if direction == "pull" else None)
+        result = self._spmv_run(bound, out, a, u, desc)
         if sched is not None:
-            if direction == "pull":
-                _schedule.note_edges("pull", int(bound.edges()))
-            elif direction == "push":
-                _schedule.note_edges("push", self._frontier_edges(a, u))
-            else:
-                _schedule.note_edges("dense", int(a.indices.size))
+            # the push and pull kernels count what they walk; dense scans all
+            edges = a.indices.size if direction == "dense" else bound.edges()
+            _schedule.note_edges(direction, edges)
         return result
 
     def vxm(self, out, u, a, add, mult, desc, ta=False, sched=None):
         direction = sched.direction if sched is not None else "dense"
         # GB::vxm is natively a scatter kernel, so dense and push share
         # the effective matrix (and the legacy spec/artifact); pull
-        # gathers over its transpose with the mask's candidate rows
+        # gathers over its transpose, over the rows the mask can accept
         pull = direction == "pull"
         a = _t(a, ta != pull)
         bound = self._kernel(
             "vxm", (a.dtype, u.dtype, out.dtype), (add, mult), desc, "pull" if pull else None
         )
-        result = self._spmv_run(bound, out, a, u, desc, sched if pull else None)
+        result = self._spmv_run(bound, out, a, u, desc)
         if sched is not None:
-            if pull:
-                _schedule.note_edges("pull", int(bound.edges()))
-            else:
-                # the scatter kernel's scan is a frontier degree sum even
-                # for the "dense" (legacy) schedule — count honestly
-                _schedule.note_edges(direction, self._frontier_edges(a, u))
+            # the scatter kernel counts its frontier degree sum even for
+            # the "dense" (legacy) schedule — count honestly
+            _schedule.note_edges(direction, bound.edges())
         return result
 
-    def _spmv_run(self, bound, out, a, u, desc, pull_sched):
+    def _spmv_run(self, bound, out, a, u, desc):
         args = a.ffi_pack().args + u.ffi_pack().args + out.ffi_pack().args + self._vec_mask(desc)
-        if pull_sched is not None:
-            cand = np.ascontiguousarray(pull_sched.candidates, _I64)
-            args += (address(cand), cand.size)
         return self._vec_out(bound, args, out)
 
     def mxm(self, out, a, b, add, mult, desc, ta=False, tb=False):

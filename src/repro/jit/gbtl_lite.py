@@ -74,10 +74,11 @@ struct KernelTimer {
     }
 };
 
-// edges examined by the most recent direction-optimized traversal kernel
-// on this thread; push/pull binding TUs expose it through
-// pygb_edges_examined() so the engine can feed the schedule-layer
-// counters (the perf-trajectory metric behind the push/pull switch).
+// edges examined by the most recent traversal kernel on this thread
+// (the vxm scatter, or a pull gather); the scatter and pull binding TUs
+// expose it through pygb_edges_examined() so the engine can feed the
+// schedule-layer counters (the perf-trajectory metric behind the
+// push/pull switch).
 inline int64_t& edges_examined_ref() {
     thread_local int64_t edges = 0;
     return edges;
@@ -348,9 +349,14 @@ Vec<TT> mxv(const MatA& A, const VecU& u, AddOp add, MultOp mult) {
     return out;
 }
 
-// w = u ⊕.⊗ A : scatter along the rows u touches, O(Σ nnz(A(k,:)))
+// w = u ⊕.⊗ A : scatter along the rows u touches, O(Σ nnz(A(k,:))),
+// the count left in edges_examined_ref()
 template <class TT, class VecU, class MatA, class AddOp, class MultOp>
 Vec<TT> vxm(const VecU& u, const MatA& A, AddOp add, MultOp mult) {
+    int64_t edges = 0;
+    for (size_t k = 0; k < u.idx.size(); ++k)
+        edges += A.indptr[u.idx[k] + 1] - A.indptr[u.idx[k]];
+    edges_examined_ref() = edges;
 #ifdef _OPENMP
     const Index u_nnz = static_cast<Index>(u.idx.size());
     const int nt = num_threads();
@@ -409,15 +415,42 @@ Vec<TT> vxm(const VecU& u, const MatA& A, AddOp add, MultOp mult) {
     return out;
 }
 
-// w<cand> = A ⊕.⊗ u over candidate rows only — the pull (gather)
-// direction of a direction-optimized traversal.  Candidate rows are the
-// positions the write mask can accept, so entries the masked finalize
-// would discard are never computed.  Each row folds its present
-// neighbours in stored (ascending-column) order, exactly as mxv()'s row
-// sweep, so surviving entries are bit-identical to the dense form.
+// The candidate rows of a pull, ascending: the rows the write mask can
+// accept — its stored true entries, or under complement every row that is
+// not one (m_idx is sorted) — each passed to row(i).  A raised cancel
+// cell stops the walk, checked every 1024 rows.
+template <class Row>
+void for_each_candidate(Index nrows, const Index* m_idx, const uint8_t* m_vals,
+                        Index m_nnz, bool comp, Row row) {
+    Index c = 0;
+    if (!comp) {
+        for (Index k = 0; k < m_nnz; ++k) {
+            if (!m_vals[k]) continue;
+            if ((c++ & 1023) == 0 && cancel_requested()) return;
+            row(m_idx[k]);
+        }
+        return;
+    }
+    Index k = 0;
+    for (Index i = 0; i < nrows; ++i) {
+        bool closed = false;
+        if (k < m_nnz && m_idx[k] == i) closed = m_vals[k++] != 0;
+        if (closed) continue;
+        if ((c++ & 1023) == 0 && cancel_requested()) return;
+        row(i);
+    }
+}
+
+// w<m> = A ⊕.⊗ u over candidate rows only — the pull (gather) direction
+// of a direction-optimized traversal.  Candidate rows are the positions
+// the write mask (m_idx/m_vals/m_nnz, complemented when comp) can accept,
+// so entries the masked finalize would discard are never computed.  Each
+// row folds its present neighbours in stored (ascending-column) order,
+// exactly as mxv()'s row sweep, so surviving entries are bit-identical
+// to the dense form.
 template <class TT, class MatA, class VecU, class AddOp, class MultOp>
-Vec<TT> mxv_pull(const MatA& A, const VecU& u,
-                 const Index* cand, Index n_cand, AddOp add, MultOp mult) {
+Vec<TT> mxv_pull(const MatA& A, const VecU& u, const Index* m_idx,
+                 const uint8_t* m_vals, Index m_nnz, bool comp, AddOp add, MultOp mult) {
     std::vector<TT> ud(A.ncols);
     std::vector<uint8_t> up(A.ncols, 0);
     for (size_t k = 0; k < u.idx.size(); ++k) {
@@ -426,9 +459,7 @@ Vec<TT> mxv_pull(const MatA& A, const VecU& u,
     }
     Vec<TT> out; out.size = A.nrows;
     int64_t edges = 0;
-    for (Index c = 0; c < n_cand; ++c) {
-        if ((c & 1023) == 0 && cancel_requested()) break;
-        const Index i = cand[c];
+    for_each_candidate(A.nrows, m_idx, m_vals, m_nnz, comp, [&](Index i) {
         edges += A.indptr[i + 1] - A.indptr[i];
         TT acc{}; bool any = false;
         for (Index p = A.indptr[i]; p < A.indptr[i + 1]; ++p) {
@@ -439,7 +470,7 @@ Vec<TT> mxv_pull(const MatA& A, const VecU& u,
             any = true;
         }
         if (any) { out.idx.push_back(i); out.val.push_back(acc); }
-    }
+    });
     edges_examined_ref() = edges;
     return out;
 }
@@ -455,8 +486,8 @@ Vec<TT> mxv_pull(const MatA& A, const VecU& u,
 // whole block — the deterministic edges-examined figure is therefore
 // identical across all three engines.
 template <class TT, class MatA, class VecU, class MultOp>
-Vec<TT> mxv_pull_or(const MatA& A, const VecU& u,
-                    const Index* cand, Index n_cand, MultOp mult) {
+Vec<TT> mxv_pull_or(const MatA& A, const VecU& u, const Index* m_idx,
+                    const uint8_t* m_vals, Index m_nnz, bool comp, MultOp mult) {
     std::vector<TT> ud(A.ncols);
     std::vector<uint8_t> up(A.ncols, 0);
     for (size_t k = 0; k < u.idx.size(); ++k) {
@@ -465,9 +496,7 @@ Vec<TT> mxv_pull_or(const MatA& A, const VecU& u,
     }
     Vec<TT> out; out.size = A.nrows;
     int64_t edges = 0;
-    for (Index c = 0; c < n_cand; ++c) {
-        if ((c & 1023) == 0 && cancel_requested()) break;
-        const Index i = cand[c];
+    for_each_candidate(A.nrows, m_idx, m_vals, m_nnz, comp, [&](Index i) {
         Index cur = A.indptr[i];
         const Index end = A.indptr[i + 1];
         bool seen = false, hit = false;
@@ -486,7 +515,7 @@ Vec<TT> mxv_pull_or(const MatA& A, const VecU& u,
             block = block * 2 > 4096 ? 4096 : block * 2;
         }
         if (seen) { out.idx.push_back(i); out.val.push_back(static_cast<TT>(hit)); }
-    }
+    });
     edges_examined_ref() = edges;
     return out;
 }

@@ -41,8 +41,7 @@ capacity (the traversals' k·n rows; the loader's coordinates), anything
 else a matrix collected with ``pygb_fetch``.  Groups ``D`` and ``N``
 pass one double or integer parameter.  ``apply_mat`` is bound as
 ``MSW`` when its spec has neither mask nor accumulator
-(``_gen_apply_mat``'s other form), and a pull-direction spmv takes the
-mask's candidate rows before its output.
+(``_gen_apply_mat``'s other form).
 """
 
 from __future__ import annotations

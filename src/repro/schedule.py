@@ -44,31 +44,41 @@ Selection is controlled by ``$PYGB_SCHEDULE``:
 A :class:`Scheduled` context manager overrides the environment for a
 block, mirroring the operator-context idiom (``with Scheduled("pull")``).
 
-The **cost model** charges each direction the stored entries it would
-examine, plus the transpose it would have to build to run.  Push
-scatters along one orientation of the matrix, dense and pull gather
-along the other; the one that is not ``a`` itself is ``a.T``, memoised
-on the store once built:
+The **cost model** estimates the stored entries each direction would
+examine from what the operands already hold — entry counts, no scan —
+plus the transpose it would have to build to run, so a decision costs
+O(1) Python whatever the graph's size (GraphBLAST decides on the
+frontier's size the same way).  Push scatters along one orientation of
+the matrix, dense and pull gather along the other; the one that is not
+``a`` itself is ``a.T``, memoised on the store once built.  With
+``nnz`` stored entries, a ``size``-long operand ``u`` and an
+``out_size``-long output:
 
-=========  ===================================  ===========================
-direction  edges                                ``a.T`` needed, not at hand
-=========  ===================================  ===========================
-``dense``  ``nnz``                              ``+ nnz``: it would be built
-                                                only to run this statement
-``push``   ``Σ out-degree(frontier)``           frontier ≤ ¼ full: built to
-                                                read the degrees (once per
-                                                store); denser: not a
-                                                candidate
-``pull``   ``Σ in-degree(mask candidates)``;    built to read the degrees
-           ``÷ 4 + |candidates|`` when the      (once per store; masked
-           add monoid is ``LogicalOr``          statements only)
-=========  ===================================  ===========================
+=========  ======================================  ========================
+direction  estimated edges                         ``a.T`` needed, not at
+                                                   hand
+=========  ======================================  ========================
+``dense``  ``nnz``                                 ``+ nnz``: it would be
+                                                   built only to run this
+                                                   statement
+``push``   ``u.nvals × nnz / size`` (the           frontier ≤ ¼ full: no
+           frontier's share of the edges)          charge; denser: not a
+                                                   candidate
+``pull``   ``|candidates| × nnz / out_size``,      no charge (masked
+           ``|candidates|`` = ``mask.nvals``, or   statements only)
+           ``out_size − mask.nvals`` under
+           complement; ``÷ 4 + |candidates|``
+           when the add monoid is ``LogicalOr``
+=========  ======================================  ========================
 
 Ties go to ``dense``, then ``push``, then ``pull``.  So a full frontier
 is ``dense`` when its gather matrix is at hand and ``push`` when it is
 not — PageRank's ``vxm`` on a freshly built matrix never transposes it.
 No timing enters the choice: the same operands give the same direction
-in every process.
+in every process.  The exact counts come from the kernels that run: the
+cpp push and pull kernels count the edges they walk and derive the pull
+rows from the mask they already receive; the NumPy engines ask
+:attr:`Schedule.candidates` for the pull rows.
 
 Deterministic counters (:func:`stats`) track calls, examined edges per
 direction, direction switches, and pull→dense fallbacks; the perf
@@ -171,8 +181,8 @@ class Schedule:
     Two phases mirror expression lifetime: :meth:`capture` (expression
     construction) records the mode and any :class:`Scheduled` override;
     :meth:`resolve` (dispatch time, when operand stores and the write
-    descriptor are in hand) fixes ``direction``, ``frontier`` and — for
-    pull — the candidate row set.
+    descriptor are in hand) fixes ``direction`` and ``frontier``; a
+    pull's candidate rows (:attr:`candidates`) wait until an engine asks.
     """
 
     __slots__ = (
@@ -181,7 +191,7 @@ class Schedule:
         "direction",
         "frontier",
         "chosen_by",
-        "candidates",
+        "_pull",
     )
 
     def __init__(self, mode: str = "auto", forced: str | None = None):
@@ -190,7 +200,7 @@ class Schedule:
         self.direction = None
         self.frontier = None
         self.chosen_by = None
-        self.candidates = None
+        self._pull = None
 
     @classmethod
     def capture(cls) -> "Schedule":
@@ -231,8 +241,8 @@ class Schedule:
             direction, chosen_by = self._choose_auto(func, a, u, desc, ta, add_op)
 
         self.direction = direction
-        if direction == "pull" and self.candidates is None:
-            self.candidates = _pull_candidates(mask, desc)
+        self._pull = (mask, bool(getattr(desc, "complement", False))) \
+            if direction == "pull" else None
         self.frontier = "bitmap" if direction == "pull" else "sparse"
         self.chosen_by = chosen_by
 
@@ -256,8 +266,9 @@ class Schedule:
 
     def _choose_auto(self, func, a, u, desc, ta, add_op):
         """The cheapest direction under the cost model (module
-        docstring): examined edges plus the transpose a direction would
-        have to build; ties go to the earlier of :data:`DIRECTIONS`."""
+        docstring): edges estimated from entry counts plus the transpose
+        a direction would have to build; ties go to the earlier of
+        :data:`DIRECTIONS`.  O(1): nothing here scans an operand."""
         nnz = int(a.indices.size)
         size = int(u.size)
         unnz = int(u.indices.size)
@@ -269,32 +280,38 @@ class Schedule:
 
         # dense: scan every stored entry of the gather matrix, after
         # building it when it is `a.T` and not at hand
-        candidates = [("dense", 2 * nnz if scatter_ready and not transposed else nnz)]
+        costs = [("dense", 2 * nnz if scatter_ready and not transposed else nnz)]
 
-        # push: Σ out-degree(frontier) on the scatter matrix.  When the
-        # frontier is dense the bound density * nnz already rules push
-        # out without forcing a transpose build.
+        # push: the frontier's share of the scatter matrix's entries.  A
+        # frontier denser than ¼ is left to dense unless push needs no
+        # transpose built for it.
         if unnz == 0:
-            candidates.append(("push", 0))
+            costs.append(("push", 0))
         elif scatter_ready or transposed or unnz * 4 <= size:
-            s = a if scatter_ready else a.transposed()
-            deg = s.row_lengths()[u.indices]
-            candidates.append(("push", int(deg.sum())))
+            costs.append(("push", unnz * nnz // size))
 
-        # pull: Σ in-degree(candidates) on the gather matrix, discounted
-        # when the LogicalOr early exit applies
+        # pull: the candidate rows' share of the gather matrix's entries,
+        # discounted when the LogicalOr early exit applies
         if mask is not None:
-            cand = _pull_candidates(mask, desc)
-            self.candidates = cand
-            g = a.transposed() if scatter_ready else a
-            pdeg = g.row_lengths()[cand]
-            cost = int(pdeg.sum())
+            out_size = int(mask.size)
+            n_cand = int(mask.indices.size)
+            if getattr(desc, "complement", False):
+                n_cand = out_size - n_cand
+            cost = n_cand * nnz // max(out_size, 1)
             if str(add_op) == "LogicalOr":
-                cost = cost // _EARLY_EXIT_DISCOUNT + cand.size
-            candidates.append(("pull", cost))
+                cost = cost // _EARLY_EXIT_DISCOUNT + n_cand
+            costs.append(("pull", cost))
 
         # built in DIRECTIONS order, and min() keeps the first of a tie
-        return min(candidates, key=lambda dc: dc[1])[0], "heuristic"
+        return min(costs, key=lambda dc: dc[1])[0], "heuristic"
+
+    @property
+    def candidates(self):
+        """The rows a pull computes, ascending: the write mask's true
+        set, or its complement — ``None`` unless the resolved direction
+        is ``pull``.  Built when asked, by the NumPy engines; the cpp
+        pull kernels walk the mask themselves."""
+        return None if self._pull is None else _pull_candidates(*self._pull)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -303,13 +320,15 @@ class Schedule:
         )
 
 
-def _pull_candidates(mask, desc) -> np.ndarray:
+def _pull_candidates(mask, complement: bool) -> np.ndarray:
     """Row candidates the write mask can accept: the mask's true set, or
-    its complement — as a sorted index array (derived from the cached
-    dense-bitmap representation of the mask vector)."""
-    if getattr(desc, "complement", False):
-        return np.flatnonzero(~mask.true_bitmap()).astype(np.int64, copy=False)
-    return mask.bool_indices().astype(np.int64, copy=False)
+    its complement — as a sorted index array."""
+    true = mask.bool_indices()
+    if not complement:
+        return true.astype(np.int64, copy=False)
+    open_rows = np.ones(mask.size, dtype=bool)
+    open_rows[true] = False
+    return np.flatnonzero(open_rows)
 
 
 # ----------------------------------------------------------------------

@@ -509,21 +509,48 @@ class TestScheduleOnCpp:
 
     @pytest.mark.parametrize("direction", ["dense", "push", "pull"])
     def test_edge_counters_match_interpreted(self, cpp, interp, rng, direction):
+        """The push scatter and the pull gather count in C++; the pull
+        walks the rows of a plain and of a complemented mask."""
         from repro import schedule as S
 
         a, u = random_mat_dict(rng, N, N), random_vec_dict(rng, N)
         mask = random_vec_dict(rng, N, dtype=np.bool_)
+        # the dense vxm is a scatter on cpp and a gather on NumPy, and each
+        # counts the edges it walks
+        for func in ("mxv", "vxm") if direction != "dense" else ("mxv",):
+            for comp in (False, True):
+                per_engine = {}
+                for eng in (cpp, interp):
+                    S.reset_stats()
+                    desc = OpDesc(mask=_vs(mask, dtype=np.bool_), complement=comp)
+                    a_s, u_s = _ms(a), _vs(u)
+                    sched = self._sched(direction, func, a_s, u_s, desc, False, "Plus")
+                    x, y = (a_s, u_s) if func == "mxv" else (u_s, a_s)
+                    getattr(eng, func)(_vs({}), x, y, "Plus", "Times", desc, sched=sched)
+                    per_engine[eng.name] = S.stats()["edges"]
+                got = list(per_engine.values())
+                assert got[0] == got[1], (func, comp)
+                assert got[0][direction] > 0
+
+    @pytest.mark.parametrize("mode", ["fixed", "push", "pull", "auto"])
+    def test_algorithm_counters_match_interpreted(self, mode):
+        """BFS and SSSP on a power-law graph: calls, edges, switches and
+        fallbacks are the same whether C++ or NumPy counts them."""
+        from repro import schedule as S
+        from repro.algorithms import bfs_levels, sssp_distances
+        from repro.io.generators import rmat
+
+        g = rmat(7, edge_factor=8, seed=4)
+        gw = rmat(7, edge_factor=8, seed=5, weighted=True, dtype=float)
         per_engine = {}
-        for eng in (cpp, interp):
-            S.reset_stats()
-            desc = OpDesc(mask=_vs(mask, dtype=np.bool_))
-            a_s, u_s = _ms(a), _vs(u)
-            sched = self._sched(direction, "mxv", a_s, u_s, desc, False, "Plus")
-            eng.mxv(_vs({}), a_s, u_s, "Plus", "Times", desc, sched=sched)
-            per_engine[eng.name] = S.stats()["edges"]
-        got = list(per_engine.values())
-        assert got[0] == got[1]
-        assert got[0][direction] > 0
+        for eng in ("cpp", "interpreted"):
+            with gb.use_engine(eng):
+                S.reset_stats()
+                levels = bfs_levels(g, 0, schedule=mode)._store.to_dict()
+                dist = sssp_distances(gw, 0, schedule=mode)._store.to_dict()
+            per_engine[eng] = (S.stats(), levels, dist)
+        assert per_engine["cpp"] == per_engine["interpreted"]
+        assert per_engine["cpp"][0]["edges_total"] > 0
 
     @pytest.mark.parametrize("mode", ["fixed", "push", "pull", "auto"])
     def test_bfs_through_dsl_every_mode(self, rng, mode):

@@ -35,7 +35,7 @@ from repro.jit.cache import CACHE_FORMAT_VERSION, JitCache
 from repro.jit.health import DEFAULT_RETRIES, EngineHealth
 from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
-from repro.jit.spec import KernelSpec
+from repro.jit.spec import CODEGEN_VERSION, KernelSpec
 from repro.testing import FAULTS, fault_injection
 
 
@@ -568,7 +568,7 @@ class TestFastLoaderDegradation:
         ]
         cache = default_cache()
         assert [row["key"] for row in cache.health.snapshot()["specs"]] == [
-            "v18:mmread(c=float64)"]
+            f"v{CODEGEN_VERSION}:mmread(c=float64)"]
         assert cache.stats.fallbacks == 2
 
 

@@ -34,11 +34,11 @@ from repro.jit.pycodegen import generate_source
 from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import CODEGEN_VERSION
 
-CATALOG_DIGEST = "d78fa07cb7a2c8beddacca71ebe0b89bbea758850d7d1a7c5922600ec978865a"
+CATALOG_DIGEST = "fea6c59ff59960bce9d7eaab7e5c5b688d540e450d7248a73056389a0be75638"
 ENGINE_DIGESTS = {
-    "pyjit": "f64eb76dd54bab7ceb02e90e5e390c2209d68eb3abe2bae9625a6b774fb655c9",
-    "cpp": "f829017ed9513188880aa44798d61c06dda52a39418d0d3232187abb05812144",
-    "cpp-parallel": "b80e006e1e75725d2b883d8e126fbd66df7c410b98b745ec1dbb5b5273fb82bd",
+    "pyjit": "b9b8a038e50d6d8bd30657edceb03e40359e2d4ee6ea53178416c34b9f84e573",
+    "cpp": "7621e858d026f7fa1bb369f47829f079f6b9ef5774bdf02486826f177c02d389",
+    "cpp-parallel": "f4449f1bb79e46abe6042c2e5c7b21acb448bf875d76ca1ef3ad52c7b816fc53",
 }
 
 
@@ -73,7 +73,7 @@ def test_the_table_has_one_row_per_kernel():
 
 
 def test_codegen_version_is_pinned():
-    assert CODEGEN_VERSION == 18
+    assert CODEGEN_VERSION == 19
 
 
 def test_catalog_keys_and_generated_sources_are_byte_identical():
@@ -124,7 +124,10 @@ def _calls():
     vmask = OpDesc(mask=u_b, complement=True, replace=True, accum="Plus")
     mmask = OpDesc(mask=a_b, complement=False, replace=False, accum="Min")
     idx = np.array([0, 2], np.int64)
-    sched = {d: SimpleNamespace(direction=d, candidates=idx) for d in ("dense", "push", "pull")}
+    # a resolved schedule; only pyjit's pull reads the candidate rows (cpp
+    # pull kernels walk the mask)
+    sched = {d: SimpleNamespace(direction=d, candidates=idx if d == "pull" else None)
+             for d in ("dense", "push", "pull")}
     calls = []
     for desc_v, desc_m in ((plain, plain), (vmask, mmask)):
         for ta in (False, True):

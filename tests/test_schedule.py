@@ -3,9 +3,11 @@
 Four layers of coverage:
 
 * **unit** — ``$PYGB_SCHEDULE`` parsing, the :class:`Scheduled` context,
-  the deterministic counters, the cost model's decision rows, and
-  :meth:`Schedule.resolve` feasibility rules (unmasked pull degrades to
-  dense and counts a fallback; switches are detected per call site);
+  the deterministic counters, the cost model's decision rows (decided
+  without scanning an operand), the direction sequences of the workload
+  algorithms, and :meth:`Schedule.resolve` feasibility rules (unmasked
+  pull degrades to dense and counts a fallback; switches are detected
+  per call site);
 * **bit-identity** — every mode (``fixed``/``push``/``pull``/``auto``)
   produces *exactly* the same result dict as the legacy dense strategy,
   per engine, across mxv/vxm × transpose × mask/complement grids, for
@@ -161,6 +163,18 @@ class TestResolve:
         n = u.size
         expected = sorted(set(range(n)) - {i for i, v in mask_d.items() if v})
         np.testing.assert_array_equal(sched.candidates, expected)
+        assert sched.candidates.dtype == np.int64
+
+    def test_only_a_pull_has_candidates(self):
+        """A schedule resolved again for another direction drops the
+        rows of its previous pull."""
+        a, u, m, _ = _stores()
+        sched = S.Schedule("pull")
+        sched.resolve("mxv", a, u, OpDesc(mask=m), False, "Plus")
+        assert sched.candidates is not None
+        sched.mode = "push"
+        sched.resolve("mxv", a, u, OpDesc(mask=m), False, "Plus")
+        assert sched.candidates is None
 
     def test_auto_heuristic_prefers_push_for_sparse_frontier(self):
         n = 32
@@ -224,6 +238,33 @@ class TestResolve:
         )
         assert sched.direction == "pull"
         np.testing.assert_array_equal(sched.candidates, [n - 3, n - 2, n - 1])
+
+    @pytest.mark.parametrize("func", ["mxv", "vxm"])
+    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("maskkind", ["none", "mask", "comp"])
+    @pytest.mark.parametrize("frontier", [1, 12, 32])
+    def test_auto_decides_without_scanning(self, monkeypatch, func, ta, maskkind, frontier):
+        """The decision reads entry counts only: no degree array, mask
+        index list or bitmap, and no transpose build."""
+        from repro.backend.smatrix import SparseMatrix
+        from repro.backend.svector import SparseVector
+
+        n = 32
+        a = mat_from_dict(random_mat_dict(np.random.default_rng(1), n, n, density=0.4), n, n)._store
+        u = gb.Vector((np.ones(frontier, dtype=bool), range(frontier)), shape=(n,), dtype=bool)._store
+        mask = gb.Vector((np.ones(n - 3, dtype=bool), range(n - 3)), shape=(n,), dtype=bool)._store
+        desc = OpDesc() if maskkind == "none" else OpDesc(mask=mask, complement=maskkind == "comp")
+
+        def scan(*args, **kwargs):
+            raise AssertionError("the direction decision scanned an operand")
+
+        for cls, name in ((SparseMatrix, "row_lengths"), (SparseMatrix, "transposed"),
+                          (SparseMatrix, "_build_transpose"), (SparseVector, "bool_indices"),
+                          (SparseVector, "dense_lookup")):
+            monkeypatch.setattr(cls, name, scan)
+        sched = S.Schedule("auto").resolve(func, a, u, desc, ta, "LogicalOr")
+        assert sched.chosen_by == "heuristic"
+        assert sched.direction in (("dense", "push") if maskkind == "none" else S.DIRECTIONS)
 
     def test_switch_detected_per_site(self):
         a, u, _, _ = _stores()
@@ -439,6 +480,45 @@ class TestAlgorithms:
         assert stalled == quiet
         assert len([d for d, n in quiet[0].items() if n]) >= 2  # a real mix of directions
 
+    @pytest.mark.parametrize("nodes, nedges, pagerank_on, expect_pagerank", [
+        (256, None, "scale_free", ["push"] * 8),
+        (4096, 262144, "erdos_renyi", ["push"]),
+    ], ids=["V256", "V4096"])
+    def test_workload_direction_sequences(self, engine, monkeypatch, nodes, nedges,
+                                          pagerank_on, expect_pagerank):
+        """The directions ``auto`` picks on the benchmark's graph shapes:
+        Erdős–Rényi BFS pushes while the frontier is sparse and pulls
+        once few vertices are left; the unmasked SSSP relaxation and the
+        full-frontier PageRank ``vxm`` always push."""
+        from repro.algorithms import bfs_levels, pagerank, sssp_converging
+        from repro.io.generators import erdos_renyi_coo, scale_free
+
+        seen = []
+        resolve = S.Schedule.resolve
+
+        def recording(self, *args):
+            seen.append(resolve(self, *args).direction)
+            return self
+
+        monkeypatch.setattr(S.Schedule, "resolve", recording)
+        rows, cols, weights = erdos_renyi_coo(nodes, nedges, 42, weighted=True)
+        g = gb.Matrix((np.ones(len(rows), np.int64), (rows, cols)), shape=(nodes, nodes))
+        gw = gb.Matrix((weights, (rows, cols)), shape=(nodes, nodes), dtype=float)
+        pr = scale_free(nodes, seed=42) if pagerank_on == "scale_free" else g
+
+        def directions(run):
+            seen.clear()
+            with S.Scheduled("auto"):
+                run()
+            return list(seen)
+
+        for _ in range(2):  # the second round runs on memoised transposes
+            assert directions(lambda: bfs_levels(g, 0)) == ["push", "push", "pull", "pull"]
+            path = gb.Vector(([0.0], [0]), shape=(nodes,), dtype=float)
+            assert directions(lambda: sssp_converging(gw, path)) == ["push"] * 7
+            ranks = gb.Vector(shape=(nodes,), dtype=float)
+            assert directions(lambda: pagerank(pr, ranks, threshold=1e-8)) == expect_pagerank
+
     def test_auto_pagerank_never_transposes(self, engine, monkeypatch):
         """The rank vector is full from the first iteration and ``m`` is
         built fresh by every call: dense would gather along ``m.T``."""
@@ -492,19 +572,9 @@ class TestFrontierRepresentations:
         v = vec_from_dict(
             random_vec_dict(rng, 16, density=0.5, dtype=bool), 16, dtype=bool
         )._store
-        assert v.true_bitmap() is v.true_bitmap()
         assert v.bool_indices() is v.bool_indices()
         vals, present = v.dense_lookup()
         vals2, present2 = v.dense_lookup()
         assert vals is vals2 and present is present2  # same memoized pair
-        assert not v.true_bitmap().flags.writeable
+        assert not v.bool_indices().flags.writeable
         assert not present.flags.writeable
-
-    def test_bitmap_matches_bool_indices(self, rng):
-        d = random_vec_dict(rng, 32, density=0.5, dtype=bool)
-        v = vec_from_dict(d, 32, dtype=bool)._store
-        np.testing.assert_array_equal(
-            np.flatnonzero(v.true_bitmap()), v.bool_indices()
-        )
-        expected = sorted(i for i, val in d.items() if val)
-        np.testing.assert_array_equal(v.bool_indices(), expected)

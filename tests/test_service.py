@@ -566,7 +566,7 @@ class TestBackendMemoReentrancy:
     def test_vector_frontier_reprs_build_once_under_race(self, rng):
         idx = np.unique(rng.integers(0, 5000, size=800))
         v = SparseVector.from_sorted(5000, idx, rng.random(idx.size) > 0.3)
-        for method in (v.dense_lookup, v.bool_indices, v.true_bitmap):
+        for method in (v.dense_lookup, v.bool_indices):
             results = _race(method)
             first = results[0]
             assert all(
